@@ -7,6 +7,11 @@
 //
 //	go test -run xxx -bench <gated> -count=5 . | benchgate -update   # refresh baseline
 //	go test -run xxx -bench <gated> -count=5 . | benchgate           # enforce
+//	go test -run xxx -bench "$(benchgate -pattern)" -count=5 .       # <gated>, from the baseline
+//
+// -pattern prints the anchored regular expression matching exactly the
+// baseline's benchmarks, so the gated set is written down once: in the
+// baseline.
 //
 // The gate fails (exit 1) when any benchmark present in the baseline
 //
@@ -119,12 +124,42 @@ func condense(samples map[string][]sample) map[string]Benchmark {
 	return out
 }
 
+// loadBaseline reads the committed baseline and its benchmark names in
+// sorted order.
+func loadBaseline(path string) (Baseline, []string, error) {
+	var bl Baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return bl, nil, err
+	}
+	if err := json.Unmarshal(data, &bl); err != nil {
+		return bl, nil, fmt.Errorf("benchgate: parsing %s: %v", path, err)
+	}
+	names := make([]string, 0, len(bl.Benchmarks))
+	for name := range bl.Benchmarks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return bl, names, nil
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline file to compare against (or write with -update)")
 	update := flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
 	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op regression before failing")
 	note := flag.String("note", "", "provenance note stored in the baseline on -update")
+	pattern := flag.Bool("pattern", false, "print the anchored -bench regexp of the baseline's benchmarks and exit")
 	flag.Parse()
+
+	if *pattern {
+		_, names, err := loadBaseline(*baselinePath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Printf("^(%s)$\n", strings.Join(names, "|"))
+		return
+	}
 
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -157,22 +192,11 @@ func main() {
 		return
 	}
 
-	data, err := os.ReadFile(*baselinePath)
+	bl, names, err := loadBaseline(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var bl Baseline
-	if err := json.Unmarshal(data, &bl); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", *baselinePath, err)
-		os.Exit(2)
-	}
-
-	names := make([]string, 0, len(bl.Benchmarks))
-	for name := range bl.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	failed := false
 	for _, name := range names {
 		base := bl.Benchmarks[name]

@@ -50,10 +50,13 @@
 // domain rollout / rollback / bundles) for content-addressed,
 // atomically-switched program distribution.
 //
-// With -views, the server keeps the VDL views in the file continuously
-// materialized through the incremental view engine (O(delta) work per
-// MIB write) and serves them over the RDS view operation (mbdctl view
-// status / define / query / watch). See docs/VDL.md.
+// The server runs one view agent (the MCVA), which keeps every VDL view
+// continuously materialized (O(delta) work per MIB write). Views come
+// in from the -views file, the RDS view operation (mbdctl view define)
+// or a delegated program's viewDefine(), and whichever way one came in
+// it is served over the RDS view operation (mbdctl view status / query
+// / watch), to delegated programs (viewQuery) and to plain SNMP
+// managers as the v-mib subtree 1.3.6.1.4.1.424242.1. See docs/VDL.md.
 //
 // With one or more -secret principal=secret flags, RDS requests must
 // carry a valid MD5 digest; otherwise authentication is off (the first
@@ -113,64 +116,60 @@ func (t tenantQuotaFlag) Set(v string) error {
 	return nil
 }
 
+// config is everything the flags decide; main parses them straight
+// into it and run reads nothing else.
+type config struct {
+	rdsAddr, snmpAddr string
+	name, community   string
+	repoDir           string
+	secrets           secretsFlag
+	strict            bool
+	costCeiling       uint64
+	obsAddr           string
+	viewsFile         string
+	drain             time.Duration
+
+	domain, parent, advertise string
+	rollup                    string
+	heartbeat                 time.Duration
+
+	quota        string
+	tenantQuotas tenantQuotaFlag
+	schedWorkers int
+	maxRepo      int64
+}
+
 func main() {
-	rdsAddr := flag.String("rds", ":5500", "RDS (delegation) TCP listen address")
-	snmpAddr := flag.String("snmp", ":1161", "SNMP UDP listen address")
-	name := flag.String("name", "lab-router", "device sysName")
-	community := flag.String("community", "public", "SNMP community")
-	repoDir := flag.String("repo", "", "directory backing the DP repository (load at start, save at exit)")
-	strict := flag.Bool("strict", false, "strict admission: reject delegations with any analyzer warning")
-	costCeiling := flag.Uint64("costceiling", 0, "reject delegations whose estimated cost exceeds this (0 = off; nonzero also rejects unbounded programs)")
-	obsAddr := flag.String("obs", "", "observability HTTP listen address (/metrics, /debug/pprof, /tracez); empty disables")
-	viewsFile := flag.String("views", "", "VDL file whose views are kept continuously materialized (empty = engine on, no initial views)")
-	drain := flag.Duration("drain", 2*time.Second, "graceful-shutdown drain grace per RDS connection (0 = close immediately)")
-	domain := flag.String("domain", "", "management domain this server roots; empty disables federation")
-	parent := flag.String("parent", "", "parent domain root's RDS address (empty = top root)")
-	advertise := flag.String("advertise", "", "RDS address peers use to reach this server (default derives from -rds)")
-	rollup := flag.String("rollup", "latest", "default rollup combiner: sum, max or latest")
-	heartbeat := flag.Duration("heartbeat", time.Second, "federation heartbeat interval")
-	quotaSpec := flag.String("quota", "", "default per-principal quota, e.g. dpis=8,steps=200000,events=50,repo=65536,reqs=100,weight=1 (empty = unlimited)")
-	schedWorkers := flag.Int("schedworkers", 0, "weighted-fair DPI scheduler run slots (0 = max(2, GOMAXPROCS), negative disables scheduling)")
-	maxRepo := flag.Int64("maxrepo", 0, "repository byte ceiling across all principals (0 = 64 MiB default, negative = unlimited)")
-	tenantQuotas := tenantQuotaFlag{}
-	flag.Var(tenantQuotas, "tenantquota", "per-principal quota override as principal:spec (repeatable)")
-	var secrets secretsFlag
-	flag.Var(&secrets, "secret", "principal=secret for MD5 auth (repeatable)")
+	c := config{tenantQuotas: tenantQuotaFlag{}}
+	flag.StringVar(&c.rdsAddr, "rds", ":5500", "RDS (delegation) TCP listen address")
+	flag.StringVar(&c.snmpAddr, "snmp", ":1161", "SNMP UDP listen address")
+	flag.StringVar(&c.name, "name", "lab-router", "device sysName")
+	flag.StringVar(&c.community, "community", "public", "SNMP community")
+	flag.StringVar(&c.repoDir, "repo", "", "directory backing the DP repository (load at start, save at exit)")
+	flag.BoolVar(&c.strict, "strict", false, "strict admission: reject delegations with any analyzer warning")
+	flag.Uint64Var(&c.costCeiling, "costceiling", 0, "reject delegations whose estimated cost exceeds this (0 = off; nonzero also rejects unbounded programs)")
+	flag.StringVar(&c.obsAddr, "obs", "", "observability HTTP listen address (/metrics, /debug/pprof, /tracez); empty disables")
+	flag.StringVar(&c.viewsFile, "views", "", "VDL file whose views are kept continuously materialized (empty = engine on, no initial views)")
+	flag.DurationVar(&c.drain, "drain", 2*time.Second, "graceful-shutdown drain grace per RDS connection (0 = close immediately)")
+	flag.StringVar(&c.domain, "domain", "", "management domain this server roots; empty disables federation")
+	flag.StringVar(&c.parent, "parent", "", "parent domain root's RDS address (empty = top root)")
+	flag.StringVar(&c.advertise, "advertise", "", "RDS address peers use to reach this server (default derives from -rds)")
+	flag.StringVar(&c.rollup, "rollup", "latest", "default rollup combiner: sum, max or latest")
+	flag.DurationVar(&c.heartbeat, "heartbeat", time.Second, "federation heartbeat interval")
+	flag.StringVar(&c.quota, "quota", "", "default per-principal quota, e.g. dpis=8,steps=200000,events=50,repo=65536,reqs=100,weight=1 (empty = unlimited)")
+	flag.IntVar(&c.schedWorkers, "schedworkers", 0, "weighted-fair DPI scheduler run slots (0 = max(2, GOMAXPROCS), negative disables scheduling)")
+	flag.Int64Var(&c.maxRepo, "maxrepo", 0, "repository byte ceiling across all principals (0 = 64 MiB default, negative = unlimited)")
+	flag.Var(c.tenantQuotas, "tenantquota", "per-principal quota override as principal:spec (repeatable)")
+	flag.Var(&c.secrets, "secret", "principal=secret for MD5 auth (repeatable)")
 	flag.Parse()
-
-	quota, err := elastic.ParseQuota(*quotaSpec)
-	if err != nil {
+	if err := run(c); err != nil {
 		log.Fatal(err)
 	}
-	ten := tenancyConfig{Quota: quota, TenantQuotas: tenantQuotas,
-		SchedWorkers: *schedWorkers, MaxRepositoryBytes: *maxRepo}
-	fed := fedConfig{Domain: *domain, Parent: *parent, Advertise: *advertise,
-		Rollup: *rollup, Heartbeat: *heartbeat}
-	if err := run(*rdsAddr, *snmpAddr, *name, *community, *repoDir, secrets, *strict, *costCeiling, *obsAddr, *viewsFile, *drain, fed, ten); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// tenancyConfig carries the multi-tenant flags into run.
-type tenancyConfig struct {
-	Quota              elastic.Quota
-	TenantQuotas       map[string]elastic.Quota
-	SchedWorkers       int
-	MaxRepositoryBytes int64
-}
-
-// fedConfig carries the federation flags into run.
-type fedConfig struct {
-	Domain    string
-	Parent    string
-	Advertise string
-	Rollup    string
-	Heartbeat time.Duration
 }
 
 // combiner maps the -rollup flag to a federation combiner.
-func (f fedConfig) combiner() (federation.Combiner, error) {
-	switch f.Rollup {
+func (c config) combiner() (federation.Combiner, error) {
+	switch c.rollup {
 	case "", "latest":
 		return federation.Latest(), nil
 	case "sum":
@@ -178,40 +177,38 @@ func (f fedConfig) combiner() (federation.Combiner, error) {
 	case "max":
 		return federation.Max(), nil
 	}
-	return nil, fmt.Errorf("unknown -rollup combiner %q (want sum, max or latest)", f.Rollup)
+	return nil, fmt.Errorf("unknown -rollup combiner %q (want sum, max or latest)", c.rollup)
 }
 
 // advertiseAddr derives a dialable advertised address from the RDS
 // listen address when -advertise is not given.
-func (f fedConfig) advertiseAddr(rdsAddr string) string {
-	if f.Advertise != "" {
-		return f.Advertise
+func (c config) advertiseAddr() string {
+	if c.advertise != "" {
+		return c.advertise
 	}
-	if strings.HasPrefix(rdsAddr, ":") {
-		return "127.0.0.1" + rdsAddr
+	if strings.HasPrefix(c.rdsAddr, ":") {
+		return "127.0.0.1" + c.rdsAddr
 	}
-	return rdsAddr
+	return c.rdsAddr
 }
 
-func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, strict bool, costCeiling uint64, obsAddr, viewsFile string, drain time.Duration, fed fedConfig, ten tenancyConfig) error {
-	dev, err := mib.NewDevice(mib.DeviceConfig{Name: name, Interfaces: 4, Seed: time.Now().UnixNano()})
+func run(c config) error {
+	quota, err := elastic.ParseQuota(c.quota)
+	if err != nil {
+		return err
+	}
+	dev, err := mib.NewDevice(mib.DeviceConfig{Name: c.name, Interfaces: 4, Seed: time.Now().UnixNano()})
 	if err != nil {
 		return err
 	}
 	dev.AddRoute([4]byte{0, 0, 0, 0}, 1, 1, [4]byte{10, 0, 0, 254})
-
-	// Give delegated programs the MCVA's view services too.
-	mcva := vdl.NewMCVA(dev.Tree(), vdl.MIB2())
-	if err := dev.Tree().Mount(vdl.OIDViews, mcva.Handler()); err != nil {
-		return err
-	}
 
 	// Observability: one registry and trace ring shared by every layer.
 	var (
 		reg    *obs.Registry
 		tracer *obs.Tracer
 	)
-	if obsAddr != "" {
+	if c.obsAddr != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(1024)
 		reg.FuncGauge("go_goroutines", "live goroutines", func() int64 {
@@ -225,34 +222,34 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 	}
 
 	var auth *rds.Authenticator
-	if len(secrets) > 0 {
+	if len(c.secrets) > 0 {
 		auth = rds.NewAuthenticator()
-		for _, kv := range secrets {
+		for _, kv := range c.secrets {
 			parts := strings.SplitN(kv, "=", 2)
 			auth.SetSecret(parts[0], parts[1])
 		}
 	}
 
 	var fedCfg *federation.Config
-	if fed.Domain != "" {
-		comb, err := fed.combiner()
+	if c.domain != "" {
+		comb, err := c.combiner()
 		if err != nil {
 			return err
 		}
 		fedCfg = &federation.Config{
-			Name:              name,
-			Domain:            fed.Domain,
-			Parent:            fed.Parent,
-			Advertise:         fed.advertiseAddr(rdsAddr),
+			Name:              c.name,
+			Domain:            c.domain,
+			Parent:            c.parent,
+			Advertise:         c.advertiseAddr(),
 			Auth:              auth,
 			Combiner:          comb,
-			HeartbeatInterval: fed.Heartbeat,
+			HeartbeatInterval: c.heartbeat,
 		}
 	}
 
 	var viewDefs []string
-	if viewsFile != "" {
-		src, err := os.ReadFile(viewsFile)
+	if c.viewsFile != "" {
+		src, err := os.ReadFile(c.viewsFile)
 		if err != nil {
 			return fmt.Errorf("reading -views file: %w", err)
 		}
@@ -261,45 +258,49 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 
 	srv, err := mbd.New(mbd.Config{
 		Device:          dev,
-		Community:       community,
-		ExtraBindings:   mcva.Bindings(),
+		Community:       c.community,
 		EnableViews:     true,
 		ViewDefs:        viewDefs,
 		MaxDPIs:         256,
-		StrictAdmission: strict,
-		CostCeiling:     costCeiling,
+		StrictAdmission: c.strict,
+		CostCeiling:     c.costCeiling,
 		Obs:             reg,
 		Tracer:          tracer,
 		Federation:      fedCfg,
 
-		Quota:              ten.Quota,
-		TenantQuotas:       ten.TenantQuotas,
-		SchedWorkers:       ten.SchedWorkers,
-		MaxRepositoryBytes: ten.MaxRepositoryBytes,
+		Quota:              quota,
+		TenantQuotas:       c.tenantQuotas,
+		SchedWorkers:       c.schedWorkers,
+		MaxRepositoryBytes: c.maxRepo,
 	})
 	if err != nil {
 		return err
 	}
 	defer srv.Stop()
-	if repoDir != "" {
-		if err := os.MkdirAll(repoDir, 0o755); err != nil {
+	// The same maintained views the RDS view op and the DPL view
+	// services read, served to plain SNMP managers as the v-mib.
+	if err := dev.Tree().Mount(vdl.OIDViews, srv.Views().Handler()); err != nil {
+		return err
+	}
+	if c.repoDir != "" {
+		if err := os.MkdirAll(c.repoDir, 0o755); err != nil {
 			return fmt.Errorf("creating repository dir: %w", err)
 		}
 		// Warm restart: re-admit stored programs and re-instantiate the
 		// checkpoint's always-policy instances through the normal
 		// analysis/admission gate.
-		nDP, nDPI, err := srv.Process().LoadCheckpoint(repoDir, "repository")
+		nDP, nDPI, err := srv.Process().LoadCheckpoint(c.repoDir, "repository")
 		if err != nil {
 			return fmt.Errorf("loading checkpoint: %w", err)
 		}
-		log.Printf("loaded %d delegated programs from %s, re-instantiated %d always-restart instances", nDP, repoDir, nDPI)
+		log.Printf("loaded %d delegated programs from %s, re-instantiated %d always-restart instances", nDP, c.repoDir, nDPI)
 		// Registered after `defer srv.Stop()`, so it runs first — while
 		// the instances whose specs the checkpoint records still live.
 		defer func() {
-			if err := srv.Process().SaveCheckpoint(repoDir); err != nil {
+			if err := srv.Process().SaveCheckpoint(c.repoDir); err != nil {
 				log.Printf("saving checkpoint: %v", err)
 			} else {
-				log.Printf("checkpoint saved to %s", repoDir)
+				log.Printf("checkpoint saved to %s", c.repoDir)
 			}
 		}()
 	}
@@ -326,7 +327,7 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 	if err := srv.Agent().MountStats(dev.Tree()); err != nil {
 		return err
 	}
-	pc, err := net.ListenPacket("udp", snmpAddr)
+	pc, err := net.ListenPacket("udp", c.snmpAddr)
 	if err != nil {
 		return fmt.Errorf("snmp listen: %w", err)
 	}
@@ -335,7 +336,7 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 			log.Printf("snmp agent: %v", err)
 		}
 	}()
-	log.Printf("SNMP agent on %s (community %q)", pc.LocalAddr(), community)
+	log.Printf("SNMP agent on %s (community %q)", pc.LocalAddr(), c.community)
 
 	// Log DPI events to the console.
 	cancel := srv.Process().Subscribe(func(ev elastic.Event) {
@@ -345,20 +346,18 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 
 	// RDS server (its protocol counters join the shared registry; when
 	// -obs is off it publishes on the process's private one).
-	srvOpts := []rds.ServerOption{rds.WithDrainGrace(drain)}
+	srvOpts := []rds.ServerOption{rds.WithDrainGrace(c.drain)}
 	if reg != nil {
 		srvOpts = append(srvOpts, rds.WithObs(reg), rds.WithTracer(tracer))
 	}
 	if node := srv.Federation(); node != nil {
 		srvOpts = append(srvOpts, rds.WithPeerHandler(node))
 		log.Printf("federation: domain %q as %q (parent %q, advertise %s, rollup %s)",
-			fed.Domain, name, fed.Parent, fed.advertiseAddr(rdsAddr), fed.Rollup)
+			c.domain, c.name, c.parent, c.advertiseAddr(), c.rollup)
 	}
-	if views := srv.Views(); views != nil {
-		srvOpts = append(srvOpts, rds.WithViewHandler(views))
-		if n := len(views.Views()); n > 0 {
-			log.Printf("views: %d continuously materialized from %s", n, viewsFile)
-		}
+	srvOpts = append(srvOpts, rds.WithViewHandler(srv.Views()))
+	if n := len(srv.Views().Views()); n > 0 {
+		log.Printf("views: %d continuously materialized from %s", n, c.viewsFile)
 	}
 	rdsSrv := rds.NewServer(srv.Process(), auth, srvOpts...)
 
@@ -368,7 +367,7 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 		if err := obsmib.Mount(dev.Tree(), reg, obsmib.OIDSelfStats); err != nil {
 			return fmt.Errorf("mounting self-stats subtree: %w", err)
 		}
-		ol, err := net.Listen("tcp", obsAddr)
+		ol, err := net.Listen("tcp", c.obsAddr)
 		if err != nil {
 			return fmt.Errorf("obs listen: %w", err)
 		}
@@ -386,14 +385,14 @@ func run(rdsAddr, snmpAddr, name, community, repoDir string, secrets []string, s
 			ol.Addr(), obsmib.OIDSelfStats)
 	}
 
-	l, err := net.Listen("tcp", rdsAddr)
+	l, err := net.Listen("tcp", c.rdsAddr)
 	if err != nil {
 		return fmt.Errorf("rds listen: %w", err)
 	}
 	log.Printf("RDS delegation service on %s (auth: %v)", l.Addr(), auth != nil)
 	go func() {
 		<-ctx.Done()
-		log.Printf("shutdown signal: draining connections (grace %s)", drain)
+		log.Printf("shutdown signal: draining connections (grace %s)", c.drain)
 	}()
 	return rdsSrv.Serve(ctx, l)
 }

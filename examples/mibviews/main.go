@@ -1,9 +1,9 @@
 // Mibviews demonstrates the View Definition Language and the MCVA:
 // projections, selections, computations, a join across base tables, an
 // aggregate, snapshots that survive base-table churn, exposure of
-// computed views to plain SNMP managers through the v-mib, and — new in
-// this revision — continuous materialization: an IncrMCVA keeps views
-// fresh by folding per-row change deltas instead of rescanning tables.
+// computed views to plain SNMP managers through the v-mib, and
+// continuous materialization: the MCVA keeps every view fresh by
+// folding per-row change deltas instead of rescanning tables.
 //
 //	go run ./examples/mibviews
 package main
@@ -17,7 +17,6 @@ import (
 	"mbd/internal/mib"
 	"mbd/internal/snmp"
 	"mbd/internal/vdl"
-	"mbd/internal/vdl/incr"
 )
 
 func main() {
@@ -40,6 +39,7 @@ func run() error {
 	dev.OpenConn(mib.ConnID{LocalAddr: [4]byte{10, 0, 0, 1}, LocalPort: 80, RemAddr: [4]byte{10, 0, 2, 9}, RemPort: 40002})
 
 	mcva := vdl.NewMCVA(dev.Tree(), vdl.MIB2())
+	defer mcva.Close()
 
 	// The canonical five-line view.
 	viewSrc := `view busy {
@@ -126,16 +126,14 @@ func run() error {
 	}
 	fmt.Printf("%d computed instances served to a plain SNMP manager\n\n", n)
 
-	return continuous(dev)
+	return continuous(dev, mcva)
 }
 
-// continuous keeps a view materialized incrementally: each device
-// mutation publishes a change event, and the IncrMCVA folds just the
+// continuous shows the maintenance behind every view above: each device
+// mutation publishes a change event, and the MCVA folds just the
 // affected rows into the standing result — O(delta) work per write, so
 // every query returns instantly-fresh rows without a table scan.
-func continuous(dev *mib.Device) error {
-	a := incr.New(incr.Config{Tree: dev.Tree(), Schema: vdl.MIB2()})
-	defer a.Close()
+func continuous(dev *mib.Device, a *vdl.MCVA) error {
 	def, err := a.Define(`view watchRoutes {
   from ipRouteTable as r join ifTable as i on r:ipRouteIfIndex == i:ifIndex;
   select r:ipRouteDest, i:ifDescr;

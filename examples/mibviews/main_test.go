@@ -9,7 +9,6 @@ import (
 
 	"mbd/internal/mib"
 	"mbd/internal/vdl"
-	"mbd/internal/vdl/incr"
 )
 
 func TestContinuousViewFreshness(t *testing.T) {
@@ -17,7 +16,7 @@ func TestContinuousViewFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := incr.New(incr.Config{Tree: dev.Tree(), Schema: vdl.MIB2()})
+	a := vdl.NewMCVA(dev.Tree(), vdl.MIB2())
 	defer a.Close()
 	def, err := a.Define(`view watchRoutes {
   from ipRouteTable as r join ifTable as i on r:ipRouteIfIndex == i:ifIndex;

@@ -62,6 +62,7 @@ func run() error {
   where tcpConnRemPort < 31000;
 }`
 	mcva := vdl.NewMCVA(st.Dev.Tree(), vdl.MIB2())
+	defer mcva.Close()
 	if _, err := mcva.Define(viewSrc); err != nil {
 		return err
 	}

@@ -95,10 +95,12 @@ func E3TableRetrieval(cfg E3Config) (*Table, error) {
   where tcpConnRemPort < %d;
 }`, 30000+int(sel*20000))
 			mcva := vdl.NewMCVA(st.Dev.Tree(), vdl.MIB2())
-			if _, err := mcva.Define(viewSrc); err != nil {
-				return nil, err
+			_, err = mcva.Define(viewSrc)
+			var res *vdl.Result
+			if err == nil {
+				res, err = mcva.Query("vod")
 			}
-			res, err := mcva.Query("vod")
+			mcva.Close() // the station outlives this selectivity; the rows do not need the agent
 			if err != nil {
 				return nil, err
 			}

@@ -66,6 +66,7 @@ func E7ViewEconomy() (*Table, error) {
 		})
 	}
 	mcva := vdl.NewMCVA(st.Dev.Tree(), vdl.MIB2())
+	defer mcva.Close()
 
 	for _, v := range views {
 		def, err := mcva.Define(v.src)

@@ -137,6 +137,7 @@ func E8Snapshots(cfg E8Config) (*Table, error) {
 		}
 		doWalk()
 		sim.Run(24 * time.Hour)
+		mcva.Close()
 
 		t.AddRow(
 			period.String(),

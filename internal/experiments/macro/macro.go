@@ -41,7 +41,6 @@ import (
 	"mbd/internal/oid"
 	"mbd/internal/snmp"
 	"mbd/internal/vdl"
-	"mbd/internal/vdl/incr"
 )
 
 // Config parameterizes one macro run. The zero value is the full-scale
@@ -244,7 +243,7 @@ func runDelegated(cfg Config, res *Result) error {
 
 	// Three continuously-materialized views: two at the gateway
 	// station's agent, one fleet-wide over the rollup subtree.
-	gw := incr.New(incr.Config{Tree: stations[0].Dev.Tree(), Schema: vdl.MIB2()})
+	gw := vdl.NewMCVA(stations[0].Dev.Tree(), vdl.MIB2())
 	defer gw.Close()
 	if _, err := gw.DefineAll(`view gwRoutes {
   from ipRouteTable as r join ifTable as i on r:ipRouteIfIndex == i:ifIndex;
@@ -258,7 +257,7 @@ view gwConns {
 }`); err != nil {
 		return err
 	}
-	fleet := incr.New(incr.Config{Tree: mgrTree, Schema: vdl.MIB2().AddFederation()})
+	fleet := vdl.NewMCVA(mgrTree, vdl.MIB2().AddFederation())
 	defer fleet.Close()
 	if _, err := fleet.Define(`view fleet {
   from fedRollupTable;

@@ -465,48 +465,6 @@ func (n *Node) PeerJoin(principal, memberName, domain, addr string) error {
 	return nil
 }
 
-// PeerHeartbeat implements rds.PeerHandler: refresh a member's
-// liveness. Unknown (including dead-and-dropped after a restart)
-// members are refused so the child re-joins.
-func (n *Node) PeerHeartbeat(principal, memberName string) error {
-	n.mu.Lock()
-	m, ok := n.members[memberName]
-	if ok && m.state != MemberDead {
-		m.lastSeen = time.Now()
-		m.state = MemberAlive
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, memberName)
-	}
-	if m.state == MemberDead {
-		return fmt.Errorf("%w: %s (declared dead; re-join)", ErrUnknownMember, memberName)
-	}
-	n.met.heartbeats.Inc()
-	return nil
-}
-
-// PeerReport implements rds.PeerHandler: merge one member report into
-// the rollup. Reports double as liveness evidence. Unknown members are
-// refused so the child re-joins before re-sending.
-func (n *Node) PeerReport(principal, memberName, key, value string, timeMS int64) error {
-	n.mu.Lock()
-	m, ok := n.members[memberName]
-	if ok && m.state != MemberDead {
-		m.lastSeen = time.Now()
-		m.state = MemberAlive
-		m.reports++
-	}
-	dead := ok && m.state == MemberDead
-	n.mu.Unlock()
-	if !ok || dead {
-		return fmt.Errorf("%w: %s", ErrUnknownMember, memberName)
-	}
-	n.met.reports.Inc()
-	n.applyReport(memberName, key, value, timeMS)
-	return nil
-}
-
 // PeerSync implements rds.PeerHandler: apply one batched child frame —
 // heartbeat liveness, every carried rollup delta, and the member's
 // bundle inventory — in a single round trip. Unknown members are

@@ -21,17 +21,17 @@ func TestRollupCombiners(t *testing.T) {
 		{Member: "b", Value: "7.5", TimeMS: 30},
 		{Member: "c", Value: "2", TimeMS: 20},
 	}
-	if got := Sum().Combine(vals); got != "14.5" {
+	if got := Sum().Seed(&KeyState{}, vals); got != "14.5" {
 		t.Fatalf("sum = %q, want 14.5", got)
 	}
-	if got := Max().Combine(vals); got != "7.5" {
+	if got := Max().Seed(&KeyState{}, vals); got != "7.5" {
 		t.Fatalf("max = %q, want 7.5", got)
 	}
-	if got := Latest().Combine(vals); got != "7.5" {
+	if got := Latest().Seed(&KeyState{}, vals); got != "7.5" {
 		t.Fatalf("latest = %q, want 7.5 (b is newest)", got)
 	}
 	// Integral sums print as integers.
-	if got := Sum().Combine([]MemberValue{{Value: "2"}, {Value: "3"}}); got != "5" {
+	if got := Sum().Seed(&KeyState{}, []MemberValue{{Value: "2"}, {Value: "3"}}); got != "5" {
 		t.Fatalf("integral sum = %q, want 5", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestDPCombiner(t *testing.T) {
 		return total;
 	}`
 	c := DPCombiner(proc, "mgr", src, "combine")
-	got := c.Combine([]MemberValue{{Member: "a", Value: "3"}, {Member: "b", Value: "4"}})
+	got := c.Seed(&KeyState{}, []MemberValue{{Member: "a", Value: "3"}, {Member: "b", Value: "4"}})
 	if got != "25" {
 		t.Fatalf("dp combine = %q, want 25", got)
 	}
@@ -106,7 +106,7 @@ func TestDPCombiner(t *testing.T) {
 	}
 	// A broken combiner falls back to Latest rather than blanking.
 	bad := DPCombiner(proc, "mgr", `func combine(vals) { return nosuchfn(vals); }`, "combine")
-	got = bad.Combine([]MemberValue{{Member: "a", Value: "3", TimeMS: 1}, {Member: "b", Value: "4", TimeMS: 2}})
+	got = bad.Seed(&KeyState{}, []MemberValue{{Member: "a", Value: "3", TimeMS: 1}, {Member: "b", Value: "4", TimeMS: 2}})
 	if got != "4" {
 		t.Fatalf("fallback combine = %q, want 4 (latest)", got)
 	}
@@ -231,10 +231,10 @@ func TestHeartbeatUnknownMemberTriggersRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.cfg.Proc.Stop)
-	if err := n.PeerHeartbeat("federation", "ghost"); !isUnknownMember(err) {
-		t.Fatalf("heartbeat from unknown member: %v, want ErrUnknownMember", err)
+	if err := n.PeerSync("federation", "ghost", &rds.SyncBatch{}); !isUnknownMember(err) {
+		t.Fatalf("beat from unknown member: %v, want ErrUnknownMember", err)
 	}
-	if err := n.PeerReport("federation", "ghost", "k", "1", 1); !isUnknownMember(err) {
+	if err := n.PeerSync("federation", "ghost", &rds.SyncBatch{Reports: []rds.SyncReport{{Key: "k", Value: "1", TimeMS: 1}}}); !isUnknownMember(err) {
 		t.Fatalf("report from unknown member: %v, want ErrUnknownMember", err)
 	}
 	if err := n.PeerJoin("federation", "root", "d", "x"); err == nil {
@@ -399,7 +399,7 @@ func TestFederationMIBWalk(t *testing.T) {
 	if err := n.PeerJoin("federation", "leaf-a", "lan-a", "127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.PeerReport("federation", "leaf-a", "load", "9", 1); err != nil {
+	if err := n.PeerSync("federation", "leaf-a", &rds.SyncBatch{Reports: []rds.SyncReport{{Key: "load", Value: "9", TimeMS: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,7 +7,6 @@ import (
 
 	"mbd/internal/mib"
 	"mbd/internal/vdl"
-	"mbd/internal/vdl/incr"
 )
 
 // TestFedRollupOIDAligned keeps vdl's duplicated rollup-entry OID (vdl
@@ -57,7 +56,7 @@ func TestFederationScopedViewIncremental(t *testing.T) {
 	}
 
 	schema := vdl.MIB2().AddFederation()
-	a := incr.New(incr.Config{Tree: tree, Schema: schema})
+	a := vdl.NewMCVA(tree, schema)
 	defer a.Close()
 	ev := vdl.NewEvaluator(tree, schema)
 	def, err := a.Define(`view domainHot {

@@ -21,47 +21,37 @@ type MemberValue struct {
 }
 
 // Combiner merges the per-member latest values of one rollup key into
-// a single upstream value. Values arrive sorted by member name, so a
-// deterministic combiner yields a deterministic rollup.
+// a single upstream value: it seeds per-key state from the full
+// contribution set once, then folds individual member deltas in O(1) —
+// the property that lets a 10k-member tree converge without O(members)
+// recomputation per report. A fold may decline when the delta
+// invalidates the materialized state (e.g. the current max winner
+// degrades); the Rollup then reseeds from the full set.
 type Combiner interface {
 	// Name identifies the combiner in status documents.
 	Name() string
-	// Combine merges vals (never empty) into the published value.
-	Combine(vals []MemberValue) string
-}
-
-// KeyState is a DeltaCombiner's materialized per-key state: whatever
-// the combiner needs to fold one member delta without revisiting the
-// other members. Num and Best cover the built-in combiners; Valid is
-// managed by the Rollup (false forces the next change through a full
-// recombine).
-type KeyState struct {
-	Num   float64
-	Best  MemberValue
-	Valid bool
-}
-
-// DeltaCombiner is the incremental capability: a combiner that can
-// seed per-key state from the full contribution set once, then fold
-// individual member deltas in O(1) — the property that lets a
-// 10k-member tree converge without O(members) recomputation per
-// report. A fold may decline (ok=false) when the delta invalidates the
-// materialized state (e.g. the current max winner degrades); the
-// Rollup then falls back to one full recombine and reseeds.
-type DeltaCombiner interface {
-	Combiner
-	// Seed materializes st from vals (never empty, sorted by member)
+	// Seed materializes st from vals (never empty, sorted by member
+	// name, so a deterministic combiner yields a deterministic rollup)
 	// and returns the combined value.
 	Seed(st *KeyState, vals []MemberValue) string
 	// Fold applies one member delta to st: prev/had is the member's
 	// displaced contribution, next/have its new one (have=false is a
 	// removal). It returns the new combined value, or ok=false when the
-	// state cannot absorb this delta and a full recombine is needed.
+	// state cannot absorb this delta.
 	Fold(st *KeyState, prev MemberValue, had bool, next MemberValue, have bool) (combined string, ok bool)
 }
 
-// CombinerFunc adapts a function to the Combiner interface. It has no
-// delta capability: every change recombines the full contribution set.
+// KeyState is a combiner's materialized per-key state: whatever it
+// needs to fold one member delta without revisiting the other members.
+// Num and Best cover the built-in combiners.
+type KeyState struct {
+	Num  float64
+	Best MemberValue
+}
+
+// CombinerFunc adapts a function over the full contribution set to the
+// Combiner interface. It keeps no state and declines every fold, so
+// each change reseeds.
 type CombinerFunc struct {
 	Label string
 	Fn    func(vals []MemberValue) string
@@ -70,8 +60,13 @@ type CombinerFunc struct {
 // Name implements Combiner.
 func (c CombinerFunc) Name() string { return c.Label }
 
-// Combine implements Combiner.
-func (c CombinerFunc) Combine(vals []MemberValue) string { return c.Fn(vals) }
+// Seed implements Combiner.
+func (c CombinerFunc) Seed(_ *KeyState, vals []MemberValue) string { return c.Fn(vals) }
+
+// Fold implements Combiner.
+func (CombinerFunc) Fold(*KeyState, MemberValue, bool, MemberValue, bool) (string, bool) {
+	return "", false
+}
 
 // numeric parses s as a float, treating unparseable values as 0 — a
 // rollup must stay total even when one member misreports.
@@ -93,14 +88,6 @@ func renderNumber(f float64) string {
 type sumCombiner struct{}
 
 func (sumCombiner) Name() string { return "sum" }
-
-func (sumCombiner) Combine(vals []MemberValue) string {
-	total := 0.0
-	for _, v := range vals {
-		total += numeric(v.Value)
-	}
-	return renderNumber(total)
-}
 
 func (sumCombiner) Seed(st *KeyState, vals []MemberValue) string {
 	total := 0.0
@@ -129,16 +116,6 @@ func Sum() Combiner { return sumCombiner{} }
 type maxCombiner struct{}
 
 func (maxCombiner) Name() string { return "max" }
-
-func (maxCombiner) Combine(vals []MemberValue) string {
-	best := numeric(vals[0].Value)
-	for _, v := range vals[1:] {
-		if f := numeric(v.Value); f > best {
-			best = f
-		}
-	}
-	return renderNumber(best)
-}
 
 func (maxCombiner) Seed(st *KeyState, vals []MemberValue) string {
 	st.Best = vals[0]
@@ -178,16 +155,6 @@ type latestCombiner struct{}
 
 func (latestCombiner) Name() string { return "latest" }
 
-func (latestCombiner) Combine(vals []MemberValue) string {
-	best := vals[0]
-	for _, v := range vals[1:] {
-		if v.TimeMS > best.TimeMS {
-			best = v
-		}
-	}
-	return best.Value
-}
-
 func (latestCombiner) Seed(st *KeyState, vals []MemberValue) string {
 	st.Best = vals[0]
 	for _, v := range vals[1:] {
@@ -212,8 +179,8 @@ func (latestCombiner) Fold(st *KeyState, prev MemberValue, had bool, next Member
 		st.Best = next
 		return st.Best.Value, true
 	}
-	// Ties break on the smaller member name, matching the sorted-order
-	// semantics of Combine.
+	// Ties break on the smaller member name, matching Seed over the
+	// sorted set.
 	if next.TimeMS > st.Best.TimeMS || (next.TimeMS == st.Best.TimeMS && next.Member < st.Best.Member) {
 		st.Best = next
 	}
@@ -233,8 +200,8 @@ const dpCombineTimeout = 5 * time.Second
 // wire argument — see rds.ParseArg). The program passes the same
 // static-analysis admission gate as any evaluation. Errors fall back to
 // Latest semantics so a broken combiner never blanks the rollup. A DP
-// combiner sees the full set on every change (no delta capability: the
-// program is opaque).
+// combiner sees the full set on every change (the program is opaque, so
+// it never folds).
 func DPCombiner(proc *elastic.Process, principal, source, entry string) Combiner {
 	return CombinerFunc{Label: "dp:" + entry, Fn: func(vals []MemberValue) string {
 		args := &dpl.Array{}
@@ -245,7 +212,7 @@ func DPCombiner(proc *elastic.Process, principal, source, entry string) Combiner
 		defer cancel()
 		v, err := proc.Evaluate(ctx, principal, "dpl", source, entry, args)
 		if err != nil {
-			return Latest().Combine(vals)
+			return Latest().Seed(&KeyState{}, vals)
 		}
 		return dpl.FormatValue(v)
 	}}
@@ -262,7 +229,7 @@ type RollupRow struct {
 }
 
 // RollupStats counts the aggregation work a rollup has done. The
-// fleet-scale invariant lives in MembersVisited: with a DeltaCombiner
+// fleet-scale invariant lives in MembersVisited: with a folding combiner
 // it grows by 1 per folded report instead of by the contributor count,
 // so work per report is O(delta), not O(members).
 type RollupStats struct {
@@ -279,7 +246,7 @@ type RollupStats struct {
 }
 
 // rollupKey holds one key's per-member latest values, its combined
-// result, and the combiner's materialized delta state.
+// result, and the combiner's materialized state.
 type rollupKey struct {
 	vals      map[string]MemberValue
 	state     KeyState
@@ -337,7 +304,7 @@ func (r *Rollup) combinerFor(key string) Combiner {
 }
 
 // combineLocked recomputes a key's merged value from its current
-// contributions and reseeds the delta state (caller holds r.mu).
+// contributions, reseeding the combiner's state (caller holds r.mu).
 func (r *Rollup) combineLocked(key string, k *rollupKey) string {
 	vals := make([]MemberValue, 0, len(k.vals))
 	for _, v := range k.vals {
@@ -346,29 +313,19 @@ func (r *Rollup) combineLocked(key string, k *rollupKey) string {
 	sort.Slice(vals, func(i, j int) bool { return vals[i].Member < vals[j].Member })
 	r.stats.Recombines++
 	r.stats.MembersVisited += uint64(len(vals))
-	c := r.combinerFor(key)
 	k.state = KeyState{}
-	if dc, ok := c.(DeltaCombiner); ok {
-		combined := dc.Seed(&k.state, vals)
-		k.state.Valid = true
-		return combined
-	}
-	return c.Combine(vals)
+	return r.combinerFor(key).Seed(&k.state, vals)
 }
 
-// foldLocked tries to absorb one member delta incrementally, falling
-// back to a full recombine when the combiner has no delta capability or
-// declines the fold (caller holds r.mu; k.vals already reflects the
-// delta).
+// foldLocked absorbs one member delta incrementally, falling back to a
+// full recombine when the combiner declines the fold (caller holds
+// r.mu; k.vals already reflects the delta and k.state was seeded by the
+// key's current combiner).
 func (r *Rollup) foldLocked(key string, k *rollupKey, prev MemberValue, had bool, next MemberValue, have bool) string {
-	if k.state.Valid {
-		if dc, ok := r.combinerFor(key).(DeltaCombiner); ok {
-			if combined, ok := dc.Fold(&k.state, prev, had, next, have); ok {
-				r.stats.Folds++
-				r.stats.MembersVisited++
-				return combined
-			}
-		}
+	if combined, ok := r.combinerFor(key).Fold(&k.state, prev, had, next, have); ok {
+		r.stats.Folds++
+		r.stats.MembersVisited++
+		return combined
 	}
 	return r.combineLocked(key, k)
 }

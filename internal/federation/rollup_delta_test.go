@@ -2,8 +2,52 @@ package federation
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
+
+// TestRollupFoldMatchesSeed is the fold-vs-from-scratch crosscheck: a
+// random stream of reports, clock regressions and member drops runs
+// through each built-in combiner, and after every step the rollup's
+// folded value must equal Seed over the live contribution set.
+func TestRollupFoldMatchesSeed(t *testing.T) {
+	for _, c := range []Combiner{Sum(), Max(), Latest()} {
+		seed := int64(rand.Uint32())
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRollup(c)
+		live := map[string]MemberValue{}
+		for step := 0; step < 2000; step++ {
+			m := fmt.Sprintf("m%02d", rng.Intn(12))
+			if rng.Intn(8) == 0 {
+				r.DropMember(m)
+				delete(live, m)
+			} else {
+				mv := MemberValue{Member: m, Value: fmt.Sprint(rng.Intn(50)), TimeMS: int64(rng.Intn(40))}
+				r.Report(m, "k", mv.Value, mv.TimeMS)
+				live[m] = mv
+			}
+			got, ok := r.Value("k")
+			if len(live) == 0 {
+				if ok {
+					t.Fatalf("%s seed %d step %d: key survives with no contributors", c.Name(), seed, step)
+				}
+				continue
+			}
+			vals := make([]MemberValue, 0, len(live))
+			for _, v := range live {
+				vals = append(vals, v)
+			}
+			sort.Slice(vals, func(i, j int) bool { return vals[i].Member < vals[j].Member })
+			if want := c.Seed(&KeyState{}, vals); got != want {
+				t.Fatalf("%s seed %d step %d: folded %q, from scratch %q", c.Name(), seed, step, got, want)
+			}
+		}
+		if st := r.Stats(); st.Folds == 0 || st.Recombines == 0 {
+			t.Fatalf("%s seed %d: stream exercised folds=%d recombines=%d, want both", c.Name(), seed, st.Folds, st.Recombines)
+		}
+	}
+}
 
 // TestRollupDeltaSumFolds proves the fleet-scale invariant at unit
 // level: once a key is seeded, one report costs one member visit, not
@@ -93,8 +137,8 @@ func TestRollupDeltaLatest(t *testing.T) {
 	r := NewRollup(Latest())
 	r.Report("b", "k", "vb", 10)
 	r.Report("a", "k", "va", 10)
-	// Ties break toward the smaller member name, exactly like Combine
-	// over the sorted value set.
+	// Ties break toward the smaller member name, exactly like Seed over
+	// the sorted value set.
 	if v, _ := r.Value("k"); v != "va" {
 		t.Fatalf("tie = %q, want va", v)
 	}
@@ -116,9 +160,8 @@ func TestRollupDeltaLatest(t *testing.T) {
 	}
 }
 
-// TestRollupOpaqueCombinerAlwaysRecombines: a CombinerFunc (no delta
-// capability) recomputes from the full set on every change — the
-// pre-existing behaviour, now visible in the stats.
+// TestRollupOpaqueCombinerAlwaysRecombines: a CombinerFunc declines
+// every fold, so it recomputes from the full set on every change.
 func TestRollupOpaqueCombinerAlwaysRecombines(t *testing.T) {
 	r := NewRollup(CombinerFunc{Label: "count", Fn: func(vals []MemberValue) string {
 		return fmt.Sprintf("%d", len(vals))

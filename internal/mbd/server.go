@@ -21,7 +21,6 @@ import (
 	"mbd/internal/oid"
 	"mbd/internal/snmp"
 	"mbd/internal/vdl"
-	"mbd/internal/vdl/incr"
 )
 
 // Config parameterizes an MbD server.
@@ -51,9 +50,9 @@ type Config struct {
 	SchedWorkers       int
 	SchedQuantum       uint64
 	MaxRepositoryBytes int64
-	// ExtraBindings are additional host functions (e.g. the MCVA's
-	// view services) merged into the allowed-function table before the
-	// process is built.
+	// ExtraBindings are additional host functions merged into the
+	// allowed-function table before the process is built; on a name
+	// clash they replace the server's own.
 	ExtraBindings *dpl.Bindings
 	// Obs, when set, collects the server's metrics: the elastic
 	// process's runtime counters, the SNMP agent's protocol counters,
@@ -63,13 +62,15 @@ type Config struct {
 	Obs *obs.Registry
 	// Tracer records delegation-lifecycle spans; nil disables tracing.
 	Tracer *obs.Tracer
-	// EnableViews attaches an incremental view engine (an
-	// incr.IncrMCVA) to the device tree: views defined through it stay
-	// continuously materialized with O(delta) work per MIB write. The
+	// EnableViews attaches the view agent (a vdl.MCVA) to the device
+	// tree: views defined through it stay continuously materialized
+	// with O(delta) work per MIB write, and its view services
+	// (viewDefine, viewQuery, ...) join the allowed-function table. The
 	// schema covers the MIB-II tables plus, when Federation is set, the
 	// federation rollup table — so one view can range over the whole
 	// domain tree. Install on the RDS server with
-	// rds.WithViewHandler(srv.Views()).
+	// rds.WithViewHandler(srv.Views()) and mount srv.Views().Handler()
+	// at vdl.OIDViews to serve the same views over SNMP.
 	EnableViews bool
 	// ViewDefs are VDL documents (each may hold several views)
 	// installed at startup; an invalid definition fails New.
@@ -90,7 +91,7 @@ type Server struct {
 	proc  *elastic.Process
 	agent *snmp.Agent
 	fed   *federation.Node
-	views *incr.IncrMCVA
+	views *vdl.MCVA
 
 	mu    sync.Mutex
 	peers map[string]*snmp.Client
@@ -115,22 +116,26 @@ func New(cfg Config) (*Server, error) {
 		peers: make(map[string]*snmp.Client),
 	}
 	bindings := dpl.Std()
-	if cfg.ExtraBindings != nil {
-		for _, name := range cfg.ExtraBindings.Names() {
-			idx, arity, _ := cfg.ExtraBindings.Lookup(name)
-			_ = idx
-			// Re-register by delegating the call through the source
-			// table so shared state is preserved.
-			src := cfg.ExtraBindings
-			nameCopy := name
+	// merge adds src's functions: a Bindings table hands out calls, not
+	// function values, so each is re-registered as a call through src.
+	merge := func(src *dpl.Bindings) {
+		for _, name := range src.Names() {
+			i, arity, _ := src.Lookup(name)
 			bindings.Register(name, arity, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-				i, _, ok := src.Lookup(nameCopy)
-				if !ok {
-					return nil, fmt.Errorf("mbd: binding %q vanished", nameCopy)
-				}
 				return src.Call(i, env, args)
 			})
 		}
+	}
+	if cfg.EnableViews {
+		schema := vdl.MIB2()
+		if cfg.Federation != nil {
+			schema.AddFederation()
+		}
+		s.views = vdl.NewMCVA(cfg.Device.Tree(), schema)
+		merge(s.views.Bindings())
+	}
+	if cfg.ExtraBindings != nil {
+		merge(cfg.ExtraBindings)
 	}
 	s.registerMIBServices(bindings)
 	s.registerTrapService(bindings)
@@ -168,22 +173,22 @@ func New(cfg Config) (*Server, error) {
 		}
 		node, err := federation.New(fc)
 		if err != nil {
-			s.proc.Stop()
+			s.Stop()
 			return nil, err
 		}
 		if err := federation.Mount(cfg.Device.Tree(), node, federation.OIDFederation); err != nil {
-			s.proc.Stop()
+			s.Stop()
 			return nil, fmt.Errorf("mbd: mounting federation subtree: %w", err)
 		}
 		node.Start()
 		s.fed = node
 	}
-	if cfg.EnableViews {
-		schema := vdl.MIB2()
-		if cfg.Federation != nil {
-			schema.AddFederation()
+	if s.views != nil {
+		if cfg.Obs != nil {
+			s.views.Instrument(cfg.Obs)
 		}
-		s.views = incr.New(incr.Config{Tree: cfg.Device.Tree(), Schema: schema, Obs: cfg.Obs})
+		// Installed only now: a federation-scoped view scans the rollup
+		// table mounted above.
 		for _, src := range cfg.ViewDefs {
 			if _, err := s.views.DefineAll(src); err != nil {
 				s.Stop()
@@ -228,9 +233,9 @@ func (s *Server) Device() *mib.Device { return s.dev }
 // is not federated).
 func (s *Server) Federation() *federation.Node { return s.fed }
 
-// Views returns the server's incremental view engine (nil unless
+// Views returns the server's view agent (nil unless
 // Config.EnableViews).
-func (s *Server) Views() *incr.IncrMCVA { return s.views }
+func (s *Server) Views() *vdl.MCVA { return s.views }
 
 // Stop terminates the view engine and federation node (when present)
 // and all delegated instances.

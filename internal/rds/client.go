@@ -411,7 +411,6 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 	if err := c.auth.Sign(req); err != nil {
 		return nil, err
 	}
-	body := req.Encode()
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetWriteDeadline(deadline)
 		// Mirror the write deadline on the read side: a server that
@@ -421,7 +420,14 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 	} else {
 		_ = conn.SetWriteDeadline(time.Time{})
 	}
-	if err := WriteFrame(conn, body); err != nil {
+	// The frame goes out in one Write: callers on several goroutines
+	// share conn, and a separate Write for the length prefix would let
+	// their frames interleave.
+	frame, err := req.AppendFrame(nil)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.Seq)
 		reconnecting := c.rc != nil && c.dial != nil && !c.closed
@@ -432,7 +438,7 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 		return nil, fmt.Errorf("rds: send: %w", err)
 	}
 	c.mu.Lock()
-	c.bytesOut += uint64(FrameSize(body))
+	c.bytesOut += uint64(len(frame))
 	c.mu.Unlock()
 
 	select {

@@ -33,6 +33,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	// The two retired peer codes, which the decoder must refuse.
+	for _, op := range []Op{OpPeerJoin + 1, OpPeerDelegate + 1} {
+		frame, err := (&Message{Op: op, Seq: 11, Principal: "federation", Name: "lan-a"}).AppendFrame(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 2, 0x30})             // truncated body

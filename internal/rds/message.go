@@ -58,25 +58,21 @@ const (
 	// (Name=member, Entry=member's own domain, Payload=the member's
 	// advertised RDS address for cascaded delegation).
 	OpPeerJoin
-	// OpPeerHeartbeat refreshes a member's liveness at its domain root
-	// (Name=member). A root that does not recognize the member answers
-	// with an unknown-member error, telling the child to re-join.
-	OpPeerHeartbeat
+	// Codes 13 and 15 carried peer-heartbeat and peer-report until
+	// OpPeerSync subsumed both. They stay unassigned (see reservedOp) so
+	// every other op keeps its wire encoding.
+	_
 	// OpPeerDelegate cascades a delegation through the domain tree
 	// (Name=dp, Lang, Payload=source, Entry=optional entry point to
 	// instantiate after admission, Args=its arguments). The reply's
 	// Payload carries a BER-encoded FanoutResult collecting every
 	// member's accept/reject outcome.
 	OpPeerDelegate
-	// OpPeerReport pushes one member-emitted report upstream for rollup
-	// (Name=member, Entry=rollup key, Payload=value, TimeMS=member
-	// clock).
-	OpPeerReport
+	_
 	// OpPeerSync is the batched child→parent frame: one datagram-sized
 	// message carrying the member's heartbeat, every pending rollup
 	// delta, and the bundle hashes it runs (Name=member, Payload=a
-	// BER-encoded SyncBatch). It subsumes one OpPeerHeartbeat plus N
-	// OpPeerReport round trips.
+	// BER-encoded SyncBatch).
 	OpPeerSync
 	// OpPeerBundleStage stages a content-addressed golden DP bundle
 	// (Name=lineage, Entry=sha256 hex of the canonical bundle encoding,
@@ -102,6 +98,10 @@ const (
 // opMax is the highest assigned operation code; Decode rejects anything
 // beyond it.
 const opMax = OpView
+
+// reservedOp reports the two retired codes inside the assigned range;
+// Decode rejects them like any unknown op.
+func reservedOp(o Op) bool { return o == OpPeerJoin+1 || o == OpPeerDelegate+1 }
 
 // String names the op.
 func (o Op) String() string {
@@ -130,12 +130,8 @@ func (o Op) String() string {
 		return "stats"
 	case OpPeerJoin:
 		return "peer-join"
-	case OpPeerHeartbeat:
-		return "peer-heartbeat"
 	case OpPeerDelegate:
 		return "peer-delegate"
-	case OpPeerReport:
-		return "peer-report"
 	case OpPeerSync:
 		return "peer-sync"
 	case OpPeerBundleStage:
@@ -281,7 +277,7 @@ func Decode(b []byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op <= 0 || op > int64(opMax) {
+	if op <= 0 || op > int64(opMax) || reservedOp(Op(op)) {
 		return nil, fmt.Errorf("rds: unknown op %d", op)
 	}
 	m.Op = Op(op)

@@ -10,7 +10,7 @@ import (
 
 // This file carries the federation (peer) side of the protocol: the
 // wire form of cascaded-delegation results and the client verbs for the
-// four peer operations. The server routes those operations to a
+// peer operations. The server routes those operations to a
 // PeerHandler (see WithPeerHandler); internal/federation provides the
 // real implementation.
 
@@ -22,11 +22,6 @@ type PeerHandler interface {
 	// addr is the member's advertised RDS address, used to cascade
 	// delegations down to it.
 	PeerJoin(principal, member, domain, addr string) error
-	// PeerHeartbeat refreshes a member's liveness. An unknown member
-	// must be answered with an error so the child re-joins.
-	PeerHeartbeat(principal, member string) error
-	// PeerReport merges one member-emitted report into the rollup.
-	PeerReport(principal, member, key, value string, timeMS int64) error
 	// PeerDelegate admits the program locally and cascades it to every
 	// live member, collecting per-member outcomes. A non-empty entry
 	// also instantiates the program at each accepting hop.
@@ -182,18 +177,6 @@ func DecodeFanoutResult(b []byte) (*FanoutResult, error) {
 // advertised RDS address, which the root dials to cascade delegations.
 func (c *Client) PeerJoin(ctx context.Context, member, domain, addr string) error {
 	_, err := c.roundTrip(ctx, &Message{Op: OpPeerJoin, Name: member, Entry: domain, Payload: []byte(addr)})
-	return err
-}
-
-// PeerHeartbeat refreshes the member's liveness at its domain root.
-func (c *Client) PeerHeartbeat(ctx context.Context, member string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpPeerHeartbeat, Name: member})
-	return err
-}
-
-// PeerReport pushes one report upstream for rollup under key.
-func (c *Client) PeerReport(ctx context.Context, member, key, value string, timeMS int64) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpPeerReport, Name: member, Entry: key, Payload: []byte(value), TimeMS: timeMS})
 	return err
 }
 

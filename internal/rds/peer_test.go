@@ -36,6 +36,18 @@ func TestPeerMessageRoundTrip(t *testing.T) {
 			t.Fatalf("%s diverged:\n got %+v\nwant %+v", m.Op, got, m)
 		}
 	}
+	// The two retired codes (the committed seed_peer_heartbeat and
+	// seed_peer_report frames) sit inside the assigned range and must be
+	// refused like any unknown op.
+	for _, op := range []Op{OpPeerJoin + 1, OpPeerDelegate + 1} {
+		frame, err := (&Message{Op: op, Seq: 11, Name: "lan-a"}).AppendFrame(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if _, err := Decode(frame[4:]); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("%s decoded: err = %v, want unknown op", op, err)
+		}
+	}
 }
 
 // peerSeedMessages are the canonical peer-op frames, shared by the
@@ -43,8 +55,6 @@ func TestPeerMessageRoundTrip(t *testing.T) {
 func peerSeedMessages() []*Message {
 	return []*Message{
 		{Op: OpPeerJoin, Seq: 10, Principal: "federation", Name: "lan-a", Entry: "campus", Payload: []byte("127.0.0.1:5501")},
-		{Op: OpPeerHeartbeat, Seq: 11, Principal: "federation", Name: "lan-a"},
-		{Op: OpPeerReport, Seq: 12, Name: "lan-a", Entry: "octet-rate", Payload: []byte("8192"), TimeMS: 1234},
 		{Op: OpPeerDelegate, Seq: 13, Principal: "noc", Name: "agent", Lang: "dpl",
 			Payload: []byte("func main() { return 1; }"), Entry: "main", Args: []string{"3", "s:x"}},
 		{Op: OpReply, Seq: 13, OK: true, Payload: (&FanoutResult{
@@ -68,8 +78,9 @@ func peerSeedMessages() []*Message {
 }
 
 // TestWritePeerFuzzCorpus regenerates the committed FuzzDecodeFrame
-// seed files for the peer operations. Guarded so `go test` never
-// rewrites testdata by default:
+// seed files for the peer operations (seed_peer_heartbeat and
+// seed_peer_report hold the two retired codes and are kept as committed).
+// Guarded so `go test` never rewrites testdata by default:
 //
 //	RDS_WRITE_CORPUS=1 go test ./internal/rds -run TestWritePeerFuzzCorpus
 func TestWritePeerFuzzCorpus(t *testing.T) {
@@ -77,7 +88,7 @@ func TestWritePeerFuzzCorpus(t *testing.T) {
 		t.Skip("set RDS_WRITE_CORPUS=1 to rewrite the committed corpus")
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
-	names := []string{"seed_peer_join", "seed_peer_heartbeat", "seed_peer_report", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
+	names := []string{"seed_peer_join", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
 	msgs := peerSeedMessages()
 	for i, m := range msgs {
 		frame, err := m.AppendFrame(nil)
@@ -144,8 +155,8 @@ func FuzzFanoutResult(f *testing.F) {
 	})
 }
 
-// TestPeerOpsWithoutHandler: a server with no PeerHandler refuses all
-// four peer operations with the federation-disabled error.
+// TestPeerOpsWithoutHandler: a server with no PeerHandler refuses every
+// peer operation with the federation-disabled error.
 func TestPeerOpsWithoutHandler(t *testing.T) {
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
@@ -159,9 +170,7 @@ func TestPeerOpsWithoutHandler(t *testing.T) {
 	defer cancel()
 
 	for name, call := range map[string]func() error{
-		"join":      func() error { return c.PeerJoin(ctx, "m", "d", "addr") },
-		"heartbeat": func() error { return c.PeerHeartbeat(ctx, "m") },
-		"report":    func() error { return c.PeerReport(ctx, "m", "k", "v", 1) },
+		"join": func() error { return c.PeerJoin(ctx, "m", "d", "addr") },
 		"delegate": func() error {
 			_, err := c.PeerDelegate(ctx, "dp", "func main() {}", "")
 			return err
@@ -192,7 +201,6 @@ type fakePeerHandler struct {
 	mu        sync.Mutex
 	joins     []string
 	beats     int
-	report    string
 	synced    []string
 	staged    map[string][]byte // hash -> bundle payload
 	activated []string
@@ -202,23 +210,6 @@ func (h *fakePeerHandler) PeerJoin(principal, member, domain, addr string) error
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.joins = append(h.joins, fmt.Sprintf("%s/%s/%s/%s", principal, member, domain, addr))
-	return nil
-}
-
-func (h *fakePeerHandler) PeerHeartbeat(principal, member string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if member == "stranger" {
-		return errors.New("federation: unknown member stranger")
-	}
-	h.beats++
-	return nil
-}
-
-func (h *fakePeerHandler) PeerReport(principal, member, key, value string, timeMS int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report = fmt.Sprintf("%s:%s=%s@%d", member, key, value, timeMS)
 	return nil
 }
 
@@ -296,13 +287,8 @@ func TestPeerOpsDispatch(t *testing.T) {
 	if err := c.PeerJoin(ctx, "lan-a", "campus", "127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PeerHeartbeat(ctx, "lan-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PeerHeartbeat(ctx, "stranger"); err == nil || !strings.Contains(err.Error(), "unknown member") {
-		t.Fatalf("stranger heartbeat err = %v, want unknown member", err)
-	}
-	if err := c.PeerReport(ctx, "lan-a", "k", "42", 99); err != nil {
+	// A bare beat is a sync frame with nothing in it.
+	if err := c.PeerSync(ctx, "lan-a", &SyncBatch{}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.PeerDelegate(ctx, "agent", "func main() { return 1; }", "main", "3")
@@ -370,10 +356,7 @@ func TestPeerOpsDispatch(t *testing.T) {
 		t.Fatalf("joins = %v", h.joins)
 	}
 	if h.beats != 2 {
-		t.Fatalf("beats = %d, want 2 (one heartbeat + one sync)", h.beats)
-	}
-	if h.report != "lan-a:k=42@99" {
-		t.Fatalf("report = %q", h.report)
+		t.Fatalf("beats = %d, want 2 (one empty sync + one carrying deltas)", h.beats)
 	}
 	if len(h.synced) != 2 || h.synced[0] != "lan-a:k=43@100" || h.synced[1] != "lan-a:j=7@101" {
 		t.Fatalf("synced = %v", h.synced)

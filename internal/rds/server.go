@@ -134,8 +134,8 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 }
 
 // WithPeerHandler routes the federation operations (OpPeerJoin,
-// OpPeerHeartbeat, OpPeerDelegate, OpPeerReport, OpPeerSync,
-// OpPeerBundleStage, OpPeerBundleActivate) and the OpStats
+// OpPeerDelegate, OpPeerSync, OpPeerBundleStage,
+// OpPeerBundleActivate) and the OpStats
 // "federation" view to h — normally an internal/federation.Node.
 // Without one (the default) peer traffic is refused with
 // ErrNoFederation.
@@ -143,9 +143,9 @@ func WithPeerHandler(h PeerHandler) ServerOption {
 	return func(s *Server) { s.peers = h }
 }
 
-// ViewHandler answers the OpView verbs — normally an
-// internal/vdl/incr.IncrMCVA keeping views continuously materialized
-// next to the agent. All three render JSON payloads.
+// ViewHandler answers the OpView verbs — normally the internal/vdl.MCVA
+// keeping views continuously materialized next to the agent. All three
+// render JSON payloads.
 type ViewHandler interface {
 	StatusJSON() ([]byte, error)
 	DefineJSON(src string) ([]byte, error)
@@ -217,6 +217,9 @@ func (s *Server) instrument() {
 		s.reg.FuncCounter(c.name, c.help, c.v.Load)
 	}
 	for op := OpDelegate; op <= opMax; op++ {
+		if reservedOp(op) {
+			continue
+		}
 		s.ops[op] = s.reg.LabeledCounter("rds_requests_total",
 			"RDS requests received, by operation", "op", op.String())
 	}
@@ -732,18 +735,6 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 			return reply(req, nil, ErrNoFederation)
 		}
 		err := s.peers.PeerJoin(req.Principal, req.Name, req.Entry, string(req.Payload))
-		return reply(req, nil, err)
-	case OpPeerHeartbeat:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		err := s.peers.PeerHeartbeat(req.Principal, req.Name)
-		return reply(req, nil, err)
-	case OpPeerReport:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		err := s.peers.PeerReport(req.Principal, req.Name, req.Entry, string(req.Payload), req.TimeMS)
 		return reply(req, nil, err)
 	case OpPeerDelegate:
 		if s.peers == nil {

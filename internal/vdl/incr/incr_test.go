@@ -66,10 +66,10 @@ var testViews = []string{
 }`,
 }
 
-func setup(t *testing.T, dev *mib.Device, depth int) (*IncrMCVA, *vdl.Evaluator, map[string]*vdl.ViewDef) {
+func setup(t *testing.T, dev *mib.Device) (*IncrMCVA, *vdl.Evaluator, map[string]*vdl.ViewDef) {
 	t.Helper()
 	schema := vdl.MIB2()
-	a := New(Config{Tree: dev.Tree(), Schema: schema, QueueDepth: depth})
+	a := New(Config{Tree: dev.Tree(), Schema: schema})
 	t.Cleanup(a.Close)
 	defs := make(map[string]*vdl.ViewDef)
 	for _, src := range testViews {
@@ -84,7 +84,7 @@ func setup(t *testing.T, dev *mib.Device, depth int) (*IncrMCVA, *vdl.Evaluator,
 
 func TestIncrMatchesEvalThroughMutations(t *testing.T) {
 	dev := testDevice(t)
-	a, ev, defs := setup(t, dev, 0)
+	a, ev, defs := setup(t, dev)
 	crosscheck(t, a, ev, defs)
 
 	dev.AddRoute([4]byte{192, 168, 1, 0}, 1, 2, [4]byte{10, 0, 0, 254})
@@ -126,7 +126,7 @@ func TestIncrMatchesEvalThroughMutations(t *testing.T) {
 func TestRandomizedCrosscheck(t *testing.T) {
 	const mutations = 10000
 	dev := testDevice(t)
-	a, ev, defs := setup(t, dev, 0)
+	a, ev, defs := setup(t, dev)
 	rng := rand.New(rand.NewSource(42))
 
 	dests := make([][4]byte, 24)
@@ -186,18 +186,19 @@ func TestRandomizedCrosscheck(t *testing.T) {
 	t.Logf("folded %d deltas over %d mutations", st.DeltasFolded, mutations)
 }
 
-// TestOverflowFallsBackToRecompute floods a tiny subscription queue and
-// asserts the engine resyncs to a correct result, counting recomputes.
+// TestOverflowFallsBackToRecompute floods the subscription queue past
+// its depth between reads and asserts the engine resyncs to a correct
+// result, counting recomputes.
 func TestOverflowFallsBackToRecompute(t *testing.T) {
 	dev := testDevice(t)
-	a, ev, defs := setup(t, dev, 2)
-	for i := 0; i < 50; i++ {
-		dev.AddRoute([4]byte{10, 2, byte(i), 0}, uint32(1+i%4), int64(i), [4]byte{10, 0, 0, 254})
+	a, ev, defs := setup(t, dev)
+	for i := 0; i < 5000; i++ {
+		dev.AddRoute([4]byte{10, 2, byte(i % 50), 0}, uint32(1+i%4), int64(i), [4]byte{10, 0, 0, 254})
 	}
 	crosscheck(t, a, ev, defs)
 	st := a.Stats()
 	if st.ChangesLost == 0 {
-		t.Fatal("expected overflow on depth-2 queue")
+		t.Fatal("expected overflow after 5000 unread changes")
 	}
 	if st.Recomputes == 0 {
 		t.Fatal("expected counted recomputes after overflow")
@@ -305,7 +306,7 @@ func TestMinMaxRetractionRecombines(t *testing.T) {
 // to be folded without an explicit Query-side pump.
 func TestBackgroundPump(t *testing.T) {
 	dev := testDevice(t)
-	a, ev, defs := setup(t, dev, 0)
+	a, ev, defs := setup(t, dev)
 	a.Start()
 	defer a.Stop()
 	dev.AddRoute([4]byte{10, 5, 0, 0}, 1, 3, [4]byte{10, 0, 0, 254})
@@ -344,7 +345,7 @@ func TestDefineReplacesView(t *testing.T) {
 // TestStatusJSON sanity-checks the management payloads.
 func TestStatusJSON(t *testing.T) {
 	dev := testDevice(t)
-	a, _, _ := setup(t, dev, 0)
+	a, _, _ := setup(t, dev)
 	b, err := a.StatusJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,9 @@
-package incr
+package vdl
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-
-	"mbd/internal/vdl"
 )
 
 // matview is one incrementally-maintained view: delta operators over
@@ -13,7 +11,7 @@ import (
 // O(delta) work per MIB write, and result() renders the evaluator-
 // order Result on demand.
 type matview struct {
-	def   *vdl.ViewDef
+	def   *ViewDef
 	left  *baseTable
 	right *baseTable // nil unless join
 
@@ -30,7 +28,7 @@ type matview struct {
 	// outRows maps an env key (row key, or leftKey\x00rightKey for
 	// joins) to its evaluated select cells — only envs that matched the
 	// join and passed the where clause are present.
-	outRows map[string][]vdl.Value
+	outRows map[string][]Value
 
 	// Join index maps: per-key row sets on both sides, plus each row's
 	// current join key, so one row's delta touches only its match set.
@@ -42,19 +40,19 @@ type matview struct {
 	// Aggregate state: the flattened Agg nodes in select-traversal
 	// order, one accumulator each, and the per-kept-env input values
 	// needed to retract.
-	aggs []vdl.Agg
+	aggs []Agg
 	accs []*aggAcc
-	kept map[string][]vdl.Value
+	kept map[string][]Value
 
-	cached     *vdl.Result
+	cached     *Result
 	recomputes uint64
 }
 
-func newMatview(def *vdl.ViewDef, left, right *baseTable) *matview {
+func newMatview(def *ViewDef, left, right *baseTable) *matview {
 	mv := &matview{def: def, left: left, right: right}
 	mv.selfJoin = right != nil && right == left
 	for _, s := range def.Select {
-		if vdl.HasAgg(s.Expr) {
+		if hasAgg(s.Expr) {
 			mv.aggregate = true
 		}
 	}
@@ -69,13 +67,13 @@ func newMatview(def *vdl.ViewDef, left, right *baseTable) *matview {
 
 // collectAggs flattens aggregate nodes in evaluation-traversal order
 // (Bin left before right, then Un operand), matching evalClean.
-func collectAggs(e vdl.Expr, out []vdl.Agg) []vdl.Agg {
+func collectAggs(e Expr, out []Agg) []Agg {
 	switch n := e.(type) {
-	case vdl.Agg:
+	case Agg:
 		return append(out, n)
-	case vdl.Bin:
+	case Bin:
 		return collectAggs(n.R, collectAggs(n.L, out))
-	case vdl.Un:
+	case Un:
 		return collectAggs(n.X, out)
 	}
 	return out
@@ -83,12 +81,12 @@ func collectAggs(e vdl.Expr, out []vdl.Agg) []vdl.Agg {
 
 // reset clears all maintained state.
 func (mv *matview) reset() {
-	mv.outRows = make(map[string][]vdl.Value)
+	mv.outRows = make(map[string][]Value)
 	mv.leftKeyOf = make(map[string]string)
 	mv.rightKeyOf = make(map[string]string)
 	mv.leftByKey = make(map[string]map[string]struct{})
 	mv.rightByKey = make(map[string]map[string]struct{})
-	mv.kept = make(map[string][]vdl.Value)
+	mv.kept = make(map[string][]Value)
 	mv.accs = mv.accs[:0]
 	for range mv.aggs {
 		mv.accs = append(mv.accs, &aggAcc{})
@@ -108,7 +106,7 @@ func (mv *matview) fail(err error) {
 // joinKey renders a join value as a map key with exactly looseEqual's
 // equivalence: numeric values (int64/float64) collapse through float64,
 // everything else is typed verbatim.
-func joinKey(v vdl.Value) string {
+func joinKey(v Value) string {
 	switch x := v.(type) {
 	case nil:
 		return "~"
@@ -168,8 +166,8 @@ func (mv *matview) soloDelta(old, new *brow) {
 	if new == nil {
 		return
 	}
-	env := vdl.NewRowEnv()
-	env.Bind(mv.def.From.Alias, new.cells)
+	env := newEnv()
+	env.add(mv.def.From.Alias, new.cells)
 	mv.addEnv(key, env)
 }
 
@@ -187,9 +185,9 @@ func (mv *matview) leftDelta(old, new *brow) {
 	if new == nil {
 		return
 	}
-	env := vdl.NewRowEnv()
-	env.Bind(mv.def.From.Alias, new.cells)
-	v, err := env.Lookup(mv.def.Join.LeftCol)
+	env := newEnv()
+	env.add(mv.def.From.Alias, new.cells)
+	v, err := env.lookup(mv.def.Join.LeftCol)
 	if err != nil {
 		mv.fail(err)
 		return
@@ -213,9 +211,9 @@ func (mv *matview) rightDelta(old, new *brow) {
 	if new == nil {
 		return
 	}
-	env := vdl.NewRowEnv()
-	env.Bind(mv.def.Join.Right.Alias, new.cells)
-	v, err := env.Lookup(mv.def.Join.RightCol)
+	env := newEnv()
+	env.add(mv.def.Join.Right.Alias, new.cells)
+	v, err := env.lookup(mv.def.Join.RightCol)
 	if err != nil {
 		mv.fail(err)
 		return
@@ -253,32 +251,32 @@ func (mv *matview) addPair(lk, rk string) {
 	if lrow == nil || rrow == nil {
 		return
 	}
-	env := vdl.NewRowEnv()
-	env.Bind(mv.def.From.Alias, lrow.cells)
-	env.Bind(mv.def.Join.Right.Alias, rrow.cells)
+	env := newEnv()
+	env.add(mv.def.From.Alias, lrow.cells)
+	env.add(mv.def.Join.Right.Alias, rrow.cells)
 	mv.addEnv(pairKey(lk, rk), env)
 }
 
 // addEnv applies the where clause and either projects the row into
 // outRows or folds it into the aggregate accumulators.
-func (mv *matview) addEnv(envKey string, env *vdl.Env) {
+func (mv *matview) addEnv(envKey string, env *env) {
 	if mv.def.Where != nil {
-		cond, err := vdl.EvalExpr(mv.def.Where, env)
+		cond, err := evalExpr(mv.def.Where, env)
 		if err != nil {
 			mv.fail(err)
 			return
 		}
-		if !vdl.Truthy(cond) {
+		if !truthy(cond) {
 			return
 		}
 	}
 	if mv.aggregate {
-		vals := make([]vdl.Value, len(mv.aggs))
+		vals := make([]Value, len(mv.aggs))
 		for i, ag := range mv.aggs {
 			if ag.Fn == "count" {
 				continue
 			}
-			v, err := vdl.EvalExpr(ag.X, env)
+			v, err := evalExpr(ag.X, env)
 			if err != nil {
 				mv.fail(err)
 				return
@@ -291,9 +289,9 @@ func (mv *matview) addEnv(envKey string, env *vdl.Env) {
 		mv.kept[envKey] = vals
 		return
 	}
-	cells := make([]vdl.Value, len(mv.def.Select))
+	cells := make([]Value, len(mv.def.Select))
 	for i, s := range mv.def.Select {
-		v, err := vdl.EvalExpr(s.Expr, env)
+		v, err := evalExpr(s.Expr, env)
 		if err != nil {
 			mv.fail(err)
 			return
@@ -319,61 +317,37 @@ func (mv *matview) removeEnv(envKey string) {
 	delete(mv.outRows, envKey)
 }
 
-// rebuild recomputes the whole view state from the current mirrors.
+// rebuild recomputes the whole view state by folding every mirrored row
+// into the emptied state as an insertion: the right side first, so the
+// join index exists when the left rows pair against it. It stops at the
+// first evaluation error.
 func (mv *matview) rebuild() error {
 	mv.reset()
 	mv.needRebuild = false
-	if mv.def.Join != nil {
-		for rk, rrow := range mv.right.rows {
-			env := vdl.NewRowEnv()
-			env.Bind(mv.def.Join.Right.Alias, rrow.cells)
-			v, err := env.Lookup(mv.def.Join.RightCol)
-			if err != nil {
-				mv.fail(err)
-				return err
-			}
-			mv.addSide(mv.rightByKey, mv.rightKeyOf, rk, joinKey(v))
-		}
-		for lk, lrow := range mv.left.rows {
-			env := vdl.NewRowEnv()
-			env.Bind(mv.def.From.Alias, lrow.cells)
-			v, err := env.Lookup(mv.def.Join.LeftCol)
-			if err != nil {
-				mv.fail(err)
-				return err
-			}
-			jk := joinKey(v)
-			mv.addSide(mv.leftByKey, mv.leftKeyOf, lk, jk)
-			for rk := range mv.rightByKey[jk] {
-				mv.addPair(lk, rk)
-				if mv.broken {
-					return mv.err
-				}
-			}
-		}
-	} else {
-		for lk, lrow := range mv.left.rows {
-			env := vdl.NewRowEnv()
-			env.Bind(mv.def.From.Alias, lrow.cells)
-			mv.addEnv(lk, env)
+	fold := func(rows map[string]*brow, delta func(old, new *brow)) {
+		for _, row := range rows {
 			if mv.broken {
-				return mv.err
+				return
 			}
+			delta(nil, row)
 		}
 	}
-	if mv.broken {
-		return mv.err
+	if mv.def.Join == nil {
+		fold(mv.left.rows, mv.soloDelta)
+	} else {
+		fold(mv.right.rows, mv.rightDelta)
+		fold(mv.left.rows, mv.leftDelta)
 	}
-	return nil
+	return mv.err
 }
 
 // result renders the maintained state as a Result in the exact order a
 // from-scratch Eval would produce.
-func (mv *matview) result() (*vdl.Result, error) {
+func (mv *matview) result() (*Result, error) {
 	if mv.cached != nil {
 		return mv.cached, nil
 	}
-	res := &vdl.Result{View: mv.def.Name}
+	res := &Result{View: mv.def.Name}
 	for _, s := range mv.def.Select {
 		res.Columns = append(res.Columns, s.Name)
 	}
@@ -387,11 +361,11 @@ func (mv *matview) result() (*vdl.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = []vdl.Row{{Cells: cells}}
+		res.Rows = []Row{{Cells: cells}}
 	case mv.def.Join == nil:
 		for _, lk := range mv.left.orderKeys() {
 			if cells, ok := mv.outRows[lk]; ok {
-				res.Rows = append(res.Rows, vdl.Row{Index: mv.left.rows[lk].index, Cells: cells})
+				res.Rows = append(res.Rows, Row{Index: mv.left.rows[lk].index, Cells: cells})
 			}
 		}
 	default:
@@ -402,7 +376,7 @@ func (mv *matview) result() (*vdl.Result, error) {
 			}
 			for _, rk := range mv.matchesInOrder(jk) {
 				if cells, ok := mv.outRows[pairKey(lk, rk)]; ok {
-					res.Rows = append(res.Rows, vdl.Row{Index: mv.left.rows[lk].index, Cells: cells})
+					res.Rows = append(res.Rows, Row{Index: mv.left.rows[lk].index, Cells: cells})
 				}
 			}
 		}
@@ -434,7 +408,7 @@ func (mv *matview) matchesInOrder(jk string) []string {
 // accumulators when every aggregate is still invertible, otherwise by
 // recombining over the kept envs in evaluator order (the
 // decline-and-recombine path for Min/Max and float accumulation).
-func (mv *matview) aggCells() ([]vdl.Value, error) {
+func (mv *matview) aggCells() ([]Value, error) {
 	clean := true
 	for _, acc := range mv.accs {
 		if acc.needRecombine() {
@@ -442,7 +416,7 @@ func (mv *matview) aggCells() ([]vdl.Value, error) {
 			break
 		}
 	}
-	cells := make([]vdl.Value, len(mv.def.Select))
+	cells := make([]Value, len(mv.def.Select))
 	if clean {
 		i := 0
 		for j, s := range mv.def.Select {
@@ -456,7 +430,7 @@ func (mv *matview) aggCells() ([]vdl.Value, error) {
 	}
 	envs := mv.keptEnvs()
 	for j, s := range mv.def.Select {
-		v, err := vdl.EvalAggregate(s.Expr, envs)
+		v, err := evalAggregate(s.Expr, envs)
 		if err != nil {
 			return nil, err
 		}
@@ -467,13 +441,13 @@ func (mv *matview) aggCells() ([]vdl.Value, error) {
 
 // evalClean evaluates a select expression substituting accumulator
 // values for aggregate calls, consuming accs in collectAggs order.
-func (mv *matview) evalClean(e vdl.Expr, i *int) (vdl.Value, error) {
+func (mv *matview) evalClean(e Expr, i *int) (Value, error) {
 	switch n := e.(type) {
-	case vdl.Agg:
+	case Agg:
 		acc := mv.accs[*i]
 		*i++
 		return acc.value(n), nil
-	case vdl.Bin:
+	case Bin:
 		l, err := mv.evalClean(n.L, i)
 		if err != nil {
 			return nil, err
@@ -482,16 +456,16 @@ func (mv *matview) evalClean(e vdl.Expr, i *int) (vdl.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return vdl.EvalBinOp(n.Op, l, r)
-	case vdl.Un:
+		return evalBinOp(n.Op, l, r)
+	case Un:
 		x, err := mv.evalClean(n.X, i)
 		if err != nil {
 			return nil, err
 		}
-		return vdl.EvalUnOp(n.Op, x)
-	case vdl.Lit:
+		return evalUnOp(n.Op, x)
+	case Lit:
 		return n.V, nil
-	case vdl.ColRef:
+	case ColRef:
 		return nil, fmt.Errorf("vdl: bare column %q in aggregate select", n.Col)
 	default:
 		return nil, fmt.Errorf("vdl: unknown expression %T", e)
@@ -499,15 +473,15 @@ func (mv *matview) evalClean(e vdl.Expr, i *int) (vdl.Value, error) {
 }
 
 // keptEnvs rebuilds the kept row environments in evaluator order.
-func (mv *matview) keptEnvs() []*vdl.Env {
-	var envs []*vdl.Env
+func (mv *matview) keptEnvs() []*env {
+	var envs []*env
 	if mv.def.Join == nil {
 		for _, lk := range mv.left.orderKeys() {
 			if _, ok := mv.kept[lk]; !ok {
 				continue
 			}
-			env := vdl.NewRowEnv()
-			env.Bind(mv.def.From.Alias, mv.left.rows[lk].cells)
+			env := newEnv()
+			env.add(mv.def.From.Alias, mv.left.rows[lk].cells)
 			envs = append(envs, env)
 		}
 		return envs
@@ -521,9 +495,9 @@ func (mv *matview) keptEnvs() []*vdl.Env {
 			if _, ok := mv.kept[pairKey(lk, rk)]; !ok {
 				continue
 			}
-			env := vdl.NewRowEnv()
-			env.Bind(mv.def.From.Alias, mv.left.rows[lk].cells)
-			env.Bind(mv.def.Join.Right.Alias, mv.right.rows[rk].cells)
+			env := newEnv()
+			env.add(mv.def.From.Alias, mv.left.rows[lk].cells)
+			env.add(mv.def.Join.Right.Alias, mv.right.rows[rk].cells)
 			envs = append(envs, env)
 		}
 	}
@@ -532,18 +506,18 @@ func (mv *matview) keptEnvs() []*vdl.Env {
 
 // aggAcc is one aggregate's add/retract accumulator. Count and integer
 // sum/avg are exactly invertible; min/max and float accumulation follow
-// the decline-and-recombine pattern (see federation.DeltaCombiner): a
+// the decline-and-recombine pattern (see federation.Combiner): a
 // retraction of the current best, or any non-integer input, declines
 // incremental maintenance and defers to a recombine over the kept set.
 type aggAcc struct {
 	n        int64
 	sum      int64 // exact while every input is int64
 	approx   bool  // sum/avg saw a non-int64 input
-	best     vdl.Value
+	best     Value
 	declined bool // min/max lost its extremum or saw a non-int64 input
 }
 
-func (a *aggAcc) add(ag vdl.Agg, v vdl.Value) {
+func (a *aggAcc) add(ag Agg, v Value) {
 	a.n++
 	switch ag.Fn {
 	case "sum", "avg":
@@ -575,7 +549,7 @@ func (a *aggAcc) add(ag vdl.Agg, v vdl.Value) {
 	}
 }
 
-func (a *aggAcc) retract(ag vdl.Agg, v vdl.Value) {
+func (a *aggAcc) retract(ag Agg, v Value) {
 	a.n--
 	switch ag.Fn {
 	case "sum", "avg":
@@ -590,7 +564,7 @@ func (a *aggAcc) retract(ag vdl.Agg, v vdl.Value) {
 		if a.declined {
 			return
 		}
-		if a.best != nil && vdl.LooseEqual(v, a.best) {
+		if a.best != nil && looseEqual(v, a.best) {
 			a.declined = true
 			a.best = nil
 		}
@@ -603,7 +577,7 @@ func (a *aggAcc) needRecombine() bool { return a.approx || a.declined }
 // when needRecombine is false. The result types match Eval exactly:
 // count is int64, sum/avg are float64 (nil avg over zero rows), min/max
 // return the best value (nil over zero rows).
-func (a *aggAcc) value(ag vdl.Agg) vdl.Value {
+func (a *aggAcc) value(ag Agg) Value {
 	switch ag.Fn {
 	case "count":
 		return a.n

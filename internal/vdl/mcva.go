@@ -2,8 +2,8 @@ package vdl
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mbd/internal/dpl"
 	"mbd/internal/mib"
@@ -21,31 +21,172 @@ var OIDViews = oid.MustParse("1.3.6.1.4.1.424242.1")
 // available without growing forever.
 const DefaultSnapshotCap = 64
 
-// MCVA is the MIB Computations-of-Views Agent: it holds named view
-// definitions, evaluates them on demand against the live MIB, keeps
-// immutable snapshots (bounded, LRU-evicted), and exposes both as a
-// virtual MIB subtree so plain SNMP managers can read computed views.
-type MCVA struct {
-	ev *Evaluator
+// changeQueueDepth bounds the MCVA's change subscription; on overflow
+// the oldest deltas are dropped and the agent resyncs by rescanning
+// every mirror.
+const changeQueueDepth = 4096
 
-	mu          sync.Mutex
-	views       map[string]*ViewDef
-	viewOrder   []string
+// MCVA is the MIB Computations-of-Views Agent: it holds named view
+// definitions, keeps each one materialized by folding MIB change deltas
+// into it (see maintain.go), retains immutable snapshots (bounded,
+// LRU-evicted), and exposes the views as a virtual MIB subtree so plain
+// SNMP managers can read them. Every reader — Query, the DPL bindings,
+// the v-mib Handler, the RDS JSON verbs — sees the same maintained
+// Result; nothing re-evaluates a view on access.
+type MCVA struct {
+	tree *mib.Tree
+	sub  *mib.ChangeSub
+
+	mu       sync.Mutex
+	schema   *Schema
+	tables   map[string]*baseTable // by table name
+	byEntry  map[string][]*baseTable
+	views    map[string]*matview
+	order    []string
+	lostSeen uint64
+
 	snapshots   map[int64]*Result
 	snapLRU     []int64 // ids, least-recently-used first
 	snapCap     int
 	snapEvicted uint64
 	snapSeq     int64
+
+	folded     atomic.Uint64
+	recomputes atomic.Uint64
+
+	stop chan struct{}
+	done chan struct{}
 }
 
-// NewMCVA builds an MCVA over the tree and schema.
+// NewMCVA builds an MCVA over the tree and schema and subscribes it to
+// the tree's change hub. Close it to detach.
 func NewMCVA(tree *mib.Tree, schema *Schema) *MCVA {
 	return &MCVA{
-		ev:        NewEvaluator(tree, schema),
-		views:     make(map[string]*ViewDef),
+		tree:      tree,
+		sub:       tree.Changes().Subscribe(changeQueueDepth),
+		schema:    schema,
+		tables:    make(map[string]*baseTable),
+		byEntry:   make(map[string][]*baseTable),
+		views:     make(map[string]*matview),
 		snapshots: make(map[int64]*Result),
 		snapCap:   DefaultSnapshotCap,
 	}
+}
+
+// Close stops any Start()ed pump and detaches the agent from the
+// change hub.
+func (m *MCVA) Close() {
+	m.Stop()
+	m.sub.Close()
+}
+
+// Instrument registers the MCVA's metrics on reg.
+func (m *MCVA) Instrument(reg *obs.Registry) {
+	reg.FuncCounter("vdl_deltas_folded_total",
+		"MIB change deltas folded into incrementally-maintained views.", m.folded.Load)
+	reg.FuncCounter("vdl_view_recomputes_total",
+		"Full view recomputes forced by overflow, errors or schema changes.", m.recomputes.Load)
+	reg.FuncCounter("vdl_changes_lost_total",
+		"Change events dropped by the bounded subscription queue.", m.sub.Lost)
+	reg.FuncCounter("vdl_snapshots_evicted_total",
+		"View snapshots discarded by the LRU retention bound.", m.SnapshotsEvicted)
+}
+
+// Define parses, installs and materializes a view, replacing any
+// previous view of the same name. A definition that cannot be computed
+// against the current MIB is refused.
+func (m *MCVA) Define(src string) (*ViewDef, error) {
+	v, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return v, m.install(v)
+}
+
+// DefineAll installs every view in a multi-view VDL document.
+func (m *MCVA) DefineAll(src string) ([]*ViewDef, error) {
+	defs, err := ParseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range defs {
+		if err := m.install(v); err != nil {
+			return nil, fmt.Errorf("view %s: %w", v.Name, err)
+		}
+	}
+	return defs, nil
+}
+
+func (m *MCVA) install(v *ViewDef) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pumpLocked()
+	left, err := m.ensureTableLocked(v.From.Table)
+	if err != nil {
+		return err
+	}
+	var right *baseTable
+	if v.Join != nil {
+		if right, err = m.ensureTableLocked(v.Join.Right.Table); err != nil {
+			return err
+		}
+	}
+	mv := newMatview(v, left, right)
+	if err := mv.rebuild(); err != nil {
+		return err
+	}
+	if _, err := mv.result(); err != nil {
+		return err
+	}
+	if old := m.views[v.Name]; old != nil {
+		m.dropUsesLocked(old)
+	} else {
+		m.order = append(m.order, v.Name)
+	}
+	m.views[v.Name] = mv
+	if mv.selfJoin {
+		left.views = append(left.views, &tableUse{mv: mv, side: -1})
+	} else {
+		left.views = append(left.views, &tableUse{mv: mv, side: 0})
+		if right != nil {
+			right.views = append(right.views, &tableUse{mv: mv, side: 1})
+		}
+	}
+	return nil
+}
+
+// Views lists installed view names in definition order.
+func (m *MCVA) Views() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]string, len(m.order))
+	copy(out, m.order)
+	return out
+}
+
+// Query folds any pending deltas and returns the named view's current
+// result. Broken views are repaired by a counted full recompute. The
+// returned Result is shared and must not be mutated.
+func (m *MCVA) Query(name string) (*Result, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pumpLocked()
+	return m.queryLocked(name)
+}
+
+func (m *MCVA) queryLocked(name string) (*Result, error) {
+	mv, ok := m.views[name]
+	if !ok {
+		return nil, fmt.Errorf("vdl: no view %q", name)
+	}
+	if mv.broken || mv.needRebuild {
+		m.recomputes.Add(1)
+		mv.recomputes++
+		if err := mv.rebuild(); err != nil {
+			return nil, err
+		}
+	}
+	return mv.result()
 }
 
 // SetSnapshotCap changes the retained-snapshot bound (minimum 1;
@@ -67,13 +208,6 @@ func (m *MCVA) SnapshotsEvicted() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.snapEvicted
-}
-
-// Instrument registers the MCVA's metrics on reg
-// (vdl_snapshots_evicted_total).
-func (m *MCVA) Instrument(reg *obs.Registry) {
-	reg.FuncCounter("vdl_snapshots_evicted_total",
-		"View snapshots discarded by the LRU retention bound.", m.SnapshotsEvicted)
 }
 
 // evictLocked drops least-recently-used snapshots until within cap.
@@ -101,57 +235,18 @@ func (m *MCVA) touchLocked(id int64) {
 	m.snapLRU = append(m.snapLRU, id)
 }
 
-// Define parses and installs a view definition, replacing any previous
-// view of the same name.
-func (m *MCVA) Define(src string) (*ViewDef, error) {
-	v, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	// Validate eagerly: an empty evaluation exposes schema errors now
-	// rather than at first query.
-	if _, err := m.ev.Eval(v); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.views[v.Name]; !exists {
-		m.viewOrder = append(m.viewOrder, v.Name)
-	}
-	m.views[v.Name] = v
-	return v, nil
-}
-
-// Views lists installed view names in definition order.
-func (m *MCVA) Views() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.viewOrder))
-	copy(out, m.viewOrder)
-	return out
-}
-
-// Query evaluates the named view against the current MIB contents.
-func (m *MCVA) Query(name string) (*Result, error) {
-	m.mu.Lock()
-	v, ok := m.views[name]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("vdl: no view %q", name)
-	}
-	return m.ev.Eval(v)
-}
-
-// Snapshot materializes the named view and retains the result
-// immutably, returning its id. "View Snapshots ... provide an
-// instantaneous copy of the values of a collection of mib variables."
+// Snapshot retains the named view's current result immutably,
+// returning its id. "View Snapshots ... provide an instantaneous copy
+// of the values of a collection of mib variables." Results are never
+// mutated once rendered, so a snapshot shares the maintained one.
 func (m *MCVA) Snapshot(name string) (int64, error) {
-	res, err := m.Query(name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pumpLocked()
+	res, err := m.queryLocked(name)
 	if err != nil {
 		return 0, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.snapSeq++
 	m.snapshots[m.snapSeq] = res
 	m.touchLocked(m.snapSeq)
@@ -192,8 +287,8 @@ func (m *MCVA) DropSnapshot(id int64) bool {
 // views:
 //
 //	viewDefine(src)      install a view; returns its name
-//	viewQuery(name)      evaluate; returns array of row arrays
-//	viewSnapshot(name)   materialize; returns snapshot id
+//	viewQuery(name)      current rows; returns array of row arrays
+//	viewSnapshot(name)   retain the current rows; returns snapshot id
 //	snapshotRows(id)     rows of a retained snapshot
 //	snapshotDrop(id)     release a snapshot; returns true if it existed
 func (m *MCVA) Bindings() *dpl.Bindings {
@@ -257,70 +352,4 @@ func (m *MCVA) Bindings() *dpl.Bindings {
 		return m.DropSnapshot(id), nil
 	})
 	return b
-}
-
-// Handler returns a mib.Handler exposing the MCVA's views as v-mib
-// objects. Mount it at OIDViews. Instances are addressed
-// viewIndex.column.row (1-based); every read re-evaluates the view, so
-// SNMP managers always see fresh computed data.
-func (m *MCVA) Handler() mib.Handler { return &viewHandler{m: m} }
-
-type viewHandler struct {
-	m *MCVA
-}
-
-// materializeAll evaluates every installed view in definition order.
-func (h *viewHandler) materializeAll() []*Result {
-	names := h.m.Views()
-	out := make([]*Result, 0, len(names))
-	for _, n := range names {
-		res, err := h.m.Query(n)
-		if err != nil {
-			res = &Result{View: n} // failed views expose no instances
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-// GetRel implements mib.Handler.
-func (h *viewHandler) GetRel(rel oid.OID) (mib.Value, bool) {
-	if len(rel) != 3 {
-		return mib.Value{}, false
-	}
-	all := h.materializeAll()
-	vi, ci, ri := int(rel[0]), int(rel[1]), int(rel[2])
-	if vi < 1 || vi > len(all) {
-		return mib.Value{}, false
-	}
-	res := all[vi-1]
-	if ci < 1 || ci > len(res.Columns) || ri < 1 || ri > len(res.Rows) {
-		return mib.Value{}, false
-	}
-	return toSMI(res.Rows[ri-1].Cells[ci-1]), true
-}
-
-// NextRel implements mib.Handler.
-func (h *viewHandler) NextRel(rel oid.OID) (oid.OID, mib.Value, bool) {
-	all := h.materializeAll()
-	// Enumerate instances in order and return the first beyond rel.
-	var candidates []oid.OID
-	for vi, res := range all {
-		for ci := range res.Columns {
-			for ri := range res.Rows {
-				candidates = append(candidates, oid.OID{uint32(vi + 1), uint32(ci + 1), uint32(ri + 1)})
-			}
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Compare(candidates[j]) < 0 })
-	for _, c := range candidates {
-		if c.Compare(rel) > 0 {
-			v, ok := h.GetRel(c)
-			if !ok {
-				continue
-			}
-			return c, v, true
-		}
-	}
-	return nil, mib.Value{}, false
 }

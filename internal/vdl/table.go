@@ -1,18 +1,17 @@
-package incr
+package vdl
 
 import (
 	"sort"
 
 	"mbd/internal/mib"
 	"mbd/internal/oid"
-	"mbd/internal/vdl"
 )
 
 // brow is one mirrored base-table row.
 type brow struct {
 	key   string // index.String(), the map key
 	index oid.OID
-	cells map[string]vdl.Value // column name → value
+	cells map[string]Value // column name → value
 }
 
 // colDef pairs a schema column name with its number.
@@ -31,7 +30,7 @@ type tableUse struct {
 // row-by-row from change-capture events. It is shared by every view
 // ranging over the table.
 type baseTable struct {
-	schema vdl.TableSchema
+	schema TableSchema
 	cols   []colDef // ascending column number, schema-known only
 	rows   map[string]*brow
 
@@ -44,7 +43,7 @@ type baseTable struct {
 	views []*tableUse
 }
 
-func newBaseTable(ts vdl.TableSchema) *baseTable {
+func newBaseTable(ts TableSchema) *baseTable {
 	t := &baseTable{schema: ts, rows: make(map[string]*brow)}
 	for name, num := range ts.Columns {
 		t.cols = append(t.cols, colDef{name: name, num: num})
@@ -73,10 +72,10 @@ func (t *baseTable) scan(tree *mib.Tree) map[string]*brow {
 		key := idx.String()
 		r := rows[key]
 		if r == nil {
-			r = &brow{key: key, index: idx.Clone(), cells: make(map[string]vdl.Value)}
+			r = &brow{key: key, index: idx.Clone(), cells: make(map[string]Value)}
 			rows[key] = r
 		}
-		r.cells[name] = vdl.FromSMI(v)
+		r.cells[name] = fromSMI(v)
 		return true
 	})
 	return rows
@@ -86,7 +85,7 @@ func (t *baseTable) scan(tree *mib.Tree) map[string]*brow {
 // Get per schema column — O(columns), independent of table size).
 // Returns nil when the row no longer exists.
 func (t *baseTable) readRow(tree *mib.Tree, index oid.OID) *brow {
-	var cells map[string]vdl.Value
+	var cells map[string]Value
 	buf := make(oid.OID, 0, len(t.schema.Entry)+1+len(index))
 	for _, c := range t.cols {
 		buf = append(append(append(buf[:0], t.schema.Entry...), c.num), index...)
@@ -95,9 +94,9 @@ func (t *baseTable) readRow(tree *mib.Tree, index oid.OID) *brow {
 			continue
 		}
 		if cells == nil {
-			cells = make(map[string]vdl.Value, len(t.cols))
+			cells = make(map[string]Value, len(t.cols))
 		}
-		cells[c.name] = vdl.FromSMI(v)
+		cells[c.name] = fromSMI(v)
 	}
 	if cells == nil {
 		return nil
