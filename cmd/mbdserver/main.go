@@ -261,7 +261,6 @@ func run(c config) error {
 		Community:       c.community,
 		EnableViews:     true,
 		ViewDefs:        viewDefs,
-		MaxDPIs:         256,
 		StrictAdmission: c.strict,
 		CostCeiling:     c.costCeiling,
 		Obs:             reg,
@@ -337,12 +336,6 @@ func run(c config) error {
 		}
 	}()
 	log.Printf("SNMP agent on %s (community %q)", pc.LocalAddr(), c.community)
-
-	// Log DPI events to the console.
-	cancel := srv.Process().Subscribe(func(ev elastic.Event) {
-		log.Printf("[%s] %s: %s", ev.DPI, ev.Kind, ev.Payload)
-	})
-	defer cancel()
 
 	// RDS server (its protocol counters join the shared registry; when
 	// -obs is off it publishes on the process's private one).

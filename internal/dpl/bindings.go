@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // HostFunc is a function the elastic process exposes to delegated
@@ -307,7 +308,9 @@ func Std() *Bindings {
 		if !ok1 || !ok2 || sep == "" {
 			return nil, rtErrf("split(string, non-empty string)")
 		}
-		out := &Array{}
+		// Count matches the scan below (leftmost, non-overlapping), so
+		// the appends never grow the slice.
+		out := &Array{Elems: make([]Value, 0, strings.Count(s, sep)+1)}
 		start := 0
 		for i := 0; i+len(sep) <= len(s); {
 			if s[i:i+len(sep)] == sep {

@@ -462,3 +462,30 @@ func TestDeleteBuiltin(t *testing.T) {
 		t.Fatalf("= %v", got)
 	}
 }
+
+// TestSplitSizesResultOnce: split knows its element count before it
+// builds the result, so it allocates the Array, one backing slice and
+// one box per element, and never regrows the slice (an agent that
+// splits an OID per MIB row pays for every regrowth on every row).
+func TestSplitSizesResultOnce(t *testing.T) {
+	b := Std()
+	idx, _, ok := b.Lookup("split")
+	if !ok {
+		t.Fatal("no split binding")
+	}
+	const parts = 11
+	args := []Value{"1.3.6.1.2.1.2.2.1.10.3", "."}
+	var out Value
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if out, err = b.Call(idx, nil, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := len(out.(*Array).Elems); n != parts {
+		t.Fatalf("split made %d elements, want %d", n, parts)
+	}
+	if allocs > parts+2 {
+		t.Errorf("split of %d components allocates %v times, want at most %d", parts, allocs, parts+2)
+	}
+}

@@ -74,16 +74,27 @@ func (d *DPI) run(ctx context.Context, args []dpl.Value) {
 	d.result = v
 	d.err = err
 	d.mu.Unlock()
+	// The one retention rule for finished records, applied here and
+	// nowhere else: this exit takes the next slot of the finished ring
+	// and the record that slot named (finishedKept exits ago) leaves
+	// dpis. It happens before done closes, so whoever sees the exit also
+	// sees the live slot it freed.
+	p.mu.Lock()
+	slot := &p.finished[p.nFinished%finishedKept]
+	delete(p.dpis, *slot) // "" on the first lap, or already Removed: no-op
+	*slot = d.ID
+	p.nFinished++
+	p.met.live.Add(-1)
+	p.mu.Unlock()
+	if d.tenant != nil {
+		d.tenant.live.Add(-1)
+	}
 	close(d.done)
 	payload := dpl.FormatValue(v)
 	if err != nil {
 		payload = "error: " + err.Error()
 	}
 	elapsed := p.clock.Now() - d.started
-	p.met.live.Add(-1)
-	if d.tenant != nil {
-		d.tenant.live.Add(-1)
-	}
 	p.met.stepsConsumed.Add(d.vm.Steps())
 	p.met.runLat.Observe(elapsed)
 	if crashed {

@@ -161,6 +161,12 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// finishedKept is how many exited instances stay answerable through
+// Query, Lookup and Control after they finish. Each exit displaces the
+// oldest, so a node serving short delegations holds a fixed history,
+// not one record per instance it ever ran.
+const finishedKept = 256
+
 // Process is an elastic process: it accepts delegated programs,
 // instantiates them as controllable threads, routes messages to their
 // mailboxes and fans their events out to subscribers.
@@ -177,6 +183,11 @@ type Process struct {
 	seq     map[string]int // per-DP instance counter
 	stopped bool
 	wg      sync.WaitGroup
+	// finished rings the ids of the last finishedKept exited instances,
+	// the only finished records dpis retains; nFinished counts every
+	// exit, so nFinished%finishedKept is the slot the next one takes.
+	finished  [finishedKept]string
+	nFinished uint64
 
 	// ctx is cancelled by Stop; supervision timers and watchdogs sleep
 	// under it so shutdown never waits out a backoff.
@@ -679,13 +690,7 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 		tenant.live.Add(-1)
 		return nil, ErrStopped
 	}
-	live := 0
-	for _, d := range p.dpis {
-		if !d.Finished() {
-			live++
-		}
-	}
-	if live >= p.cfg.MaxDPIs {
+	if p.met.live.Value() >= int64(p.cfg.MaxDPIs) {
 		p.mu.Unlock()
 		tenant.live.Add(-1)
 		return nil, fmt.Errorf("%w (%d)", ErrTooManyDPIs, p.cfg.MaxDPIs)
@@ -727,6 +732,9 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 	d.vm = vm
 	vm.Meta = d
 	p.dpis[id] = d
+	// Counted under p.mu, where the limit above reads it; DPI.run
+	// uncounts under the same lock.
+	p.met.live.Add(1)
 	p.wg.Add(1)
 	watched := spec.Deadline > 0 || spec.StallTimeout > 0
 	if watched {
@@ -734,7 +742,6 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 	}
 	p.mu.Unlock()
 	p.met.instantiations.Inc()
-	p.met.live.Add(1)
 	p.tracer.Record(id, obs.StageInstantiate, "entry="+spec.Entry, 0)
 
 	if watched {
@@ -817,7 +824,8 @@ type Info struct {
 	Err     string
 }
 
-// Query lists instance status. An empty dpiID lists all instances.
+// Query lists instance status. An empty dpiID lists all instances:
+// every running one and the last finishedKept to exit.
 func (p *Process) Query(principal, dpiID string) ([]Info, error) {
 	if !p.cfg.ACL.Allow(principal, RightQuery) {
 		return nil, fmt.Errorf("%w: %s may not query", ErrDenied, principal)

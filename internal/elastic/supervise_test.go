@@ -160,9 +160,11 @@ func TestRestartCapCrashLoop(t *testing.T) {
 	}
 }
 
-// TestRestartAlwaysAndTerminate: always-policy instances restart even
-// after clean exits, but an operator terminate is final.
-func TestRestartAlwaysAndTerminate(t *testing.T) {
+// cyclingLineage starts a clean-exiting DP under the always policy and
+// returns once it has been restarted at least three times, with its
+// first (long exited) incarnation.
+func cyclingLineage(t *testing.T) (*Process, *DPI) {
+	t.Helper()
 	p := newProcess(t, Config{
 		RestartBackoffBase: time.Millisecond,
 		RestartBackoffMax:  2 * time.Millisecond,
@@ -170,7 +172,8 @@ func TestRestartAlwaysAndTerminate(t *testing.T) {
 	if err := p.Delegate("mgr", "oneshot", "dpl", `func main() { return 7; }`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.InstantiateSpec("mgr", InstanceSpec{DP: "oneshot", Entry: "main", Policy: RestartAlways}); err != nil {
+	first, err := p.InstantiateSpec("mgr", InstanceSpec{DP: "oneshot", Entry: "main", Policy: RestartAlways})
+	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -180,15 +183,13 @@ func TestRestartAlwaysAndTerminate(t *testing.T) {
 	if v := p.met.restarts.Value(); v < 3 {
 		t.Fatalf("always-policy restarts = %d, want >= 3", v)
 	}
-	// Terminating any incarnation — even one that already exited — ends
-	// the whole lineage; a fast-cycling DP spends almost all its time in
-	// the backoff window, so catching it mid-run cannot be required.
-	p.mu.Lock()
-	for _, d := range p.dpis {
-		d.Terminate()
-	}
-	p.mu.Unlock()
-	deadline = time.Now().Add(5 * time.Second)
+	return p, first
+}
+
+// requireRestartsStop fails unless the restart counter comes to rest.
+func requireRestartsStop(t *testing.T, p *Process) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		before := p.met.restarts.Value()
 		time.Sleep(10 * time.Millisecond)
@@ -197,6 +198,36 @@ func TestRestartAlwaysAndTerminate(t *testing.T) {
 		}
 	}
 	t.Fatal("terminate did not end the always-restart lineage")
+}
+
+// TestRestartAlwaysAndTerminate: always-policy instances restart even
+// after clean exits, but an operator terminate is final.
+func TestRestartAlwaysAndTerminate(t *testing.T) {
+	p, _ := cyclingLineage(t)
+	// Terminating any incarnation — even one that already exited — ends
+	// the whole lineage; a fast-cycling DP spends almost all its time in
+	// the backoff window, so catching it mid-run cannot be required.
+	p.mu.Lock()
+	for _, d := range p.dpis {
+		d.Terminate()
+	}
+	p.mu.Unlock()
+	requireRestartsStop(t, p)
+}
+
+// TestRestartEndsOnTerminateOfExitedIncarnation: the record of an exited
+// incarnation, for as long as the finished ring keeps it, is a handle on
+// its whole lineage. Terminating that one record through Control, with
+// newer incarnations already come and gone, stops further restarts.
+func TestRestartEndsOnTerminateOfExitedIncarnation(t *testing.T) {
+	p, first := cyclingLineage(t)
+	if !first.Finished() {
+		t.Fatalf("first incarnation %s still running after three restarts", first.ID)
+	}
+	if err := p.Control("mgr", first.ID, ActionTerminate); err != nil {
+		t.Fatalf("terminate of exited incarnation %s: %v", first.ID, err)
+	}
+	requireRestartsStop(t, p)
 }
 
 // TestWatchdogDeadline kills a run that exceeds its wall-clock budget

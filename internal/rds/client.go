@@ -1,6 +1,7 @@
 package rds
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -276,8 +277,12 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 }
 
 func (c *Client) readFrames(conn net.Conn) error {
+	// The server batches event frames into one write; read them back the
+	// same way, not with two syscalls per frame. Deadlines set on conn
+	// still surface through the reader.
+	br := bufio.NewReader(conn)
 	for {
-		body, err := ReadFrame(conn)
+		body, err := ReadFrame(br)
 		if err != nil {
 			// A read-deadline expiry with nothing pending is a stale
 			// deadline from an already-answered request, not a dead

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -531,5 +533,99 @@ func TestEndToEndRemoteEvaluation(t *testing.T) {
 	if _, err := c.Eval(ctx, `func main() { sh("x"); }`, "main"); !errors.As(err, &re) ||
 		!strings.Contains(re.Msg, "allowed host function set") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// readCounter counts the Read calls a client makes on its connection:
+// on a TCP socket each one is a syscall.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestClientReadsFramesBuffered: a peer that answers one Send with a
+// burst of 128 event frames and the reply, batched into one write as
+// the server's pump batches them, must cost the client fewer reads than
+// frames. Unbuffered, every frame is a header read plus a body read.
+func TestClientReadsFramesBuffered(t *testing.T) {
+	const events = 128
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	peerErr := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		defer conn.Close()
+		body, err := ReadFrame(conn)
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		req, err := Decode(body)
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		var burst []byte
+		for i := 0; i < events; i++ {
+			ev := &Message{Op: OpEvent, Name: "rows#1", Entry: "report", Payload: []byte(strconv.Itoa(i)), TimeMS: int64(i)}
+			if burst, err = ev.AppendFrame(burst); err != nil {
+				peerErr <- err
+				return
+			}
+		}
+		if burst, err = (&Message{Op: OpReply, Seq: req.Seq, OK: true}).AppendFrame(burst); err != nil {
+			peerErr <- err
+			return
+		}
+		_, err = conn.Write(burst)
+		peerErr <- err
+		// Hold the connection open until the test is done reading.
+		_, _ = ReadFrame(conn)
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &readCounter{Conn: conn}
+	c := NewClient(counted, "mgr")
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Send(ctx, "rows#1", "go"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatalf("peer: %v", err)
+	}
+	for i := 0; i < events; i++ {
+		select {
+		case ev := <-c.Events():
+			if ev.Payload != strconv.Itoa(i) {
+				t.Fatalf("event %d carries %q: frames out of order or lost", i, ev.Payload)
+			}
+		case <-ctx.Done():
+			t.Fatalf("only %d of %d events arrived", i, events)
+		}
+	}
+	// The reply follows the events on the wire, so by now every frame of
+	// the burst has been read.
+	if frames, reads := int64(events+1), counted.reads.Load(); reads >= frames {
+		t.Fatalf("%d frames cost %d reads, want fewer reads than frames", frames, reads)
+	}
+	if _, in := c.Bytes(); in == 0 {
+		t.Fatal("Bytes() no longer accounts frames read through the buffer")
 	}
 }

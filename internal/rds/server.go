@@ -562,8 +562,12 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		}
 	}()
 
+	// One buffered reader per connection: a frame is a header read and a
+	// body read, and pipelined requests arrive several to a segment.
+	// Deadlines and Close act on conn underneath and surface through it.
+	br := bufio.NewReader(conn)
 	for {
-		body, err := ReadFrame(conn)
+		body, err := ReadFrame(br)
 		if err != nil {
 			return // EOF, cancellation, or peer error — all terminal
 		}

@@ -257,17 +257,24 @@ func (a *Agent) Instrument(reg *obs.Registry) {
 }
 
 // ServeUDP answers requests on conn until ctx is cancelled. It blocks;
-// run it on its own goroutine. The conn is closed on return.
+// run it on its own goroutine. The conn is closed on return. conn must
+// be a *net.UDPConn (what net.ListenPacket("udp", ...) returns): only
+// its AddrPort calls move a datagram without allocating an address for
+// it, and an agent that makes garbage per request grows with its load.
 func (a *Agent) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 	defer conn.Close()
+	uc, ok := conn.(*net.UDPConn)
+	if !ok {
+		return fmt.Errorf("snmp: agent serves a *net.UDPConn, not %T", conn)
+	}
 	go func() {
 		<-ctx.Done()
-		conn.Close() // unblocks ReadFrom
+		conn.Close() // unblocks the read
 	}()
 	buf := make([]byte, 65536)
 	var out []byte // reused response buffer
 	for {
-		n, addr, err := conn.ReadFrom(buf)
+		n, addr, err := uc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -276,7 +283,7 @@ func (a *Agent) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 		}
 		if resp := a.HandlePacketAppend(out[:0], buf[:n]); resp != nil {
 			out = resp // keep the (possibly grown) buffer for reuse
-			if _, err := conn.WriteTo(resp, addr); err != nil && ctx.Err() == nil {
+			if _, err := uc.WriteToUDPAddrPort(resp, addr); err != nil && ctx.Err() == nil {
 				return fmt.Errorf("snmp: agent write: %w", err)
 			}
 		}
