@@ -15,7 +15,9 @@
 //
 // The gate fails (exit 1) when any benchmark present in the baseline
 //
-//   - regresses in ns/op by more than -threshold (default 15%), or
+//   - regresses in ns/op or in B/op by more than -threshold (default
+//     15%; bytes catch a buffer grown where it used to be sized, which
+//     moves B/op by a quarter and allocs/op by a handful), or
 //   - allocates more per op than the baseline records (strict: any
 //     increase in allocs/op fails, since the allocation-free hot paths
 //     are an explicit design property), or
@@ -143,10 +145,28 @@ func loadBaseline(path string) (Baseline, []string, error) {
 	return bl, names, nil
 }
 
+// worse reports how far cur is above base, as a fraction of base. A zero
+// base (an allocation-free benchmark's B/op) has no such fraction, and
+// needs none: any rise from it is a rise in allocs/op, which fails alone.
+func worse(base, cur float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return (cur - base) / base
+}
+
+// regressed reports whether cur fails the gate against base: ns/op or
+// B/op worse by more than threshold, or any increase in allocs/op.
+func regressed(base, cur Benchmark, threshold float64) bool {
+	return cur.AllocsPerOp > base.AllocsPerOp ||
+		worse(base.NsPerOp, cur.NsPerOp) > threshold ||
+		worse(base.BytesPerOp, cur.BytesPerOp) > threshold
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline file to compare against (or write with -update)")
 	update := flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
-	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op regression before failing")
+	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op or B/op regression before failing")
 	note := flag.String("note", "", "provenance note stored in the baseline on -update")
 	pattern := flag.Bool("pattern", false, "print the anchored -bench regexp of the baseline's benchmarks and exit")
 	flag.Parse()
@@ -206,18 +226,15 @@ func main() {
 			failed = true
 			continue
 		}
-		delta := (cur.NsPerOp - base.NsPerOp) / base.NsPerOp
 		status := "ok  "
-		switch {
-		case cur.AllocsPerOp > base.AllocsPerOp:
-			status = "FAIL"
-			failed = true
-		case delta > *threshold:
+		if regressed(base, cur, *threshold) {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %-32s ns/op %10.1f -> %10.1f (%+6.1f%%)  allocs/op %3.0f -> %3.0f\n",
-			status, name, base.NsPerOp, cur.NsPerOp, delta*100, base.AllocsPerOp, cur.AllocsPerOp)
+		fmt.Printf("%s %-32s ns/op %10.1f -> %10.1f (%+6.1f%%)  B/op %6.0f -> %6.0f (%+6.1f%%)  allocs/op %3.0f -> %3.0f\n",
+			status, name, base.NsPerOp, cur.NsPerOp, worse(base.NsPerOp, cur.NsPerOp)*100,
+			base.BytesPerOp, cur.BytesPerOp, worse(base.BytesPerOp, cur.BytesPerOp)*100,
+			base.AllocsPerOp, cur.AllocsPerOp)
 	}
 	for name := range current {
 		if _, ok := bl.Benchmarks[name]; !ok {

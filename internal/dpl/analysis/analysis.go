@@ -8,7 +8,6 @@ type FuncInfo struct {
 	Pos     dpl.Pos
 	Effects Effects
 	Cost    CostEstimate
-	CFG     *Graph
 }
 
 // Report is the result of analyzing one program.
@@ -76,10 +75,8 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 	rep := &Report{}
 	res := resolve(prog)
 
-	graphs := make(map[*dpl.FuncDecl]*Graph, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		g := buildCFG(f)
-		graphs[f] = g
 		unreachableDiags(g, &rep.Diags)
 		definiteAssignment(g, res, &rep.Diags)
 		liveness(g, res, &rep.Diags)
@@ -115,7 +112,6 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 			Pos:     f.Position(),
 			Effects: set.finalize(),
 			Cost:    cost,
-			CFG:     graphs[f],
 		})
 		if cost.Unbounded && !rep.Cost.Unbounded {
 			rep.Cost.Unbounded = true

@@ -14,19 +14,26 @@ type Block struct {
 	Nodes []dpl.Node // dpl.Stmt for statements, dpl.Expr for conditions
 	Succs []*Block
 	Preds []*Block
+
+	succ, pred [2]*Block // where Succs and Preds start out: few outgrow it
 }
 
 // Graph is one function's control-flow graph. Entry is the first
 // block executed; Exit is the single synthetic return target.
 type Graph struct {
-	Fn     *dpl.FuncDecl
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
+
+	reach map[*Block]bool // Reachable's answer, once asked for
 }
 
-// Reachable returns the set of blocks reachable from Entry.
+// Reachable returns the set of blocks reachable from Entry: computed
+// once, the graph being complete by then, and not for callers to modify.
 func (g *Graph) Reachable() map[*Block]bool {
+	if g.reach != nil {
+		return g.reach
+	}
 	seen := make(map[*Block]bool, len(g.Blocks))
 	stack := []*Block{g.Entry}
 	for len(stack) > 0 {
@@ -38,6 +45,7 @@ func (g *Graph) Reachable() map[*Block]bool {
 		seen[b] = true
 		stack = append(stack, b.Succs...)
 	}
+	g.reach = seen
 	return seen
 }
 
@@ -54,7 +62,7 @@ type cfgBuilder struct {
 
 // buildCFG constructs the control-flow graph of fn.
 func buildCFG(fn *dpl.FuncDecl) *Graph {
-	g := &Graph{Fn: fn}
+	g := &Graph{}
 	b := &cfgBuilder{g: g}
 	g.Entry = b.newBlock()
 	g.Exit = &Block{ID: -1} // appended to Blocks last, below
@@ -73,6 +81,12 @@ func (b *cfgBuilder) newBlock() *Block {
 }
 
 func (b *cfgBuilder) edge(from, to *Block) {
+	if from.Succs == nil {
+		from.Succs = from.succ[:0]
+	}
+	if to.Preds == nil {
+		to.Preds = to.pred[:0]
+	}
 	from.Succs = append(from.Succs, to)
 	to.Preds = append(to.Preds, from)
 }

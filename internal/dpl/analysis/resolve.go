@@ -31,20 +31,16 @@ type resolution struct {
 	use map[*dpl.Ident]varID
 	// decl binds each VarDecl to the variable it introduces.
 	decl map[*dpl.VarDecl]varID
-	// params lists each function's parameter ids in order.
-	params map[*dpl.FuncDecl][]varID
 	// globals lists the program's global ids in declaration order.
 	globals []varID
+	// scope lists the variables visible at the point being resolved,
+	// innermost last: a block truncates it to its length on entry.
+	scope []varID
 }
 
-type rscope struct {
-	parent *rscope
-	names  map[string]varID
-}
-
-func (s *rscope) lookup(name string) varID {
-	for cur := s; cur != nil; cur = cur.parent {
-		if id, ok := cur.names[name]; ok {
+func (r *resolution) lookup(name string) varID {
+	for i := len(r.scope) - 1; i >= 0; i-- {
+		if id := r.scope[i]; r.vars[id].name == name {
 			return id
 		}
 	}
@@ -52,147 +48,139 @@ func (s *rscope) lookup(name string) varID {
 }
 
 func resolve(prog *dpl.Program) *resolution {
-	r := &resolution{
-		use:    make(map[*dpl.Ident]varID),
-		decl:   make(map[*dpl.VarDecl]varID),
-		params: make(map[*dpl.FuncDecl][]varID),
+	// Few functions declare more than a variable per top-level
+	// statement, so vars and the scope stack seldom outgrow this.
+	n := len(prog.Globals)
+	for _, f := range prog.Funcs {
+		n += len(f.Params) + len(f.Body.Stmts)
 	}
-	global := &rscope{names: make(map[string]varID)}
+	r := &resolution{
+		vars:    make([]varInfo, 0, n),
+		use:     make(map[*dpl.Ident]varID),
+		decl:    make(map[*dpl.VarDecl]varID, n),
+		globals: make([]varID, 0, len(prog.Globals)),
+		scope:   make([]varID, 0, n),
+	}
 	for _, g := range prog.Globals {
 		// Initializers may reference only earlier globals (enforced by
 		// Check); resolving before declaring matches that rule.
 		if g.Init != nil {
-			r.resolveExpr(g.Init, global)
+			r.resolveExpr(g.Init)
 		}
 		id := r.newVar(varInfo{name: g.Name, global: true, pos: g.Position()})
-		global.names[g.Name] = id
 		r.decl[g] = id
 		r.globals = append(r.globals, id)
 	}
 	for _, f := range prog.Funcs {
-		fs := &rscope{parent: global, names: make(map[string]varID)}
 		for _, p := range f.Params {
-			id := r.newVar(varInfo{name: p, param: true, pos: f.Position()})
-			fs.names[p] = id
-			r.params[f] = append(r.params[f], id)
+			r.newVar(varInfo{name: p, param: true, pos: f.Position()})
 		}
-		r.resolveBlock(f.Body, &rscope{parent: fs, names: make(map[string]varID)})
+		r.resolveBlock(f.Body)
+		r.scope = r.scope[:len(r.globals)]
 	}
 	return r
 }
 
+// newVar adds a variable and brings it into scope.
 func (r *resolution) newVar(info varInfo) varID {
+	id := varID(len(r.vars))
 	r.vars = append(r.vars, info)
-	return varID(len(r.vars) - 1)
+	r.scope = append(r.scope, id)
+	return id
 }
 
-func (r *resolution) resolveBlock(b *dpl.Block, s *rscope) {
+// resolveBlock resolves b in a scope of its own.
+func (r *resolution) resolveBlock(b *dpl.Block) {
+	outer := len(r.scope)
 	for _, st := range b.Stmts {
-		r.resolveStmt(st, s)
+		r.resolveStmt(st)
 	}
+	r.scope = r.scope[:outer]
 }
 
-func (r *resolution) resolveStmt(st dpl.Stmt, s *rscope) {
+func (r *resolution) resolveStmt(st dpl.Stmt) {
 	switch n := st.(type) {
 	case *dpl.VarDecl:
 		if n.Init != nil {
-			r.resolveExpr(n.Init, s)
+			r.resolveExpr(n.Init)
 		}
-		id := r.newVar(varInfo{name: n.Name, pos: n.Position()})
-		s.names[n.Name] = id
-		r.decl[n] = id
+		r.decl[n] = r.newVar(varInfo{name: n.Name, pos: n.Position()})
 	case *dpl.Block:
-		r.resolveBlock(n, &rscope{parent: s, names: make(map[string]varID)})
+		r.resolveBlock(n)
 	case *dpl.AssignStmt:
-		r.resolveExpr(n.Target, s)
-		r.resolveExpr(n.Value, s)
+		r.resolveExpr(n.Target)
+		r.resolveExpr(n.Value)
 	case *dpl.IfStmt:
-		r.resolveExpr(n.Cond, s)
-		r.resolveBlock(n.Then, &rscope{parent: s, names: make(map[string]varID)})
+		r.resolveExpr(n.Cond)
+		r.resolveBlock(n.Then)
 		if n.Else != nil {
-			r.resolveStmt(n.Else, &rscope{parent: s, names: make(map[string]varID)})
+			r.resolveStmt(n.Else)
 		}
 	case *dpl.WhileStmt:
-		r.resolveExpr(n.Cond, s)
-		r.resolveBlock(n.Body, &rscope{parent: s, names: make(map[string]varID)})
+		r.resolveExpr(n.Cond)
+		r.resolveBlock(n.Body)
 	case *dpl.ForStmt:
-		fs := &rscope{parent: s, names: make(map[string]varID)}
+		outer := len(r.scope)
 		if n.Init != nil {
-			r.resolveStmt(n.Init, fs)
+			r.resolveStmt(n.Init)
 		}
 		if n.Cond != nil {
-			r.resolveExpr(n.Cond, fs)
+			r.resolveExpr(n.Cond)
 		}
 		if n.Post != nil {
-			r.resolveStmt(n.Post, fs)
+			r.resolveStmt(n.Post)
 		}
-		r.resolveBlock(n.Body, fs)
+		r.resolveBlock(n.Body)
+		r.scope = r.scope[:outer]
 	case *dpl.ReturnStmt:
 		if n.Value != nil {
-			r.resolveExpr(n.Value, s)
+			r.resolveExpr(n.Value)
 		}
 	case *dpl.ExprStmt:
-		r.resolveExpr(n.X, s)
+		r.resolveExpr(n.X)
 	}
 }
 
-func (r *resolution) resolveExpr(e dpl.Expr, s *rscope) {
-	switch n := e.(type) {
-	case *dpl.Ident:
-		r.use[n] = s.lookup(n.Name)
-	case *dpl.UnaryExpr:
-		r.resolveExpr(n.X, s)
-	case *dpl.BinaryExpr:
-		r.resolveExpr(n.L, s)
-		r.resolveExpr(n.R, s)
-	case *dpl.IndexExpr:
-		r.resolveExpr(n.X, s)
-		r.resolveExpr(n.I, s)
-	case *dpl.ArrayLit:
-		for _, el := range n.Elems {
-			r.resolveExpr(el, s)
-		}
-	case *dpl.MapLit:
-		for i := range n.Keys {
-			r.resolveExpr(n.Keys[i], s)
-			r.resolveExpr(n.Vals[i], s)
-		}
-	case *dpl.CallExpr:
-		// The callee name is not a variable; only arguments resolve.
-		for _, a := range n.Args {
-			r.resolveExpr(a, s)
-		}
-	}
+func (r *resolution) resolveExpr(e dpl.Expr) {
+	eachIdent(e, func(n *dpl.Ident) { r.use[n] = r.lookup(n.Name) })
 }
 
 // eachUse walks e and calls fn for every resolved variable read. Assign
 // targets are not "uses" — callers handle them explicitly.
 func (r *resolution) eachUse(e dpl.Expr, fn func(id varID, pos dpl.Pos)) {
-	switch n := e.(type) {
-	case *dpl.Ident:
+	eachIdent(e, func(n *dpl.Ident) {
 		if id, ok := r.use[n]; ok && id != varNone {
 			fn(id, n.Position())
 		}
+	})
+}
+
+// eachIdent calls fn for every identifier expression in e, in source
+// order. A callee name is not one; only a call's arguments are walked.
+func eachIdent(e dpl.Expr, fn func(*dpl.Ident)) {
+	switch n := e.(type) {
+	case *dpl.Ident:
+		fn(n)
 	case *dpl.UnaryExpr:
-		r.eachUse(n.X, fn)
+		eachIdent(n.X, fn)
 	case *dpl.BinaryExpr:
-		r.eachUse(n.L, fn)
-		r.eachUse(n.R, fn)
+		eachIdent(n.L, fn)
+		eachIdent(n.R, fn)
 	case *dpl.IndexExpr:
-		r.eachUse(n.X, fn)
-		r.eachUse(n.I, fn)
+		eachIdent(n.X, fn)
+		eachIdent(n.I, fn)
 	case *dpl.ArrayLit:
 		for _, el := range n.Elems {
-			r.eachUse(el, fn)
+			eachIdent(el, fn)
 		}
 	case *dpl.MapLit:
 		for i := range n.Keys {
-			r.eachUse(n.Keys[i], fn)
-			r.eachUse(n.Vals[i], fn)
+			eachIdent(n.Keys[i], fn)
+			eachIdent(n.Vals[i], fn)
 		}
 	case *dpl.CallExpr:
 		for _, a := range n.Args {
-			r.eachUse(a, fn)
+			eachIdent(a, fn)
 		}
 	}
 }

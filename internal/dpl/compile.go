@@ -146,40 +146,58 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 	c := &compiler{
 		bindings: bindings,
 		out: &Compiled{
-			FuncIdx:   make(map[string]int),
-			HostNames: bindings.NamesByIndex(),
+			Funcs:       make([]*CompiledFunc, len(prog.Funcs)),
+			FuncIdx:     make(map[string]int, len(prog.Funcs)),
+			GlobalNames: make([]string, len(prog.Globals)),
+			HostNames:   bindings.NamesByIndex(),
 		},
-		globalIdx: make(map[string]int),
-		constIdx:  make(map[Value]int),
+		globalIdx: make(map[string]int, len(prog.Globals)),
 	}
-	for _, g := range prog.Globals {
-		c.globalIdx[g.Name] = len(c.out.GlobalNames)
-		c.out.GlobalNames = append(c.out.GlobalNames, g.Name)
+	for i, g := range prog.Globals {
+		c.globalIdx[g.Name] = i
+		c.out.GlobalNames[i] = g.Name
 	}
 	// Pre-register function slots so calls can be emitted in one pass.
-	for _, f := range prog.Funcs {
-		c.out.FuncIdx[f.Name] = len(c.out.Funcs)
-		c.out.Funcs = append(c.out.Funcs, &CompiledFunc{Name: f.Name, NumParams: len(f.Params)})
-	}
+	funcs := make([]CompiledFunc, len(prog.Funcs))
+	nLocals := 0
 	for i, f := range prog.Funcs {
-		cf, err := c.compileFunc(f)
-		if err != nil {
+		funcs[i] = CompiledFunc{Name: f.Name, NumParams: len(f.Params)}
+		c.out.FuncIdx[f.Name] = i
+		c.out.Funcs[i] = &funcs[i]
+		// Few functions declare more than a variable per statement.
+		nLocals = max(nLocals, len(f.Params)+len(f.Body.Stmts))
+	}
+	// Two passes, as an assembler makes them. The first only counts each
+	// unit's instructions and literals (a unit is a function or, last,
+	// the global initializers), so that the second writes all code into
+	// one array and all constants into one pool, sized beforehand.
+	sizes := make([]int, len(prog.Funcs)+1)
+	total := 0
+	fc := &funcCompiler{c: c, sizing: true, locals: make([]local, 0, nLocals)}
+	for i := range sizes {
+		fc.n = 0
+		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
-		c.out.Funcs[i] = cf
+		sizes[i] = fc.n
+		total += fc.n
 	}
-	// Global initializers.
-	fc := &funcCompiler{c: c, localIdx: map[string]int{}}
-	for _, g := range prog.Globals {
-		if g.Init == nil {
-			fc.emit(Instr{Op: OpNil})
-		} else if err := fc.expr(g.Init); err != nil {
+	code := make([]Instr, total)
+	c.out.Consts = make([]Value, 0, c.nLits)
+	c.constIdx = make(map[Value]int, c.nLits)
+	fc.sizing = false
+	for i, n := range sizes {
+		fc.code, fc.nLocals = code[:0:n], 0
+		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
-		fc.emit(Instr{Op: OpStoreG, A: c.globalIdx[g.Name]})
+		if i < len(funcs) {
+			funcs[i].NumLocals, funcs[i].Code = fc.nLocals, fc.code
+		} else {
+			c.out.InitCode = fc.code
+		}
+		code = code[n:]
 	}
-	fc.emit(Instr{Op: OpReturnNil})
-	c.out.InitCode = fc.code
 	return c.out, nil
 }
 
@@ -188,16 +206,7 @@ type compiler struct {
 	out       *Compiled
 	globalIdx map[string]int
 	constIdx  map[Value]int
-}
-
-func (c *compiler) constant(v Value) int {
-	if i, ok := c.constIdx[v]; ok {
-		return i
-	}
-	i := len(c.out.Consts)
-	c.out.Consts = append(c.out.Consts, v)
-	c.constIdx[v] = i
-	return i
+	nLits     int // literals the sizing pass saw: the pool's largest size
 }
 
 type loopCtx struct {
@@ -206,66 +215,104 @@ type loopCtx struct {
 	contJumps  []int
 }
 
+type local struct {
+	name string
+	slot int
+}
+
 type funcCompiler struct {
-	c        *compiler
-	code     []Instr
-	localIdx map[string]int
-	nLocals  int
-	scopes   []map[string]int
-	loops    []*loopCtx
+	c       *compiler
+	code    []Instr
+	sizing  bool // the counting pass: emit adds to n and writes nothing
+	n       int
+	nLocals int
+	// locals lists the variables in scope, innermost last (looked up
+	// from the end); scopes holds len(locals) at each open scope's start.
+	locals []local
+	scopes []int
+	loops  []*loopCtx
 }
 
 func (f *funcCompiler) emit(i Instr) int {
+	if f.sizing {
+		f.n++
+		return f.n - 1
+	}
 	f.code = append(f.code, i)
 	return len(f.code) - 1
 }
 
-func (f *funcCompiler) patch(at, target int) { f.code[at].A = target }
+// emitConst emits the push of a literal, interning its value in the
+// pool. The sizing pass only counts it, and so boxes no Value.
+func emitConst[T int64 | float64 | string](f *funcCompiler, lit T) {
+	if f.sizing {
+		f.c.nLits++
+		f.n++
+		return
+	}
+	c, v := f.c, Value(lit)
+	i, ok := c.constIdx[v]
+	if !ok {
+		i = len(c.out.Consts)
+		c.out.Consts = append(c.out.Consts, v)
+		c.constIdx[v] = i
+	}
+	f.emit(Instr{Op: OpConst, A: i})
+}
 
-func (f *funcCompiler) pushScope() { f.scopes = append(f.scopes, map[string]int{}) }
+func (f *funcCompiler) patch(at, target int) {
+	if !f.sizing {
+		f.code[at].A = target
+	}
+}
+
+func (f *funcCompiler) pushScope() { f.scopes = append(f.scopes, len(f.locals)) }
 func (f *funcCompiler) popScope() {
-	top := f.scopes[len(f.scopes)-1]
-	for name, idx := range top {
-		// Restore any shadowed outer binding.
-		delete(f.localIdx, name)
-		_ = idx
-	}
+	f.locals = f.locals[:f.scopes[len(f.scopes)-1]]
 	f.scopes = f.scopes[:len(f.scopes)-1]
-	// Rebuild visible bindings from remaining scopes.
-	for _, sc := range f.scopes {
-		for name, idx := range sc {
-			f.localIdx[name] = idx
-		}
-	}
 }
 
 func (f *funcCompiler) declareLocal(name string) int {
-	idx := f.nLocals
+	f.locals = append(f.locals, local{name, f.nLocals})
 	f.nLocals++
-	if len(f.scopes) > 0 {
-		f.scopes[len(f.scopes)-1][name] = idx
-	}
-	f.localIdx[name] = idx
-	return idx
+	return f.nLocals - 1
 }
 
-func (c *compiler) compileFunc(fd *FuncDecl) (*CompiledFunc, error) {
-	fc := &funcCompiler{c: c, localIdx: map[string]int{}}
+func (f *funcCompiler) lookupLocal(name string) (int, bool) {
+	for i := len(f.locals) - 1; i >= 0; i-- {
+		if f.locals[i].name == name {
+			return f.locals[i].slot, true
+		}
+	}
+	return 0, false
+}
+
+// compileUnit compiles prog.Funcs[i] or, past the last function, the
+// global initializers.
+func (c *compiler) compileUnit(fc *funcCompiler, prog *Program, i int) error {
+	if i == len(prog.Funcs) {
+		for gi, g := range prog.Globals {
+			if g.Init == nil {
+				fc.emit(Instr{Op: OpNil})
+			} else if err := fc.expr(g.Init); err != nil {
+				return err
+			}
+			fc.emit(Instr{Op: OpStoreG, A: gi})
+		}
+		fc.emit(Instr{Op: OpReturnNil})
+		return nil
+	}
+	fd := prog.Funcs[i]
 	fc.pushScope()
 	for _, p := range fd.Params {
 		fc.declareLocal(p)
 	}
 	if err := fc.block(fd.Body); err != nil {
-		return nil, err
+		return err
 	}
 	fc.emit(Instr{Op: OpReturnNil})
 	fc.popScope()
-	return &CompiledFunc{
-		Name:      fd.Name,
-		NumParams: len(fd.Params),
-		NumLocals: fc.nLocals,
-		Code:      fc.code,
-	}, nil
+	return nil
 }
 
 func (f *funcCompiler) block(b *Block) error {
@@ -435,7 +482,7 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 		} else if err := f.expr(n.Value); err != nil {
 			return err
 		}
-		if idx, ok := f.localIdx[t.Name]; ok {
+		if idx, ok := f.lookupLocal(t.Name); ok {
 			f.emit(Instr{Op: OpStoreL, A: idx})
 		} else if gi, ok := f.c.globalIdx[t.Name]; ok {
 			f.emit(Instr{Op: OpStoreG, A: gi})
@@ -464,7 +511,7 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 }
 
 func (f *funcCompiler) loadIdent(t *Ident) error {
-	if idx, ok := f.localIdx[t.Name]; ok {
+	if idx, ok := f.lookupLocal(t.Name); ok {
 		f.emit(Instr{Op: OpLoadL, A: idx})
 		return nil
 	}
@@ -478,11 +525,11 @@ func (f *funcCompiler) loadIdent(t *Ident) error {
 func (f *funcCompiler) expr(e Expr) error {
 	switch n := e.(type) {
 	case *IntLit:
-		f.emit(Instr{Op: OpConst, A: f.c.constant(n.V)})
+		emitConst(f, n.V)
 	case *FloatLit:
-		f.emit(Instr{Op: OpConst, A: f.c.constant(n.V)})
+		emitConst(f, n.V)
 	case *StringLit:
-		f.emit(Instr{Op: OpConst, A: f.c.constant(n.V)})
+		emitConst(f, n.V)
 	case *BoolLit:
 		if n.V {
 			f.emit(Instr{Op: OpTrue})

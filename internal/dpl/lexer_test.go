@@ -1,6 +1,9 @@
 package dpl
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func kinds(toks []Token) []TokenKind {
 	out := make([]TokenKind, len(toks))
@@ -109,5 +112,50 @@ func TestLexPositions(t *testing.T) {
 	}
 	if toks[3].Line != 2 || toks[3].Col != 3 {
 		t.Errorf("func at %d:%d, want 2:3", toks[3].Line, toks[3].Col)
+	}
+}
+
+// TestParseReportsFirstErrorByPosition pins the one thing a caller can
+// see of the parser pulling its tokens: the error Parse returns is the
+// first in the source, whichever stage found it. When the whole source
+// was lexed first, a bad character anywhere hid every syntax error
+// before it.
+func TestParseReportsFirstErrorByPosition(t *testing.T) {
+	cases := []struct {
+		name, src string
+		pos       Pos
+		msg       string
+	}{
+		{"syntactic before lexical",
+			"func main() {\n\tvar a = 1\n\tvar b = 2;\n\treturn a # b;\n}", Pos{3, 2}, "expected ';'"},
+		{"lexical before syntactic",
+			"func main() {\n\tvar a = 1 # 2;\n\tvar b = 2\n\treturn a;\n}", Pos{2, 12}, "unexpected character '#'"},
+		{"two syntactic",
+			"func main() {\n\tvar = 1;\n\treturn );\n}", Pos{2, 6}, "expected identifier"},
+		{"two lexical",
+			"func main() {\n\treturn \"a\\q\" + `;\n}", Pos{2, 13}, "unknown escape"},
+		{"lexical error is the token the parser stops at",
+			"func main() { return 1 & 2; }", Pos{1, 24}, "did you mean '&&'"},
+		{"lexical error at top level",
+			"var x = 1;\n@", Pos{2, 1}, "unexpected character '@'"},
+		{"literal overflow before lexical",
+			"var x = 99999999999999999999 + `;", Pos{1, 9}, "overflows int64"},
+		{"bad target before lexical",
+			"func main() { 1 = `; }", Pos{1, 15}, "invalid assignment target"},
+		{"unterminated comment after syntactic",
+			"func main() { return 1 }\n/* open", Pos{1, 24}, "expected ';'"},
+		{"unterminated comment alone",
+			"func main() { return 1; }\n/* open", Pos{2, 1}, "unterminated block comment"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		e, ok := err.(*Error)
+		if !ok {
+			t.Errorf("%s: Parse = %v, want a *Error", c.name, err)
+			continue
+		}
+		if e.Pos != c.pos || !strings.Contains(e.Msg, c.msg) {
+			t.Errorf("%s: error %v, want %q at %s", c.name, e, c.msg, c.pos)
+		}
 	}
 }

@@ -59,10 +59,10 @@ const maxOptRounds = 32
 // including runtime errors.
 func Optimize(c *Compiled) OptStats {
 	var st OptStats
-	pool := newConstPool(c)
-	c.InitCode = optimizeCode(c, pool, c.InitCode, 0, nil, &st)
+	o := newOptimizer(c)
+	c.InitCode = optimizeCode(c, o, c.InitCode, 0, nil, &st)
 	for _, fn := range c.Funcs {
-		fn.Code = optimizeCode(c, pool, fn.Code, fn.NumLocals, fn, &st)
+		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
 	}
 	c.invalidateVerify()
 	return st
@@ -73,59 +73,79 @@ func Optimize(c *Compiled) OptStats {
 // opaque to the scalar passes, so fusing last loses nothing). fn is nil
 // for the init block (which has no locals and whose global stores must
 // survive: globals are observable after the run).
-func optimizeCode(c *Compiled, pool *constPool, code []Instr, nLocals int, fn *CompiledFunc, st *OptStats) []Instr {
+func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *CompiledFunc, st *OptStats) []Instr {
 	for round := 0; round < maxOptRounds; round++ {
 		changed := false
-		if propagateConsts(c, pool, code, nLocals, st) {
+		if propagateConsts(c, o, code, nLocals, st) {
 			changed = true
 		}
 		var did bool
-		if code, did = foldCode(c, pool, code, st); did {
+		if code, did = foldCode(c, o, code, st); did {
 			changed = true
 		}
-		if code, did = dropUnreachable(code, st); did {
+		if code, did = dropUnreachable(o, code, st); did {
 			changed = true
 		}
-		if fn != nil && dropDeadStores(code, nLocals, st) {
+		if fn != nil && dropDeadStores(o, code, nLocals, st) {
 			changed = true
 		}
 		if !changed {
 			break
 		}
 	}
-	code, _ = fuseSuperinstructions(code, nLocals, st)
+	code, _ = fuseSuperinstructions(o, code, nLocals, st)
 	return code
 }
 
-// constPool interns optimizer-produced constants into c.Consts, reusing
-// existing entries.
-type constPool struct {
+// optimizer is what the passes of one Optimize call share: the interner
+// of optimizer-produced constants, and working memory sized once for
+// the program's longest code block, which each pass slices and clears.
+type optimizer struct {
 	c   *Compiled
-	idx map[Value]int
+	idx map[Value]int // c.Consts by value; built by the first intern
+
+	tgt   []bool   // jumpTargets
+	dead  []bool   // instructions to remove; dropDeadStores' loaded locals
+	remap []int    // compact's positions; dropUnreachable's worklist
+	vals  []absVal // propagateConsts' locals
+	stack []absVal // propagateConsts' operand stack, grown as needed
 }
 
-func newConstPool(c *Compiled) *constPool {
-	p := &constPool{c: c, idx: make(map[Value]int, len(c.Consts))}
-	for i, v := range c.Consts {
-		if _, ok := p.idx[v]; !ok {
-			p.idx[v] = i
+func newOptimizer(c *Compiled) *optimizer {
+	n, nLocals := len(c.InitCode)+1, 0 // positions 0..len(code); frame slots
+	for _, fn := range c.Funcs {
+		n, nLocals = max(n, len(fn.Code)+1), max(nLocals, fn.NumLocals)
+	}
+	return &optimizer{
+		c:     c,
+		tgt:   make([]bool, n),
+		dead:  make([]bool, max(n, nLocals)),
+		remap: make([]int, n),
+		vals:  make([]absVal, nLocals),
+	}
+}
+
+// intern returns the index of v in c.Consts, appending it if new.
+func (o *optimizer) intern(v Value) int {
+	if o.idx == nil {
+		o.idx = make(map[Value]int, len(o.c.Consts))
+		for i, v := range o.c.Consts {
+			if _, ok := o.idx[v]; !ok {
+				o.idx[v] = i
+			}
 		}
 	}
-	return p
-}
-
-func (p *constPool) intern(v Value) int {
-	if i, ok := p.idx[v]; ok {
+	if i, ok := o.idx[v]; ok {
 		return i
 	}
-	i := len(p.c.Consts)
-	p.c.Consts = append(p.c.Consts, v)
-	p.idx[v] = i
+	i := len(o.c.Consts)
+	o.c.Consts = append(o.c.Consts, v)
+	o.idx[v] = i
 	return i
 }
 
 // pushInstr returns the instruction that pushes v.
-func (p *constPool) pushInstr(v Value) Instr {
+func (o *optimizer) pushInstr(v Value) Instr {
 	switch x := v.(type) {
 	case nil:
 		return Instr{Op: OpNil}
@@ -135,7 +155,7 @@ func (p *constPool) pushInstr(v Value) Instr {
 		}
 		return Instr{Op: OpFalse}
 	default:
-		return Instr{Op: OpConst, A: p.intern(v)}
+		return Instr{Op: OpConst, A: o.intern(v)}
 	}
 }
 
@@ -165,8 +185,9 @@ func isJump(op Opcode) bool {
 // jumpTargets returns a bitmap (indexed 0..len(code)) of instruction
 // positions some jump lands on. Position len(code) is the implicit
 // return-nil epilogue and is always a valid target.
-func jumpTargets(code []Instr) []bool {
-	tgt := make([]bool, len(code)+1)
+func (o *optimizer) jumpTargets(code []Instr) []bool {
+	tgt := o.tgt[:len(code)+1]
+	clear(tgt)
 	for _, in := range code {
 		if isJump(in.Op) && in.A >= 0 && in.A <= len(code) {
 			tgt[in.A] = true
@@ -175,11 +196,11 @@ func jumpTargets(code []Instr) []bool {
 	return tgt
 }
 
-// compact removes instructions marked dead and remaps jump targets. A
-// target pointing at a removed instruction moves to the next surviving
-// one (removals guarantee this preserves semantics).
-func compact(code []Instr, dead []bool) []Instr {
-	remap := make([]int, len(code)+1)
+// compact removes instructions marked dead, in place, and remaps jump
+// targets. A target pointing at a removed instruction moves to the next
+// surviving one (removals guarantee this preserves semantics).
+func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
+	remap := o.remap[:len(code)+1]
 	n := 0
 	for i := range code {
 		remap[i] = n
@@ -188,7 +209,7 @@ func compact(code []Instr, dead []bool) []Instr {
 		}
 	}
 	remap[len(code)] = n
-	out := make([]Instr, 0, n)
+	out := code[:0] // never ahead of the instruction being read
 	for i, in := range code {
 		if dead[i] {
 			continue
@@ -204,9 +225,10 @@ func compact(code []Instr, dead []bool) []Instr {
 // foldCode collapses constant expressions and constant branches. A
 // pattern's interior instructions must not be jump targets — control
 // entering mid-pattern would observe the intermediate stack.
-func foldCode(c *Compiled, pool *constPool, code []Instr, st *OptStats) ([]Instr, bool) {
-	tgt := jumpTargets(code)
-	dead := make([]bool, len(code))
+func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, bool) {
+	tgt := o.jumpTargets(code)
+	dead := o.dead[:len(code)]
+	clear(dead)
 	changed := false
 	for i := 0; i < len(code); i++ {
 		if dead[i] {
@@ -263,7 +285,7 @@ func foldCode(c *Compiled, pool *constPool, code []Instr, st *OptStats) ([]Instr
 				v, folded = !valueEqual(k1, k2), true
 			}
 			if folded {
-				code[i] = pool.pushInstr(v)
+				code[i] = o.pushInstr(v)
 				dead[i+1], dead[i+2] = true, true
 				st.Folded++
 				changed = true
@@ -275,9 +297,9 @@ func foldCode(c *Compiled, pool *constPool, code []Instr, st *OptStats) ([]Instr
 		case OpNeg:
 			switch x := k1.(type) {
 			case int64:
-				code[i] = pool.pushInstr(-x)
+				code[i] = o.pushInstr(-x)
 			case float64:
-				code[i] = pool.pushInstr(-x)
+				code[i] = o.pushInstr(-x)
 			default:
 				continue
 			}
@@ -285,7 +307,7 @@ func foldCode(c *Compiled, pool *constPool, code []Instr, st *OptStats) ([]Instr
 			st.Folded++
 			changed = true
 		case OpNot:
-			code[i] = pool.pushInstr(!Truthy(k1))
+			code[i] = o.pushInstr(!Truthy(k1))
 			dead[i+1] = true
 			st.Folded++
 			changed = true
@@ -319,28 +341,33 @@ func foldCode(c *Compiled, pool *constPool, code []Instr, st *OptStats) ([]Instr
 	if !changed {
 		return code, false
 	}
-	return compact(code, dead), true
+	return o.compact(code, dead), true
 }
 
 // dropUnreachable removes instructions no control path reaches.
-func dropUnreachable(code []Instr, st *OptStats) ([]Instr, bool) {
+func dropUnreachable(o *optimizer, code []Instr, st *OptStats) ([]Instr, bool) {
 	if len(code) == 0 {
 		return code, false
 	}
-	seen := make([]bool, len(code))
-	work := []int{0}
+	dead := o.dead[:len(code)] // until the walk from the entry reaches it
+	for i := range dead {
+		dead[i] = true
+	}
+	// The worklist (one entry per conditional jump, at most) borrows
+	// compact's array, idle until the walk is over.
+	work := append(o.remap[:0], 0)
 	for len(work) > 0 {
 		ip := work[len(work)-1]
 		work = work[:len(work)-1]
-		for ip >= 0 && ip < len(code) && !seen[ip] {
-			seen[ip] = true
+		for ip >= 0 && ip < len(code) && dead[ip] {
+			dead[ip] = false
 			in := code[ip]
 			switch in.Op {
 			case OpJump:
 				ip = in.A
 				continue
 			case OpJumpFalse, OpJFKeep, OpJTKeep, OpBinJumpFalse:
-				if in.A >= 0 && in.A < len(code) && !seen[in.A] {
+				if in.A >= 0 && in.A < len(code) && dead[in.A] {
 					work = append(work, in.A)
 				}
 			case OpReturn, OpReturnNil:
@@ -350,11 +377,9 @@ func dropUnreachable(code []Instr, st *OptStats) ([]Instr, bool) {
 			ip++
 		}
 	}
-	dead := make([]bool, len(code))
 	removed := 0
-	for i := range code {
-		if !seen[i] {
-			dead[i] = true
+	for _, d := range dead {
+		if d {
 			removed++
 		}
 	}
@@ -362,16 +387,17 @@ func dropUnreachable(code []Instr, st *OptStats) ([]Instr, bool) {
 		return code, false
 	}
 	st.DeadCode += removed
-	return compact(code, dead), true
+	return o.compact(code, dead), true
 }
 
 // dropDeadStores turns stores to locals the function never loads into
 // pops. Globals are exempt: they are observable after the run.
-func dropDeadStores(code []Instr, nLocals int, st *OptStats) bool {
+func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool {
 	if nLocals == 0 {
 		return false
 	}
-	loaded := make([]bool, nLocals)
+	loaded := o.dead[:nLocals]
+	clear(loaded)
 	mark := func(i int) {
 		if i >= 0 && i < nLocals {
 			loaded[i] = true
@@ -411,25 +437,23 @@ type absVal struct {
 // targets), which makes the replacement sound: an instruction mid-block
 // is only reachable through its leader, executing every intervening
 // store.
-func propagateConsts(c *Compiled, pool *constPool, code []Instr, nLocals int, st *OptStats) bool {
-	locals := make([]absVal, nLocals)
-	var stack []absVal
-	tgt := jumpTargets(code)
+func propagateConsts(c *Compiled, o *optimizer, code []Instr, nLocals int, st *OptStats) bool {
+	locals := o.vals[:nLocals]
+	tgt := o.jumpTargets(code)
 	changed := false
 	reset := func() {
-		for i := range locals {
-			locals[i] = absVal{}
-		}
-		stack = stack[:0]
+		clear(locals)
+		o.stack = o.stack[:0]
 	}
+	reset()
 	pop := func(n int) bool {
-		if n < 0 || len(stack) < n {
+		if n < 0 || len(o.stack) < n {
 			return false
 		}
-		stack = stack[:len(stack)-n]
+		o.stack = o.stack[:len(o.stack)-n]
 		return true
 	}
-	push := func(v absVal) { stack = append(stack, v) }
+	push := func(v absVal) { o.stack = append(o.stack, v) }
 	for ip := 0; ip < len(code); ip++ {
 		if tgt[ip] {
 			reset()
@@ -444,7 +468,7 @@ func propagateConsts(c *Compiled, pool *constPool, code []Instr, nLocals int, st
 				return changed // malformed; leave for the verifier
 			}
 			if lv := locals[in.A]; lv.known {
-				code[ip] = pool.pushInstr(lv.v)
+				code[ip] = o.pushInstr(lv.v)
 				st.Propagated++
 				changed = true
 				push(lv)
@@ -452,10 +476,10 @@ func propagateConsts(c *Compiled, pool *constPool, code []Instr, nLocals int, st
 				push(absVal{})
 			}
 		case OpStoreL:
-			if in.A < 0 || in.A >= nLocals || len(stack) == 0 {
+			if in.A < 0 || in.A >= nLocals || len(o.stack) == 0 {
 				return changed
 			}
-			locals[in.A] = stack[len(stack)-1]
+			locals[in.A] = o.stack[len(o.stack)-1]
 			pop(1)
 		case OpLoadG:
 			push(absVal{})
@@ -480,12 +504,12 @@ func propagateConsts(c *Compiled, pool *constPool, code []Instr, nLocals int, st
 				return changed
 			}
 		case OpJFKeep, OpJTKeep:
-			if len(stack) == 0 {
+			if len(o.stack) == 0 {
 				return changed
 			}
 			// The kept top survives, but its value is branch-dependent
 			// at the join; treat it as unknown from here on.
-			stack[len(stack)-1] = absVal{}
+			o.stack[len(o.stack)-1] = absVal{}
 		case OpCall, OpCallHost:
 			// Callees cannot touch this frame's locals.
 			if !pop(in.B) {
@@ -530,9 +554,10 @@ func propagateConsts(c *Compiled, pool *constPool, code []Instr, nLocals int, st
 // jump targets — control entering mid-pattern would observe the
 // unfused intermediate stack. Only plain OpConst operands fuse (the
 // nil/true/false pushes have no pool index to pack).
-func fuseSuperinstructions(code []Instr, nLocals int, st *OptStats) ([]Instr, bool) {
-	tgt := jumpTargets(code)
-	dead := make([]bool, len(code))
+func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats) ([]Instr, bool) {
+	tgt := o.jumpTargets(code)
+	dead := o.dead[:len(code)]
+	clear(dead)
 	changed := false
 	localOK := func(i int) bool { return i >= 0 && i < nLocals }
 	binOp := func(in Instr) (TokenKind, bool) {
@@ -607,5 +632,5 @@ func fuseSuperinstructions(code []Instr, nLocals int, st *OptStats) ([]Instr, bo
 	if !changed {
 		return code, false
 	}
-	return compact(code, dead), true
+	return o.compact(code, dead), true
 }

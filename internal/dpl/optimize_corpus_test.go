@@ -121,3 +121,49 @@ func TestOptimizerCrosscheckCorpus(t *testing.T) {
 	}
 	t.Logf("crosschecked %d entry points", checked)
 }
+
+// TestCompileSizesCodeOnce holds Compile's two passes together: what
+// the sizing pass counts is what the emitting pass writes, so every
+// function's code (and the initializers') fills its share of the one
+// array exactly, and Optimize then shrinks the code where it lies.
+func TestCompileSizesCodeOnce(t *testing.T) {
+	bindings := analysis.LintBindings()
+	compiled := 0
+	for name, src := range corpusSources(t) {
+		prog, err := dpl.Parse(src)
+		if err != nil {
+			continue
+		}
+		c, err := dpl.Compile(prog, bindings)
+		if err != nil {
+			continue
+		}
+		compiled++
+		blocks := map[string][]dpl.Instr{"<init>": c.InitCode}
+		for _, fn := range c.Funcs {
+			blocks[fn.Name] = fn.Code
+		}
+		for fn, code := range blocks {
+			if len(code) == 0 || cap(code) != len(code) {
+				t.Errorf("%s/%s: %d instructions in room for %d: the sizing pass miscounted", name, fn, len(code), cap(code))
+			}
+		}
+		first := map[string]*dpl.Instr{}
+		for fn, code := range blocks {
+			first[fn] = &code[0]
+		}
+		dpl.Optimize(c)
+		blocks["<init>"] = c.InitCode
+		for _, fn := range c.Funcs {
+			blocks[fn.Name] = fn.Code
+		}
+		for fn, code := range blocks {
+			if len(code) > 0 && &code[0] != first[fn] {
+				t.Errorf("%s/%s: Optimize moved the code instead of compacting it in place", name, fn)
+			}
+		}
+	}
+	if compiled < 10 {
+		t.Fatalf("only %d corpus sources compile", compiled)
+	}
+}

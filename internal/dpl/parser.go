@@ -5,17 +5,19 @@ import "strconv"
 // Recursive-descent parser for DPL.
 
 type parser struct {
-	toks []Token
-	pos  int
+	lex lexer
+	tok Token // the one token of lookahead
+	// lexErr is the error that ended the token stream. With it scan
+	// returned the zero Token, a TokEOF, which no production accepts: the
+	// parse fails there, and errf reports lexErr in its place.
+	lexErr error
 }
 
-// Parse lexes and parses a DPL source unit.
+// Parse lexes and parses a DPL source unit. The error it returns is the
+// first by source position, lexical or syntactic.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lex: newLexer(src)}
+	p.advance()
 	prog := &Program{}
 	for p.cur().Kind != TokEOF {
 		switch p.cur().Kind {
@@ -35,15 +37,19 @@ func Parse(src string) (*Program, error) {
 			return nil, p.errf("expected 'var' or 'func' at top level, found %s", p.cur().Kind)
 		}
 	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	return prog, nil
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
+func (p *parser) cur() Token { return p.tok }
 
+// advance returns the current token and pulls the next one.
 func (p *parser) advance() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if p.lexErr == nil {
+		p.tok, p.lexErr = p.lex.scan()
 	}
 	return t
 }
@@ -56,6 +62,9 @@ func (p *parser) expect(k TokenKind) (Token, error) {
 }
 
 func (p *parser) errf(format string, args ...any) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
 	t := p.cur()
 	return errAt(t.Line, t.Col, format, args...)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"mbd/internal/ber"
 )
@@ -53,8 +54,12 @@ type Verdict struct {
 	StepBudget uint64
 }
 
-// HashSource returns the content-address of source.
-func HashSource(source string) [32]byte { return sha256.Sum256([]byte(source)) }
+// HashSource returns the content-address of source. Every delegation
+// pays for it, so it hashes the string's bytes in place, through a view
+// Sum256 neither keeps nor writes to.
+func HashSource(source string) [32]byte {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(source), len(source)))
+}
 
 // Constant-kind tags inside the encoded constant pool.
 const (

@@ -2,6 +2,8 @@ package dpl
 
 import (
 	"context"
+	"encoding/hex"
+	"strings"
 	"testing"
 )
 
@@ -88,5 +90,25 @@ func TestDecodeProgramRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeProgram(blob); err == nil {
 		t.Error("oversized NumLocals survived decoding")
+	}
+}
+
+// TestHashSourceGolden pins the content address: it is every program
+// cache key and the SourceHash on the wire, so it must stay plain
+// sha256 of the source bytes however HashSource gets at them. And since
+// it runs on every delegation, it may not copy the source to do it.
+func TestHashSourceGolden(t *testing.T) {
+	for src, want := range map[string]string{
+		"":                          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"func main() { return 1; }": "c7cafccf4514e43269aad25e38c696879de974c323e36d79ed527af1e913b5e9",
+	} {
+		hash := HashSource(src)
+		if got := hex.EncodeToString(hash[:]); got != want {
+			t.Errorf("HashSource(%q) = %s, want %s", src, got, want)
+		}
+	}
+	src := strings.Repeat("var x = 1;\n", 100)
+	if n := testing.AllocsPerRun(20, func() { _ = HashSource(src) }); n != 0 {
+		t.Errorf("HashSource allocates %.0f times per call, want 0", n)
 	}
 }
