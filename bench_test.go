@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"mbd/internal/elastic"
 	"mbd/internal/experiments"
 	"mbd/internal/federation"
+	"mbd/internal/mbd"
 	"mbd/internal/mib"
 	"mbd/internal/oid"
 	"mbd/internal/rds"
@@ -378,10 +380,10 @@ func BenchmarkAdmitCold(b *testing.B) {
 
 // BenchmarkVMStep measures steady-state dispatch cost: one op is one
 // Run of a 200-iteration arithmetic loop (~1.3k executed instructions)
-// on a reused VM. Every value stays below 256 so the runtime's static
-// small-int box cache keeps value boxing allocation-free — any alloc/op
-// reported here is VM machinery (frames, stacks, accounting), which the
-// flat-frame engine keeps at zero.
+// on a reused VM. Its values stay below 256; BenchmarkVMStepCounters
+// runs the same loop over production-sized values. Any alloc/op is VM
+// machinery (frames, stacks, accounting), which the flat-frame engine
+// keeps at zero.
 func BenchmarkVMStep(b *testing.B) {
 	bindings := dpl.Std()
 	compiled := dpl.MustCompile(`
@@ -399,6 +401,70 @@ func main() {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vm.Run(ctx, "main"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVMStepCounters is BenchmarkVMStep over the values a
+// management agent computes with: counters past 2^32 and floats. They
+// live in the Value itself, so the op allocates nothing (the result is a
+// bool, which crosses the Run boundary unboxed too).
+func BenchmarkVMStepCounters(b *testing.B) {
+	bindings := dpl.Std()
+	compiled := dpl.MustCompile(`
+func main() {
+	var x = 4294967296;
+	var f = 123456789.5;
+	for (var i = 0; i < 200; i += 1) {
+		x = (x + 104729) % 8589934592;
+		f = f * 1.000001 + 0.5;
+	}
+	return x > 0 && f > 0.0;
+}`, bindings)
+	dpl.Optimize(compiled)
+	vm := dpl.NewVM(compiled, bindings)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vm.Run(ctx, "main"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAgentBody runs the agent_rpc workload's per-op code, the body
+// of its resident agent (internal/mbd/testdata/agent_rpc.dpl, the
+// benchmark's source for seed 1), on a stock server over a 4-interface
+// device whose counters have run for two minutes: five mibGets, float
+// arithmetic, one 68-row mibWalk with a split and an int per row, and
+// one sprintf.
+func BenchmarkAgentBody(b *testing.B) {
+	src, err := os.ReadFile("internal/mbd/testdata/agent_rpc.dpl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := mib.NewDevice(mib.DeviceConfig{Name: "bench", Interfaces: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev.SetLoad(mib.LoadProfile{Utilization: 0.2, BroadcastFraction: 0.04, ErrorRate: 0.002, CollisionRate: 0.03})
+	dev.Advance(2 * time.Minute)
+	srv, err := mbd.New(mbd.Config{Device: dev, EnableViews: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Stop()
+	bindings := srv.Process().Bindings()
+	compiled := dpl.MustCompile(string(src), bindings)
+	dpl.Optimize(compiled)
+	vm := dpl.NewVM(compiled, bindings)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vm.Run(ctx, "body", "n0-00000000"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,14 +59,14 @@ func run() error {
 	}
 	bindings := dpl.Std()
 	bindings.Register("dbSize", 0, func(*dpl.Env, []dpl.Value) (dpl.Value, error) {
-		return int64(len(db)), nil
+		return dpl.Int(int64(len(db))), nil
 	})
 	bindings.Register("dbFetch", 1, func(_ *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		i, ok := args[0].(int64)
+		i, ok := args[0].AsInt()
 		if !ok || i < 0 || i >= int64(len(db)) {
-			return nil, fmt.Errorf("dbFetch: index %v out of range", args[0])
+			return dpl.Value{}, fmt.Errorf("dbFetch: index %v out of range", args[0])
 		}
-		return db[i], nil
+		return dpl.Str(db[i]), nil
 	})
 	proc := elastic.NewProcess(elastic.Config{Bindings: bindings})
 	defer proc.Stop()

@@ -6,193 +6,62 @@ import (
 	"mbd/internal/dpl"
 )
 
-// Constant folding over expressions. The folder is deliberately a
-// subset of the VM's semantics — only results it can predict exactly
-// are folded; everything else reports not-constant.
+// Constant folding over expressions, by the language's own operator
+// rules (dpl.Binary, dpl.Negate, dpl.Truthy): a constant condition here
+// is exactly one the VM would see. Anything that would fail at run time
+// is not constant.
 
-// constFold evaluates e if it is a compile-time constant. It folds
-// literals, unary -/!, and binary arithmetic/comparison/logic over
-// folded operands (matching VM semantics for int/float/string/bool).
+// constFold evaluates e if it is a compile-time constant: literals, and
+// unary, binary and short-circuit operators over folded operands.
 func constFold(e dpl.Expr) (dpl.Value, bool) {
 	switch n := e.(type) {
 	case *dpl.IntLit:
-		return n.V, true
+		return dpl.Int(n.V), true
 	case *dpl.FloatLit:
-		return n.V, true
+		return dpl.Float(n.V), true
 	case *dpl.StringLit:
-		return n.V, true
+		return dpl.Str(n.V), true
 	case *dpl.BoolLit:
-		return n.V, true
+		return dpl.Bool(n.V), true
 	case *dpl.NilLit:
-		return nil, true
+		return dpl.Value{}, true
 	case *dpl.UnaryExpr:
 		x, ok := constFold(n.X)
 		if !ok {
-			return nil, false
+			return x, false
 		}
-		switch n.Op {
-		case dpl.TokMinus:
-			switch v := x.(type) {
-			case int64:
-				return -v, true
-			case float64:
-				return -v, true
-			}
-		case dpl.TokBang:
-			return !truthy(x), true
+		if n.Op == dpl.TokBang {
+			return dpl.Bool(!dpl.Truthy(x)), true
 		}
-		return nil, false
+		v, err := dpl.Negate(x)
+		return v, err == nil
 	case *dpl.BinaryExpr:
 		l, ok := constFold(n.L)
 		if !ok {
-			return nil, false
+			return l, false
 		}
-		// Short-circuit operators can fold from the left side alone.
+		// Short-circuit operators yield an operand, and can fold from
+		// the left side alone.
 		switch n.Op {
 		case dpl.TokAndAnd:
-			if !truthy(l) {
-				return false, true
+			if !dpl.Truthy(l) {
+				return l, true
 			}
-			r, ok := constFold(n.R)
-			if !ok {
-				return nil, false
-			}
-			return truthy(r), true
+			return constFold(n.R)
 		case dpl.TokOrOr:
-			if truthy(l) {
-				return true, true
+			if dpl.Truthy(l) {
+				return l, true
 			}
-			r, ok := constFold(n.R)
-			if !ok {
-				return nil, false
-			}
-			return truthy(r), true
+			return constFold(n.R)
 		}
 		r, ok := constFold(n.R)
 		if !ok {
-			return nil, false
+			return r, false
 		}
-		return foldBinary(n.Op, l, r)
+		v, err := dpl.Binary(n.Op, l, r)
+		return v, err == nil
 	}
-	return nil, false
-}
-
-func foldBinary(op dpl.TokenKind, l, r dpl.Value) (dpl.Value, bool) {
-	if ls, ok := l.(string); ok {
-		if rs, ok := r.(string); ok {
-			switch op {
-			case dpl.TokPlus:
-				return ls + rs, true
-			case dpl.TokEq:
-				return ls == rs, true
-			case dpl.TokNe:
-				return ls != rs, true
-			case dpl.TokLt:
-				return ls < rs, true
-			case dpl.TokLe:
-				return ls <= rs, true
-			case dpl.TokGt:
-				return ls > rs, true
-			case dpl.TokGe:
-				return ls >= rs, true
-			}
-			return nil, false
-		}
-	}
-	li, lInt := l.(int64)
-	ri, rInt := r.(int64)
-	if lInt && rInt {
-		switch op {
-		case dpl.TokPlus:
-			return li + ri, true
-		case dpl.TokMinus:
-			return li - ri, true
-		case dpl.TokStar:
-			return li * ri, true
-		case dpl.TokSlash:
-			if ri == 0 {
-				return nil, false
-			}
-			return li / ri, true
-		case dpl.TokPercent:
-			if ri == 0 {
-				return nil, false
-			}
-			return li % ri, true
-		case dpl.TokEq:
-			return li == ri, true
-		case dpl.TokNe:
-			return li != ri, true
-		case dpl.TokLt:
-			return li < ri, true
-		case dpl.TokLe:
-			return li <= ri, true
-		case dpl.TokGt:
-			return li > ri, true
-		case dpl.TokGe:
-			return li >= ri, true
-		}
-		return nil, false
-	}
-	lf, lok := toFloat(l)
-	rf, rok := toFloat(r)
-	if lok && rok {
-		switch op {
-		case dpl.TokPlus:
-			return lf + rf, true
-		case dpl.TokMinus:
-			return lf - rf, true
-		case dpl.TokStar:
-			return lf * rf, true
-		case dpl.TokSlash:
-			if rf == 0 {
-				return nil, false
-			}
-			return lf / rf, true
-		case dpl.TokEq:
-			return lf == rf, true
-		case dpl.TokNe:
-			return lf != rf, true
-		case dpl.TokLt:
-			return lf < rf, true
-		case dpl.TokLe:
-			return lf <= rf, true
-		case dpl.TokGt:
-			return lf > rf, true
-		case dpl.TokGe:
-			return lf >= rf, true
-		}
-	}
-	return nil, false
-}
-
-func toFloat(v dpl.Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	}
-	return 0, false
-}
-
-// truthy mirrors the language's truth rule: false, nil, 0, 0.0 and ""
-// are false.
-func truthy(v dpl.Value) bool {
-	switch x := v.(type) {
-	case nil:
-		return false
-	case bool:
-		return x
-	case int64:
-		return x != 0
-	case float64:
-		return x != 0
-	case string:
-		return x != ""
-	default:
-		return true
-	}
+	return dpl.Value{}, false
 }
 
 // constBool folds e to a truth value if it is constant.
@@ -201,7 +70,7 @@ func constBool(e dpl.Expr) (val, known bool) {
 	if !ok {
 		return false, false
 	}
-	return truthy(v), true
+	return dpl.Truthy(v), true
 }
 
 // constIntArg folds e to an int64.
@@ -210,8 +79,7 @@ func constInt(e dpl.Expr) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	i, ok := v.(int64)
-	return i, ok
+	return v.AsInt()
 }
 
 // constOIDPrefix extracts the statically known OID prefix of e, for the
@@ -243,10 +111,8 @@ func constOIDPrefix(e dpl.Expr) (prefix string, exact, ok bool) {
 // expression folded.
 func constStringHead(e dpl.Expr) (head string, exact bool) {
 	if v, ok := constFold(e); ok {
-		if s, ok := v.(string); ok {
-			return s, true
-		}
-		return "", false
+		s, ok := v.AsString()
+		return s, ok
 	}
 	if b, ok := e.(*dpl.BinaryExpr); ok && b.Op == dpl.TokPlus {
 		lh, lexact := constStringHead(b.L)

@@ -10,7 +10,7 @@ import "mbd/internal/dpl"
 // server; the stubs are never executed.
 func LintBindings() *dpl.Bindings {
 	b := dpl.Std()
-	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return nil, nil }
+	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return dpl.Value{}, nil }
 	for _, f := range []struct {
 		name  string
 		arity int

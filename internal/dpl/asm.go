@@ -33,20 +33,10 @@ var asmBinOps = func() map[string]TokenKind {
 }()
 
 type assembler struct {
-	out      *Compiled
-	constIdx map[Value]int
-	globals  map[string]int
-	hosts    map[string]int
-}
-
-func (a *assembler) constant(v Value) int {
-	if i, ok := a.constIdx[v]; ok {
-		return i
-	}
-	i := len(a.out.Consts)
-	a.out.Consts = append(a.out.Consts, v)
-	a.constIdx[v] = i
-	return i
+	out     *Compiled
+	consts  constPool
+	globals map[string]int
+	hosts   map[string]int
 }
 
 func (a *assembler) host(name string) int {
@@ -66,11 +56,11 @@ func (a *assembler) host(name string) int {
 // round-trips regardless.
 func Assemble(text string) (*Compiled, error) {
 	a := &assembler{
-		out:      &Compiled{FuncIdx: map[string]int{}},
-		constIdx: map[Value]int{},
-		globals:  map[string]int{},
-		hosts:    map[string]int{},
+		out:     &Compiled{FuncIdx: map[string]int{}},
+		globals: map[string]int{},
+		hosts:   map[string]int{},
 	}
+	a.consts.c = a.out
 	lines := strings.Split(text, "\n")
 	// First pass: function headers, so forward CALLs resolve.
 	for ln, raw := range lines {
@@ -176,7 +166,7 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 		if err != nil {
 			return Instr{}, err
 		}
-		in.A = a.constant(v)
+		in.A = a.consts.intern(v)
 		return in, nil
 	case OpBin:
 		k, ok := asmBinOps[operand]
@@ -259,7 +249,7 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 		if err != nil {
 			return Instr{}, err
 		}
-		in.B = PackIdxOp(a.constant(v), k)
+		in.B = PackIdxOp(a.consts.intern(v), k)
 		return in, nil
 	case OpBinJumpFalse:
 		parts := strings.SplitN(operand, " ", 2)
@@ -295,9 +285,9 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 			return Instr{}, err
 		}
 		if op == OpConstStoreL {
-			in.A, in.B = a.constant(v), local
+			in.A, in.B = a.consts.intern(v), local
 		} else {
-			in.A, in.B = local, a.constant(v)
+			in.A, in.B = local, a.consts.intern(v)
 		}
 		return in, nil
 	default:
@@ -309,21 +299,21 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 // int, or a float (always carrying ., e or Inf/NaN).
 func parseConstOperand(s string) (Value, error) {
 	if s == "" {
-		return nil, fmt.Errorf("missing constant operand")
+		return Value{}, fmt.Errorf("missing constant operand")
 	}
 	if s[0] == '"' {
 		str, err := strconv.Unquote(s)
 		if err != nil {
-			return nil, fmt.Errorf("malformed string constant %s", s)
+			return Value{}, fmt.Errorf("malformed string constant %s", s)
 		}
-		return str, nil
+		return Str(str), nil
 	}
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return n, nil
+		return Int(n), nil
 	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return nil, fmt.Errorf("malformed constant %q", s)
+		return Value{}, fmt.Errorf("malformed constant %q", s)
 	}
-	return f, nil
+	return Float(f), nil
 }

@@ -31,7 +31,7 @@ var asmSources = []string{
 
 func asmBindings() *Bindings {
 	b := Std()
-	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return int64(0), nil })
+	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return Int(0), nil })
 	return b
 }
 
@@ -75,7 +75,7 @@ func TestFloatConstRendering(t *testing.T) {
 	}
 	found := false
 	for _, v := range c2.Consts {
-		if f, ok := v.(float64); ok && f == 2.0 {
+		if f, ok := v.AsFloat(); ok && f == 2.0 {
 			found = true
 		}
 	}

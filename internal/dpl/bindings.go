@@ -1,9 +1,10 @@
 package dpl
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -13,6 +14,11 @@ import (
 // arbitrary external or internal functions" — is enforced by requiring
 // every non-local call in a DP to resolve in a Bindings table at
 // translation time.
+//
+// Arguments and result are Values: a HostFunc reads its arguments with
+// the As accessors and builds its result with the constructors (Int,
+// Str, ArrayOf, ...), so a counter or a string it returns costs no heap
+// object of its own.
 //
 // Non-retention contract: env and args are only valid for the duration
 // of the call. The VM passes args as a window into its live value stack
@@ -109,11 +115,11 @@ func (b *Bindings) Clone() *Bindings {
 // merges the MCVA's view services this way).
 func (b *Bindings) Call(idx int, env *Env, args []Value) (Value, error) {
 	if idx < 0 || idx >= len(b.funcs) {
-		return nil, rtErrf("host function index %d out of range", idx)
+		return Value{}, rtErrf("host function index %d out of range", idx)
 	}
 	f := b.funcs[idx]
 	if f.arity >= 0 && len(args) != f.arity {
-		return nil, rtErrf("%s expects %d arguments, got %d", f.name, f.arity, len(args))
+		return Value{}, rtErrf("%s expects %d arguments, got %d", f.name, f.arity, len(args))
 	}
 	return f.fn(env, args)
 }
@@ -136,126 +142,122 @@ func (b *Bindings) Call(idx int, env *Env, args []Value) (Value, error) {
 func Std() *Bindings {
 	b := NewBindings()
 	b.Register("len", 1, func(_ *Env, args []Value) (Value, error) {
-		switch x := args[0].(type) {
-		case string:
-			return int64(len(x)), nil
-		case *Array:
-			return int64(len(x.Elems)), nil
-		case *Map:
-			return int64(len(x.M)), nil
+		switch x := args[0]; x.k {
+		case KindString:
+			return Int(int64(x.n)), nil
+		case KindArray:
+			return Int(int64(len(x.arr().Elems))), nil
+		case KindMap:
+			return Int(int64(len(x.dict().M))), nil
 		default:
-			return nil, rtErrf("len of %s", TypeName(x))
+			return Value{}, rtErrf("len of %s", TypeName(x))
 		}
 	})
 	b.Register("append", -1, func(_ *Env, args []Value) (Value, error) {
 		if len(args) < 1 {
-			return nil, rtErrf("append needs an array")
+			return Value{}, rtErrf("append needs an array")
 		}
-		a, ok := args[0].(*Array)
+		a, ok := args[0].AsArray()
 		if !ok {
-			return nil, rtErrf("append to %s", TypeName(args[0]))
+			return Value{}, rtErrf("append to %s", TypeName(args[0]))
 		}
 		a.Elems = append(a.Elems, args[1:]...)
-		return a, nil
+		return args[0], nil
 	})
 	b.Register("keys", 1, func(_ *Env, args []Value) (Value, error) {
-		m, ok := args[0].(*Map)
+		m, ok := args[0].AsMap()
 		if !ok {
-			return nil, rtErrf("keys of %s", TypeName(args[0]))
+			return Value{}, rtErrf("keys of %s", TypeName(args[0]))
 		}
-		ks := make([]string, 0, len(m.M))
+		ks := make([]Value, 0, len(m.M))
 		for k := range m.M {
-			ks = append(ks, k)
+			ks = append(ks, Str(k))
 		}
-		sort.Strings(ks)
-		out := &Array{Elems: make([]Value, len(ks))}
-		for i, k := range ks {
-			out.Elems[i] = k
-		}
-		return out, nil
+		slices.SortFunc(ks, func(x, y Value) int { return strings.Compare(x.str(), y.str()) })
+		return ArrayOf(ks...), nil
 	})
 	b.Register("delete", 2, func(_ *Env, args []Value) (Value, error) {
-		m, ok := args[0].(*Map)
+		m, ok := args[0].AsMap()
 		if !ok {
-			return nil, rtErrf("delete from %s", TypeName(args[0]))
+			return Value{}, rtErrf("delete from %s", TypeName(args[0]))
 		}
-		k, ok := args[1].(string)
+		k, ok := args[1].AsString()
 		if !ok {
-			return nil, rtErrf("delete key must be string")
+			return Value{}, rtErrf("delete key must be string")
 		}
 		delete(m.M, k)
-		return nil, nil
+		return Value{}, nil
 	})
 	b.Register("str", 1, func(_ *Env, args []Value) (Value, error) {
-		return FormatValue(args[0]), nil
+		if args[0].k == KindString {
+			return args[0], nil
+		}
+		return StrBytes(appendValue(nil, args[0])), nil
 	})
 	b.Register("int", 1, func(_ *Env, args []Value) (Value, error) {
-		switch x := args[0].(type) {
-		case int64:
+		switch x := args[0]; x.k {
+		case KindInt:
 			return x, nil
-		case float64:
-			return int64(x), nil
-		case bool:
-			if x {
-				return int64(1), nil
-			}
-			return int64(0), nil
-		case string:
+		case KindFloat:
+			return Int(int64(x.float())), nil
+		case KindBool:
+			return Int(int64(x.n)), nil
+		case KindString:
 			var v int64
 			neg := false
-			s := x
+			s := x.str()
 			if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
 				neg = s[0] == '-'
 				s = s[1:]
 			}
 			if s == "" {
-				return nil, rtErrf("int(%q): not a number", x)
+				return Value{}, rtErrf("int(%q): not a number", x.str())
 			}
 			for _, c := range s {
 				if c < '0' || c > '9' {
-					return nil, rtErrf("int(%q): not a number", x)
+					return Value{}, rtErrf("int(%q): not a number", x.str())
 				}
 				v = v*10 + int64(c-'0')
 			}
 			if neg {
 				v = -v
 			}
-			return v, nil
+			return Int(v), nil
 		default:
-			return nil, rtErrf("int of %s", TypeName(x))
+			return Value{}, rtErrf("int of %s", TypeName(x))
 		}
 	})
 	b.Register("float", 1, func(_ *Env, args []Value) (Value, error) {
-		if f, ok := toFloat(args[0]); ok {
-			return f, nil
+		if f, ok := args[0].AsNumber(); ok {
+			return Float(f), nil
 		}
-		return nil, rtErrf("float of %s", TypeName(args[0]))
+		return Value{}, rtErrf("float of %s", TypeName(args[0]))
 	})
 	b.Register("abs", 1, func(_ *Env, args []Value) (Value, error) {
-		switch x := args[0].(type) {
-		case int64:
-			if x < 0 {
-				return -x, nil
+		switch x := args[0]; x.k {
+		case KindInt:
+			if x.int() < 0 {
+				return Int(-x.int()), nil
 			}
 			return x, nil
-		case float64:
-			return math.Abs(x), nil
+		case KindFloat:
+			return Float(math.Abs(x.float())), nil
 		default:
-			return nil, rtErrf("abs of %s", TypeName(x))
+			return Value{}, rtErrf("abs of %s", TypeName(x))
 		}
 	})
 	minmax := func(isMin bool) HostFunc {
 		return func(_ *Env, args []Value) (Value, error) {
 			if len(args) == 0 {
-				return nil, rtErrf("min/max of nothing")
+				return Value{}, rtErrf("min/max of nothing")
 			}
 			best := args[0]
 			for _, v := range args[1:] {
 				c, err := compare(TokLt, v, best)
 				if err != nil {
-					return nil, err
+					return Value{}, err
 				}
-				if c.(bool) == isMin {
+				if Truthy(c) == isMin {
 					best = v
 				}
 			}
@@ -265,94 +267,75 @@ func Std() *Bindings {
 	b.Register("min", -1, minmax(true))
 	b.Register("max", -1, minmax(false))
 	b.Register("contains", 2, func(_ *Env, args []Value) (Value, error) {
-		switch x := args[0].(type) {
-		case string:
-			sub, ok := args[1].(string)
+		switch x := args[0]; x.k {
+		case KindString:
+			sub, ok := args[1].AsString()
 			if !ok {
-				return nil, rtErrf("contains(string, %s)", TypeName(args[1]))
+				return Value{}, rtErrf("contains(string, %s)", TypeName(args[1]))
 			}
-			return containsString(x, sub), nil
-		case *Array:
-			for _, e := range x.Elems {
-				if valueEqual(e, args[1]) {
-					return true, nil
-				}
-			}
-			return false, nil
-		case *Map:
-			k, ok := args[1].(string)
+			return Bool(strings.Contains(x.str(), sub)), nil
+		case KindArray:
+			return Bool(slices.ContainsFunc(x.arr().Elems, func(e Value) bool { return valueEqual(e, args[1]) })), nil
+		case KindMap:
+			k, ok := args[1].AsString()
 			if !ok {
-				return nil, rtErrf("contains(map, %s)", TypeName(args[1]))
+				return Value{}, rtErrf("contains(map, %s)", TypeName(args[1]))
 			}
-			_, present := x.M[k]
-			return present, nil
+			_, present := x.dict().M[k]
+			return Bool(present), nil
 		default:
-			return nil, rtErrf("contains on %s", TypeName(x))
+			return Value{}, rtErrf("contains on %s", TypeName(x))
 		}
 	})
 	b.Register("substr", 3, func(_ *Env, args []Value) (Value, error) {
-		s, ok1 := args[0].(string)
-		i, ok2 := args[1].(int64)
-		j, ok3 := args[2].(int64)
+		s, ok1 := args[0].AsString()
+		i, ok2 := args[1].AsInt()
+		j, ok3 := args[2].AsInt()
 		if !ok1 || !ok2 || !ok3 {
-			return nil, rtErrf("substr(string, int, int)")
+			return Value{}, rtErrf("substr(string, int, int)")
 		}
 		if i < 0 || j < i || j > int64(len(s)) {
-			return nil, rtErrf("substr bounds [%d,%d) out of range for length %d", i, j, len(s))
+			return Value{}, rtErrf("substr bounds [%d,%d) out of range for length %d", i, j, len(s))
 		}
-		return s[i:j], nil
+		return Str(s[i:j]), nil
 	})
 	b.Register("split", 2, func(_ *Env, args []Value) (Value, error) {
-		s, ok1 := args[0].(string)
-		sep, ok2 := args[1].(string)
+		s, ok1 := args[0].AsString()
+		sep, ok2 := args[1].AsString()
 		if !ok1 || !ok2 || sep == "" {
-			return nil, rtErrf("split(string, non-empty string)")
+			return Value{}, rtErrf("split(string, non-empty string)")
 		}
-		// Count matches the scan below (leftmost, non-overlapping), so
-		// the appends never grow the slice.
-		out := &Array{Elems: make([]Value, 0, strings.Count(s, sep)+1)}
-		start := 0
-		for i := 0; i+len(sep) <= len(s); {
-			if s[i:i+len(sep)] == sep {
-				out.Elems = append(out.Elems, s[start:i])
-				i += len(sep)
-				start = i
-			} else {
-				i++
+		// One element slice, sized by a count that matches the scan below
+		// (leftmost, non-overlapping); the parts share s's bytes.
+		parts := make([]Value, 0, strings.Count(s, sep)+1)
+		for {
+			i := strings.Index(s, sep)
+			if i < 0 {
+				break
 			}
+			parts = append(parts, Str(s[:i]))
+			s = s[i+len(sep):]
 		}
-		out.Elems = append(out.Elems, s[start:])
-		return out, nil
+		return ArrayOf(append(parts, Str(s))...), nil
 	})
 	b.Register("sprintf", -1, func(_ *Env, args []Value) (Value, error) {
 		if len(args) == 0 {
-			return nil, rtErrf("sprintf needs a format string")
+			return Value{}, rtErrf("sprintf needs a format string")
 		}
-		f, ok := args[0].(string)
+		f, ok := args[0].AsString()
 		if !ok {
-			return nil, rtErrf("sprintf format must be string")
+			return Value{}, rtErrf("sprintf format must be string")
 		}
 		return miniSprintf(f, args[1:])
 	})
 	return b
 }
 
-func containsString(s, sub string) bool {
-	if sub == "" {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // miniSprintf supports %v %d %f %s %% — enough for agent reports
-// without exposing the full fmt machinery.
+// without exposing the full fmt machinery. The result owns the one
+// buffer it is rendered into.
 func miniSprintf(f string, args []Value) (Value, error) {
-	var out []byte
+	out := make([]byte, 0, len(f)+8*len(args))
 	ai := 0
 	for i := 0; i < len(f); i++ {
 		if f[i] != '%' {
@@ -361,41 +344,41 @@ func miniSprintf(f string, args []Value) (Value, error) {
 		}
 		i++
 		if i >= len(f) {
-			return nil, rtErrf("sprintf: trailing %%")
+			return Value{}, rtErrf("sprintf: trailing %%")
 		}
 		if f[i] == '%' {
 			out = append(out, '%')
 			continue
 		}
 		if ai >= len(args) {
-			return nil, rtErrf("sprintf: not enough arguments")
+			return Value{}, rtErrf("sprintf: not enough arguments")
 		}
 		v := args[ai]
 		ai++
 		switch f[i] {
 		case 'v', 's':
-			out = append(out, FormatValue(v)...)
+			out = appendValue(out, v)
 		case 'd':
-			switch x := v.(type) {
-			case int64:
-				out = append(out, FormatValue(x)...)
-			case float64:
-				out = append(out, FormatValue(int64(x))...)
+			switch v.k {
+			case KindInt:
+				out = strconv.AppendInt(out, v.int(), 10)
+			case KindFloat:
+				out = strconv.AppendInt(out, int64(v.float()), 10)
 			default:
-				return nil, rtErrf("sprintf: %%d on %s", TypeName(v))
+				return Value{}, rtErrf("sprintf: %%d on %s", TypeName(v))
 			}
 		case 'f':
-			fv, ok := toFloat(v)
+			fv, ok := v.AsNumber()
 			if !ok {
-				return nil, rtErrf("sprintf: %%f on %s", TypeName(v))
+				return Value{}, rtErrf("sprintf: %%f on %s", TypeName(v))
 			}
-			out = append(out, fmt.Sprintf("%.6f", fv)...)
+			out = strconv.AppendFloat(out, fv, 'f', 6, 64)
 		default:
-			return nil, rtErrf("sprintf: unsupported verb %%%c", f[i])
+			return Value{}, rtErrf("sprintf: unsupported verb %%%c", f[i])
 		}
 	}
 	if ai != len(args) {
-		return nil, rtErrf("sprintf: %d extra arguments", len(args)-ai)
+		return Value{}, rtErrf("sprintf: %d extra arguments", len(args)-ai)
 	}
-	return string(out), nil
+	return StrBytes(out), nil
 }

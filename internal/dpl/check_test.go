@@ -29,7 +29,7 @@ func TestTranslatorRejectsUnboundCall(t *testing.T) {
 
 func TestTranslatorAcceptsBoundCall(t *testing.T) {
 	b := Std()
-	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return int64(0), nil })
+	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return Int(0), nil })
 	prog := mustParse(t, `func main() { return mibGet("1.3.6.1.2.1.1.3.0"); }`)
 	if errs := Check(prog, b); len(errs) != 0 {
 		t.Fatalf("bound call rejected: %v", errs)
@@ -38,7 +38,7 @@ func TestTranslatorAcceptsBoundCall(t *testing.T) {
 
 func TestTranslatorArityChecks(t *testing.T) {
 	b := Std()
-	b.Register("two", 2, func(*Env, []Value) (Value, error) { return nil, nil })
+	b.Register("two", 2, func(*Env, []Value) (Value, error) { return Value{}, nil })
 	cases := []struct {
 		src  string
 		want string

@@ -184,7 +184,7 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 	}
 	code := make([]Instr, total)
 	c.out.Consts = make([]Value, 0, c.nLits)
-	c.constIdx = make(map[Value]int, c.nLits)
+	c.pool = constPool{c: c.out, idx: make(map[constKey]int, c.nLits)}
 	fc.sizing = false
 	for i, n := range sizes {
 		fc.code, fc.nLocals = code[:0:n], 0
@@ -205,7 +205,7 @@ type compiler struct {
 	bindings  *Bindings
 	out       *Compiled
 	globalIdx map[string]int
-	constIdx  map[Value]int
+	pool      constPool
 	nLits     int // literals the sizing pass saw: the pool's largest size
 }
 
@@ -243,21 +243,53 @@ func (f *funcCompiler) emit(i Instr) int {
 }
 
 // emitConst emits the push of a literal, interning its value in the
-// pool. The sizing pass only counts it, and so boxes no Value.
-func emitConst[T int64 | float64 | string](f *funcCompiler, lit T) {
+// pool. The sizing pass only counts it.
+func (f *funcCompiler) emitConst(v Value) {
 	if f.sizing {
 		f.c.nLits++
 		f.n++
 		return
 	}
-	c, v := f.c, Value(lit)
-	i, ok := c.constIdx[v]
-	if !ok {
-		i = len(c.out.Consts)
-		c.out.Consts = append(c.out.Consts, v)
-		c.constIdx[v] = i
+	f.emit(Instr{Op: OpConst, A: f.c.pool.intern(v)})
+}
+
+// constKey identifies a constant-pool entry by kind, payload bits and
+// string text, so -0.0 and 0.0 are two constants, as they are two values.
+type constKey struct {
+	k Kind
+	n uint64
+	s string
+}
+
+func keyOf(v Value) constKey {
+	if s, ok := v.AsString(); ok {
+		return constKey{k: KindString, s: s}
 	}
-	f.emit(Instr{Op: OpConst, A: i})
+	return constKey{k: v.k, n: v.n}
+}
+
+// constPool interns values into a Compiled's constant pool, for the
+// compiler, the optimizer and the assembler alike.
+type constPool struct {
+	c   *Compiled
+	idx map[constKey]int // built from c.Consts by the first intern when nil
+}
+
+func (p *constPool) intern(v Value) int {
+	if p.idx == nil {
+		p.idx = make(map[constKey]int, len(p.c.Consts))
+		for i := len(p.c.Consts) - 1; i >= 0; i-- { // the first of duplicates wins
+			p.idx[keyOf(p.c.Consts[i])] = i
+		}
+	}
+	k := keyOf(v)
+	i, ok := p.idx[k]
+	if !ok {
+		i = len(p.c.Consts)
+		p.idx[k] = i
+		p.c.Consts = append(p.c.Consts, v)
+	}
+	return i
 }
 
 func (f *funcCompiler) patch(at, target int) {
@@ -525,11 +557,11 @@ func (f *funcCompiler) loadIdent(t *Ident) error {
 func (f *funcCompiler) expr(e Expr) error {
 	switch n := e.(type) {
 	case *IntLit:
-		emitConst(f, n.V)
+		f.emitConst(Int(n.V))
 	case *FloatLit:
-		emitConst(f, n.V)
+		f.emitConst(Float(n.V))
 	case *StringLit:
-		emitConst(f, n.V)
+		f.emitConst(Str(n.V))
 	case *BoolLit:
 		if n.V {
 			f.emit(Instr{Op: OpTrue})

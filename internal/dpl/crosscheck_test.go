@@ -8,55 +8,260 @@ import (
 	"testing"
 )
 
-// progGen emits random but well-formed DPL programs. Division and
-// modulo right operands are generated as (expr % K + K + 1) so both
-// engines see identical, nonzero denominators; everything else is
-// unconstrained within the generated type discipline (int expressions
-// only, plus bool contexts), so any divergence between the VM and the
-// reference interpreter is a real semantics bug.
+// progGen emits random, well-formed DPL programs over every value kind:
+// ints (small, counter-sized, near ±2^53 and at the ±2^63 wrap), floats
+// (including overflow to ±Inf, NaN and -0), strings (concat, index,
+// compare, split, int, str, sprintf), and arrays and maps (literal,
+// index, set, append, len, and aliasing through variables and calls).
+//
+// Expressions are typed, so most programs run to their return; a few
+// constructs (int of an arbitrary string, an unguarded index, a float
+// division by a difference) fail at run time on purpose, and then the
+// engines must fail with the same text. The generator never lets an
+// indexed assignment's target or index fail, because the interpreter
+// evaluates the assigned value first and the VM last.
 type progGen struct {
-	r        *rand.Rand
-	vars     []string // readable variables
-	writable []string // assignable variables (excludes loop counters)
-	b        strings.Builder
-	depth    int
+	r     *rand.Rand
+	b     strings.Builder
+	depth int
+	names int
+	vars  [nKinds][]string // readable variables by kind
+	wr    [nKinds][]string // assignable variables (loop counters excluded)
+}
+
+type genKind int
+
+const (
+	gInt genKind = iota
+	gFloat
+	gStr
+	gArr
+	gMap
+	nKinds
+)
+
+func (g *progGen) pick(k genKind) (string, bool) {
+	if len(g.vars[k]) == 0 {
+		return "", false
+	}
+	return g.vars[k][g.r.Intn(len(g.vars[k]))], true
+}
+
+func (g *progGen) one(opts ...string) string { return opts[g.r.Intn(len(opts))] }
+
+// deep reports whether the current expression is nested too far to grow.
+func (g *progGen) deep() bool { return g.depth > 3 }
+
+func (g *progGen) expr(k genKind) string {
+	g.depth++
+	defer func() { g.depth-- }()
+	switch k {
+	case gInt:
+		return g.intExpr()
+	case gFloat:
+		return g.floatExpr()
+	case gStr:
+		return g.strExpr()
+	case gArr:
+		return g.arrExpr()
+	default:
+		return g.mapExpr()
+	}
+}
+
+func (g *progGen) intLeaf() string {
+	if v, ok := g.pick(gInt); ok && g.r.Intn(2) == 0 {
+		return v
+	}
+	switch g.r.Intn(10) {
+	case 0:
+		// Either side of 2^53, where float64 stops being exact.
+		return g.one("9007199254740991", "9007199254740992", "9007199254740993", "(-9007199254740993)", "(-9007199254740992)")
+	case 1:
+		return g.one("9223372036854775807", "(-9223372036854775807 - 1)", "4294967295", "123456789", "18446744073")
+	default:
+		return fmt.Sprint(g.r.Intn(201) - 100)
+	}
 }
 
 func (g *progGen) intExpr() string {
-	g.depth++
-	defer func() { g.depth-- }()
-	if g.depth > 4 {
-		return g.leaf()
+	if g.deep() {
+		return g.intLeaf()
 	}
-	switch g.r.Intn(8) {
-	case 0, 1:
-		return g.leaf()
-	case 2:
-		return fmt.Sprintf("(%s + %s)", g.intExpr(), g.intExpr())
+	switch g.r.Intn(16) {
+	case 0, 1, 2:
+		return g.intLeaf()
 	case 3:
-		return fmt.Sprintf("(%s - %s)", g.intExpr(), g.intExpr())
+		return fmt.Sprintf("(%s + %s)", g.expr(gInt), g.expr(gInt))
 	case 4:
-		return fmt.Sprintf("(%s * %s)", g.leaf(), g.leaf())
+		return fmt.Sprintf("(%s - %s)", g.expr(gInt), g.expr(gInt))
 	case 5:
-		return fmt.Sprintf("(%s / (%s %% 7 + 8))", g.intExpr(), g.intExpr())
+		return fmt.Sprintf("(%s * %s)", g.expr(gInt), g.intLeaf())
 	case 6:
-		return fmt.Sprintf("(%s %% (%s %% 5 + 6))", g.intExpr(), g.intExpr())
+		return fmt.Sprintf("(%s / (%s %% 7 + 8))", g.expr(gInt), g.expr(gInt))
+	case 7:
+		return fmt.Sprintf("(%s %% (%s %% 5 + 6))", g.expr(gInt), g.expr(gInt))
+	case 8:
+		return fmt.Sprintf("-(%s)", g.expr(gInt))
+	case 9:
+		return fmt.Sprintf("len(%s)", g.expr(genKind(gStr+genKind(g.r.Intn(3)))))
+	case 10:
+		if a, ok := g.pick(gArr); ok {
+			return fmt.Sprintf("%s[%s]", a, g.index(a))
+		}
+		return g.intLeaf()
+	case 11:
+		switch g.r.Intn(4) {
+		case 0:
+			return fmt.Sprintf("int(str(%s))", g.expr(gInt))
+		case 1:
+			return fmt.Sprintf("int(split(str(%s) + \".\" + str(%s), \".\")[1])", g.expr(gInt), g.expr(gInt))
+		case 2:
+			return fmt.Sprintf("int(%s)", g.expr(gFloat))
+		default:
+			return fmt.Sprintf("int(%s)", g.one("true", "false", `"-42"`, `"+7"`))
+		}
+	case 12:
+		// A byte of a string: guarded, so never out of range.
+		s := g.expr(gStr)
+		return fmt.Sprintf("(\"q\" + %s)[%s %% (len(%s) + 1)]", s, g.nonNeg(), s)
+	case 13:
+		if m, ok := g.pick(gMap); ok {
+			return fmt.Sprintf("%s[%q]", m, g.one("a", "b", "c"))
+		}
+		return g.intLeaf()
+	case 14:
+		return fmt.Sprintf("%s(%s, %s)", g.one("min", "max"), g.expr(gInt), g.expr(gInt))
 	default:
-		return fmt.Sprintf("-(%s)", g.intExpr())
+		return fmt.Sprintf("%s(%s)", g.one("twice", "abs"), g.expr(gInt))
 	}
 }
 
-func (g *progGen) leaf() string {
-	if len(g.vars) > 0 && g.r.Intn(2) == 0 {
-		return g.vars[g.r.Intn(len(g.vars))]
+// nonNeg is an int leaf that is never negative: a remainder of a fresh
+// leaf by a positive bound, made non-negative.
+func (g *progGen) nonNeg() string {
+	return fmt.Sprintf("abs(%s %% 1000)", g.intLeaf())
+}
+
+// index is a guarded index into array a: never out of range, and built
+// from leaves only, so it cannot fail.
+func (g *progGen) index(a string) string {
+	return fmt.Sprintf("(%s %% len(%s) + len(%s)) %% len(%s)", g.intLeaf(), a, a, a)
+}
+
+func (g *progGen) floatLeaf() string {
+	if v, ok := g.pick(gFloat); ok && g.r.Intn(2) == 0 {
+		return v
 	}
-	return fmt.Sprintf("%d", g.r.Intn(201)-100)
+	return g.one("0.0", "0.5", "2.25", "1e300", "1e-7", "3.0", "123456789.125", "9007199254740993.0")
+}
+
+func (g *progGen) floatExpr() string {
+	if g.deep() {
+		return g.floatLeaf()
+	}
+	switch g.r.Intn(11) {
+	case 0, 1, 2:
+		return g.floatLeaf()
+	case 3:
+		return fmt.Sprintf("(%s + %s)", g.expr(gFloat), g.expr(genKind(g.r.Intn(2))))
+	case 4:
+		return fmt.Sprintf("(%s - %s)", g.expr(genKind(g.r.Intn(2))), g.expr(gFloat))
+	case 5:
+		return fmt.Sprintf("(%s * %s)", g.expr(gFloat), g.expr(genKind(g.r.Intn(2))))
+	case 6:
+		return fmt.Sprintf("(%s / %s)", g.expr(gFloat), g.one("3.5", "0.25", "1e300", "(-2.0)"))
+	case 7:
+		f := g.floatLeaf()
+		return fmt.Sprintf("(%s / (%s * %s + 1.0))", g.expr(gFloat), f, f)
+	case 8:
+		return fmt.Sprintf("-(%s)", g.expr(gFloat))
+	case 9:
+		return fmt.Sprintf("float(%s)", g.expr(gInt))
+	default:
+		return fmt.Sprintf("abs(%s)", g.expr(gFloat))
+	}
+}
+
+func (g *progGen) strLeaf() string {
+	if v, ok := g.pick(gStr); ok && g.r.Intn(2) == 0 {
+		return v
+	}
+	return g.one(`""`, `"a"`, `"b.c"`, `"1.2.3"`, `"héllo"`, `"x y"`, `"12"`)
+}
+
+func (g *progGen) strExpr() string {
+	if g.deep() {
+		return g.strLeaf()
+	}
+	switch g.r.Intn(10) {
+	case 0, 1, 2:
+		return g.strLeaf()
+	case 3:
+		return fmt.Sprintf("(%s + %s)", g.expr(gStr), g.expr(gStr))
+	case 4:
+		return fmt.Sprintf("str(%s)", g.expr(genKind(g.r.Intn(int(nKinds)))))
+	case 5:
+		return fmt.Sprintf("sprintf(\"%%d:%%s:%%f:%%v\", %s, %s, %s, %s)",
+			g.expr(gInt), g.expr(gStr), g.expr(gFloat), g.expr(genKind(g.r.Intn(int(nKinds)))))
+	case 6:
+		return fmt.Sprintf("split(%s, %s)[0]", g.expr(gStr), g.one(`"."`, `" "`, `"l"`))
+	case 7:
+		if m, ok := g.pick(gMap); ok {
+			return fmt.Sprintf("keys(%s)[0]", m)
+		}
+		return g.strLeaf()
+	case 8:
+		s := g.expr(gStr)
+		return fmt.Sprintf("substr(%s, 0, len(%s) / 2)", s, s)
+	default:
+		return fmt.Sprintf("str(%s)", g.expr(gFloat))
+	}
+}
+
+func (g *progGen) arrExpr() string {
+	if a, ok := g.pick(gArr); ok && (g.deep() || g.r.Intn(2) == 0) {
+		return a
+	}
+	if g.r.Intn(4) == 0 {
+		return fmt.Sprintf("append([%s], %s)", g.expr(gInt), g.expr(gInt))
+	}
+	n := 1 + g.r.Intn(3)
+	elems := make([]string, n)
+	for i := range elems {
+		elems[i] = g.expr(gInt)
+	}
+	return "[" + strings.Join(elems, ", ") + "]"
+}
+
+func (g *progGen) mapExpr() string {
+	if m, ok := g.pick(gMap); ok && (g.deep() || g.r.Intn(2) == 0) {
+		return m
+	}
+	return fmt.Sprintf(`{"a": %s, "b": %s, "c": %s}`, g.expr(gInt), g.expr(gInt), g.expr(gInt))
 }
 
 func (g *progGen) boolExpr() string {
-	ops := []string{"<", "<=", ">", ">=", "==", "!="}
-	e := fmt.Sprintf("(%s %s %s)", g.intExpr(), ops[g.r.Intn(len(ops))], g.intExpr())
-	switch g.r.Intn(4) {
+	cmp := g.one("<", "<=", ">", ">=", "==", "!=")
+	var e string
+	switch g.r.Intn(9) {
+	case 0, 1, 2:
+		e = fmt.Sprintf("(%s %s %s)", g.expr(gInt), cmp, g.expr(gInt))
+	case 3:
+		e = fmt.Sprintf("(%s %s %s)", g.expr(gFloat), cmp, g.expr(genKind(g.r.Intn(2))))
+	case 4:
+		e = fmt.Sprintf("(%s %s %s)", g.expr(gStr), cmp, g.expr(gStr))
+	case 5:
+		k := gArr + genKind(g.r.Intn(2))
+		e = fmt.Sprintf("(%s %s %s)", g.expr(k), g.one("==", "!="), g.expr(k))
+	case 6:
+		e = fmt.Sprintf("contains(%s, %s)", g.expr(gStr), g.expr(gStr))
+	case 7:
+		e = fmt.Sprintf("contains(%s, %s)", g.expr(gArr), g.expr(gInt))
+	default:
+		e = fmt.Sprintf("(%s %s %s)", g.expr(gInt), cmp, g.expr(gFloat))
+	}
+	switch g.r.Intn(5) {
 	case 0:
 		return fmt.Sprintf("(%s && %s)", e, g.boolExprShallow())
 	case 1:
@@ -69,27 +274,44 @@ func (g *progGen) boolExpr() string {
 }
 
 func (g *progGen) boolExprShallow() string {
-	ops := []string{"<", ">", "=="}
-	return fmt.Sprintf("(%s %s %s)", g.leaf(), ops[g.r.Intn(len(ops))], g.leaf())
+	return fmt.Sprintf("(%s %s %s)", g.intLeaf(), g.one("<", ">", "=="), g.intLeaf())
+}
+
+func (g *progGen) declare(k genKind, indent string) {
+	name := fmt.Sprintf("v%d", g.names)
+	g.names++
+	if k == gStr {
+		fmt.Fprintf(&g.b, "%svar %s = clip(%s);\n", indent, name, g.expr(k))
+	} else {
+		fmt.Fprintf(&g.b, "%svar %s = %s;\n", indent, name, g.expr(k))
+	}
+	g.vars[k] = append(g.vars[k], name)
+	g.wr[k] = append(g.wr[k], name)
 }
 
 func (g *progGen) stmt(indent int) {
 	pad := strings.Repeat("\t", indent)
-	switch g.r.Intn(10) {
-	case 0, 1, 2:
-		name := fmt.Sprintf("v%d", len(g.vars))
-		fmt.Fprintf(&g.b, "%svar %s = %s;\n", pad, name, g.intExpr())
-		g.vars = append(g.vars, name)
-		g.writable = append(g.writable, name)
-	case 3, 4:
-		if len(g.writable) == 0 {
-			g.stmt(indent)
+	switch g.r.Intn(16) {
+	case 0, 1, 2, 3:
+		g.declare(genKind(g.r.Intn(int(nKinds))), pad)
+	case 4, 5:
+		k := genKind(g.r.Intn(int(nKinds)))
+		if len(g.wr[k]) == 0 {
+			g.declare(k, pad)
 			return
 		}
-		v := g.writable[g.r.Intn(len(g.writable))]
-		op := []string{"=", "+=", "-="}[g.r.Intn(3)]
-		fmt.Fprintf(&g.b, "%s%s %s %s;\n", pad, v, op, g.intExpr())
-	case 5, 6:
+		v := g.wr[k][g.r.Intn(len(g.wr[k]))]
+		switch {
+		case k == gStr:
+			// Strings are clipped on every store, so no program can
+			// double one into the gigabytes.
+			fmt.Fprintf(&g.b, "%s%s = clip(%s + %s);\n", pad, v, v, g.expr(k))
+		case k <= gFloat && g.r.Intn(2) == 0:
+			fmt.Fprintf(&g.b, "%s%s %s %s;\n", pad, v, g.one("+=", "-="), g.expr(k))
+		default:
+			fmt.Fprintf(&g.b, "%s%s = %s;\n", pad, v, g.expr(k))
+		}
+	case 6, 7:
 		fmt.Fprintf(&g.b, "%sif (%s) {\n", pad, g.boolExpr())
 		g.block(indent+1, 2)
 		if g.r.Intn(2) == 0 {
@@ -97,91 +319,195 @@ func (g *progGen) stmt(indent int) {
 			g.block(indent+1, 2)
 		}
 		fmt.Fprintf(&g.b, "%s}\n", pad)
-	case 7:
-		// Bounded counting loop over a fresh variable.
-		name := fmt.Sprintf("i%d", len(g.vars))
-		n := 1 + g.r.Intn(8)
-		fmt.Fprintf(&g.b, "%sfor (var %s = 0; %s < %d; %s += 1) {\n", pad, name, name, n, name)
-		g.vars = append(g.vars, name)
-		g.block(indent+1, 2)
-		g.vars = g.vars[:len(g.vars)-1]
-		fmt.Fprintf(&g.b, "%s}\n", pad)
 	case 8:
-		if len(g.writable) == 0 {
-			g.stmt(indent)
+		if indent > 3 {
+			fmt.Fprintf(&g.b, "%sacc += 1;\n", pad)
 			return
 		}
-		// Accumulate through a helper call.
-		fmt.Fprintf(&g.b, "%s%s = twice(%s);\n", pad, g.writable[g.r.Intn(len(g.writable))], g.intExpr())
+		name := fmt.Sprintf("i%d", g.names)
+		g.names++
+		n := 1 + g.r.Intn(5)
+		fmt.Fprintf(&g.b, "%sfor (var %s = 0; %s < %d; %s += 1) {\n", pad, name, name, n, name)
+		g.vars[gInt] = append(g.vars[gInt], name)
+		g.block(indent+1, 2)
+		g.vars[gInt] = g.vars[gInt][:len(g.vars[gInt])-1]
+		fmt.Fprintf(&g.b, "%s}\n", pad)
+	case 9:
+		// Indexed store: target and index cannot fail (see progGen).
+		if a, ok := g.pick(gArr); ok {
+			fmt.Fprintf(&g.b, "%s%s[%s] = %s;\n", pad, a, g.index(a), g.expr(gInt))
+		} else if m, ok := g.pick(gMap); ok {
+			fmt.Fprintf(&g.b, "%s%s[%q] = %s;\n", pad, m, g.one("a", "b", "d"), g.expr(gInt))
+		} else {
+			g.declare(gArr, pad)
+		}
+	case 10:
+		// append mutates in place: every alias sees it.
+		if a, ok := g.pick(gArr); ok {
+			if g.r.Intn(2) == 0 {
+				fmt.Fprintf(&g.b, "%sappend(%s, %s);\n", pad, a, g.expr(gInt))
+			} else {
+				fmt.Fprintf(&g.b, "%sacc += bump(%s, %s);\n", pad, a, g.expr(gInt))
+			}
+		} else {
+			g.declare(gArr, pad)
+		}
+	case 11:
+		// Deliberately fallible, in one statement of every 32: the
+		// engines must fail alike.
+		switch g.r.Intn(6) {
+		case 0:
+			fmt.Fprintf(&g.b, "%sacc += int(%s);\n", pad, g.expr(gStr))
+		case 1:
+			if a, ok := g.pick(gArr); ok {
+				fmt.Fprintf(&g.b, "%sacc += %s[%s];\n", pad, a, g.intLeaf())
+				return
+			}
+			fmt.Fprintf(&g.b, "%sacc += 1;\n", pad)
+		case 2:
+			f := g.floatLeaf()
+			fmt.Fprintf(&g.b, "%sfacc += %s / (%s - %s);\n", pad, g.expr(gFloat), f, g.floatLeaf())
+		default:
+			fmt.Fprintf(&g.b, "%sacc += %s;\n", pad, g.expr(gInt))
+		}
+	case 12:
+		fmt.Fprintf(&g.b, "%sfacc += %s;\n", pad, g.expr(gFloat))
+	case 13:
+		fmt.Fprintf(&g.b, "%ssacc = clip(sacc + %s);\n", pad, g.expr(gStr))
 	default:
-		fmt.Fprintf(&g.b, "%sacc += %s;\n", pad, g.intExpr())
+		fmt.Fprintf(&g.b, "%sacc += %s;\n", pad, g.expr(gInt))
 	}
 }
 
 func (g *progGen) block(indent, maxStmts int) {
 	n := 1 + g.r.Intn(maxStmts)
-	savedVars, savedWritable := len(g.vars), len(g.writable)
+	var saved [nKinds][2]int
+	for k := range saved {
+		saved[k] = [2]int{len(g.vars[k]), len(g.wr[k])}
+	}
 	for i := 0; i < n; i++ {
-		if g.depth > 6 {
+		if indent > 4 {
 			fmt.Fprintf(&g.b, "%sacc += 1;\n", strings.Repeat("\t", indent))
 			continue
 		}
 		g.stmt(indent)
 	}
-	g.vars = g.vars[:savedVars]
-	g.writable = g.writable[:savedWritable]
+	for k := range saved {
+		g.vars[k] = g.vars[k][:saved[k][0]]
+		g.wr[k] = g.wr[k][:saved[k][1]]
+	}
 }
 
+// generate returns one program whose main returns every accumulator and
+// one variable of each composite kind, so a divergence anywhere shows
+// in the result.
 func (g *progGen) generate() string {
 	g.b.Reset()
-	g.vars = nil
-	g.writable = nil
-	g.b.WriteString("var acc = 0;\n")
+	g.names = 0
+	for k := range g.vars {
+		g.vars[k], g.wr[k] = nil, nil
+	}
+	g.b.WriteString("var acc = 0;\nvar facc = 0.0;\nvar sacc = \"\";\n")
 	g.b.WriteString("func twice(x) { return x * 2; }\n")
+	g.b.WriteString("func clip(s) { if (len(s) > 40) { return substr(s, 0, 40); } return s; }\n")
+	g.b.WriteString("func bump(a, x) { append(a, x); a[0] = a[0] + 1; return len(a); }\n")
 	g.b.WriteString("func main() {\n")
-	g.vars = append(g.vars, "acc")
-	g.writable = append(g.writable, "acc")
-	nStmts := 2 + g.r.Intn(8)
-	for i := 0; i < nStmts; i++ {
+	g.vars[gInt], g.wr[gInt] = []string{"acc"}, []string{"acc"}
+	g.vars[gFloat], g.wr[gFloat] = []string{"facc"}, []string{"facc"}
+	g.vars[gStr], g.wr[gStr] = []string{"sacc"}, []string{"sacc"}
+	g.declare(gArr, "\t")
+	g.declare(gMap, "\t")
+	for i, n := 0, 2+g.r.Intn(10); i < n; i++ {
 		g.stmt(1)
 	}
-	g.b.WriteString("\treturn acc;\n}\n")
+	a, _ := g.pick(gArr)
+	m, _ := g.pick(gMap)
+	fmt.Fprintf(&g.b, "\treturn [acc, facc, sacc, %s, %s];\n}\n", a, m)
 	return g.b.String()
 }
 
-// TestVMMatchesInterpreter is the package's core property test: for
-// hundreds of random programs, the bytecode VM and the reference
-// tree-walking interpreter must produce identical results (value or
-// error alike).
-func TestVMMatchesInterpreter(t *testing.T) {
+// runEngines runs src's main on the reference interpreter, the VM and
+// the VM over optimized code, rendering each outcome as the value's kind
+// and text or as the error text.
+func runEngines(t testing.TB, src string) (interp, vm, opt string) {
 	b := Std()
-	g := &progGen{r: rand.New(rand.NewSource(99))}
-	for i := 0; i < 400; i++ {
-		src := g.generate()
-		prog, err := Parse(src)
-		if err != nil {
-			t.Fatalf("generated program does not parse:\n%s\n%v", src, err)
-		}
-		compiled, err := Compile(prog, b)
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatalf("generated program does not parse:\n%s\n%v", src, err)
+	}
+	it, err := NewInterp(prog, b)
+	if err != nil {
+		t.Fatalf("generated program rejected:\n%s\n%v", src, err)
+	}
+	interp = render(it.Run(context.Background(), "main"))
+	for i, optimize := range []bool{false, true} {
+		c, err := Compile(prog, b)
 		if err != nil {
 			t.Fatalf("generated program does not compile:\n%s\n%v", src, err)
 		}
-		vm := NewVM(compiled, b, WithMaxSteps(2_000_000))
-		vmVal, vmErr := vm.Run(context.Background(), "main")
-
-		it, err := NewInterp(prog, b)
-		if err != nil {
-			t.Fatalf("interp setup: %v", err)
+		if optimize {
+			Optimize(c)
 		}
-		itVal, itErr := it.Run(context.Background(), "main")
-
-		if (vmErr == nil) != (itErr == nil) {
-			t.Fatalf("engines disagree on error for program %d:\nVM: %v\nInterp: %v\n%s", i, vmErr, itErr, src)
-		}
-		if vmErr == nil && !valueEqual(vmVal, itVal) {
-			t.Fatalf("engines disagree for program %d: VM=%v Interp=%v\n%s", i, vmVal, itVal, src)
+		out := render(NewVM(c, b, WithMaxSteps(2_000_000)).Run(context.Background(), "main"))
+		if i == 0 {
+			vm = out
+		} else {
+			opt = out
 		}
 	}
+	return interp, vm, opt
+}
+
+func render(x any, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	v, err := FromGo(x)
+	if err != nil {
+		return "not a DPL value: " + err.Error()
+	}
+	return TypeName(v) + " " + FormatValue(v)
+}
+
+// checkEngines fails t unless all three engines agree on src, and returns
+// their common rendering.
+func checkEngines(t testing.TB, src string) string {
+	t.Helper()
+	interp, vm, opt := runEngines(t, src)
+	if vm != interp || opt != interp {
+		t.Fatalf("engines disagree:\ninterp: %s\nvm:     %s\nopt vm: %s\n%s", interp, vm, opt, src)
+	}
+	return interp
+}
+
+// TestVMMatchesInterpreter is the package's core property test: for
+// hundreds of random programs over every value kind, the bytecode VM,
+// the VM over optimized code and the reference tree-walking interpreter
+// must produce identical results (value or error text alike).
+func TestVMMatchesInterpreter(t *testing.T) {
+	g := &progGen{r: rand.New(rand.NewSource(99))}
+	failed := 0
+	for i := 0; i < 600; i++ {
+		if strings.HasPrefix(checkEngines(t, g.generate()), "error: ") {
+			failed++
+		}
+	}
+	// The generator is meant to exercise values, not error paths.
+	if failed > 600/3 {
+		t.Errorf("%d of 600 generated programs fail at run time", failed)
+	}
+}
+
+// FuzzVMMatchesInterpreter explores the same property from generator
+// seeds.
+func FuzzVMMatchesInterpreter(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 99} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		g := &progGen{r: rand.New(rand.NewSource(seed))}
+		checkEngines(t, g.generate())
+	})
 }
 
 // TestInterpreterFeatureParity spot-checks the interpreter on the same
@@ -189,7 +515,7 @@ func TestVMMatchesInterpreter(t *testing.T) {
 func TestInterpreterFeatureParity(t *testing.T) {
 	srcs := []struct {
 		src  string
-		want Value
+		want any
 	}{
 		{`func main() { var a = [1,2]; a[0] = 5; return a[0] + a[1]; }`, int64(7)},
 		{`func main() { var m = {"k": 2}; m["j"] = 3; return m["k"] * m["j"]; }`, int64(6)},
@@ -214,7 +540,7 @@ func TestInterpreterFeatureParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interp(%q): %v", c.src, err)
 		}
-		if !valueEqual(got, c.want) {
+		if got != c.want {
 			t.Errorf("interp(%q) = %v, want %v", c.src, got, c.want)
 		}
 	}

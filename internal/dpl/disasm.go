@@ -2,6 +2,7 @@ package dpl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -121,11 +122,11 @@ func formatConstRef(c *Compiled, idx int) string {
 // a decimal marker (FormatValue renders 2.0 as "2", which would read
 // back as an int).
 func formatConst(v Value) string {
-	switch x := v.(type) {
-	case string:
-		return fmt.Sprintf("%q", x)
-	case float64:
-		s := FormatValue(x)
+	switch v.k {
+	case KindString:
+		return strconv.Quote(v.str())
+	case KindFloat:
+		s := FormatValue(v)
 		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
 			s += ".0"
 		}

@@ -14,7 +14,7 @@ func collapse(s string) string {
 
 func TestDisassembleListsEverything(t *testing.T) {
 	b := Std()
-	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return int64(0), nil })
+	b.Register("mibGet", 1, func(*Env, []Value) (Value, error) { return Int(0), nil })
 	c := MustCompile(`
 var threshold = 0.8;
 func check(u) { return u > threshold; }
@@ -48,8 +48,8 @@ func TestDisassembleHostNameIndexOrder(t *testing.T) {
 	// Host call operands are registration indices, not sorted-name
 	// positions; the listing must use the same order.
 	b := NewBindings()
-	b.Register("zzz", 0, func(*Env, []Value) (Value, error) { return nil, nil })
-	b.Register("aaa", 0, func(*Env, []Value) (Value, error) { return nil, nil })
+	b.Register("zzz", 0, func(*Env, []Value) (Value, error) { return Value{}, nil })
+	b.Register("aaa", 0, func(*Env, []Value) (Value, error) { return Value{}, nil })
 	c := MustCompile(`func main() { zzz(); aaa(); }`, b)
 	out := collapse(Disassemble(c))
 	zi := strings.Index(out, "CALLH zzz/0")

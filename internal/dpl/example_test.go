@@ -12,7 +12,7 @@ import (
 func ExampleCompile() {
 	bindings := dpl.Std()
 	bindings.Register("deviceTemp", 0, func(*dpl.Env, []dpl.Value) (dpl.Value, error) {
-		return int64(73), nil
+		return dpl.Int(73), nil
 	})
 
 	prog, err := dpl.Parse(`

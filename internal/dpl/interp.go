@@ -68,7 +68,8 @@ func (s *iscope) lookup(name string) (*iscope, bool) {
 }
 
 // Run evaluates global initializers (once) and calls the entry function.
-func (it *Interp) Run(ctx context.Context, entry string, args ...Value) (Value, error) {
+// Like VM.Run it takes and returns plain Go values (see FromGo).
+func (it *Interp) Run(ctx context.Context, entry string, args ...any) (any, error) {
 	it.ctx = ctx
 	defer func() { it.ctx = nil }()
 	if len(it.globals) == 0 {
@@ -91,7 +92,15 @@ func (it *Interp) Run(ctx context.Context, entry string, args ...Value) (Value, 
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("dpl: entry %q expects %d arguments, got %d", entry, len(f.Params), len(args))
 	}
-	return it.call(f, args)
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		var err error
+		if vals[i], err = FromGo(a); err != nil {
+			return nil, err
+		}
+	}
+	v, err := it.call(f, vals)
+	return ToGo(v), err
 }
 
 func (it *Interp) call(f *FuncDecl, args []Value) (Value, error) {
@@ -104,9 +113,9 @@ func (it *Interp) call(f *FuncDecl, args []Value) (Value, error) {
 		if rs, ok := err.(returnSignal); ok {
 			return rs.v, nil
 		}
-		return nil, err
+		return Value{}, err
 	}
-	return nil, nil
+	return Value{}, nil
 }
 
 func (it *Interp) execBlock(b *Block, s *iscope) error {
@@ -149,7 +158,7 @@ func (it *Interp) exec(st Stmt, s *iscope) error {
 				if n.Op == TokMinusAssign {
 					op = TokMinus
 				}
-				v, err = arith(op, cur, v)
+				v, err = Binary(op, cur, v)
 				if err != nil {
 					return err
 				}
@@ -261,15 +270,15 @@ func (it *Interp) exec(st Stmt, s *iscope) error {
 func (it *Interp) eval(e Expr, s *iscope) (Value, error) {
 	switch n := e.(type) {
 	case *IntLit:
-		return n.V, nil
+		return Int(n.V), nil
 	case *FloatLit:
-		return n.V, nil
+		return Float(n.V), nil
 	case *StringLit:
-		return n.V, nil
+		return Str(n.V), nil
 	case *BoolLit:
-		return n.V, nil
+		return Bool(n.V), nil
 	case *NilLit:
-		return nil, nil
+		return Value{}, nil
 	case *Ident:
 		if sc, ok := s.lookup(n.Name); ok {
 			return sc.vars[n.Name], nil
@@ -277,70 +286,46 @@ func (it *Interp) eval(e Expr, s *iscope) (Value, error) {
 		if v, ok := it.globals[n.Name]; ok {
 			return v, nil
 		}
-		return nil, rtErrf("unresolved variable %q", n.Name)
+		return Value{}, rtErrf("unresolved variable %q", n.Name)
 	case *UnaryExpr:
 		x, err := it.eval(n.X, s)
 		if err != nil {
-			return nil, err
+			return Value{}, err
 		}
 		if n.Op == TokBang {
-			return !Truthy(x), nil
+			return Bool(!Truthy(x)), nil
 		}
-		switch v := x.(type) {
-		case int64:
-			return -v, nil
-		case float64:
-			return -v, nil
-		default:
-			return nil, rtErrf("cannot negate %s", TypeName(x))
-		}
+		return Negate(x)
 	case *BinaryExpr:
+		l, err := it.eval(n.L, s)
+		if err != nil {
+			return Value{}, err
+		}
 		switch n.Op {
 		case TokAndAnd:
-			l, err := it.eval(n.L, s)
-			if err != nil {
-				return nil, err
-			}
 			if !Truthy(l) {
 				return l, nil
 			}
 			return it.eval(n.R, s)
 		case TokOrOr:
-			l, err := it.eval(n.L, s)
-			if err != nil {
-				return nil, err
-			}
 			if Truthy(l) {
 				return l, nil
 			}
 			return it.eval(n.R, s)
 		}
-		l, err := it.eval(n.L, s)
-		if err != nil {
-			return nil, err
-		}
 		r, err := it.eval(n.R, s)
 		if err != nil {
-			return nil, err
+			return Value{}, err
 		}
-		switch n.Op {
-		case TokEq:
-			return valueEqual(l, r), nil
-		case TokNe:
-			return !valueEqual(l, r), nil
-		case TokPlus, TokMinus, TokStar, TokSlash, TokPercent:
-			return arith(n.Op, l, r)
-		default:
-			return compare(n.Op, l, r)
-		}
+		return Binary(n.Op, l, r)
 	case *IndexExpr:
 		x, err := it.eval(n.X, s)
 		if err != nil {
-			return nil, err
+			return Value{}, err
 		}
 		i, err := it.eval(n.I, s)
 		if err != nil {
-			return nil, err
+			return Value{}, err
 		}
 		return indexValue(x, i)
 	case *ArrayLit:
@@ -348,35 +333,35 @@ func (it *Interp) eval(e Expr, s *iscope) (Value, error) {
 		for i, el := range n.Elems {
 			v, err := it.eval(el, s)
 			if err != nil {
-				return nil, err
+				return Value{}, err
 			}
 			a.Elems[i] = v
 		}
-		return a, nil
+		return ArrayValue(a), nil
 	case *MapLit:
 		m := NewMap()
 		for i := range n.Keys {
 			k, err := it.eval(n.Keys[i], s)
 			if err != nil {
-				return nil, err
+				return Value{}, err
 			}
-			ks, ok := k.(string)
+			ks, ok := k.AsString()
 			if !ok {
-				return nil, rtErrf("map key must be string, got %s", TypeName(k))
+				return Value{}, rtErrf("map key must be string, got %s", TypeName(k))
 			}
 			v, err := it.eval(n.Vals[i], s)
 			if err != nil {
-				return nil, err
+				return Value{}, err
 			}
 			m.M[ks] = v
 		}
-		return m, nil
+		return MapValue(m), nil
 	case *CallExpr:
 		args := make([]Value, len(n.Args))
 		for i, a := range n.Args {
 			v, err := it.eval(a, s)
 			if err != nil {
-				return nil, err
+				return Value{}, err
 			}
 			args[i] = v
 		}
@@ -386,8 +371,8 @@ func (it *Interp) eval(e Expr, s *iscope) (Value, error) {
 		if hi, _, ok := it.bindings.Lookup(n.Name); ok {
 			return it.bindings.Call(hi, &Env{}, args)
 		}
-		return nil, rtErrf("unbound call %q", n.Name)
+		return Value{}, rtErrf("unbound call %q", n.Name)
 	default:
-		return nil, rtErrf("unknown expression %T", e)
+		return Value{}, rtErrf("unknown expression %T", e)
 	}
 }

@@ -5,7 +5,7 @@ package dpl
 // diagnostics; this pass applies the same facts to the object code so
 // that what ships down a delegation tree is the smallest program with
 // identical semantics. Every rewrite is semantics-preserving by
-// construction: folding uses the VM's own arith/compare/Truthy rules and
+// construction: folding uses the VM's own Binary/Negate/Truthy rules and
 // refuses to fold anything that would raise a runtime error (division by
 // zero, type mismatches), so errors still happen at run time exactly
 // where the unoptimized program raised them.
@@ -101,8 +101,8 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 // of optimizer-produced constants, and working memory sized once for
 // the program's longest code block, which each pass slices and clears.
 type optimizer struct {
-	c   *Compiled
-	idx map[Value]int // c.Consts by value; built by the first intern
+	c      *Compiled
+	consts constPool // interns optimizer-produced constants into c.Consts
 
 	tgt   []bool   // jumpTargets
 	dead  []bool   // instructions to remove; dropDeadStores' loaded locals
@@ -117,45 +117,27 @@ func newOptimizer(c *Compiled) *optimizer {
 		n, nLocals = max(n, len(fn.Code)+1), max(nLocals, fn.NumLocals)
 	}
 	return &optimizer{
-		c:     c,
-		tgt:   make([]bool, n),
-		dead:  make([]bool, max(n, nLocals)),
-		remap: make([]int, n),
-		vals:  make([]absVal, nLocals),
+		c:      c,
+		consts: constPool{c: c},
+		tgt:    make([]bool, n),
+		dead:   make([]bool, max(n, nLocals)),
+		remap:  make([]int, n),
+		vals:   make([]absVal, nLocals),
 	}
-}
-
-// intern returns the index of v in c.Consts, appending it if new.
-func (o *optimizer) intern(v Value) int {
-	if o.idx == nil {
-		o.idx = make(map[Value]int, len(o.c.Consts))
-		for i, v := range o.c.Consts {
-			if _, ok := o.idx[v]; !ok {
-				o.idx[v] = i
-			}
-		}
-	}
-	if i, ok := o.idx[v]; ok {
-		return i
-	}
-	i := len(o.c.Consts)
-	o.c.Consts = append(o.c.Consts, v)
-	o.idx[v] = i
-	return i
 }
 
 // pushInstr returns the instruction that pushes v.
 func (o *optimizer) pushInstr(v Value) Instr {
-	switch x := v.(type) {
-	case nil:
+	switch v.k {
+	case KindNil:
 		return Instr{Op: OpNil}
-	case bool:
-		if x {
+	case KindBool:
+		if v.n != 0 {
 			return Instr{Op: OpTrue}
 		}
 		return Instr{Op: OpFalse}
 	default:
-		return Instr{Op: OpConst, A: o.intern(v)}
+		return Instr{Op: OpConst, A: o.consts.intern(v)}
 	}
 }
 
@@ -167,13 +149,13 @@ func constOf(c *Compiled, in Instr) (Value, bool) {
 			return c.Consts[in.A], true
 		}
 	case OpTrue:
-		return true, true
+		return Bool(true), true
 	case OpFalse:
-		return false, true
+		return Bool(false), true
 	case OpNil:
-		return nil, true
+		return Value{}, true
 	}
-	return nil, false
+	return Value{}, false
 }
 
 // isJump reports whether op transfers control via its A operand.
@@ -262,52 +244,40 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 		}
 		// push K1 ; push K2 ; binop  →  push fold(K1 op K2)
 		if k2, ok2 := constOf(c, next); ok2 && i+2 < len(code) && !dead[i+2] && !tgt[i+2] {
-			var (
-				v      Value
-				err    error
-				folded bool
-			)
+			op := TokEOF // no operator: nothing folds
 			switch in3 := code[i+2]; in3.Op {
-			case OpBin:
-				op := TokenKind(in3.A)
-				switch op {
-				case TokPlus, TokMinus, TokStar, TokSlash, TokPercent:
-					v, err = arith(op, k1, k2)
-				case TokLt, TokLe, TokGt, TokGe:
-					v, err = compare(op, k1, k2)
-				default:
-					err = rtErrf("unfoldable operator")
-				}
-				folded = err == nil
 			case OpEq:
-				v, folded = valueEqual(k1, k2), true
+				op = TokEq
 			case OpNe:
-				v, folded = !valueEqual(k1, k2), true
+				op = TokNe
+			case OpBin:
+				if binOps[TokenKind(in3.A)] {
+					op = TokenKind(in3.A)
+				}
 			}
-			if folded {
-				code[i] = o.pushInstr(v)
-				dead[i+1], dead[i+2] = true, true
-				st.Folded++
-				changed = true
-				continue
+			if op != TokEOF {
+				if v, err := Binary(op, k1, k2); err == nil {
+					code[i] = o.pushInstr(v)
+					dead[i+1], dead[i+2] = true, true
+					st.Folded++
+					changed = true
+					continue
+				}
 			}
 		}
 		// push K ; unary / constant branch
 		switch next.Op {
 		case OpNeg:
-			switch x := k1.(type) {
-			case int64:
-				code[i] = o.pushInstr(-x)
-			case float64:
-				code[i] = o.pushInstr(-x)
-			default:
+			v, err := Negate(k1)
+			if err != nil {
 				continue
 			}
+			code[i] = o.pushInstr(v)
 			dead[i+1] = true
 			st.Folded++
 			changed = true
 		case OpNot:
-			code[i] = o.pushInstr(!Truthy(k1))
+			code[i] = o.pushInstr(Bool(!Truthy(k1)))
 			dead[i+1] = true
 			st.Folded++
 			changed = true

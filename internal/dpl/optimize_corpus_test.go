@@ -109,9 +109,9 @@ func TestOptimizerCrosscheckCorpus(t *testing.T) {
 				t.Errorf("%s/%s: error divergence: raw=%v opt=%v", name, entry, rawErr, optErr)
 				continue
 			}
-			if rawErr == nil && dpl.FormatValue(rawVal) != dpl.FormatValue(optVal) {
+			if rawErr == nil && dpl.Format(rawVal) != dpl.Format(optVal) {
 				t.Errorf("%s/%s: value divergence: raw=%s opt=%s", name, entry,
-					dpl.FormatValue(rawVal), dpl.FormatValue(optVal))
+					dpl.Format(rawVal), dpl.Format(optVal))
 			}
 			checked++
 		}

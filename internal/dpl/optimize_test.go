@@ -54,7 +54,7 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 		if rawErr != nil && rawErr.Error() != optErr.Error() {
 			t.Fatalf("optimizer changed error for program %d:\nraw: %v\nopt: %v\n%s", i, rawErr, optErr, src)
 		}
-		if rawErr == nil && !valueEqual(rawVal, optVal) {
+		if rawErr == nil && !goEqual(rawVal, optVal) {
 			t.Fatalf("optimizer changed result for program %d: raw=%v opt=%v\n%s", i, rawVal, optVal, src)
 		}
 	}
@@ -65,7 +65,7 @@ func TestOptimizerRewrites(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
-		want    Value
+		want    any
 		maxMain int // upper bound on main's instruction count after optimizing
 	}{
 		{"const fold", `func main() { return 1 + 2 * 3; }`, int64(7), 2},
@@ -90,7 +90,7 @@ func TestOptimizerRewrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !valueEqual(got, tc.want) {
+			if !goEqual(got, tc.want) {
 				t.Errorf("got %v, want %v", got, tc.want)
 			}
 		})
@@ -126,7 +126,7 @@ func TestOptimizerKeepsGlobals(t *testing.T) {
 	if _, err := vm.Run(context.Background(), "main"); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := vm.Global("g"); !ok || !valueEqual(v, int64(5)) {
+	if v, ok := vm.Global("g"); !ok || !valueEqual(v, Int(5)) {
 		t.Fatalf("global g = %v after optimized run, want 5", v)
 	}
 }
@@ -220,7 +220,7 @@ func TestFuseSuperinstructions(t *testing.T) {
 		name string
 		src  string
 		op   Opcode // fused opcode that must appear in main
-		want Value
+		want any
 	}{
 		{
 			"local-const arithmetic", `func main(n) { return n * 3 + n; }`,
@@ -276,7 +276,7 @@ func TestFuseSuperinstructions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !valueEqual(got, tc.want) {
+				if !goEqual(got, tc.want) {
 					t.Errorf("got %v, want %v", got, tc.want)
 				}
 			}
@@ -319,7 +319,7 @@ func TestFusionSkipsJumpTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !valueEqual(got, int64(12)) {
+	if !goEqual(got, int64(12)) {
 		t.Errorf("got %v, want 12", got)
 	}
 }

@@ -105,18 +105,18 @@ func (p *CompiledProgram) Encode() ([]byte, error) {
 	consts := w.BeginSeq(ber.TagSequence)
 	for _, v := range p.Object.Consts {
 		one := w.BeginSeq(ber.TagSequence)
-		switch x := v.(type) {
-		case int64:
+		switch v.k {
+		case KindInt:
 			w.AppendInt(ber.TagInteger, progConstInt)
-			w.AppendInt(ber.TagInteger, x)
-		case float64:
+			w.AppendInt(ber.TagInteger, v.int())
+		case KindFloat:
 			w.AppendInt(ber.TagInteger, progConstFloat)
-			w.AppendUint(ber.TagCounter64, math.Float64bits(x))
-		case string:
+			w.AppendUint(ber.TagCounter64, v.n)
+		case KindString:
 			w.AppendInt(ber.TagInteger, progConstString)
-			w.AppendString(ber.TagOctetString, []byte(x))
+			w.AppendString(ber.TagOctetString, []byte(v.str()))
 		default:
-			return nil, fmt.Errorf("dpl: unencodable constant %T", v)
+			return nil, fmt.Errorf("dpl: unencodable constant of kind %s", v.k)
 		}
 		w.EndSeq(one)
 	}
@@ -224,19 +224,19 @@ func DecodeProgram(b []byte) (*CompiledProgram, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.Object.Consts = append(p.Object.Consts, v)
+			p.Object.Consts = append(p.Object.Consts, Int(v))
 		case progConstFloat:
 			_, bits, err := one.ReadUint()
 			if err != nil {
 				return nil, err
 			}
-			p.Object.Consts = append(p.Object.Consts, math.Float64frombits(bits))
+			p.Object.Consts = append(p.Object.Consts, Float(math.Float64frombits(bits)))
 		case progConstString:
 			_, s, err := one.ReadString()
 			if err != nil {
 				return nil, err
 			}
-			p.Object.Consts = append(p.Object.Consts, string(s))
+			p.Object.Consts = append(p.Object.Consts, Str(string(s)))
 		default:
 			return nil, fmt.Errorf("dpl: unknown constant kind %d", kind)
 		}

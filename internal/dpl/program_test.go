@@ -64,7 +64,7 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !valueEqual(got, want) {
+	if !goEqual(got, want) {
 		t.Fatalf("decoded program computes %v, original %v", got, want)
 	}
 }

@@ -19,7 +19,7 @@ import (
 func quietBindings(cp *dpl.CompiledProgram) *dpl.Bindings {
 	b := dpl.NewBindings()
 	for _, name := range cp.Object.HostNames {
-		b.Register(name, -1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return nil, nil })
+		b.Register(name, -1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return dpl.Value{}, nil })
 	}
 	return b
 }

@@ -195,14 +195,14 @@ type absVal struct {
 // recovered head of l+r when l is known.
 func concat(l, r absVal) absVal {
 	if l.kind == absExact {
-		ls, ok := l.v.(string)
+		ls, ok := l.v.AsString()
 		if !ok {
 			return absVal{}
 		}
 		switch r.kind {
 		case absExact:
-			if rs, ok := r.v.(string); ok {
-				return absVal{kind: absExact, v: ls + rs}
+			if rs, ok := r.v.AsString(); ok {
+				return absVal{kind: absExact, v: dpl.Str(ls + rs)}
 			}
 			return absVal{kind: absHead, head: ls}
 		case absHead:
@@ -224,7 +224,7 @@ func concat(l, r absVal) absVal {
 func oidPrefix(a absVal) string {
 	switch a.kind {
 	case absExact:
-		if s, ok := a.v.(string); ok {
+		if s, ok := a.v.AsString(); ok {
 			return strings.TrimSuffix(s, ".")
 		}
 		return analysis.Wildcard
@@ -296,11 +296,11 @@ func (v *verifier) recoverEffects() {
 			case dpl.OpConst:
 				push(absVal{kind: absExact, v: c.Consts[in.A]})
 			case dpl.OpNil:
-				push(absVal{kind: absExact, v: nil})
+				push(absVal{kind: absExact})
 			case dpl.OpTrue:
-				push(absVal{kind: absExact, v: true})
+				push(absVal{kind: absExact, v: dpl.Bool(true)})
 			case dpl.OpFalse:
-				push(absVal{kind: absExact, v: false})
+				push(absVal{kind: absExact, v: dpl.Bool(false)})
 			case dpl.OpLoadL:
 				push(locals[in.A])
 			case dpl.OpStoreL:

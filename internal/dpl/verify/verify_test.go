@@ -300,7 +300,7 @@ func TestVerifyHostTableSkew(t *testing.T) {
 
 	// Same names, different slot order for a host the code calls.
 	shuffled := dpl.NewBindings()
-	stub := func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return nil, nil }
+	stub := func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return dpl.Value{}, nil }
 	names := cp.Object.HostNames
 	for i := len(names) - 1; i >= 0; i-- {
 		shuffled.Register(names[i], -1, stub)

@@ -72,10 +72,11 @@ func (f CodeFault) String() string {
 // verification itself expensive.
 const maxFaults = 64
 
-// binOps is the set of operator immediates OpBin accepts. The VM routes
-// anything outside the arithmetic five to compare, which rejects
-// non-relational operators at run time; the verifier is stricter and
-// faults them statically so a verified program never reaches that path.
+// binOps is the set of operator immediates OpBin accepts: the arithmetic
+// five and the relational four. Binary would also take == and != (the
+// compiler emits OpEq and OpNe for those) and rejects anything else at
+// run time; the verifier is stricter and faults every other immediate
+// statically, so a verified program never reaches that path.
 var binOps = map[TokenKind]bool{
 	TokPlus: true, TokMinus: true, TokStar: true, TokSlash: true, TokPercent: true,
 	TokLt: true, TokLe: true, TokGt: true, TokGe: true,

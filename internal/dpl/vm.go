@@ -240,14 +240,16 @@ func (vm *VM) Global(name string) (Value, bool) {
 			return vm.globals[i], true
 		}
 	}
-	return nil, false
+	return Value{}, false
 }
 
 const maxFrames = 256
 
 // Run executes the program's global initializers (once per VM) and then
-// the named entry function with args, returning its value.
-func (vm *VM) Run(ctx context.Context, entry string, args ...Value) (Value, error) {
+// the named entry function with args, returning its value. Arguments and
+// result are plain Go values (see FromGo), converted here and nowhere
+// else.
+func (vm *VM) Run(ctx context.Context, entry string, args ...any) (any, error) {
 	// The dispatch loop does not bounds-check operands; refuse any
 	// program that fails structural verification (cached after the
 	// first Run).
@@ -281,10 +283,11 @@ func (vm *VM) Run(ctx context.Context, entry string, args ...Value) (Value, erro
 // exec runs one entry activation on the VM's flat machine. It claims
 // the reused stack/frame arrays (a re-entrant Run from a host function
 // finds nil and allocates transient ones), sizes the entry frame from
-// the verifier's bound, and releases the — possibly grown — machine for
-// the next run. The release also drops every value reference the run
-// left behind, so a parked VM does not pin results.
-func (vm *VM) exec(fn *CompiledFunc, args []Value) (Value, error) {
+// the verifier's bound, converts args into it, and releases the —
+// possibly grown — machine for the next run. The release also drops
+// every value reference the run left behind, so a parked VM does not
+// pin results.
+func (vm *VM) exec(fn *CompiledFunc, args []any) (v any, err error) {
 	stack, frames := vm.stack, vm.frames
 	vm.stack, vm.frames = nil, nil
 	if need := fn.NumLocals + fn.maxStack; cap(stack) < need {
@@ -292,9 +295,15 @@ func (vm *VM) exec(fn *CompiledFunc, args []Value) (Value, error) {
 	} else {
 		stack = stack[:cap(stack)]
 	}
-	copy(stack, args)
-	clear(stack[len(args):fn.NumLocals])
-	v, stack, frames, err := vm.dispatch(fn, stack, frames[:0])
+	clear(stack[:fn.NumLocals])
+	for i := 0; i < len(args) && err == nil; i++ {
+		stack[i], err = FromGo(args[i])
+	}
+	if err == nil {
+		var rv Value
+		rv, stack, frames, err = vm.dispatch(fn, stack, frames[:0])
+		v = ToGo(rv)
+	}
 	clear(stack)
 	vm.stack, vm.frames = stack, frames[:0]
 	return v, err
@@ -333,47 +342,38 @@ func (vm *VM) flush(pending, nextGate uint64) (uint64, error) {
 	return nextGate, nil
 }
 
-// binEval applies one OpBin-class operator, routing the arithmetic five
-// to arith and the relational four to compare (the verifier admits no
-// other immediates). The int64/int64 fast path mirrors those functions
-// exactly — comparisons go through float64 like compare's toFloat route
-// does, so results match bit-for-bit even beyond 2^53 — and falls back
-// to them for zero divisors so error text stays identical.
+// binEval applies one OpBin-class operator. Two ints take a fast path
+// that agrees with Binary exactly and leaves zero divisors to it, so the
+// error text is Binary's; every other operand pair goes to Binary.
 func binEval(op TokenKind, l, r Value) (Value, error) {
-	if x, ok := l.(int64); ok {
-		if y, ok := r.(int64); ok {
-			switch op {
-			case TokPlus:
-				return x + y, nil
-			case TokMinus:
-				return x - y, nil
-			case TokStar:
-				return x * y, nil
-			case TokLt:
-				return float64(x) < float64(y), nil
-			case TokLe:
-				return float64(x) <= float64(y), nil
-			case TokGt:
-				return float64(x) > float64(y), nil
-			case TokGe:
-				return float64(x) >= float64(y), nil
-			case TokSlash:
-				if y != 0 {
-					return x / y, nil
-				}
-			case TokPercent:
-				if y != 0 {
-					return x % y, nil
-				}
+	if l.k == KindInt && r.k == KindInt {
+		x, y := l.int(), r.int()
+		switch op {
+		case TokPlus:
+			return Int(x + y), nil
+		case TokMinus:
+			return Int(x - y), nil
+		case TokStar:
+			return Int(x * y), nil
+		case TokLt:
+			return Bool(x < y), nil
+		case TokLe:
+			return Bool(x <= y), nil
+		case TokGt:
+			return Bool(x > y), nil
+		case TokGe:
+			return Bool(x >= y), nil
+		case TokSlash:
+			if y != 0 {
+				return Int(x / y), nil
+			}
+		case TokPercent:
+			if y != 0 {
+				return Int(x % y), nil
 			}
 		}
 	}
-	switch op {
-	case TokPlus, TokMinus, TokStar, TokSlash, TokPercent:
-		return arith(op, l, r)
-	default:
-		return compare(op, l, r)
-	}
+	return Binary(op, l, r)
 }
 
 // dispatch is the flat-frame execution loop. Every activation lives in
@@ -397,12 +397,13 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		pending  uint64
 		nextGate = (vm.steps.Load() | gateMask) + 1
 		rv       Value
+		null     Value // the nil Value: OpNil and the return-nil paths
 		in       Instr
 		err      error
 	)
 	for {
 		if ip >= len(code) {
-			rv = nil // implicit return-nil epilogue
+			rv = null // implicit return-nil epilogue
 			goto ret
 		}
 		in = code[ip]
@@ -419,13 +420,13 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			stack[sp] = vm.prog.Consts[in.A]
 			sp++
 		case OpNil:
-			stack[sp] = nil
+			stack[sp] = null
 			sp++
 		case OpTrue:
-			stack[sp] = true
+			stack[sp] = Bool(true)
 			sp++
 		case OpFalse:
-			stack[sp] = false
+			stack[sp] = Bool(false)
 			sp++
 		case OpLoadG:
 			stack[sp] = vm.globals[in.A]
@@ -452,22 +453,16 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			sp++
 		case OpEq:
 			sp--
-			stack[sp-1] = valueEqual(stack[sp-1], stack[sp])
+			stack[sp-1] = Bool(valueEqual(stack[sp-1], stack[sp]))
 		case OpNe:
 			sp--
-			stack[sp-1] = !valueEqual(stack[sp-1], stack[sp])
+			stack[sp-1] = Bool(!valueEqual(stack[sp-1], stack[sp]))
 		case OpNeg:
-			switch x := stack[sp-1].(type) {
-			case int64:
-				stack[sp-1] = -x
-			case float64:
-				stack[sp-1] = -x
-			default:
-				err = rtErrf("cannot negate %s", TypeName(x))
+			if stack[sp-1], err = Negate(stack[sp-1]); err != nil {
 				goto fail
 			}
 		case OpNot:
-			stack[sp-1] = !Truthy(stack[sp-1])
+			stack[sp-1] = Bool(!Truthy(stack[sp-1]))
 		case OpJump:
 			if in.A < ip { // backward: flush so loops stay observable
 				if nextGate, err = vm.flush(pending, nextGate); err != nil {
@@ -544,7 +539,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			rv = stack[sp]
 			goto ret
 		case OpReturnNil:
-			rv = nil
+			rv = null
 			goto ret
 		case OpIndex:
 			sp--
@@ -563,20 +558,20 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			a := &Array{Elems: make([]Value, in.A)} //mbd:alloc-ok — the program constructs a value
 			sp -= in.A
 			copy(a.Elems, stack[sp:sp+in.A])
-			stack[sp] = a
+			stack[sp] = ArrayValue(a)
 			sp++
 		case OpMap:
 			m := NewMap()
 			sp -= in.A * 2
 			for i := 0; i < in.A; i++ {
-				k, ok := stack[sp+2*i].(string)
-				if !ok {
-					err = rtErrf("map key must be string, got %s", TypeName(stack[sp+2*i]))
+				if k := stack[sp+2*i]; k.k == KindString {
+					m.M[k.str()] = stack[sp+2*i+1]
+				} else {
+					err = rtErrf("map key must be string, got %s", TypeName(k))
 					goto fail
 				}
-				m.M[k] = stack[sp+2*i+1]
 			}
-			stack[sp] = m
+			stack[sp] = MapValue(m)
 			sp++
 		case OpLoadLConstBin:
 			var v Value
@@ -654,6 +649,6 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		continue
 
 	fail:
-		return nil, stack, frames, err
+		return null, stack, frames, err
 	}
 }

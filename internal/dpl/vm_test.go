@@ -8,9 +8,17 @@ import (
 	"time"
 )
 
+// goEqual reports whether two Go values, as Run takes and returns them,
+// hold equal DPL values.
+func goEqual(a, b any) bool {
+	x, errX := FromGo(a)
+	y, errY := FromGo(b)
+	return errX == nil && errY == nil && valueEqual(x, y)
+}
+
 // run compiles and executes src's main() with the standard bindings
 // plus any extra registrations applied by mod.
-func run(t *testing.T, src string, mod func(*Bindings), args ...Value) (Value, error) {
+func run(t *testing.T, src string, mod func(*Bindings), args ...any) (any, error) {
 	t.Helper()
 	b := Std()
 	if mod != nil {
@@ -28,7 +36,7 @@ func run(t *testing.T, src string, mod func(*Bindings), args ...Value) (Value, e
 	return vm.Run(context.Background(), "main", args...)
 }
 
-func mustRun(t *testing.T, src string, args ...Value) Value {
+func mustRun(t *testing.T, src string, args ...any) any {
 	t.Helper()
 	v, err := run(t, src, nil, args...)
 	if err != nil {
@@ -40,7 +48,7 @@ func mustRun(t *testing.T, src string, args ...Value) Value {
 func TestArithmetic(t *testing.T) {
 	tests := []struct {
 		expr string
-		want Value
+		want any
 	}{
 		{`1 + 2 * 3`, int64(7)},
 		{`(1 + 2) * 3`, int64(9)},
@@ -67,8 +75,8 @@ func TestArithmetic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		got := mustRun(t, `func main() { return `+tt.expr+`; }`)
-		if !valueEqual(got, tt.want) {
-			t.Errorf("%s = %v (%s), want %v", tt.expr, got, TypeName(got), tt.want)
+		if !goEqual(got, tt.want) {
+			t.Errorf("%s = %v (%T), want %v", tt.expr, got, got, tt.want)
 		}
 	}
 }
@@ -351,7 +359,8 @@ func TestHostFunctionEnvAndErrors(t *testing.T) {
 	got, err := run(t, `func main() { return probe(21); }`, func(b *Bindings) {
 		b.Register("probe", 1, func(env *Env, args []Value) (Value, error) {
 			sawVM = env.VM
-			return args[0].(int64) * 2, nil
+			n, _ := args[0].AsInt()
+			return Int(n * 2), nil
 		})
 	})
 	if err != nil || got != int64(42) {
@@ -362,7 +371,7 @@ func TestHostFunctionEnvAndErrors(t *testing.T) {
 	}
 	_, err = run(t, `func main() { fail(); }`, func(b *Bindings) {
 		b.Register("fail", 0, func(*Env, []Value) (Value, error) {
-			return nil, errors.New("host exploded")
+			return Value{}, errors.New("host exploded")
 		})
 	})
 	if err == nil || !strings.Contains(err.Error(), "host exploded") {
@@ -378,7 +387,7 @@ func TestGlobalInspection(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, ok := vm.Global("health")
-	if !ok || v != 0.75 {
+	if f, _ := v.AsFloat(); !ok || f != 0.75 {
 		t.Fatalf("Global(health) = %v, %v", v, ok)
 	}
 	if _, ok := vm.Global("nope"); ok {
@@ -389,7 +398,7 @@ func TestGlobalInspection(t *testing.T) {
 func TestBuiltins(t *testing.T) {
 	tests := []struct {
 		expr string
-		want Value
+		want any
 	}{
 		{`len("hello")`, int64(5)},
 		{`len([1,2])`, int64(2)},
@@ -423,8 +432,8 @@ func TestBuiltins(t *testing.T) {
 	}
 	for _, tt := range tests {
 		got := mustRun(t, `func main() { return `+tt.expr+`; }`)
-		if !valueEqual(got, tt.want) {
-			t.Errorf("%s = %v (%s), want %v", tt.expr, got, TypeName(got), tt.want)
+		if !goEqual(got, tt.want) {
+			t.Errorf("%s = %v (%T), want %v", tt.expr, got, got, tt.want)
 		}
 	}
 }
@@ -464,9 +473,10 @@ func TestDeleteBuiltin(t *testing.T) {
 }
 
 // TestSplitSizesResultOnce: split knows its element count before it
-// builds the result, so it allocates the Array, one backing slice and
-// one box per element, and never regrows the slice (an agent that
-// splits an OID per MIB row pays for every regrowth on every row).
+// builds the result, so it allocates the Array and one backing slice,
+// never regrows the slice (an agent that splits an OID per MIB row pays
+// for every regrowth on every row), and its parts share the input's
+// bytes.
 func TestSplitSizesResultOnce(t *testing.T) {
 	b := Std()
 	idx, _, ok := b.Lookup("split")
@@ -474,7 +484,7 @@ func TestSplitSizesResultOnce(t *testing.T) {
 		t.Fatal("no split binding")
 	}
 	const parts = 11
-	args := []Value{"1.3.6.1.2.1.2.2.1.10.3", "."}
+	args := []Value{Str("1.3.6.1.2.1.2.2.1.10.3"), Str(".")}
 	var out Value
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
@@ -482,10 +492,10 @@ func TestSplitSizesResultOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n := len(out.(*Array).Elems); n != parts {
-		t.Fatalf("split made %d elements, want %d", n, parts)
+	if a, _ := out.AsArray(); len(a.Elems) != parts {
+		t.Fatalf("split made %d elements, want %d", len(a.Elems), parts)
 	}
-	if allocs > parts+2 {
-		t.Errorf("split of %d components allocates %v times, want at most %d", parts, allocs, parts+2)
+	if allocs > 2 {
+		t.Errorf("split of %d components allocates %v times, want at most 2", parts, allocs)
 	}
 }

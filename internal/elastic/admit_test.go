@@ -14,7 +14,7 @@ import (
 // so effect inference has something to infer against.
 func mibBindings() *dpl.Bindings {
 	b := dpl.Std()
-	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return nil, nil }
+	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return dpl.Value{}, nil }
 	b.Register("mibGet", 1, stub)
 	b.Register("mibSet", 2, stub)
 	return b

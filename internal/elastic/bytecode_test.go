@@ -16,7 +16,7 @@ const cacheTestSrc = `func main() { return mibGet("1.3.6.1.2.1.1.3.0"); }`
 // so effect-bearing programs admit and run.
 func newBytecodeProcess(cfg Config) *Process {
 	b := dpl.Std()
-	stub := func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return int64(7), nil }
+	stub := func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return dpl.Int(7), nil }
 	b.Register("mibGet", 1, stub)
 	b.Register("mibSet", 2, stub)
 	cfg.Bindings = b
@@ -57,7 +57,7 @@ func TestProgramCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := dpi.Wait(context.Background()); err != nil || dpl.FormatValue(v) != "7" {
+	if v, err := dpi.Wait(context.Background()); err != nil || v != int64(7) {
 		t.Fatalf("cached program ran to (%v, %v)", v, err)
 	}
 }
@@ -143,7 +143,7 @@ func TestDelegateCompiledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := dpi.Wait(context.Background()); err != nil || dpl.FormatValue(v) != "7" {
+	if v, err := dpi.Wait(context.Background()); err != nil || v != int64(7) {
 		t.Fatalf("bytecode-admitted program ran to (%v, %v)", v, err)
 	}
 

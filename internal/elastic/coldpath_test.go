@@ -63,7 +63,7 @@ func main() {
 // health function calls.
 func coldBindings() *dpl.Bindings {
 	b := dpl.Std()
-	b.Register("mibGet", 1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return int64(12345678), nil })
+	b.Register("mibGet", 1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return dpl.Int(12345678), nil })
 	return b
 }
 

@@ -54,12 +54,12 @@ type DPI struct {
 	mu       sync.Mutex
 	finished bool
 	crashed  bool
-	result   dpl.Value
+	result   any // a Go value, as VM.Run returns it
 	err      error
 }
 
 // run executes the instance to completion. It always emits EventExit.
-func (d *DPI) run(ctx context.Context, args []dpl.Value) {
+func (d *DPI) run(ctx context.Context, args []any) {
 	defer d.proc.wg.Done()
 	v, err := d.execScheduled(ctx, args)
 	p := d.proc
@@ -90,7 +90,7 @@ func (d *DPI) run(ctx context.Context, args []dpl.Value) {
 		d.tenant.live.Add(-1)
 	}
 	close(d.done)
-	payload := dpl.FormatValue(v)
+	payload := dpl.Format(v)
 	if err != nil {
 		payload = "error: " + err.Error()
 	}
@@ -113,7 +113,7 @@ func (d *DPI) run(ctx context.Context, args []dpl.Value) {
 // exec runs the VM under recover: a panic anywhere in the DP body (or a
 // host function it calls) becomes a *PanicError exit instead of tearing
 // the whole elastic process down.
-func (d *DPI) exec(ctx context.Context, args []dpl.Value) (v dpl.Value, err error) {
+func (d *DPI) exec(ctx context.Context, args []any) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -125,7 +125,7 @@ func (d *DPI) exec(ctx context.Context, args []dpl.Value) (v dpl.Value, err erro
 // execScheduled runs exec under a run slot when the process schedules
 // DPI execution. The slot is acquired before the first VM step and
 // released on exit; schedTick rotates it per quantum in between.
-func (d *DPI) execScheduled(ctx context.Context, args []dpl.Value) (dpl.Value, error) {
+func (d *DPI) execScheduled(ctx context.Context, args []any) (any, error) {
 	if s := d.proc.sched; s != nil {
 		if err := s.acquire(ctx, d); err != nil {
 			return nil, err
@@ -144,7 +144,7 @@ func (d *DPI) Done() <-chan struct{} { return d.done }
 
 // Wait blocks until the instance finishes or ctx is done, returning the
 // instance's result.
-func (d *DPI) Wait(ctx context.Context) (dpl.Value, error) {
+func (d *DPI) Wait(ctx context.Context) (any, error) {
 	select {
 	case <-d.done:
 		return d.Result()
@@ -162,7 +162,7 @@ func (d *DPI) Finished() bool {
 
 // Result returns the instance's return value and error. Valid after
 // Done is closed; before that it returns nils.
-func (d *DPI) Result() (dpl.Value, error) {
+func (d *DPI) Result() (any, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.result, d.err
@@ -233,7 +233,7 @@ func (d *DPI) info() Info {
 			inf.Err = d.err.Error()
 		default:
 			inf.State = "exited"
-			inf.Result = dpl.FormatValue(d.result)
+			inf.Result = dpl.Format(d.result)
 		}
 	} else if d.throttled.Load() {
 		inf.State = "throttled"
@@ -270,45 +270,42 @@ func (p *Process) registerInstanceServices() {
 	p.bindings.Register("sleep", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		d, err := dpiOf(env)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		ms, ok := args[0].(int64)
+		ms, ok := args[0].AsInt()
 		if !ok {
-			return nil, fmt.Errorf("elastic: sleep(ms) wants int, got %s", dpl.TypeName(args[0]))
+			return dpl.Value{}, fmt.Errorf("elastic: sleep(ms) wants int, got %s", dpl.TypeName(args[0]))
 		}
 		err = d.unslotted(func() error {
 			return p.clock.Sleep(env.VM.Context(), time.Duration(ms)*time.Millisecond)
 		})
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		// Honor a suspension that engaged while sleeping.
-		if err := env.VM.Gate(); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return dpl.Value{}, env.VM.Gate()
 	})
 	p.bindings.Register("now", 0, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		return p.clock.Now().Milliseconds(), nil
+		return dpl.Int(p.clock.Now().Milliseconds()), nil
 	})
 	p.bindings.Register("recv", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		d, err := dpiOf(env)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		ms, ok := args[0].(int64)
+		ms, ok := args[0].AsInt()
 		if !ok {
-			return nil, fmt.Errorf("elastic: recv(timeoutMs) wants int, got %s", dpl.TypeName(args[0]))
+			return dpl.Value{}, fmt.Errorf("elastic: recv(timeoutMs) wants int, got %s", dpl.TypeName(args[0]))
 		}
 		ctx := env.VM.Context()
 		// Fast path: message already queued.
 		select {
 		case m := <-d.mailbox:
-			return m, nil
+			return dpl.Str(m), nil
 		default:
 		}
 		if ms == 0 {
-			return nil, nil
+			return dpl.Value{}, nil
 		}
 		var timeout <-chan struct{}
 		if ms > 0 {
@@ -325,7 +322,7 @@ func (p *Process) registerInstanceServices() {
 		err = d.unslotted(func() error {
 			select {
 			case m := <-d.mailbox:
-				msg = m
+				msg = dpl.Str(m)
 				return nil
 			case <-timeout:
 				return nil
@@ -333,22 +330,19 @@ func (p *Process) registerInstanceServices() {
 				return ctx.Err()
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
-		return msg, nil
+		return msg, err
 	})
 	emit := func(kind EventKind) dpl.HostFunc {
 		return func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 			d, err := dpiOf(env)
 			if err != nil {
-				return nil, err
+				return dpl.Value{}, err
 			}
 			if err := d.billEvent(); err != nil {
-				return nil, err
+				return dpl.Value{}, err
 			}
 			p.emit(Event{DPI: d.ID, Kind: kind, Payload: dpl.FormatValue(args[0]), Time: p.clock.Now(), Principal: d.principal})
-			return nil, nil
+			return dpl.Value{}, nil
 		}
 	}
 	p.bindings.Register("report", 1, emit(EventReport))
@@ -357,9 +351,9 @@ func (p *Process) registerInstanceServices() {
 	p.bindings.Register("dpiid", 0, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		d, err := dpiOf(env)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		return d.ID, nil
+		return dpl.Str(d.ID), nil
 	})
 	// sendto(dpiID, payload): intra-process DPI-to-DPI messaging ("the
 	// other dpis use rds to communicate between themselves"). Returns
@@ -367,23 +361,23 @@ func (p *Process) registerInstanceServices() {
 	// its mailbox is full.
 	p.bindings.Register("sendto", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		if _, err := dpiOf(env); err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		id, ok1 := args[0].(string)
-		payload, ok2 := args[1].(string)
+		id, ok1 := args[0].AsString()
+		payload, ok2 := args[1].AsString()
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("elastic: sendto(dpiID, payload) wants strings")
+			return dpl.Value{}, fmt.Errorf("elastic: sendto(dpiID, payload) wants strings")
 		}
 		target, ok := p.Lookup(id)
 		if !ok || target.Finished() {
-			return false, nil
+			return dpl.Bool(false), nil
 		}
 		select {
 		case target.mailbox <- payload:
 			p.met.messagesSent.Inc()
-			return true, nil
+			return dpl.Bool(true), nil
 		default:
-			return false, nil
+			return dpl.Bool(false), nil
 		}
 	})
 }

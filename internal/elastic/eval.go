@@ -3,8 +3,6 @@ package elastic
 import (
 	"context"
 	"fmt"
-
-	"mbd/internal/dpl"
 )
 
 // Evaluate implements the *remote evaluation* model the dissertation
@@ -18,7 +16,7 @@ import (
 // delegation, so experiments can compare the two models with everything
 // else held equal. ACL-wise it requires both delegate and instantiate
 // rights, since it is both.
-func (p *Process) Evaluate(ctx context.Context, principal, lang, source, entry string, args ...dpl.Value) (dpl.Value, error) {
+func (p *Process) Evaluate(ctx context.Context, principal, lang, source, entry string, args ...any) (any, error) {
 	if !p.cfg.ACL.Allow(principal, RightDelegate) || !p.cfg.ACL.Allow(principal, RightInstantiate) {
 		return nil, fmt.Errorf("%w: %s may not evaluate", ErrDenied, principal)
 	}

@@ -158,7 +158,7 @@ type argRec struct {
 	V string `json:"v,omitempty"`
 }
 
-func encodeArg(v dpl.Value) argRec {
+func encodeArg(v any) argRec {
 	switch x := v.(type) {
 	case nil:
 		return argRec{T: "nil"}
@@ -173,11 +173,11 @@ func encodeArg(v dpl.Value) argRec {
 	default:
 		// Composite arguments render lossily; good enough for specs,
 		// which in practice carry scalars off the RDS wire.
-		return argRec{T: "str", V: dpl.FormatValue(v)}
+		return argRec{T: "str", V: dpl.Format(v)}
 	}
 }
 
-func decodeArg(a argRec) (dpl.Value, error) {
+func decodeArg(a argRec) (any, error) {
 	switch a.T {
 	case "nil":
 		return nil, nil

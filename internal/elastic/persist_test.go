@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"mbd/internal/dpl"
 )
 
 // TestLoadRepositoryAtomic: one rejected .dpl aborts the whole load
@@ -68,7 +66,7 @@ func TestCheckpointWarmRestart(t *testing.T) {
 	}
 	if _, err := p1.InstantiateSpec("mgr", InstanceSpec{
 		DP: "daemon", Entry: "main",
-		Args:         []dpl.Value{"cp-test"},
+		Args:         []any{"cp-test"},
 		Policy:       RestartAlways,
 		StallTimeout: time.Minute,
 	}); err != nil {
@@ -112,7 +110,7 @@ func TestCheckpointWarmRestart(t *testing.T) {
 // TestCheckpointManifestRoundTrip: arg encoding covers every scalar
 // type, and an empty checkpoint clears a stale manifest.
 func TestCheckpointManifestRoundTrip(t *testing.T) {
-	for _, v := range []dpl.Value{nil, true, false, int64(-42), 2.5, "hello"} {
+	for _, v := range []any{nil, true, false, int64(-42), 2.5, "hello"} {
 		got, err := decodeArg(encodeArg(v))
 		if err != nil || got != v {
 			t.Fatalf("arg %#v round-tripped to %#v, %v", v, got, err)

@@ -670,7 +670,7 @@ func (p *Process) DeleteDP(principal, name string) error {
 // goroutine, invoking entry(args...). It returns the running instance.
 // The instance is unsupervised (RestartNever, no watchdog); use
 // InstantiateSpec for fault-tolerant instantiation.
-func (p *Process) Instantiate(principal, dpName, entry string, args ...dpl.Value) (*DPI, error) {
+func (p *Process) Instantiate(principal, dpName, entry string, args ...any) (*DPI, error) {
 	return p.InstantiateSpec(principal, InstanceSpec{DP: dpName, Entry: entry, Args: args})
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbd/internal/dpl"
 	"mbd/internal/obs"
 )
 
@@ -63,7 +62,7 @@ type InstanceSpec struct {
 	DP string
 	// Entry is the function invoked with Args.
 	Entry string
-	Args  []dpl.Value
+	Args  []any
 	// Policy selects the restart behavior (default RestartNever).
 	Policy RestartPolicy
 	// Deadline, when nonzero, bounds each run's wall-clock lifetime on

@@ -80,7 +80,7 @@ func main() {
 		}
 		vmTime := time.Since(vmStart)
 
-		if dpl.FormatValue(iv) != dpl.FormatValue(vv) {
+		if dpl.Format(iv) != dpl.Format(vv) {
 			return nil, fmt.Errorf("t1: engines disagree on %s: %v vs %v", w.name, iv, vv)
 		}
 		t.AddRow(

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"mbd/internal/dpl"
 	"mbd/internal/elastic"
 	"mbd/internal/obs"
 	"mbd/internal/rds"
@@ -293,7 +292,7 @@ func (n *Node) activateLocal(principal, lineage, hash string, sb *stagedBundle) 
 		if it.Entry == "" {
 			continue
 		}
-		vals := make([]dpl.Value, 0, len(it.Args))
+		vals := make([]any, 0, len(it.Args))
 		for _, a := range it.Args {
 			vals = append(vals, rds.ParseArg(a))
 		}

@@ -23,7 +23,7 @@ func startMeteredNode(t *testing.T, name, domain, parent string) (*testNode, *ob
 	}
 	reg := obs.NewRegistry()
 	b := dpl.Std()
-	b.Register("mibGet", 1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return int64(1), nil })
+	b.Register("mibGet", 1, func(*dpl.Env, []dpl.Value) (dpl.Value, error) { return dpl.Int(1), nil })
 	proc := elastic.NewProcess(elastic.Config{Bindings: b, Obs: reg})
 	node, err := New(Config{
 		Name:              name,
@@ -166,7 +166,7 @@ func TestCascadeShipsVerifiedBytecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s instantiate: %v", hop.name, err)
 		}
-		if v, err := dpi.Wait(ctx); err != nil || dpl.FormatValue(v) != "3" {
+		if v, err := dpi.Wait(ctx); err != nil || v != int64(3) {
 			t.Fatalf("%s ran to (%v, %v)", hop.name, v, err)
 		}
 	}

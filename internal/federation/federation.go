@@ -583,7 +583,7 @@ func (n *Node) localHop(principal, dp, lang, source, entry string, args []string
 		return out
 	}
 	if entry != "" {
-		vals := make([]dpl.Value, 0, len(args))
+		vals := make([]any, 0, len(args))
 		for _, a := range args {
 			vals = append(vals, rds.ParseArg(a))
 		}

@@ -206,7 +206,8 @@ func DPCombiner(proc *elastic.Process, principal, source, entry string) Combiner
 	return CombinerFunc{Label: "dp:" + entry, Fn: func(vals []MemberValue) string {
 		args := &dpl.Array{}
 		for _, v := range vals {
-			args.Elems = append(args.Elems, rds.ParseArg(v.Value))
+			arg, _ := dpl.FromGo(rds.ParseArg(v.Value))
+			args.Elems = append(args.Elems, arg)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), dpCombineTimeout)
 		defer cancel()
@@ -214,7 +215,7 @@ func DPCombiner(proc *elastic.Process, principal, source, entry string) Combiner
 		if err != nil {
 			return Latest().Seed(&KeyState{}, vals)
 		}
-		return dpl.FormatValue(v)
+		return dpl.Format(v)
 	}}
 }
 

@@ -272,35 +272,37 @@ func (s *Server) peer(name string) (*snmp.Client, bool) {
 func ToDPL(v mib.Value) dpl.Value {
 	switch v.Kind {
 	case mib.KindNull:
-		return nil
+		return dpl.Value{}
 	case mib.KindInteger:
-		return v.Int
+		return dpl.Int(v.Int)
 	case mib.KindOctetString:
-		return string(v.Bytes)
+		return dpl.Str(string(v.Bytes))
 	case mib.KindOID:
-		return v.OID.String()
+		return dpl.Str(v.OID.String())
 	case mib.KindIPAddress:
-		return v.String()
+		return dpl.Str(v.String())
 	default:
-		return int64(v.Uint) // counters, gauges, ticks
+		return dpl.Int(int64(v.Uint)) // counters, gauges, ticks
 	}
 }
 
 // FromDPL converts a DPL value to an SMI value for mibSet: ints map to
 // INTEGER, strings to OCTET STRING, bools to INTEGER 0/1, nil to NULL.
 func FromDPL(v dpl.Value) (mib.Value, error) {
-	switch x := v.(type) {
-	case nil:
+	switch v.Kind() {
+	case dpl.KindNil:
 		return mib.Null(), nil
-	case bool:
-		if x {
+	case dpl.KindBool:
+		if b, _ := v.AsBool(); b {
 			return mib.Int(1), nil
 		}
 		return mib.Int(0), nil
-	case int64:
-		return mib.Int(x), nil
-	case string:
-		return mib.Str(x), nil
+	case dpl.KindInt:
+		i, _ := v.AsInt()
+		return mib.Int(i), nil
+	case dpl.KindString:
+		s, _ := v.AsString()
+		return mib.Str(s), nil
 	default:
 		return mib.Value{}, fmt.Errorf("mbd: cannot write %s into a MIB", dpl.TypeName(v))
 	}
@@ -317,91 +319,132 @@ func FromDPL(v dpl.Value) (mib.Value, error) {
 //	snmpNext(peer, oid) proxied GetNext; [nextOid, value] or nil
 func (s *Server) registerMIBServices(b *dpl.Bindings) {
 	tree := s.dev.Tree()
+	var walker Walker
 	b.Register("mibGet", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		o, err := argOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		v, err := tree.Get(o)
 		if err != nil {
-			return nil, nil // absent instance reads as nil
+			return dpl.Value{}, nil // absent instance reads as nil
 		}
 		return ToDPL(v), nil
 	})
 	b.Register("mibNext", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		o, err := argOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		next, v, err := tree.GetNext(o)
 		if err != nil {
-			return nil, nil
+			return dpl.Value{}, nil
 		}
-		return &dpl.Array{Elems: []dpl.Value{next.String(), ToDPL(v)}}, nil
+		return dpl.ArrayOf(dpl.Str(next.String()), ToDPL(v)), nil
 	})
 	b.Register("mibWalk", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		prefix, err := argOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		out := &dpl.Array{}
-		tree.Walk(prefix, func(o oid.OID, v mib.Value) bool {
-			out.Elems = append(out.Elems, &dpl.Array{Elems: []dpl.Value{o.String(), ToDPL(v)}})
-			return len(out.Elems) < MaxWalk
-		})
-		return out, nil
+		return walker.Walk(tree, prefix), nil
 	})
 	b.Register("mibSet", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		o, err := argOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		v, err := FromDPL(args[1])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		if err := tree.Set(o, v); err != nil {
-			return false, nil
-		}
-		return true, nil
+		return dpl.Bool(tree.Set(o, v) == nil), nil
 	})
 	b.Register("sysname", 0, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		return s.dev.Name(), nil
+		return dpl.Str(s.dev.Name()), nil
 	})
 	b.Register("snmpGet", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		peer, o, err := peerArgs(args)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		c, ok := s.peer(peer)
 		if !ok {
-			return nil, fmt.Errorf("mbd: no peer %q", peer)
+			return dpl.Value{}, fmt.Errorf("mbd: no peer %q", peer)
 		}
 		vbs, err := c.Get(env.VM.Context(), o)
 		if err != nil {
-			return nil, nil // unreachable/absent reads as nil
+			return dpl.Value{}, nil // unreachable/absent reads as nil
 		}
 		return ToDPL(vbs[0].Value), nil
 	})
 	b.Register("snmpNext", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		peer, o, err := peerArgs(args)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		c, ok := s.peer(peer)
 		if !ok {
-			return nil, fmt.Errorf("mbd: no peer %q", peer)
+			return dpl.Value{}, fmt.Errorf("mbd: no peer %q", peer)
 		}
 		vbs, err := c.GetNext(env.VM.Context(), o)
 		if err != nil {
-			return nil, nil
+			return dpl.Value{}, nil
 		}
-		return &dpl.Array{Elems: []dpl.Value{vbs[0].Name.String(), ToDPL(vbs[0].Value)}}, nil
+		return dpl.ArrayOf(dpl.Str(vbs[0].Name.String()), ToDPL(vbs[0].Value)), nil
 	})
 }
 
+// A Walker builds mibWalk's result, an array of at most MaxWalk [oid,
+// value] rows, in one pass: every OID is rendered into one buffer that
+// the row strings share, and the rows share one cell slice (dpl.Rows).
+// The buffer and the slice are sized from the previous walk of the same
+// prefix, so an agent that reads one table again and again allocates each
+// once, and a small walk never takes the capacity of a large walk of
+// another prefix. It remembers the last sizes of at most maxWalkHints
+// prefixes. A Walker is safe for concurrent use; the zero value is ready.
+type Walker struct {
+	mu    sync.Mutex
+	sizes map[string]walkSize // by dotted prefix
+}
+
+type walkSize struct{ cells, bytes int }
+
+const maxWalkHints = 64
+
+// Walk returns the rows of the instances under prefix in tree.
+func (w *Walker) Walk(tree *mib.Tree, prefix oid.OID) dpl.Value {
+	var kb [64]byte
+	key := prefix.AppendTo(kb[:0])
+	w.mu.Lock()
+	hint := w.sizes[string(key)]
+	w.mu.Unlock()
+	buf := make([]byte, 0, hint.bytes)
+	cells := make([]dpl.Value, 0, hint.cells)
+	tree.Walk(prefix, func(o oid.OID, v mib.Value) bool {
+		// Later OIDs are appended past this one, or into a new array
+		// when buf grows, so its bytes are never written again.
+		start := len(buf)
+		buf = o.AppendTo(buf)
+		cells = append(cells, dpl.StrBytes(buf[start:]), ToDPL(v))
+		return len(cells) < 2*MaxWalk
+	})
+	if got := (walkSize{len(cells), len(buf)}); got != hint {
+		w.mu.Lock()
+		if _, ok := w.sizes[string(key)]; !ok && len(w.sizes) >= maxWalkHints {
+			clear(w.sizes)
+		}
+		if w.sizes == nil {
+			w.sizes = make(map[string]walkSize)
+		}
+		w.sizes[string(key)] = got
+		w.mu.Unlock()
+	}
+	return dpl.Rows(cells, len(cells)/2)
+}
+
 func argOID(v dpl.Value) (oid.OID, error) {
-	s, ok := v.(string)
+	s, ok := v.AsString()
 	if !ok {
 		return nil, fmt.Errorf("mbd: OID argument must be a string, got %s", dpl.TypeName(v))
 	}
@@ -413,7 +456,7 @@ func argOID(v dpl.Value) (oid.OID, error) {
 }
 
 func peerArgs(args []dpl.Value) (string, oid.OID, error) {
-	peer, ok := args[0].(string)
+	peer, ok := args[0].AsString()
 	if !ok {
 		return "", nil, fmt.Errorf("mbd: peer name must be a string")
 	}

@@ -30,7 +30,7 @@ func newServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func runAgent(t *testing.T, s *Server, name, src string, args ...dpl.Value) dpl.Value {
+func runAgent(t *testing.T, s *Server, name, src string, args ...any) any {
 	t.Helper()
 	if err := s.Process().Delegate("mgr", name, "dpl", src); err != nil {
 		t.Fatalf("delegate %s: %v", name, err)
@@ -241,7 +241,8 @@ func TestExtraBindingsMerge(t *testing.T) {
 	calls := 0
 	extra.Register("custom", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		calls++
-		return args[0].(int64) + 1, nil
+		n, _ := args[0].AsInt()
+		return dpl.Int(n + 1), nil
 	})
 	s := newServer(t, Config{ExtraBindings: extra})
 	if got := runAgent(t, s, "c", `func main() { return custom(41); }`); got != int64(42) {
@@ -257,33 +258,33 @@ func TestValueConversions(t *testing.T) {
 		in   mib.Value
 		want dpl.Value
 	}{
-		{mib.Null(), nil},
-		{mib.Int(-5), int64(-5)},
-		{mib.Str("x"), "x"},
-		{mib.Counter32(7), int64(7)},
-		{mib.Gauge32(8), int64(8)},
-		{mib.TimeTicks(9), int64(9)},
-		{mib.IP(1, 2, 3, 4), "1.2.3.4"},
-		{mib.OIDValue(mustOID("1.3.6")), "1.3.6"},
+		{mib.Null(), dpl.Value{}},
+		{mib.Int(-5), dpl.Int(-5)},
+		{mib.Str("x"), dpl.Str("x")},
+		{mib.Counter32(7), dpl.Int(7)},
+		{mib.Gauge32(8), dpl.Int(8)},
+		{mib.TimeTicks(9), dpl.Int(9)},
+		{mib.IP(1, 2, 3, 4), dpl.Str("1.2.3.4")},
+		{mib.OIDValue(mustOID("1.3.6")), dpl.Str("1.3.6")},
 	}
 	for _, c := range cases {
-		if got := ToDPL(c.in); got != c.want {
+		if got := ToDPL(c.in); got.Kind() != c.want.Kind() || got.String() != c.want.String() {
 			t.Errorf("ToDPL(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if v, err := FromDPL(int64(5)); err != nil || v.Int != 5 {
+	if v, err := FromDPL(dpl.Int(5)); err != nil || v.Int != 5 {
 		t.Error("FromDPL(int)")
 	}
-	if v, err := FromDPL("s"); err != nil || string(v.Bytes) != "s" {
+	if v, err := FromDPL(dpl.Str("s")); err != nil || string(v.Bytes) != "s" {
 		t.Error("FromDPL(string)")
 	}
-	if v, err := FromDPL(true); err != nil || v.Int != 1 {
+	if v, err := FromDPL(dpl.Bool(true)); err != nil || v.Int != 1 {
 		t.Error("FromDPL(bool)")
 	}
-	if v, err := FromDPL(nil); err != nil || v.Kind != mib.KindNull {
-		t.Error("FromDPL(nil)")
+	if v, err := FromDPL(dpl.Value{}); err != nil || v.Kind != mib.KindNull {
+		t.Error("FromDPL(dpl.Value{})")
 	}
-	if _, err := FromDPL(&dpl.Array{}); err == nil {
+	if _, err := FromDPL(dpl.ArrayOf()); err == nil {
 		t.Error("FromDPL(array) should fail")
 	}
 }

@@ -93,17 +93,10 @@ func (s *Server) EmitTrap(specific int, payload string) error {
 // "ocp supports an snmp mib" integration.
 func (s *Server) registerTrapService(b *dpl.Bindings) {
 	b.Register("trap", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		specific, ok := args[0].(int64)
+		specific, ok := args[0].AsInt()
 		if !ok {
-			return nil, fmt.Errorf("mbd: trap(specific, payload) wants an int code")
+			return dpl.Value{}, fmt.Errorf("mbd: trap(specific, payload) wants an int code")
 		}
-		payload, ok := args[1].(string)
-		if !ok {
-			payload = dpl.FormatValue(args[1])
-		}
-		if err := s.EmitTrap(int(specific), payload); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return dpl.Value{}, s.EmitTrap(int(specific), dpl.FormatValue(args[1]))
 	})
 }

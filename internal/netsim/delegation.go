@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"mbd/internal/dpl"
-	"mbd/internal/mib"
+	"mbd/internal/mbd"
 	"mbd/internal/oid"
 	"mbd/internal/rds"
 )
@@ -90,6 +90,7 @@ type Agent struct {
 	session  *Session
 	vm       *dpl.VM
 	bindings *dpl.Bindings
+	walker   mbd.Walker
 	// OnReport receives report payloads at their manager-side arrival
 	// time. Nil drops them (still accounted as traffic).
 	OnReport func(payload string)
@@ -105,42 +106,37 @@ func NewAgent(sim *Sim, st *Station, session *Session, source string) (*Agent, e
 	b.Register("mibGet", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		o, err := agentOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		a.st.Sync(a.sim)
 		v, err := tree.Get(o)
 		if err != nil {
-			return nil, nil
+			return dpl.Value{}, nil
 		}
-		return smiToDPL(v), nil
+		return mbd.ToDPL(v), nil
 	})
 	b.Register("mibNext", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		o, err := agentOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		a.st.Sync(a.sim)
 		next, v, err := tree.GetNext(o)
 		if err != nil {
-			return nil, nil
+			return dpl.Value{}, nil
 		}
-		return &dpl.Array{Elems: []dpl.Value{next.String(), smiToDPL(v)}}, nil
+		return dpl.ArrayOf(dpl.Str(next.String()), mbd.ToDPL(v)), nil
 	})
 	b.Register("mibWalk", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		prefix, err := agentOID(args[0])
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		a.st.Sync(a.sim)
-		out := &dpl.Array{}
-		tree.Walk(prefix, func(o oid.OID, v mib.Value) bool {
-			out.Elems = append(out.Elems, &dpl.Array{Elems: []dpl.Value{o.String(), smiToDPL(v)}})
-			return len(out.Elems) < 100_000
-		})
-		return out, nil
+		return a.walker.Walk(tree, prefix), nil
 	})
 	b.Register("now", 0, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		return a.sim.Now().Milliseconds(), nil
+		return dpl.Int(a.sim.Now().Milliseconds()), nil
 	})
 	b.Register("report", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
 		payload := dpl.FormatValue(args[0])
@@ -149,10 +145,10 @@ func NewAgent(sim *Sim, st *Station, session *Session, source string) (*Agent, e
 				a.OnReport(p)
 			}
 		})
-		return nil, nil
+		return dpl.Value{}, nil
 	})
 	b.Register("sysname", 0, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		return a.st.Dev.Name(), nil
+		return dpl.Str(a.st.Dev.Name()), nil
 	})
 	prog, err := dpl.Parse(source)
 	if err != nil {
@@ -168,7 +164,7 @@ func NewAgent(sim *Sim, st *Station, session *Session, source string) (*Agent, e
 }
 
 // Invoke runs entry(args...) synchronously at the current virtual time.
-func (a *Agent) Invoke(entry string, args ...dpl.Value) (dpl.Value, error) {
+func (a *Agent) Invoke(entry string, args ...any) (any, error) {
 	return a.vm.Run(nopContext{}, entry, args...)
 }
 
@@ -176,28 +172,11 @@ func (a *Agent) Invoke(entry string, args ...dpl.Value) (dpl.Value, error) {
 func (a *Agent) Steps() uint64 { return a.vm.Steps() }
 
 func agentOID(v dpl.Value) (oid.OID, error) {
-	s, ok := v.(string)
+	s, ok := v.AsString()
 	if !ok {
 		return nil, fmt.Errorf("netsim: OID argument must be a string")
 	}
 	return oid.Parse(s)
-}
-
-func smiToDPL(v mib.Value) dpl.Value {
-	switch v.Kind {
-	case mib.KindNull:
-		return nil
-	case mib.KindInteger:
-		return v.Int
-	case mib.KindOctetString:
-		return string(v.Bytes)
-	case mib.KindOID:
-		return v.OID.String()
-	case mib.KindIPAddress:
-		return v.String()
-	default:
-		return int64(v.Uint)
-	}
 }
 
 // nopContext is a never-cancelled context without timers, cheap enough

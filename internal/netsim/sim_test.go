@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mbd/internal/dpl"
 	"mbd/internal/mib"
 	"mbd/internal/oid"
 	"mbd/internal/snmp"
@@ -249,7 +248,7 @@ func eval(dtSec) {
 	agent.OnReport = func(p string) { reports = append(reports, p) }
 
 	// Evaluate every 10 virtual seconds for 5 cycles.
-	var lastU dpl.Value
+	var lastU any
 	for i := 1; i <= 5; i++ {
 		sim.At(time.Duration(i)*10*time.Second, func() {
 			v, err := agent.Invoke("eval", int64(10))

@@ -27,9 +27,10 @@ func Parse(s string) (OID, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ".")
-	o := make(OID, 0, len(parts))
-	for _, p := range parts {
+	o := make(OID, 0, strings.Count(s, ".")+1)
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ".")
 		v, err := strconv.ParseUint(p, 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("oid: invalid arc %q in %q: %w", p, s, err)
@@ -51,17 +52,19 @@ func MustParse(s string) OID {
 
 // String renders the OID in dotted-decimal form without a leading dot.
 func (o OID) String() string {
-	if len(o) == 0 {
-		return ""
-	}
-	var b strings.Builder
+	var buf [64]byte
+	return string(o.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the OID's dotted-decimal form to b.
+func (o OID) AppendTo(b []byte) []byte {
 	for i, arc := range o {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.FormatUint(uint64(arc), 10))
+		b = strconv.AppendUint(b, uint64(arc), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Clone returns a copy of o that shares no storage with it.

@@ -52,7 +52,7 @@ func TestDiagRecRoundTrip(t *testing.T) {
 // wire protocol.
 func TestDelegateRejectionPropagatesDiagnostics(t *testing.T) {
 	bindings := dpl.Std()
-	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return nil, nil }
+	stub := func(_ *dpl.Env, _ []dpl.Value) (dpl.Value, error) { return dpl.Value{}, nil }
 	bindings.Register("mibGet", 1, stub)
 	bindings.Register("mibSet", 2, stub)
 

@@ -655,10 +655,11 @@ func reply(req *Message, fill func(*Message), err error) *Message {
 	return m
 }
 
-// ParseArg converts a wire argument string to a DPL value: ints and
-// floats when they parse, the bare words true/false/nil, a string
-// otherwise. A leading "s:" forces string interpretation.
-func ParseArg(s string) dpl.Value {
+// ParseArg converts a wire argument string to the Go value of a DPL
+// entry argument (see dpl.FromGo): ints and floats when they parse, the
+// bare words true/false/nil, a string otherwise. A leading "s:" forces
+// string interpretation.
+func ParseArg(s string) any {
 	if strings.HasPrefix(s, "s:") {
 		return s[2:]
 	}
@@ -698,7 +699,7 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 		}
 		return reply(req, nil, err)
 	case OpInstantiate:
-		args := make([]dpl.Value, len(req.Args))
+		args := make([]any, len(req.Args))
 		for i, a := range req.Args {
 			args[i] = ParseArg(a)
 		}
@@ -724,14 +725,14 @@ func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
 		err := s.proc.DeleteDP(req.Principal, req.Name)
 		return reply(req, nil, err)
 	case OpEval:
-		args := make([]dpl.Value, len(req.Args))
+		args := make([]any, len(req.Args))
 		for i, a := range req.Args {
 			args[i] = ParseArg(a)
 		}
 		ectx, cancel := context.WithTimeout(ctx, evalTimeout)
 		defer cancel()
 		v, err := s.proc.Evaluate(ectx, req.Principal, "dpl", string(req.Payload), req.Entry, args...)
-		return reply(req, func(m *Message) { m.Payload = []byte(dpl.FormatValue(v)) }, err)
+		return reply(req, func(m *Message) { m.Payload = []byte(dpl.Format(v)) }, err)
 	case OpStats:
 		return s.serveStats(req)
 	case OpPeerJoin:

@@ -293,63 +293,63 @@ func (m *MCVA) DropSnapshot(id int64) bool {
 //	snapshotDrop(id)     release a snapshot; returns true if it existed
 func (m *MCVA) Bindings() *dpl.Bindings {
 	b := dpl.NewBindings()
-	rowsToDPL := func(res *Result) *dpl.Array {
-		out := &dpl.Array{}
+	rowsToDPL := func(res *Result) dpl.Value {
+		var cells []dpl.Value
 		for _, r := range res.Rows {
-			row := &dpl.Array{}
 			for _, c := range r.Cells {
-				row.Elems = append(row.Elems, dpl.Value(c))
+				v, _ := dpl.FromGo(c) // cells are nil, bool, int64, float64 or string
+				cells = append(cells, v)
 			}
-			out.Elems = append(out.Elems, row)
 		}
-		return out
+		return dpl.Rows(cells, len(res.Rows))
 	}
 	b.Register("viewDefine", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		src, ok := args[0].(string)
+		src, ok := args[0].AsString()
 		if !ok {
-			return nil, fmt.Errorf("vdl: viewDefine wants a string")
+			return dpl.Value{}, fmt.Errorf("vdl: viewDefine wants a string")
 		}
 		v, err := m.Define(src)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
-		return v.Name, nil
+		return dpl.Str(v.Name), nil
 	})
 	b.Register("viewQuery", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		name, ok := args[0].(string)
+		name, ok := args[0].AsString()
 		if !ok {
-			return nil, fmt.Errorf("vdl: viewQuery wants a string")
+			return dpl.Value{}, fmt.Errorf("vdl: viewQuery wants a string")
 		}
 		res, err := m.Query(name)
 		if err != nil {
-			return nil, err
+			return dpl.Value{}, err
 		}
 		return rowsToDPL(res), nil
 	})
 	b.Register("viewSnapshot", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		name, ok := args[0].(string)
+		name, ok := args[0].AsString()
 		if !ok {
-			return nil, fmt.Errorf("vdl: viewSnapshot wants a string")
+			return dpl.Value{}, fmt.Errorf("vdl: viewSnapshot wants a string")
 		}
-		return m.Snapshot(name)
+		id, err := m.Snapshot(name)
+		return dpl.Int(id), err
 	})
 	b.Register("snapshotRows", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		id, ok := args[0].(int64)
+		id, ok := args[0].AsInt()
 		if !ok {
-			return nil, fmt.Errorf("vdl: snapshotRows wants an id")
+			return dpl.Value{}, fmt.Errorf("vdl: snapshotRows wants an id")
 		}
 		res, ok := m.SnapshotResult(id)
 		if !ok {
-			return nil, fmt.Errorf("vdl: no snapshot %d", id)
+			return dpl.Value{}, fmt.Errorf("vdl: no snapshot %d", id)
 		}
 		return rowsToDPL(res), nil
 	})
 	b.Register("snapshotDrop", 1, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		id, ok := args[0].(int64)
+		id, ok := args[0].AsInt()
 		if !ok {
-			return nil, fmt.Errorf("vdl: snapshotDrop wants an id")
+			return dpl.Value{}, fmt.Errorf("vdl: snapshotDrop wants an id")
 		}
-		return m.DropSnapshot(id), nil
+		return dpl.Bool(m.DropSnapshot(id)), nil
 	})
 	return b
 }
