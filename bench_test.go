@@ -709,7 +709,11 @@ func BenchmarkEventFanout(b *testing.B) {
 	}
 	defer stuck.Close()
 	sub := &rds.Message{Op: rds.OpSubscribe, Seq: 1, Principal: "mgr"}
-	if err := rds.WriteFrame(stuck, sub.Encode()); err != nil {
+	frame, err := sub.AppendFrame(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := stuck.Write(frame); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := rds.ReadFrame(stuck); err != nil { // the subscribe reply
@@ -741,6 +745,76 @@ func main() { while (true) { report(recv(-1)); } }`); err != nil {
 			}
 		}
 	}
+}
+
+// BenchmarkEventBurst measures the report → socket path at table_stream
+// shape: one Send makes a resident DPI emit 128 reports, which cross
+// loopback to one subscribed rds.Client. writes/op counts the server's
+// socket writes (reply plus event batches) from rds_writes_total.
+func BenchmarkEventBurst(b *testing.B) {
+	const burst = 128
+	proc := elastic.NewProcess(elastic.Config{})
+	defer proc.Stop()
+	srv := rds.NewServer(proc, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
+	defer func() { cancel(); <-done }()
+
+	cl, err := rds.Dial(l.Addr().String(), "mgr")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Subscribe(ctx, ""); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.Delegate(ctx, "burst", fmt.Sprintf(`
+func main() {
+	while (true) {
+		var m = recv(-1);
+		for (var j = 0; j < %d; j += 1) { report(m + " " + str(j)); }
+	}
+}`, burst)); err != nil {
+		b.Fatal(err)
+	}
+	id, err := cl.Instantiate(ctx, "burst", "main")
+	if err != nil {
+		b.Fatal(err)
+	}
+	writes := func() uint64 {
+		for _, s := range srv.Obs().Flatten() {
+			if s.Name == "rds_writes_total" {
+				return s.Value()
+			}
+		}
+		b.Fatal("rds_writes_total not registered")
+		return 0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	w0 := writes()
+	for i := 0; i < b.N; i++ {
+		if err := cl.Send(ctx, id, "row"); err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < burst; {
+			ev, ok := <-cl.Events()
+			if !ok {
+				b.Fatal("event stream closed")
+			}
+			if ev.Kind == "report" {
+				n++
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/op")
 }
 
 // BenchmarkRollupDelta measures incremental rollup maintenance: one

@@ -113,12 +113,14 @@ func (c *Control) gate(ctx context.Context) error {
 	}
 }
 
-// gateMask: the VM consults its Control at least every (gateMask+1)
-// steps. Step accounting is batched: the dispatch loop keeps a local
-// counter and flushes it to the shared atomic at gate boundaries,
-// backward jumps, calls and returns, so suspend/terminate/quota take
-// effect within one gate window instead of costing an atomic per
-// instruction.
+// gateMask: the VM consults its Control every (gateMask+1) steps. Step
+// accounting is batched: the dispatch loop counts in a local and
+// publishes it to the shared atomic only where someone can be waiting
+// on it — at each gate window (with the gate, yield and quota checks),
+// when the run ends or fails, and when a host function is about to
+// block (PublishSteps). Suspend/terminate/quota thus take effect within
+// one gate window, Steps() lags a running DPI by less than one window,
+// and it is exact once the DPI is parked or has exited.
 const gateMask = 255
 
 // frame is one suspended caller activation on the flat call stack.
@@ -136,11 +138,16 @@ type VM struct {
 	bindings *Bindings
 	ctrl     *Control
 	maxSteps uint64
-	steps    atomic.Uint64
-	globals  []Value
-	ctx      context.Context
+	steps    atomic.Uint64 // published count, read by other goroutines
+	// n is the authoritative step count, owned by the VM's goroutine:
+	// dispatch keeps it in a local and hands it over here for the
+	// duration of a host call (and on exit), so PublishSteps and a
+	// re-entrant Run see it without an atomic per call.
+	n       uint64
+	globals []Value
+	ctx     context.Context
 
-	// yield, when set, is invoked from flush once at least yieldEvery
+	// yield, when set, is invoked from tick once at least yieldEvery
 	// steps have accumulated since the previous invocation, receiving
 	// the consumed count. The embedding runtime uses it as its
 	// scheduling tick (fair-share accounting, rate quotas); a non-nil
@@ -218,8 +225,15 @@ func NewVM(prog *Compiled, bindings *Bindings, opts ...VMOption) *VM {
 func (vm *VM) Control() *Control { return vm.ctrl }
 
 // Steps returns the number of instructions executed so far. It is safe
-// to call from other goroutines (status queries, accounting).
+// to call from other goroutines (status queries, accounting). While the
+// VM runs it may lag by less than one gate window; it is exact while a
+// host function blocks after PublishSteps, and once the run has ended.
 func (vm *VM) Steps() uint64 { return vm.steps.Load() }
+
+// PublishSteps makes Steps exact for the duration of the current host
+// call. Host functions that block (receive, sleep, throttle pauses) call
+// it first; it must run on the VM's own goroutine.
+func (vm *VM) PublishSteps() { vm.steps.Store(vm.n) }
 
 // Context returns the context of the current Run, for host functions
 // that block (sleep, receive).
@@ -231,7 +245,11 @@ func (vm *VM) Context() context.Context {
 }
 
 // Gate lets long-running host functions honor suspend/terminate midway.
-func (vm *VM) Gate() error { return vm.ctrl.gate(vm.Context()) }
+// It publishes the step count first, since it may block.
+func (vm *VM) Gate() error {
+	vm.PublishSteps()
+	return vm.ctrl.gate(vm.Context())
+}
 
 // Global reads a global variable by name (for post-run inspection).
 func (vm *VM) Global(name string) (Value, bool) {
@@ -262,7 +280,7 @@ func (vm *VM) Run(ctx context.Context, entry string, args ...any) (any, error) {
 	if vm.bindings != nil {
 		vm.hostFns = vm.bindings.funcs
 	}
-	if vm.steps.Load() == 0 {
+	if vm.n == 0 {
 		if init := vm.prog.initFunc(); init != nil {
 			if _, err := vm.exec(init, nil); err != nil {
 				return nil, fmt.Errorf("dpl: global initialization: %w", err)
@@ -317,29 +335,26 @@ func growValueStack(stack []Value, need int) []Value {
 	return ns
 }
 
-// flush publishes pending steps to the shared counter and runs the
-// gate and quota checks that fall due at this boundary. Quota may be
-// detected up to one gate window late — the documented tolerance that
-// buys batched accounting.
-func (vm *VM) flush(pending, nextGate uint64) (uint64, error) {
-	total := vm.steps.Add(pending)
-	if total >= nextGate {
-		if err := vm.ctrl.gate(vm.Context()); err != nil {
-			return nextGate, err
-		}
-		nextGate = (total | gateMask) + 1
-		if vm.yield != nil && total-vm.lastYield >= vm.yieldEvery {
-			consumed := total - vm.lastYield
-			vm.lastYield = total
-			if err := vm.yield(consumed); err != nil {
-				return nextGate, err
-			}
+// tick publishes n at a gate-window boundary and runs the gate, yield
+// and quota checks due there. Quota may be detected up to one gate
+// window late — the documented tolerance that buys batched accounting.
+func (vm *VM) tick(n uint64) error {
+	vm.n = n
+	vm.steps.Store(n)
+	if err := vm.ctrl.gate(vm.Context()); err != nil {
+		return err
+	}
+	if vm.yield != nil && n-vm.lastYield >= vm.yieldEvery {
+		consumed := n - vm.lastYield
+		vm.lastYield = n
+		if err := vm.yield(consumed); err != nil {
+			return err
 		}
 	}
-	if vm.maxSteps > 0 && total > vm.maxSteps {
-		return nextGate, ErrStepQuota
+	if vm.maxSteps > 0 && n > vm.maxSteps {
+		return ErrStepQuota
 	}
-	return nextGate, nil
+	return nil
 }
 
 // binEval applies one OpBin-class operator. Two ints take a fast path
@@ -394,8 +409,8 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		ip       = 0
 		base     = 0
 		sp       = fn.NumLocals
-		pending  uint64
-		nextGate = (vm.steps.Load() | gateMask) + 1
+		n        = vm.n // steps so far; published by tick and on exit
+		nextGate = (n | gateMask) + 1
 		rv       Value
 		null     Value // the nil Value: OpNil and the return-nil paths
 		in       Instr
@@ -408,12 +423,12 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		}
 		in = code[ip]
 		ip++
-		pending++
-		if pending > gateMask {
-			if nextGate, err = vm.flush(pending, nextGate); err != nil {
+		n++
+		if n >= nextGate {
+			if err = vm.tick(n); err != nil {
 				goto fail
 			}
-			pending = 0
+			nextGate = (n | gateMask) + 1 // realigns after a re-entrant Run
 		}
 		switch in.Op {
 		case OpConst:
@@ -464,28 +479,13 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		case OpNot:
 			stack[sp-1] = Bool(!Truthy(stack[sp-1]))
 		case OpJump:
-			if in.A < ip { // backward: flush so loops stay observable
-				if nextGate, err = vm.flush(pending, nextGate); err != nil {
-					goto fail
-				}
-				pending = 0
-			}
 			ip = in.A
 		case OpJumpFalse:
 			sp--
 			if !Truthy(stack[sp]) {
-				if in.A < ip {
-					if nextGate, err = vm.flush(pending, nextGate); err != nil {
-						goto fail
-					}
-					pending = 0
-				}
 				ip = in.A
 			}
 		case OpJFKeep:
-			// Keep-form branches only ever jump forward in compiler
-			// output; hostile backward ones are still bounded by the
-			// gateMask-sized pending cap above.
 			if !Truthy(stack[sp-1]) {
 				ip = in.A
 			}
@@ -494,10 +494,6 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				ip = in.A
 			}
 		case OpCall:
-			if nextGate, err = vm.flush(pending, nextGate); err != nil {
-				goto fail
-			}
-			pending = 0
 			if len(frames) >= maxFrames-1 {
 				err = ErrStackOverflow
 				goto fail
@@ -513,10 +509,6 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			code = fn.Code
 			ip = 0
 		case OpCallHost:
-			if nextGate, err = vm.flush(pending, nextGate); err != nil {
-				goto fail
-			}
-			pending = 0
 			if in.A >= len(vm.hostFns) {
 				err = rtErrf("host function index %d out of range", in.A)
 				goto fail
@@ -526,8 +518,12 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				err = rtErrf("%s expects %d arguments, got %d", hf.name, hf.arity, in.B)
 				goto fail
 			}
+			// The count rides in vm.n across the call: a blocking host
+			// function publishes it, a re-entrant Run continues it.
 			var v Value
+			vm.n = n
 			v, err = hf.fn(&vm.env, stack[sp-in.B:sp:sp])
+			n = vm.n
 			if err != nil {
 				goto fail
 			}
@@ -597,12 +593,6 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				goto fail
 			}
 			if !Truthy(v) {
-				if in.A < ip {
-					if nextGate, err = vm.flush(pending, nextGate); err != nil {
-						goto fail
-					}
-					pending = 0
-				}
 				ip = in.A
 			}
 		case OpConstStoreL:
@@ -628,15 +618,17 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		continue
 
 	ret:
-		// Function return: flush (calls and returns are accounting
-		// boundaries), then either leave dispatch or pop the caller.
-		// The result lands where the callee's frame began — exactly
-		// where the caller expects its one pushed value.
-		if nextGate, err = vm.flush(pending, nextGate); err != nil {
-			goto fail
-		}
-		pending = 0
+		// Function return: leave dispatch, publishing the exact count
+		// and checking the quota a short run never reached a window
+		// for, or pop the caller. The result lands where the callee's
+		// frame began — exactly where the caller expects its one pushed
+		// value.
 		if len(frames) == 0 {
+			vm.n = n
+			vm.steps.Store(n)
+			if vm.maxSteps > 0 && n > vm.maxSteps {
+				return null, stack, frames, ErrStepQuota
+			}
 			return rv, stack, frames, nil
 		}
 		{
@@ -649,6 +641,8 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		continue
 
 	fail:
+		vm.n = n
+		vm.steps.Store(n)
 		return null, stack, frames, err
 	}
 }

@@ -264,6 +264,26 @@ func TestStepQuota(t *testing.T) {
 	}
 }
 
+// TestStepQuotaWithinOneWindow: the quota trips at most one gate window
+// past the limit, in a tight loop, a loop of calls and a loop of host
+// calls alike.
+func TestStepQuotaWithinOneWindow(t *testing.T) {
+	b := Std()
+	for _, src := range []string{
+		`func main() { var i = 0; while (true) { i = i + 1; } }`,
+		`func f(x) { return x + 1; } func main() { var i = 0; while (true) { i = f(i); } }`,
+		`func main() { var i = 0; while (true) { i = len(str(i)); } }`,
+	} {
+		vm := NewVM(MustCompile(src, b), b, WithMaxSteps(10_000))
+		if _, err := vm.Run(context.Background(), "main"); !errors.Is(err, ErrStepQuota) {
+			t.Fatalf("%s: err = %v, want ErrStepQuota", src, err)
+		}
+		if s := vm.Steps(); s <= 10_000 || s > 10_000+gateMask+1 {
+			t.Fatalf("%s: quota tripped at %d steps, want within one window of 10000", src, s)
+		}
+	}
+}
+
 func TestStackOverflow(t *testing.T) {
 	_, err := run(t, `func f() { return f(); } func main() { return f(); }`, nil)
 	if !errors.Is(err, ErrStackOverflow) {

@@ -30,13 +30,14 @@ type DPI struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 
-	// Multi-tenant state: the billing ledger, the run-slot flag
-	// (touched only on the instance's own goroutine), the
-	// rate-escalation count, and the throttled marker surfaced through
-	// State.
+	// Multi-tenant state: the billing ledger, the run-slot flag and
+	// the steps billed so far (both touched only on the instance's own
+	// goroutine), the rate-escalation count, and the throttled marker
+	// surfaced through State.
 	tenant           *Tenant
 	principal        string
 	slotted          bool
+	billed           uint64
 	quotaSuspensions int
 	throttled        atomic.Bool
 
@@ -86,7 +87,12 @@ func (d *DPI) run(ctx context.Context, args []any) {
 	p.nFinished++
 	p.met.live.Add(-1)
 	p.mu.Unlock()
+	// Steps is exact once the run has ended; both ledgers take it
+	// before done closes, so whoever sees the exit sees the bill.
+	steps := d.vm.Steps()
+	p.met.stepsConsumed.Add(steps)
 	if d.tenant != nil {
+		d.tenant.stepsTotal.Add(steps - d.billed) // the tail after the last tick
 		d.tenant.live.Add(-1)
 	}
 	close(d.done)
@@ -95,7 +101,6 @@ func (d *DPI) run(ctx context.Context, args []any) {
 		payload = "error: " + err.Error()
 	}
 	elapsed := p.clock.Now() - d.started
-	p.met.stepsConsumed.Add(d.vm.Steps())
 	p.met.runLat.Observe(elapsed)
 	if crashed {
 		p.met.panics.Inc()

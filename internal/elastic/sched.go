@@ -251,6 +251,7 @@ func (d *DPI) schedTick(consumed uint64) error {
 	var wait time.Duration
 	if t != nil {
 		t.stepsTotal.Add(consumed)
+		d.billed += consumed
 		wait = t.steps.reserve(p.clock.Now(), float64(consumed))
 	}
 	s := p.sched
@@ -281,8 +282,10 @@ func (d *DPI) schedTick(consumed uint64) error {
 
 // unslotted runs fn — a blocking region: a parked recv, a sleep —
 // without holding a run slot, so parked DPIs never starve runnable
-// ones out of the worker pool.
+// ones out of the worker pool. It publishes the VM's step count first,
+// so Steps is exact while the DPI is parked.
 func (d *DPI) unslotted(fn func() error) error {
+	d.vm.PublishSteps()
 	s := d.proc.sched
 	if s == nil || !d.slotted {
 		return fn()
@@ -342,7 +345,7 @@ func (d *DPI) billEvent() error {
 		return nil
 	}
 	t.eventsTotal.Add(1)
-	if t.Quota().EventsPerSec == 0 {
+	if t.eventsLimit.Load() == 0 {
 		return nil
 	}
 	wait := t.events.reserve(d.proc.clock.Now(), 1)
@@ -355,6 +358,7 @@ func (d *DPI) billEvent() error {
 // unslottedPause releases the run slot (when scheduled) around a
 // quotaPause so a throttled DPI never parks a worker.
 func (d *DPI) unslottedPause(axis, code string, wait time.Duration) error {
+	d.vm.PublishSteps()
 	s := d.proc.sched
 	if s == nil || !d.slotted {
 		return d.quotaPause(axis, code, wait)

@@ -219,10 +219,12 @@ type Tenant struct {
 
 	live      atomic.Int64
 	repoBytes atomic.Int64
-	// repoLimit mirrors quota.RepositoryBytes so the per-delegation
-	// admission check costs one atomic load, not a mutex, when the
+	// repoLimit and eventsLimit mirror quota.RepositoryBytes and
+	// quota.EventsPerSec so the per-delegation admission check and the
+	// per-event billing cost one atomic load, not a mutex, when the
 	// axis is unlimited.
-	repoLimit atomic.Int64
+	repoLimit   atomic.Int64
+	eventsLimit atomic.Uint64
 
 	stepsTotal   atomic.Uint64
 	eventsTotal  atomic.Uint64
@@ -247,6 +249,7 @@ func (t *Tenant) setQuota(q Quota, override bool) {
 	t.override = override
 	t.mu.Unlock()
 	t.repoLimit.Store(q.RepositoryBytes)
+	t.eventsLimit.Store(q.EventsPerSec)
 	t.steps.configure(q.StepsPerSec, 4*defaultSchedQuantum)
 	t.events.configure(q.EventsPerSec, 16)
 	t.reqs.configure(q.RequestsPerSec, 8)

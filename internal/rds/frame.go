@@ -10,20 +10,6 @@ import (
 // realistic delegated program, small enough to stop memory abuse.
 const MaxFrame = 16 << 20
 
-// WriteFrame writes one length-prefixed message body to w.
-func WriteFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("rds: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // ReadFrame reads one length-prefixed message body from r.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -48,8 +34,7 @@ func FrameSize(body []byte) int { return 4 + len(body) }
 // AppendFrame appends m's complete wire frame — the 4-byte length
 // prefix followed by the BER-encoded body — to dst, returning the
 // extended slice. Encoding body and prefix into one buffer lets a
-// connection writer emit the frame as a single write instead of the
-// two WriteFrame issues.
+// connection writer batch many frames into a single write.
 func (m *Message) AppendFrame(dst []byte) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"strconv"
@@ -70,20 +71,34 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// writeFrame frames m onto w the way the server's writers do.
+func writeFrame(w io.Writer, m *Message) error {
+	frame, err := m.AppendFrame(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 func TestFraming(t *testing.T) {
 	var buf bytes.Buffer
-	bodies := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte{7}, 100000)}
-	for _, b := range bodies {
-		if err := WriteFrame(&buf, b); err != nil {
+	msgs := []*Message{
+		{Op: OpEvent, Payload: []byte("a")},
+		{Op: OpReply},
+		{Op: OpSend, Payload: bytes.Repeat([]byte{7}, 100000)},
+	}
+	for _, m := range msgs {
+		if err := writeFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range bodies {
+	for _, m := range msgs {
 		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if want := m.Encode(); !bytes.Equal(got, want) {
 			t.Fatalf("frame mismatch: %d vs %d bytes", len(got), len(want))
 		}
 	}
@@ -96,7 +111,7 @@ func TestFraming(t *testing.T) {
 	if _, err := ReadFrame(&hdr); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeFrame(&buf, &Message{Op: OpSend, Payload: make([]byte, MaxFrame+1)}); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }
@@ -107,10 +122,10 @@ func TestFrameReassemblyUnderChunking(t *testing.T) {
 	var wire bytes.Buffer
 	var want [][]byte
 	for i := 0; i < 20; i++ {
-		b := make([]byte, r.Intn(300))
-		r.Read(b)
-		want = append(want, b)
-		if err := WriteFrame(&wire, b); err != nil {
+		m := &Message{Op: OpEvent, Payload: make([]byte, r.Intn(300))}
+		r.Read(m.Payload)
+		want = append(want, m.Encode())
+		if err := writeFrame(&wire, m); err != nil {
 			t.Fatal(err)
 		}
 	}

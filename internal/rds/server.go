@@ -90,6 +90,7 @@ type serverCounters struct {
 	authFails     atomic.Uint64
 	bytesIn       atomic.Uint64
 	bytesOut      atomic.Uint64
+	writes        atomic.Uint64
 	eventsSent    atomic.Uint64
 	eventsDropped atomic.Uint64
 	eventsShed    atomic.Uint64
@@ -208,6 +209,7 @@ func (s *Server) instrument() {
 		{"rds_auth_failures_total", "requests failing digest authentication", &s.stats.authFails},
 		{"rds_bytes_in_total", "request frame bytes received", &s.stats.bytesIn},
 		{"rds_bytes_out_total", "reply and event frame bytes sent", &s.stats.bytesOut},
+		{"rds_writes_total", "socket writes carrying reply and event frames", &s.stats.writes},
 		{"rds_events_sent_total", "event frames delivered to subscribers", &s.stats.eventsSent},
 		{"rds_events_dropped_total", "events discarded on overflowing subscriber queues", &s.stats.eventsDropped},
 		{"rds_events_shed_total", "events refused at fan-out by weighted backpressure", &s.stats.eventsShed},
@@ -283,47 +285,68 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	}
 }
 
+// maxRetainedOut bounds the output buffer a connection keeps between
+// writes, so one large reply or event burst does not pin its size for
+// the connection's lifetime.
+const maxRetainedOut = 64 << 10
+
 // connWriter serializes frame writes onto one connection. Frames are
-// assembled (length prefix + body) in a reused buffer and written
-// through a buffered writer; callers choose when to flush, so bursts
-// of event frames coalesce into few syscalls while replies flush
-// immediately.
+// appended straight into one reused output buffer, and each call leaves
+// in a single Write: one per reply, one per drained event batch.
 type connWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	buf []byte // reused frame-encode scratch
-	err error  // sticky: once a write fails the connection is done
+	mu   sync.Mutex
+	conn net.Conn
+	out  []byte
+	err  error // sticky: once a write fails the connection is done
 }
 
-func newConnWriter(conn net.Conn) *connWriter {
-	return &connWriter{bw: bufio.NewWriter(conn)}
-}
-
-// write encodes and queues one message frame, flushing when asked. It
-// accounts the frame to the server's BytesOut.
-func (cw *connWriter) write(s *Server, m *Message, flush bool) error {
+// reply writes one reply frame. A reply too large to frame is answered
+// with an error reply under the same Seq rather than dropped, so the
+// client never waits out its deadline for it.
+func (cw *connWriter) reply(s *Server, m *Message) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if cw.err != nil {
-		return cw.err
-	}
-	frame, err := m.AppendFrame(cw.buf[:0])
+	out, err := m.AppendFrame(cw.out[:0])
 	if err != nil {
-		return err // oversized message; connection remains usable
+		out, _ = reply(m, nil, err).AppendFrame(cw.out[:0])
 	}
-	cw.buf = frame
-	if _, err := cw.bw.Write(frame); err != nil {
-		cw.err = err
-		return err
-	}
-	s.stats.bytesOut.Add(uint64(len(frame)))
-	if flush {
-		if err := cw.bw.Flush(); err != nil {
-			cw.err = err
-			return err
+	cw.writeLocked(s, out)
+}
+
+// events writes one event frame per ev in a single Write. An event too
+// large to frame is skipped.
+func (cw *connWriter) events(s *Server, evs []elastic.Event) {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	out, n := cw.out[:0], uint64(0)
+	for i := range evs {
+		ev := &evs[i]
+		msg := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind.String(),
+			Payload: []byte(ev.Payload), // zero-copy: AppendFrame only reads it
+			TimeMS:  ev.Time.Milliseconds(), Principal: ev.Principal}
+		if f, err := msg.AppendFrame(out); err == nil {
+			out, n = f, n+1
 		}
 	}
-	return nil
+	if cw.writeLocked(s, out) {
+		s.stats.eventsSent.Add(n)
+	}
+}
+
+// writeLocked writes out and accounts it, reporting success. The
+// buffer is kept for the next call unless it grew past maxRetainedOut.
+func (cw *connWriter) writeLocked(s *Server, out []byte) bool {
+	if cw.err == nil && len(out) > 0 {
+		if _, cw.err = cw.conn.Write(out); cw.err == nil {
+			s.stats.writes.Add(1)
+			s.stats.bytesOut.Add(uint64(len(out)))
+		}
+	}
+	if cap(out) > maxRetainedOut {
+		out = nil
+	}
+	cw.out = out[:0]
+	return cw.err == nil
 }
 
 // eventQueue is a bounded FIFO of pending subscriber events. push
@@ -420,27 +443,29 @@ func (q *eventQueue) decCountLocked(pr string) {
 	}
 }
 
-// pop dequeues the oldest event, blocking until one arrives or the
-// queue closes. more reports whether further events are already
-// waiting — the pump uses it to batch flushes.
-func (q *eventQueue) pop() (ev elastic.Event, more, ok bool) {
+// drain appends every queued event to dst under one lock acquisition,
+// blocking until one arrives; it returns dst unchanged once the queue
+// closes.
+func (q *eventQueue) drain(dst []elastic.Event) []elastic.Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if q.n == 0 {
-		return elastic.Event{}, false, false
+		return dst
 	}
-	ev = q.buf[q.head]
-	q.buf[q.head] = elastic.Event{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	q.decCountLocked(ev.Principal)
+	first := q.buf[q.head:min(q.head+q.n, len(q.buf))]
+	wrapped := q.buf[:q.n-len(first)]
+	dst = append(append(dst, first...), wrapped...)
+	clear(first)
+	clear(wrapped)
 	if q.glob != nil {
-		q.glob.Add(-1)
+		q.glob.Add(-int64(q.n))
 	}
-	return ev, q.n > 0, true
+	q.head, q.n = 0, 0
+	clear(q.counts)
+	return dst
 }
 
 // close wakes the pump and makes further pushes no-ops. Events still
@@ -452,7 +477,7 @@ func (q *eventQueue) close() {
 		q.glob.Add(-int64(q.n))
 	}
 	q.n = 0
-	q.counts = make(map[string]int)
+	clear(q.counts)
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -476,26 +501,13 @@ func (s *Server) overloaded(principal string) bool {
 	return s.gate.Weight(principal) < s.gate.MaxActiveWeight()
 }
 
-// pumpEvents drains q onto cw until the queue closes, flushing only
-// when the queue momentarily runs dry so event bursts batch.
+// pumpEvents drains q onto cw until the queue closes: every event
+// queued by the time the pump wakes leaves in one write.
 func (s *Server) pumpEvents(q *eventQueue, cw *connWriter, done chan<- struct{}) {
 	defer close(done)
-	for {
-		ev, more, ok := q.pop()
-		if !ok {
-			return
-		}
-		msg := Message{
-			Op:        OpEvent,
-			Name:      ev.DPI,
-			Entry:     ev.Kind.String(),
-			Payload:   []byte(ev.Payload),
-			TimeMS:    ev.Time.Milliseconds(),
-			Principal: ev.Principal,
-		}
-		if cw.write(s, &msg, !more) == nil {
-			s.stats.eventsSent.Add(1)
-		}
+	for batch := q.drain(nil); len(batch) > 0; batch = q.drain(batch[:0]) {
+		cw.events(s, batch)
+		clear(batch) // release payloads while the pump waits
 	}
 }
 
@@ -545,7 +557,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		conn.Close() // unblock the read loop
 	}()
 
-	cw := newConnWriter(conn)
+	cw := &connWriter{conn: conn}
 	var (
 		events      *eventQueue
 		unsubscribe func()
@@ -584,13 +596,13 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		}
 		if err := s.auth.Verify(req); err != nil {
 			s.stats.authFails.Add(1)
-			_ = cw.write(s, reply(req, nil, err), true)
+			cw.reply(s, reply(req, nil, err))
 			continue
 		}
 		if s.gate != nil && req.Principal != "" {
 			if err := s.gate.AdmitRequest(req.Principal); err != nil {
 				s.stats.requestsShed.Add(1)
-				_ = cw.write(s, reply(req, nil, err), true)
+				cw.reply(s, reply(req, nil, err))
 				continue
 			}
 		}
@@ -615,7 +627,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 					}
 				})
 			}
-			_ = cw.write(s, reply(req, nil, nil), true)
+			cw.reply(s, reply(req, nil, nil))
 		default:
 			start := time.Now()
 			resp := s.dispatch(dctx, req)
@@ -626,7 +638,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 				// untraced hot path.
 				s.tracer.Record(req.Op.String(), obs.StageRequest, req.Principal+" "+req.Name, dur)
 			}
-			_ = cw.write(s, resp, true)
+			cw.reply(s, resp)
 		}
 	}
 }
