@@ -418,7 +418,7 @@ func DecodeSyncBatch(raw []byte) (*SyncBatch, error) {
 // its pending rollup deltas, and its bundle statuses — replacing one
 // heartbeat plus N report round trips.
 func (c *Client) PeerSync(ctx context.Context, member string, batch *SyncBatch) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpPeerSync, Name: member, Payload: batch.Encode()})
+	_, err := c.call(ctx, &Message{Op: OpPeerSync, Name: member, Payload: batch.Encode()})
 	return err
 }
 
@@ -430,7 +430,7 @@ func (c *Client) PeerSync(ctx context.Context, member string, batch *SyncBatch) 
 // hash "" — the root compiles it to the golden form and returns the
 // canonical hash in the result.
 func (c *Client) PeerBundleStage(ctx context.Context, lineage, hash string, bundle []byte) (*StageResult, error) {
-	m, err := c.roundTrip(ctx, &Message{Op: OpPeerBundleStage, Name: lineage, Entry: hash, Payload: bundle})
+	m, err := c.call(ctx, &Message{Op: OpPeerBundleStage, Name: lineage, Entry: hash, Payload: bundle})
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +442,7 @@ func (c *Client) PeerBundleStage(ctx context.Context, lineage, hash string, bund
 // the new version's instances, terminates the previous version's, and
 // records the flip. Activating an older staged hash is the rollback.
 func (c *Client) PeerBundleActivate(ctx context.Context, lineage, hash string) (*FanoutResult, error) {
-	m, err := c.roundTrip(ctx, &Message{Op: OpPeerBundleActivate, Name: lineage, Entry: hash})
+	m, err := c.call(ctx, &Message{Op: OpPeerBundleActivate, Name: lineage, Entry: hash})
 	if err != nil {
 		return nil, err
 	}

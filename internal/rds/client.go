@@ -25,15 +25,13 @@ var tcpDial = net.DialTimeout
 // idempotent; pending round-trips unblock with this error.
 var ErrClientClosed = errors.New("rds: client closed")
 
-// ErrClosed is the historical name for ErrClientClosed.
-var ErrClosed = ErrClientClosed
-
 // ErrDisconnected reports that the client's connection is currently
 // down. Without WithReconnect a lost connection is terminal and
 // surfaces as a generic connection-lost error instead; with it,
 // requests fail fast with an error wrapping ErrDisconnected while the
-// reconnect loop works in the background, and idempotent operations
-// (Query, Stats, Trace) transparently wait out the outage and retry.
+// reconnect loop works in the background, and the ops whose op-table
+// row is idempotent (Query, Stats, Trace, TenantStatus, DomainStatus and
+// the three view verbs) transparently wait out the outage and retry.
 var ErrDisconnected = errors.New("rds: disconnected")
 
 // RemoteError is a server-side failure relayed in a reply.
@@ -45,6 +43,15 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rds: %s failed: %s", e.Op, e.Msg)
+}
+
+// replyErr is the error a failed reply to op reports: a RejectError when
+// it carries diagnostics, a RemoteError otherwise.
+func replyErr(op Op, m *Message) error {
+	if len(m.Diags) > 0 {
+		return &RejectError{Op: op, Msg: m.Error, Diags: m.Diags}
+	}
+	return &RemoteError{Op: op, Msg: m.Error}
 }
 
 // RejectError is a server-side static-analysis rejection relayed in a
@@ -381,28 +388,18 @@ func (c *Client) connLost(conn net.Conn, gen uint64, err error) {
 	}
 }
 
-func (c *Client) roundTrip(ctx context.Context, req *Message) (*Message, error) {
-	return c.do(ctx, req, false)
-}
-
 // do performs one request/reply exchange. force bypasses the ready
 // gate; the reconnect loop uses it to probe a half-open connection.
 func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, error) {
 	c.mu.Lock()
 	if c.closed {
-		err := c.failErr
+		err := c.failErrOr(ErrClientClosed)
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
 		return nil, err
 	}
 	if !force && !c.ready {
-		err := c.failErr
+		err := c.failErrOr(ErrDisconnected)
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrDisconnected
-		}
 		return nil, err
 	}
 	conn := c.conn
@@ -450,18 +447,12 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 	case m, ok := <-ch:
 		if !ok {
 			c.mu.Lock()
-			err := c.failErr
+			err := c.failErrOr(ErrClientClosed)
 			c.mu.Unlock()
-			if err == nil {
-				err = ErrClientClosed
-			}
 			return nil, err
 		}
 		if !m.OK {
-			if len(m.Diags) > 0 {
-				return nil, &RejectError{Op: req.Op, Msg: m.Error, Diags: m.Diags}
-			}
-			return nil, &RemoteError{Op: req.Op, Msg: m.Error}
+			return nil, replyErr(req.Op, m)
 		}
 		return m, nil
 	case <-ctx.Done():
@@ -472,13 +463,23 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 	}
 }
 
-// retryIdempotent runs one idempotent request, and — when reconnect is
-// enabled — waits out connection outages and retries until ctx expires
-// or the client closes. mk builds a fresh message per attempt.
-func (c *Client) retryIdempotent(ctx context.Context, mk func() *Message) (*Message, error) {
+// failErrOr is what a failed request reports: the recorded failure, or
+// dflt when there is none. c.mu must be held.
+func (c *Client) failErrOr(dflt error) error {
+	if c.failErr != nil {
+		return c.failErr
+	}
+	return dflt
+}
+
+// call performs one request. When its op-table row is idempotent and
+// reconnect is enabled, it also waits out connection outages and
+// re-sends req until ctx expires or the client closes; do stamps Seq,
+// Principal and Digest afresh on every attempt.
+func (c *Client) call(ctx context.Context, req *Message) (*Message, error) {
 	for {
-		m, err := c.do(ctx, mk(), false)
-		if err == nil || c.rc == nil || !errors.Is(err, ErrDisconnected) {
+		m, err := c.do(ctx, req, false)
+		if err == nil || c.rc == nil || !errors.Is(err, ErrDisconnected) || !canRetry(req) {
 			return m, err
 		}
 		if werr := c.awaitConn(ctx); werr != nil {
@@ -487,17 +488,23 @@ func (c *Client) retryIdempotent(ctx context.Context, mk func() *Message) (*Mess
 	}
 }
 
+// text performs req and returns its reply payload.
+func (c *Client) text(ctx context.Context, req *Message) (string, error) {
+	m, err := c.call(ctx, req)
+	if err != nil {
+		return "", err
+	}
+	return string(m.Payload), nil
+}
+
 // awaitConn blocks until the client is connected and ready, ctx is
 // done, or the client terminates.
 func (c *Client) awaitConn(ctx context.Context) error {
 	for {
 		c.mu.Lock()
 		if c.closed {
-			err := c.failErr
+			err := c.failErrOr(ErrClientClosed)
 			c.mu.Unlock()
-			if err == nil {
-				err = ErrClientClosed
-			}
 			return err
 		}
 		if c.ready {
@@ -525,7 +532,7 @@ func (c *Client) awaitConn(ctx context.Context) error {
 
 // Delegate transfers a DPL program to the server under name.
 func (c *Client) Delegate(ctx context.Context, name, source string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpDelegate, Name: name, Lang: "dpl", Payload: []byte(source)})
+	_, err := c.call(ctx, &Message{Op: OpDelegate, Name: name, Lang: "dpl", Payload: []byte(source)})
 	return err
 }
 
@@ -533,7 +540,7 @@ func (c *Client) Delegate(ctx context.Context, name, source string) error {
 // dpl.CompiledProgram) to the server under name. The server admits it
 // through the bytecode verifier instead of the source translator.
 func (c *Client) DelegateCompiled(ctx context.Context, name string, program []byte) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpDelegate, Name: name, Lang: LangCompiled, Payload: program})
+	_, err := c.call(ctx, &Message{Op: OpDelegate, Name: name, Lang: LangCompiled, Payload: program})
 	return err
 }
 
@@ -541,7 +548,7 @@ func (c *Client) DelegateCompiled(ctx context.Context, name string, program []by
 // returns the new DPI id. Arguments are wire strings; see ParseArg for
 // their interpretation server-side.
 func (c *Client) Instantiate(ctx context.Context, dp, entry string, args ...string) (string, error) {
-	m, err := c.roundTrip(ctx, &Message{Op: OpInstantiate, Name: dp, Entry: entry, Args: args})
+	m, err := c.call(ctx, &Message{Op: OpInstantiate, Name: dp, Entry: entry, Args: args})
 	if err != nil {
 		return "", err
 	}
@@ -550,22 +557,19 @@ func (c *Client) Instantiate(ctx context.Context, dp, entry string, args ...stri
 
 // Control applies suspend / resume / terminate to an instance.
 func (c *Client) Control(ctx context.Context, dpiID, action string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpControl, Name: dpiID, Entry: action})
+	_, err := c.call(ctx, &Message{Op: OpControl, Name: dpiID, Entry: action})
 	return err
 }
 
 // Send delivers a message to an instance's mailbox.
 func (c *Client) Send(ctx context.Context, dpiID, payload string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpSend, Name: dpiID, Payload: []byte(payload)})
+	_, err := c.call(ctx, &Message{Op: OpSend, Name: dpiID, Payload: []byte(payload)})
 	return err
 }
 
-// Query fetches instance status; empty dpiID lists all instances. Query
-// is idempotent: under WithReconnect it retries across outages.
+// Query fetches instance status; empty dpiID lists all instances.
 func (c *Client) Query(ctx context.Context, dpiID string) ([]InfoRec, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpQuery, Name: dpiID}
-	})
+	m, err := c.call(ctx, &Message{Op: OpQuery, Name: dpiID})
 	if err != nil {
 		return nil, err
 	}
@@ -574,7 +578,7 @@ func (c *Client) Query(ctx context.Context, dpiID string) ([]InfoRec, error) {
 
 // DeleteDP removes a program from the server's repository.
 func (c *Client) DeleteDP(ctx context.Context, name string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpDeleteDP, Name: name})
+	_, err := c.call(ctx, &Message{Op: OpDeleteDP, Name: name})
 	return err
 }
 
@@ -584,11 +588,7 @@ func (c *Client) DeleteDP(ctx context.Context, name string) error {
 // delegation+invocation-in-one-action the paper contrasts with full
 // delegation.
 func (c *Client) Eval(ctx context.Context, source, entry string, args ...string) (string, error) {
-	m, err := c.roundTrip(ctx, &Message{Op: OpEval, Entry: entry, Payload: []byte(source), Args: args})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpEval, Entry: entry, Payload: []byte(source), Args: args})
 }
 
 // Subscribe asks the server to forward events from DPIs whose id starts
@@ -596,7 +596,7 @@ func (c *Client) Eval(ctx context.Context, source, entry string, args ...string)
 // first successful subscription is replayed automatically after every
 // reconnect.
 func (c *Client) Subscribe(ctx context.Context, filter string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpSubscribe, Name: filter})
+	_, err := c.call(ctx, &Message{Op: OpSubscribe, Name: filter})
 	if err == nil {
 		c.mu.Lock()
 		if c.subFilter == nil {
@@ -609,83 +609,40 @@ func (c *Client) Subscribe(ctx context.Context, filter string) error {
 }
 
 // Stats fetches the server's metrics registry rendered in Prometheus
-// text exposition format. Stats is idempotent: under WithReconnect it
-// retries across outages.
+// text exposition format.
 func (c *Client) Stats(ctx context.Context) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpStats, Entry: "metrics"}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpStats, Entry: "metrics"})
 }
 
 // TenantStatus fetches the server's per-tenant audit/billing table as
-// a JSON document (default quota plus one row per known tenant). It is
-// idempotent: under WithReconnect it retries across outages.
+// a JSON document (default quota plus one row per known tenant).
 func (c *Client) TenantStatus(ctx context.Context) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpStats, Entry: "tenants"}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpStats, Entry: "tenants"})
 }
 
 // ViewStatus fetches the server's maintained-view status document
-// (views, row counts, maintenance counters) as JSON. It is idempotent:
-// under WithReconnect it retries across outages.
+// (views, row counts, maintenance counters) as JSON.
 func (c *Client) ViewStatus(ctx context.Context) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpView, Entry: "status"}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpView, Entry: "status"})
 }
 
 // ViewDefine installs (or replaces) an incrementally-maintained view
 // from VDL source, returning the server's JSON definition record.
-// Defining the same source twice converges to the same state, so it
-// retries across outages like the other idempotent verbs.
 func (c *Client) ViewDefine(ctx context.Context, src string) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpView, Entry: "define", Payload: []byte(src)}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpView, Entry: "define", Payload: []byte(src)})
 }
 
-// ViewQuery fetches one maintained view's current rows as JSON. It is
-// idempotent: under WithReconnect it retries across outages.
+// ViewQuery fetches one maintained view's current rows as JSON.
 func (c *Client) ViewQuery(ctx context.Context, name string) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpView, Entry: "query", Name: name}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpView, Entry: "query", Name: name})
 }
 
 // Trace fetches up to max recent delegation-lifecycle spans from the
 // server's trace ring as a JSON array (max <= 0 fetches all retained).
-// Trace is idempotent: under WithReconnect it retries across outages.
 func (c *Client) Trace(ctx context.Context, max int) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		req := &Message{Op: OpStats, Entry: "trace"}
-		if max > 0 {
-			req.Name = strconv.Itoa(max)
-		}
-		return req
-	})
-	if err != nil {
-		return "", err
+	req := &Message{Op: OpStats, Entry: "trace"}
+	if max > 0 {
+		req.Name = strconv.Itoa(max)
 	}
-	return string(m.Payload), nil
+	return c.text(ctx, req)
 }

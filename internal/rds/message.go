@@ -17,134 +17,6 @@ import (
 	"mbd/internal/ber"
 )
 
-// Op is an RDS operation code.
-type Op uint8
-
-// RDS operations.
-const (
-	// OpDelegate transfers a DP (Name, Lang, Payload=source).
-	OpDelegate Op = iota + 1
-	// OpInstantiate creates a DPI (Name=dp, Entry, Args).
-	OpInstantiate
-	// OpControl applies a lifecycle action (Name=dpiID, Entry=action).
-	OpControl
-	// OpSend delivers a message to a DPI's mailbox (Name=dpiID,
-	// Payload=message).
-	OpSend
-	// OpQuery asks for instance status (Name=dpiID or empty for all).
-	OpQuery
-	// OpDeleteDP removes a program from the repository (Name).
-	OpDeleteDP
-	// OpSubscribe asks the server to forward DPI events on this
-	// connection (Name=dpi id prefix filter, empty for all).
-	OpSubscribe
-	// OpReply answers any request (OK, Error, Name holds a created id,
-	// Infos holds query results).
-	OpReply
-	// OpEvent is a server-initiated event notification (Name=dpiID,
-	// Entry=kind, Payload, TimeMS).
-	OpEvent
-	// OpEval is one-shot remote evaluation (the REV model the paper
-	// compares against): Payload=source, Entry=entry, Args; the reply's
-	// Payload carries the rendered result. Nothing persists server-side.
-	OpEval
-	// OpStats asks the server for its own telemetry: Entry selects the
-	// view — "metrics" (Prometheus text exposition), "trace" (the
-	// delegation-lifecycle span ring as JSON, Name = max spans) or
-	// "federation" (the management-domain status document as JSON). The
-	// reply's Payload carries the rendered document.
-	OpStats
-	// OpPeerJoin registers a federation member with its domain root
-	// (Name=member, Entry=member's own domain, Payload=the member's
-	// advertised RDS address for cascaded delegation).
-	OpPeerJoin
-	// Codes 13 and 15 carried peer-heartbeat and peer-report until
-	// OpPeerSync subsumed both. They stay unassigned (see reservedOp) so
-	// every other op keeps its wire encoding.
-	_
-	// OpPeerDelegate cascades a delegation through the domain tree
-	// (Name=dp, Lang, Payload=source, Entry=optional entry point to
-	// instantiate after admission, Args=its arguments). The reply's
-	// Payload carries a BER-encoded FanoutResult collecting every
-	// member's accept/reject outcome.
-	OpPeerDelegate
-	_
-	// OpPeerSync is the batched child→parent frame: one datagram-sized
-	// message carrying the member's heartbeat, every pending rollup
-	// delta, and the bundle hashes it runs (Name=member, Payload=a
-	// BER-encoded SyncBatch).
-	OpPeerSync
-	// OpPeerBundleStage stages a content-addressed golden DP bundle
-	// (Name=lineage, Entry=sha256 hex of the canonical bundle encoding,
-	// Payload=the encoded Bundle — empty for a probe asking "do you
-	// already hold this hash?"). The reply's Payload carries a
-	// BER-encoded StageResult; a probe miss answers with an
-	// unknown-bundle error so the parent re-sends the full payload.
-	OpPeerBundleStage
-	// OpPeerBundleActivate flips a lineage's active-version pointer to
-	// an already-staged hash across the subtree (Name=lineage,
-	// Entry=hash). The reply's Payload carries a FanoutResult with every
-	// member's activation outcome. Activating a previously active hash
-	// is the rollback path.
-	OpPeerBundleActivate
-	// OpView manages the server's incrementally-maintained VDL views.
-	// Entry selects the verb: "status" (or empty) lists maintained
-	// views and maintenance counters, "define" installs a view
-	// (Payload=VDL source), "query" reads one view's current rows
-	// (Name=view). Replies carry JSON payloads.
-	OpView
-)
-
-// opMax is the highest assigned operation code; Decode rejects anything
-// beyond it.
-const opMax = OpView
-
-// reservedOp reports the two retired codes inside the assigned range;
-// Decode rejects them like any unknown op.
-func reservedOp(o Op) bool { return o == OpPeerJoin+1 || o == OpPeerDelegate+1 }
-
-// String names the op.
-func (o Op) String() string {
-	switch o {
-	case OpDelegate:
-		return "delegate"
-	case OpInstantiate:
-		return "instantiate"
-	case OpControl:
-		return "control"
-	case OpSend:
-		return "send"
-	case OpQuery:
-		return "query"
-	case OpDeleteDP:
-		return "delete-dp"
-	case OpSubscribe:
-		return "subscribe"
-	case OpReply:
-		return "reply"
-	case OpEvent:
-		return "event"
-	case OpEval:
-		return "eval"
-	case OpStats:
-		return "stats"
-	case OpPeerJoin:
-		return "peer-join"
-	case OpPeerDelegate:
-		return "peer-delegate"
-	case OpPeerSync:
-		return "peer-sync"
-	case OpPeerBundleStage:
-		return "peer-bundle-stage"
-	case OpPeerBundleActivate:
-		return "peer-bundle-activate"
-	case OpView:
-		return "view"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
-}
-
 // DiagRec is one static-analysis diagnostic in a rejection reply: the
 // structured reason a delegation or evaluation was refused. Code is a
 // stable machine-readable identifier (DPL001…), Severity is "error" or
@@ -277,7 +149,7 @@ func Decode(b []byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op <= 0 || op > int64(opMax) || reservedOp(Op(op)) {
+	if op <= 0 || op >= int64(len(opTable)) || opTable[op].name == "" {
 		return nil, fmt.Errorf("rds: unknown op %d", op)
 	}
 	m.Op = Op(op)

@@ -75,7 +75,7 @@ func TestStatsOp(t *testing.T) {
 	}
 
 	// Unknown view is a remote error, not a dead connection.
-	_, err = c.roundTrip(rctx, &Message{Op: OpStats, Entry: "bogus"})
+	_, err = c.call(rctx, &Message{Op: OpStats, Entry: "bogus"})
 	if err == nil {
 		t.Fatal("bogus stats view accepted")
 	}

@@ -176,7 +176,7 @@ func DecodeFanoutResult(b []byte) (*FanoutResult, error) {
 // domain. domain is the member's own domain name; addr is the member's
 // advertised RDS address, which the root dials to cascade delegations.
 func (c *Client) PeerJoin(ctx context.Context, member, domain, addr string) error {
-	_, err := c.roundTrip(ctx, &Message{Op: OpPeerJoin, Name: member, Entry: domain, Payload: []byte(addr)})
+	_, err := c.call(ctx, &Message{Op: OpPeerJoin, Name: member, Entry: domain, Payload: []byte(addr)})
 	return err
 }
 
@@ -184,7 +184,7 @@ func (c *Client) PeerJoin(ctx context.Context, member, domain, addr string) erro
 // returns the collected per-member outcomes. A non-empty entry also
 // instantiates the program (entry(args...)) at every accepting member.
 func (c *Client) PeerDelegate(ctx context.Context, dp, source, entry string, args ...string) (*FanoutResult, error) {
-	m, err := c.roundTrip(ctx, &Message{
+	m, err := c.call(ctx, &Message{
 		Op: OpPeerDelegate, Name: dp, Lang: "dpl",
 		Payload: []byte(source), Entry: entry, Args: args,
 	})
@@ -198,7 +198,7 @@ func (c *Client) PeerDelegate(ctx context.Context, dp, source, entry string, arg
 // the server's domain tree: each hop verifies the object code instead
 // of re-running source analysis.
 func (c *Client) PeerDelegateCompiled(ctx context.Context, dp string, program []byte, entry string, args ...string) (*FanoutResult, error) {
-	m, err := c.roundTrip(ctx, &Message{
+	m, err := c.call(ctx, &Message{
 		Op: OpPeerDelegate, Name: dp, Lang: LangCompiled,
 		Payload: program, Entry: entry, Args: args,
 	})
@@ -209,14 +209,6 @@ func (c *Client) PeerDelegateCompiled(ctx context.Context, dp string, program []
 }
 
 // DomainStatus fetches the server's federation status document (JSON).
-// DomainStatus is idempotent: under WithReconnect it retries across
-// outages.
 func (c *Client) DomainStatus(ctx context.Context) (string, error) {
-	m, err := c.retryIdempotent(ctx, func() *Message {
-		return &Message{Op: OpStats, Entry: "federation"}
-	})
-	if err != nil {
-		return "", err
-	}
-	return string(m.Payload), nil
+	return c.text(ctx, &Message{Op: OpStats, Entry: "federation"})
 }

@@ -31,8 +31,9 @@ const probeTimeout = 10 * time.Second
 // exponential backoff, replays the active subscription over each fresh
 // connection before admitting normal traffic (circuit half-open), and
 // keeps the Events channel open across outages. While disconnected,
-// non-idempotent requests fail fast with an error wrapping
-// ErrDisconnected; Query, Stats and Trace wait and retry.
+// requests fail fast with an error wrapping ErrDisconnected, except the
+// ones the op table marks idempotent (see ErrDisconnected), which wait
+// and retry.
 func WithReconnect(cfg ReconnectConfig) ClientOption {
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbd/internal/dpl"
 	"mbd/internal/elastic"
 	"mbd/internal/obs"
 )
@@ -78,9 +77,9 @@ type Server struct {
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	// ops indexes per-op request counters; opLat observes dispatch
-	// latency. Both live on reg.
-	ops   [opMax + 1]*obs.Counter
+	// ops indexes per-op request counters by code; opLat observes
+	// dispatch latency. Both live on reg.
+	ops   []*obs.Counter
 	opLat *obs.Histogram
 }
 
@@ -134,12 +133,10 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = tr }
 }
 
-// WithPeerHandler routes the federation operations (OpPeerJoin,
-// OpPeerDelegate, OpPeerSync, OpPeerBundleStage,
-// OpPeerBundleActivate) and the OpStats
-// "federation" view to h — normally an internal/federation.Node.
-// Without one (the default) peer traffic is refused with
-// ErrNoFederation.
+// WithPeerHandler routes every op-table row that needs federation (the
+// peer ops and the stats "federation" view) to h — normally an
+// internal/federation.Node. Without one (the default) they are refused
+// with ErrNoFederation.
 func WithPeerHandler(h PeerHandler) ServerOption {
 	return func(s *Server) { s.peers = h }
 }
@@ -218,12 +215,12 @@ func (s *Server) instrument() {
 	} {
 		s.reg.FuncCounter(c.name, c.help, c.v.Load)
 	}
-	for op := OpDelegate; op <= opMax; op++ {
-		if reservedOp(op) {
-			continue
+	s.ops = make([]*obs.Counter, len(opTable))
+	for op, spec := range opTable {
+		if spec.name != "" {
+			s.ops[op] = s.reg.LabeledCounter("rds_requests_total",
+				"RDS requests received, by operation", "op", spec.name)
 		}
-		s.ops[op] = s.reg.LabeledCounter("rds_requests_total",
-			"RDS requests received, by operation", "op", op.String())
 	}
 	s.opLat = s.reg.Histogram("rds_op_duration_seconds", "per-request dispatch latency", nil)
 }
@@ -308,7 +305,7 @@ func (cw *connWriter) reply(s *Server, m *Message) {
 	defer cw.mu.Unlock()
 	out, err := m.AppendFrame(cw.out[:0])
 	if err != nil {
-		out, _ = reply(m, nil, err).AppendFrame(cw.out[:0])
+		out, _ = reply(m, err).AppendFrame(cw.out[:0])
 	}
 	cw.writeLocked(s, out)
 }
@@ -591,78 +588,74 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 			// the connection as the stream is unsynchronized.
 			return
 		}
-		if c := s.ops[req.Op]; c != nil {
-			c.Inc()
+		resp := s.handle(dctx, req)
+		if req.Op == OpSubscribe && resp.OK && events == nil {
+			events = newEventQueue(subscriberQueueDepth, &s.queued)
+			pumpDone = make(chan struct{})
+			s.subscribers.Add(1)
+			go s.pumpEvents(events, cw, pumpDone)
+			q, filter := events, req.Name
+			unsubscribe = s.proc.Subscribe(func(ev elastic.Event) {
+				if filter != "" && !strings.HasPrefix(ev.DPI, filter) {
+					return
+				}
+				if s.overloaded(ev.Principal) {
+					s.droppedEvent(ev.Principal, true)
+					return
+				}
+				if victim, dropped := q.push(ev); dropped {
+					s.droppedEvent(victim, false)
+				}
+			})
 		}
-		if err := s.auth.Verify(req); err != nil {
-			s.stats.authFails.Add(1)
-			cw.reply(s, reply(req, nil, err))
-			continue
-		}
-		if s.gate != nil && req.Principal != "" {
-			if err := s.gate.AdmitRequest(req.Principal); err != nil {
-				s.stats.requestsShed.Add(1)
-				cw.reply(s, reply(req, nil, err))
-				continue
-			}
-		}
-		switch req.Op {
-		case OpSubscribe:
-			if events == nil {
-				events = newEventQueue(subscriberQueueDepth, &s.queued)
-				pumpDone = make(chan struct{})
-				s.subscribers.Add(1)
-				go s.pumpEvents(events, cw, pumpDone)
-				q, filter := events, req.Name
-				unsubscribe = s.proc.Subscribe(func(ev elastic.Event) {
-					if filter != "" && !strings.HasPrefix(ev.DPI, filter) {
-						return
-					}
-					if s.overloaded(ev.Principal) {
-						s.droppedEvent(ev.Principal, true)
-						return
-					}
-					if victim, dropped := q.push(ev); dropped {
-						s.droppedEvent(victim, false)
-					}
-				})
-			}
-			cw.reply(s, reply(req, nil, nil))
-		default:
-			start := time.Now()
-			resp := s.dispatch(dctx, req)
-			dur := time.Since(start)
-			s.opLat.Observe(dur)
-			if s.tracer != nil {
-				// Guarded so the detail concat never allocates on the
-				// untraced hot path.
-				s.tracer.Record(req.Op.String(), obs.StageRequest, req.Principal+" "+req.Name, dur)
-			}
-			cw.reply(s, resp)
-		}
+		cw.reply(s, resp)
 	}
 }
 
-func reply(req *Message, fill func(*Message), err error) *Message {
-	m := &Message{Op: OpReply, Seq: req.Seq, OK: err == nil}
-	if err != nil {
-		m.Error = err.Error()
-		// Static-analysis rejections travel with their full structured
-		// diagnostics so delegators can match on stable codes.
-		var rej *elastic.RejectError
-		if errors.As(err, &rej) {
-			for _, d := range rej.Diags {
-				m.Diags = append(m.Diags, DiagRec{
-					Code:     d.Code,
-					Severity: d.Sev.String(),
-					Msg:      d.Msg,
-					Line:     int64(d.Pos.Line),
-					Col:      int64(d.Pos.Col),
-				})
-			}
+// handle answers one decoded request; both transports serve through it.
+// It counts the op, verifies the digest, applies the tenant request
+// gate, dispatches through the op table, and records the dispatch
+// latency and a request span.
+func (s *Server) handle(ctx context.Context, req *Message) *Message {
+	s.ops[req.Op].Inc()
+	if err := s.auth.Verify(req); err != nil {
+		s.stats.authFails.Add(1)
+		return reply(req, err)
+	}
+	if s.gate != nil && req.Principal != "" {
+		if err := s.gate.AdmitRequest(req.Principal); err != nil {
+			s.stats.requestsShed.Add(1)
+			return reply(req, err)
 		}
-	} else if fill != nil {
-		fill(m)
+	}
+	start := time.Now()
+	resp := s.dispatch(ctx, req)
+	dur := time.Since(start)
+	s.opLat.Observe(dur)
+	if s.tracer != nil {
+		// Guarded so the detail concat never allocates on the untraced
+		// hot path.
+		s.tracer.Record(req.Op.String(), obs.StageRequest, req.Principal+" "+req.Name, dur)
+	}
+	return resp
+}
+
+// reply answers req with the failure err.
+func reply(req *Message, err error) *Message {
+	m := &Message{Op: OpReply, Seq: req.Seq, Error: err.Error()}
+	// Static-analysis rejections travel with their full structured
+	// diagnostics so delegators can match on stable codes.
+	var rej *elastic.RejectError
+	if errors.As(err, &rej) {
+		for _, d := range rej.Diags {
+			m.Diags = append(m.Diags, DiagRec{
+				Code:     d.Code,
+				Severity: d.Sev.String(),
+				Msg:      d.Msg,
+				Line:     int64(d.Pos.Line),
+				Col:      int64(d.Pos.Col),
+			})
+		}
 	}
 	return m
 }
@@ -690,175 +683,4 @@ func ParseArg(s string) any {
 		return f
 	}
 	return s
-}
-
-// evalTimeout bounds one-shot remote evaluations; a runaway eval must
-// not hold a connection's request loop forever.
-const evalTimeout = 60 * time.Second
-
-// fanoutTimeout bounds one cascaded delegation end to end — every hop
-// of the domain tree must answer within it.
-const fanoutTimeout = 60 * time.Second
-
-func (s *Server) dispatch(ctx context.Context, req *Message) *Message {
-	switch req.Op {
-	case OpDelegate:
-		var err error
-		if req.Lang == LangCompiled {
-			err = s.proc.DelegateCompiled(req.Principal, req.Name, req.Payload)
-		} else {
-			err = s.proc.Delegate(req.Principal, req.Name, req.Lang, string(req.Payload))
-		}
-		return reply(req, nil, err)
-	case OpInstantiate:
-		args := make([]any, len(req.Args))
-		for i, a := range req.Args {
-			args[i] = ParseArg(a)
-		}
-		d, err := s.proc.Instantiate(req.Principal, req.Name, req.Entry, args...)
-		return reply(req, func(m *Message) { m.Name = d.ID }, err)
-	case OpControl:
-		err := s.proc.Control(req.Principal, req.Name, elastic.ControlAction(req.Entry))
-		return reply(req, nil, err)
-	case OpSend:
-		err := s.proc.Send(req.Principal, req.Name, string(req.Payload))
-		return reply(req, nil, err)
-	case OpQuery:
-		infos, err := s.proc.Query(req.Principal, req.Name)
-		return reply(req, func(m *Message) {
-			for _, inf := range infos {
-				m.Infos = append(m.Infos, InfoRec{
-					ID: inf.ID, DP: inf.DP, Entry: inf.Entry, State: inf.State,
-					Steps: inf.Steps, Result: inf.Result, Err: inf.Err,
-				})
-			}
-		}, err)
-	case OpDeleteDP:
-		err := s.proc.DeleteDP(req.Principal, req.Name)
-		return reply(req, nil, err)
-	case OpEval:
-		args := make([]any, len(req.Args))
-		for i, a := range req.Args {
-			args[i] = ParseArg(a)
-		}
-		ectx, cancel := context.WithTimeout(ctx, evalTimeout)
-		defer cancel()
-		v, err := s.proc.Evaluate(ectx, req.Principal, "dpl", string(req.Payload), req.Entry, args...)
-		return reply(req, func(m *Message) { m.Payload = []byte(dpl.Format(v)) }, err)
-	case OpStats:
-		return s.serveStats(req)
-	case OpPeerJoin:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		err := s.peers.PeerJoin(req.Principal, req.Name, req.Entry, string(req.Payload))
-		return reply(req, nil, err)
-	case OpPeerDelegate:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		fctx, cancel := context.WithTimeout(ctx, fanoutTimeout)
-		defer cancel()
-		res, err := s.peers.PeerDelegate(fctx, req.Principal, req.Name, req.Lang,
-			string(req.Payload), req.Entry, req.Args)
-		if err == nil && res == nil {
-			err = fmt.Errorf("rds: peer handler returned no fanout result")
-		}
-		return reply(req, func(m *Message) { m.Payload = res.Encode() }, err)
-	case OpPeerSync:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		batch, err := DecodeSyncBatch(req.Payload)
-		if err != nil {
-			return reply(req, nil, err)
-		}
-		err = s.peers.PeerSync(req.Principal, req.Name, batch)
-		return reply(req, nil, err)
-	case OpPeerBundleStage:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		fctx, cancel := context.WithTimeout(ctx, fanoutTimeout)
-		defer cancel()
-		res, err := s.peers.PeerBundleStage(fctx, req.Principal, req.Name, req.Entry, req.Payload)
-		if err == nil && res == nil {
-			err = fmt.Errorf("rds: peer handler returned no stage result")
-		}
-		return reply(req, func(m *Message) { m.Payload = res.Encode() }, err)
-	case OpPeerBundleActivate:
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		fctx, cancel := context.WithTimeout(ctx, fanoutTimeout)
-		defer cancel()
-		res, err := s.peers.PeerBundleActivate(fctx, req.Principal, req.Name, req.Entry)
-		if err == nil && res == nil {
-			err = fmt.Errorf("rds: peer handler returned no fanout result")
-		}
-		return reply(req, func(m *Message) { m.Payload = res.Encode() }, err)
-	case OpView:
-		if s.views == nil {
-			return reply(req, nil, ErrNoViews)
-		}
-		var b []byte
-		var err error
-		switch req.Entry {
-		case "", "status":
-			b, err = s.views.StatusJSON()
-		case "define":
-			b, err = s.views.DefineJSON(string(req.Payload))
-		case "query":
-			b, err = s.views.QueryJSON(req.Name)
-		default:
-			err = fmt.Errorf("rds: unknown view verb %q", req.Entry)
-		}
-		return reply(req, func(m *Message) { m.Payload = b }, err)
-	default:
-		return reply(req, nil, fmt.Errorf("rds: cannot serve %s", req.Op))
-	}
-}
-
-// serveStats answers OpStats: the server's own telemetry, rendered as a
-// text document in the reply payload. Entry selects the view.
-func (s *Server) serveStats(req *Message) *Message {
-	switch req.Entry {
-	case "", "metrics":
-		var sb strings.Builder
-		if err := s.reg.WritePrometheus(&sb); err != nil {
-			return reply(req, nil, err)
-		}
-		return reply(req, func(m *Message) { m.Payload = []byte(sb.String()) }, nil)
-	case "trace":
-		max := 0
-		if req.Name != "" {
-			n, err := strconv.Atoi(req.Name)
-			if err != nil || n < 0 {
-				return reply(req, nil, fmt.Errorf("rds: bad trace limit %q", req.Name))
-			}
-			max = n
-		}
-		var sb strings.Builder
-		if err := s.tracer.WriteJSON(&sb, max); err != nil {
-			return reply(req, nil, err)
-		}
-		return reply(req, func(m *Message) { m.Payload = []byte(sb.String()) }, nil)
-	case "federation":
-		if s.peers == nil {
-			return reply(req, nil, ErrNoFederation)
-		}
-		doc, err := s.peers.StatusJSON()
-		if err != nil {
-			return reply(req, nil, err)
-		}
-		return reply(req, func(m *Message) { m.Payload = doc }, nil)
-	case "tenants":
-		doc, err := s.proc.TenantStatusJSON()
-		if err != nil {
-			return reply(req, nil, err)
-		}
-		return reply(req, func(m *Message) { m.Payload = doc }, nil)
-	default:
-		return reply(req, nil, fmt.Errorf("rds: unknown stats view %q", req.Entry))
-	}
 }

@@ -59,35 +59,47 @@ func TestQuotaRejectionOverWire(t *testing.T) {
 }
 
 // TestRequestRateShedOverWire: a principal over its request-rate quota
-// gets QUO005-coded rejections while the shed is billed to its ledger.
+// gets QUO005-coded rejections while the shed is billed to its ledger,
+// over either transport.
 func TestRequestRateShedOverWire(t *testing.T) {
-	proc := elastic.NewProcess(elastic.Config{Quota: elastic.Quota{RequestsPerSec: 1}})
-	t.Cleanup(proc.Stop)
-	c := startServer(t, proc, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+	type queryFunc func(context.Context, string) ([]InfoRec, error)
+	for _, tr := range []struct {
+		name string
+		dial func(*testing.T, *elastic.Process) queryFunc
+	}{
+		{"tcp", func(t *testing.T, p *elastic.Process) queryFunc { return startServer(t, p, nil).Query }},
+		{"udp", func(t *testing.T, p *elastic.Process) queryFunc { return startPacketServer(t, p, nil).Query }},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			proc := elastic.NewProcess(elastic.Config{Quota: elastic.Quota{RequestsPerSec: 1}})
+			t.Cleanup(proc.Stop)
+			query := tr.dial(t, proc)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
 
-	var shed *RejectError
-	for i := 0; i < 20 && shed == nil; i++ {
-		if _, err := c.Query(ctx, ""); err != nil {
-			var rej *RejectError
-			if !errors.As(err, &rej) {
-				t.Fatalf("query %d: %v, want RejectError", i, err)
+			var shed *RejectError
+			for i := 0; i < 20 && shed == nil; i++ {
+				if _, err := query(ctx, ""); err != nil {
+					var rej *RejectError
+					if !errors.As(err, &rej) {
+						t.Fatalf("query %d: %v, want RejectError", i, err)
+					}
+					shed = rej
+				}
 			}
-			shed = rej
-		}
-	}
-	if shed == nil || !shed.HasCode("QUO005") {
-		t.Fatalf("burst never shed with QUO005: %+v", shed)
-	}
-	var billed bool
-	for _, st := range proc.Tenants().List() {
-		if st.Principal == "mgr" && st.RequestsShed > 0 {
-			billed = true
-		}
-	}
-	if !billed {
-		t.Fatalf("shed not billed to tenant: %+v", proc.Tenants().List())
+			if shed == nil || !shed.HasCode("QUO005") {
+				t.Fatalf("burst never shed with QUO005: %+v", shed)
+			}
+			var billed bool
+			for _, st := range proc.Tenants().List() {
+				if st.Principal == "mgr" && st.RequestsShed > 0 {
+					billed = true
+				}
+			}
+			if !billed {
+				t.Fatalf("shed not billed to tenant: %+v", proc.Tenants().List())
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package rds
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -20,8 +21,8 @@ import (
 const maxDatagram = 60 * 1024
 
 // ServePacket answers single-datagram RDS requests on pc until ctx is
-// cancelled. Subscription requests are refused. The conn is closed on
-// return.
+// cancelled, each through the same request path as ServeConn.
+// Subscription requests are refused. The conn is closed on return.
 func (s *Server) ServePacket(ctx context.Context, pc net.PacketConn) error {
 	defer pc.Close()
 	go func() {
@@ -44,18 +45,13 @@ func (s *Server) ServePacket(ctx context.Context, pc net.PacketConn) error {
 		if err != nil {
 			continue // undecodable datagrams are dropped
 		}
-		var resp *Message
-		if err := s.auth.Verify(req); err != nil {
-			s.stats.authFails.Add(1)
-			resp = reply(req, nil, err)
-		} else if req.Op == OpSubscribe {
-			resp = reply(req, nil, fmt.Errorf("rds: subscriptions need the stream transport"))
-		} else {
-			resp = s.dispatch(ctx, req)
+		resp := s.handle(ctx, req)
+		if req.Op == OpSubscribe && resp.OK {
+			resp = reply(req, errors.New("rds: subscriptions need the stream transport"))
 		}
 		out = resp.AppendEncode(out[:0])
 		if len(out) > maxDatagram {
-			resp = reply(req, nil, fmt.Errorf("rds: reply of %d bytes exceeds datagram limit", len(out)))
+			resp = reply(req, fmt.Errorf("rds: reply of %d bytes exceeds datagram limit", len(out)))
 			out = resp.AppendEncode(out[:0])
 		}
 		s.stats.bytesOut.Add(uint64(len(out)))
@@ -66,8 +62,10 @@ func (s *Server) ServePacket(ctx context.Context, pc net.PacketConn) error {
 }
 
 // PacketClient is a datagram RDS client: every operation is one
-// request/response datagram pair with timeout-based retransmission (the
-// classic UDP management pattern). It supports every operation except
+// request/response datagram pair, and ops the op table marks idempotent
+// are retransmitted on timeout (the classic UDP management pattern);
+// the rest get one attempt, since a lost reply may hide an effect a
+// second copy would repeat. It supports every operation except
 // Subscribe.
 type PacketClient struct {
 	principal string
@@ -93,8 +91,8 @@ func WithPacketTimeout(d time.Duration) PacketOption {
 	return func(c *PacketClient) { c.timeout = d }
 }
 
-// WithPacketRetries sets retransmissions after the first attempt
-// (default 2).
+// WithPacketRetries sets an idempotent op's retransmissions after the
+// first attempt (default 2).
 func WithPacketRetries(n int) PacketOption {
 	return func(c *PacketClient) { c.retries = n }
 }
@@ -128,9 +126,13 @@ func (c *PacketClient) do(ctx context.Context, req *Message) (*Message, error) {
 	if len(pkt) > maxDatagram {
 		return nil, fmt.Errorf("rds: request of %d bytes exceeds datagram limit (use the TCP transport)", len(pkt))
 	}
+	attempts := 1
+	if canRetry(req) {
+		attempts += c.retries
+	}
 	buf := make([]byte, maxDatagram)
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -143,26 +145,24 @@ func (c *PacketClient) do(ctx context.Context, req *Message) (*Message, error) {
 			lastErr = err
 			continue
 		}
-		n, err := c.conn.Read(buf)
-		if err != nil {
-			lastErr = err
-			continue
+		// Only the deadline ends an attempt: a late reply to an earlier
+		// request, or garbage, is skipped rather than answered with a
+		// re-send, which a mutating op does not get.
+		for {
+			n, err := c.conn.Read(buf)
+			if err != nil {
+				lastErr = err
+				break
+			}
+			if resp, err := Decode(buf[:n]); err == nil && resp.Op == OpReply && resp.Seq == req.Seq {
+				if !resp.OK {
+					return nil, replyErr(req.Op, resp)
+				}
+				return resp, nil
+			}
 		}
-		resp, err := Decode(buf[:n])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Op != OpReply || resp.Seq != req.Seq {
-			lastErr = fmt.Errorf("rds: stray datagram (op %s seq %d)", resp.Op, resp.Seq)
-			continue
-		}
-		if !resp.OK {
-			return nil, &RemoteError{Op: req.Op, Msg: resp.Error}
-		}
-		return resp, nil
 	}
-	return nil, fmt.Errorf("rds: datagram exchange failed after %d attempts: %w", c.retries+1, lastErr)
+	return nil, fmt.Errorf("rds: datagram exchange failed after %d attempts: %w", attempts, lastErr)
 }
 
 // Delegate transfers a DPL program (must fit one datagram).

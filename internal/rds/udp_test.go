@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +66,17 @@ func TestUDPDelegationLifecycle(t *testing.T) {
 	out, err := c.Eval(ctx, `func main() { return 6 * 7; }`, "main")
 	if err != nil || out != "42" {
 		t.Fatalf("eval = %q, %v", out, err)
+	}
+	// Datagram requests take the same request path as the stream's:
+	// counted by op, timed.
+	var sb strings.Builder
+	if err := proc.Obs().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`rds_requests_total{op="eval"} 1`, "rds_op_duration_seconds_count 6"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("metrics after UDP eval missing %q:\n%s", want, sb.String())
+		}
 	}
 	// Control over UDP.
 	if err := c.Delegate(ctx, "spin", `func main() { recv(-1); }`); err != nil {
@@ -131,61 +143,64 @@ func TestUDPOversizedDelegateRejectedClientSide(t *testing.T) {
 	}
 }
 
-func TestUDPRetransmissionSurvivesLoss(t *testing.T) {
-	// A lossy "network": a relay that drops the first request datagram.
-	proc := elastic.NewProcess(elastic.Config{})
-	t.Cleanup(proc.Stop)
-	inner, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(proc, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = srv.ServePacket(ctx, inner) }()
-
+// lossyRelay forwards datagrams between clients and the server at
+// server: the nth request (reply false) or reply (reply true) is sent
+// copies(reply, n) times, so 0 drops it and 2 duplicates it. It returns
+// the address clients dial.
+func lossyRelay(t *testing.T, server string, copies func(reply bool, n int) int) string {
+	t.Helper()
 	relay, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer relay.Close()
-	serverAddr, _ := net.ResolveUDPAddr("udp", inner.LocalAddr().String())
+	up, err := net.Dial("udp", server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close(); up.Close() })
+	var client atomic.Value // net.Addr of the last requester
 	go func() {
 		buf := make([]byte, maxDatagram)
-		dropped := false
-		var client net.Addr
-		up, err := net.DialUDP("udp", nil, serverAddr)
-		if err != nil {
-			return
-		}
-		defer up.Close()
-		go func() {
-			rbuf := make([]byte, maxDatagram)
-			for {
-				n, err := up.Read(rbuf)
-				if err != nil {
-					return
-				}
-				if client != nil {
-					_, _ = relay.WriteTo(rbuf[:n], client)
-				}
-			}
-		}()
-		for {
-			n, addr, err := relay.ReadFrom(buf)
+		for n := 0; ; n++ {
+			size, err := up.Read(buf)
 			if err != nil {
 				return
 			}
-			client = addr
-			if !dropped {
-				dropped = true // swallow the first request
-				continue
+			addr, _ := client.Load().(net.Addr)
+			for i := copies(true, n); i > 0 && addr != nil; i-- {
+				_, _ = relay.WriteTo(buf[:size], addr)
 			}
-			_, _ = up.Write(buf[:n])
 		}
 	}()
+	go func() {
+		buf := make([]byte, maxDatagram)
+		for n := 0; ; n++ {
+			size, addr, err := relay.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			client.Store(addr)
+			for i := copies(false, n); i > 0; i-- {
+				_, _ = up.Write(buf[:size])
+			}
+		}
+	}()
+	return relay.LocalAddr().String()
+}
 
-	c, err := DialPacket(relay.LocalAddr().String(), "mgr",
+func TestUDPRetransmissionSurvivesLoss(t *testing.T) {
+	// A lossy "network" swallows the first request datagram; an
+	// idempotent Query is retransmitted through it.
+	proc := elastic.NewProcess(elastic.Config{})
+	t.Cleanup(proc.Stop)
+	direct := startPacketServer(t, proc, nil)
+	dropFirstRequest := func(reply bool, n int) int {
+		if !reply && n == 0 {
+			return 0
+		}
+		return 1
+	}
+	c, err := DialPacket(lossyRelay(t, direct.conn.RemoteAddr().String(), dropFirstRequest), "mgr",
 		WithPacketTimeout(200*time.Millisecond), WithPacketRetries(3))
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +208,59 @@ func TestUDPRetransmissionSurvivesLoss(t *testing.T) {
 	defer c.Close()
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
-	out, err := c.Eval(cctx, `func main() { return "alive"; }`, "main")
-	if err != nil || out != "alive" {
-		t.Fatalf("eval through lossy relay = %q, %v", out, err)
+	if _, err := c.Query(cctx, ""); err != nil {
+		t.Fatalf("query through lossy relay: %v", err)
+	}
+}
+
+// TestUDPLostReplyNotRetransmitted: a mutating op is sent once. Its lost
+// reply is not answered with a second copy, and a late duplicate reply
+// to an earlier request is skipped rather than re-sent over; either way
+// one Instantiate starts exactly one DPI.
+func TestUDPLostReplyNotRetransmitted(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		delegateReply int // copies of each reply
+		instReply     int
+	}{
+		{"lost", 1, 0},
+		{"duplicated", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proc := elastic.NewProcess(elastic.Config{})
+			t.Cleanup(proc.Stop)
+			direct := startPacketServer(t, proc, nil)
+			copies := func(reply bool, n int) int {
+				switch {
+				case !reply:
+					return 1
+				case n == 0:
+					return tc.delegateReply
+				}
+				return tc.instReply
+			}
+			c, err := DialPacket(lossyRelay(t, direct.conn.RemoteAddr().String(), copies), "mgr",
+				WithPacketTimeout(200*time.Millisecond), WithPacketRetries(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := c.Delegate(ctx, "park", `func main() { recv(-1); }`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Instantiate(ctx, "park", "main"); (err == nil) != (tc.instReply > 0) {
+				t.Fatalf("instantiate = %v with %d reply copies", err, tc.instReply)
+			}
+			infos, err := direct.Query(ctx, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(infos) != 1 {
+				t.Fatalf("one UDP instantiate left %d DPIs, want 1: %+v", len(infos), infos)
+			}
+		})
 	}
 }
 
