@@ -43,8 +43,11 @@
 //
 // lint runs entirely offline — no server connection — against the full
 // MbD host-function surface, printing compiler-style diagnostics plus
-// each program's inferred effects and cost estimate. It exits 1 if any
-// file has error-severity findings (and with -strict, any finding).
+// each program's inferred effects and cost estimate. Translator rule
+// violations (undeclared names, unbound calls, arity, ...) are coded
+// error findings like any other. It exits 1 if any file has
+// error-severity findings (and with -strict, any finding), and 2 when a
+// file cannot be read or parsed.
 // With -json it emits one JSON array instead, one record per file with
 // stable diagnostic codes, positions and severities for editor and CI
 // integration.
@@ -146,8 +149,9 @@ type lintDiag struct {
 }
 
 // lintFile is one file's record in `lint -json` output. Error is set
-// (and the analysis fields zeroed) when the file failed to read, parse
-// or type-check — failures that precede analysis.
+// (and the analysis fields zeroed) when the file failed to read or
+// parse — failures that precede analysis; a parse error's text carries
+// its code.
 type lintFile struct {
 	File        string     `json:"file"`
 	Error       string     `json:"error,omitempty"`
@@ -171,7 +175,8 @@ func orEmpty(s []string) []string {
 // lint statically analyzes each file against the full MbD host surface
 // and prints its diagnostics, effects and cost — compiler-style text by
 // default, one stable JSON array with asJSON. Returns the exit code:
-// 0 clean, 1 findings, 2 usage/IO/parse failure.
+// 0 clean, 1 findings (Translator rules included), 2 usage/IO/parse
+// failure.
 func lint(files []string, strict, asJSON bool) int {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: mbdctl [-strict] [-json] lint <file.dpl>...")
@@ -208,16 +213,8 @@ func lint(files []string, strict, asJSON bool) int {
 			fail(file, err.Error())
 			continue
 		}
-		if errs := dpl.Check(prog, bindings); len(errs) > 0 {
-			msgs := make([]string, len(errs))
-			for i, e := range errs {
-				msgs[i] = e.Error()
-			}
-			fail(file, strings.Join(msgs, "; "))
-			continue
-		}
 		rep := analysis.Analyze(prog, bindings)
-		errs, warns := analysis.Counts(rep.Diags)
+		errs, warns := dpl.Counts(rep.Diags)
 		if errs > 0 || (strict && warns > 0) {
 			raise(1)
 		}

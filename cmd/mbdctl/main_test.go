@@ -1,12 +1,21 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"mbd/internal/dpl"
+	"mbd/internal/elastic"
+	"mbd/internal/rds"
 )
 
 // TestValidCommand pins the subcommand table: every documented command
@@ -161,5 +170,94 @@ func TestLintJSON(t *testing.T) {
 	}
 	if rep[1].Error != "" {
 		t.Fatalf("clean file after broken one reported %q", rep[1].Error)
+	}
+}
+
+// TestTranslatorRulesCoded maps each Translator rule, and the parse
+// error, to its code, line and column as two consumers see it: a
+// delegating RDS client (rds.RejectError.Diags, which is also a
+// *RemoteError) and `mbdctl lint -json` (a finding with exit 1; a parse
+// error in the file's error field with exit 2).
+func TestTranslatorRulesCoded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	rules := []struct {
+		rule, src, code string
+		line, col       int
+	}{
+		{"parse", "func main() {\n\tvar = 1;\n}", dpl.CodeParse, 2, 6},
+		{"undeclared read", "func main() {\n\treturn y;\n}", dpl.CodeUndeclared, 2, 9},
+		{"undeclared assignment", "func main() {\n\ty = 1;\n}", dpl.CodeUndeclared, 2, 2},
+		{"unbound call", "func main() {\n\texec(\"/bin/sh\");\n}", dpl.CodeUnboundCall, 2, 2},
+		{"arity", "func f(a) { return a; }\nfunc main() {\n\treturn f(1, 2);\n}", dpl.CodeArity, 3, 9},
+		{"host arity", "func main() {\n\treturn len();\n}", dpl.CodeArity, 2, 9},
+		{"break outside loop", "func main() {\n\tbreak;\n}", dpl.CodeLoopControl, 2, 2},
+		{"continue outside loop", "func main() {\n\tcontinue;\n}", dpl.CodeLoopControl, 2, 2},
+		{"redeclared variable", "func main() {\n\tvar x = 1;\n\tvar x = 2;\n\treturn x;\n}", dpl.CodeRedeclared, 3, 2},
+		{"redefined function", "func main() {}\nfunc main() {}", dpl.CodeRedeclared, 2, 1},
+		{"shadows a host function", "func len(s) { return 0; }\nfunc main() {}", dpl.CodeShadowsHost, 1, 1},
+	}
+
+	proc := elastic.NewProcess(elastic.Config{})
+	t.Cleanup(proc.Stop)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = rds.NewServer(proc, nil).Serve(ctx, l)
+	}()
+	defer func() { cancel(); <-served }()
+	c, err := rds.Dial(l.Addr().String(), "mgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	bin := filepath.Join(t.TempDir(), "mbdctl")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	for _, r := range rules {
+		want := fmt.Sprintf("%d:%d: error[%s]", r.line, r.col, r.code)
+
+		err := c.Delegate(ctx, "rule", r.src)
+		var rej *rds.RejectError
+		var remote *rds.RemoteError
+		if !errors.As(err, &rej) || !rej.HasCode(r.code) || !errors.As(err, &remote) || remote.Msg != rej.Msg {
+			t.Errorf("%s: RDS delegate = %v, want a RejectError with %s that is also a RemoteError", r.rule, err, r.code)
+		} else if d := rej.Diags[0]; len(rej.Diags) != 1 || d.Line != int64(r.line) || d.Col != int64(r.col) || d.Severity != "error" {
+			t.Errorf("%s: RDS diagnostics %v, want one %s", r.rule, rej.Diags, want)
+		}
+
+		file := filepath.Join(dir, strings.ReplaceAll(r.rule, " ", "_")+".dpl")
+		if err := os.WriteFile(file, []byte(r.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-json", "lint", file).Output()
+		exit := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			exit = ee.ExitCode()
+		}
+		var rep []lintFile
+		if jerr := json.Unmarshal(out, &rep); jerr != nil || len(rep) != 1 {
+			t.Fatalf("%s: lint -json: %v\n%s", r.rule, jerr, out)
+		}
+		if r.code == dpl.CodeParse {
+			if exit != 2 || !strings.Contains(rep[0].Error, want) || len(rep[0].Diagnostics) != 0 {
+				t.Errorf("%s: lint exit %d, record %+v; want exit 2 and an error field holding %q", r.rule, exit, rep[0], want)
+			}
+			continue
+		}
+		ds := rep[0].Diagnostics
+		if exit != 1 || rep[0].Error != "" || len(ds) == 0 || ds[0].Code != r.code || ds[0].Severity != "error" || ds[0].Line != r.line || ds[0].Col != r.col {
+			t.Errorf("%s: lint exit %d, findings %+v; want exit 1 and %s first", r.rule, exit, ds, want)
+		}
 	}
 }

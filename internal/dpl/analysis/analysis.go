@@ -1,3 +1,25 @@
+// Package analysis is the delegation-time static analyzer for DPL
+// programs. The paper's translator rejects a dp that "violates any of a
+// set of defined rules for the given language"; package dpl's Check
+// resolves every name once and enforces those rules, and this package
+// adds the deeper, flow-sensitive rules an elastic process wants before
+// admitting code from another administrative domain:
+//
+//   - dataflow diagnostics over a per-function control-flow graph
+//     (use-before-init, unreachable code, dead stores, never-written
+//     globals);
+//   - capability/effect inference: which host bindings and which MIB
+//     OID prefixes a dp can reach, computed transitively and
+//     constant-folded from the arguments of the MIB primitives, so the
+//     admission path can compare a dp's footprint against the
+//     delegating principal's grant instead of discovering violations at
+//     runtime;
+//   - cost analysis: instruction-cost estimates per function with
+//     constant-trip loop bounding, used to derive a default VM step
+//     budget and to enforce a server-side admission cost ceiling.
+//
+// Every finding is a dpl.Diagnostic with a stable code (DPL001…), the
+// same record as the Translator's and the bytecode verifier's.
 package analysis
 
 import "mbd/internal/dpl"
@@ -13,7 +35,7 @@ type FuncInfo struct {
 // Report is the result of analyzing one program.
 type Report struct {
 	// Diags holds every analyzer finding, sorted by position.
-	Diags []Diagnostic
+	Diags []dpl.Diagnostic
 	// Funcs summarizes each function in declaration order.
 	Funcs []*FuncInfo
 	// Effects is the program-level union: everything any function (or
@@ -26,7 +48,7 @@ type Report struct {
 }
 
 // HasErrors reports whether the program must be rejected.
-func (r *Report) HasErrors() bool { return HasErrors(r.Diags) }
+func (r *Report) HasErrors() bool { return dpl.HasErrors(r.Diags) }
 
 // Func returns the summary of the named function, or nil.
 func (r *Report) Func(name string) *FuncInfo {
@@ -64,37 +86,32 @@ func (r *Report) SuggestedBudget(fallback uint64) uint64 {
 }
 
 // Analyze runs the full static-analysis pipeline over prog against the
-// host's allowed-function table. prog should already have passed
-// dpl.Check — the analyzer is robust to unchecked programs (unresolved
-// names are simply skipped) but its diagnostics assume resolution.
+// host's allowed-function table. It reads the names dpl.Check bound,
+// resolving prog itself only if no Check (or Compile) has already done
+// so against bindings, and reports the Translator's rule violations
+// among its own findings.
+// An unchecked program is analyzed all the same: unbound names are
+// skipped.
 //
-// Pipeline: variable resolution → per-function CFG → unreachable code →
+// Pipeline: name resolution → per-function CFG → unreachable code →
 // definite assignment → liveness/dead stores → never-written globals →
 // effect inference → cost analysis.
 func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
-	rep := &Report{}
-	res := resolve(prog)
+	rep := &Report{Diags: append([]dpl.Diagnostic(nil), dpl.Check(prog, bindings)...)}
 
 	for _, f := range prog.Funcs {
 		g := buildCFG(f)
+		fr := frame{globals: prog.Globals, fn: f}
 		unreachableDiags(g, &rep.Diags)
-		definiteAssignment(g, res, &rep.Diags)
-		liveness(g, res, &rep.Diags)
+		definiteAssignment(g, fr, &rep.Diags)
+		liveness(g, fr, &rep.Diags)
 	}
-	globalDiags(prog, res, &rep.Diags)
+	globalDiags(prog, &rep.Diags)
 
-	effects, initSet := inferEffects(prog, bindings, &rep.Diags)
+	effects, initSet := inferEffects(prog, &rep.Diags)
 
-	funcsByName := make(map[string]*dpl.FuncDecl, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		if _, dup := funcsByName[f.Name]; !dup {
-			funcsByName[f.Name] = f
-		}
-	}
 	ca := &costAnalyzer{
-		res:      res,
-		bindings: bindings,
-		funcs:    funcsByName,
+		prog:     prog,
 		effects:  effects,
 		memo:     make(map[*dpl.FuncDecl]CostEstimate),
 		visiting: make(map[*dpl.FuncDecl]bool),
@@ -125,6 +142,6 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 		}
 	}
 	rep.Effects = program.finalize()
-	SortDiags(rep.Diags)
+	dpl.SortDiags(rep.Diags)
 	return rep
 }

@@ -31,7 +31,7 @@ func codes(r *Report) []string {
 	return out
 }
 
-func wantCode(t *testing.T, r *Report, code string) Diagnostic {
+func wantCode(t *testing.T, r *Report, code string) dpl.Diagnostic {
 	t.Helper()
 	for _, d := range r.Diags {
 		if d.Code == code {
@@ -39,7 +39,7 @@ func wantCode(t *testing.T, r *Report, code string) Diagnostic {
 		}
 	}
 	t.Fatalf("no %s diagnostic; got %v", code, r.Diags)
-	return Diagnostic{}
+	return dpl.Diagnostic{}
 }
 
 func wantNoCode(t *testing.T, r *Report, code string) {
@@ -58,7 +58,7 @@ func main() {
 	var y = x + 1;
 	return y;
 }`)
-	d := wantCode(t, r, CodeUseBeforeInit)
+	d := wantCode(t, r, dpl.CodeUseBeforeInit)
 	if !strings.Contains(d.Msg, `"x"`) {
 		t.Fatalf("msg = %s", d.Msg)
 	}
@@ -75,7 +75,7 @@ func f(c) {
 	if (c) { x = 1; }
 	return x;
 }`)
-	wantCode(t, r, CodeUseBeforeInit)
+	wantCode(t, r, dpl.CodeUseBeforeInit)
 
 	// Assigned on both branches: definitely initialized.
 	r = analyzeSrc(t, `
@@ -84,7 +84,7 @@ func f(c) {
 	if (c) { x = 1; } else { x = 2; }
 	return x;
 }`)
-	wantNoCode(t, r, CodeUseBeforeInit)
+	wantNoCode(t, r, dpl.CodeUseBeforeInit)
 }
 
 func TestUseBeforeInitLoopCarried(t *testing.T) {
@@ -97,7 +97,7 @@ func f(n) {
 	}
 	return s;
 }`)
-	wantCode(t, r, CodeUseBeforeInit)
+	wantCode(t, r, dpl.CodeUseBeforeInit)
 }
 
 func TestShadowingDoesNotConfuseInit(t *testing.T) {
@@ -112,7 +112,7 @@ func f() {
 	}
 	return x;
 }`)
-	wantNoCode(t, r, CodeUseBeforeInit)
+	wantNoCode(t, r, dpl.CodeUseBeforeInit)
 }
 
 func TestUnreachableAfterReturn(t *testing.T) {
@@ -121,7 +121,7 @@ func f() {
 	return 1;
 	log("never");
 }`)
-	d := wantCode(t, r, CodeUnreachable)
+	d := wantCode(t, r, dpl.CodeUnreachable)
 	if d.Pos.Line != 4 {
 		t.Fatalf("pos = %s", d.Pos)
 	}
@@ -133,7 +133,7 @@ func main() {
 	while (true) { sleep(100); }
 	log("never");
 }`)
-	wantCode(t, r, CodeUnreachable)
+	wantCode(t, r, dpl.CodeUnreachable)
 }
 
 func TestBreakMakesCodeReachable(t *testing.T) {
@@ -144,7 +144,7 @@ func main() {
 	}
 	log("reached via break");
 }`)
-	wantNoCode(t, r, CodeUnreachable)
+	wantNoCode(t, r, dpl.CodeUnreachable)
 }
 
 func TestDeadStore(t *testing.T) {
@@ -154,7 +154,7 @@ func f() {
 	x = 7;
 	return x;
 }`)
-	d := wantCode(t, r, CodeDeadStore)
+	d := wantCode(t, r, dpl.CodeDeadStore)
 	if d.Pos.Line != 3 {
 		t.Fatalf("pos = %s", d.Pos)
 	}
@@ -166,7 +166,7 @@ func f() {
 	x = len("abc");
 	return x;
 }`)
-	wantNoCode(t, r, CodeDeadStore)
+	wantNoCode(t, r, dpl.CodeDeadStore)
 }
 
 func TestDeadStoreLoopCarriedIsLive(t *testing.T) {
@@ -178,19 +178,19 @@ func f(n) {
 	}
 	return s;
 }`)
-	wantNoCode(t, r, CodeDeadStore)
+	wantNoCode(t, r, dpl.CodeDeadStore)
 }
 
 func TestGlobalNeverWritten(t *testing.T) {
 	r := analyzeSrc(t, `
 var ghost;
 func f() { return ghost; }`)
-	wantCode(t, r, CodeGlobalNeverWritten)
+	wantCode(t, r, dpl.CodeGlobalNeverWritten)
 
 	r = analyzeSrc(t, `
 var counted;
 func f() { counted = 1; return counted; }`)
-	wantNoCode(t, r, CodeGlobalNeverWritten)
+	wantNoCode(t, r, dpl.CodeGlobalNeverWritten)
 }
 
 func TestBusyLoop(t *testing.T) {
@@ -199,7 +199,7 @@ func main() {
 	var x = 0;
 	while (true) { x += 1; }
 }`)
-	wantCode(t, r, CodeBusyLoop)
+	wantCode(t, r, dpl.CodeBusyLoop)
 
 	// Yielding via a helper is fine (transitive closure).
 	r = analyzeSrc(t, `
@@ -207,14 +207,14 @@ func nap() { sleep(100); }
 func main() {
 	while (true) { nap(); }
 }`)
-	wantNoCode(t, r, CodeBusyLoop)
+	wantNoCode(t, r, dpl.CodeBusyLoop)
 
 	// A break makes it bounded-intent: no busy-loop warning.
 	r = analyzeSrc(t, `
 func main() {
 	while (true) { break; }
 }`)
-	wantNoCode(t, r, CodeBusyLoop)
+	wantNoCode(t, r, dpl.CodeBusyLoop)
 }
 
 func TestEffectsInference(t *testing.T) {
@@ -257,7 +257,7 @@ func TestEffectsConstantHeadPrefix(t *testing.T) {
 func f(i) {
 	return mibGet("1.3.6.1.2.1.2.2.1.10." + str(i));
 }`)
-	wantNoCode(t, r, CodeDynamicOID)
+	wantNoCode(t, r, dpl.CodeDynamicOID)
 	if got := r.Effects.ReadPrefixes(); len(got) != 1 || got[0] != "1.3.6.1.2.1.2.2.1.10" {
 		t.Fatalf("reads = %v", got)
 	}
@@ -266,7 +266,7 @@ func f(i) {
 func TestEffectsDynamicOIDWidens(t *testing.T) {
 	r := analyzeSrc(t, `
 func f(o) { return mibGet(o); }`)
-	wantCode(t, r, CodeDynamicOID)
+	wantCode(t, r, dpl.CodeDynamicOID)
 	if got := r.Effects.ReadPrefixes(); len(got) != 1 || got[0] != Wildcard {
 		t.Fatalf("reads = %v", got)
 	}
@@ -340,7 +340,7 @@ func f(n) {
 func TestCostRecursionUnbounded(t *testing.T) {
 	r := analyzeSrc(t, `
 func f(n) { if (n <= 0) { return 0; } return f(n - 1); }`)
-	wantCode(t, r, CodeRecursion)
+	wantCode(t, r, dpl.CodeRecursion)
 	if !r.Func("f").Cost.Unbounded {
 		t.Fatal("recursive cost should be unbounded")
 	}
@@ -417,12 +417,52 @@ func f() {
 	return 1;
 	log("x");
 }`)
-	d := wantCode(t, r, CodeUnreachable)
+	d := wantCode(t, r, dpl.CodeUnreachable)
 	s := d.String()
 	if !strings.Contains(s, "warning[DPL002]") || !strings.Contains(s, "4:") {
 		t.Fatalf("diag string = %q", s)
 	}
 	if got := codes(r); len(got) == 0 {
 		t.Fatal("no codes")
+	}
+}
+
+// TestAnalyzeReusesCompileResolution: a cold admission parses, compiles
+// and analyzes one program, and the resolver runs once, in Compile.
+// Analyze reads the names Compile's Check bound rather than walking the
+// program again.
+func TestAnalyzeReusesCompileResolution(t *testing.T) {
+	prog, err := dpl.Parse(`func main() { var up = mibGet("1.3.6.1.2.1.1.3.0"); return up; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := LintBindings()
+	if _, err := dpl.Compile(prog, b); err != nil {
+		t.Fatal(err)
+	}
+	// A mark a second resolution would overwrite: the frame Check numbered.
+	prog.Funcs[0].Locals[0] = "mark"
+	if rep := Analyze(prog, b); len(rep.Diags) != 0 {
+		t.Fatalf("diags = %v", rep.Diags)
+	}
+	if prog.Funcs[0].Locals[0] != "mark" {
+		t.Fatal("Analyze resolved a program Compile had already resolved against the same bindings")
+	}
+}
+
+// TestAnalyzeReportsTranslatorRules: an unchecked program is analyzed
+// all the same, and its Translator rule violations are error findings
+// among the analyzer's own.
+func TestAnalyzeReportsTranslatorRules(t *testing.T) {
+	prog, err := dpl.Parse("func main() {\n\tvar x;\n\treturn x + y;\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Analyze(prog, LintBindings())
+	if got := strings.Join(codes(rep), ","); got != "DPL001,DPL019" {
+		t.Fatalf("codes = %s (%v), want DPL001,DPL019", got, rep.Diags)
+	}
+	if !rep.HasErrors() {
+		t.Fatal("an undeclared name is not an error")
 	}
 }

@@ -222,7 +222,7 @@ func (b *cfgBuilder) stmt(st dpl.Stmt) {
 // unreachable block with nodes whose predecessors are all reachable (or
 // absent) heads a region; its downstream unreachable blocks are
 // suppressed to avoid cascades.
-func unreachableDiags(g *Graph, diags *[]Diagnostic) {
+func unreachableDiags(g *Graph, diags *[]dpl.Diagnostic) {
 	reach := g.Reachable()
 	unreached := make(map[*Block]bool)
 	for _, blk := range g.Blocks {
@@ -244,9 +244,9 @@ func unreachableDiags(g *Graph, diags *[]Diagnostic) {
 		if !regionHead {
 			continue
 		}
-		*diags = append(*diags, Diagnostic{
-			Code: CodeUnreachable,
-			Sev:  SevWarning,
+		*diags = append(*diags, dpl.Diagnostic{
+			Code: dpl.CodeUnreachable,
+			Sev:  dpl.SevWarning,
 			Pos:  blk.Nodes[0].Position(),
 			Msg:  "unreachable code",
 		})

@@ -71,13 +71,11 @@ func mulCost(a, b uint64) uint64 {
 }
 
 type costAnalyzer struct {
-	res      *resolution
-	bindings *dpl.Bindings
-	funcs    map[string]*dpl.FuncDecl
+	prog     *dpl.Program
 	effects  map[*dpl.FuncDecl]*effectSet
 	memo     map[*dpl.FuncDecl]CostEstimate
 	visiting map[*dpl.FuncDecl]bool
-	diags    *[]Diagnostic
+	diags    *[]dpl.Diagnostic
 }
 
 func (a *costAnalyzer) funcCost(f *dpl.FuncDecl) CostEstimate {
@@ -89,9 +87,9 @@ func (a *costAnalyzer) funcCost(f *dpl.FuncDecl) CostEstimate {
 		// entry point.
 		c := CostEstimate{Unbounded: true, Pos: f.Position()}
 		a.memo[f] = c
-		*a.diags = append(*a.diags, Diagnostic{
-			Code: CodeRecursion,
-			Sev:  SevWarning,
+		*a.diags = append(*a.diags, dpl.Diagnostic{
+			Code: dpl.CodeRecursion,
+			Sev:  dpl.SevWarning,
 			Pos:  f.Position(),
 			Msg:  fmt.Sprintf("function %q is recursive; its cost cannot be bounded", f.Name),
 		})
@@ -219,8 +217,8 @@ func (a *costAnalyzer) exprCost(e dpl.Expr) CostEstimate {
 		for _, arg := range n.Args {
 			c = combine(c, a.exprCost(arg))
 		}
-		if callee, ok := a.funcs[n.Name]; ok {
-			return combine(c, a.funcCost(callee))
+		if n.Func >= 0 {
+			return combine(c, a.funcCost(a.prog.Funcs[n.Func]))
 		}
 		return combine(c, CostEstimate{Steps: costHost})
 	}
@@ -237,6 +235,9 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 	if n.Init == nil || n.Cond == nil || n.Post == nil {
 		return 0, false
 	}
+	// The loop lies within one function, whose frame numbers its
+	// variables; which function does not matter to comparing them.
+	fr := frame{globals: a.prog.Globals}
 	var id varID = varNone
 	var start int64
 	switch init := n.Init.(type) {
@@ -249,7 +250,7 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 			return 0, false
 		}
 		start = v
-		id = a.res.decl[init]
+		id = fr.local(init)
 	case *dpl.AssignStmt:
 		t, ok := init.Target.(*dpl.Ident)
 		if !ok || init.Op != dpl.TokAssign {
@@ -260,7 +261,7 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 			return 0, false
 		}
 		start = v
-		id = a.res.use[t]
+		id = fr.ident(t)
 	default:
 		return 0, false
 	}
@@ -274,13 +275,13 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 	}
 	op := cond.Op
 	var limit int64
-	if li, lok := cond.L.(*dpl.Ident); lok && a.res.use[li] == id {
+	if li, lok := cond.L.(*dpl.Ident); lok && fr.ident(li) == id {
 		v, ok := constInt(cond.R)
 		if !ok {
 			return 0, false
 		}
 		limit = v
-	} else if ri, rok := cond.R.(*dpl.Ident); rok && a.res.use[ri] == id {
+	} else if ri, rok := cond.R.(*dpl.Ident); rok && fr.ident(ri) == id {
 		v, ok := constInt(cond.L)
 		if !ok {
 			return 0, false
@@ -308,7 +309,7 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 		return 0, false
 	}
 	pt, ok := post.Target.(*dpl.Ident)
-	if !ok || a.res.use[pt] != id {
+	if !ok || fr.ident(pt) != id {
 		return 0, false
 	}
 	step, ok := constInt(post.Value)
@@ -324,7 +325,7 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 	}
 
 	// The body must not write the induction variable.
-	if writesVar(n.Body, id, a.res) {
+	if writesVar(n.Body, id, fr) {
 		return 0, false
 	}
 
@@ -366,42 +367,16 @@ func (a *costAnalyzer) constTrips(n *dpl.ForStmt) (uint64, bool) {
 }
 
 // writesVar reports whether the block assigns the given variable.
-func writesVar(b *dpl.Block, id varID, res *resolution) bool {
+func writesVar(b *dpl.Block, id varID, fr frame) bool {
 	found := false
-	var stmt func(dpl.Stmt)
-	stmt = func(st dpl.Stmt) {
-		if found {
-			return
-		}
-		switch n := st.(type) {
-		case *dpl.Block:
-			for _, s := range n.Stmts {
-				stmt(s)
-			}
-		case *dpl.AssignStmt:
-			if t, ok := n.Target.(*dpl.Ident); ok && res.use[t] == id {
+	inspect(b, func(n dpl.Node) bool {
+		if a, ok := n.(*dpl.AssignStmt); ok {
+			if t, ok := a.Target.(*dpl.Ident); ok && fr.ident(t) == id {
 				found = true
 			}
-		case *dpl.IfStmt:
-			stmt(n.Then)
-			if n.Else != nil {
-				stmt(n.Else)
-			}
-		case *dpl.WhileStmt:
-			stmt(n.Body)
-		case *dpl.ForStmt:
-			if n.Init != nil {
-				stmt(n.Init)
-			}
-			if n.Post != nil {
-				stmt(n.Post)
-			}
-			stmt(n.Body)
 		}
-	}
-	for _, s := range b.Stmts {
-		stmt(s)
-	}
+		return !found
+	})
 	return found
 }
 
@@ -426,14 +401,12 @@ func (a *costAnalyzer) checkBusyLoop(pos dpl.Pos, cond dpl.Expr, body *dpl.Block
 		if yields {
 			return
 		}
-		if yieldBindings[c.Name] {
-			if _, isUser := a.funcs[c.Name]; !isUser {
-				yields = true
-				return
-			}
+		if c.Func < 0 && yieldBindings[c.Name] {
+			yields = true
+			return
 		}
-		if callee, ok := a.funcs[c.Name]; ok {
-			if set, ok := a.effects[callee]; ok {
+		if c.Func >= 0 {
+			if set, ok := a.effects[a.prog.Funcs[c.Func]]; ok {
 				for name := range set.hosts {
 					if yieldBindings[name] {
 						yields = true
@@ -446,9 +419,9 @@ func (a *costAnalyzer) checkBusyLoop(pos dpl.Pos, cond dpl.Expr, body *dpl.Block
 	if yields {
 		return
 	}
-	*a.diags = append(*a.diags, Diagnostic{
-		Code: CodeBusyLoop,
-		Sev:  SevWarning,
+	*a.diags = append(*a.diags, dpl.Diagnostic{
+		Code: dpl.CodeBusyLoop,
+		Sev:  dpl.SevWarning,
 		Pos:  pos,
 		Msg:  "infinite loop never yields (no sleep/recv on any path) and has no break; it will burn its entire step quota",
 	})
@@ -458,28 +431,14 @@ func (a *costAnalyzer) checkBusyLoop(pos dpl.Pos, cond dpl.Expr, body *dpl.Block
 // to this loop (i.e. not inside a nested loop).
 func hasDirectBreak(b *dpl.Block) bool {
 	found := false
-	var stmt func(dpl.Stmt)
-	stmt = func(st dpl.Stmt) {
-		if found {
-			return
-		}
-		switch n := st.(type) {
+	inspect(b, func(n dpl.Node) bool {
+		switch n.(type) {
 		case *dpl.BreakStmt:
 			found = true
-		case *dpl.Block:
-			for _, s := range n.Stmts {
-				stmt(s)
-			}
-		case *dpl.IfStmt:
-			stmt(n.Then)
-			if n.Else != nil {
-				stmt(n.Else)
-			}
+		case *dpl.WhileStmt, *dpl.ForStmt:
+			return false // their bodies rebind break
 		}
-		// WhileStmt / ForStmt bodies rebind break: do not descend.
-	}
-	for _, s := range b.Stmts {
-		stmt(s)
-	}
+		return !found
+	})
 	return found
 }

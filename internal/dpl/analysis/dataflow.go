@@ -10,6 +10,65 @@ import (
 // liveness (backward, may). Both run to fixpoint on block boundary
 // states, then a final per-block walk produces diagnostics.
 
+// varID numbers the variables one function can name: the program's
+// globals by declaration index, then the function's frame slots
+// (parameters first), as dpl.Check bound them. varNone marks a name
+// bound to no variable (the program failed Check, or the name is a
+// function).
+type varID int
+
+const varNone varID = -1
+
+// frame is the variable numbering of one function; with fn nil, of the
+// globals alone.
+type frame struct {
+	globals []*dpl.VarDecl
+	fn      *dpl.FuncDecl
+}
+
+func (fr frame) size() int { return len(fr.globals) + len(fr.fn.Locals) }
+
+// ident returns the variable n is bound to.
+func (fr frame) ident(n *dpl.Ident) varID {
+	switch {
+	case n.Slot < 0:
+		return varNone
+	case n.Global:
+		return varID(n.Slot)
+	}
+	return varID(len(fr.globals) + n.Slot)
+}
+
+// local returns the variable a local declaration introduces.
+func (fr frame) local(d *dpl.VarDecl) varID { return varID(len(fr.globals) + d.Slot) }
+
+func (fr frame) global(id varID) bool { return int(id) < len(fr.globals) }
+
+// assignedAtEntry reports whether id is a global or a parameter.
+func (fr frame) assignedAtEntry(id varID) bool {
+	return int(id) < len(fr.globals)+len(fr.fn.Params)
+}
+
+func (fr frame) name(id varID) string {
+	if fr.global(id) {
+		return fr.globals[id].Name
+	}
+	return fr.fn.Locals[int(id)-len(fr.globals)]
+}
+
+// eachUse walks e and calls fn for every bound variable read. Assign
+// targets are not "uses" — callers handle them explicitly.
+func (fr frame) eachUse(e dpl.Expr, fn func(id varID, pos dpl.Pos)) {
+	inspect(e, func(n dpl.Node) bool {
+		if x, ok := n.(*dpl.Ident); ok {
+			if id := fr.ident(x); id != varNone {
+				fn(id, x.Position())
+			}
+		}
+		return true
+	})
+}
+
 // bitset is a fixed-universe variable set.
 type bitset []uint64
 
@@ -71,13 +130,11 @@ func (b bitset) equal(o bitset) bool {
 // Globals and parameters count as assigned at entry (globals are
 // initialized by the program prologue, to nil at worst; the
 // never-written-global case is a separate program-level check).
-func definiteAssignment(g *Graph, res *resolution, diags *[]Diagnostic) {
-	nvars := len(res.vars)
+func definiteAssignment(g *Graph, fr frame, diags *[]dpl.Diagnostic) {
+	nvars := fr.size()
 	entry := newBitset(nvars)
-	for i, v := range res.vars {
-		if v.global || v.param {
-			entry.set(varID(i))
-		}
+	for i := 0; i < len(fr.globals)+len(fr.fn.Params); i++ {
+		entry.set(varID(i))
 	}
 
 	in := make(map[*Block]bitset, len(g.Blocks))
@@ -96,7 +153,7 @@ func definiteAssignment(g *Graph, res *resolution, diags *[]Diagnostic) {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		out := in[b].clone()
-		daTransfer(b, out, res, nil)
+		daTransfer(b, out, fr, nil)
 		for _, s := range b.Succs {
 			if in[s].intersect(out) {
 				work = append(work, s)
@@ -111,16 +168,16 @@ func definiteAssignment(g *Graph, res *resolution, diags *[]Diagnostic) {
 			continue // unreachable code is reported by DPL002
 		}
 		state := in[b].clone()
-		daTransfer(b, state, res, func(id varID, pos dpl.Pos) {
+		daTransfer(b, state, fr, func(id varID, pos dpl.Pos) {
 			if reported[pos] {
 				return
 			}
 			reported[pos] = true
-			*diags = append(*diags, Diagnostic{
-				Code: CodeUseBeforeInit,
-				Sev:  SevWarning,
+			*diags = append(*diags, dpl.Diagnostic{
+				Code: dpl.CodeUseBeforeInit,
+				Sev:  dpl.SevWarning,
 				Pos:  pos,
-				Msg:  fmt.Sprintf("variable %q may be used before it is assigned (reads as nil)", res.vars[id].name),
+				Msg:  fmt.Sprintf("variable %q may be used before it is assigned (reads as nil)", fr.name(id)),
 			})
 		})
 	}
@@ -128,14 +185,13 @@ func definiteAssignment(g *Graph, res *resolution, diags *[]Diagnostic) {
 
 // daTransfer applies block b to the assigned-set state. When report is
 // non-nil, each read of an unassigned local is reported.
-func daTransfer(b *Block, state bitset, res *resolution, report func(varID, dpl.Pos)) {
+func daTransfer(b *Block, state bitset, fr frame, report func(varID, dpl.Pos)) {
 	check := func(e dpl.Expr) {
 		if report == nil {
 			return
 		}
-		res.eachUse(e, func(id varID, pos dpl.Pos) {
-			v := res.vars[id]
-			if !v.global && !v.param && !state.has(id) {
+		fr.eachUse(e, func(id varID, pos dpl.Pos) {
+			if !fr.assignedAtEntry(id) && !state.has(id) {
 				report(id, pos)
 			}
 		})
@@ -145,9 +201,7 @@ func daTransfer(b *Block, state bitset, res *resolution, report func(varID, dpl.
 		case *dpl.VarDecl:
 			if n.Init != nil {
 				check(n.Init)
-				if id, ok := res.decl[n]; ok {
-					state.set(id)
-				}
+				state.set(fr.local(n))
 			}
 		case *dpl.AssignStmt:
 			check(n.Value)
@@ -156,7 +210,7 @@ func daTransfer(b *Block, state bitset, res *resolution, report func(varID, dpl.
 				if n.Op != dpl.TokAssign {
 					check(t) // compound assignment reads the old value
 				}
-				if id, ok := res.use[t]; ok && id != varNone {
+				if id := fr.ident(t); id != varNone {
 					state.set(id)
 				}
 			case *dpl.IndexExpr:
@@ -177,8 +231,8 @@ func daTransfer(b *Block, state bitset, res *resolution, report func(varID, dpl.
 // liveness runs the backward may-live analysis and appends DPL003
 // dead-store diagnostics for assignments to locals that no later read
 // observes. Globals are exempt: they outlive every activation.
-func liveness(g *Graph, res *resolution, diags *[]Diagnostic) {
-	nvars := len(res.vars)
+func liveness(g *Graph, fr frame, diags *[]dpl.Diagnostic) {
+	nvars := fr.size()
 	out := make(map[*Block]bitset, len(g.Blocks))
 	for _, b := range g.Blocks {
 		out[b] = newBitset(nvars)
@@ -190,7 +244,7 @@ func liveness(g *Graph, res *resolution, diags *[]Diagnostic) {
 		for i := len(g.Blocks) - 1; i >= 0; i-- {
 			b := g.Blocks[i]
 			state := out[b].clone()
-			liveTransfer(b, state, res, nil)
+			liveTransfer(b, state, fr, nil)
 			for _, p := range b.Preds {
 				if out[p].union(state) {
 					changed = true
@@ -205,16 +259,16 @@ func liveness(g *Graph, res *resolution, diags *[]Diagnostic) {
 			continue
 		}
 		state := out[b].clone()
-		liveTransfer(b, state, res, func(id varID, pos dpl.Pos, decl bool) {
+		liveTransfer(b, state, fr, func(id varID, pos dpl.Pos, decl bool) {
 			verb := "assigned to"
 			if decl {
 				verb = "stored in"
 			}
-			*diags = append(*diags, Diagnostic{
-				Code: CodeDeadStore,
-				Sev:  SevWarning,
+			*diags = append(*diags, dpl.Diagnostic{
+				Code: dpl.CodeDeadStore,
+				Sev:  dpl.SevWarning,
 				Pos:  pos,
-				Msg:  fmt.Sprintf("value %s %q is never used", verb, res.vars[id].name),
+				Msg:  fmt.Sprintf("value %s %q is never used", verb, fr.name(id)),
 			})
 		})
 	}
@@ -223,14 +277,14 @@ func liveness(g *Graph, res *resolution, diags *[]Diagnostic) {
 // liveTransfer applies block b backward to the live-set state. When
 // report is non-nil it is called for each dead store (decl=true for a
 // VarDecl initializer).
-func liveTransfer(b *Block, state bitset, res *resolution, report func(varID, dpl.Pos, bool)) {
+func liveTransfer(b *Block, state bitset, fr frame, report func(varID, dpl.Pos, bool)) {
 	gen := func(e dpl.Expr) {
-		res.eachUse(e, func(id varID, _ dpl.Pos) { state.set(id) })
+		fr.eachUse(e, func(id varID, _ dpl.Pos) { state.set(id) })
 	}
 	for i := len(b.Nodes) - 1; i >= 0; i-- {
 		switch n := b.Nodes[i].(type) {
 		case *dpl.VarDecl:
-			if id, ok := res.decl[n]; ok && n.Init != nil {
+			if id := fr.local(n); n.Init != nil {
 				if report != nil && !state.has(id) && !isTrivial(n.Init) {
 					report(id, n.Position(), true)
 				}
@@ -242,9 +296,8 @@ func liveTransfer(b *Block, state bitset, res *resolution, report func(varID, dp
 		case *dpl.AssignStmt:
 			switch t := n.Target.(type) {
 			case *dpl.Ident:
-				if id, ok := res.use[t]; ok && id != varNone {
-					v := res.vars[id]
-					if report != nil && !v.global && !state.has(id) {
+				if id := fr.ident(t); id != varNone {
+					if report != nil && !fr.global(id) && !state.has(id) {
 						report(id, n.Position(), false)
 					}
 					state.clear(id)
@@ -280,96 +333,54 @@ func isTrivial(e dpl.Expr) bool {
 }
 
 // globalDiags reports DPL004 for globals that are read somewhere but
-// have no initializer and no assignment anywhere in the program.
-func globalDiags(prog *dpl.Program, res *resolution, diags *[]Diagnostic) {
-	written := make(map[varID]bool)
-	firstRead := make(map[varID]dpl.Pos)
-	for _, g := range prog.Globals {
-		if g.Init != nil {
-			written[res.decl[g]] = true
-		}
-	}
-	var walkStmt func(st dpl.Stmt)
+// have no initializer and no assignment anywhere in the program, at the
+// first read: in the global initializers, else in source order through
+// the functions.
+func globalDiags(prog *dpl.Program, diags *[]dpl.Diagnostic) {
+	fr := frame{globals: prog.Globals}
+	written := make([]bool, len(prog.Globals))
+	firstRead := make([]dpl.Pos, len(prog.Globals)) // Line 0: not read
 	noteReads := func(e dpl.Expr) {
-		res.eachUse(e, func(id varID, pos dpl.Pos) {
-			if res.vars[id].global {
-				if _, ok := firstRead[id]; !ok {
-					firstRead[id] = pos
-				}
+		fr.eachUse(e, func(id varID, pos dpl.Pos) {
+			if fr.global(id) && firstRead[id].Line == 0 {
+				firstRead[id] = pos
 			}
 		})
 	}
-	walkStmt = func(st dpl.Stmt) {
-		switch n := st.(type) {
-		case *dpl.VarDecl:
-			if n.Init != nil {
-				noteReads(n.Init)
-			}
-		case *dpl.Block:
-			for _, s := range n.Stmts {
-				walkStmt(s)
-			}
-		case *dpl.AssignStmt:
-			if t, ok := n.Target.(*dpl.Ident); ok {
-				if id, ok := res.use[t]; ok && id != varNone && res.vars[id].global {
-					written[id] = true
-					if n.Op != dpl.TokAssign {
-						noteReads(t)
-					}
-				}
-			} else {
-				noteReads(n.Target)
-			}
-			noteReads(n.Value)
-		case *dpl.IfStmt:
-			noteReads(n.Cond)
-			walkStmt(n.Then)
-			if n.Else != nil {
-				walkStmt(n.Else)
-			}
-		case *dpl.WhileStmt:
-			noteReads(n.Cond)
-			walkStmt(n.Body)
-		case *dpl.ForStmt:
-			if n.Init != nil {
-				walkStmt(n.Init)
-			}
-			if n.Cond != nil {
-				noteReads(n.Cond)
-			}
-			if n.Post != nil {
-				walkStmt(n.Post)
-			}
-			walkStmt(n.Body)
-		case *dpl.ReturnStmt:
-			if n.Value != nil {
-				noteReads(n.Value)
-			}
-		case *dpl.ExprStmt:
-			noteReads(n.X)
-		}
-	}
-	for _, g := range prog.Globals {
+	for i, g := range prog.Globals {
 		if g.Init != nil {
+			written[i] = true
 			noteReads(g.Init)
 		}
 	}
 	for _, f := range prog.Funcs {
-		walkStmt(f.Body)
+		inspect(f.Body, func(n dpl.Node) bool {
+			switch n := n.(type) {
+			case *dpl.AssignStmt:
+				if t, ok := n.Target.(*dpl.Ident); ok && t.Global && t.Slot >= 0 {
+					written[t.Slot] = true
+					if n.Op != dpl.TokAssign {
+						noteReads(t)
+					}
+					noteReads(n.Value)
+					return false
+				}
+			case dpl.Expr:
+				noteReads(n)
+				return false
+			}
+			return true
+		})
 	}
-	for _, id := range res.globals {
-		if written[id] {
+	for i, g := range prog.Globals {
+		if written[i] || firstRead[i].Line == 0 {
 			continue
 		}
-		pos, read := firstRead[id]
-		if !read {
-			continue
-		}
-		*diags = append(*diags, Diagnostic{
-			Code: CodeGlobalNeverWritten,
-			Sev:  SevWarning,
-			Pos:  pos,
-			Msg:  fmt.Sprintf("global %q is read but never written anywhere (always nil)", res.vars[id].name),
+		*diags = append(*diags, dpl.Diagnostic{
+			Code: dpl.CodeGlobalNeverWritten,
+			Sev:  dpl.SevWarning,
+			Pos:  firstRead[i],
+			Msg:  fmt.Sprintf("global %q is read but never written anywhere (always nil)", g.Name),
 		})
 	}
 }

@@ -197,22 +197,16 @@ func sortedEffects(m map[string]dpl.Pos, minimize bool) []Effect {
 
 // inferEffects computes per-function effect sets, transitively closed
 // over user calls, plus DPL006 diagnostics for dynamic OID arguments.
-func inferEffects(prog *dpl.Program, bindings *dpl.Bindings, diags *[]Diagnostic) (sets map[*dpl.FuncDecl]*effectSet, initSet *effectSet) {
-	userFuncs := make(map[string]*dpl.FuncDecl, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		if _, dup := userFuncs[f.Name]; !dup {
-			userFuncs[f.Name] = f
-		}
-	}
-
+func inferEffects(prog *dpl.Program, diags *[]dpl.Diagnostic) (sets map[*dpl.FuncDecl]*effectSet, initSet *effectSet) {
 	direct := make(map[*dpl.FuncDecl]*effectSet, len(prog.Funcs))
 	calls := make(map[*dpl.FuncDecl]map[*dpl.FuncDecl]bool, len(prog.Funcs))
 
-	collect := func(f *dpl.FuncDecl, body *dpl.Block, set *effectSet) {
+	collect := func(f *dpl.FuncDecl, body dpl.Node, set *effectSet) {
 		walkCalls(body, func(c *dpl.CallExpr) {
-			if callee, ok := userFuncs[c.Name]; ok {
+			if c.Func >= 0 {
 				// User functions resolve before host bindings (and
 				// shadowing a host name is a Check error anyway).
+				callee := prog.Funcs[c.Func]
 				if f != nil {
 					if calls[f] == nil {
 						calls[f] = make(map[*dpl.FuncDecl]bool)
@@ -221,8 +215,8 @@ func inferEffects(prog *dpl.Program, bindings *dpl.Bindings, diags *[]Diagnostic
 				}
 				return
 			}
-			if _, _, isHost := bindings.Lookup(c.Name); !isHost {
-				return // unknown name; Check already rejected it
+			if c.Host < 0 {
+				return // unknown name; Check rejects it
 			}
 			addOnce(set.hosts, c.Name, c.Position())
 			prim, ok := mibPrimitives[c.Name]
@@ -233,9 +227,9 @@ func inferEffects(prog *dpl.Program, bindings *dpl.Bindings, diags *[]Diagnostic
 			prefix, exact, okPrefix := constOIDPrefix(arg)
 			if !okPrefix {
 				prefix = Wildcard
-				*diags = append(*diags, Diagnostic{
-					Code: CodeDynamicOID,
-					Sev:  SevWarning,
+				*diags = append(*diags, dpl.Diagnostic{
+					Code: dpl.CodeDynamicOID,
+					Sev:  dpl.SevWarning,
 					Pos:  arg.Position(),
 					Msg:  fmt.Sprintf("OID argument of %s is not a constant; inferred effect widens to the whole MIB", c.Name),
 				})
@@ -260,7 +254,7 @@ func inferEffects(prog *dpl.Program, bindings *dpl.Bindings, diags *[]Diagnostic
 	initSet = newEffectSet()
 	for _, g := range prog.Globals {
 		if g.Init != nil {
-			collect(nil, &dpl.Block{Stmts: []dpl.Stmt{&dpl.ExprStmt{Pos_: g.Position(), X: g.Init}}}, initSet)
+			collect(nil, g.Init, initSet)
 		}
 	}
 
@@ -276,80 +270,4 @@ func inferEffects(prog *dpl.Program, bindings *dpl.Bindings, diags *[]Diagnostic
 		}
 	}
 	return direct, initSet
-}
-
-// walkCalls visits every CallExpr in a statement tree.
-func walkCalls(b *dpl.Block, fn func(*dpl.CallExpr)) {
-	var stmt func(dpl.Stmt)
-	var expr func(dpl.Expr)
-	expr = func(e dpl.Expr) {
-		switch n := e.(type) {
-		case *dpl.UnaryExpr:
-			expr(n.X)
-		case *dpl.BinaryExpr:
-			expr(n.L)
-			expr(n.R)
-		case *dpl.IndexExpr:
-			expr(n.X)
-			expr(n.I)
-		case *dpl.ArrayLit:
-			for _, el := range n.Elems {
-				expr(el)
-			}
-		case *dpl.MapLit:
-			for i := range n.Keys {
-				expr(n.Keys[i])
-				expr(n.Vals[i])
-			}
-		case *dpl.CallExpr:
-			fn(n)
-			for _, a := range n.Args {
-				expr(a)
-			}
-		}
-	}
-	stmt = func(st dpl.Stmt) {
-		switch n := st.(type) {
-		case *dpl.VarDecl:
-			if n.Init != nil {
-				expr(n.Init)
-			}
-		case *dpl.Block:
-			for _, s := range n.Stmts {
-				stmt(s)
-			}
-		case *dpl.AssignStmt:
-			expr(n.Target)
-			expr(n.Value)
-		case *dpl.IfStmt:
-			expr(n.Cond)
-			stmt(n.Then)
-			if n.Else != nil {
-				stmt(n.Else)
-			}
-		case *dpl.WhileStmt:
-			expr(n.Cond)
-			stmt(n.Body)
-		case *dpl.ForStmt:
-			if n.Init != nil {
-				stmt(n.Init)
-			}
-			if n.Cond != nil {
-				expr(n.Cond)
-			}
-			if n.Post != nil {
-				stmt(n.Post)
-			}
-			stmt(n.Body)
-		case *dpl.ReturnStmt:
-			if n.Value != nil {
-				expr(n.Value)
-			}
-		case *dpl.ExprStmt:
-			expr(n.X)
-		}
-	}
-	for _, s := range b.Stmts {
-		stmt(s)
-	}
 }

@@ -64,8 +64,8 @@ func TestLintOutputPinned(t *testing.T) {
 	if got := out.String(); got != string(want) {
 		t.Errorf("lint output moved.\n--- got\n%s--- want\n%s", got, want)
 	}
-	for _, code := range []string{CodeUseBeforeInit, CodeUnreachable, CodeDeadStore, CodeGlobalNeverWritten,
-		CodeBusyLoop, CodeDynamicOID, CodeRecursion} {
+	for _, code := range []string{dpl.CodeUseBeforeInit, dpl.CodeUnreachable, dpl.CodeDeadStore, dpl.CodeGlobalNeverWritten,
+		dpl.CodeBusyLoop, dpl.CodeDynamicOID, dpl.CodeRecursion} {
 		if !strings.Contains(string(want), "["+code+"]") {
 			t.Errorf("the golden file holds no %s: testdata/diagnostics.dpl no longer raises it", code)
 		}

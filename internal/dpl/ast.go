@@ -13,6 +13,12 @@ type Node interface {
 type Program struct {
 	Globals []*VarDecl
 	Funcs   []*FuncDecl
+
+	// checked is the Bindings the resolver last bound the program
+	// against (host indices depend on them), and diags what it found:
+	// Check walks a program once per Bindings.
+	checked *Bindings
+	diags   []Diagnostic
 }
 
 // FuncDecl is a function definition.
@@ -21,6 +27,10 @@ type FuncDecl struct {
 	Name   string
 	Params []string
 	Body   *Block
+	// Locals names each slot of the function's frame, parameters first,
+	// in the order the resolver (Check) numbered them: len(Locals) is
+	// the frame size.
+	Locals []string
 }
 
 // Position implements Node.
@@ -37,6 +47,9 @@ type VarDecl struct {
 	Pos_ Pos
 	Name string
 	Init Expr // may be nil → nil value
+	// Slot is the resolver's: the global's index in Program.Globals, or
+	// the local's slot in its function's frame.
+	Slot int
 }
 
 // Block is a brace-delimited statement list with its own scope.
@@ -129,6 +142,11 @@ type Expr interface {
 type Ident struct {
 	Pos_ Pos
 	Name string
+	// Global and Slot are the resolver's binding: Program.Globals[Slot]
+	// when Global is set, otherwise the enclosing function's local Slot.
+	// Slot is -1 for a name bound to no variable.
+	Global bool
+	Slot   int
 }
 
 // IntLit is an integer literal.
@@ -191,6 +209,9 @@ type CallExpr struct {
 	Pos_ Pos
 	Name string
 	Args []Expr
+	// Func is the callee's index in Program.Funcs, or -1; otherwise Host
+	// is its index in the Bindings, or -1. The resolver sets both.
+	Func, Host int
 }
 
 // IndexExpr is x[i] on arrays (int index) and maps (string index).

@@ -4,214 +4,294 @@ import "fmt"
 
 // The Translator. The paper's elastic process compiles a delegated
 // program and "if the dp violates any of a set of defined rules for the
-// given language, the dp is rejected". Check enforces those rules:
+// given language, the dp is rejected". Check enforces those rules, each
+// reported under its own code:
 //
 //   - every called function must be either defined in the DP itself or
 //     present in the host's allowed-function table (Bindings) — no
-//     binding to arbitrary external functions;
-//   - every referenced variable must be declared;
+//     binding to arbitrary external functions (CodeUnboundCall);
+//   - every referenced variable must be declared (CodeUndeclared);
 //   - user-function calls must match the declared arity; fixed-arity
-//     host calls likewise;
-//   - break/continue must appear inside a loop;
-//   - function, parameter, and same-scope variable names must be unique.
+//     host calls likewise (CodeArity);
+//   - break/continue must appear inside a loop (CodeLoopControl);
+//   - function, global, parameter, and same-scope variable names must
+//     be unique (CodeRedeclared), and no function may take a host
+//     function's name (CodeShadowsHost).
+//
+// Check is also the one name resolver. It binds every identifier to
+// its global index or frame slot, every call to its function or host
+// index, and numbers each function's frame (FuncDecl.Locals); Compile
+// and the static analyzer read those bindings and keep no scope tables
+// of their own.
 
-type checker struct {
+// resolver is Check's state over one program.
+type resolver struct {
 	prog     *Program
 	bindings *Bindings
-	funcs    map[string]*FuncDecl
-	globals  map[string]bool
-	errs     []error
+	funcs    map[string]int // each function name's first declaration
+	// scope lists the variables visible at the point being resolved,
+	// innermost last: the globals, then the current function's
+	// parameters and locals. A scope truncates it back when it ends, and
+	// scope[top:] is the innermost one, where a redeclaration is an error.
+	scope []scoped
+	top   int
+	loops int // loops enclosing the statement being resolved
+	// locals backs every function's Locals; base is where the current
+	// function's frame starts in it.
+	locals []string
+	base   int
+	diags  []Diagnostic
 }
 
-// Check validates prog against the host's allowed-function table and
-// returns the translator diagnostics, or nil when the program is
-// accepted.
-func Check(prog *Program, bindings *Bindings) []error {
-	c := &checker{
+// scoped is one visible variable and where it lives.
+type scoped struct {
+	name   string
+	global bool
+	slot   int
+}
+
+// Check validates prog against the host's allowed-function table,
+// binding its names, and returns the translator diagnostics (all error
+// severity, sorted by position), or nil when the program is accepted.
+// A program is resolved once per Bindings: checking it again against
+// the same table returns the first verdict. Check writes the bindings
+// into prog, so one Program must not be checked, compiled or analyzed
+// from several goroutines at once.
+func Check(prog *Program, bindings *Bindings) []Diagnostic {
+	if prog.checked == nil || prog.checked != bindings {
+		prog.diags = resolve(prog, bindings)
+		prog.checked = bindings
+	}
+	return prog.diags
+}
+
+func resolve(prog *Program, bindings *Bindings) []Diagnostic {
+	// Few functions declare more than a variable per top-level
+	// statement, so the buffers seldom outgrow these sizes.
+	frames, frame := 0, 0
+	for _, f := range prog.Funcs {
+		n := len(f.Params) + len(f.Body.Stmts)
+		frames += n
+		frame = max(frame, n)
+	}
+	r := &resolver{
 		prog:     prog,
 		bindings: bindings,
-		funcs:    make(map[string]*FuncDecl),
-		globals:  make(map[string]bool),
+		funcs:    make(map[string]int, len(prog.Funcs)),
+		scope:    make([]scoped, 0, len(prog.Globals)+frame),
+		locals:   make([]string, 0, frames),
 	}
-	for _, f := range prog.Funcs {
-		if prev, dup := c.funcs[f.Name]; dup {
-			c.errorf(f.Position(), "function %q redefined (first at %s)", f.Name, prev.Position())
+	for i, f := range prog.Funcs {
+		if prev, dup := r.funcs[f.Name]; dup {
+			r.errorf(CodeRedeclared, f.Position(), "function %q redefined (first at %s)", f.Name, prog.Funcs[prev].Position())
 			continue
 		}
 		if _, _, isHost := bindings.Lookup(f.Name); isHost {
-			c.errorf(f.Position(), "function %q shadows a host function", f.Name)
+			r.errorf(CodeShadowsHost, f.Position(), "function %q shadows a host function", f.Name)
 		}
-		c.funcs[f.Name] = f
+		r.funcs[f.Name] = i
 	}
-	for _, g := range prog.Globals {
-		if c.globals[g.Name] {
-			c.errorf(g.Position(), "global %q redeclared", g.Name)
+	for i, g := range prog.Globals {
+		if r.declared(0, g.Name) {
+			r.errorf(CodeRedeclared, g.Position(), "global %q redeclared", g.Name)
 		}
 		if g.Init != nil {
 			// Global initializers run before any function; they may
 			// reference earlier globals only.
-			c.checkExpr(g.Init, &scope{c: c})
+			r.expr(g.Init)
 		}
-		c.globals[g.Name] = true
+		g.Slot = i
+		r.scope = append(r.scope, scoped{name: g.Name, global: true, slot: i})
 	}
+	nGlobals := len(r.scope)
 	for _, f := range prog.Funcs {
-		c.checkFunc(f)
+		r.base = len(r.locals)
+		for _, p := range f.Params {
+			if r.declared(nGlobals, p) {
+				r.errorf(CodeRedeclared, f.Position(), "parameter %q repeated in %q", p, f.Name)
+			}
+			r.declare(p)
+		}
+		r.block(f.Body.Stmts)
+		f.Locals = r.locals[r.base:len(r.locals):len(r.locals)]
+		r.scope = r.scope[:nGlobals]
 	}
-	return c.errs
-}
-
-func (c *checker) errorf(pos Pos, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
-}
-
-// scope is a lexical scope chain for local variables.
-type scope struct {
-	c      *checker
-	parent *scope
-	names  map[string]bool
-	inLoop bool
-}
-
-func (s *scope) child(loop bool) *scope {
-	return &scope{c: s.c, parent: s, names: make(map[string]bool), inLoop: loop || s.inLoop}
-}
-
-func (s *scope) declare(pos Pos, name string) {
-	if s.names == nil {
-		s.names = make(map[string]bool)
+	if len(r.diags) > 1 {
+		SortDiags(r.diags)
 	}
-	if s.names[name] {
-		s.c.errorf(pos, "variable %q redeclared in this scope", name)
-	}
-	s.names[name] = true
+	return r.diags
 }
 
-func (s *scope) resolve(name string) bool {
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.names[name] {
+func (r *resolver) errorf(code string, pos Pos, format string, args ...any) {
+	r.diags = append(r.diags, Diagnostic{Code: code, Sev: SevError, Pos: pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// declared reports whether scope[from:] already holds name.
+func (r *resolver) declared(from int, name string) bool {
+	for _, v := range r.scope[from:] {
+		if v.name == name {
 			return true
 		}
 	}
-	return s.c.globals[name]
+	return false
 }
 
-func (c *checker) checkFunc(f *FuncDecl) {
-	top := &scope{c: c, names: make(map[string]bool)}
-	seen := map[string]bool{}
-	for _, p := range f.Params {
-		if seen[p] {
-			c.errorf(f.Position(), "parameter %q repeated in %q", p, f.Name)
+// declare gives name the current function's next frame slot and brings
+// it into scope.
+func (r *resolver) declare(name string) int {
+	slot := len(r.locals) - r.base
+	r.locals = append(r.locals, name)
+	r.scope = append(r.scope, scoped{name: name, slot: slot})
+	return slot
+}
+
+// bind binds n to the innermost visible variable of its name,
+// reporting whether there is one.
+func (r *resolver) bind(n *Ident) bool {
+	for i := len(r.scope) - 1; i >= 0; i-- {
+		if v := r.scope[i]; v.name == n.Name {
+			n.Global, n.Slot = v.global, v.slot
+			return true
 		}
-		seen[p] = true
-		top.names[p] = true
 	}
-	c.checkBlock(f.Body, top.child(false))
+	n.Global, n.Slot = false, -1
+	return false
 }
 
-func (c *checker) checkBlock(b *Block, s *scope) {
-	for _, st := range b.Stmts {
-		c.checkStmt(st, s)
+// block resolves stmts as one scope.
+func (r *resolver) block(stmts []Stmt) {
+	outer, top := len(r.scope), r.top
+	r.top = outer
+	for _, st := range stmts {
+		r.stmt(st)
 	}
+	r.scope, r.top = r.scope[:outer], top
 }
 
-func (c *checker) checkStmt(st Stmt, s *scope) {
+func (r *resolver) stmt(st Stmt) {
 	switch n := st.(type) {
 	case *VarDecl:
 		if n.Init != nil {
-			c.checkExpr(n.Init, s)
+			r.expr(n.Init)
 		}
-		s.declare(n.Position(), n.Name)
+		if r.declared(r.top, n.Name) {
+			r.errorf(CodeRedeclared, n.Position(), "variable %q redeclared in this scope", n.Name)
+		}
+		n.Slot = r.declare(n.Name)
 	case *Block:
-		c.checkBlock(n, s.child(false))
+		r.block(n.Stmts)
 	case *AssignStmt:
-		switch t := n.Target.(type) {
-		case *Ident:
-			if !s.resolve(t.Name) {
-				c.errorf(t.Position(), "assignment to undeclared variable %q", t.Name)
+		if t, ok := n.Target.(*Ident); ok {
+			if !r.bind(t) {
+				r.errorf(CodeUndeclared, t.Position(), "assignment to undeclared variable %q", t.Name)
 			}
-		case *IndexExpr:
-			c.checkExpr(t, s)
+		} else {
+			r.expr(n.Target)
 		}
-		c.checkExpr(n.Value, s)
+		r.expr(n.Value)
 	case *IfStmt:
-		c.checkExpr(n.Cond, s)
-		c.checkBlock(n.Then, s.child(false))
+		r.expr(n.Cond)
+		r.block(n.Then.Stmts)
 		if n.Else != nil {
-			c.checkStmt(n.Else, s.child(false))
+			r.stmt(n.Else)
 		}
 	case *WhileStmt:
-		c.checkExpr(n.Cond, s)
-		c.checkBlock(n.Body, s.child(true))
+		r.expr(n.Cond)
+		r.loops++
+		r.block(n.Body.Stmts)
+		r.loops--
 	case *ForStmt:
-		fs := s.child(true)
+		// One scope holds the loop variable and the body's own, so the
+		// body may not redeclare it; Post sees only the former. Slots
+		// follow the order the code is laid out in: Init, Cond, Body,
+		// Post.
+		outer, top := len(r.scope), r.top
+		r.top = outer
+		r.loops++
 		if n.Init != nil {
-			c.checkStmt(n.Init, fs)
+			r.stmt(n.Init)
 		}
 		if n.Cond != nil {
-			c.checkExpr(n.Cond, fs)
+			r.expr(n.Cond)
 		}
+		inner := len(r.scope)
+		for _, st := range n.Body.Stmts {
+			r.stmt(st)
+		}
+		r.scope = r.scope[:inner]
 		if n.Post != nil {
-			c.checkStmt(n.Post, fs)
+			r.stmt(n.Post)
 		}
-		c.checkBlock(n.Body, fs)
+		r.loops--
+		r.scope, r.top = r.scope[:outer], top
 	case *BreakStmt:
-		if !s.inLoop {
-			c.errorf(n.Position(), "break outside loop")
+		if r.loops == 0 {
+			r.errorf(CodeLoopControl, n.Position(), "break outside loop")
 		}
 	case *ContinueStmt:
-		if !s.inLoop {
-			c.errorf(n.Position(), "continue outside loop")
+		if r.loops == 0 {
+			r.errorf(CodeLoopControl, n.Position(), "continue outside loop")
 		}
 	case *ReturnStmt:
 		if n.Value != nil {
-			c.checkExpr(n.Value, s)
+			r.expr(n.Value)
 		}
 	case *ExprStmt:
-		c.checkExpr(n.X, s)
+		r.expr(n.X)
 	}
 }
 
-func (c *checker) checkExpr(e Expr, s *scope) {
+func (r *resolver) expr(e Expr) {
 	switch n := e.(type) {
 	case *Ident:
-		if !s.resolve(n.Name) {
-			c.errorf(n.Position(), "undeclared variable %q", n.Name)
+		if !r.bind(n) {
+			r.errorf(CodeUndeclared, n.Position(), "undeclared variable %q", n.Name)
 		}
 	case *UnaryExpr:
-		c.checkExpr(n.X, s)
+		r.expr(n.X)
 	case *BinaryExpr:
-		c.checkExpr(n.L, s)
-		c.checkExpr(n.R, s)
+		r.expr(n.L)
+		r.expr(n.R)
 	case *IndexExpr:
-		c.checkExpr(n.X, s)
-		c.checkExpr(n.I, s)
+		r.expr(n.X)
+		r.expr(n.I)
 	case *ArrayLit:
 		for _, el := range n.Elems {
-			c.checkExpr(el, s)
+			r.expr(el)
 		}
 	case *MapLit:
 		for i := range n.Keys {
-			c.checkExpr(n.Keys[i], s)
-			c.checkExpr(n.Vals[i], s)
+			r.expr(n.Keys[i])
+			r.expr(n.Vals[i])
 		}
 	case *CallExpr:
 		for _, a := range n.Args {
-			c.checkExpr(a, s)
+			r.expr(a)
 		}
-		if f, ok := c.funcs[n.Name]; ok {
-			if len(n.Args) != len(f.Params) {
-				c.errorf(n.Position(), "%q expects %d arguments, got %d", n.Name, len(f.Params), len(n.Args))
-			}
-			return
+		r.call(n)
+	}
+}
+
+// call binds n to a program function, which comes first, or else to a
+// host function.
+func (r *resolver) call(n *CallExpr) {
+	n.Func, n.Host = -1, -1
+	if fi, ok := r.funcs[n.Name]; ok {
+		n.Func = fi
+		if want := len(r.prog.Funcs[fi].Params); len(n.Args) != want {
+			r.errorf(CodeArity, n.Position(), "%q expects %d arguments, got %d", n.Name, want, len(n.Args))
 		}
-		if _, arity, ok := c.bindings.Lookup(n.Name); ok {
-			if arity >= 0 && len(n.Args) != arity {
-				c.errorf(n.Position(), "host function %q expects %d arguments, got %d", n.Name, arity, len(n.Args))
-			}
-			return
-		}
+		return
+	}
+	hi, arity, ok := r.bindings.Lookup(n.Name)
+	if !ok {
 		// The paper's core safety rule: unknown bindings are rejected
 		// at translation time, never deferred to runtime.
-		c.errorf(n.Position(), "call to %q: not a program function and not in the allowed host function set", n.Name)
+		r.errorf(CodeUnboundCall, n.Position(), "call to %q: not a program function and not in the allowed host function set", n.Name)
+		return
+	}
+	n.Host = hi
+	if arity >= 0 && len(n.Args) != arity {
+		r.errorf(CodeArity, n.Position(), "host function %q expects %d arguments, got %d", n.Name, arity, len(n.Args))
 	}
 }

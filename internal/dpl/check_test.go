@@ -153,3 +153,60 @@ func TestCompileRejectsUncheckedProgram(t *testing.T) {
 		t.Fatal("Compile accepted a program the translator must reject")
 	}
 }
+
+// TestCheckResolvesOncePerBindings: the resolver walks a program once
+// per Bindings. Compile and a second Check against the same table reuse
+// the first walk's verdict and bindings without allocating; another
+// table resolves the program again.
+func TestCheckResolvesOncePerBindings(t *testing.T) {
+	prog := mustParse(t, `var g = 1; func main() { var x = g; return len([x]); }`)
+	b := Std()
+	if diags := Check(prog, b); len(diags) != 0 {
+		t.Fatal(diags)
+	}
+	// A mark the resolver would overwrite: the frame it numbered.
+	prog.Funcs[0].Locals[0] = "mark"
+	if _, err := Compile(prog, b); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { Check(prog, b) }); n != 0 {
+		t.Errorf("re-checking a resolved program allocates %.0f times", n)
+	}
+	if prog.Funcs[0].Locals[0] != "mark" {
+		t.Fatal("Compile resolved a program already checked against its bindings")
+	}
+	Check(prog, Std())
+	if prog.Funcs[0].Locals[0] != "x" {
+		t.Fatal("checking against another Bindings did not resolve the program again")
+	}
+}
+
+// TestResolverNumbersSlotsAsCompiled: frame slots follow declaration
+// order through nested blocks and loops (Init, Cond, Body, Post), a
+// shadowing declaration gets a slot of its own, and every name is bound
+// to the innermost declaration in scope.
+func TestResolverNumbersSlotsAsCompiled(t *testing.T) {
+	prog := mustParse(t, `
+var g = 1;
+func main(p) {
+	var a = p;
+	{ var a = 2; a = g; }
+	for (var i = 0; i < 2; i += 1) { var b = i; }
+	return a;
+}`)
+	if diags := Check(prog, Std()); len(diags) != 0 {
+		t.Fatal(diags)
+	}
+	main := prog.Funcs[0]
+	if got := strings.Join(main.Locals, ","); got != "p,a,a,i,b" {
+		t.Fatalf("frame = %s, want p,a,a,i,b", got)
+	}
+	inner := main.Body.Stmts[1].(*Block).Stmts[1].(*AssignStmt)
+	if tgt, val := inner.Target.(*Ident), inner.Value.(*Ident); tgt.Global || tgt.Slot != 2 || !val.Global || val.Slot != 0 {
+		t.Errorf("a = g in the block binds %+v = %+v, want local 2 = global 0", tgt, val)
+	}
+	ret := main.Body.Stmts[3].(*ReturnStmt).Value.(*Ident)
+	if ret.Global || ret.Slot != 1 {
+		t.Errorf("return a binds %+v, want local 1", ret)
+	}
+}

@@ -3,7 +3,6 @@ package dpl
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -132,40 +131,32 @@ func (c *Compiled) initFunc() *CompiledFunc {
 	return c.initFn
 }
 
-// Compile translates a checked program to bytecode. It runs Check first
-// and returns its diagnostics joined, so callers get translation and
-// compilation as the single Translator step the paper describes.
+// Compile translates a program to bytecode. It runs Check first (once
+// per program and Bindings) and returns its diagnostics as an *Error, so
+// callers get translation and compilation as the single Translator step
+// the paper describes. The code reads the resolver's bindings: frame
+// slots, global indices and call targets.
 func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
-	if errs := Check(prog, bindings); len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		return nil, fmt.Errorf("dpl: translation rejected:\n  %s", strings.Join(msgs, "\n  "))
+	if diags := Check(prog, bindings); len(diags) > 0 {
+		return nil, &Error{Diags: diags}
 	}
 	c := &compiler{
-		bindings: bindings,
 		out: &Compiled{
 			Funcs:       make([]*CompiledFunc, len(prog.Funcs)),
 			FuncIdx:     make(map[string]int, len(prog.Funcs)),
 			GlobalNames: make([]string, len(prog.Globals)),
 			HostNames:   bindings.NamesByIndex(),
 		},
-		globalIdx: make(map[string]int, len(prog.Globals)),
 	}
 	for i, g := range prog.Globals {
-		c.globalIdx[g.Name] = i
 		c.out.GlobalNames[i] = g.Name
 	}
 	// Pre-register function slots so calls can be emitted in one pass.
 	funcs := make([]CompiledFunc, len(prog.Funcs))
-	nLocals := 0
 	for i, f := range prog.Funcs {
-		funcs[i] = CompiledFunc{Name: f.Name, NumParams: len(f.Params)}
+		funcs[i] = CompiledFunc{Name: f.Name, NumParams: len(f.Params), NumLocals: len(f.Locals)}
 		c.out.FuncIdx[f.Name] = i
 		c.out.Funcs[i] = &funcs[i]
-		// Few functions declare more than a variable per statement.
-		nLocals = max(nLocals, len(f.Params)+len(f.Body.Stmts))
 	}
 	// Two passes, as an assembler makes them. The first only counts each
 	// unit's instructions and literals (a unit is a function or, last,
@@ -173,7 +164,7 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 	// one array and all constants into one pool, sized beforehand.
 	sizes := make([]int, len(prog.Funcs)+1)
 	total := 0
-	fc := &funcCompiler{c: c, sizing: true, locals: make([]local, 0, nLocals)}
+	fc := &funcCompiler{c: c, sizing: true}
 	for i := range sizes {
 		fc.n = 0
 		if err := c.compileUnit(fc, prog, i); err != nil {
@@ -187,12 +178,12 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 	c.pool = constPool{c: c.out, idx: make(map[constKey]int, c.nLits)}
 	fc.sizing = false
 	for i, n := range sizes {
-		fc.code, fc.nLocals = code[:0:n], 0
+		fc.code = code[:0:n]
 		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
 		if i < len(funcs) {
-			funcs[i].NumLocals, funcs[i].Code = fc.nLocals, fc.code
+			funcs[i].Code = fc.code
 		} else {
 			c.out.InitCode = fc.code
 		}
@@ -202,11 +193,9 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 }
 
 type compiler struct {
-	bindings  *Bindings
-	out       *Compiled
-	globalIdx map[string]int
-	pool      constPool
-	nLits     int // literals the sizing pass saw: the pool's largest size
+	out   *Compiled
+	pool  constPool
+	nLits int // literals the sizing pass saw: the pool's largest size
 }
 
 type loopCtx struct {
@@ -215,21 +204,11 @@ type loopCtx struct {
 	contJumps  []int
 }
 
-type local struct {
-	name string
-	slot int
-}
-
 type funcCompiler struct {
-	c       *compiler
-	code    []Instr
-	sizing  bool // the counting pass: emit adds to n and writes nothing
-	n       int
-	nLocals int
-	// locals lists the variables in scope, innermost last (looked up
-	// from the end); scopes holds len(locals) at each open scope's start.
-	locals []local
-	scopes []int
+	c      *compiler
+	code   []Instr
+	sizing bool // the counting pass: emit adds to n and writes nothing
+	n      int
 	loops  []*loopCtx
 }
 
@@ -298,27 +277,6 @@ func (f *funcCompiler) patch(at, target int) {
 	}
 }
 
-func (f *funcCompiler) pushScope() { f.scopes = append(f.scopes, len(f.locals)) }
-func (f *funcCompiler) popScope() {
-	f.locals = f.locals[:f.scopes[len(f.scopes)-1]]
-	f.scopes = f.scopes[:len(f.scopes)-1]
-}
-
-func (f *funcCompiler) declareLocal(name string) int {
-	f.locals = append(f.locals, local{name, f.nLocals})
-	f.nLocals++
-	return f.nLocals - 1
-}
-
-func (f *funcCompiler) lookupLocal(name string) (int, bool) {
-	for i := len(f.locals) - 1; i >= 0; i-- {
-		if f.locals[i].name == name {
-			return f.locals[i].slot, true
-		}
-	}
-	return 0, false
-}
-
 // compileUnit compiles prog.Funcs[i] or, past the last function, the
 // global initializers.
 func (c *compiler) compileUnit(fc *funcCompiler, prog *Program, i int) error {
@@ -334,22 +292,14 @@ func (c *compiler) compileUnit(fc *funcCompiler, prog *Program, i int) error {
 		fc.emit(Instr{Op: OpReturnNil})
 		return nil
 	}
-	fd := prog.Funcs[i]
-	fc.pushScope()
-	for _, p := range fd.Params {
-		fc.declareLocal(p)
-	}
-	if err := fc.block(fd.Body); err != nil {
+	if err := fc.block(prog.Funcs[i].Body); err != nil {
 		return err
 	}
 	fc.emit(Instr{Op: OpReturnNil})
-	fc.popScope()
 	return nil
 }
 
 func (f *funcCompiler) block(b *Block) error {
-	f.pushScope()
-	defer f.popScope()
 	for _, s := range b.Stmts {
 		if err := f.stmt(s); err != nil {
 			return err
@@ -368,8 +318,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		} else {
 			f.emit(Instr{Op: OpNil})
 		}
-		idx := f.declareLocal(n.Name)
-		f.emit(Instr{Op: OpStoreL, A: idx})
+		f.emit(Instr{Op: OpStoreL, A: n.Slot})
 		return nil
 	case *Block:
 		return f.block(n)
@@ -417,8 +366,6 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		}
 		return nil
 	case *ForStmt:
-		f.pushScope()
-		defer f.popScope()
 		if n.Init != nil {
 			if err := f.stmt(n.Init); err != nil {
 				return err
@@ -457,16 +404,10 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		}
 		return nil
 	case *BreakStmt:
-		if len(f.loops) == 0 {
-			return errors.New("dpl: internal: break outside loop survived checking")
-		}
 		lc := f.loops[len(f.loops)-1]
 		lc.breakJumps = append(lc.breakJumps, f.emit(Instr{Op: OpJump}))
 		return nil
 	case *ContinueStmt:
-		if len(f.loops) == 0 {
-			return errors.New("dpl: internal: continue outside loop survived checking")
-		}
 		lc := f.loops[len(f.loops)-1]
 		if lc.contTarget >= 0 {
 			f.emit(Instr{Op: OpJump, A: lc.contTarget})
@@ -496,37 +437,13 @@ func (f *funcCompiler) stmt(s Stmt) error {
 }
 
 func (f *funcCompiler) assign(n *AssignStmt) error {
-	switch t := n.Target.(type) {
-	case *Ident:
-		if n.Op != TokAssign {
-			// x += v  ⇒  x = x + v
-			if err := f.loadIdent(t); err != nil {
-				return err
-			}
-			if err := f.expr(n.Value); err != nil {
-				return err
-			}
-			op := TokPlus
-			if n.Op == TokMinusAssign {
-				op = TokMinus
-			}
-			f.emit(Instr{Op: OpBin, A: int(op)})
-		} else if err := f.expr(n.Value); err != nil {
+	t, ok := n.Target.(*Ident)
+	if !ok {
+		ix := n.Target.(*IndexExpr)
+		if err := f.expr(ix.X); err != nil {
 			return err
 		}
-		if idx, ok := f.lookupLocal(t.Name); ok {
-			f.emit(Instr{Op: OpStoreL, A: idx})
-		} else if gi, ok := f.c.globalIdx[t.Name]; ok {
-			f.emit(Instr{Op: OpStoreG, A: gi})
-		} else {
-			return fmt.Errorf("dpl: internal: unresolved %q survived checking", t.Name)
-		}
-		return nil
-	case *IndexExpr:
-		if err := f.expr(t.X); err != nil {
-			return err
-		}
-		if err := f.expr(t.I); err != nil {
+		if err := f.expr(ix.I); err != nil {
 			return err
 		}
 		if n.Op != TokAssign {
@@ -537,21 +454,35 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 		}
 		f.emit(Instr{Op: OpSetIndex})
 		return nil
-	default:
-		return errors.New("dpl: internal: bad assignment target survived checking")
 	}
+	if n.Op != TokAssign {
+		// x += v  ⇒  x = x + v
+		f.loadIdent(t)
+		if err := f.expr(n.Value); err != nil {
+			return err
+		}
+		op := TokPlus
+		if n.Op == TokMinusAssign {
+			op = TokMinus
+		}
+		f.emit(Instr{Op: OpBin, A: int(op)})
+	} else if err := f.expr(n.Value); err != nil {
+		return err
+	}
+	if t.Global {
+		f.emit(Instr{Op: OpStoreG, A: t.Slot})
+	} else {
+		f.emit(Instr{Op: OpStoreL, A: t.Slot})
+	}
+	return nil
 }
 
-func (f *funcCompiler) loadIdent(t *Ident) error {
-	if idx, ok := f.lookupLocal(t.Name); ok {
-		f.emit(Instr{Op: OpLoadL, A: idx})
-		return nil
+func (f *funcCompiler) loadIdent(t *Ident) {
+	if t.Global {
+		f.emit(Instr{Op: OpLoadG, A: t.Slot})
+	} else {
+		f.emit(Instr{Op: OpLoadL, A: t.Slot})
 	}
-	if gi, ok := f.c.globalIdx[t.Name]; ok {
-		f.emit(Instr{Op: OpLoadG, A: gi})
-		return nil
-	}
-	return fmt.Errorf("dpl: internal: unresolved %q survived checking", t.Name)
 }
 
 func (f *funcCompiler) expr(e Expr) error {
@@ -571,7 +502,7 @@ func (f *funcCompiler) expr(e Expr) error {
 	case *NilLit:
 		f.emit(Instr{Op: OpNil})
 	case *Ident:
-		return f.loadIdent(n)
+		f.loadIdent(n)
 	case *UnaryExpr:
 		if err := f.expr(n.X); err != nil {
 			return err
@@ -655,15 +586,11 @@ func (f *funcCompiler) expr(e Expr) error {
 				return err
 			}
 		}
-		if fi, ok := f.c.out.FuncIdx[n.Name]; ok {
-			f.emit(Instr{Op: OpCall, A: fi, B: len(n.Args)})
-			return nil
+		if n.Func >= 0 {
+			f.emit(Instr{Op: OpCall, A: n.Func, B: len(n.Args)})
+		} else {
+			f.emit(Instr{Op: OpCallHost, A: n.Host, B: len(n.Args)})
 		}
-		hi, _, ok := f.c.bindings.Lookup(n.Name)
-		if !ok {
-			return fmt.Errorf("dpl: internal: unbound call %q survived checking", n.Name)
-		}
-		f.emit(Instr{Op: OpCallHost, A: hi, B: len(n.Args)})
 	default:
 		return fmt.Errorf("dpl: internal: unknown expression %T", e)
 	}

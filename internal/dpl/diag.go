@@ -1,34 +1,16 @@
-// Package analysis is the delegation-time static analyzer for DPL
-// programs. The paper's translator rejects a dp that "violates any of a
-// set of defined rules for the given language"; package dpl's Check
-// enforces the name-resolution rules, and this package adds the deeper,
-// flow-sensitive rules an elastic process wants before admitting code
-// from another administrative domain:
-//
-//   - dataflow diagnostics over a per-function control-flow graph
-//     (use-before-init, unreachable code, dead stores, never-written
-//     globals);
-//   - capability/effect inference: which host bindings and which MIB
-//     OID prefixes a dp can reach, computed transitively and
-//     constant-folded from the arguments of the MIB primitives, so the
-//     admission path can compare a dp's footprint against the
-//     delegating principal's grant instead of discovering violations at
-//     runtime;
-//   - cost analysis: instruction-cost estimates per function with
-//     constant-trip loop bounding, used to derive a default VM step
-//     budget and to enforce a server-side admission cost ceiling.
-//
-// Every diagnostic carries a stable machine-readable code (DPL001…)
-// so rejections survive serialization across the RDS protocol.
-package analysis
+package dpl
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"mbd/internal/dpl"
 )
+
+// Diagnostics. Every rejection of a DPL program — a parse error, a
+// Translator rule (Check), a static-analysis finding or a bytecode
+// verifier fault — is one Diagnostic carrying a stable
+// machine-readable code, so rejections survive serialization across
+// the RDS protocol and delegators can match on them.
 
 // Severity ranks a diagnostic.
 type Severity uint8
@@ -53,9 +35,13 @@ func (s Severity) String() string {
 	}
 }
 
-// Stable diagnostic codes. Codes are append-only: once published they
-// keep their meaning forever, because delegators match on them.
+// Stable diagnostic codes, the one table of them. Codes are
+// append-only: once published they keep their meaning forever, because
+// delegators match on them.
 const (
+	// DPL001–009 are produced by the static analyzer
+	// (internal/dpl/analysis) and by admission.
+
 	// CodeUseBeforeInit: a local variable may be read before any
 	// assignment reaches it (it reads as nil).
 	CodeUseBeforeInit = "DPL001"
@@ -108,13 +94,35 @@ const (
 	// CodeHostTableSkew: the artifact's host-call table does not match
 	// the receiver's bindings layout.
 	CodeHostTableSkew = "DPL017"
+
+	// DPL018–024 are the Translator's: Parse and the resolver (Check).
+	// Every one is error severity.
+
+	// CodeParse: the source does not lex or parse.
+	CodeParse = "DPL018"
+	// CodeUndeclared: a read of, or an assignment to, a variable that
+	// no enclosing scope declares.
+	CodeUndeclared = "DPL019"
+	// CodeUnboundCall: a call to a name that is neither a program
+	// function nor in the allowed host function set.
+	CodeUnboundCall = "DPL020"
+	// CodeArity: a call whose argument count differs from the callee's
+	// declared arity (program function or fixed-arity host function).
+	CodeArity = "DPL021"
+	// CodeLoopControl: break or continue outside any loop.
+	CodeLoopControl = "DPL022"
+	// CodeRedeclared: a function, global, parameter or same-scope
+	// variable declared twice.
+	CodeRedeclared = "DPL023"
+	// CodeShadowsHost: a program function named like a host function.
+	CodeShadowsHost = "DPL024"
 )
 
-// Diagnostic is one analyzer finding.
+// Diagnostic is one coded finding about a program.
 type Diagnostic struct {
 	Code string
 	Sev  Severity
-	Pos  dpl.Pos
+	Pos  Pos
 	Msg  string
 }
 
@@ -122,6 +130,10 @@ type Diagnostic struct {
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s[%s]: %s", d.Pos, d.Sev, d.Code, d.Msg)
 }
+
+// Error renders the diagnostic like String, so a Translator finding can
+// stand as an error value on its own.
+func (d Diagnostic) Error() string { return d.String() }
 
 // SortDiags orders diagnostics by position, then code.
 func SortDiags(diags []Diagnostic) {
@@ -159,8 +171,10 @@ func Counts(diags []Diagnostic) (errs, warns int) {
 	return errs, warns
 }
 
-// Error bundles diagnostics as a single error value, for callers that
-// reject a dp outright.
+// Error is a program rejected by its diagnostics, as one error value:
+// Parse returns one holding a single CodeParse diagnostic, Compile one
+// holding the Translator's findings, and the bytecode verifier one
+// holding its faults.
 type Error struct {
 	Diags []Diagnostic
 }
@@ -171,5 +185,14 @@ func (e *Error) Error() string {
 	for i, d := range e.Diags {
 		msgs[i] = d.String()
 	}
-	return "dpl analysis:\n  " + strings.Join(msgs, "\n  ")
+	return "dpl: " + strings.Join(msgs, "\n  ")
+}
+
+func errAt(line, col int, format string, args ...any) *Error {
+	return &Error{Diags: []Diagnostic{{
+		Code: CodeParse,
+		Sev:  SevError,
+		Pos:  Pos{Line: line, Col: col},
+		Msg:  fmt.Sprintf(format, args...),
+	}}}
 }

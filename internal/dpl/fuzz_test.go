@@ -75,7 +75,7 @@ func FuzzAnalyze(f *testing.F) {
 			if len(d.Code) != 6 || d.Code[:3] != "DPL" {
 				t.Fatalf("malformed diagnostic code %q", d.Code)
 			}
-			if d.Sev != analysis.SevWarning && d.Sev != analysis.SevError {
+			if d.Sev != dpl.SevWarning && d.Sev != dpl.SevError {
 				t.Fatalf("malformed severity %v", d.Sev)
 			}
 		}

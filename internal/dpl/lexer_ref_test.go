@@ -13,7 +13,7 @@ import (
 // lexSeeds returns every example agent, every committed fuzz seed and a
 // few inputs off the ASCII path: the sources the pull lexer must read
 // exactly as the whole-source lexer did.
-func lexSeeds(t *testing.T) map[string]string {
+func lexSeeds(t testing.TB) map[string]string {
 	t.Helper()
 	seeds := map[string]string{
 		"non-ascii ident":  "var größe = 1; var π2 = größe;",
@@ -47,22 +47,28 @@ func lexSeeds(t *testing.T) map[string]string {
 		t.Fatalf("no fuzz corpus: %v", err)
 	}
 	for _, file := range corpus {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// "go test fuzz v1\nstring(<quoted>)\n"
-		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\nstring(")
-		if !ok {
-			t.Fatalf("%s: not a one-string corpus entry", file)
-		}
-		src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		seeds[file] = src
+		seeds[file] = corpusString(t, file)
 	}
 	return seeds
+}
+
+// corpusString reads a one-string fuzz corpus entry.
+func corpusString(t testing.TB, file string) string {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "go test fuzz v1\nstring(<quoted>)\n"
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\nstring(")
+	if !ok {
+		t.Fatalf("%s: not a one-string corpus entry", file)
+	}
+	src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return src
 }
 
 // TestScanMatchesReferenceLexer holds the pull lexer to the token

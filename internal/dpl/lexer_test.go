@@ -154,7 +154,7 @@ func TestParseReportsFirstErrorByPosition(t *testing.T) {
 			t.Errorf("%s: Parse = %v, want a *Error", c.name, err)
 			continue
 		}
-		if e.Pos != c.pos || !strings.Contains(e.Msg, c.msg) {
+		if d := e.Diags[0]; len(e.Diags) != 1 || d.Code != CodeParse || d.Pos != c.pos || !strings.Contains(d.Msg, c.msg) {
 			t.Errorf("%s: error %v, want %q at %s", c.name, e, c.msg, c.pos)
 		}
 	}

@@ -122,16 +122,3 @@ type Pos struct {
 
 // String renders the position as line:col.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// Error is a diagnostic produced by the lexer, parser, or translator.
-type Error struct {
-	Pos Pos
-	Msg string
-}
-
-// Error implements error.
-func (e *Error) Error() string { return fmt.Sprintf("dpl: %s: %s", e.Pos, e.Msg) }
-
-func errAt(line, col int, format string, args ...any) *Error {
-	return &Error{Pos: Pos{Line: line, Col: col}, Msg: fmt.Sprintf(format, args...)}
-}

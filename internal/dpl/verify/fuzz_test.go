@@ -117,8 +117,8 @@ func FuzzVerify(f *testing.F) {
 		}
 	}
 	structural := map[string]bool{
-		analysis.CodeBadOpcode: true, analysis.CodeBadJump: true,
-		analysis.CodeStackUnsafe: true, analysis.CodeBadOperand: true,
+		dpl.CodeBadOpcode: true, dpl.CodeBadJump: true,
+		dpl.CodeStackUnsafe: true, dpl.CodeBadOperand: true,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := dpl.DecodeProgram(data)

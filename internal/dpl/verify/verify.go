@@ -36,29 +36,29 @@ import (
 type Result struct {
 	// Diags uses the same stable codes as the source-level analyzer;
 	// every verifier diagnostic is error severity.
-	Diags []analysis.Diagnostic
+	Diags []dpl.Diagnostic
 	// Recovered is the effect summary the bytecode proves (a subset of
 	// an honest declared verdict).
 	Recovered analysis.Effects
 }
 
 // OK reports whether the program may be admitted.
-func (r *Result) OK() bool { return !analysis.HasErrors(r.Diags) }
+func (r *Result) OK() bool { return !dpl.HasErrors(r.Diags) }
 
 // Err returns the diagnostics as an error when verification failed.
 func (r *Result) Err() error {
 	if r.OK() {
 		return nil
 	}
-	return &analysis.Error{Diags: r.Diags}
+	return &dpl.Error{Diags: r.Diags}
 }
 
 // faultCodes maps structural fault kinds to diagnostic codes.
 var faultCodes = map[dpl.FaultKind]string{
-	dpl.FaultOpcode:  analysis.CodeBadOpcode,
-	dpl.FaultJump:    analysis.CodeBadJump,
-	dpl.FaultStack:   analysis.CodeStackUnsafe,
-	dpl.FaultOperand: analysis.CodeBadOperand,
+	dpl.FaultOpcode:  dpl.CodeBadOpcode,
+	dpl.FaultJump:    dpl.CodeBadJump,
+	dpl.FaultStack:   dpl.CodeStackUnsafe,
+	dpl.FaultOperand: dpl.CodeBadOperand,
 }
 
 // Verify checks cp against the receiver's bindings table. A nil error
@@ -67,16 +67,16 @@ var faultCodes = map[dpl.FaultKind]string{
 func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 	res := &Result{}
 	fail := func(code, msg string, args ...any) {
-		res.Diags = append(res.Diags, analysis.Diagnostic{
-			Code: code, Sev: analysis.SevError, Msg: fmt.Sprintf(msg, args...),
+		res.Diags = append(res.Diags, dpl.Diagnostic{
+			Code: code, Sev: dpl.SevError, Msg: fmt.Sprintf(msg, args...),
 		})
 	}
 	if cp == nil || cp.Object == nil {
-		fail(analysis.CodeBadOperand, "artifact carries no object code")
+		fail(dpl.CodeBadOperand, "artifact carries no object code")
 		return res
 	}
 	if cp.Version < dpl.MinCompilerVersion || cp.Version > dpl.CompilerVersion {
-		fail(analysis.CodeVersionSkew, "artifact compiled by generation %d, this node accepts %d..%d",
+		fail(dpl.CodeVersionSkew, "artifact compiled by generation %d, this node accepts %d..%d",
 			cp.Version, dpl.MinCompilerVersion, dpl.CompilerVersion)
 		return res
 	}
@@ -86,13 +86,13 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 	// the stamp is forged (or the sender's toolchain is inconsistent),
 	// and downstream version-gated handling would misfire.
 	if skew := opcodeSkew(c, cp.Version); skew != "" {
-		fail(analysis.CodeVersionSkew, "%s", skew)
+		fail(dpl.CodeVersionSkew, "%s", skew)
 		return res
 	}
 	if faults := c.VerifyStructure(); len(faults) > 0 {
 		for _, f := range faults {
-			res.Diags = append(res.Diags, analysis.Diagnostic{
-				Code: faultCodes[f.Kind], Sev: analysis.SevError, Msg: f.String(),
+			res.Diags = append(res.Diags, dpl.Diagnostic{
+				Code: faultCodes[f.Kind], Sev: dpl.SevError, Msg: f.String(),
 			})
 		}
 		return res // code too broken for effect or budget recovery
@@ -165,11 +165,11 @@ func (v *verifier) checkHostTable() {
 			idx, arity, ok := v.bindings.Lookup(host)
 			switch {
 			case !ok:
-				v.fail(analysis.CodeHostTableSkew, "%s+%d: %s: host %q not bound on this node", name, ip, dpl.FormatInstr(c, in), host)
+				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q not bound on this node", name, ip, dpl.FormatInstr(c, in), host)
 			case idx != in.A:
-				v.fail(analysis.CodeHostTableSkew, "%s+%d: %s: host %q bound at slot %d here, artifact calls slot %d", name, ip, dpl.FormatInstr(c, in), host, idx, in.A)
+				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q bound at slot %d here, artifact calls slot %d", name, ip, dpl.FormatInstr(c, in), host, idx, in.A)
 			case arity >= 0 && in.B != arity:
-				v.fail(analysis.CodeHostTableSkew, "%s+%d: %s: host %q takes %d args, call passes %d", name, ip, dpl.FormatInstr(c, in), host, arity, in.B)
+				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q takes %d args, call passes %d", name, ip, dpl.FormatInstr(c, in), host, arity, in.B)
 			}
 		}
 	})
@@ -339,7 +339,7 @@ func (v *verifier) recoverEffects() {
 				host := c.HostNames[in.A]
 				v.hosts[host] = true
 				if !declHosts[host] {
-					v.fail(analysis.CodeEffectUndeclared, "%s+%d: %s: calls host %q not in declared effect summary", name, ip, dpl.FormatInstr(c, in), host)
+					v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: calls host %q not in declared effect summary", name, ip, dpl.FormatInstr(c, in), host)
 				}
 				oidArg, write, isMIB := analysis.MIBPrimitive(host)
 				if !isMIB || oidArg >= len(args) {
@@ -349,12 +349,12 @@ func (v *verifier) recoverEffects() {
 				if write {
 					v.writes[oid] = true
 					if !covered(v.cp.Verdict.Writes, oid) {
-						v.fail(analysis.CodeEffectUndeclared, "%s+%d: %s: writes OID prefix %q not covered by declared writes %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Writes)
+						v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: writes OID prefix %q not covered by declared writes %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Writes)
 					}
 				} else {
 					v.reads[oid] = true
 					if !covered(v.cp.Verdict.Reads, oid) {
-						v.fail(analysis.CodeEffectUndeclared, "%s+%d: %s: reads OID prefix %q not covered by declared reads %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Reads)
+						v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: reads OID prefix %q not covered by declared reads %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Reads)
 					}
 				}
 			case dpl.OpLoadLConstBin:
@@ -423,20 +423,20 @@ func (v *verifier) checkBudget() {
 		return // the receiver's own step quota governs
 	}
 	if verdict.StepBudget == 0 {
-		v.fail(analysis.CodeBudgetMismatch, "bounded cost claim (%d steps) with no step budget", verdict.CostSteps)
+		v.fail(dpl.CodeBudgetMismatch, "bounded cost claim (%d steps) with no step budget", verdict.CostSteps)
 		return
 	}
 	if verdict.StepBudget < verdict.CostSteps {
-		v.fail(analysis.CodeBudgetMismatch, "step budget %d below declared cost %d", verdict.StepBudget, verdict.CostSteps)
+		v.fail(dpl.CodeBudgetMismatch, "step budget %d below declared cost %d", verdict.StepBudget, verdict.CostSteps)
 		return
 	}
 	if cyclic(v.cp.Object) {
-		v.fail(analysis.CodeBudgetMismatch, "bounded cost claim on recursive code")
+		v.fail(dpl.CodeBudgetMismatch, "bounded cost claim on recursive code")
 		return
 	}
 	worst, ok := worstCaseSteps(v.cp.Object)
 	if ok && worst > verdict.StepBudget {
-		v.fail(analysis.CodeBudgetMismatch, "step budget %d below provable worst case %d for loop-free code", verdict.StepBudget, worst)
+		v.fail(dpl.CodeBudgetMismatch, "step budget %d below provable worst case %d for loop-free code", verdict.StepBudget, worst)
 	}
 }
 

@@ -25,7 +25,7 @@ func buildArtifact(t *testing.T, src string, b *dpl.Bindings, optimize bool) *dp
 	}
 	rep := analysis.Analyze(prog, b)
 	if rep.HasErrors() {
-		t.Fatalf("analyze: %v", &analysis.Error{Diags: rep.Diags})
+		t.Fatalf("analyze: %v", &dpl.Error{Diags: rep.Diags})
 	}
 	obj, err := dpl.Compile(prog, b)
 	if err != nil {
@@ -136,9 +136,9 @@ func TestVerifyRecoveredEffects(t *testing.T) {
 }
 
 // hasCode reports whether diags contains an error with the given code.
-func hasCode(diags []analysis.Diagnostic, code string) bool {
+func hasCode(diags []dpl.Diagnostic, code string) bool {
 	for _, d := range diags {
-		if d.Code == code && d.Sev == analysis.SevError {
+		if d.Code == code && d.Sev == dpl.SevError {
 			return true
 		}
 	}
@@ -156,12 +156,12 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 		{
 			"version skew", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Version++ },
-			analysis.CodeVersionSkew,
+			dpl.CodeVersionSkew,
 		},
 		{
 			"bad opcode", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0].Op = 99 },
-			analysis.CodeBadOpcode,
+			dpl.CodeBadOpcode,
 		},
 		{
 			"jump out of range", honestSources[0],
@@ -169,7 +169,7 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 				fn := cp.Object.Funcs[0]
 				fn.Code[len(fn.Code)-1] = dpl.Instr{Op: dpl.OpJump, A: 1 << 20}
 			},
-			analysis.CodeBadJump,
+			dpl.CodeBadJump,
 		},
 		{
 			"stack underflow", honestSources[0],
@@ -177,33 +177,33 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 				fn := cp.Object.Funcs[0]
 				fn.Code = append([]dpl.Instr{{Op: dpl.OpPop}}, fn.Code...)
 			},
-			analysis.CodeStackUnsafe,
+			dpl.CodeStackUnsafe,
 		},
 		{
 			"const index out of range", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpConst, A: 1 << 16} },
-			analysis.CodeBadOperand,
+			dpl.CodeBadOperand,
 		},
 		{
 			"fused const index out of range", honestSources[0],
 			func(cp *dpl.CompiledProgram) {
 				cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpIncL, A: 0, B: 1 << 16}
 			},
-			analysis.CodeBadOperand,
+			dpl.CodeBadOperand,
 		},
 		{
 			"fused packed operand out of range", honestSources[0],
 			func(cp *dpl.CompiledProgram) {
 				cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: dpl.PackIdxOp(1<<16, dpl.TokPlus)}
 			},
-			analysis.CodeBadOperand,
+			dpl.CodeBadOperand,
 		},
 		{
 			"fused non-binop operator", honestSources[0],
 			func(cp *dpl.CompiledProgram) {
 				cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpBinJumpFalse, A: 1, B: 0xff}
 			},
-			analysis.CodeBadOperand,
+			dpl.CodeBadOperand,
 		},
 		{
 			"fused jump out of range", honestSources[0],
@@ -215,37 +215,37 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 					{Op: dpl.OpBinJumpFalse, A: 1 << 20, B: int(dpl.TokPlus)},
 				}, fn.Code...)
 			},
-			analysis.CodeBadJump,
+			dpl.CodeBadJump,
 		},
 		{
 			"undeclared host", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Verdict.Hosts = nil },
-			analysis.CodeEffectUndeclared,
+			dpl.CodeEffectUndeclared,
 		},
 		{
 			"undeclared read prefix", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Verdict.Reads = []string{"1.3.6.1.4"} },
-			analysis.CodeEffectUndeclared,
+			dpl.CodeEffectUndeclared,
 		},
 		{
 			"undeclared write", `func main(v) { mibSet("1.3.6.1.4.1.9", v); return nil; }`,
 			func(cp *dpl.CompiledProgram) { cp.Verdict.Writes = nil },
-			analysis.CodeEffectUndeclared,
+			dpl.CodeEffectUndeclared,
 		},
 		{
 			"wildcard smuggled as narrow prefix", `func main(oid) { return mibGet(oid); }`,
 			func(cp *dpl.CompiledProgram) { cp.Verdict.Reads = []string{"1.3.6.1"} },
-			analysis.CodeEffectUndeclared,
+			dpl.CodeEffectUndeclared,
 		},
 		{
 			"budget below cost", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Verdict.StepBudget = cp.Verdict.CostSteps - 1 },
-			analysis.CodeBudgetMismatch,
+			dpl.CodeBudgetMismatch,
 		},
 		{
 			"bounded claim with no budget", honestSources[0],
 			func(cp *dpl.CompiledProgram) { cp.Verdict.StepBudget = 0 },
-			analysis.CodeBudgetMismatch,
+			dpl.CodeBudgetMismatch,
 		},
 		{
 			"budget below provable worst case", honestSources[0],
@@ -253,7 +253,7 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 				cp.Verdict.CostSteps = 1
 				cp.Verdict.StepBudget = 2
 			},
-			analysis.CodeBudgetMismatch,
+			dpl.CodeBudgetMismatch,
 		},
 	}
 	for _, tc := range cases {
@@ -282,7 +282,7 @@ func TestVerifyRejectsBoundedClaimOnRecursion(t *testing.T) {
 	cp.Verdict.CostSteps = 10
 	cp.Verdict.StepBudget = 1 << 30
 	res := verify.Verify(cp, b)
-	if !hasCode(res.Diags, analysis.CodeBudgetMismatch) {
+	if !hasCode(res.Diags, dpl.CodeBudgetMismatch) {
 		t.Fatalf("bounded claim on recursive code accepted: %v", res.Diags)
 	}
 }
@@ -294,7 +294,7 @@ func TestVerifyHostTableSkew(t *testing.T) {
 	cp := buildArtifact(t, honestSources[0], b, true)
 
 	missing := dpl.Std() // no mibGet at all
-	if res := verify.Verify(cp, missing); !hasCode(res.Diags, analysis.CodeHostTableSkew) {
+	if res := verify.Verify(cp, missing); !hasCode(res.Diags, dpl.CodeHostTableSkew) {
 		t.Fatalf("missing host accepted: %v", res.Diags)
 	}
 
@@ -306,7 +306,7 @@ func TestVerifyHostTableSkew(t *testing.T) {
 		shuffled.Register(names[i], -1, stub)
 	}
 	if len(names) > 1 {
-		if res := verify.Verify(cp, shuffled); !hasCode(res.Diags, analysis.CodeHostTableSkew) {
+		if res := verify.Verify(cp, shuffled); !hasCode(res.Diags, dpl.CodeHostTableSkew) {
 			t.Fatalf("shuffled host table accepted: %v", res.Diags)
 		}
 	}
@@ -316,7 +316,7 @@ func TestVerifyHostTableSkew(t *testing.T) {
 	for _, n := range names {
 		wrongArity.Register(n, 7, stub)
 	}
-	if res := verify.Verify(cp, wrongArity); !hasCode(res.Diags, analysis.CodeHostTableSkew) {
+	if res := verify.Verify(cp, wrongArity); !hasCode(res.Diags, dpl.CodeHostTableSkew) {
 		t.Fatalf("wrong arity accepted: %v", res.Diags)
 	}
 }
@@ -326,8 +326,8 @@ func TestVerifyHostTableSkew(t *testing.T) {
 func TestVerifierRejectionImpliesVMRefusal(t *testing.T) {
 	b := analysis.LintBindings()
 	structural := map[string]bool{
-		analysis.CodeBadOpcode: true, analysis.CodeBadJump: true,
-		analysis.CodeStackUnsafe: true, analysis.CodeBadOperand: true,
+		dpl.CodeBadOpcode: true, dpl.CodeBadJump: true,
+		dpl.CodeStackUnsafe: true, dpl.CodeBadOperand: true,
 	}
 	tampers := []func(cp *dpl.CompiledProgram){
 		func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0].Op = 200 },
@@ -420,7 +420,7 @@ func TestVerifyCompilerVersionWindow(t *testing.T) {
 	// Below the window: too old to admit.
 	ancient := buildArtifact(t, honestSources[0], b, false)
 	ancient.Version = dpl.MinCompilerVersion - 1
-	if res := verify.Verify(ancient, b); !hasCode(res.Diags, analysis.CodeVersionSkew) {
+	if res := verify.Verify(ancient, b); !hasCode(res.Diags, dpl.CodeVersionSkew) {
 		t.Fatalf("below-window artifact accepted: %v", res.Diags)
 	}
 
@@ -441,7 +441,7 @@ func TestVerifyCompilerVersionWindow(t *testing.T) {
 		t.Fatalf("honest fused artifact rejected: %v", err)
 	}
 	fused.Version = dpl.MinCompilerVersion
-	if res := verify.Verify(fused, b); !hasCode(res.Diags, analysis.CodeVersionSkew) {
+	if res := verify.Verify(fused, b); !hasCode(res.Diags, dpl.CodeVersionSkew) {
 		t.Fatalf("forged version stamp accepted: %v", res.Diags)
 	}
 }

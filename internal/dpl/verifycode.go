@@ -2,7 +2,6 @@ package dpl
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Structural bytecode verification. The VM's exec loop trusts its
@@ -350,16 +349,4 @@ func opName(op Opcode) string {
 		return n
 	}
 	return fmt.Sprintf("OP%d", op)
-}
-
-// FaultsError joins faults into one error value.
-func FaultsError(faults []CodeFault) error {
-	if len(faults) == 0 {
-		return nil
-	}
-	msgs := make([]string, len(faults))
-	for i, f := range faults {
-		msgs[i] = f.String()
-	}
-	return fmt.Errorf("dpl: bytecode verification failed:\n  %s", strings.Join(msgs, "\n  "))
 }

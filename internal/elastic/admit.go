@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mbd/internal/dpl"
 	"mbd/internal/dpl/analysis"
 )
 
@@ -18,16 +19,16 @@ import (
 // capability or cost violations) so callers — and, through the RDS
 // protocol, remote clients — can surface structured reasons.
 type RejectError struct {
-	Diags []analysis.Diagnostic
+	Diags []dpl.Diagnostic
 }
 
 // Error summarizes the rejection with its first error-severity
 // diagnostic and the total count.
 func (e *RejectError) Error() string {
-	errs, warns := analysis.Counts(e.Diags)
+	errs, warns := dpl.Counts(e.Diags)
 	head := "program rejected at admission"
 	for _, d := range e.Diags {
-		if d.Sev == analysis.SevError {
+		if d.Sev == dpl.SevError {
 			head = d.String()
 			break
 		}
@@ -44,7 +45,7 @@ func (e *RejectError) Error() string {
 // cost violations, which admit itself appends), and on any finding at
 // all under StrictAdmission.
 func (p *Process) admit(principal string, rep *analysis.Report) error {
-	diags := append([]analysis.Diagnostic(nil), rep.Diags...)
+	diags := append([]dpl.Diagnostic(nil), rep.Diags...)
 
 	cap, limited := p.cfg.ACL.CapabilityFor(principal)
 	if limited {
@@ -59,24 +60,24 @@ func (p *Process) admit(principal string, rep *analysis.Report) error {
 	}
 	if ceiling > 0 {
 		if rep.Cost.Unbounded {
-			diags = append(diags, analysis.Diagnostic{
-				Code: analysis.CodeCostCeiling,
-				Sev:  analysis.SevError,
+			diags = append(diags, dpl.Diagnostic{
+				Code: dpl.CodeCostCeiling,
+				Sev:  dpl.SevError,
 				Pos:  rep.Cost.Pos,
 				Msg:  fmt.Sprintf("program cost is unbounded but a cost ceiling of %d is in force", ceiling),
 			})
 		} else if rep.Cost.Steps > ceiling {
-			diags = append(diags, analysis.Diagnostic{
-				Code: analysis.CodeCostCeiling,
-				Sev:  analysis.SevError,
+			diags = append(diags, dpl.Diagnostic{
+				Code: dpl.CodeCostCeiling,
+				Sev:  dpl.SevError,
 				Pos:  rep.Cost.Pos,
 				Msg:  fmt.Sprintf("estimated cost %d exceeds ceiling %d", rep.Cost.Steps, ceiling),
 			})
 		}
 	}
 
-	if analysis.HasErrors(diags) || (p.cfg.StrictAdmission && len(diags) > 0) {
-		analysis.SortDiags(diags)
+	if dpl.HasErrors(diags) || (p.cfg.StrictAdmission && len(diags) > 0) {
+		dpl.SortDiags(diags)
 		return &RejectError{Diags: diags}
 	}
 	return nil
@@ -84,8 +85,8 @@ func (p *Process) admit(principal string, rep *analysis.Report) error {
 
 // capabilityDiags compares a program's inferred effects against a
 // principal's capability, producing one DPL007 error per violation.
-func capabilityDiags(c Capability, e *analysis.Effects) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
+func capabilityDiags(c Capability, e *analysis.Effects) []dpl.Diagnostic {
+	var out []dpl.Diagnostic
 	if c.Hosts != nil {
 		allowed := make(map[string]bool, len(c.Hosts))
 		for _, h := range c.Hosts {
@@ -93,9 +94,9 @@ func capabilityDiags(c Capability, e *analysis.Effects) []analysis.Diagnostic {
 		}
 		for _, h := range e.Hosts {
 			if !allowed[h.Name] {
-				out = append(out, analysis.Diagnostic{
-					Code: analysis.CodeEffectDenied,
-					Sev:  analysis.SevError,
+				out = append(out, dpl.Diagnostic{
+					Code: dpl.CodeEffectDenied,
+					Sev:  dpl.SevError,
 					Pos:  h.Pos,
 					Msg:  fmt.Sprintf("call to %s exceeds the principal's capability (allowed hosts: %s)", h.Name, listOrNone(c.Hosts)),
 				})
@@ -109,11 +110,11 @@ func capabilityDiags(c Capability, e *analysis.Effects) []analysis.Diagnostic {
 
 // oidViolations checks every effect prefix against the allowed grant
 // list (nil = unrestricted).
-func oidViolations(allowed []string, effects []analysis.Effect, verb string) []analysis.Diagnostic {
+func oidViolations(allowed []string, effects []analysis.Effect, verb string) []dpl.Diagnostic {
 	if allowed == nil {
 		return nil
 	}
-	var out []analysis.Diagnostic
+	var out []dpl.Diagnostic
 	for _, ef := range effects {
 		covered := false
 		for _, a := range allowed {
@@ -127,9 +128,9 @@ func oidViolations(allowed []string, effects []analysis.Effect, verb string) []a
 			if region == analysis.Wildcard {
 				region = "the whole MIB"
 			}
-			out = append(out, analysis.Diagnostic{
-				Code: analysis.CodeEffectDenied,
-				Sev:  analysis.SevError,
+			out = append(out, dpl.Diagnostic{
+				Code: dpl.CodeEffectDenied,
+				Sev:  dpl.SevError,
 				Pos:  ef.Pos,
 				Msg:  fmt.Sprintf("MIB %s of %s exceeds the principal's capability (allowed: %s)", verb, region, listOrNone(allowed)),
 			})

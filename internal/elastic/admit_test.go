@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mbd/internal/dpl"
-	"mbd/internal/dpl/analysis"
 )
 
 // mibBindings returns a binding table with the MIB primitives stubbed,
@@ -47,9 +46,9 @@ func main() {
 	}
 	var denied int
 	for _, d := range rej.Diags {
-		if d.Code == analysis.CodeEffectDenied {
+		if d.Code == dpl.CodeEffectDenied {
 			denied++
-			if d.Sev != analysis.SevError {
+			if d.Sev != dpl.SevError {
 				t.Fatalf("DPL007 severity = %v", d.Sev)
 			}
 		}
@@ -92,7 +91,7 @@ func main(oid) { return mibGet(oid); }`)
 	}
 	found := false
 	for _, d := range rej.Diags {
-		if d.Code == analysis.CodeEffectDenied && strings.Contains(d.Msg, "whole MIB") {
+		if d.Code == dpl.CodeEffectDenied && strings.Contains(d.Msg, "whole MIB") {
 			found = true
 		}
 	}
@@ -135,7 +134,7 @@ func main() {
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want *RejectError", err)
 	}
-	if len(rej.Diags) == 0 || rej.Diags[len(rej.Diags)-1].Code != analysis.CodeCostCeiling {
+	if len(rej.Diags) == 0 || rej.Diags[len(rej.Diags)-1].Code != dpl.CodeCostCeiling {
 		t.Fatalf("diags = %v", rej.Diags)
 	}
 
@@ -171,7 +170,7 @@ func main() {
 	if !errors.As(err, &rej) {
 		t.Fatalf("strict err = %v, want *RejectError", err)
 	}
-	if rej.Diags[0].Code != analysis.CodeUseBeforeInit {
+	if rej.Diags[0].Code != dpl.CodeUseBeforeInit {
 		t.Fatalf("diags = %v", rej.Diags)
 	}
 }

@@ -110,10 +110,8 @@ func (p *Process) admitCompiled(principal string, cp *dpl.CompiledProgram) (prog
 		return ent, nil
 	}
 	p.met.verifications.Inc()
-	res := verify.Verify(cp, p.bindings)
-	if err := res.Err(); err != nil {
-		rej := err.(*analysis.Error)
-		return progEntry{}, &RejectError{Diags: rej.Diags}
+	if res := verify.Verify(cp, p.bindings); !res.OK() {
+		return progEntry{}, &RejectError{Diags: res.Diags}
 	}
 	rep := reportFromVerdict(cp.Verdict)
 	if err := p.admit(principal, rep); err != nil {

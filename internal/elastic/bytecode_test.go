@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mbd/internal/dpl"
-	"mbd/internal/dpl/analysis"
 	"mbd/internal/obs"
 )
 
@@ -183,7 +182,7 @@ func TestDelegateCompiledRejectsTampering(t *testing.T) {
 	if !errors.As(err, &rej) {
 		t.Fatalf("tampered artifact admitted: %v", err)
 	}
-	if !hasDiagCode(rej.Diags, analysis.CodeBadOpcode) {
+	if !hasDiagCode(rej.Diags, dpl.CodeBadOpcode) {
 		t.Errorf("diags = %v", rej.Diags)
 	}
 	if _, ok := receiver.Repository().Lookup("bad"); ok {
@@ -194,7 +193,7 @@ func TestDelegateCompiledRejectsTampering(t *testing.T) {
 	cp2, _ := dpl.DecodeProgram(mustEncode(t, dp.Program))
 	cp2.Verdict.Hosts, cp2.Verdict.Reads = nil, nil
 	err = receiver.DelegateCompiled("boss", "liar", mustEncode(t, cp2))
-	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, analysis.CodeEffectUndeclared) {
+	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, dpl.CodeEffectUndeclared) {
 		t.Fatalf("stripped-verdict artifact not rejected with DPL014: %v", err)
 	}
 }
@@ -220,7 +219,7 @@ func TestCompiledAdmissionMatchesSourcePolicy(t *testing.T) {
 	defer restricted.Stop()
 	err := restricted.Delegate("limited", "agent", "dpl", src)
 	var rej *RejectError
-	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, analysis.CodeEffectDenied) {
+	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, dpl.CodeEffectDenied) {
 		t.Fatalf("source pipeline accepted out-of-grant program: %v", err)
 	}
 
@@ -235,7 +234,7 @@ func TestCompiledAdmissionMatchesSourcePolicy(t *testing.T) {
 
 	// ...must still be refused by the restricted node's bytecode path.
 	err = restricted.DelegateCompiled("limited", "agent", blob)
-	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, analysis.CodeEffectDenied) {
+	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, dpl.CodeEffectDenied) {
 		t.Fatalf("bytecode path accepted what source rejected: %v", err)
 	}
 }
@@ -286,7 +285,7 @@ func mustEncode(t *testing.T, cp *dpl.CompiledProgram) []byte {
 	return blob
 }
 
-func hasDiagCode(diags []analysis.Diagnostic, code string) bool {
+func hasDiagCode(diags []dpl.Diagnostic, code string) bool {
 	for _, d := range diags {
 		if d.Code == code {
 			return true

@@ -95,7 +95,10 @@ func (d *DPI) run(ctx context.Context, args []any) {
 		d.tenant.stepsTotal.Add(steps - d.billed) // the tail after the last tick
 		d.tenant.live.Add(-1)
 	}
-	close(d.done)
+	// The exit event, its counters and spans also come before done
+	// closes: whoever returns from Wait sees the exit counted. Emit is
+	// synchronous, and the RDS subscriber only enqueues, so Wait waits
+	// for the fan-out, not for any consumer of it.
 	payload := dpl.Format(v)
 	if err != nil {
 		payload = "error: " + err.Error()
@@ -108,6 +111,7 @@ func (d *DPI) run(ctx context.Context, args []any) {
 	}
 	p.tracer.Record(d.ID, obs.StageExit, payload, elapsed)
 	p.emit(Event{DPI: d.ID, Kind: EventExit, Payload: payload, Time: p.clock.Now(), Principal: d.principal})
+	close(d.done)
 	if d.sup != nil {
 		// Runs before this goroutine's wg slot releases, so restart
 		// timers register with the WaitGroup race-free against Stop.

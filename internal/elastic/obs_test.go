@@ -3,6 +3,7 @@ package elastic
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,5 +97,48 @@ func TestSubscriberGauge(t *testing.T) {
 	cancel() // idempotent: second call must not go negative
 	if v := p.met.subscribers.Value(); v != 0 {
 		t.Fatalf("subscribers = %d, want 0", v)
+	}
+}
+
+// TestExitCountedBeforeWaitReturns: an instance's exit event is emitted,
+// and counted, before Wait returns. A first subscriber that dawdles on
+// the exit holds a second one back; if done closed before the event,
+// Wait would return while the second had seen nothing and the counter
+// read 0.
+func TestExitCountedBeforeWaitReturns(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := newProcess(t, Config{Obs: reg})
+	var exits atomic.Int64
+	p.Subscribe(func(ev Event) {
+		if ev.Kind == EventExit {
+			time.Sleep(50 * time.Millisecond)
+		}
+	})
+	p.Subscribe(func(ev Event) {
+		if ev.Kind == EventExit {
+			exits.Add(1)
+		}
+	})
+	if err := p.Delegate("mgr", "quick", "dpl", `func main() { return 1; }`); err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.Instantiate("mgr", "quick", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := d.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := exits.Load(); n != 1 {
+		t.Errorf("Wait returned with %d exit events delivered, want 1", n)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `elastic_events_total{kind="exit"} 1`; !strings.Contains(sb.String(), want) {
+		t.Errorf("after Wait, metrics lack %q:\n%s", want, sb.String())
 	}
 }

@@ -210,18 +210,23 @@ func (t *Translator) Translate(lang, source string) (*dpl.Compiled, error) {
 
 // TranslateAnalyzed translates source and additionally runs the static
 // analyzer over it, returning both the object code and the analysis
-// report. The report is non-nil whenever the program parses and
-// compiles; deciding what to do with its diagnostics (reject, warn,
-// derive a step budget) is the caller's admission policy.
+// report. A parse error or a Translator rule violation comes back as a
+// *RejectError carrying its coded diagnostics. The report is non-nil
+// whenever the program parses and compiles; deciding what to do with
+// its diagnostics (reject, warn, derive a step budget) is the caller's
+// admission policy.
 func (t *Translator) TranslateAnalyzed(lang, source string) (*dpl.Compiled, *analysis.Report, error) {
 	if lang != "dpl" {
 		return nil, nil, fmt.Errorf("elastic: unsupported dp language %q (this process accepts \"dpl\")", lang)
 	}
 	prog, err := dpl.Parse(source)
-	if err != nil {
-		return nil, nil, fmt.Errorf("elastic: parse: %w", err)
+	var obj *dpl.Compiled
+	if err == nil {
+		obj, err = dpl.Compile(prog, t.bindings)
 	}
-	obj, err := dpl.Compile(prog, t.bindings)
+	if rej, ok := err.(*dpl.Error); ok {
+		return nil, nil, &RejectError{Diags: rej.Diags}
+	}
 	if err != nil {
 		return nil, nil, err
 	}

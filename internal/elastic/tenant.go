@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbd/internal/dpl/analysis"
+	"mbd/internal/dpl"
 	"mbd/internal/obs"
 )
 
@@ -127,9 +127,9 @@ const (
 
 // quotaReject builds the QUO-coded RejectError for one violation.
 func quotaReject(code, msg string) *RejectError {
-	return &RejectError{Diags: []analysis.Diagnostic{{
+	return &RejectError{Diags: []dpl.Diagnostic{{
 		Code: code,
-		Sev:  analysis.SevError,
+		Sev:  dpl.SevError,
 		Msg:  msg,
 	}}}
 }

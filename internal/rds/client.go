@@ -68,6 +68,11 @@ func (e *RejectError) Error() string {
 	return fmt.Sprintf("rds: %s rejected: %s (%d diagnostics)", e.Op, e.Msg, len(e.Diags))
 }
 
+// Unwrap returns the RemoteError this rejection refines: a rejection is
+// a remote failure that also carries diagnostics, so errors.As finds a
+// *RemoteError, with the same Op and Msg, in every RejectError.
+func (e *RejectError) Unwrap() error { return &RemoteError{Op: e.Op, Msg: e.Msg} }
+
 // HasCode reports whether any diagnostic carries the given code.
 func (e *RejectError) HasCode(code string) bool {
 	for _, d := range e.Diags {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mbd/internal/dpl"
-	"mbd/internal/dpl/analysis"
 	"mbd/internal/elastic"
 )
 
@@ -76,12 +75,12 @@ func main() {
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want *rds.RejectError", err)
 	}
-	if !rej.HasCode(analysis.CodeEffectDenied) {
+	if !rej.HasCode(dpl.CodeEffectDenied) {
 		t.Fatalf("diags = %+v", rej.Diags)
 	}
 	var d DiagRec
 	for _, dd := range rej.Diags {
-		if dd.Code == analysis.CodeEffectDenied {
+		if dd.Code == dpl.CodeEffectDenied {
 			d = dd
 		}
 	}
@@ -97,7 +96,7 @@ func main() {
 	// Eval follows the same admission: the rejection reply carries
 	// diagnostics too.
 	_, err = c.Eval(ctx, `func main() { mibSet("1.3.6.1.9.9", 1); }`, "main")
-	if !errors.As(err, &rej) || !rej.HasCode(analysis.CodeEffectDenied) {
+	if !errors.As(err, &rej) || !rej.HasCode(dpl.CodeEffectDenied) {
 		t.Fatalf("eval err = %v", err)
 	}
 }
@@ -121,7 +120,7 @@ func main() {
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want *rds.RejectError", err)
 	}
-	if !rej.HasCode(analysis.CodeUseBeforeInit) {
+	if !rej.HasCode(dpl.CodeUseBeforeInit) {
 		t.Fatalf("diags = %+v", rej.Diags)
 	}
 	if !bytes.Contains([]byte(rej.Error()), []byte("rejected")) {
