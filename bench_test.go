@@ -750,7 +750,8 @@ func main() { while (true) { report(recv(-1)); } }`); err != nil {
 // BenchmarkEventBurst measures the report → socket path at table_stream
 // shape: one Send makes a resident DPI emit 128 reports, which cross
 // loopback to one subscribed rds.Client. writes/op counts the server's
-// socket writes (reply plus event batches) from rds_writes_total.
+// socket writes (reply plus event batches) from rds_writes_total;
+// wireB/op counts the bytes the client sent and received (Client.Bytes).
 func BenchmarkEventBurst(b *testing.B) {
 	const burst = 128
 	proc := elastic.NewProcess(elastic.Config{})
@@ -796,9 +797,13 @@ func main() {
 		b.Fatal("rds_writes_total not registered")
 		return 0
 	}
+	wire := func() uint64 {
+		out, in := cl.Bytes()
+		return out + in
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	w0 := writes()
+	w0, b0 := writes(), wire()
 	for i := 0; i < b.N; i++ {
 		if err := cl.Send(ctx, id, "row"); err != nil {
 			b.Fatal(err)
@@ -815,6 +820,7 @@ func main() {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(wire()-b0)/float64(b.N), "wireB/op")
 }
 
 // BenchmarkRollupDelta measures incremental rollup maintenance: one

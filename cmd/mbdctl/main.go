@@ -59,11 +59,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"mbd/internal/dpl"
@@ -378,9 +381,12 @@ func run(server, principal, secret string, timeout time.Duration, args []string)
 			return err
 		}
 		fmt.Fprintln(os.Stderr, "watching events (ctrl-c to stop)")
-		for ev := range c.Events() {
-			fmt.Printf("%8dms  %-16s %-7s %s\n", ev.TimeMS, ev.DPI, ev.Kind, ev.Payload)
-		}
+		// ctrl-c closes the client, ending the stream, so the drop
+		// count still prints.
+		sctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		context.AfterFunc(sctx, func() { c.Close() })
+		watchEvents(c, os.Stdout, os.Stderr)
 	case "tenant":
 		return tenantCmd(ctx, c, rest)
 	case "domain":
@@ -391,6 +397,17 @@ func run(server, principal, secret string, timeout time.Duration, args []string)
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 	return nil
+}
+
+// watchEvents prints c's events until the stream ends, then how many
+// events the client dropped because this loop fell behind, if any.
+func watchEvents(c *rds.Client, out, errOut io.Writer) {
+	for ev := range c.Events() {
+		fmt.Fprintf(out, "%8dms  %-16s %-7s %s\n", ev.TimeMS, ev.DPI, ev.Kind, ev.Payload)
+	}
+	if n := c.EventsDropped(); n > 0 {
+		fmt.Fprintf(errOut, "%d events dropped: the event stream outran this terminal\n", n)
+	}
 }
 
 // viewDoc mirrors the view engine's status payload.

@@ -261,3 +261,38 @@ func TestTranslatorRulesCoded(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchReportsDrops: when the event stream outruns watch, watch
+// prints every event the client kept and, once the stream ends, how many
+// it lost.
+func TestWatchReportsDrops(t *testing.T) {
+	srv, cli := net.Pipe()
+	c := rds.NewClient(cli, "mgr")
+	defer c.Close()
+	for b := 0; b < 3; b++ {
+		m := &rds.Message{Op: rds.OpEvent, Name: "flood#1", Entry: "report", Payload: []byte(fmt.Sprint(b * 100))}
+		for i := 1; i < 100; i++ {
+			m.Records = append(m.Records, rds.Event{DPI: "flood#1", Kind: "report", Payload: fmt.Sprint(b*100 + i)})
+		}
+		frame, err := m.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.EventsDropped() < 44 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	var out, errOut strings.Builder
+	watchEvents(c, &out, &errOut)
+	if n := strings.Count(out.String(), "\n"); n != 256 {
+		t.Fatalf("watch printed %d events, want 256", n)
+	}
+	if got := errOut.String(); !strings.HasPrefix(got, "44 events dropped") {
+		t.Fatalf("watch stderr = %q, want the drop count 44", got)
+	}
+}

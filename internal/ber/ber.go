@@ -413,8 +413,10 @@ func appendOIDContents(dst oid.OID, c []byte) (oid.OID, error) {
 				dst = append(dst, 0, uint32(v))
 			case v < 80:
 				dst = append(dst, 1, uint32(v-40))
-			default:
+			case v-80 <= 0xFFFFFFFF:
 				dst = append(dst, 2, uint32(v-80))
+			default:
+				return nil, errors.New("ber: OID arc exceeds 32 bits")
 			}
 			first = false
 		} else {

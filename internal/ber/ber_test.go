@@ -181,9 +181,10 @@ func TestTruncatedInputs(t *testing.T) {
 
 func TestMalformedOIDs(t *testing.T) {
 	bad := [][]byte{
-		{0x06, 0x00},             // empty contents
-		{0x06, 0x01, 0x80},       // ends mid-arc
-		{0x06, 0x02, 0x2B, 0x80}, // ends mid-arc after valid arc
+		{0x06, 0x00},                               // empty contents
+		{0x06, 0x01, 0x80},                         // ends mid-arc
+		{0x06, 0x02, 0x2B, 0x80},                   // ends mid-arc after valid arc
+		{0x06, 0x05, 0x90, 0x80, 0x80, 0x80, 0x50}, // first sub-identifier packs 2.(2^32)
 	}
 	for _, b := range bad {
 		if _, err := NewReader(b).ReadOID(); err == nil {

@@ -112,7 +112,8 @@ type Client struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	reconnects atomic.Uint64
+	reconnects    atomic.Uint64
+	eventsDropped atomic.Uint64
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -162,7 +163,7 @@ func WithDialer(dial func() (net.Conn, error)) ClientOption {
 }
 
 // WithClientObs registers the client's telemetry
-// (rds_client_reconnects_total) on reg.
+// (rds_client_reconnects_total, rds_client_events_dropped_total) on reg.
 func WithClientObs(reg *obs.Registry) ClientOption {
 	return func(c *Client) { c.reg = reg }
 }
@@ -192,6 +193,8 @@ func NewClient(conn net.Conn, principal string, opts ...ClientOption) *Client {
 	if c.reg != nil {
 		c.reg.FuncCounter("rds_client_reconnects_total",
 			"connections re-established after loss", c.reconnects.Load)
+		c.reg.FuncCounter("rds_client_events_dropped_total",
+			"events dropped because the Events channel was full", c.eventsDropped.Load)
 	}
 	go c.readLoop(conn, 1)
 	return c
@@ -268,8 +271,12 @@ func (c *Client) terminate(err error) {
 // closed when the client terminates (Close, or connection loss without
 // reconnect); under WithReconnect it stays open across outages. Slow
 // consumers lose events once the 256-deep buffer fills (the event is
-// dropped, never the connection).
+// dropped, never the connection, and counted in EventsDropped).
 func (c *Client) Events() <-chan Event { return c.events }
+
+// EventsDropped reports how many received events were discarded because
+// the Events channel was full.
+func (c *Client) EventsDropped() uint64 { return c.eventsDropped.Load() }
 
 // Bytes returns wire bytes sent and received, for the experiment
 // harness.
@@ -322,9 +329,9 @@ func (c *Client) readFrames(conn net.Conn) error {
 		}
 		switch m.Op {
 		case OpEvent:
-			select {
-			case c.events <- Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal}:
-			default: // drop on overflow
+			c.deliver(Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
+			for _, ev := range m.Records {
+				c.deliver(ev)
 			}
 		case OpReply:
 			c.mu.Lock()
@@ -344,6 +351,16 @@ func (c *Client) readFrames(conn net.Conn) error {
 				ch <- m
 			}
 		}
+	}
+}
+
+// deliver hands ev to Events, dropping and counting it when the
+// channel is full.
+func (c *Client) deliver(ev Event) {
+	select {
+	case c.events <- ev:
+	default:
+		c.eventsDropped.Add(1)
 	}
 }
 

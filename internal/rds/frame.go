@@ -37,12 +37,20 @@ func FrameSize(body []byte) int { return 4 + len(body) }
 // connection writer batch many frames into a single write.
 func (m *Message) AppendFrame(dst []byte) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = m.AppendEncode(dst)
+	dst = m.AppendEncode(append(dst, 0, 0, 0, 0))
+	if err := endFrame(dst, start); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// endFrame fills in the length prefix of the frame that starts at
+// dst[start], refusing a body past MaxFrame.
+func endFrame(dst []byte, start int) error {
 	n := len(dst) - start - 4
 	if n > MaxFrame {
-		return nil, fmt.Errorf("rds: frame of %d bytes exceeds limit", n)
+		return fmt.Errorf("rds: frame of %d bytes exceeds limit", n)
 	}
 	binary.BigEndian.PutUint32(dst[start:start+4], uint32(n))
-	return dst, nil
+	return nil
 }

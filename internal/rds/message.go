@@ -69,6 +69,12 @@ type Message struct {
 	TimeMS    int64
 	Infos     []InfoRec
 	Diags     []DiagRec
+	// Records carries the later events of a batched OpEvent frame, in
+	// order after the envelope's own event (Name, Entry, Payload,
+	// TimeMS, Principal). On the wire each record holds its payload, its
+	// time as a delta from the event before, and only those of DPI, kind
+	// and principal that differ from the event before (appendRecord).
+	Records []Event
 }
 
 // maxArgs bounds decoded argument lists defensively.
@@ -76,6 +82,19 @@ const maxArgs = 1024
 
 // maxDiags bounds decoded diagnostic lists defensively.
 const maxDiags = 4096
+
+// maxRecords bounds decoded event-record lists defensively: a frame
+// never carries more than one drained subscriber queue.
+const maxRecords = subscriberQueueDepth
+
+// Record field tags: a record's DPI, kind and principal travel as
+// context-specific [0], [1], [2] and only when they differ from the
+// event before. An absent field means "unchanged".
+const (
+	tagRecDPI       = byte(ber.ClassContext) | 0
+	tagRecKind      = byte(ber.ClassContext) | 1
+	tagRecPrincipal = byte(ber.ClassContext) | 2
+)
 
 // Encode serializes m with BER.
 func (m *Message) Encode() []byte {
@@ -89,6 +108,30 @@ func (m *Message) Encode() []byte {
 // the caller.
 func (m *Message) AppendEncode(dst []byte) []byte {
 	w := ber.NewWriter(dst)
+	root := m.appendHead(&w)
+	if len(m.Records) > 0 {
+		recs := w.BeginSeq(ber.TagSequence)
+		prev := m.head()
+		for i := range m.Records {
+			appendRecord(&w, &prev, &m.Records[i])
+			prev = m.Records[i]
+		}
+		w.EndSeq(recs)
+	}
+	w.EndSeq(root)
+	return w.Bytes()
+}
+
+// head is the envelope's own event, the first of an OpEvent batch and
+// the one its first record follows, less its payload (which no record
+// refers to).
+func (m *Message) head() Event {
+	return Event{DPI: m.Name, Kind: m.Entry, TimeMS: m.TimeMS, Principal: m.Principal}
+}
+
+// appendHead opens m's envelope and writes every field but Records,
+// returning the envelope's marker for EndSeq.
+func (m *Message) appendHead(w *ber.Writer) int {
 	root := w.BeginSeq(ber.TagSequence)
 	w.AppendInt(ber.TagInteger, int64(m.Op))
 	w.AppendInt(ber.TagInteger, int64(m.Seq))
@@ -134,8 +177,26 @@ func (m *Message) AppendEncode(dst []byte) []byte {
 		w.EndSeq(one)
 	}
 	w.EndSeq(diags)
-	w.EndSeq(root)
-	return w.Bytes()
+	return root
+}
+
+// appendRecord writes ev as one event record following prev: its
+// payload, its time as a signed millisecond delta from prev's, then
+// whichever of DPI, kind and principal differ from prev's.
+func appendRecord(w *ber.Writer, prev, ev *Event) {
+	one := w.BeginSeq(ber.TagSequence)
+	w.AppendString(ber.TagOctetString, []byte(ev.Payload))
+	w.AppendInt(ber.TagInteger, ev.TimeMS-prev.TimeMS)
+	if ev.DPI != prev.DPI {
+		w.AppendString(tagRecDPI, []byte(ev.DPI))
+	}
+	if ev.Kind != prev.Kind {
+		w.AppendString(tagRecKind, []byte(ev.Kind))
+	}
+	if ev.Principal != prev.Principal {
+		w.AppendString(tagRecPrincipal, []byte(ev.Principal))
+	}
+	w.EndSeq(one)
 }
 
 // Decode parses a BER-encoded message.
@@ -279,5 +340,79 @@ func Decode(b []byte) (*Message, error) {
 		}
 		m.Diags = append(m.Diags, d)
 	}
+	// The event records are a later addition still: a batch of one
+	// carries none.
+	if r.Empty() {
+		return m, nil
+	}
+	if m.Op != OpEvent {
+		return nil, errors.New("rds: event records on a non-event message")
+	}
+	rr, err := r.Seq(ber.TagSequence)
+	if err != nil {
+		return nil, err
+	}
+	if !r.Empty() {
+		return nil, errors.New("rds: trailing bytes after event records")
+	}
+	n := 0
+	for count := rr; !count.Empty(); n++ {
+		if n == maxRecords {
+			return nil, errors.New("rds: too many event records")
+		}
+		if _, _, err := count.ReadTLV(); err != nil {
+			return nil, err
+		}
+	}
+	if n == 0 {
+		return nil, errors.New("rds: empty event-record list")
+	}
+	m.Records = make([]Event, n)
+	prev := m.head()
+	for i := range m.Records {
+		if err := decodeRecord(&rr, &prev); err != nil {
+			return nil, err
+		}
+		m.Records[i] = prev
+	}
 	return m, nil
+}
+
+// decodeRecord reads the next event record from r and applies it to
+// prev, which then holds the record's event.
+func decodeRecord(r *ber.Reader, prev *Event) error {
+	one, err := r.Seq(ber.TagSequence)
+	if err != nil {
+		return err
+	}
+	tag, payload, err := one.ReadTLV()
+	if err != nil {
+		return err
+	}
+	if tag != ber.TagOctetString {
+		return fmt.Errorf("rds: event record payload has tag 0x%02x", tag)
+	}
+	tag, delta, err := one.ReadInt()
+	if err != nil {
+		return err
+	}
+	if tag != ber.TagInteger {
+		return fmt.Errorf("rds: event record time has tag 0x%02x", tag)
+	}
+	prev.Payload = string(payload)
+	prev.TimeMS += delta
+	fields := [...]*string{&prev.DPI, &prev.Kind, &prev.Principal}
+	next := tagRecDPI
+	for !one.Empty() {
+		tag, s, err := one.ReadTLV()
+		if err != nil {
+			return err
+		}
+		if tag < next || tag > tagRecPrincipal {
+			return fmt.Errorf("rds: event record field has tag 0x%02x", tag)
+		}
+		*fields[tag-tagRecDPI] = string(s)
+		next = tag + 1
+	}
+	return nil
 }

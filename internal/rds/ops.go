@@ -38,7 +38,8 @@ const (
 	// Infos holds query results).
 	OpReply
 	// OpEvent is a server-initiated event notification (Name=dpiID,
-	// Entry=kind, Payload, TimeMS).
+	// Entry=kind, Payload, TimeMS, Principal); Records carries the later
+	// events of the same drained batch.
 	OpEvent
 	// OpEval is one-shot remote evaluation (the REV model the paper
 	// compares against): Payload=source, Entry=entry, Args; the reply's

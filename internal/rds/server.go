@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mbd/internal/ber"
 	"mbd/internal/elastic"
 	"mbd/internal/obs"
 )
@@ -105,7 +107,8 @@ type ServerStats struct {
 	BytesOut   uint64
 	EventsSent uint64
 	// EventsDropped counts events discarded because a subscriber's
-	// bounded queue overflowed (drop-oldest-per-tenant policy).
+	// bounded queue overflowed (drop-oldest-per-tenant policy) or the
+	// event was too large to frame.
 	EventsDropped uint64
 	// EventsShed counts events refused at fan-out by the global
 	// high-water backpressure (lowest-weight tenants first).
@@ -207,8 +210,8 @@ func (s *Server) instrument() {
 		{"rds_bytes_in_total", "request frame bytes received", &s.stats.bytesIn},
 		{"rds_bytes_out_total", "reply and event frame bytes sent", &s.stats.bytesOut},
 		{"rds_writes_total", "socket writes carrying reply and event frames", &s.stats.writes},
-		{"rds_events_sent_total", "event frames delivered to subscribers", &s.stats.eventsSent},
-		{"rds_events_dropped_total", "events discarded on overflowing subscriber queues", &s.stats.eventsDropped},
+		{"rds_events_sent_total", "events delivered to subscribers", &s.stats.eventsSent},
+		{"rds_events_dropped_total", "events discarded on overflowing subscriber queues or too large to frame", &s.stats.eventsDropped},
 		{"rds_events_shed_total", "events refused at fan-out by weighted backpressure", &s.stats.eventsShed},
 		{"rds_requests_shed_total", "requests refused by the per-principal rate quota", &s.stats.requestsShed},
 		{"rds_conns_drained_total", "connections shut down via the drain-grace path", &s.stats.connsDrained},
@@ -255,7 +258,7 @@ func (s *Server) droppedEvent(principal string, shed bool) {
 		principal = "_"
 	}
 	s.reg.LabeledCounter("rds_events_dropped_total",
-		"events discarded on overflowing subscriber queues", "principal", principal).Inc()
+		"events discarded on overflowing subscriber queues or too large to frame", "principal", principal).Inc()
 }
 
 // Serve accepts connections on l until ctx is cancelled.
@@ -310,23 +313,74 @@ func (cw *connWriter) reply(s *Server, m *Message) {
 	cw.writeLocked(s, out)
 }
 
-// events writes one event frame per ev in a single Write. An event too
-// large to frame is skipped.
+// maxEventFrame is where a batched event frame closes: an event whose
+// record would take the frame past it opens the next frame, in the same
+// write. It matches maxRetainedOut, the buffer a connection keeps.
+const maxEventFrame = maxRetainedOut
+
+// events writes a drained batch in a single Write as batched OpEvent
+// frames: the first event of a frame travels in the envelope, each later
+// one as a record carrying only what changed (appendRecord), up to
+// maxRecords records or maxEventFrame bytes a frame. Decoding a frame
+// yields exactly the Message whose AppendFrame gives its bytes. An event
+// too large to frame even alone is counted dropped; the rest of its
+// batch still goes.
 func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	out, n := cw.out[:0], uint64(0)
-	for i := range evs {
-		ev := &evs[i]
-		msg := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind.String(),
-			Payload: []byte(ev.Payload), // zero-copy: AppendFrame only reads it
-			TimeMS:  ev.Time.Milliseconds(), Principal: ev.Principal}
-		if f, err := msg.AppendFrame(out); err == nil {
-			out, n = f, n+1
+	out, n := cw.out[:0], 0
+	// The open frame: its length prefix's offset (-1: none), its envelope
+	// and record-list markers, its record count and its last event.
+	start, root, recs, k := -1, 0, 0, 0
+	var prev Event
+	end := func() {
+		w := ber.NewWriter(out)
+		if recs > 0 {
+			w.EndSeq(recs)
+		}
+		w.EndSeq(root)
+		if out = w.Bytes(); endFrame(out, start) != nil {
+			// Only a frame's lone event can outgrow MaxFrame.
+			out, n = out[:start], n-1
+			s.droppedEvent(prev.Principal, false)
 		}
 	}
+	for i := range evs {
+		ev := Event{DPI: evs[i].DPI, Kind: evs[i].Kind.String(), Payload: evs[i].Payload,
+			TimeMS: evs[i].Time.Milliseconds(), Principal: evs[i].Principal}
+		if start >= 0 {
+			if k < maxRecords {
+				mark, opened := len(out), recs == 0
+				w := ber.NewWriter(out)
+				if opened {
+					recs = w.BeginSeq(ber.TagSequence)
+				}
+				appendRecord(&w, &prev, &ev)
+				if out = w.Bytes(); len(out)-start <= maxEventFrame {
+					prev, n, k = ev, n+1, k+1
+					continue
+				}
+				// Too big: take the record back (and the list, if it
+				// opened for this record) and close the frame without it.
+				out = out[:mark]
+				if opened {
+					recs = 0
+				}
+			}
+			end()
+		}
+		start, prev, n, k = len(out), ev, n+1, 0
+		w := ber.NewWriter(append(out, 0, 0, 0, 0))
+		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: []byte(ev.Payload), // zero-copy: only read
+			TimeMS: ev.TimeMS, Principal: ev.Principal}
+		root, recs = head.appendHead(&w), 0
+		out = w.Bytes()
+	}
+	if start >= 0 {
+		end()
+	}
 	if cw.writeLocked(s, out) {
-		s.stats.eventsSent.Add(n)
+		s.stats.eventsSent.Add(uint64(n))
 	}
 }
 
@@ -442,13 +496,18 @@ func (q *eventQueue) decCountLocked(pr string) {
 
 // drain appends every queued event to dst under one lock acquisition,
 // blocking until one arrives; it returns dst unchanged once the queue
-// closes.
+// closes. Before it takes the batch it yields the processor once, so a
+// producer in the middle of a burst can queue more of it: the burst
+// leaves in fewer, larger batches instead of the pump chasing it.
 func (q *eventQueue) drain(dst []elastic.Event) []elastic.Event {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
+	q.mu.Unlock()
+	runtime.Gosched()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.n == 0 {
 		return dst
 	}

@@ -3,7 +3,9 @@ package rds
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"mbd/internal/elastic"
+	"mbd/internal/obs"
 )
 
 // captureConn records every Write a connection writer issues.
@@ -30,10 +33,11 @@ func (c *captureConn) Write(p []byte) (int, error) {
 }
 
 // pumpQueued queues evs, runs the event pump over a capture connection
-// until it has drained them, and returns what went on the wire.
+// until it has sent or dropped every one, and returns what went on the
+// wire.
 func pumpQueued(t *testing.T, evs []elastic.Event) (*Server, *captureConn) {
 	t.Helper()
-	s := &Server{}
+	s := &Server{reg: obs.NewRegistry()}
 	conn := &captureConn{}
 	q := newEventQueue(subscriberQueueDepth, nil)
 	for _, ev := range evs {
@@ -44,7 +48,7 @@ func pumpQueued(t *testing.T, evs []elastic.Event) (*Server, *captureConn) {
 	done := make(chan struct{})
 	go s.pumpEvents(q, &connWriter{conn: conn}, done)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.stats.eventsSent.Load() < uint64(len(evs)) {
+	for s.stats.eventsSent.Load()+s.stats.eventsDropped.Load() < uint64(len(evs)) {
 		if time.Now().After(deadline) {
 			t.Fatalf("pump sent %d of %d events", s.stats.eventsSent.Load(), len(evs))
 		}
@@ -55,9 +59,69 @@ func pumpQueued(t *testing.T, evs []elastic.Event) (*Server, *captureConn) {
 	return s, conn
 }
 
-// TestPumpFramesByteIdentical: the batched pump writes exactly the bytes
-// Message.AppendFrame produces for the same events, including an empty
-// principal and a payload long enough for a BER long-form length.
+// wireEvent is the event a subscriber receives for ev.
+func wireEvent(ev elastic.Event) Event {
+	return Event{DPI: ev.DPI, Kind: ev.Kind.String(), Payload: ev.Payload,
+		TimeMS: ev.Time.Milliseconds(), Principal: ev.Principal}
+}
+
+// batchMessage is the one OpEvent message carrying evs in order.
+func batchMessage(evs []Event) *Message {
+	m := &Message{Op: OpEvent, Name: evs[0].DPI, Entry: evs[0].Kind, TimeMS: evs[0].TimeMS, Principal: evs[0].Principal}
+	if evs[0].Payload != "" {
+		m.Payload = []byte(evs[0].Payload)
+	}
+	if len(evs) > 1 {
+		m.Records = evs[1:]
+	}
+	return m
+}
+
+// wireEvents reads every frame in wire, checks that each one is exactly
+// AppendFrame of the message it decodes to, and returns the events the
+// frames carry, in order.
+func wireEvents(t *testing.T, wire []byte) (evs []Event, frames int) {
+	t.Helper()
+	r := bytes.NewReader(wire)
+	for r.Len() > 0 {
+		body, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(body)
+		if err != nil {
+			t.Fatalf("frame %d: %v", frames, err)
+		}
+		re, err := m.AppendFrame(nil)
+		if err != nil || !bytes.Equal(re[4:], body) {
+			t.Fatalf("frame %d is not AppendFrame of its message (%v)", frames, err)
+		}
+		frames++
+		evs = append(evs, Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
+		evs = append(evs, m.Records...)
+	}
+	return evs, frames
+}
+
+// sameEvents fails t unless got is exactly what a subscriber should
+// receive for evs.
+func sameEvents(t *testing.T, got []Event, evs []elastic.Event) {
+	t.Helper()
+	if len(got) != len(evs) {
+		t.Fatalf("got %d events, want %d", len(got), len(evs))
+	}
+	for i, ev := range evs {
+		if got[i] != wireEvent(ev) {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], wireEvent(ev))
+		}
+	}
+}
+
+// TestPumpFramesByteIdentical: the pump writes a drained batch as
+// exactly the bytes Message.AppendFrame produces for the one message
+// carrying the batch, including an empty principal after a non-empty
+// one, a payload long enough for a BER long-form length and a time
+// earlier than the event before.
 func TestPumpFramesByteIdentical(t *testing.T) {
 	evs := []elastic.Event{
 		{DPI: "rows#1", Kind: elastic.EventReport, Payload: "1", Time: 5 * time.Millisecond, Principal: "mgr"},
@@ -65,20 +129,257 @@ func TestPumpFramesByteIdentical(t *testing.T) {
 		{DPI: "rows#2", Kind: elastic.EventExit, Payload: "", Principal: "ops"},
 	}
 	s, conn := pumpQueued(t, evs)
-	var want []byte
+	var batch []Event
 	for _, ev := range evs {
-		m := &Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind.String(), Payload: []byte(ev.Payload),
-			TimeMS: ev.Time.Milliseconds(), Principal: ev.Principal}
-		var err error
-		if want, err = m.AppendFrame(want); err != nil {
-			t.Fatal(err)
-		}
+		batch = append(batch, wireEvent(ev))
+	}
+	want, err := batchMessage(batch).AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(conn.wire.Bytes(), want) {
 		t.Fatalf("pump wrote %d bytes, AppendFrame gives %d (or contents differ)", conn.wire.Len(), len(want))
 	}
 	if got := s.stats.bytesOut.Load(); got != uint64(len(want)) {
 		t.Fatalf("bytesOut = %d, want %d", got, len(want))
+	}
+	if got := s.stats.eventsSent.Load(); got != uint64(len(evs)) {
+		t.Fatalf("eventsSent = %d, want %d events", got, len(evs))
+	}
+}
+
+// TestEventFrameOfOneUnchanged: a batch of one event goes out as the
+// very frame the per-event encoder wrote before events were batched, so
+// single-event traffic costs the same bytes as it always did. The hex is
+// that encoder's output.
+func TestEventFrameOfOneUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		ev  elastic.Event
+		hex string
+	}{
+		{elastic.Event{DPI: "tableagent#1", Kind: elastic.EventReport, Payload: "n42 7 1.3.6.1.2.1.2.2.1.10.4 = 29912352",
+			Time: 123456 * time.Millisecond, Principal: "bench"},
+			"000000623060020109020100040562656e63680400040c7461626c656167656e74233104067265706f7274040004276e3432203720312e332e362e312e322e312e322e322e312e31302e34203d2032393931323335320201000400020301e240300030003000"},
+		{elastic.Event{DPI: "rows#1", Kind: elastic.EventNotify, Payload: strings.Repeat("x", 300), Time: time.Second},
+			"0000015f3082015b020109020100040004000406726f7773233104066e6f7469667904000482012c" + strings.Repeat("78", 300) + "0201000400020203e8300030003000"},
+		{elastic.Event{DPI: "rows#2", Kind: elastic.EventExit, Time: -3 * time.Millisecond, Principal: "ops"},
+			"0000002f302d02010902010004036f707304000406726f777323320404657869740400040002010004000201fd300030003000"},
+	} {
+		want, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := &captureConn{}
+		(&connWriter{conn: conn}).events(&Server{}, []elastic.Event{c.ev})
+		if !bytes.Equal(conn.wire.Bytes(), want) {
+			t.Errorf("%s: pump frame\n %x\nwant\n %x", c.ev.DPI, conn.wire.Bytes(), want)
+		}
+		if got, _ := batchMessage([]Event{wireEvent(c.ev)}).AppendFrame(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendFrame\n %x\nwant\n %x", c.ev.DPI, got, want)
+		}
+	}
+}
+
+// TestPumpRecordsCarryOnlyChanges: each record after a frame's first
+// event costs its payload plus 7 bytes while DPI, kind and principal
+// stay put, and a 128-row burst leaves as one frame.
+func TestPumpRecordsCarryOnlyChanges(t *testing.T) {
+	evs := make([]elastic.Event, 128)
+	for i := range evs {
+		evs[i] = elastic.Event{DPI: "tableagent#1", Kind: elastic.EventReport,
+			Payload: fmt.Sprintf("n42 %d 1.3.6.1.2.1.2.2.1.10.%d = %d", i, 1+i%4, 29912345+i),
+			Time:    123456 * time.Millisecond, Principal: "bench"}
+	}
+	_, conn := pumpQueued(t, evs)
+	got, frames := wireEvents(t, conn.wire.Bytes())
+	if frames != 1 {
+		t.Fatalf("128 rows took %d frames, want 1", frames)
+	}
+	sameEvents(t, got, evs)
+	one, err := batchMessage([]Event{wireEvent(evs[0])}).AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := 0
+	for _, ev := range evs[1:] {
+		payloads += len(ev.Payload)
+	}
+	// 7 bytes per record, 4 for the record list's header, 2 more for
+	// the envelope's longer length.
+	if want := len(one) + payloads + 7*127 + 4 + 2; conn.wire.Len() != want {
+		t.Fatalf("burst is %d bytes, want %d", conn.wire.Len(), want)
+	}
+}
+
+// TestPumpSplitsFramesAt64KB: a batch larger than maxEventFrame leaves
+// as several frames in one write, none much past the bound, carrying
+// every event in order.
+func TestPumpSplitsFramesAt64KB(t *testing.T) {
+	evs := make([]elastic.Event, 200)
+	for i := range evs {
+		evs[i] = elastic.Event{DPI: "dump#" + strconv.Itoa(i%3), Kind: elastic.EventReport,
+			Payload: strings.Repeat(strconv.Itoa(i%10), 1000), Time: time.Duration(i) * time.Millisecond, Principal: "mgr"}
+	}
+	s, conn := pumpQueued(t, evs)
+	got, frames := wireEvents(t, conn.wire.Bytes())
+	if frames < 4 || conn.writes != 1 {
+		t.Fatalf("200 KB batch: %d frames in %d writes, want >= 4 frames in 1 write", frames, conn.writes)
+	}
+	for r := bytes.NewReader(conn.wire.Bytes()); r.Len() > 0; {
+		// The two closing lengths may add a few bytes past the bound.
+		if body, err := ReadFrame(r); err != nil || len(body) > maxEventFrame+8 {
+			t.Fatalf("frame of %d bytes (%v), bound %d", len(body), err, maxEventFrame)
+		}
+	}
+	if n := s.stats.eventsSent.Load(); n != uint64(len(evs)) {
+		t.Fatalf("eventsSent = %d, want %d", n, len(evs))
+	}
+	sameEvents(t, got, evs)
+}
+
+// TestPumpFramesAtMostMaxRecords: a batch of more events than one frame
+// may carry records for leaves as several frames the decoder accepts.
+func TestPumpFramesAtMostMaxRecords(t *testing.T) {
+	evs := make([]elastic.Event, 2*maxRecords+90)
+	for i := range evs {
+		evs[i] = elastic.Event{DPI: "tiny#1", Kind: elastic.EventLog, Payload: strconv.Itoa(i)}
+	}
+	conn := &captureConn{}
+	(&connWriter{conn: conn}).events(&Server{}, evs)
+	got, frames := wireEvents(t, conn.wire.Bytes())
+	if frames != 3 {
+		t.Fatalf("%d events took %d frames, want 3", len(evs), frames)
+	}
+	sameEvents(t, got, evs)
+}
+
+// TestOversizedEventCounted: an event too large to frame is dropped and
+// counted (EventsDropped and rds_events_dropped_total for its
+// principal), and the rest of its batch is still delivered.
+func TestOversizedEventCounted(t *testing.T) {
+	evs := []elastic.Event{
+		{DPI: "big#1", Kind: elastic.EventReport, Payload: "before", Principal: "mgr"},
+		{DPI: "big#1", Kind: elastic.EventReport, Payload: strings.Repeat("x", MaxFrame+1), Principal: "hog"},
+		{DPI: "big#1", Kind: elastic.EventReport, Payload: "after", Principal: "mgr"},
+		{DPI: "big#1", Kind: elastic.EventExit, Payload: "0", Principal: "mgr"},
+	}
+	s, conn := pumpQueued(t, evs)
+	if st := s.Stats(); st.EventsDropped != 1 || st.EventsSent != 3 {
+		t.Fatalf("sent %d, dropped %d; want 3 sent, 1 dropped", st.EventsSent, st.EventsDropped)
+	}
+	got, _ := wireEvents(t, conn.wire.Bytes())
+	sameEvents(t, got, []elastic.Event{evs[0], evs[2], evs[3]})
+	if v := counterValue(s.Obs(), `rds_events_dropped_total{principal="hog"}`); v != 1 {
+		t.Fatalf(`rds_events_dropped_total{principal="hog"} = %d, want 1`, v)
+	}
+}
+
+// counterValue reads one series from reg.
+func counterValue(reg *obs.Registry, series string) uint64 {
+	for _, s := range reg.Flatten() {
+		if s.Name == series {
+			return s.Value()
+		}
+	}
+	return 0
+}
+
+// TestPumpDeliversBatchesToClient: batches written by the pump reach an
+// rds.Client's Events as exactly the emitted sequence, field for field:
+// mixed DPIs, kinds and principals (including ""), times out of order,
+// a batch split across frames and an oversized event mid-batch.
+func TestPumpDeliversBatchesToClient(t *testing.T) {
+	srvConn, cliConn := net.Pipe()
+	c := NewClient(cliConn, "mgr")
+	defer c.Close()
+	s := &Server{reg: obs.NewRegistry()}
+	cw := &connWriter{conn: srvConn}
+
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	mixed := []elastic.Event{
+		{DPI: "a#1", Kind: elastic.EventReport, Payload: "r1", Time: ms(5), Principal: "mgr"},
+		{DPI: "a#1", Kind: elastic.EventReport, Payload: "r2", Time: ms(5), Principal: "mgr"},
+		{DPI: "b#1", Kind: elastic.EventNotify, Payload: "n", Time: ms(3)},
+		{DPI: "b#1", Kind: elastic.EventLog, Payload: "", Time: ms(3)},
+		{DPI: "a#1", Kind: elastic.EventReport, Payload: "r3", Time: ms(1 << 40), Principal: "ops"},
+		{DPI: "a#1", Kind: elastic.EventExit, Payload: "0", Time: ms(-7), Principal: ""},
+	}
+	var split []elastic.Event
+	for i := 0; i < 100; i++ {
+		split = append(split, elastic.Event{DPI: "s#" + strconv.Itoa(i%2), Kind: elastic.EventReport,
+			Payload: strings.Repeat("y", 1500+i), Time: ms(100 - i), Principal: []string{"mgr", "", "ops"}[i%3]})
+	}
+	huge := []elastic.Event{
+		{DPI: "h#1", Kind: elastic.EventReport, Payload: "pre", Principal: "mgr"},
+		{DPI: "h#1", Kind: elastic.EventReport, Payload: strings.Repeat("z", MaxFrame), Principal: "mgr"},
+		{DPI: "h#2", Kind: elastic.EventNotify, Payload: "post", Principal: ""},
+	}
+	one := []elastic.Event{{DPI: "z#9", Kind: elastic.EventExit, Payload: "done", Time: ms(2), Principal: "mgr"}}
+
+	var want []elastic.Event
+	for _, batch := range [][]elastic.Event{mixed, split, huge, one} {
+		for _, ev := range batch {
+			if len(ev.Payload) < MaxFrame {
+				want = append(want, ev)
+			}
+		}
+	}
+	got := make(chan []Event, 1)
+	go func() {
+		var evs []Event
+		for len(evs) < len(want) {
+			evs = append(evs, <-c.Events())
+		}
+		got <- evs
+	}()
+	for _, batch := range [][]elastic.Event{mixed, split, huge, one} {
+		cw.events(s, batch)
+	}
+	select {
+	case evs := <-got:
+		sameEvents(t, evs, want)
+	case <-time.After(10 * time.Second):
+		t.Fatal("client did not receive every event")
+	}
+	if st := s.Stats(); st.EventsDropped != 1 || st.EventsSent != uint64(len(want)) {
+		t.Fatalf("sent %d, dropped %d; want %d sent, 1 dropped", st.EventsSent, st.EventsDropped, len(want))
+	}
+	if n := c.EventsDropped(); n != 0 {
+		t.Fatalf("client dropped %d events", n)
+	}
+}
+
+// TestClientCountsDroppedEvents: a client whose Events channel nobody
+// reads keeps the first 256 of 300 events and counts the other 44, in
+// EventsDropped and rds_client_events_dropped_total.
+func TestClientCountsDroppedEvents(t *testing.T) {
+	srvConn, cliConn := net.Pipe()
+	reg := obs.NewRegistry()
+	c := NewClient(cliConn, "mgr", WithClientObs(reg))
+	defer c.Close()
+	cw := &connWriter{conn: srvConn}
+	for b := 0; b < 3; b++ {
+		batch := make([]elastic.Event, 100)
+		for i := range batch {
+			batch[i] = elastic.Event{DPI: "flood#1", Kind: elastic.EventReport, Payload: strconv.Itoa(b*100 + i)}
+		}
+		cw.events(&Server{}, batch)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.EventsDropped() < 44 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.EventsDropped(); n != 44 {
+		t.Fatalf("EventsDropped = %d, want 44", n)
+	}
+	if v := counterValue(reg, "rds_client_events_dropped_total"); v != 44 {
+		t.Fatalf("rds_client_events_dropped_total = %d, want 44", v)
+	}
+	if n := len(c.Events()); n != 256 {
+		t.Fatalf("Events holds %d, want 256", n)
+	}
+	if ev := <-c.Events(); ev.Payload != "0" {
+		t.Fatalf("first kept event %q, want the first sent", ev.Payload)
 	}
 }
 
