@@ -2,6 +2,7 @@ package dpl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -12,25 +13,6 @@ import (
 // target), so tooling can edit or audit a listing and get an equivalent
 // program back. Assembled code is subject to the same structural
 // verification as any other bytecode before a VM will run it.
-
-// nameToOp inverts opNames.
-var nameToOp = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(opNames))
-	for op, n := range opNames {
-		m[n] = op
-	}
-	return m
-}()
-
-// asmBinOps maps the disassembler's operator rendering ('+', '<=', …)
-// back to the OpBin immediate.
-var asmBinOps = func() map[string]TokenKind {
-	m := make(map[string]TokenKind, len(binOps))
-	for k := range binOps {
-		m[k.String()] = k
-	}
-	return m
-}()
 
 type assembler struct {
 	out     *Compiled
@@ -79,6 +61,7 @@ func Assemble(text string) (*Compiled, error) {
 		a.out.Funcs = append(a.out.Funcs, &CompiledFunc{Name: name, NumParams: params, NumLocals: locals})
 	}
 	var cur *[]Instr
+	next := 0 // function headers come in the order the first pass saw
 	for ln, raw := range lines {
 		line := strings.TrimSpace(raw)
 		switch {
@@ -99,11 +82,8 @@ func Assemble(text string) (*Compiled, error) {
 		case line == "init:":
 			cur = &a.out.InitCode
 		case strings.HasPrefix(line, "func "):
-			name, _, _, err := parseFuncHeader(line)
-			if err != nil {
-				return nil, fmt.Errorf("dpl: asm line %d: %w", ln+1, err)
-			}
-			cur = &a.out.Funcs[a.out.FuncIdx[name]].Code
+			cur = &a.out.Funcs[next].Code
+			next++
 		default:
 			if cur == nil {
 				return nil, fmt.Errorf("dpl: asm line %d: instruction outside any section", ln+1)
@@ -136,7 +116,7 @@ func parseFuncHeader(line string) (name string, params, locals int, err error) {
 	return name, params, locals, nil
 }
 
-// parseInstr decodes one listing line: "<ip>  MNEMONIC [operand]".
+// parseInstr decodes one listing line: "<ip>  MNEMONIC [operands]".
 func (a *assembler) parseInstr(line string) (Instr, error) {
 	// Leading instruction index.
 	i := strings.IndexFunc(line, func(r rune) bool { return r == ' ' || r == '\t' })
@@ -146,152 +126,82 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 	if _, err := strconv.Atoi(line[:i]); err != nil {
 		return Instr{}, fmt.Errorf("malformed instruction index in %q", line)
 	}
-	rest := strings.TrimSpace(line[i:])
-	mn, operand, _ := strings.Cut(rest, " ")
-	operand = strings.TrimSpace(operand)
-	op, ok := nameToOp[mn]
-	if !ok {
+	mn, rest, _ := strings.Cut(strings.TrimSpace(line[i:]), " ")
+	op := slices.IndexFunc(opTable[:OpDecL+1], func(r opInfo) bool { return r.name == mn })
+	if op < 0 {
 		return Instr{}, fmt.Errorf("unknown mnemonic %q", mn)
 	}
-	in := Instr{Op: op}
-	switch op {
-	case OpNil, OpTrue, OpFalse, OpPop, OpEq, OpNe, OpNeg, OpNot,
-		OpReturn, OpReturnNil, OpIndex, OpSetIndex:
-		if operand != "" {
-			return Instr{}, fmt.Errorf("%s takes no operand, got %q", mn, operand)
-		}
-		return in, nil
-	case OpConst:
-		v, err := parseConstOperand(operand)
+	in := Instr{Op: Opcode(op)}
+	for _, o := range in.operands() {
+		x, more, err := a.operand(o.kind, strings.TrimSpace(rest))
 		if err != nil {
-			return Instr{}, err
+			return Instr{}, fmt.Errorf("%s: %w", mn, err)
 		}
-		in.A = a.consts.intern(v)
-		return in, nil
-	case OpBin:
-		k, ok := asmBinOps[operand]
-		if !ok {
-			return Instr{}, fmt.Errorf("unknown operator %q", operand)
-		}
-		in.A = int(k)
-		return in, nil
-	case OpJump, OpJumpFalse, OpJFKeep, OpJTKeep:
-		t, ok := strings.CutPrefix(operand, "->")
-		if !ok {
-			return Instr{}, fmt.Errorf("malformed jump target %q", operand)
-		}
-		n, err := strconv.Atoi(t)
+		*o.x, rest = x, more
+	}
+	if rest = strings.TrimSpace(rest); rest != "" {
+		return Instr{}, fmt.Errorf("%s: unexpected operand text %q", mn, rest)
+	}
+	return in, nil
+}
+
+// operand reads one operand of the given kind from the front of s (the
+// inverse of formatOperand) and returns its value and the text after
+// it.
+func (a *assembler) operand(kind operand, s string) (int, string, error) {
+	word, rest, _ := strings.Cut(s, " ")
+	switch kind {
+	case opdConst:
+		v, err := parseConstOperand(s) // a constant ends the line
 		if err != nil {
-			return Instr{}, fmt.Errorf("malformed jump target %q", operand)
+			return 0, "", err
 		}
-		in.A = n
-		return in, nil
-	case OpCall, OpCallHost:
-		slash := strings.LastIndex(operand, "/")
+		return a.consts.intern(v), "", nil
+	case opdGlobal:
+		if gi, ok := a.globals[word]; ok {
+			return gi, rest, nil
+		}
+		return 0, "", fmt.Errorf("unknown global %q", word)
+	case opdFunc, opdHost:
+		// "name/argc": the arity is the count operand that follows.
+		slash := strings.LastIndex(word, "/")
 		if slash <= 0 {
-			return Instr{}, fmt.Errorf("malformed call operand %q", operand)
+			return 0, "", fmt.Errorf("malformed call operand %q", word)
 		}
-		name := operand[:slash]
-		argc, err := strconv.Atoi(operand[slash+1:])
-		if err != nil || argc < 0 {
-			return Instr{}, fmt.Errorf("malformed call arity in %q", operand)
+		name, argc := word[:slash], word[slash+1:]+" "+rest
+		if kind == opdHost {
+			return a.host(name), argc, nil
 		}
-		in.B = argc
-		if op == OpCall {
-			fi, ok := a.out.FuncIdx[name]
-			if !ok {
-				return Instr{}, fmt.Errorf("call to unknown function %q", name)
+		if fi, ok := a.out.FuncIdx[name]; ok {
+			return fi, argc, nil
+		}
+		return 0, "", fmt.Errorf("call to unknown function %q", name)
+	case opdTarget:
+		if t, ok := strings.CutPrefix(word, "->"); ok {
+			if n, err := strconv.Atoi(t); err == nil {
+				return n, rest, nil
 			}
-			in.A = fi
-		} else {
-			in.A = a.host(name)
 		}
-		return in, nil
-	case OpLoadG, OpStoreG:
-		gi, ok := a.globals[operand]
-		if !ok {
-			return Instr{}, fmt.Errorf("unknown global %q", operand)
-		}
-		in.A = gi
-		return in, nil
-	case OpLoadL, OpStoreL, OpArray, OpMap:
-		n, err := strconv.Atoi(operand)
-		if err != nil || n < 0 {
-			return Instr{}, fmt.Errorf("malformed %s operand %q", mn, operand)
-		}
-		in.A = n
-		return in, nil
-	case OpLoadLConstBin, OpLoadLLoadLBin:
-		// "<local> <op> <const-or-local>" — the constant is last
-		// because its rendering may contain spaces.
-		parts := strings.SplitN(operand, " ", 3)
-		if len(parts) != 3 {
-			return Instr{}, fmt.Errorf("malformed %s operand %q", mn, operand)
-		}
-		local, err := strconv.Atoi(parts[0])
-		if err != nil || local < 0 {
-			return Instr{}, fmt.Errorf("malformed %s local in %q", mn, operand)
-		}
-		k, ok := asmBinOps[parts[1]]
-		if !ok {
-			return Instr{}, fmt.Errorf("unknown operator %q", parts[1])
-		}
-		in.A = local
-		if op == OpLoadLLoadLBin {
-			l2, err := strconv.Atoi(parts[2])
-			if err != nil || l2 < 0 {
-				return Instr{}, fmt.Errorf("malformed %s local in %q", mn, operand)
+		return 0, "", fmt.Errorf("malformed jump target %q", word)
+	case opdOperator:
+		for k := range binOps {
+			if k.String() == word {
+				return int(k), rest, nil
 			}
-			in.B = PackIdxOp(l2, k)
-			return in, nil
 		}
-		v, err := parseConstOperand(strings.TrimSpace(parts[2]))
+		return 0, "", fmt.Errorf("unknown operator %q", word)
+	case opdConstOp, opdLocalOp:
+		k, rest, err := a.operand(opdOperator, s)
 		if err != nil {
-			return Instr{}, err
+			return 0, "", err
 		}
-		in.B = PackIdxOp(a.consts.intern(v), k)
-		return in, nil
-	case OpBinJumpFalse:
-		parts := strings.SplitN(operand, " ", 2)
-		if len(parts) != 2 {
-			return Instr{}, fmt.Errorf("malformed %s operand %q", mn, operand)
+		idx, rest, err := a.operand(kind.index(), strings.TrimSpace(rest))
+		return PackIdxOp(idx, TokenKind(k)), rest, err
+	default: // opdLocal, opdCount
+		if n, err := strconv.Atoi(word); err == nil && n >= 0 {
+			return n, rest, nil
 		}
-		k, ok := asmBinOps[parts[0]]
-		if !ok {
-			return Instr{}, fmt.Errorf("unknown operator %q", parts[0])
-		}
-		t, ok := strings.CutPrefix(parts[1], "->")
-		if !ok {
-			return Instr{}, fmt.Errorf("malformed jump target %q", parts[1])
-		}
-		n, err := strconv.Atoi(t)
-		if err != nil {
-			return Instr{}, fmt.Errorf("malformed jump target %q", parts[1])
-		}
-		in.A = n
-		in.B = int(k)
-		return in, nil
-	case OpConstStoreL, OpIncL, OpDecL:
-		parts := strings.SplitN(operand, " ", 2)
-		if len(parts) != 2 {
-			return Instr{}, fmt.Errorf("malformed %s operand %q", mn, operand)
-		}
-		local, err := strconv.Atoi(parts[0])
-		if err != nil || local < 0 {
-			return Instr{}, fmt.Errorf("malformed %s local in %q", mn, operand)
-		}
-		v, err := parseConstOperand(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return Instr{}, err
-		}
-		if op == OpConstStoreL {
-			in.A, in.B = a.consts.intern(v), local
-		} else {
-			in.A, in.B = local, a.consts.intern(v)
-		}
-		return in, nil
-	default:
-		return Instr{}, fmt.Errorf("unassemblable opcode %s", mn)
+		return 0, "", fmt.Errorf("malformed operand %q", word)
 	}
 }
 

@@ -52,14 +52,142 @@ const (
 	OpDecL          // locals[A] = locals[A] - Consts[B]
 )
 
+// operand says what an instruction's A or B field holds.
+type operand uint8
+
+const (
+	opdNone     operand = iota
+	opdConst            // constant-pool index
+	opdGlobal           // global index
+	opdLocal            // frame slot
+	opdFunc             // function index
+	opdHost             // host-binding index
+	opdTarget           // jump target in [0, len(code)]
+	opdCount            // argument, element or pair count
+	opdOperator         // binary operator (a TokenKind)
+	opdConstOp          // PackIdxOp(constant index, operator)
+	opdLocalOp          // PackIdxOp(frame slot, operator)
+)
+
+// index returns the kind of index a packed operand carries.
+func (k operand) index() operand {
+	if k == opdConstOp {
+		return opdConst
+	}
+	return opdLocal
+}
+
+// flow says where control goes after an instruction.
+type flow uint8
+
+const (
+	flowNext   flow = iota // to ip+1
+	flowJump               // to A
+	flowBranch             // to A or ip+1
+	flowEnd                // out of the function
+)
+
+// Pop counts read from an operand: B call arguments, A array elements,
+// 2A map keys and values.
+const (
+	popsB = -1 - iota
+	popsA
+	pops2A
+)
+
+// opInfo is one row of the opcode table: all the structural verifier,
+// the abstract walker, the optimizer, the disassembler and the
+// assembler know of an opcode but what it computes. count words the
+// structural fault for an implausible opdCount operand not checked
+// against a callee.
+type opInfo struct {
+	name         string
+	gen          int8 // compiler generation that introduced the opcode
+	a, b         operand
+	pops, pushes int8
+	flow         flow
+	count        string
+}
+
+// opTable states each opcode's shape once, in opInfo's field order. A
+// keep-form branch (JFK, JTK) peeks at its condition: it pops it and
+// pushes it back. A byte outside the instruction set has an empty row.
+var opTable = [256]opInfo{
+	OpConst:         {"CONST", 1, opdConst, opdNone, 0, 1, flowNext, ""},
+	OpNil:           {"NIL", 1, opdNone, opdNone, 0, 1, flowNext, ""},
+	OpTrue:          {"TRUE", 1, opdNone, opdNone, 0, 1, flowNext, ""},
+	OpFalse:         {"FALSE", 1, opdNone, opdNone, 0, 1, flowNext, ""},
+	OpLoadG:         {"LOADG", 1, opdGlobal, opdNone, 0, 1, flowNext, ""},
+	OpStoreG:        {"STOREG", 1, opdGlobal, opdNone, 1, 0, flowNext, ""},
+	OpLoadL:         {"LOADL", 1, opdLocal, opdNone, 0, 1, flowNext, ""},
+	OpStoreL:        {"STOREL", 1, opdLocal, opdNone, 1, 0, flowNext, ""},
+	OpPop:           {"POP", 1, opdNone, opdNone, 1, 0, flowNext, ""},
+	OpBin:           {"BIN", 1, opdOperator, opdNone, 2, 1, flowNext, ""},
+	OpEq:            {"EQ", 1, opdNone, opdNone, 2, 1, flowNext, ""},
+	OpNe:            {"NE", 1, opdNone, opdNone, 2, 1, flowNext, ""},
+	OpNeg:           {"NEG", 1, opdNone, opdNone, 1, 1, flowNext, ""},
+	OpNot:           {"NOT", 1, opdNone, opdNone, 1, 1, flowNext, ""},
+	OpJump:          {"JUMP", 1, opdTarget, opdNone, 0, 0, flowJump, ""},
+	OpJumpFalse:     {"JF", 1, opdTarget, opdNone, 1, 0, flowBranch, ""},
+	OpJFKeep:        {"JFK", 1, opdTarget, opdNone, 1, 1, flowBranch, ""},
+	OpJTKeep:        {"JTK", 1, opdTarget, opdNone, 1, 1, flowBranch, ""},
+	OpCall:          {"CALL", 1, opdFunc, opdCount, popsB, 1, flowNext, ""},
+	OpCallHost:      {"CALLH", 1, opdHost, opdCount, popsB, 1, flowNext, "host call passes implausible %d args"},
+	OpReturn:        {"RET", 1, opdNone, opdNone, 1, 0, flowEnd, ""},
+	OpReturnNil:     {"RETNIL", 1, opdNone, opdNone, 0, 0, flowEnd, ""},
+	OpIndex:         {"INDEX", 1, opdNone, opdNone, 2, 1, flowNext, ""},
+	OpSetIndex:      {"SETIDX", 1, opdNone, opdNone, 3, 0, flowNext, ""},
+	OpArray:         {"ARRAY", 1, opdCount, opdNone, popsA, 1, flowNext, "array of implausible %d elements"},
+	OpMap:           {"MAP", 1, opdCount, opdNone, pops2A, 1, flowNext, "map of implausible %d pairs"},
+	OpLoadLConstBin: {"LLCB", 3, opdLocal, opdConstOp, 0, 1, flowNext, ""},
+	OpLoadLLoadLBin: {"LLLB", 3, opdLocal, opdLocalOp, 0, 1, flowNext, ""},
+	OpBinJumpFalse:  {"BJF", 3, opdTarget, opdOperator, 2, 0, flowBranch, ""},
+	OpConstStoreL:   {"KSTL", 3, opdConst, opdLocal, 0, 0, flowNext, ""},
+	OpIncL:          {"INCL", 3, opdLocal, opdConst, 0, 0, flowNext, ""},
+	OpDecL:          {"DECL", 3, opdLocal, opdConst, 0, 0, flowNext, ""},
+}
+
+// String returns the opcode mnemonic.
+func (op Opcode) String() string {
+	if name := opTable[op].name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("OP(%d)", uint8(op))
+}
+
 // OpcodeVersion reports the compiler generation that introduced op.
 // Receivers use it to refuse artifacts whose claimed Version predates
 // opcodes they contain (a version-skew lie; see verify.Verify).
 func OpcodeVersion(op Opcode) int {
-	if op >= OpLoadLConstBin && op <= OpDecL {
-		return 3
+	return max(int(opTable[op].gen), 1)
+}
+
+// OpcodeFlow reports whether control can fall through op to the next
+// instruction and whether it can go to the target in A. An opcode that
+// does neither leaves the function.
+func OpcodeFlow(op Opcode) (falls, jumps bool) {
+	f := opTable[op].flow
+	return f == flowNext || f == flowBranch, f == flowJump || f == flowBranch
+}
+
+// pops returns how many operands in takes off the stack.
+func (in Instr) pops() int {
+	switch p := opTable[in.Op].pops; p {
+	case popsB:
+		return in.B
+	case popsA:
+		return in.A
+	case pops2A:
+		return 2 * in.A
+	default:
+		return int(p)
 	}
-	return 1
+}
+
+// target returns in's jump target when it has one inside [0, n].
+func (in Instr) target(n int) (int, bool) {
+	_, jumps := OpcodeFlow(in.Op)
+	return in.A, jumps && in.A >= 0 && in.A <= n
 }
 
 // PackIdxOp packs a constant-pool or local index together with a binary

@@ -21,7 +21,10 @@ import (
 // indexed assignment's target or index fail, because the interpreter
 // evaluates the assigned value first and the VM last.
 type progGen struct {
-	r     *rand.Rand
+	r *rand.Rand
+	// mib adds MIB host calls (see mibStmt). Such programs need the
+	// MIB bindings, so only the static pipeline runs them.
+	mib   bool
 	b     strings.Builder
 	depth int
 	names int
@@ -291,6 +294,10 @@ func (g *progGen) declare(k genKind, indent string) {
 
 func (g *progGen) stmt(indent int) {
 	pad := strings.Repeat("\t", indent)
+	if g.mib && g.r.Intn(4) == 0 {
+		g.mibStmt(pad)
+		return
+	}
 	switch g.r.Intn(16) {
 	case 0, 1, 2, 3:
 		g.declare(genKind(g.r.Intn(int(nKinds))), pad)
@@ -379,6 +386,42 @@ func (g *progGen) stmt(indent int) {
 	}
 }
 
+// mibStmt emits a MIB read or write whose OID argument takes one of the
+// shapes effect recovery must follow: a literal, a literal plus a
+// local, a literal plus a dynamic value, a short circuit under a
+// literal head, or a local holding a literal.
+func (g *progGen) mibStmt(pad string) {
+	oid := g.one(`"1.3.6.1.2.1.1.3.0"`, `"1.3.6.1.2.1.2."`, `"1.3.6"`, `"1.3.6.1.4.1.9."`)
+	switch g.r.Intn(5) {
+	case 0:
+	case 1:
+		if v, ok := g.pick(gStr); ok {
+			oid += " + " + v
+		} else if v, ok := g.pick(gInt); ok {
+			oid += " + " + v
+		}
+	case 2:
+		oid = fmt.Sprintf("%s + str(%s)", oid, g.expr(gInt))
+	case 3:
+		oid = fmt.Sprintf("%s + (%s %s %s)", oid, g.boolExpr(), g.one("&&", "||"), g.one(`".1"`, `"2.0"`))
+	default:
+		name := fmt.Sprintf("oid%d", g.names)
+		g.names++
+		fmt.Fprintf(&g.b, "%svar %s = %s;\n", pad, name, oid)
+		oid = name
+	}
+	switch g.r.Intn(4) {
+	case 0:
+		fmt.Fprintf(&g.b, "%ssacc = clip(sacc + str(mibGet(%s)));\n", pad, oid)
+	case 1:
+		fmt.Fprintf(&g.b, "%sacc += len(mibWalk(%s));\n", pad, oid)
+	case 2:
+		fmt.Fprintf(&g.b, "%smibSet(%s, %s);\n", pad, oid, g.expr(gInt))
+	default:
+		fmt.Fprintf(&g.b, "%ssacc = clip(sacc + str(snmpGet(\"host-a\", %s)));\n", pad, oid)
+	}
+}
+
 func (g *progGen) block(indent, maxStmts int) {
 	n := 1 + g.r.Intn(maxStmts)
 	var saved [nKinds][2]int
@@ -424,6 +467,14 @@ func (g *progGen) generate() string {
 	m, _ := g.pick(gMap)
 	fmt.Fprintf(&g.b, "\treturn [acc, facc, sacc, %s, %s];\n}\n", a, m)
 	return g.b.String()
+}
+
+// GenProgram returns the generated program for seed; with mib it also
+// calls the MIB primitives (see mibStmt), which only the MIB-aware
+// bindings of internal/dpl/analysis bind.
+func GenProgram(seed int64, mib bool) string {
+	g := &progGen{r: rand.New(rand.NewSource(seed)), mib: mib}
+	return g.generate()
 }
 
 // runEngines runs src's main on the reference interpreter, the VM and

@@ -6,27 +6,6 @@ import (
 	"strings"
 )
 
-// opNames maps opcodes to mnemonic names for disassembly.
-var opNames = map[Opcode]string{
-	OpConst: "CONST", OpNil: "NIL", OpTrue: "TRUE", OpFalse: "FALSE",
-	OpLoadG: "LOADG", OpStoreG: "STOREG", OpLoadL: "LOADL", OpStoreL: "STOREL",
-	OpPop: "POP", OpBin: "BIN", OpEq: "EQ", OpNe: "NE", OpNeg: "NEG",
-	OpNot: "NOT", OpJump: "JUMP", OpJumpFalse: "JF", OpJFKeep: "JFK",
-	OpJTKeep: "JTK", OpCall: "CALL", OpCallHost: "CALLH", OpReturn: "RET",
-	OpReturnNil: "RETNIL", OpIndex: "INDEX", OpSetIndex: "SETIDX",
-	OpArray: "ARRAY", OpMap: "MAP",
-	OpLoadLConstBin: "LLCB", OpLoadLLoadLBin: "LLLB", OpBinJumpFalse: "BJF",
-	OpConstStoreL: "KSTL", OpIncL: "INCL", OpDecL: "DECL",
-}
-
-// String returns the opcode mnemonic.
-func (o Opcode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("OP(%d)", uint8(o))
-}
-
 // Disassemble renders a compiled program as a human-readable bytecode
 // listing — the inspection tool an operator uses to audit what a stored
 // DP actually does before instantiating it.
@@ -53,68 +32,70 @@ func disasmCode(b *strings.Builder, c *Compiled, code []Instr) {
 }
 
 // FormatInstr renders one instruction as the disassembler prints it
-// (mnemonic plus symbolic operand). The bytecode verifier cites this
+// (mnemonic plus symbolic operands). The bytecode verifier cites this
 // text in its diagnostics so a rejected instruction is readable.
 func FormatInstr(c *Compiled, in Instr) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-7s", in.Op)
-	switch in.Op {
-	case OpConst:
-		if in.A >= 0 && in.A < len(c.Consts) {
-			fmt.Fprintf(&b, " %s", formatConst(c.Consts[in.A]))
+	for i, o := range in.operands() {
+		if o.kind == opdCount && i > 0 {
+			fmt.Fprintf(&b, "/%d", *o.x) // a call's arity follows its callee
 		} else {
-			fmt.Fprintf(&b, " #%d", in.A)
+			b.WriteString(" " + formatOperand(c, o.kind, *o.x))
 		}
-	case OpBin:
-		fmt.Fprintf(&b, " %s", TokenKind(in.A))
-	case OpJump, OpJumpFalse, OpJFKeep, OpJTKeep:
-		fmt.Fprintf(&b, " ->%d", in.A)
-	case OpCall:
-		name := fmt.Sprintf("#%d", in.A)
-		if in.A >= 0 && in.A < len(c.Funcs) {
-			name = c.Funcs[in.A].Name
-		}
-		fmt.Fprintf(&b, " %s/%d", name, in.B)
-	case OpCallHost:
-		name := fmt.Sprintf("#%d", in.A)
-		if in.A >= 0 && in.A < len(c.HostNames) {
-			name = c.HostNames[in.A]
-		}
-		fmt.Fprintf(&b, " %s/%d", name, in.B)
-	case OpLoadG, OpStoreG:
-		if in.A >= 0 && in.A < len(c.GlobalNames) {
-			fmt.Fprintf(&b, " %s", c.GlobalNames[in.A])
-		} else {
-			fmt.Fprintf(&b, " g%d", in.A)
-		}
-	case OpLoadL, OpStoreL, OpArray, OpMap:
-		fmt.Fprintf(&b, " %d", in.A)
-	case OpLoadLConstBin:
-		// "LLCB <local> <op> <const>" — the constant rendering may
-		// contain spaces (quoted strings), so it always comes last.
-		idx, op := UnpackIdxOp(in.B)
-		fmt.Fprintf(&b, " %d %s %s", in.A, op, formatConstRef(c, idx))
-	case OpLoadLLoadLBin:
-		idx, op := UnpackIdxOp(in.B)
-		fmt.Fprintf(&b, " %d %s %d", in.A, op, idx)
-	case OpBinJumpFalse:
-		fmt.Fprintf(&b, " %s ->%d", TokenKind(in.B), in.A)
-	case OpConstStoreL:
-		fmt.Fprintf(&b, " %d %s", in.B, formatConstRef(c, in.A))
-	case OpIncL, OpDecL:
-		fmt.Fprintf(&b, " %d %s", in.A, formatConstRef(c, in.B))
 	}
 	return strings.TrimRight(b.String(), " ")
 }
 
-// formatConstRef renders a constant-pool reference, falling back to the
-// raw index for out-of-range operands (FormatInstr appears in verifier
-// diagnostics, which cite invalid code).
-func formatConstRef(c *Compiled, idx int) string {
-	if idx >= 0 && idx < len(c.Consts) {
-		return formatConst(c.Consts[idx])
+// operandRef is one operand field of an instruction and its kind.
+type operandRef struct {
+	kind operand
+	x    *int
+}
+
+// operands returns in's operand fields in the order a listing writes
+// them: A then B, except that a constant or a jump target goes last (a
+// constant's rendering may contain spaces, so it ends the line).
+func (in *Instr) operands() []operandRef {
+	r := opTable[in.Op]
+	a, b := operandRef{r.a, &in.A}, operandRef{r.b, &in.B}
+	switch {
+	case r.a == opdNone:
+		return nil
+	case r.b == opdNone:
+		return []operandRef{a}
+	case r.a == opdConst || r.a == opdTarget:
+		return []operandRef{b, a}
 	}
-	return fmt.Sprintf("#%d", idx)
+	return []operandRef{a, b}
+}
+
+// formatOperand renders operand x of the given kind. Indices outside
+// their table print raw: FormatInstr also cites invalid code.
+func formatOperand(c *Compiled, kind operand, x int) string {
+	in := func(n int) bool { return x >= 0 && x < n }
+	switch {
+	case kind == opdConst && in(len(c.Consts)):
+		return formatConst(c.Consts[x])
+	case kind == opdGlobal && in(len(c.GlobalNames)):
+		return c.GlobalNames[x]
+	case kind == opdGlobal:
+		return fmt.Sprintf("g%d", x)
+	case kind == opdFunc && in(len(c.Funcs)):
+		return c.Funcs[x].Name
+	case kind == opdHost && in(len(c.HostNames)):
+		return c.HostNames[x]
+	case kind == opdConst || kind == opdFunc || kind == opdHost:
+		return fmt.Sprintf("#%d", x)
+	case kind == opdTarget:
+		return fmt.Sprintf("->%d", x)
+	case kind == opdOperator:
+		return TokenKind(x).String()
+	case kind == opdConstOp || kind == opdLocalOp:
+		idx, op := UnpackIdxOp(x)
+		return op.String() + " " + formatOperand(c, kind.index(), idx)
+	}
+	return strconv.Itoa(x) // opdLocal, opdCount
 }
 
 // formatConst renders a constant-pool value so the listing is

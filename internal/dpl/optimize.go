@@ -104,11 +104,10 @@ type optimizer struct {
 	c      *Compiled
 	consts constPool // interns optimizer-produced constants into c.Consts
 
-	tgt   []bool   // jumpTargets
-	dead  []bool   // instructions to remove; dropDeadStores' loaded locals
-	remap []int    // compact's positions; dropUnreachable's worklist
-	vals  []absVal // propagateConsts' locals
-	stack []absVal // propagateConsts' operand stack, grown as needed
+	tgt   []bool // jumpTargets
+	dead  []bool // instructions to remove; dropDeadStores' loaded locals
+	remap []int  // compact's positions; dropUnreachable's worklist
+	walk  Walker // propagateConsts' abstract interpretation
 }
 
 func newOptimizer(c *Compiled) *optimizer {
@@ -122,7 +121,7 @@ func newOptimizer(c *Compiled) *optimizer {
 		tgt:    make([]bool, n),
 		dead:   make([]bool, max(n, nLocals)),
 		remap:  make([]int, n),
-		vals:   make([]absVal, nLocals),
+		walk:   Walker{joins: make([]join, n), locals: make([]Abs, nLocals), stack: make([]Abs, 0, 8)},
 	}
 }
 
@@ -158,12 +157,6 @@ func constOf(c *Compiled, in Instr) (Value, bool) {
 	return Value{}, false
 }
 
-// isJump reports whether op transfers control via its A operand.
-func isJump(op Opcode) bool {
-	return op == OpJump || op == OpJumpFalse || op == OpJFKeep || op == OpJTKeep ||
-		op == OpBinJumpFalse
-}
-
 // jumpTargets returns a bitmap (indexed 0..len(code)) of instruction
 // positions some jump lands on. Position len(code) is the implicit
 // return-nil epilogue and is always a valid target.
@@ -171,8 +164,8 @@ func (o *optimizer) jumpTargets(code []Instr) []bool {
 	tgt := o.tgt[:len(code)+1]
 	clear(tgt)
 	for _, in := range code {
-		if isJump(in.Op) && in.A >= 0 && in.A <= len(code) {
-			tgt[in.A] = true
+		if t, ok := in.target(len(code)); ok {
+			tgt[t] = true
 		}
 	}
 	return tgt
@@ -196,8 +189,8 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 		if dead[i] {
 			continue
 		}
-		if isJump(in.Op) && in.A >= 0 && in.A <= len(code) {
-			in.A = remap[in.A]
+		if t, ok := in.target(len(code)); ok {
+			in.A = remap[t]
 		}
 		out = append(out, in)
 	}
@@ -220,8 +213,8 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 		// OpJumpFalse performs either way). OpBinJumpFalse is exempt:
 		// its binary operation runs — and may fault — whether or not
 		// the branch is taken.
-		if in := code[i]; isJump(in.Op) && in.Op != OpBinJumpFalse && in.A == i+1 {
-			if in.Op == OpJumpFalse {
+		if t, ok := code[i].target(len(code)); ok && t == i+1 && code[i].Op != OpBinJumpFalse {
+			if code[i].Op == OpJumpFalse {
 				code[i] = Instr{Op: OpPop}
 			} else {
 				dead[i] = true
@@ -323,26 +316,19 @@ func dropUnreachable(o *optimizer, code []Instr, st *OptStats) ([]Instr, bool) {
 	for i := range dead {
 		dead[i] = true
 	}
-	// The worklist (one entry per conditional jump, at most) borrows
-	// compact's array, idle until the walk is over.
+	// The worklist (one entry per jump, at most) borrows compact's
+	// array, idle until the walk is over.
 	work := append(o.remap[:0], 0)
 	for len(work) > 0 {
 		ip := work[len(work)-1]
 		work = work[:len(work)-1]
-		for ip >= 0 && ip < len(code) && dead[ip] {
+		for ip < len(code) && dead[ip] {
 			dead[ip] = false
-			in := code[ip]
-			switch in.Op {
-			case OpJump:
-				ip = in.A
-				continue
-			case OpJumpFalse, OpJFKeep, OpJTKeep, OpBinJumpFalse:
-				if in.A >= 0 && in.A < len(code) && dead[in.A] {
-					work = append(work, in.A)
-				}
-			case OpReturn, OpReturnNil:
-				ip = -1
-				continue
+			if t, ok := code[ip].target(len(code)); ok && t < len(code) && dead[t] {
+				work = append(work, t)
+			}
+			if falls, _ := OpcodeFlow(code[ip].Op); !falls {
+				break
 			}
 			ip++
 		}
@@ -394,116 +380,30 @@ func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool 
 	return changed
 }
 
-// absVal is a may-be-known stack or local slot value during
-// propagation.
-type absVal struct {
-	known bool
-	v     Value
-}
-
 // propagateConsts replaces loads of locals that provably hold a
-// constant with a direct push. The walk tracks exact stack effects
-// within each basic block and forgets everything at block leaders (jump
-// targets), which makes the replacement sound: an instruction mid-block
+// constant with a direct push. The walker forgets locals at every block
+// leader, which makes the replacement sound: an instruction mid-block
 // is only reachable through its leader, executing every intervening
-// store.
+// store. The walker knows more than the pass uses, because compiled
+// artifacts are pinned byte for byte (CompilerVersion): the pass
+// rewrites only to a constant the code pushed, not one the walker
+// folded, and stops at the first opcode outside generation 1 (fused
+// ones are opaque to the scalar passes) and at the first instruction
+// that falls through after popping a value its block did not push.
 func propagateConsts(c *Compiled, o *optimizer, code []Instr, nLocals int, st *OptStats) bool {
-	locals := o.vals[:nLocals]
-	tgt := o.jumpTargets(code)
 	changed := false
-	reset := func() {
-		clear(locals)
-		o.stack = o.stack[:0]
-	}
-	reset()
-	pop := func(n int) bool {
-		if n < 0 || len(o.stack) < n {
+	o.walk.Walk(c, code, nLocals, func(ip int, stack, _ []Abs) bool {
+		in := code[ip]
+		if falls, _ := OpcodeFlow(in.Op); opTable[in.Op].gen != 1 || falls && len(stack)-in.pops() < o.walk.entry {
 			return false
 		}
-		o.stack = o.stack[:len(o.stack)-n]
+		if lv := o.walk.local(in.A); in.Op == OpLoadL && lv.kind == absExact && !lv.folded {
+			code[ip] = o.pushInstr(lv.v)
+			st.Propagated++
+			changed = true
+		}
 		return true
-	}
-	push := func(v absVal) { o.stack = append(o.stack, v) }
-	for ip := 0; ip < len(code); ip++ {
-		if tgt[ip] {
-			reset()
-		}
-		in := code[ip]
-		switch in.Op {
-		case OpConst, OpTrue, OpFalse, OpNil:
-			v, ok := constOf(c, in)
-			push(absVal{known: ok, v: v})
-		case OpLoadL:
-			if in.A < 0 || in.A >= nLocals {
-				return changed // malformed; leave for the verifier
-			}
-			if lv := locals[in.A]; lv.known {
-				code[ip] = o.pushInstr(lv.v)
-				st.Propagated++
-				changed = true
-				push(lv)
-			} else {
-				push(absVal{})
-			}
-		case OpStoreL:
-			if in.A < 0 || in.A >= nLocals || len(o.stack) == 0 {
-				return changed
-			}
-			locals[in.A] = o.stack[len(o.stack)-1]
-			pop(1)
-		case OpLoadG:
-			push(absVal{})
-		case OpStoreG, OpPop:
-			if !pop(1) {
-				return changed
-			}
-		case OpBin, OpEq, OpNe, OpIndex:
-			if !pop(2) {
-				return changed
-			}
-			push(absVal{})
-		case OpNeg, OpNot:
-			if !pop(1) {
-				return changed
-			}
-			push(absVal{})
-		case OpJump, OpReturn, OpReturnNil:
-			reset()
-		case OpJumpFalse:
-			if !pop(1) {
-				return changed
-			}
-		case OpJFKeep, OpJTKeep:
-			if len(o.stack) == 0 {
-				return changed
-			}
-			// The kept top survives, but its value is branch-dependent
-			// at the join; treat it as unknown from here on.
-			o.stack[len(o.stack)-1] = absVal{}
-		case OpCall, OpCallHost:
-			// Callees cannot touch this frame's locals.
-			if !pop(in.B) {
-				return changed
-			}
-			push(absVal{})
-		case OpSetIndex:
-			if !pop(3) {
-				return changed
-			}
-		case OpArray:
-			if !pop(in.A) {
-				return changed
-			}
-			push(absVal{})
-		case OpMap:
-			if in.A < 0 || !pop(2*in.A) {
-				return changed
-			}
-			push(absVal{})
-		default:
-			return changed
-		}
-	}
+	})
 	return changed
 }
 

@@ -15,7 +15,7 @@ import (
 
 // corpusSources gathers every DPL source committed to the repository:
 // the example agents and the on-disk fuzz seed corpora.
-func corpusSources(t *testing.T) map[string]string {
+func corpusSources(t testing.TB) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
 	agents, err := filepath.Glob(filepath.Join("..", "..", "examples", "agents", "*.dpl"))
@@ -29,10 +29,19 @@ func corpusSources(t *testing.T) map[string]string {
 		}
 		srcs[file] = string(data)
 	}
-	for _, dir := range []string{
-		filepath.Join("testdata", "fuzz", "FuzzParse"),
-		filepath.Join("testdata", "fuzz", "FuzzAnalyze"),
-	} {
+	addFuzzCorpus(t, srcs, "FuzzParse", "FuzzAnalyze")
+	if len(srcs) == 0 {
+		t.Fatal("no corpus sources found")
+	}
+	return srcs
+}
+
+// addFuzzCorpus adds the string seeds of the named fuzz targets'
+// committed corpora to srcs.
+func addFuzzCorpus(t testing.TB, srcs map[string]string, targets ...string) {
+	t.Helper()
+	for _, target := range targets {
+		dir := filepath.Join("testdata", "fuzz", target)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			continue
@@ -57,10 +66,6 @@ func corpusSources(t *testing.T) map[string]string {
 			}
 		}
 	}
-	if len(srcs) == 0 {
-		t.Fatal("no corpus sources found")
-	}
-	return srcs
 }
 
 // TestOptimizerCrosscheckCorpus compiles every committed DPL source

@@ -14,7 +14,8 @@
 //   - that the declared effect summary covers every host call and MIB
 //     OID prefix the bytecode can actually reach (DPL014), using the
 //     same constant-head recovery rules the source-level analyzer
-//     applies, so an honest artifact always passes;
+//     applies, so the optimized artifact an honest node ships passes
+//     (the walker folds no constant condition; the optimizer does);
 //   - that the declared cost/step-budget pair is internally consistent
 //     and not below the provable worst case for loop-free code
 //     (DPL015).
@@ -25,6 +26,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mbd/internal/dpl"
@@ -91,14 +93,11 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 	}
 	if faults := c.VerifyStructure(); len(faults) > 0 {
 		for _, f := range faults {
-			res.Diags = append(res.Diags, dpl.Diagnostic{
-				Code: faultCodes[f.Kind], Sev: dpl.SevError, Msg: f.String(),
-			})
+			fail(faultCodes[f.Kind], "%s", f)
 		}
 		return res // code too broken for effect or budget recovery
 	}
 	v := &verifier{cp: cp, res: res, fail: fail, bindings: bindings}
-	v.checkHostTable()
 	v.recoverEffects()
 	v.checkBudget()
 	return res
@@ -108,25 +107,16 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 // an opcode introduced after the compiler generation the artifact
 // claims (DPL016). Structural verification has not run yet, so this
 // walk assumes nothing about the code beyond its opcode bytes.
-func opcodeSkew(c *dpl.Compiled, version int) string {
-	check := func(name string, code []dpl.Instr) string {
+func opcodeSkew(c *dpl.Compiled, version int) (skew string) {
+	eachBlock(c, func(name string, code []dpl.Instr, _ int) {
 		for ip, in := range code {
-			if g := dpl.OpcodeVersion(in.Op); g > version {
-				return fmt.Sprintf("%s+%d: opcode %s requires compiler generation %d, artifact claims %d",
+			if g := dpl.OpcodeVersion(in.Op); g > version && skew == "" {
+				skew = fmt.Sprintf("%s+%d: opcode %s requires compiler generation %d, artifact claims %d",
 					name, ip, in.Op, g, version)
 			}
 		}
-		return ""
-	}
-	if s := check("<init>", c.InitCode); s != "" {
-		return s
-	}
-	for _, fn := range c.Funcs {
-		if s := check(fn.Name, fn.Code); s != "" {
-			return s
-		}
-	}
-	return ""
+	})
+	return skew
 }
 
 type verifier struct {
@@ -134,282 +124,84 @@ type verifier struct {
 	res      *Result
 	fail     func(code, msg string, args ...any)
 	bindings *dpl.Bindings
-
-	hosts  map[string]bool
-	reads  map[string]bool
-	writes map[string]bool
 }
 
-// eachBlock visits the init block and every function body.
-func (v *verifier) eachBlock(f func(name string, code []dpl.Instr, nLocals int)) {
-	f("<init>", v.cp.Object.InitCode, 0)
-	for _, fn := range v.cp.Object.Funcs {
+// eachBlock visits the init block and every function body of c.
+func eachBlock(c *dpl.Compiled, f func(name string, code []dpl.Instr, nLocals int)) {
+	f("<init>", c.InitCode, 0)
+	for _, fn := range c.Funcs {
 		f(fn.Name, fn.Code, fn.NumLocals)
 	}
 }
 
-// checkHostTable proves that every host index the code actually calls
-// resolves to the same name, slot and arity in the receiver's bindings
-// (DPL017). Unused table entries are harmless and ignored, so a node
-// with extra registered services still accepts the artifact.
-func (v *verifier) checkHostTable() {
-	c := v.cp.Object
-	seen := map[int]bool{}
-	v.eachBlock(func(name string, code []dpl.Instr, _ int) {
-		for ip, in := range code {
-			if in.Op != dpl.OpCallHost || seen[in.A] {
-				continue
-			}
-			seen[in.A] = true
-			host := c.HostNames[in.A]
-			idx, arity, ok := v.bindings.Lookup(host)
-			switch {
-			case !ok:
-				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q not bound on this node", name, ip, dpl.FormatInstr(c, in), host)
-			case idx != in.A:
-				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q bound at slot %d here, artifact calls slot %d", name, ip, dpl.FormatInstr(c, in), host, idx, in.A)
-			case arity >= 0 && in.B != arity:
-				v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q takes %d args, call passes %d", name, ip, dpl.FormatInstr(c, in), host, arity, in.B)
-			}
-		}
-	})
-}
-
-// Abstract values for effect recovery: an exactly known constant, a
-// known constant string head (under concatenation), or unknown.
-type absKind uint8
-
-const (
-	absUnknown absKind = iota
-	absExact
-	absHead
-)
-
-type absVal struct {
-	kind absKind
-	v    dpl.Value // absExact
-	head string    // absHead
-}
-
-// concat mirrors analysis.constStringHead over compiled code: the
-// recovered head of l+r when l is known.
-func concat(l, r absVal) absVal {
-	if l.kind == absExact {
-		ls, ok := l.v.AsString()
-		if !ok {
-			return absVal{}
-		}
-		switch r.kind {
-		case absExact:
-			if rs, ok := r.v.AsString(); ok {
-				return absVal{kind: absExact, v: dpl.Str(ls + rs)}
-			}
-			return absVal{kind: absHead, head: ls}
-		case absHead:
-			return absVal{kind: absHead, head: ls + r.head}
-		default:
-			return absVal{kind: absHead, head: ls}
-		}
-	}
-	if l.kind == absHead {
-		return absVal{kind: absHead, head: l.head}
-	}
-	return absVal{}
-}
-
-// oidPrefix converts an abstract OID argument to the effect prefix it
-// proves, mirroring analysis.constOIDPrefix: exact strings fold whole,
-// partial heads keep complete dotted components, everything else is
-// the wildcard.
-func oidPrefix(a absVal) string {
-	switch a.kind {
-	case absExact:
-		if s, ok := a.v.AsString(); ok {
-			return strings.TrimSuffix(s, ".")
-		}
-		return analysis.Wildcard
-	case absHead:
-		if i := strings.LastIndex(a.head, "."); i > 0 {
-			return a.head[:i]
-		}
-		return analysis.Wildcard
-	default:
-		return analysis.Wildcard
-	}
-}
-
-// recoverEffects walks every block tracking constant values through the
-// stack and locals (per basic block, forgetting state at jump targets,
-// exactly like the optimizer's propagation pass) and checks each host
-// call against the declared verdict (DPL014).
+// recoverEffects walks every block with dpl's abstract walker, which
+// tracks constant values and string heads through the stack and
+// locals, and checks each host call twice. The host index must resolve
+// to the same name, slot and arity in the receiver's bindings (DPL017;
+// unused table entries are harmless, so a node with extra registered
+// services still accepts the artifact), and the call must be covered by
+// the declared verdict (DPL014).
 func (v *verifier) recoverEffects() {
-	v.hosts, v.reads, v.writes = map[string]bool{}, map[string]bool{}, map[string]bool{}
-	declHosts := map[string]bool{}
-	for _, h := range v.cp.Verdict.Hosts {
-		declHosts[h] = true
-	}
-	covered := func(declared []string, oid string) bool {
-		for _, d := range declared {
-			if analysis.OIDCovers(d, oid) {
+	hosts, reads, writes := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	c := v.cp.Object
+	bound := make([]bool, len(c.HostNames)) // host indices already checked against the bindings
+	var w dpl.Walker
+	eachBlock(c, func(name string, code []dpl.Instr, nLocals int) {
+		w.Walk(c, code, nLocals, func(ip int, stack, _ []dpl.Abs) bool {
+			in := code[ip]
+			if in.Op != dpl.OpCallHost || in.A < 0 || in.A >= len(c.HostNames) {
 				return true
 			}
-		}
-		return false
-	}
-	c := v.cp.Object
-	v.eachBlock(func(name string, code []dpl.Instr, nLocals int) {
-		locals := make([]absVal, nLocals)
-		var stack []absVal
-		tgt := make([]bool, len(code)+1)
-		for _, in := range code {
-			switch in.Op {
-			case dpl.OpJump, dpl.OpJumpFalse, dpl.OpJFKeep, dpl.OpJTKeep, dpl.OpBinJumpFalse:
-				tgt[in.A] = true
+			host := c.HostNames[in.A]
+			if !bound[in.A] {
+				bound[in.A] = true
+				switch idx, arity, ok := v.bindings.Lookup(host); {
+				case !ok:
+					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q not bound on this node", name, ip, dpl.FormatInstr(c, in), host)
+				case idx != in.A:
+					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q bound at slot %d here, artifact calls slot %d", name, ip, dpl.FormatInstr(c, in), host, idx, in.A)
+				case arity >= 0 && in.B != arity:
+					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q takes %d args, call passes %d", name, ip, dpl.FormatInstr(c, in), host, arity, in.B)
+				}
 			}
-		}
-		reset := func() {
-			for i := range locals {
-				locals[i] = absVal{}
+			hosts[host] = true
+			if !slices.Contains(v.cp.Verdict.Hosts, host) {
+				v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: calls host %q not in declared effect summary", name, ip, dpl.FormatInstr(c, in), host)
 			}
-			stack = stack[:0]
-		}
-		push := func(a absVal) { stack = append(stack, a) }
-		pop := func(n int) []absVal {
-			if len(stack) < n {
-				// Unreachable after structural verification; drop
-				// tracking rather than guessing.
-				stack = stack[:0]
-				return make([]absVal, n)
+			oidArg, write, isMIB := analysis.MIBPrimitive(host)
+			if !isMIB || oidArg >= in.B {
+				return true
 			}
-			out := stack[len(stack)-n:]
-			popped := make([]absVal, n)
-			copy(popped, out)
-			stack = stack[:len(stack)-n]
-			return popped
-		}
-		for ip := 0; ip < len(code); ip++ {
-			if tgt[ip] {
-				reset()
+			var arg dpl.Abs // unknown when the stack holds fewer than the arguments
+			if len(stack) >= in.B {
+				arg = stack[len(stack)-in.B+oidArg]
 			}
-			in := code[ip]
-			switch in.Op {
-			case dpl.OpConst:
-				push(absVal{kind: absExact, v: c.Consts[in.A]})
-			case dpl.OpNil:
-				push(absVal{kind: absExact})
-			case dpl.OpTrue:
-				push(absVal{kind: absExact, v: dpl.Bool(true)})
-			case dpl.OpFalse:
-				push(absVal{kind: absExact, v: dpl.Bool(false)})
-			case dpl.OpLoadL:
-				push(locals[in.A])
-			case dpl.OpStoreL:
-				locals[in.A] = pop(1)[0]
-			case dpl.OpLoadG:
-				push(absVal{})
-			case dpl.OpStoreG, dpl.OpPop:
-				pop(1)
-			case dpl.OpBin:
-				ops := pop(2)
-				if dpl.TokenKind(in.A) == dpl.TokPlus {
-					push(concat(ops[0], ops[1]))
-				} else {
-					push(absVal{})
-				}
-			case dpl.OpEq, dpl.OpNe, dpl.OpIndex:
-				pop(2)
-				push(absVal{})
-			case dpl.OpNeg, dpl.OpNot:
-				pop(1)
-				push(absVal{})
-			case dpl.OpJump, dpl.OpReturn, dpl.OpReturnNil:
-				reset()
-			case dpl.OpJumpFalse:
-				pop(1)
-			case dpl.OpJFKeep, dpl.OpJTKeep:
-				if len(stack) > 0 {
-					stack[len(stack)-1] = absVal{}
-				}
-			case dpl.OpCall:
-				pop(in.B)
-				push(absVal{})
-			case dpl.OpCallHost:
-				args := pop(in.B)
-				push(absVal{})
-				host := c.HostNames[in.A]
-				v.hosts[host] = true
-				if !declHosts[host] {
-					v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: calls host %q not in declared effect summary", name, ip, dpl.FormatInstr(c, in), host)
-				}
-				oidArg, write, isMIB := analysis.MIBPrimitive(host)
-				if !isMIB || oidArg >= len(args) {
-					continue
-				}
-				oid := oidPrefix(args[oidArg])
-				if write {
-					v.writes[oid] = true
-					if !covered(v.cp.Verdict.Writes, oid) {
-						v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: writes OID prefix %q not covered by declared writes %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Writes)
-					}
-				} else {
-					v.reads[oid] = true
-					if !covered(v.cp.Verdict.Reads, oid) {
-						v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: reads OID prefix %q not covered by declared reads %v", name, ip, dpl.FormatInstr(c, in), oid, v.cp.Verdict.Reads)
-					}
-				}
-			case dpl.OpLoadLConstBin:
-				idx, op := dpl.UnpackIdxOp(in.B)
-				if op == dpl.TokPlus {
-					push(concat(locals[in.A], absVal{kind: absExact, v: c.Consts[idx]}))
-				} else {
-					push(absVal{})
-				}
-			case dpl.OpLoadLLoadLBin:
-				idx, op := dpl.UnpackIdxOp(in.B)
-				if op == dpl.TokPlus {
-					push(concat(locals[in.A], locals[idx]))
-				} else {
-					push(absVal{})
-				}
-			case dpl.OpBinJumpFalse:
-				pop(2)
-			case dpl.OpConstStoreL:
-				locals[in.B] = absVal{kind: absExact, v: c.Consts[in.A]}
-			case dpl.OpIncL:
-				locals[in.A] = concat(locals[in.A], absVal{kind: absExact, v: c.Consts[in.B]})
-			case dpl.OpDecL:
-				locals[in.A] = absVal{}
-			case dpl.OpSetIndex:
-				pop(3)
-			case dpl.OpArray:
-				pop(in.A)
-				push(absVal{})
-			case dpl.OpMap:
-				pop(2 * in.A)
-				push(absVal{})
+			set, declared, verb := reads, v.cp.Verdict.Reads, "reads"
+			if write {
+				set, declared, verb = writes, v.cp.Verdict.Writes, "writes"
 			}
-		}
+			oid, ok := arg.Prefix()
+			if !ok {
+				oid = analysis.Wildcard
+			}
+			set[oid] = true
+			if !slices.ContainsFunc(declared, func(d string) bool { return analysis.OIDCovers(d, oid) }) {
+				v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: %s OID prefix %q not covered by declared %s %v", name, ip, dpl.FormatInstr(c, in), verb, oid, verb, declared)
+			}
+			return true
+		})
 	})
-	for h := range v.hosts {
-		v.res.Recovered.Hosts = append(v.res.Recovered.Hosts, analysis.Effect{Name: h})
-	}
-	for r := range v.reads {
-		v.res.Recovered.Reads = append(v.res.Recovered.Reads, analysis.Effect{Name: r})
-	}
-	for w := range v.writes {
-		v.res.Recovered.Writes = append(v.res.Recovered.Writes, analysis.Effect{Name: w})
-	}
-	sortEffects(v.res.Recovered.Hosts)
-	sortEffects(v.res.Recovered.Reads)
-	sortEffects(v.res.Recovered.Writes)
+	v.res.Recovered = analysis.Effects{Hosts: effectList(hosts), Reads: effectList(reads), Writes: effectList(writes)}
 }
 
-func sortEffects(es []analysis.Effect) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Name < es[j-1].Name; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
+// effectList returns the names in set as effects sorted by name.
+func effectList(set map[string]bool) []analysis.Effect {
+	var out []analysis.Effect
+	for name := range set {
+		out = append(out, analysis.Effect{Name: name})
 	}
+	slices.SortFunc(out, func(a, b analysis.Effect) int { return strings.Compare(a.Name, b.Name) })
+	return out
 }
 
 // checkBudget validates the declared cost/budget pair (DPL015). A
@@ -442,33 +234,24 @@ func (v *verifier) checkBudget() {
 
 // cyclic reports whether the user-function call graph has a cycle.
 func cyclic(c *dpl.Compiled) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]byte, len(c.Funcs))
-	var visit func(i int) bool
-	visit = func(i int) bool {
-		color[i] = gray
+	state := make([]byte, len(c.Funcs)) // 0 unvisited, 1 on the search path, 2 done
+	var reaches func(i int) bool        // a cycle from i
+	reaches = func(i int) bool {
+		if state[i] != 0 {
+			return state[i] == 1
+		}
+		state[i] = 1
 		for _, in := range c.Funcs[i].Code {
-			if in.Op != dpl.OpCall {
-				continue
-			}
-			switch color[in.A] {
-			case gray:
+			// Dead code may hold any index.
+			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) && reaches(in.A) {
 				return true
-			case white:
-				if visit(in.A) {
-					return true
-				}
 			}
 		}
-		color[i] = black
+		state[i] = 2
 		return false
 	}
 	for i := range c.Funcs {
-		if color[i] == white && visit(i) {
+		if reaches(i) {
 			return true
 		}
 	}
@@ -479,73 +262,58 @@ func cyclic(c *dpl.Compiled) bool {
 // count (init plus the most expensive entry function) when every code
 // block is loop-free (all jumps forward) and the call graph is acyclic.
 // ok=false means a back-edge exists and no static count is provable.
-func worstCaseSteps(c *dpl.Compiled) (steps uint64, ok bool) {
-	funcMax := make([]uint64, len(c.Funcs))
-	funcDone := make([]bool, len(c.Funcs))
-	var blockMax func(code []dpl.Instr) (uint64, bool)
-	var funcCost func(i int) (uint64, bool)
-	blockMax = func(code []dpl.Instr) (uint64, bool) {
+// Structural verification has run, so an operand out of bounds belongs
+// to dead code and adds nothing.
+func worstCaseSteps(c *dpl.Compiled) (uint64, bool) {
+	costs := make([]uint64, len(c.Funcs)) // 0 until computed
+	// cost is the worst case of function f, or of the init block for f < 0.
+	var cost func(f int) (uint64, bool)
+	cost = func(f int) (uint64, bool) {
+		code := c.InitCode
+		if f >= 0 {
+			if costs[f] > 0 {
+				return costs[f], true
+			}
+			code = c.Funcs[f].Code
+		}
 		// longest[ip] = worst-case steps executed from ip to exit. With
 		// only forward jumps the instruction graph is a DAG and a single
 		// reverse sweep suffices.
 		longest := make([]uint64, len(code)+1)
 		for ip := len(code) - 1; ip >= 0; ip-- {
 			in := code[ip]
-			cost := uint64(1)
-			if in.Op == dpl.OpCall {
-				sub, subOK := funcCost(in.A)
-				if !subOK {
-					return 0, false
-				}
-				cost += sub
+			falls, jumps := dpl.OpcodeFlow(in.Op)
+			if falls {
+				longest[ip] = longest[ip+1]
 			}
-			var after uint64
-			switch in.Op {
-			case dpl.OpReturn, dpl.OpReturnNil:
-				after = 0
-			case dpl.OpJump:
+			if jumps && in.A <= len(code) {
 				if in.A <= ip {
 					return 0, false // back-edge: loop
 				}
-				after = longest[in.A]
-			case dpl.OpJumpFalse, dpl.OpJFKeep, dpl.OpJTKeep, dpl.OpBinJumpFalse:
-				if in.A <= ip {
+				longest[ip] = max(longest[ip], longest[in.A])
+			}
+			longest[ip]++
+			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
+				sub, ok := cost(in.A)
+				if !ok {
 					return 0, false
 				}
-				after = max(longest[in.A], longest[ip+1])
-			default:
-				after = longest[ip+1]
+				longest[ip] += sub
 			}
-			longest[ip] = cost + after
 		}
-		if len(code) == 0 {
-			return 0, true
+		if f >= 0 {
+			costs[f] = longest[0]
 		}
 		return longest[0], true
 	}
-	funcCost = func(i int) (uint64, bool) {
-		if funcDone[i] {
-			return funcMax[i], true
-		}
-		m, okf := blockMax(c.Funcs[i].Code)
-		if !okf {
-			return 0, false
-		}
-		funcMax[i] = m
-		funcDone[i] = true
-		return m, true
-	}
-	initSteps, okInit := blockMax(c.InitCode)
-	if !okInit {
-		return 0, false
-	}
+	init, ok := cost(-1)
 	var entry uint64
-	for i := range c.Funcs {
-		m, okf := funcCost(i)
-		if !okf {
+	for f := range c.Funcs {
+		m, okf := cost(f)
+		if !ok || !okf {
 			return 0, false
 		}
 		entry = max(entry, m)
 	}
-	return initSteps + entry, true
+	return init + entry, ok
 }

@@ -72,6 +72,9 @@ var honestSources = []string{
 		if (total > 1 && parts[0] != "") { return mibGet(parts[0] + ".1.2.0"); }
 		return nil;
 	 }`,
+	// A short circuit inside the OID: the constant head below the
+	// branch survives the join.
+	`func main(x) { return mibGet("1.3.6" + (x && ".1")); }`,
 }
 
 func TestVerifyAcceptsHonestArtifacts(t *testing.T) {
@@ -284,6 +287,31 @@ func TestVerifyRejectsBoundedClaimOnRecursion(t *testing.T) {
 	res := verify.Verify(cp, b)
 	if !hasCode(res.Diags, dpl.CodeBudgetMismatch) {
 		t.Fatalf("bounded claim on recursive code accepted: %v", res.Diags)
+	}
+}
+
+// TestVerifyToleratesMalformedDeadCode: the structural proof visits
+// reachable code only, so an instruction after the last return may
+// hold any operand. Every later pass must leave it alone instead of
+// indexing with it: a bounded artifact, so the budget pass runs too.
+func TestVerifyToleratesMalformedDeadCode(t *testing.T) {
+	b := analysis.LintBindings()
+	for _, dead := range []dpl.Instr{
+		{Op: dpl.OpJump, A: 99999},
+		{Op: dpl.OpJumpFalse, A: -7},
+		{Op: dpl.OpConst, A: 99999},
+		{Op: dpl.OpLoadL, A: 99999},
+		{Op: dpl.OpCallHost, A: 99999, B: 1},
+		{Op: dpl.OpCall, A: 99999},
+		{Op: dpl.OpArray, A: 1 << 30},
+		{Op: 200},
+	} {
+		cp := buildArtifact(t, honestSources[0], b, true)
+		fn := cp.Object.Funcs[0]
+		fn.Code = append(fn.Code, dead)
+		if err := verify.Verify(cp, b).Err(); err != nil {
+			t.Errorf("dead %v: honest artifact rejected: %v", dead, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dpl
 
 import (
+	"cmp"
 	"fmt"
 )
 
@@ -144,143 +145,67 @@ func (v *structVerifier) fault(fn string, ip int, kind FaultKind, msg string) {
 	}
 }
 
-// instrShape describes one instruction's static requirements: how many
-// values it pops and pushes, plus control-flow behavior.
-type instrShape struct {
-	pops, pushes int
-	branch       bool // may transfer to A
-	fall         bool // may fall through to ip+1
+// operandsOK checks in's operands against the program's tables and
+// the frame, faulting the first out of bounds. False means the
+// instruction is too broken to interpret: its successors are not
+// explored.
+func (v *structVerifier) operandsOK(fn string, ip int, in Instr, nLocals, nCode int) bool {
+	r := &opTable[in.Op]
+	if r.name == "" {
+		v.fault(fn, ip, FaultOpcode, fmt.Sprintf("unknown opcode %d", in.Op))
+		return false
+	}
+	msg := v.operandFault(r.a, in.A, nLocals, nCode, r.count)
+	if msg == "" && r.b != opdNone {
+		msg = v.operandFault(r.b, in.B, nLocals, nCode, r.count)
+	}
+	// What no column states: LLLB names both its locals in one fault,
+	// and a call passes its callee's arity.
+	if i := in.B >> 8; r.b == opdLocalOp && (in.A < 0 || in.A >= nLocals || i < 0 || i >= nLocals) {
+		msg = fmt.Sprintf("local index out of range (%d, %d of %d locals)", in.A, i, nLocals)
+	} else if msg == "" && in.Op == OpCall && (in.B < 0 || in.B != v.c.Funcs[in.A].NumParams) {
+		msg = fmt.Sprintf("call passes %d args, function %q takes %d", in.B, v.c.Funcs[in.A].Name, v.c.Funcs[in.A].NumParams)
+	}
+	if msg != "" {
+		v.fault(fn, ip, FaultOperand, msg)
+	}
+	return msg == ""
 }
 
-// shape computes the instruction's stack/control shape, emitting
-// operand faults along the way. ok=false means the instruction is too
-// broken to interpret and its successors are not explored.
-func (v *structVerifier) shape(fn string, ip int, in Instr, nLocals, nCode int) (instrShape, bool) {
-	c := v.c
-	badOperand := func(msg string, args ...any) (instrShape, bool) {
-		v.fault(fn, ip, FaultOperand, fmt.Sprintf(msg, args...))
-		return instrShape{}, false
+// operandFault describes why operand x of the given kind is out of
+// bounds, or returns "". countFault words an implausible count. Jump
+// targets are checked with the flow (FaultJump).
+func (v *structVerifier) operandFault(kind operand, x, nLocals, nCode int, countFault string) string {
+	n, format := 0, ""
+	switch kind {
+	case opdConst:
+		n, format = len(v.c.Consts), "constant index %d out of range (pool size %d)"
+	case opdGlobal:
+		n, format = len(v.c.GlobalNames), "global index %d out of range (%d globals)"
+	case opdLocal:
+		n, format = nLocals, "local index %d out of range (%d locals)"
+	case opdFunc:
+		n, format = len(v.c.Funcs), "function index %d out of range (%d functions)"
+	case opdHost:
+		n, format = len(v.c.HostNames), "host index %d out of range (%d hosts)"
+	case opdCount:
+		// A count cannot exceed the instructions that could have pushed
+		// its operands.
+		if countFault != "" && (x < 0 || x > nCode) {
+			return fmt.Sprintf(countFault, x)
+		}
+	case opdOperator:
+		if !binOps[TokenKind(x)] {
+			return fmt.Sprintf("invalid binary operator immediate %d", x)
+		}
+	case opdConstOp, opdLocalOp:
+		idx, op := UnpackIdxOp(x)
+		return cmp.Or(v.operandFault(kind.index(), idx, nLocals, nCode, ""), v.operandFault(opdOperator, int(op), nLocals, nCode, ""))
 	}
-	switch in.Op {
-	case OpConst:
-		if in.A < 0 || in.A >= len(c.Consts) {
-			return badOperand("constant index %d out of range (pool size %d)", in.A, len(c.Consts))
-		}
-		return instrShape{pushes: 1, fall: true}, true
-	case OpNil, OpTrue, OpFalse:
-		return instrShape{pushes: 1, fall: true}, true
-	case OpLoadG, OpStoreG:
-		if in.A < 0 || in.A >= len(c.GlobalNames) {
-			return badOperand("global index %d out of range (%d globals)", in.A, len(c.GlobalNames))
-		}
-		if in.Op == OpLoadG {
-			return instrShape{pushes: 1, fall: true}, true
-		}
-		return instrShape{pops: 1, fall: true}, true
-	case OpLoadL, OpStoreL:
-		if in.A < 0 || in.A >= nLocals {
-			return badOperand("local index %d out of range (%d locals)", in.A, nLocals)
-		}
-		if in.Op == OpLoadL {
-			return instrShape{pushes: 1, fall: true}, true
-		}
-		return instrShape{pops: 1, fall: true}, true
-	case OpPop:
-		return instrShape{pops: 1, fall: true}, true
-	case OpBin:
-		if !binOps[TokenKind(in.A)] {
-			return badOperand("invalid binary operator immediate %d", in.A)
-		}
-		return instrShape{pops: 2, pushes: 1, fall: true}, true
-	case OpEq, OpNe, OpIndex:
-		return instrShape{pops: 2, pushes: 1, fall: true}, true
-	case OpNeg, OpNot:
-		return instrShape{pops: 1, pushes: 1, fall: true}, true
-	case OpJump:
-		return instrShape{branch: true}, true
-	case OpJumpFalse:
-		return instrShape{pops: 1, branch: true, fall: true}, true
-	case OpJFKeep, OpJTKeep:
-		// Keep-form branches peek at the top without popping.
-		return instrShape{pops: 1, pushes: 1, branch: true, fall: true}, true
-	case OpCall:
-		if in.A < 0 || in.A >= len(c.Funcs) {
-			return badOperand("function index %d out of range (%d functions)", in.A, len(c.Funcs))
-		}
-		if in.B < 0 || in.B != c.Funcs[in.A].NumParams {
-			return badOperand("call passes %d args, function %q takes %d", in.B, c.Funcs[in.A].Name, c.Funcs[in.A].NumParams)
-		}
-		return instrShape{pops: in.B, pushes: 1, fall: true}, true
-	case OpCallHost:
-		if in.A < 0 || in.A >= len(c.HostNames) {
-			return badOperand("host index %d out of range (%d hosts)", in.A, len(c.HostNames))
-		}
-		if in.B < 0 || in.B > nCode {
-			return badOperand("host call passes implausible %d args", in.B)
-		}
-		return instrShape{pops: in.B, pushes: 1, fall: true}, true
-	case OpReturn:
-		return instrShape{pops: 1}, true
-	case OpReturnNil:
-		return instrShape{}, true
-	case OpSetIndex:
-		return instrShape{pops: 3, fall: true}, true
-	case OpArray:
-		if in.A < 0 || in.A > nCode {
-			return badOperand("array of implausible %d elements", in.A)
-		}
-		return instrShape{pops: in.A, pushes: 1, fall: true}, true
-	case OpMap:
-		if in.A < 0 || in.A > nCode {
-			return badOperand("map of implausible %d pairs", in.A)
-		}
-		return instrShape{pops: 2 * in.A, pushes: 1, fall: true}, true
-	case OpLoadLConstBin:
-		idx, op := UnpackIdxOp(in.B)
-		if in.A < 0 || in.A >= nLocals {
-			return badOperand("local index %d out of range (%d locals)", in.A, nLocals)
-		}
-		if idx < 0 || idx >= len(c.Consts) {
-			return badOperand("constant index %d out of range (pool size %d)", idx, len(c.Consts))
-		}
-		if !binOps[op] {
-			return badOperand("invalid binary operator immediate %d", op)
-		}
-		return instrShape{pushes: 1, fall: true}, true
-	case OpLoadLLoadLBin:
-		idx, op := UnpackIdxOp(in.B)
-		if in.A < 0 || in.A >= nLocals || idx < 0 || idx >= nLocals {
-			return badOperand("local index out of range (%d, %d of %d locals)", in.A, idx, nLocals)
-		}
-		if !binOps[op] {
-			return badOperand("invalid binary operator immediate %d", op)
-		}
-		return instrShape{pushes: 1, fall: true}, true
-	case OpBinJumpFalse:
-		if !binOps[TokenKind(in.B)] {
-			return badOperand("invalid binary operator immediate %d", in.B)
-		}
-		return instrShape{pops: 2, branch: true, fall: true}, true
-	case OpConstStoreL:
-		if in.A < 0 || in.A >= len(c.Consts) {
-			return badOperand("constant index %d out of range (pool size %d)", in.A, len(c.Consts))
-		}
-		if in.B < 0 || in.B >= nLocals {
-			return badOperand("local index %d out of range (%d locals)", in.B, nLocals)
-		}
-		return instrShape{fall: true}, true
-	case OpIncL, OpDecL:
-		if in.A < 0 || in.A >= nLocals {
-			return badOperand("local index %d out of range (%d locals)", in.A, nLocals)
-		}
-		if in.B < 0 || in.B >= len(c.Consts) {
-			return badOperand("constant index %d out of range (pool size %d)", in.B, len(c.Consts))
-		}
-		return instrShape{fall: true}, true
-	default:
-		v.fault(fn, ip, FaultOpcode, fmt.Sprintf("unknown opcode %d", in.Op))
-		return instrShape{}, false
+	if format != "" && (x < 0 || x >= n) {
+		return fmt.Sprintf(format, x, n)
 	}
+	return ""
 }
 
 // checkBlock runs the worklist abstract interpretation over one code
@@ -316,37 +241,29 @@ func (v *structVerifier) checkBlock(fn string, code []Instr, nLocals int) int {
 		ip := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := code[ip]
-		sh, ok := v.shape(fn, ip, in, nLocals, len(code))
-		if !ok {
+		if !v.operandsOK(fn, ip, in, nLocals, len(code)) {
 			continue
 		}
-		d := depth[ip]
-		if d < sh.pops {
-			v.fault(fn, ip, FaultStack, fmt.Sprintf("stack underflow: %s needs %d operands, depth is %d", opName(in.Op), sh.pops, d))
+		d, pops := depth[ip], in.pops()
+		if d < pops {
+			v.fault(fn, ip, FaultStack, fmt.Sprintf("stack underflow: %s needs %d operands, depth is %d", in.Op, pops, d))
 			continue
 		}
-		nd := d - sh.pops + sh.pushes
+		nd := d - pops + int(opTable[in.Op].pushes)
 		if nd > maxDepth {
 			maxDepth = nd
 		}
-		if sh.branch {
+		falls, jumps := OpcodeFlow(in.Op)
+		if jumps {
 			if in.A < 0 || in.A > len(code) {
 				v.fault(fn, ip, FaultJump, fmt.Sprintf("jump target %d outside [0,%d]", in.A, len(code)))
 			} else {
 				propagate(ip, in.A, nd)
 			}
 		}
-		if sh.fall {
+		if falls {
 			propagate(ip, ip+1, nd)
 		}
 	}
 	return maxDepth
-}
-
-// opName returns the mnemonic for op (shared with the disassembler).
-func opName(op Opcode) string {
-	if n, ok := opNames[op]; ok {
-		return n
-	}
-	return fmt.Sprintf("OP%d", op)
 }

@@ -1,0 +1,227 @@
+package dpl
+
+import "strings"
+
+// The abstract walker: the one value analysis over bytecode, shared by
+// the optimizer's constant propagation and the verifier's effect
+// recovery, each a hook that reads the state before an instruction.
+// One linear pass covers every instruction, dead ones included, with
+// every index bounded. The join rule: locals are forgotten at each
+// block leader; where only forward edges arrive, each stack slot is the
+// meet over the incoming edges, fall-through and edges out of dead code
+// included; at a loop head every slot is unknown. Edges disagreeing on
+// depth (the structural proof rules that out for reachable ones) and
+// code only a jump reaches start from an empty stack, whose pops yield
+// unknowns.
+
+type absKind uint8
+
+const (
+	absUnknown absKind = iota
+	absExact
+	absHead
+)
+
+// Abs is what the walker knows about a value: exactly what it is, a
+// head (a string that starts with the head), or nothing (the zero Abs).
+type Abs struct {
+	kind absKind
+	v    Value // the value, or the head as a string
+	// folded marks an exact value the walker computed rather than one
+	// the code pushed.
+	folded bool
+}
+
+// Prefix returns the dotted prefix a string value is known to start
+// with, by the source analyzer's OID rules: an exact string whole, less
+// a trailing dot, or a head cut back to its last complete component.
+func (a Abs) Prefix() (string, bool) {
+	s, ok := a.v.AsString()
+	if i := strings.LastIndex(s, "."); a.kind == absHead && i > 0 {
+		return s[:i], true
+	}
+	return strings.TrimSuffix(s, "."), ok && a.kind == absExact
+}
+
+// binary is l op r by the source analyzer's constant-head rules: exact
+// strings concatenate under +, a string or head left of + keeps its
+// head, and every other result is unknown.
+func binary(op TokenKind, l, r Abs) Abs {
+	ls, ok := l.v.AsString()
+	switch {
+	case op != TokPlus || l.kind == absUnknown || !ok:
+		return Abs{}
+	case l.kind == absHead:
+		return l
+	case r.kind == absHead:
+		return Abs{kind: absHead, v: Str(ls + r.v.str())}
+	}
+	if rs, ok := r.v.AsString(); ok && r.kind == absExact {
+		return Abs{kind: absExact, v: Str(ls + rs), folded: true}
+	}
+	return Abs{kind: absHead, v: Str(ls)}
+}
+
+// meet is what two incoming edges agree on.
+func (a Abs) meet(b Abs) Abs {
+	if a == b {
+		return a
+	}
+	return Abs{}
+}
+
+// Walker runs the walk, reusing its buffers from block to block and
+// call to call.
+type Walker struct {
+	stack, locals []Abs
+	joins         []join // per instruction: the edges landing on it
+	arena         []Abs  // the stacks forward edges carry
+	entry         int    // stack depth where the current block began
+}
+
+type join struct {
+	off, n      int32 // arena[off:off+n] meets the forward edges' stacks; n < 0 if their depths disagree
+	edges, loop bool
+}
+
+// Walk interprets code, a block with nLocals frame slots. visit sees
+// each instruction, and the stack and locals it starts from, before
+// the transfer, which reads code[ip] afterwards so a rewrite counts.
+// Returning false ends the walk.
+func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int, stack, locals []Abs) bool) {
+	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(code))
+	w.arena, w.stack = w.arena[:0], w.stack[:0]
+	for ip, in := range code {
+		if t, ok := in.target(len(code)); ok && t <= ip {
+			w.joins[t].loop = true
+		}
+	}
+	falls := true
+	for ip := range code {
+		if j := &w.joins[ip]; ip == 0 || j.edges || j.loop || !falls {
+			w.enter(j, falls)
+		}
+		if !visit(ip, w.stack, w.locals) {
+			return
+		}
+		in := code[ip]
+		w.transfer(c, in)
+		if t, ok := in.target(len(code)); ok && t > ip && t < len(code) {
+			w.edge(&w.joins[t])
+		}
+		falls, _ = OpcodeFlow(in.Op)
+	}
+}
+
+// enter starts a block by the join rule; falls says whether control
+// also arrives from the previous instruction.
+func (w *Walker) enter(j *join, falls bool) {
+	switch {
+	case !j.edges && falls: // the fall-through state carries on
+	case !j.edges || j.n < 0 || falls && len(w.stack) != int(j.n):
+		w.stack = w.stack[:0]
+	case falls:
+		for i, a := range w.arena[j.off : j.off+j.n] {
+			w.stack[i] = w.stack[i].meet(a)
+		}
+	default:
+		w.stack = append(w.stack[:0], w.arena[j.off:j.off+j.n]...)
+	}
+	if j.loop {
+		clear(w.stack)
+	}
+	clear(w.locals)
+	w.entry = len(w.stack)
+}
+
+// edge meets the current stack into the join of a forward edge.
+func (w *Walker) edge(j *join) {
+	switch {
+	case !j.edges:
+		j.edges, j.off, j.n = true, int32(len(w.arena)), int32(len(w.stack))
+		w.arena = append(w.arena, w.stack...)
+	case int(j.n) != len(w.stack):
+		j.n = -1
+	default:
+		merged := w.arena[j.off : j.off+j.n]
+		for i, a := range w.stack {
+			merged[i] = merged[i].meet(a)
+		}
+	}
+}
+
+// transfer applies in to the state. Opcodes whose result the lattice
+// describes have a rule; every other one pops what the opcode table
+// says and pushes unknowns.
+func (w *Walker) transfer(c *Compiled, in Instr) {
+	switch in.Op {
+	case OpConst, OpNil, OpTrue, OpFalse:
+		w.push(pushed(c, in))
+	case OpLoadL:
+		w.push(w.local(in.A))
+	case OpStoreL:
+		w.setLocal(in.A, w.pop())
+	case OpBin:
+		r, l := w.pop(), w.pop()
+		w.push(binary(TokenKind(in.A), l, r))
+	case OpLoadLConstBin:
+		idx, op := UnpackIdxOp(in.B)
+		w.push(binary(op, w.local(in.A), pushed(c, Instr{Op: OpConst, A: idx})))
+	case OpLoadLLoadLBin:
+		idx, op := UnpackIdxOp(in.B)
+		w.push(binary(op, w.local(in.A), w.local(idx)))
+	case OpConstStoreL:
+		w.setLocal(in.B, pushed(c, Instr{Op: OpConst, A: in.A}))
+	case OpIncL:
+		w.setLocal(in.A, binary(TokPlus, w.local(in.A), pushed(c, Instr{Op: OpConst, A: in.B})))
+	case OpDecL:
+		w.setLocal(in.A, Abs{})
+	default:
+		w.stack = w.stack[:len(w.stack)-min(max(in.pops(), 0), len(w.stack))]
+		for range opTable[in.Op].pushes {
+			w.push(Abs{})
+		}
+	}
+}
+
+// pushed is what the walker knows of the value in pushes: exactly it,
+// when in pushes a constant.
+func pushed(c *Compiled, in Instr) Abs {
+	if v, ok := constOf(c, in); ok {
+		return Abs{kind: absExact, v: v}
+	}
+	return Abs{}
+}
+
+func (w *Walker) push(a Abs) { w.stack = append(w.stack, a) }
+
+// pop takes the top value; an empty stack yields unknown.
+func (w *Walker) pop() (a Abs) {
+	if n := len(w.stack); n > 0 {
+		a, w.stack = w.stack[n-1], w.stack[:n-1]
+	}
+	return a
+}
+
+func (w *Walker) local(i int) Abs {
+	if i >= 0 && i < len(w.locals) {
+		return w.locals[i]
+	}
+	return Abs{}
+}
+
+func (w *Walker) setLocal(i int, a Abs) {
+	if i >= 0 && i < len(w.locals) {
+		w.locals[i] = a
+	}
+}
+
+// resize returns s with length n, zeroed, reusing its array if it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

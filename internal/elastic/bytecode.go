@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"mbd/internal/dpl"
@@ -67,7 +68,7 @@ func (p *Process) prepareCompiled(principal, name string, blob []byte) (*DP, err
 		p.rejected(name, err, p.clock.Now()-start)
 		return nil, err
 	}
-	ent, err := p.admitCompiled(principal, cp)
+	ent, err := p.admitCompiled(principal, cp, blob)
 	if err != nil {
 		p.rejected(name, err, p.clock.Now()-start)
 		return nil, err
@@ -94,15 +95,18 @@ func (p *Process) prepareCompiled(principal, name string, blob []byte) (*DP, err
 	return dp, nil
 }
 
-// admitCompiled resolves cp through the program cache (an artifact
-// whose source this node already translated needs no verification —
-// the local compilation is authoritative) or verifies it from scratch,
-// then applies the per-principal admission policy.
-func (p *Process) admitCompiled(principal string, cp *dpl.CompiledProgram) (progEntry, error) {
+// admitCompiled resolves cp, decoded from blob, through the program
+// cache (a repeat delivery of the same bytes needs no second
+// verification) or verifies it from scratch, then applies the
+// per-principal admission policy. Received artifacts are cached under
+// the hash of their own encoding, never under the SourceHash they
+// claim: that claim is unverifiable, and a source lookup must not find
+// someone else's object code.
+func (p *Process) admitCompiled(principal string, cp *dpl.CompiledProgram, blob []byte) (progEntry, error) {
 	if cp.Object == nil {
 		return progEntry{}, fmt.Errorf("elastic: compiled program carries no object code")
 	}
-	key := progKey{hash: cp.SourceHash, version: cp.Version}
+	key := progKey{hash: sha256.Sum256(blob), version: cp.Version, received: true}
 	if ent, ok := p.progCache.get(key); ok {
 		if err := p.admit(principal, ent.rep); err != nil {
 			return progEntry{}, err

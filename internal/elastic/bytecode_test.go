@@ -156,6 +156,60 @@ func TestDelegateCompiledRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHonestArtifactSurvivesShortCircuitJoin: the artifact a node
+// ships for a source it admitted must admit on the node below, even
+// when the OID's constant head sits below a short circuit on the
+// operand stack.
+func TestHonestArtifactSurvivesShortCircuitJoin(t *testing.T) {
+	const src = `func main(x) { return mibGet("1.3.6" + (x && ".1")); }`
+	sender := newBytecodeProcess(Config{})
+	defer sender.Stop()
+	if err := sender.Delegate("boss", "agent", "dpl", src); err != nil {
+		t.Fatal(err)
+	}
+	dp, _ := sender.Repository().Lookup("agent")
+	receiver := newBytecodeProcess(Config{})
+	defer receiver.Stop()
+	if err := receiver.DelegateCompiled("boss", "agent", mustEncode(t, dp.Program)); err != nil {
+		t.Fatalf("the sender's own artifact was refused: %v", err)
+	}
+	got, _ := receiver.Repository().Lookup("agent")
+	if reads := got.Effects.ReadPrefixes(); len(reads) != 1 || reads[0] != "1.3" {
+		t.Errorf("reads = %v, want [1.3]", reads)
+	}
+}
+
+// TestReceivedArtifactCannotPoisonSourceCache: an artifact that claims
+// the SourceHash of another program must not be what a later source
+// delegation of that program runs.
+func TestReceivedArtifactCannotPoisonSourceCache(t *testing.T) {
+	const honest, evil = `func main() { return 1; }`, `func main() { return 666; }`
+	sender := newBytecodeProcess(Config{})
+	defer sender.Stop()
+	if err := sender.Delegate("mallory", "evil", "dpl", evil); err != nil {
+		t.Fatal(err)
+	}
+	dp, _ := sender.Repository().Lookup("evil")
+	forged := *dp.Program
+	forged.SourceHash = dpl.HashSource(honest)
+
+	p := newBytecodeProcess(Config{})
+	defer p.Stop()
+	if err := p.DelegateCompiled("mallory", "evil", mustEncode(t, &forged)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delegate("alice", "agent", "dpl", honest); err != nil {
+		t.Fatal(err)
+	}
+	dpi, err := p.Instantiate("alice", "agent", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := dpi.Wait(context.Background()); err != nil || v != int64(1) {
+		t.Fatalf("alice's program ran to (%v, %v), want 1", v, err)
+	}
+}
+
 // TestDelegateCompiledRejectsTampering: a corrupted artifact must be
 // refused with verifier diagnostics and accounted as a rejection.
 func TestDelegateCompiledRejectsTampering(t *testing.T) {

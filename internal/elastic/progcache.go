@@ -9,28 +9,34 @@ import (
 	"mbd/internal/obs"
 )
 
-// Content-addressed compiled-program cache. Delegations are keyed by
-// sha256(source) plus the compiler generation, so re-delegating the
-// same program — the common case under federation fan-out, supervised
-// reloads and warm restarts — skips parsing, compilation, optimization
-// and analysis entirely and goes straight to the per-principal
-// admission decision. Bumping dpl.CompilerVersion invalidates every
-// locally compiled artifact at once, because the version is part of
-// the key. Received artifacts cache under the generation they were
-// stamped with: a node that accepts the [MinCompilerVersion,
-// CompilerVersion] admission window therefore keeps one entry per
-// (source, generation) pair, and a previous-generation artifact never
-// shadows — or is shadowed by — this node's own generation-current
-// compile of the same source.
+// Content-addressed compiled-program cache. It holds two kinds of
+// entry in two key spaces that never meet:
+//
+//   - a source delegation is keyed by sha256(source) plus the compiler
+//     generation, so re-delegating the same program — the common case
+//     under federation fan-out, supervised reloads and warm restarts —
+//     skips parsing, compilation, optimization and analysis entirely
+//     and goes straight to the per-principal admission decision.
+//     Bumping dpl.CompilerVersion invalidates every locally compiled
+//     artifact at once, because the version is part of the key. Only
+//     local translation writes these entries;
+//   - a received artifact is keyed by sha256 of its own encoding plus
+//     the generation it was stamped with, and marked received, so a
+//     repeat delivery of the same bytes skips re-verification. The
+//     SourceHash an artifact claims is never a key: nothing proves it,
+//     and a source lookup that found an artifact cached under a forged
+//     claim would run the sender's code in place of the delegator's.
 
 // defaultProgCacheSize is used when Config.ProgramCacheSize is zero.
 const defaultProgCacheSize = 256
 
-// progKey identifies one compiled artifact: what was compiled, and by
-// which compiler generation.
+// progKey identifies one compiled artifact: what was compiled (the
+// source, or for a received artifact its encoding), and by which
+// compiler generation.
 type progKey struct {
-	hash    [32]byte
-	version int
+	hash     [32]byte
+	version  int
+	received bool
 }
 
 // progEntry is everything admission needs from a translation: the
