@@ -317,27 +317,18 @@ func main() {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if errs := dpl.Check(prog, bindings); len(errs) > 0 {
-		b.Fatal(errs)
-	}
-	rep := analysis.Analyze(prog, bindings)
-	if rep.HasErrors() {
-		b.Fatal(rep.Diags)
-	}
-	obj, err := dpl.Compile(prog, bindings)
+	obj, rep, err := analysis.Translate(prog, bindings)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dpl.Optimize(obj)
+	if rep.HasErrors() {
+		b.Fatal(rep.Diags)
+	}
 	cp := &dpl.CompiledProgram{
 		Version:    dpl.CompilerVersion,
 		SourceHash: dpl.HashSource(src),
-		Verdict: dpl.Verdict{
-			Hosts: rep.Effects.HostNames(), Reads: rep.Effects.ReadPrefixes(),
-			Writes: rep.Effects.WritePrefixes(), CostSteps: rep.Cost.Steps,
-			CostUnbounded: rep.Cost.Unbounded, StepBudget: rep.SuggestedBudget(0),
-		},
-		Object: obj,
+		Verdict:    rep.Verdict(),
+		Object:     obj,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -216,7 +216,12 @@ func lint(files []string, strict, asJSON bool) int {
 			fail(file, err.Error())
 			continue
 		}
-		rep := analysis.Analyze(prog, bindings)
+		// The pipeline source admission runs; a program breaking a
+		// Translator rule gets the analyzer's findings and no effects.
+		_, rep, err := analysis.Translate(prog, bindings)
+		if err != nil {
+			rep = analysis.Analyze(prog, bindings)
+		}
 		errs, warns := dpl.Counts(rep.Diags)
 		if errs > 0 || (strict && warns > 0) {
 			raise(1)

@@ -9,11 +9,10 @@
 //     (use-before-init, unreachable code, dead stores, never-written
 //     globals);
 //   - capability/effect inference: which host bindings and which MIB
-//     OID prefixes a dp can reach, computed transitively and
-//     constant-folded from the arguments of the MIB primitives, so the
-//     admission path can compare a dp's footprint against the
-//     delegating principal's grant instead of discovering violations at
-//     runtime;
+//     OID prefixes a dp can reach, recovered from the optimized object
+//     code (Recover) and closed over calls, so the admission path can
+//     compare a dp's footprint against the delegating principal's grant
+//     instead of discovering violations at runtime;
 //   - cost analysis: instruction-cost estimates per function with
 //     constant-trip loop bounding, used to derive a default VM step
 //     budget and to enforce a server-side admission cost ceiling.
@@ -22,7 +21,11 @@
 // same record as the Translator's and the bytecode verifier's.
 package analysis
 
-import "mbd/internal/dpl"
+import (
+	"fmt"
+
+	"mbd/internal/dpl"
+)
 
 // FuncInfo is one function's analysis summary.
 type FuncInfo struct {
@@ -85,17 +88,32 @@ func (r *Report) SuggestedBudget(fallback uint64) uint64 {
 	return b
 }
 
-// Analyze runs the full static-analysis pipeline over prog against the
-// host's allowed-function table. It reads the names dpl.Check bound,
-// resolving prog itself only if no Check (or Compile) has already done
-// so against bindings, and reports the Translator's rule violations
-// among its own findings.
+// Translate runs the delegation pipeline over a parsed program: Compile
+// (the Translator's rules), Analyze, Optimize, and then the effects of
+// the optimized object code, which is what the node runs and ships. A
+// rule violation returns Compile's *dpl.Error and no report.
+func Translate(prog *dpl.Program, bindings *dpl.Bindings) (*dpl.Compiled, *Report, error) {
+	obj, err := dpl.Compile(prog, bindings)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := Analyze(prog, bindings)
+	dpl.Optimize(obj)
+	rep.RecoverEffects(obj)
+	return obj, rep, nil
+}
+
+// Analyze runs the source-level analyses over prog against the host's
+// allowed-function table: everything that needs source positions. It
+// reads the names dpl.Check bound, resolving prog itself only if no
+// Check (or Compile) has already done so against bindings, and reports
+// the Translator's rule violations among its own findings.
 // An unchecked program is analyzed all the same: unbound names are
-// skipped.
+// skipped. The report's effects stay empty until RecoverEffects.
 //
 // Pipeline: name resolution → per-function CFG → unreachable code →
 // definite assignment → liveness/dead stores → never-written globals →
-// effect inference → cost analysis.
+// cost analysis.
 func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 	rep := &Report{Diags: append([]dpl.Diagnostic(nil), dpl.Check(prog, bindings)...)}
 
@@ -108,28 +126,15 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 	}
 	globalDiags(prog, &rep.Diags)
 
-	effects, initSet := inferEffects(prog, &rep.Diags)
-
 	ca := &costAnalyzer{
 		prog:     prog,
-		effects:  effects,
 		memo:     make(map[*dpl.FuncDecl]CostEstimate),
 		visiting: make(map[*dpl.FuncDecl]bool),
 		diags:    &rep.Diags,
 	}
-
-	program := newEffectSet()
-	program.mergeFrom(initSet)
 	for _, f := range prog.Funcs {
 		cost := ca.funcCost(f)
-		set := effects[f]
-		program.mergeFrom(set)
-		rep.Funcs = append(rep.Funcs, &FuncInfo{
-			Name:    f.Name,
-			Pos:     f.Position(),
-			Effects: set.finalize(),
-			Cost:    cost,
-		})
+		rep.Funcs = append(rep.Funcs, &FuncInfo{Name: f.Name, Pos: f.Position(), Cost: cost})
 		if cost.Unbounded && !rep.Cost.Unbounded {
 			rep.Cost.Unbounded = true
 			rep.Cost.Pos = cost.Pos
@@ -141,7 +146,65 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 			}
 		}
 	}
-	rep.Effects = program.finalize()
 	dpl.SortDiags(rep.Diags)
 	return rep
+}
+
+// RecoverEffects sets the report's effects from c, the object code of
+// the analyzed program: the program's summary, and each function's,
+// closed over the functions its code calls. A MIB primitive whose OID
+// prefix is unknown raises DPL006 at the call.
+func (r *Report) RecoverEffects(c *dpl.Compiled) {
+	direct := make([]effectSet, len(c.Funcs)+1) // the global initializers, then each function
+	r.Effects = Recover(c, func(s Site) {
+		direct[s.Func+1].add(s)
+		if s.MIB && s.OID == Wildcard {
+			r.Diags = append(r.Diags, dpl.Diagnostic{
+				Code: dpl.CodeDynamicOID,
+				Sev:  dpl.SevWarning,
+				Pos:  s.Pos,
+				Msg:  fmt.Sprintf("OID argument of %s is not a constant; inferred effect widens to the whole MIB", s.Host),
+			})
+		}
+	})
+	own := make([]Effects, len(c.Funcs))
+	for i := range own {
+		own[i] = direct[i+1].finalize()
+	}
+	seen := make([]bool, len(c.Funcs))
+	var set effectSet
+	var reach func(fn int) // gathers fn's effects and those of every function it calls
+	reach = func(fn int) {
+		if seen[fn] {
+			return
+		}
+		seen[fn] = true
+		set.merge(own[fn])
+		for _, in := range c.Funcs[fn].Code {
+			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
+				reach(in.A)
+			}
+		}
+	}
+	for i, f := range r.Funcs[:min(len(r.Funcs), len(c.Funcs))] {
+		clear(seen)
+		set = effectSet{}
+		reach(i)
+		f.Effects = set.finalize()
+	}
+	dpl.SortDiags(r.Diags)
+}
+
+// Verdict is the verdict a CompiledProgram of the analyzed program
+// carries. Its step budget is the unclamped one: each receiving hop
+// applies its own quota at admission.
+func (r *Report) Verdict() dpl.Verdict {
+	return dpl.Verdict{
+		Hosts:         r.Effects.HostNames(),
+		Reads:         r.Effects.ReadPrefixes(),
+		Writes:        r.Effects.WritePrefixes(),
+		CostSteps:     r.Cost.Steps,
+		CostUnbounded: r.Cost.Unbounded,
+		StepBudget:    r.SuggestedBudget(0),
+	}
 }

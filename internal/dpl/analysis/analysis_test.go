@@ -2,24 +2,26 @@ package analysis
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"mbd/internal/dpl"
 )
 
-// analyzeSrc parses, checks and analyzes src against the lint profile.
+// analyzeSrc runs src through the delegation pipeline (Translate)
+// against the lint profile.
 func analyzeSrc(t *testing.T, src string) *Report {
 	t.Helper()
 	prog, err := dpl.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	b := LintBindings()
-	if errs := dpl.Check(prog, b); len(errs) > 0 {
-		t.Fatalf("check: %v", errs)
+	_, rep, err := Translate(prog, LintBindings())
+	if err != nil {
+		t.Fatalf("translate: %v", err)
 	}
-	return Analyze(prog, b)
+	return rep
 }
 
 // codes extracts the diagnostic codes of a report, in order.
@@ -226,7 +228,7 @@ func watch() {
 }`)
 	e := &r.Effects
 	for _, h := range []string{"mibGet", "mibSet", "report", "str"} {
-		if !e.CallsHost(h) {
+		if !slices.Contains(e.HostNames(), h) {
 			t.Fatalf("missing host %s in %s", h, e)
 		}
 	}
@@ -244,7 +246,7 @@ func helper() { return mibGet("1.3.6.1.2.1.2.1.0"); }
 func main() { return helper(); }
 `)
 	fi := r.Func("main")
-	if fi == nil || !fi.Effects.CallsHost("mibGet") {
+	if fi == nil || !slices.Contains(fi.Effects.HostNames(), "mibGet") {
 		t.Fatalf("main effects = %v", fi)
 	}
 	if got := fi.Effects.ReadPrefixes(); len(got) != 1 || got[0] != "1.3.6.1.2.1.2.1.0" {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"strings"
-
-	"mbd/internal/dpl"
-)
+import "mbd/internal/dpl"
 
 // Constant folding over expressions, by the language's own operator
 // rules (dpl.Binary, dpl.Negate, dpl.Truthy): a constant condition here
@@ -80,47 +76,4 @@ func constInt(e dpl.Expr) (int64, bool) {
 		return 0, false
 	}
 	return v.AsInt()
-}
-
-// constOIDPrefix extracts the statically known OID prefix of e, for the
-// effect inference of MIB primitives:
-//
-//   - a fully constant string folds exactly ("1.3.6.1.2.1.1.3.0");
-//   - "const" + dynamic keeps the constant head, truncated to the last
-//     complete dotted component so a partial trailing number cannot
-//     masquerade as a component boundary;
-//   - anything else is unknown (the caller widens to the whole MIB).
-//
-// The returned prefix has no trailing dot. ok=false means no constant
-// head could be recovered.
-func constOIDPrefix(e dpl.Expr) (prefix string, exact, ok bool) {
-	head, exact := constStringHead(e)
-	if exact {
-		return strings.TrimSuffix(head, "."), true, true
-	}
-	// Keep only whole components of a partial head.
-	i := strings.LastIndex(head, ".")
-	if i <= 0 {
-		return "", false, false
-	}
-	return head[:i], false, true
-}
-
-// constStringHead returns the longest constant leading string of e
-// under string concatenation; exact reports whether the whole
-// expression folded.
-func constStringHead(e dpl.Expr) (head string, exact bool) {
-	if v, ok := constFold(e); ok {
-		s, ok := v.AsString()
-		return s, ok
-	}
-	if b, ok := e.(*dpl.BinaryExpr); ok && b.Op == dpl.TokPlus {
-		lh, lexact := constStringHead(b.L)
-		if !lexact {
-			return lh, false
-		}
-		rh, rexact := constStringHead(b.R)
-		return lh + rh, rexact
-	}
-	return "", false
 }

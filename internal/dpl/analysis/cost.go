@@ -72,7 +72,7 @@ func mulCost(a, b uint64) uint64 {
 
 type costAnalyzer struct {
 	prog     *dpl.Program
-	effects  map[*dpl.FuncDecl]*effectSet
+	yielding []bool // per function: a call can reach sleep or recv (see yields)
 	memo     map[*dpl.FuncDecl]CostEstimate
 	visiting map[*dpl.FuncDecl]bool
 	diags    *[]dpl.Diagnostic
@@ -396,27 +396,7 @@ func (a *costAnalyzer) checkBusyLoop(pos dpl.Pos, cond dpl.Expr, body *dpl.Block
 	if !infinite || hasDirectBreak(body) {
 		return
 	}
-	yields := false
-	walkCalls(body, func(c *dpl.CallExpr) {
-		if yields {
-			return
-		}
-		if c.Func < 0 && yieldBindings[c.Name] {
-			yields = true
-			return
-		}
-		if c.Func >= 0 {
-			if set, ok := a.effects[a.prog.Funcs[c.Func]]; ok {
-				for name := range set.hosts {
-					if yieldBindings[name] {
-						yields = true
-						return
-					}
-				}
-			}
-		}
-	})
-	if yields {
+	if a.yields(body) {
 		return
 	}
 	*a.diags = append(*a.diags, dpl.Diagnostic{
@@ -425,6 +405,27 @@ func (a *costAnalyzer) checkBusyLoop(pos dpl.Pos, cond dpl.Expr, body *dpl.Block
 		Pos:  pos,
 		Msg:  "infinite loop never yields (no sleep/recv on any path) and has no break; it will burn its entire step quota",
 	})
+}
+
+// yields reports whether n calls sleep or recv, directly or through
+// user functions. Which functions reach one is worked out once, on the
+// first call of a user function.
+func (a *costAnalyzer) yields(n dpl.Node) (found bool) {
+	walkCalls(n, func(c *dpl.CallExpr) {
+		if c.Func >= 0 && a.yielding == nil {
+			a.yielding = make([]bool, len(a.prog.Funcs))
+			for grew := true; grew; {
+				grew = false
+				for i, f := range a.prog.Funcs {
+					if !a.yielding[i] && a.yields(f.Body) {
+						a.yielding[i], grew = true, true
+					}
+				}
+			}
+		}
+		found = found || c.Func < 0 && yieldBindings[c.Name] || c.Func >= 0 && a.yielding[c.Func]
+	})
+	return found
 }
 
 // hasDirectBreak reports whether the loop body contains a break bound

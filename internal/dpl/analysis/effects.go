@@ -1,19 +1,21 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mbd/internal/dpl"
 )
 
-// Capability / effect inference. Each function's effect summary is the
-// set of host bindings it can invoke and the MIB OID prefixes it can
-// read or write, closed transitively over the user-function call graph.
-// The elastic process compares the program-level summary against the
-// delegating principal's grant at admission time, making the ACL a
-// statically verified contract instead of a runtime tripwire.
+// Capability / effect inference. A program's effect summary is the set
+// of host bindings it can invoke and the MIB OID prefixes it can read or
+// write. It is recovered from object code, never from source: Recover
+// walks the optimized code a node runs and ships, and the bytecode
+// verifier walks every artifact it receives with the same function, so
+// the verdict a node declares and the effects each receiver proves are
+// one walk over the same bytes. The elastic process compares the summary
+// against the delegating principal's grant at admission time, making
+// the ACL a statically verified contract instead of a runtime tripwire.
 
 // Wildcard marks an effect whose OID could not be folded: the program
 // may touch the entire MIB.
@@ -54,8 +56,6 @@ var mibPrimitives = map[string]struct {
 
 // MIBPrimitive reports whether name is one of the MIB host primitives,
 // and if so which argument carries the OID and whether the call writes.
-// The bytecode verifier uses this to recover effects from compiled
-// code with the same rules source-level inference applies.
 func MIBPrimitive(name string) (oidArg int, write, ok bool) {
 	p, ok := mibPrimitives[name]
 	return p.argIdx, p.write, ok
@@ -76,16 +76,6 @@ func effectNames(es []Effect) []string {
 		out[i] = e.Name
 	}
 	return out
-}
-
-// CallsHost reports whether e may invoke the named host binding.
-func (e *Effects) CallsHost(name string) bool {
-	for _, h := range e.Hosts {
-		if h.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders a compact one-line summary.
@@ -118,156 +108,129 @@ func OIDCovers(allowed, oid string) bool {
 	return oid == allowed || strings.HasPrefix(oid, allowed+".")
 }
 
-// effectSet accumulates effects during inference.
+// Site is one host call in object code, as Recover reports it.
+type Site struct {
+	// Func is the index of the function holding the call, or -1 for the
+	// global initializers; IP is the call's position in that block.
+	Func, IP int
+	// Call is the OpCallHost instruction: A is the host index, B the
+	// argument count.
+	Call dpl.Instr
+	// Host is the name c.HostNames gives the host index.
+	Host string
+	// Pos is the call in the source, the zero Pos for code that carries
+	// no positions (see dpl.Compiled.CallPos).
+	Pos dpl.Pos
+	// MIB marks a call of a MIB primitive. OID is then the prefix its
+	// OID argument provably starts with, or Wildcard, and Write says
+	// whether the call writes.
+	MIB   bool
+	OID   string
+	Write bool
+}
+
+// Recover is the effect inference. It runs dpl's abstract walker, which
+// tracks constant values and string heads through the stack and a
+// block's locals, over every block of c, calls visit with each host
+// call whose host index is in range, and returns the program's
+// summary: every site folded, sorted and prefix-minimal.
+func Recover(c *dpl.Compiled, visit func(Site)) Effects {
+	var all effectSet
+	var w dpl.Walker
+	for fn := -1; fn < len(c.Funcs); fn++ {
+		_, code, nLocals := c.Block(fn)
+		calls := 0 // host calls met so far: the index into the block's positions
+		w.Walk(c, code, nLocals, func(ip int, stack, _ []dpl.Abs) bool {
+			in := code[ip]
+			if in.Op != dpl.OpCallHost {
+				return true
+			}
+			s := Site{Func: fn, IP: ip, Call: in, Pos: c.CallPos(fn, calls)}
+			calls++
+			if in.A < 0 || in.A >= len(c.HostNames) {
+				return true
+			}
+			s.Host = c.HostNames[in.A]
+			if oidArg, write, ok := MIBPrimitive(s.Host); ok && oidArg < in.B {
+				var arg dpl.Abs // unknown when the stack holds fewer than the arguments
+				if len(stack) >= in.B {
+					arg = stack[len(stack)-in.B+oidArg]
+				}
+				var known bool
+				if s.OID, known = arg.Prefix(); !known {
+					s.OID = Wildcard
+				}
+				s.MIB, s.Write = true, write
+			}
+			all.add(s)
+			visit(s)
+			return true
+		})
+	}
+	return all.finalize()
+}
+
+// effectSet gathers effects in the order their sites are found, one
+// entry per name: the first found, so its position is the first site's.
 type effectSet struct {
-	hosts  map[string]dpl.Pos
-	reads  map[string]dpl.Pos
-	writes map[string]dpl.Pos
+	hosts, reads, writes []Effect
 }
 
-func newEffectSet() *effectSet {
-	return &effectSet{
-		hosts:  make(map[string]dpl.Pos),
-		reads:  make(map[string]dpl.Pos),
-		writes: make(map[string]dpl.Pos),
+func (s *effectSet) add(site Site) {
+	s.hosts = addEffect(s.hosts, Effect{Name: site.Host, Pos: site.Pos})
+	switch {
+	case !site.MIB:
+	case site.Write:
+		s.writes = addEffect(s.writes, Effect{Name: site.OID, Pos: site.Pos})
+	default:
+		s.reads = addEffect(s.reads, Effect{Name: site.OID, Pos: site.Pos})
 	}
 }
 
-func addOnce(m map[string]dpl.Pos, k string, pos dpl.Pos) bool {
-	if _, ok := m[k]; ok {
-		return false
+func (s *effectSet) merge(o Effects) {
+	s.hosts = slices.Grow(s.hosts, len(o.Hosts))
+	s.reads = slices.Grow(s.reads, len(o.Reads))
+	s.writes = slices.Grow(s.writes, len(o.Writes))
+	for _, e := range o.Hosts {
+		s.hosts = addEffect(s.hosts, e)
 	}
-	m[k] = pos
-	return true
+	for _, e := range o.Reads {
+		s.reads = addEffect(s.reads, e)
+	}
+	for _, e := range o.Writes {
+		s.writes = addEffect(s.writes, e)
+	}
 }
 
-// mergeFrom folds o into s, reporting whether s grew.
-func (s *effectSet) mergeFrom(o *effectSet) bool {
-	grew := false
-	for k, p := range o.hosts {
-		grew = addOnce(s.hosts, k, p) || grew
+func addEffect(es []Effect, e Effect) []Effect {
+	if slices.ContainsFunc(es, func(x Effect) bool { return x.Name == e.Name }) {
+		return es
 	}
-	for k, p := range o.reads {
-		grew = addOnce(s.reads, k, p) || grew
-	}
-	for k, p := range o.writes {
-		grew = addOnce(s.writes, k, p) || grew
-	}
-	return grew
+	return append(es, e)
 }
 
-// finalize converts the accumulator to a sorted, prefix-minimal
-// Effects value.
+// finalize sorts the set in place into a summary, keeping an OID prefix
+// only where no other prefix covers it.
 func (s *effectSet) finalize() Effects {
-	return Effects{
-		Hosts:  sortedEffects(s.hosts, false),
-		Reads:  sortedEffects(s.reads, true),
-		Writes: sortedEffects(s.writes, true),
-	}
+	slices.SortFunc(s.hosts, byName)
+	return Effects{Hosts: s.hosts, Reads: minimal(s.reads), Writes: minimal(s.writes)}
 }
 
-func sortedEffects(m map[string]dpl.Pos, minimize bool) []Effect {
-	out := make([]Effect, 0, len(m))
-	for k, p := range m {
-		out = append(out, Effect{Name: k, Pos: p})
+func minimal(es []Effect) []Effect {
+	if i := slices.IndexFunc(es, func(e Effect) bool { return e.Name == Wildcard }); i >= 0 {
+		return es[i : i+1] // it covers every other prefix
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	if !minimize {
-		return out
-	}
-	// Drop prefixes covered by another (shorter) prefix or a wildcard.
-	kept := out[:0]
-	for i, e := range out {
-		covered := false
-		for j, o := range out {
-			if i == j {
-				continue
-			}
-			if OIDCovers(o.Name, e.Name) && (o.Name != e.Name || j < i) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+	slices.SortFunc(es, byName)
+	// Other than the wildcard, a covering prefix sorts before what it
+	// covers, and covering is transitive, so checking the entries kept
+	// so far is enough.
+	kept := es[:0]
+	for _, e := range es {
+		if !slices.ContainsFunc(kept, func(k Effect) bool { return OIDCovers(k.Name, e.Name) }) {
 			kept = append(kept, e)
 		}
 	}
 	return kept
 }
 
-// inferEffects computes per-function effect sets, transitively closed
-// over user calls, plus DPL006 diagnostics for dynamic OID arguments.
-func inferEffects(prog *dpl.Program, diags *[]dpl.Diagnostic) (sets map[*dpl.FuncDecl]*effectSet, initSet *effectSet) {
-	direct := make(map[*dpl.FuncDecl]*effectSet, len(prog.Funcs))
-	calls := make(map[*dpl.FuncDecl]map[*dpl.FuncDecl]bool, len(prog.Funcs))
-
-	collect := func(f *dpl.FuncDecl, body dpl.Node, set *effectSet) {
-		walkCalls(body, func(c *dpl.CallExpr) {
-			if c.Func >= 0 {
-				// User functions resolve before host bindings (and
-				// shadowing a host name is a Check error anyway).
-				callee := prog.Funcs[c.Func]
-				if f != nil {
-					if calls[f] == nil {
-						calls[f] = make(map[*dpl.FuncDecl]bool)
-					}
-					calls[f][callee] = true
-				}
-				return
-			}
-			if c.Host < 0 {
-				return // unknown name; Check rejects it
-			}
-			addOnce(set.hosts, c.Name, c.Position())
-			prim, ok := mibPrimitives[c.Name]
-			if !ok || prim.argIdx >= len(c.Args) {
-				return
-			}
-			arg := c.Args[prim.argIdx]
-			prefix, exact, okPrefix := constOIDPrefix(arg)
-			if !okPrefix {
-				prefix = Wildcard
-				*diags = append(*diags, dpl.Diagnostic{
-					Code: dpl.CodeDynamicOID,
-					Sev:  dpl.SevWarning,
-					Pos:  arg.Position(),
-					Msg:  fmt.Sprintf("OID argument of %s is not a constant; inferred effect widens to the whole MIB", c.Name),
-				})
-			}
-			_ = exact
-			if prim.write {
-				addOnce(set.writes, prefix, arg.Position())
-			} else {
-				addOnce(set.reads, prefix, arg.Position())
-			}
-		})
-	}
-
-	for _, f := range prog.Funcs {
-		set := newEffectSet()
-		collect(f, f.Body, set)
-		direct[f] = set
-	}
-
-	// Global initializers run before any entry point; their effects
-	// belong to the program but to no function.
-	initSet = newEffectSet()
-	for _, g := range prog.Globals {
-		if g.Init != nil {
-			collect(nil, g.Init, initSet)
-		}
-	}
-
-	// Transitive closure: iterate until no summary grows.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range prog.Funcs {
-			for callee := range calls[f] {
-				if direct[f].mergeFrom(direct[callee]) {
-					changed = true
-				}
-			}
-		}
-	}
-	return direct, initSet
-}
+func byName(a, b Effect) int { return strings.Compare(a.Name, b.Name) }

@@ -31,10 +31,10 @@ func TestExampleAgentsLintClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			if errs := dpl.Check(prog, b); len(errs) > 0 {
-				t.Fatalf("check: %v", errs)
+			_, rep, err := Translate(prog, b)
+			if err != nil {
+				t.Fatalf("translate: %v", err)
 			}
-			rep := Analyze(prog, b)
 			for _, d := range rep.Diags {
 				t.Errorf("%s: %s", file, d)
 			}

@@ -37,10 +37,10 @@ func TestLintOutputPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		if errs := dpl.Check(prog, b); len(errs) > 0 {
-			t.Fatalf("%s: %v", file, errs)
+		_, rep, err := Translate(prog, b)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
 		}
-		rep := Analyze(prog, b)
 		name := filepath.Base(file)
 		for _, d := range rep.Diags {
 			fmt.Fprintf(&out, "%s:%s\n", name, d)

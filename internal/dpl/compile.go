@@ -211,6 +211,10 @@ type CompiledFunc struct {
 	NumLocals int
 	Code      []Instr
 
+	// callPos holds the source position of each OpCallHost in Code, in
+	// code order (see Compiled.CallPos).
+	callPos []Pos
+
 	// maxStack is the function's operand-stack high-water mark, proved
 	// by the structural verifier (checkBlock) and populated by
 	// VerifyStructure. The flat-frame VM sizes activation frames as
@@ -233,6 +237,8 @@ type Compiled struct {
 	// function names; it pins the Bindings layout the program was
 	// compiled against.
 	HostNames []string
+	// initCallPos is callPos for InitCode.
+	initCallPos []Pos
 
 	// Cached EnsureStructure outcome (see verifycode.go). Guarded by
 	// vmu so concurrent DPIs sharing one Compiled verify it once.
@@ -257,6 +263,31 @@ func (c *Compiled) initFunc() *CompiledFunc {
 		c.initFn = &CompiledFunc{Name: "<init>", Code: c.InitCode, maxStack: c.initMaxStack}
 	}
 	return c.initFn
+}
+
+// Block returns the name, code and frame size of function fn, or of the
+// global initializers when fn < 0.
+func (c *Compiled) Block(fn int) (name string, code []Instr, nLocals int) {
+	if fn < 0 {
+		return "<init>", c.InitCode, 0
+	}
+	f := c.Funcs[fn]
+	return f.Name, f.Code, f.NumLocals
+}
+
+// CallPos returns the source position of the n-th host call (OpCallHost,
+// counted in code order) of Block(fn). Compile records the positions and
+// Optimize keeps them aligned; they are not part of the artifact
+// encoding, so code decoded or assembled has none and gets the zero Pos.
+func (c *Compiled) CallPos(fn, n int) Pos {
+	calls := c.initCallPos
+	if fn >= 0 {
+		calls = c.Funcs[fn].callPos
+	}
+	if n < len(calls) {
+		return calls[n]
+	}
+	return Pos{}
 }
 
 // Compile translates a program to bytecode. It runs Check first (once
@@ -287,35 +318,38 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 		c.out.Funcs[i] = &funcs[i]
 	}
 	// Two passes, as an assembler makes them. The first only counts each
-	// unit's instructions and literals (a unit is a function or, last,
-	// the global initializers), so that the second writes all code into
-	// one array and all constants into one pool, sized beforehand.
-	sizes := make([]int, len(prog.Funcs)+1)
-	total := 0
+	// unit's instructions, host calls and literals (a unit is a function
+	// or, last, the global initializers), so that the second writes all
+	// code into one array, all call positions into another and all
+	// constants into one pool, sized beforehand.
+	sizes := make([][2]int, len(prog.Funcs)+1) // instructions, host calls
+	total, totalCalls := 0, 0
 	fc := &funcCompiler{c: c, sizing: true}
 	for i := range sizes {
-		fc.n = 0
+		fc.n, fc.nCalls = 0, 0
 		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
-		sizes[i] = fc.n
+		sizes[i] = [2]int{fc.n, fc.nCalls}
 		total += fc.n
+		totalCalls += fc.nCalls
 	}
-	code := make([]Instr, total)
+	code, calls := make([]Instr, total), make([]Pos, totalCalls)
 	c.out.Consts = make([]Value, 0, c.nLits)
 	c.pool = constPool{c: c.out, idx: make(map[constKey]int, c.nLits)}
 	fc.sizing = false
-	for i, n := range sizes {
-		fc.code = code[:0:n]
+	for i, size := range sizes {
+		n, nc := size[0], size[1]
+		fc.code, fc.calls = code[:0:n], calls[:0:nc]
 		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
 		if i < len(funcs) {
-			funcs[i].Code = fc.code
+			funcs[i].Code, funcs[i].callPos = fc.code, fc.calls
 		} else {
-			c.out.InitCode = fc.code
+			c.out.InitCode, c.out.initCallPos = fc.code, fc.calls
 		}
-		code = code[n:]
+		code, calls = code[n:], calls[nc:]
 	}
 	return c.out, nil
 }
@@ -335,8 +369,10 @@ type loopCtx struct {
 type funcCompiler struct {
 	c      *compiler
 	code   []Instr
-	sizing bool // the counting pass: emit adds to n and writes nothing
+	calls  []Pos // the position of each host call in code
+	sizing bool  // the counting pass: emit adds to n and nCalls and writes nothing
 	n      int
+	nCalls int
 	loops  []*loopCtx
 }
 
@@ -718,6 +754,11 @@ func (f *funcCompiler) expr(e Expr) error {
 			f.emit(Instr{Op: OpCall, A: n.Func, B: len(n.Args)})
 		} else {
 			f.emit(Instr{Op: OpCallHost, A: n.Host, B: len(n.Args)})
+			if f.sizing {
+				f.nCalls++
+			} else {
+				f.calls = append(f.calls, n.Position())
+			}
 		}
 	default:
 		return fmt.Errorf("dpl: internal: unknown expression %T", e)

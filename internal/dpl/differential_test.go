@@ -243,3 +243,123 @@ func quietBindings(cp *dpl.CompiledProgram) *dpl.Bindings {
 	}
 	return b
 }
+
+// checkEffects runs src through source admission (analysis.Translate)
+// and the reference inference. The summary recovered from the optimized
+// object code must never be wider than the reference's, for the program
+// and for each function: no host the reference did not name, no OID
+// prefix no reference prefix covers. An admitted program's artifact, as
+// a child decodes it, must verify with recovered effects exactly the
+// declared ones. ok is false when the source does not translate;
+// narrowed reports whether the program summary differs from the
+// reference's.
+func checkEffects(t *testing.T, name, src string, b *dpl.Bindings) (narrowed, ok bool) {
+	t.Helper()
+	prog, err := dpl.Parse(src)
+	if err != nil {
+		return false, false
+	}
+	obj, rep, err := analysis.Translate(prog, b)
+	if err != nil {
+		return false, false
+	}
+	want, wantFuncs := refEffects(prog)
+	if !within(rep.Effects, want) {
+		t.Errorf("%s: recovered %s, wider than the reference's %s\n%s", name, rep.Effects.String(), want.String(), src)
+	}
+	for i, f := range rep.Funcs {
+		if !within(f.Effects, wantFuncs[i]) {
+			t.Errorf("%s: func %s recovers %s, wider than the reference's %s", name, f.Name, f.Effects.String(), wantFuncs[i].String())
+		}
+	}
+	if !rep.HasErrors() {
+		blob, err := (&dpl.CompiledProgram{Version: dpl.CompilerVersion, Verdict: rep.Verdict(), Object: obj}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := dpl.DecodeProgram(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := verify.Verify(dec, b)
+		if err := res.Err(); err != nil {
+			t.Errorf("%s: admitted program's artifact rejected: %v", name, err)
+		} else if !declares(dec.Verdict, res.Recovered) {
+			t.Errorf("%s: declared %+v, recovered %s", name, dec.Verdict, res.Recovered.String())
+		}
+	}
+	return !effectsEqual(rep.Effects, want), true
+}
+
+// within reports whether every host of got is one of want's and every
+// OID prefix of got is covered by one of want's.
+func within(got, want analysis.Effects) bool {
+	covers := func(x, y []analysis.Effect) bool {
+		for _, e := range x {
+			if !slices.ContainsFunc(y, func(w analysis.Effect) bool { return analysis.OIDCovers(w.Name, e.Name) }) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, h := range got.Hosts {
+		if !slices.ContainsFunc(want.Hosts, func(w analysis.Effect) bool { return w.Name == h.Name }) {
+			return false
+		}
+	}
+	return covers(got.Reads, want.Reads) && covers(got.Writes, want.Writes)
+}
+
+// TestEffectsMatchReference: over every committed source and 20,000
+// generated programs with MIB calls, the effects source admission
+// recovers are never wider than the reference inference's, equal to it
+// on the example agents, and exactly what each admitted artifact's
+// verifier recovers.
+func TestEffectsMatchReference(t *testing.T) {
+	b := analysis.LintBindings()
+	translated, narrowed := 0, 0
+	for name, src := range committedSources(t) {
+		n, ok := checkEffects(t, name, src, b)
+		if !ok {
+			continue
+		}
+		translated++
+		if n && strings.Contains(name, filepath.Join("examples", "agents")) {
+			t.Errorf("%s: an example agent's effects moved", name)
+		}
+		if n {
+			narrowed++
+			t.Logf("%s: narrower than the reference", name)
+		}
+	}
+	t.Logf("%d committed sources translated, %d narrower than the reference", translated, narrowed)
+	n := generatedPrograms
+	if testing.Short() || raceEnabled {
+		n /= 20
+	}
+	translated, narrowed = 0, 0
+	for seed := range n {
+		nw, ok := checkEffects(t, "generated seed "+strconv.Itoa(seed), dpl.GenProgram(int64(seed), true), b)
+		if ok {
+			translated++
+		}
+		if nw {
+			narrowed++
+		}
+	}
+	t.Logf("%d of %d generated programs translated, %d narrower than the reference", translated, n, narrowed)
+}
+
+// FuzzEffectsNeverWiden explores checkEffects from source text.
+func FuzzEffectsNeverWiden(f *testing.F) {
+	for seed := range int64(16) {
+		f.Add(dpl.GenProgram(seed, true))
+	}
+	f.Add(`func main() { var o = "1.3.6.1.2.1.1.3.0"; return mibGet(o); }`)
+	f.Add(`func main(x) { return mibGet("1.3." + ((5 < 3) || "2.0")); }`)
+	f.Add(`func main() { return 1; report("dead"); }`)
+	b := analysis.LintBindings()
+	f.Fuzz(func(t *testing.T, src string) {
+		checkEffects(t, "fuzz input", src, b)
+	})
+}

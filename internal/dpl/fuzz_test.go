@@ -64,12 +64,9 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if errs := dpl.Check(prog, bindings); len(errs) > 0 {
+		_, rep, err := analysis.Translate(prog, bindings)
+		if err != nil {
 			return
-		}
-		rep := analysis.Analyze(prog, bindings)
-		if rep == nil {
-			t.Fatal("nil report for checked program")
 		}
 		for _, d := range rep.Diags {
 			if len(d.Code) != 6 || d.Code[:3] != "DPL" {

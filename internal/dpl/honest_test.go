@@ -1,6 +1,7 @@
 package dpl_test
 
 import (
+	"slices"
 	"testing"
 
 	"mbd/internal/dpl"
@@ -28,25 +29,20 @@ func honestArtifact(src string, b *dpl.Bindings, optimize bool) (*dpl.CompiledPr
 	if optimize {
 		dpl.Optimize(obj)
 	}
+	rep.RecoverEffects(obj)
 	return &dpl.CompiledProgram{
 		Version:    dpl.CompilerVersion,
 		SourceHash: dpl.HashSource(src),
-		Verdict: dpl.Verdict{
-			Hosts:         rep.Effects.HostNames(),
-			Reads:         rep.Effects.ReadPrefixes(),
-			Writes:        rep.Effects.WritePrefixes(),
-			CostSteps:     rep.Cost.Steps,
-			CostUnbounded: rep.Cost.Unbounded,
-			StepBudget:    rep.SuggestedBudget(0),
-		},
-		Object: obj,
+		Verdict:    rep.Verdict(),
+		Object:     obj,
 	}, true
 }
 
 // FuzzHonestArtifactVerifies: every program a node admits from source
-// must pass the bytecode verifier of every node below it, with the
-// effects recovered from the bytecode inside the declared ones.
-// Otherwise a federation root ships artifacts its own children refuse.
+// must pass the bytecode verifier of every node below it, which must
+// recover exactly the declared effects: both are analysis.Recover over
+// the same optimized bytes. Otherwise a federation root ships artifacts
+// its own children refuse, or judge by other effects than the root did.
 func FuzzHonestArtifactVerifies(f *testing.F) {
 	for seed := range int64(16) {
 		f.Add(dpl.GenProgram(seed, true))
@@ -62,32 +58,15 @@ func FuzzHonestArtifactVerifies(f *testing.F) {
 		if err := res.Err(); err != nil {
 			t.Fatalf("honest artifact rejected: %v\n%s\n%s", err, src, dpl.Disassemble(cp.Object))
 		}
-		declared := cp.Verdict
-		for _, h := range res.Recovered.Hosts {
-			if !contains(declared.Hosts, h.Name) {
-				t.Fatalf("recovered host %q not declared in %v\n%s", h.Name, declared.Hosts, src)
-			}
-		}
-		for _, kind := range []struct {
-			recovered []analysis.Effect
-			declared  []string
-		}{{res.Recovered.Reads, declared.Reads}, {res.Recovered.Writes, declared.Writes}} {
-			for _, e := range kind.recovered {
-				if !covered(kind.declared, e.Name) {
-					t.Fatalf("recovered OID prefix %q not covered by %v\n%s", e.Name, kind.declared, src)
-				}
-			}
+		if !declares(cp.Verdict, res.Recovered) {
+			t.Fatalf("recovered %s, declared %+v\n%s", res.Recovered.String(), cp.Verdict, src)
 		}
 	})
 }
 
-func contains(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
+// declares reports whether v names exactly the effects in e.
+func declares(v dpl.Verdict, e analysis.Effects) bool {
+	return slices.Equal(v.Hosts, e.HostNames()) && slices.Equal(v.Reads, e.ReadPrefixes()) && slices.Equal(v.Writes, e.WritePrefixes())
 }
 
 func covered(declared []string, oid string) bool {

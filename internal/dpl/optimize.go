@@ -60,9 +60,13 @@ const maxOptRounds = 32
 func Optimize(c *Compiled) OptStats {
 	var st OptStats
 	o := newOptimizer(c)
+	o.calls = c.initCallPos
 	c.InitCode = optimizeCode(c, o, c.InitCode, 0, nil, &st)
+	c.initCallPos = o.calls
 	for _, fn := range c.Funcs {
+		o.calls = fn.callPos
 		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
+		fn.callPos = o.calls
 	}
 	c.invalidateVerify()
 	return st
@@ -108,6 +112,7 @@ type optimizer struct {
 	dead  []bool // instructions to remove; dropDeadStores' loaded locals
 	remap []int  // compact's positions; dropUnreachable's worklist
 	walk  Walker // propagateConsts' abstract interpretation
+	calls []Pos  // the current block's host-call positions (Compiled.CallPos)
 }
 
 func newOptimizer(c *Compiled) *optimizer {
@@ -173,7 +178,10 @@ func (o *optimizer) jumpTargets(code []Instr) []bool {
 
 // compact removes instructions marked dead, in place, and remaps jump
 // targets. A target pointing at a removed instruction moves to the next
-// surviving one (removals guarantee this preserves semantics).
+// surviving one (removals guarantee this preserves semantics). It is the
+// only rewrite that removes instructions, and no pass creates, moves or
+// fuses a host call, so dropping a removed call's position keeps the
+// block's call positions aligned.
 func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 	remap := o.remap[:len(code)+1]
 	n := 0
@@ -185,7 +193,14 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 	}
 	remap[len(code)] = n
 	out := code[:0] // never ahead of the instruction being read
+	calls, k := o.calls[:0], 0
 	for i, in := range code {
+		if in.Op == OpCallHost && k < len(o.calls) {
+			if !dead[i] {
+				calls = append(calls, o.calls[k])
+			}
+			k++
+		}
 		if dead[i] {
 			continue
 		}
@@ -194,6 +209,7 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 		}
 		out = append(out, in)
 	}
+	o.calls = calls
 	return out
 }
 

@@ -35,7 +35,7 @@ type CompiledProgram struct {
 // Verdict is the serialized analysis summary attached to a compiled
 // program: what the program may touch and how much it may cost. It uses
 // plain strings (not analysis types) so the bytecode layer stays free of
-// the analyzer; internal/elastic converts to and from analysis.Effects.
+// the analyzer; analysis.Report.Verdict builds one.
 type Verdict struct {
 	// Hosts lists every host function the program may call.
 	Hosts []string

@@ -62,8 +62,9 @@ type absVal struct {
 	head string    // absHead
 }
 
-// concat mirrors analysis.constStringHead over compiled code: the
-// recovered head of l+r when l is known.
+// concat mirrors the AST inference's constant string head
+// (effects_ref_test.go) over compiled code: the recovered head of l+r
+// when l is known.
 func concat(l, r absVal) absVal {
 	if l.kind == absExact {
 		ls, ok := l.v.AsString()
@@ -89,9 +90,9 @@ func concat(l, r absVal) absVal {
 }
 
 // oidPrefix converts an abstract OID argument to the effect prefix it
-// proves, mirroring analysis.constOIDPrefix: exact strings fold whole,
-// partial heads keep complete dotted components, everything else is
-// the wildcard.
+// proves, mirroring the AST inference's OID prefix rule
+// (effects_ref_test.go): exact strings fold whole, partial heads keep
+// complete dotted components, everything else is the wildcard.
 func oidPrefix(a absVal) string {
 	switch a.kind {
 	case absExact:

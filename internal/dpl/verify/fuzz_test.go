@@ -34,27 +34,15 @@ func corpusBlobs() ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if errs := dpl.Check(prog, b); len(errs) > 0 {
-			return nil, errs[0]
-		}
-		rep := analysis.Analyze(prog, b)
-		obj, err := dpl.Compile(prog, b)
+		obj, rep, err := analysis.Translate(prog, b)
 		if err != nil {
 			return nil, err
 		}
-		dpl.Optimize(obj)
 		cp := &dpl.CompiledProgram{
 			Version:    dpl.CompilerVersion,
 			SourceHash: dpl.HashSource(src),
-			Verdict: dpl.Verdict{
-				Hosts:         rep.Effects.HostNames(),
-				Reads:         rep.Effects.ReadPrefixes(),
-				Writes:        rep.Effects.WritePrefixes(),
-				CostSteps:     rep.Cost.Steps,
-				CostUnbounded: rep.Cost.Unbounded,
-				StepBudget:    rep.SuggestedBudget(0),
-			},
-			Object: obj,
+			Verdict:    rep.Verdict(),
+			Object:     obj,
 		}
 		blob, err := cp.Encode()
 		if err != nil {

@@ -12,10 +12,10 @@
 //     host-call indices (DPL017) and that the artifact was produced by
 //     the same compiler generation (DPL016);
 //   - that the declared effect summary covers every host call and MIB
-//     OID prefix the bytecode can actually reach (DPL014), using the
-//     same constant-head recovery rules the source-level analyzer
-//     applies, so the optimized artifact an honest node ships passes
-//     (the walker folds no constant condition; the optimizer does);
+//     OID prefix the bytecode can actually reach (DPL014). The effects
+//     are recovered by analysis.Recover, the one inference, which an
+//     honest node ran over the same optimized bytes to declare them, so
+//     an honest artifact's declared and recovered effects are equal;
 //   - that the declared cost/step-budget pair is internally consistent
 //     and not below the provable worst case for loop-free code
 //     (DPL015).
@@ -27,7 +27,6 @@ package verify
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"mbd/internal/dpl"
 	"mbd/internal/dpl/analysis"
@@ -39,8 +38,8 @@ type Result struct {
 	// Diags uses the same stable codes as the source-level analyzer;
 	// every verifier diagnostic is error severity.
 	Diags []dpl.Diagnostic
-	// Recovered is the effect summary the bytecode proves (a subset of
-	// an honest declared verdict).
+	// Recovered is the effect summary the bytecode proves (exactly an
+	// honest declared verdict).
 	Recovered analysis.Effects
 }
 
@@ -107,16 +106,17 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 // an opcode introduced after the compiler generation the artifact
 // claims (DPL016). Structural verification has not run yet, so this
 // walk assumes nothing about the code beyond its opcode bytes.
-func opcodeSkew(c *dpl.Compiled, version int) (skew string) {
-	eachBlock(c, func(name string, code []dpl.Instr, _ int) {
+func opcodeSkew(c *dpl.Compiled, version int) string {
+	for fn := -1; fn < len(c.Funcs); fn++ {
+		name, code, _ := c.Block(fn)
 		for ip, in := range code {
-			if g := dpl.OpcodeVersion(in.Op); g > version && skew == "" {
-				skew = fmt.Sprintf("%s+%d: opcode %s requires compiler generation %d, artifact claims %d",
+			if g := dpl.OpcodeVersion(in.Op); g > version {
+				return fmt.Sprintf("%s+%d: opcode %s requires compiler generation %d, artifact claims %d",
 					name, ip, in.Op, g, version)
 			}
 		}
-	})
-	return skew
+	}
+	return ""
 }
 
 type verifier struct {
@@ -126,82 +126,46 @@ type verifier struct {
 	bindings *dpl.Bindings
 }
 
-// eachBlock visits the init block and every function body of c.
-func eachBlock(c *dpl.Compiled, f func(name string, code []dpl.Instr, nLocals int)) {
-	f("<init>", c.InitCode, 0)
-	for _, fn := range c.Funcs {
-		f(fn.Name, fn.Code, fn.NumLocals)
-	}
-}
-
-// recoverEffects walks every block with dpl's abstract walker, which
-// tracks constant values and string heads through the stack and
-// locals, and checks each host call twice. The host index must resolve
-// to the same name, slot and arity in the receiver's bindings (DPL017;
-// unused table entries are harmless, so a node with extra registered
-// services still accepts the artifact), and the call must be covered by
-// the declared verdict (DPL014).
+// recoverEffects recovers the effects with analysis.Recover, the
+// inference that produced an honest sender's verdict, and checks each
+// host call twice. The host index must resolve to the same name, slot
+// and arity in the receiver's bindings (DPL017; unused table entries
+// are harmless, so a node with extra registered services still accepts
+// the artifact), and the call must be covered by the declared verdict
+// (DPL014).
 func (v *verifier) recoverEffects() {
-	hosts, reads, writes := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	c := v.cp.Object
 	bound := make([]bool, len(c.HostNames)) // host indices already checked against the bindings
-	var w dpl.Walker
-	eachBlock(c, func(name string, code []dpl.Instr, nLocals int) {
-		w.Walk(c, code, nLocals, func(ip int, stack, _ []dpl.Abs) bool {
-			in := code[ip]
-			if in.Op != dpl.OpCallHost || in.A < 0 || in.A >= len(c.HostNames) {
-				return true
+	v.res.Recovered = analysis.Recover(c, func(s analysis.Site) {
+		at := func() string {
+			name, _, _ := c.Block(s.Func)
+			return fmt.Sprintf("%s+%d: %s", name, s.IP, dpl.FormatInstr(c, s.Call))
+		}
+		if !bound[s.Call.A] {
+			bound[s.Call.A] = true
+			switch idx, arity, ok := v.bindings.Lookup(s.Host); {
+			case !ok:
+				v.fail(dpl.CodeHostTableSkew, "%s: host %q not bound on this node", at(), s.Host)
+			case idx != s.Call.A:
+				v.fail(dpl.CodeHostTableSkew, "%s: host %q bound at slot %d here, artifact calls slot %d", at(), s.Host, idx, s.Call.A)
+			case arity >= 0 && s.Call.B != arity:
+				v.fail(dpl.CodeHostTableSkew, "%s: host %q takes %d args, call passes %d", at(), s.Host, arity, s.Call.B)
 			}
-			host := c.HostNames[in.A]
-			if !bound[in.A] {
-				bound[in.A] = true
-				switch idx, arity, ok := v.bindings.Lookup(host); {
-				case !ok:
-					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q not bound on this node", name, ip, dpl.FormatInstr(c, in), host)
-				case idx != in.A:
-					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q bound at slot %d here, artifact calls slot %d", name, ip, dpl.FormatInstr(c, in), host, idx, in.A)
-				case arity >= 0 && in.B != arity:
-					v.fail(dpl.CodeHostTableSkew, "%s+%d: %s: host %q takes %d args, call passes %d", name, ip, dpl.FormatInstr(c, in), host, arity, in.B)
-				}
-			}
-			hosts[host] = true
-			if !slices.Contains(v.cp.Verdict.Hosts, host) {
-				v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: calls host %q not in declared effect summary", name, ip, dpl.FormatInstr(c, in), host)
-			}
-			oidArg, write, isMIB := analysis.MIBPrimitive(host)
-			if !isMIB || oidArg >= in.B {
-				return true
-			}
-			var arg dpl.Abs // unknown when the stack holds fewer than the arguments
-			if len(stack) >= in.B {
-				arg = stack[len(stack)-in.B+oidArg]
-			}
-			set, declared, verb := reads, v.cp.Verdict.Reads, "reads"
-			if write {
-				set, declared, verb = writes, v.cp.Verdict.Writes, "writes"
-			}
-			oid, ok := arg.Prefix()
-			if !ok {
-				oid = analysis.Wildcard
-			}
-			set[oid] = true
-			if !slices.ContainsFunc(declared, func(d string) bool { return analysis.OIDCovers(d, oid) }) {
-				v.fail(dpl.CodeEffectUndeclared, "%s+%d: %s: %s OID prefix %q not covered by declared %s %v", name, ip, dpl.FormatInstr(c, in), verb, oid, verb, declared)
-			}
-			return true
-		})
+		}
+		if !slices.Contains(v.cp.Verdict.Hosts, s.Host) {
+			v.fail(dpl.CodeEffectUndeclared, "%s: calls host %q not in declared effect summary", at(), s.Host)
+		}
+		if !s.MIB {
+			return
+		}
+		declared, verb := v.cp.Verdict.Reads, "reads"
+		if s.Write {
+			declared, verb = v.cp.Verdict.Writes, "writes"
+		}
+		if !slices.ContainsFunc(declared, func(d string) bool { return analysis.OIDCovers(d, s.OID) }) {
+			v.fail(dpl.CodeEffectUndeclared, "%s: %s OID prefix %q not covered by declared %s %v", at(), verb, s.OID, verb, declared)
+		}
 	})
-	v.res.Recovered = analysis.Effects{Hosts: effectList(hosts), Reads: effectList(reads), Writes: effectList(writes)}
-}
-
-// effectList returns the names in set as effects sorted by name.
-func effectList(set map[string]bool) []analysis.Effect {
-	var out []analysis.Effect
-	for name := range set {
-		out = append(out, analysis.Effect{Name: name})
-	}
-	slices.SortFunc(out, func(a, b analysis.Effect) int { return strings.Compare(a.Name, b.Name) })
-	return out
 }
 
 // checkBudget validates the declared cost/budget pair (DPL015). A

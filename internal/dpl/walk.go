@@ -3,8 +3,9 @@ package dpl
 import "strings"
 
 // The abstract walker: the one value analysis over bytecode, shared by
-// the optimizer's constant propagation and the verifier's effect
-// recovery, each a hook that reads the state before an instruction.
+// the optimizer's constant propagation and effect inference
+// (analysis.Recover), each a hook that reads the state before an
+// instruction.
 // One linear pass covers every instruction, dead ones included, with
 // every index bounded. The join rule: locals are forgotten at each
 // block leader; where only forward edges arrive, each stack slot is the
@@ -33,8 +34,9 @@ type Abs struct {
 }
 
 // Prefix returns the dotted prefix a string value is known to start
-// with, by the source analyzer's OID rules: an exact string whole, less
-// a trailing dot, or a head cut back to its last complete component.
+// with, by the OID rules of effect inference: an exact string whole,
+// less a trailing dot, or a head cut back to its last complete
+// component.
 func (a Abs) Prefix() (string, bool) {
 	s, ok := a.v.AsString()
 	if i := strings.LastIndex(s, "."); a.kind == absHead && i > 0 {
@@ -43,9 +45,9 @@ func (a Abs) Prefix() (string, bool) {
 	return strings.TrimSuffix(s, "."), ok && a.kind == absExact
 }
 
-// binary is l op r by the source analyzer's constant-head rules: exact
-// strings concatenate under +, a string or head left of + keeps its
-// head, and every other result is unknown.
+// binary is l op r by the constant-head rules of effect inference:
+// exact strings concatenate under +, a string or head left of + keeps
+// its head, and every other result is unknown.
 func binary(op TokenKind, l, r Abs) Abs {
 	ls, ok := l.v.AsString()
 	switch {

@@ -15,7 +15,8 @@ import (
 // The receiver never trusts the artifact — the bytecode verifier
 // re-proves structural safety and checks the verdict against the code
 // before the same per-principal admission policy that governs source
-// delegations is applied to the declared effects and cost.
+// delegations is applied to the effects the receiver recovered and the
+// declared cost.
 
 // LangCompiled is the Lang value of a DP admitted from verified
 // bytecode; such DPs carry no source.
@@ -114,10 +115,16 @@ func (p *Process) admitCompiled(principal string, cp *dpl.CompiledProgram, blob 
 		return ent, nil
 	}
 	p.met.verifications.Inc()
-	if res := verify.Verify(cp, p.bindings); !res.OK() {
+	res := verify.Verify(cp, p.bindings)
+	if !res.OK() {
 		return progEntry{}, &RejectError{Diags: res.Diags}
 	}
-	rep := reportFromVerdict(cp.Verdict)
+	// Capability is decided on the effects this node proved (no
+	// positions: there is no source); the cost claim passed DPL015.
+	rep := &analysis.Report{
+		Effects: res.Recovered,
+		Cost:    analysis.CostEstimate{Steps: cp.Verdict.CostSteps, Unbounded: cp.Verdict.CostUnbounded},
+	}
 	if err := p.admit(principal, rep); err != nil {
 		return progEntry{}, err
 	}
@@ -133,22 +140,4 @@ func (p *Process) clampBudget(budget uint64) uint64 {
 		return q
 	}
 	return budget
-}
-
-// reportFromVerdict lifts a verified declared verdict into the
-// analysis.Report shape the admission policy consumes. Positions are
-// empty: a bytecode artifact has no source to point into.
-func reportFromVerdict(v dpl.Verdict) *analysis.Report {
-	rep := &analysis.Report{}
-	for _, h := range v.Hosts {
-		rep.Effects.Hosts = append(rep.Effects.Hosts, analysis.Effect{Name: h})
-	}
-	for _, r := range v.Reads {
-		rep.Effects.Reads = append(rep.Effects.Reads, analysis.Effect{Name: r})
-	}
-	for _, w := range v.Writes {
-		rep.Effects.Writes = append(rep.Effects.Writes, analysis.Effect{Name: w})
-	}
-	rep.Cost = analysis.CostEstimate{Steps: v.CostSteps, Unbounded: v.CostUnbounded}
-	return rep
 }

@@ -3,6 +3,7 @@ package elastic
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"mbd/internal/dpl"
@@ -135,8 +136,8 @@ func TestDelegateCompiledRoundTrip(t *testing.T) {
 	if got.Lang != LangCompiled || got.Source != "" {
 		t.Errorf("stored DP lang=%q source=%q", got.Lang, got.Source)
 	}
-	if !got.Effects.CallsHost("mibGet") {
-		t.Errorf("verdict effects lost: %v", got.Effects.String())
+	if !slices.Contains(got.Effects.HostNames(), "mibGet") {
+		t.Errorf("verified effects lost: %v", got.Effects.String())
 	}
 	dpi, err := receiver.Instantiate("boss", "agent", "main")
 	if err != nil {
@@ -254,10 +255,11 @@ func TestDelegateCompiledRejectsTampering(t *testing.T) {
 
 // TestCompiledAdmissionMatchesSourcePolicy: a program the source
 // pipeline rejects for capability reasons must also be rejected when it
-// arrives as verified bytecode — with an honest verdict the ACL check
-// fires on the declared effects (DPL007), and a verdict doctored to
-// hide them trips the verifier instead (DPL014). There is no admission
-// path a compiled artifact can take that source could not.
+// arrives as verified bytecode — the ACL check fires on the effects the
+// receiver recovered from the code, which an honest verdict declares
+// exactly (DPL007), and a verdict doctored to hide them trips the
+// verifier instead (DPL014). There is no admission path a compiled
+// artifact can take that source could not.
 func TestCompiledAdmissionMatchesSourcePolicy(t *testing.T) {
 	src := `func main(v) { mibSet("1.3.6.1.4.1.9", v); return nil; }`
 
@@ -290,6 +292,33 @@ func TestCompiledAdmissionMatchesSourcePolicy(t *testing.T) {
 	err = restricted.DelegateCompiled("limited", "agent", blob)
 	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, dpl.CodeEffectDenied) {
 		t.Fatalf("bytecode path accepted what source rejected: %v", err)
+	}
+}
+
+// TestSourceAndBytecodeAdmitAlike: source admission decides capability
+// on the effects of the optimized object code, the same inference every
+// receiver runs on the artifact, so an OID held in a local is the
+// constant it is at both tiers, not the whole MIB at the root alone.
+func TestSourceAndBytecodeAdmitAlike(t *testing.T) {
+	const src = `func main() { var o = "1.3.6.1.2.1.1.3.0"; return mibGet(o); }`
+	acl := NewACL()
+	acl.Grant("noc", RightDelegate, RightInstantiate)
+	acl.Limit("noc", Capability{Reads: []string{"1.3.6.1.2.1.1"}})
+
+	root := newBytecodeProcess(Config{ACL: acl})
+	defer root.Stop()
+	if err := root.Delegate("noc", "uptime", "dpl", src); err != nil {
+		t.Fatalf("source admission refused an in-grant read: %v", err)
+	}
+	dp, _ := root.Repository().Lookup("uptime")
+	if got := dp.Program.Verdict; !slices.Equal(got.Reads, []string{"1.3.6.1.2.1.1.3.0"}) {
+		t.Fatalf("root verdict reads=%v, want [1.3.6.1.2.1.1.3.0]", got.Reads)
+	}
+
+	child := newBytecodeProcess(Config{ACL: acl})
+	defer child.Stop()
+	if err := child.DelegateCompiled("noc", "uptime", mustEncode(t, dp.Program)); err != nil {
+		t.Fatalf("the root's own artifact was refused: %v", err)
 	}
 }
 

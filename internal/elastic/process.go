@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mbd/internal/dpl"
-	"mbd/internal/dpl/analysis"
 	"mbd/internal/obs"
 )
 
@@ -590,7 +589,7 @@ func (p *Process) translateCached(lang, source string) (progEntry, error) {
 		prog: &dpl.CompiledProgram{
 			Version:    dpl.CompilerVersion,
 			SourceHash: key.hash,
-			Verdict:    verdictFromReport(rep),
+			Verdict:    rep.Verdict(),
 			Object:     obj,
 		},
 	}
@@ -598,21 +597,6 @@ func (p *Process) translateCached(lang, source string) (progEntry, error) {
 		p.progCache.put(key, ent)
 	}
 	return ent, nil
-}
-
-// verdictFromReport converts an analysis report into the shippable
-// verdict attached to a CompiledProgram. The step budget is the
-// analysis-derived one, unclamped: each receiving hop applies its own
-// quota at admission.
-func verdictFromReport(rep *analysis.Report) dpl.Verdict {
-	return dpl.Verdict{
-		Hosts:         rep.Effects.HostNames(),
-		Reads:         rep.Effects.ReadPrefixes(),
-		Writes:        rep.Effects.WritePrefixes(),
-		CostSteps:     rep.Cost.Steps,
-		CostUnbounded: rep.Cost.Unbounded,
-		StepBudget:    rep.SuggestedBudget(0),
-	}
 }
 
 // commit stores a prepared program and accounts the delegation,

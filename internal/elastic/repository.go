@@ -29,7 +29,9 @@ type DP struct {
 	StoredAt time.Duration // process-clock time of delegation
 
 	// Effects is the admission-time static summary of what the program
-	// can reach (host bindings, MIB OID prefixes).
+	// can reach (host bindings, MIB OID prefixes), recovered from its
+	// object code by this node: for a DP admitted from bytecode, what
+	// this node proved, not what the sender declared.
 	Effects analysis.Effects
 	// Cost is the admission-time static cost estimate.
 	Cost analysis.CostEstimate
@@ -221,8 +223,11 @@ func (t *Translator) TranslateAnalyzed(lang, source string) (*dpl.Compiled, *ana
 	}
 	prog, err := dpl.Parse(source)
 	var obj *dpl.Compiled
+	var rep *analysis.Report
 	if err == nil {
-		obj, err = dpl.Compile(prog, t.bindings)
+		// The verdict is recovered from the optimized object code, the
+		// bytes this node runs and ships and every receiver verifies.
+		obj, rep, err = analysis.Translate(prog, t.bindings)
 	}
 	if rej, ok := err.(*dpl.Error); ok {
 		return nil, nil, &RejectError{Diags: rej.Diags}
@@ -230,10 +235,5 @@ func (t *Translator) TranslateAnalyzed(lang, source string) (*dpl.Compiled, *ana
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := analysis.Analyze(prog, t.bindings)
-	// Analysis reads the AST, so optimizing afterwards cannot change
-	// the verdict; the verifier's effect recovery is defined to agree
-	// with the analyzer across optimizer rewrites.
-	dpl.Optimize(obj)
 	return obj, rep, nil
 }

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,7 +145,7 @@ func TestCascadeShipsVerifiedBytecode(t *testing.T) {
 		if dp.Lang != hop.lang {
 			t.Errorf("%s stored lang %q, want %q", hop.name, dp.Lang, hop.lang)
 		}
-		if !dp.Effects.CallsHost("mibGet") {
+		if !slices.Contains(dp.Effects.HostNames(), "mibGet") {
 			t.Errorf("%s lost the effect summary: %s", hop.name, dp.Effects.String())
 		}
 		if dp.Program.Version != dpl.CompilerVersion {
