@@ -4,6 +4,9 @@
 //
 //	mbdctl -server host:5500 [-principal mgr] [-secret s3cret] <command>
 //
+// -server udp://host:port sends each request as one RDS datagram to a
+// server started with -rdsudp; watch needs the TCP transport.
+//
 // Commands:
 //
 //	delegate <name> <file.dpl>     translate & store a delegated program
@@ -75,7 +78,7 @@ import (
 )
 
 func main() {
-	server := flag.String("server", "127.0.0.1:5500", "RDS server address")
+	server := flag.String("server", "127.0.0.1:5500", "RDS server address: host:port (TCP) or udp://host:port (datagrams)")
 	principal := flag.String("principal", "mgr", "principal name")
 	secret := flag.String("secret", "", "MD5 shared secret (empty = no auth)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
@@ -267,8 +270,14 @@ func lint(files []string, strict, asJSON bool) int {
 	return code
 }
 
+// udpAttempts is how many times mbdctl sends a datagram request the op
+// table marks idempotent; each attempt waits its share of -timeout.
+const udpAttempts = 3
+
 func run(server, principal, secret string, timeout time.Duration, args []string) error {
-	var opts []rds.ClientOption
+	opts := []rds.ClientOption{ // datagram transport only
+		rds.WithPacketTimeout(timeout / udpAttempts), rds.WithPacketRetries(udpAttempts - 1),
+	}
 	if secret != "" {
 		auth := rds.NewAuthenticator()
 		auth.SetSecret(principal, secret)

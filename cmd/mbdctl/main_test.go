@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -230,7 +231,7 @@ func TestTranslatorRulesCoded(t *testing.T) {
 		err := c.Delegate(ctx, "rule", r.src)
 		var rej *rds.RejectError
 		var remote *rds.RemoteError
-		if !errors.As(err, &rej) || !rej.HasCode(r.code) || !errors.As(err, &remote) || remote.Msg != rej.Msg {
+		if !errors.As(err, &rej) || len(rej.Diags) == 0 || rej.Diags[0].Code != r.code || !errors.As(err, &remote) || remote.Msg != rej.Msg {
 			t.Errorf("%s: RDS delegate = %v, want a RejectError with %s that is also a RemoteError", r.rule, err, r.code)
 		} else if d := rej.Diags[0]; len(rej.Diags) != 1 || d.Line != int64(r.line) || d.Col != int64(r.col) || d.Severity != "error" {
 			t.Errorf("%s: RDS diagnostics %v, want one %s", r.rule, rej.Diags, want)
@@ -294,5 +295,66 @@ func TestWatchReportsDrops(t *testing.T) {
 	}
 	if got := errOut.String(); !strings.HasPrefix(got, "44 events dropped") {
 		t.Fatalf("watch stderr = %q, want the drop count 44", got)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("run: %v\n%s", runErr, out)
+	}
+	return string(out)
+}
+
+// TestRunOverUDP: given -server udp://host:port, mbdctl speaks RDS
+// datagrams, and delegate, instantiate and query all work through it.
+func TestRunOverUDP(t *testing.T) {
+	proc := elastic.NewProcess(elastic.Config{})
+	t.Cleanup(proc.Stop)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = rds.NewServer(proc, nil).ServePacket(ctx, pc)
+	}()
+	defer func() { cancel(); <-served }()
+
+	server := "udp://" + pc.LocalAddr().String()
+	file := filepath.Join(t.TempDir(), "park.dpl")
+	if err := os.WriteFile(file, []byte(`func main() { recv(-1); }`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctl := func(args ...string) string {
+		return captureStdout(t, func() error { return run(server, "mgr", "", 10*time.Second, args) })
+	}
+	if out := ctl("delegate", "park", file); !strings.Contains(out, `delegated "park"`) {
+		t.Fatalf("delegate printed %q", out)
+	}
+	id := strings.TrimSpace(ctl("instantiate", "park", "main"))
+	if !strings.HasPrefix(id, "park") {
+		t.Fatalf("instantiate printed %q, want a park instance id", id)
+	}
+	if out := ctl("query"); !strings.Contains(out, id) || !strings.Contains(out, "running") {
+		t.Fatalf("query printed:\n%s\nwant %s running", out, id)
 	}
 }

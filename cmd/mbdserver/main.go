@@ -1,13 +1,15 @@
 // Command mbdserver runs an MbD server on real sockets: an elastic
-// process accepting RDS delegations on a TCP port, co-located with a
-// simulated managed device whose MIB is served by an SNMP agent on a
-// UDP port. A background driver advances the device's virtual traffic
-// in real time so counters move while you watch.
+// process accepting RDS delegations on a TCP port (and, with -rdsudp,
+// as datagrams on a UDP port), co-located with a simulated managed
+// device whose MIB is served by an SNMP agent on a UDP port. A
+// background loop advances the device's virtual traffic in real time
+// so counters move while you watch.
 //
 // Usage:
 //
-//	mbdserver [-rds :5500] [-snmp :1161] [-name lab-router]
+//	mbdserver [-rds :5500] [-rdsudp :5501] [-snmp :1161] [-name lab-router]
 //	          [-community public] [-secret mgr=s3cret ...] [-repo dir]
+//	          [-peer name=host:port ...] [-trapsink host:port]
 //	          [-strict] [-costceiling n] [-obs :9090] [-views file.vdl]
 //	          [-quota spec] [-tenantquota principal:spec ...]
 //	          [-schedworkers n] [-maxrepo bytes]
@@ -61,6 +63,12 @@
 // With one or more -secret principal=secret flags, RDS requests must
 // carry a valid MD5 digest; otherwise authentication is off (the first
 // prototype's behavior).
+//
+// The server fronts subordinate SNMP devices: each -peer name=host:port
+// is reachable from delegated programs as snmpGet(name, oid) and
+// snmpNext(name, oid), queried with the -community string. A delegated
+// program's trap(code, payload) goes as an SNMPv1 trap datagram to
+// -trapsink; without one, trap() fails.
 package main
 
 import (
@@ -73,6 +81,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -84,6 +93,7 @@ import (
 	"mbd/internal/obs"
 	"mbd/internal/obs/obsmib"
 	"mbd/internal/rds"
+	"mbd/internal/snmp"
 	"mbd/internal/vdl"
 )
 
@@ -95,6 +105,50 @@ func (s *secretsFlag) Set(v string) error {
 		return fmt.Errorf("want principal=secret, got %q", v)
 	}
 	*s = append(*s, v)
+	return nil
+}
+
+// peersFlag collects repeatable -peer name=host:port subordinate SNMP
+// agents.
+type peersFlag map[string]string
+
+func (p peersFlag) String() string { return fmt.Sprintf("%d peers", len(p)) }
+func (p peersFlag) Set(v string) error {
+	name, addr, ok := strings.Cut(v, "=")
+	if !ok || name == "" {
+		return fmt.Errorf("want name=host:port, got %q", v)
+	}
+	if _, dup := p[name]; dup {
+		return fmt.Errorf("peer %q given twice", name)
+	}
+	if err := checkHostPort(addr); err != nil {
+		return fmt.Errorf("peer %q: %w", name, err)
+	}
+	p[name] = addr
+	return nil
+}
+
+// hostPortFlag is a host:port address flag, empty when unset.
+type hostPortFlag string
+
+func (h *hostPortFlag) String() string { return string(*h) }
+func (h *hostPortFlag) Set(v string) error {
+	if err := checkHostPort(v); err != nil {
+		return err
+	}
+	*h = hostPortFlag(v)
+	return nil
+}
+
+// checkHostPort accepts "host:port" with a numeric port.
+func checkHostPort(addr string) error {
+	_, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return fmt.Errorf("want host:port, got %q", addr)
+	}
+	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+		return fmt.Errorf("bad port in %q", addr)
+	}
 	return nil
 }
 
@@ -120,6 +174,9 @@ func (t tenantQuotaFlag) Set(v string) error {
 // into it and run reads nothing else.
 type config struct {
 	rdsAddr, snmpAddr string
+	rdsUDPAddr        string
+	peers             peersFlag
+	trapSink          hostPortFlag
 	name, community   string
 	repoDir           string
 	secrets           secretsFlag
@@ -140,8 +197,11 @@ type config struct {
 }
 
 func main() {
-	c := config{tenantQuotas: tenantQuotaFlag{}}
+	c := config{tenantQuotas: tenantQuotaFlag{}, peers: peersFlag{}}
 	flag.StringVar(&c.rdsAddr, "rds", ":5500", "RDS (delegation) TCP listen address")
+	flag.StringVar(&c.rdsUDPAddr, "rdsudp", "", "RDS datagram UDP listen address (empty = off)")
+	flag.Var(c.peers, "peer", "subordinate SNMP agent as name=host:port, for snmpGet/snmpNext (repeatable)")
+	flag.Var(&c.trapSink, "trapsink", "host:port receiving delegated programs' SNMP traps (empty = trap() fails)")
 	flag.StringVar(&c.snmpAddr, "snmp", ":1161", "SNMP UDP listen address")
 	flag.StringVar(&c.name, "name", "lab-router", "device sysName")
 	flag.StringVar(&c.community, "community", "public", "SNMP community")
@@ -322,6 +382,26 @@ func run(c config) error {
 		}
 	}()
 
+	// Subordinate SNMP agents and the trap destination.
+	for name, addr := range c.peers {
+		tr, err := snmp.DialUDP(addr)
+		if err != nil {
+			return fmt.Errorf("peer %q: %w", name, err)
+		}
+		defer tr.Close()
+		srv.AddPeer(name, snmp.NewClient(tr, c.community))
+		log.Printf("SNMP peer %q at %s", name, addr)
+	}
+	if c.trapSink != "" {
+		conn, err := net.Dial("udp", string(c.trapSink))
+		if err != nil {
+			return fmt.Errorf("trap sink: %w", err)
+		}
+		defer conn.Close()
+		srv.SetTrapSink(conn)
+		log.Printf("SNMP traps to %s", c.trapSink)
+	}
+
 	// SNMP agent, serving its own protocol counters as the snmp group.
 	if err := srv.Agent().MountStats(dev.Tree()); err != nil {
 		return err
@@ -378,6 +458,18 @@ func run(c config) error {
 			ol.Addr(), obsmib.OIDSelfStats)
 	}
 
+	if c.rdsUDPAddr != "" {
+		upc, err := net.ListenPacket("udp", c.rdsUDPAddr)
+		if err != nil {
+			return fmt.Errorf("rds udp listen: %w", err)
+		}
+		go func() {
+			if err := rdsSrv.ServePacket(ctx, upc); err != nil {
+				log.Printf("rds datagrams: %v", err)
+			}
+		}()
+		log.Printf("RDS datagram service on %s", upc.LocalAddr())
+	}
 	l, err := net.Listen("tcp", c.rdsAddr)
 	if err != nil {
 		return fmt.Errorf("rds listen: %w", err)

@@ -30,6 +30,11 @@
 // skipping testdata, vendor and hidden directories and _test.go files,
 // and prints findings as path:line:col: message. Exit status: 0 clean,
 // 1 findings, 2 usage or parse failure.
+//
+// Usage: vet-mbd -reach [root] (default "."). The reach mode (reach.go)
+// fails on any function in a product package that no binary links and
+// that reach.allow does not name, and on any reach.allow entry that
+// names nothing unlinked. Same exit statuses.
 package main
 
 import (
@@ -271,6 +276,21 @@ func isHotFile(path string) bool {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "-reach" {
+		root := "."
+		if len(os.Args) > 2 {
+			root = os.Args[2]
+		}
+		clean, err := reach(root)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vet-mbd:", err)
+			os.Exit(2)
+		}
+		if !clean {
+			os.Exit(1)
+		}
+		return
+	}
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
 		dirs = []string{"."}

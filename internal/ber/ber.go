@@ -73,12 +73,6 @@ func NewWriter(dst []byte) Writer { return Writer{buf: dst} }
 // slice aliases the writer's internal buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes accumulated so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Reset truncates the writer to empty, retaining capacity.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
 // appendLength appends a definite-form length.
 func (w *Writer) appendLength(n int) {
 	switch {
@@ -264,9 +258,6 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Empty reports whether all input has been consumed.
 func (r *Reader) Empty() bool { return r.off >= len(r.buf) }
-
-// Offset returns the number of bytes consumed so far.
-func (r *Reader) Offset() int { return r.off }
 
 // PeekTag returns the tag byte of the next element without consuming it.
 func (r *Reader) PeekTag() (byte, error) {

@@ -50,19 +50,6 @@ type Report struct {
 	Cost CostEstimate
 }
 
-// HasErrors reports whether the program must be rejected.
-func (r *Report) HasErrors() bool { return dpl.HasErrors(r.Diags) }
-
-// Func returns the summary of the named function, or nil.
-func (r *Report) Func(name string) *FuncInfo {
-	for _, f := range r.Funcs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // budgetMargin and budgetFloor pad a bounded cost estimate into a VM
 // step budget: estimate*margin + floor. The margin absorbs the
 // coarseness of the cost model; the floor covers program prologue

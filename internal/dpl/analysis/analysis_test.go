@@ -245,7 +245,7 @@ func TestEffectsTransitive(t *testing.T) {
 func helper() { return mibGet("1.3.6.1.2.1.2.1.0"); }
 func main() { return helper(); }
 `)
-	fi := r.Func("main")
+	fi := funcInfo(r, "main")
 	if fi == nil || !slices.Contains(fi.Effects.HostNames(), "mibGet") {
 		t.Fatalf("main effects = %v", fi)
 	}
@@ -302,7 +302,7 @@ func f() {
 	}
 	return s;
 }`)
-	fi := r.Func("f")
+	fi := funcInfo(r, "f")
 	if fi.Cost.Unbounded {
 		t.Fatalf("cost = %v, want bounded", fi.Cost)
 	}
@@ -319,8 +319,8 @@ func f() {
 	}
 	return s;
 }`)
-	if c2 := r2.Func("f").Cost; c2.Unbounded || c2.Steps <= r.Func("f").Cost.Steps*50 {
-		t.Fatalf("cost did not scale: %v vs %v", c2, r.Func("f").Cost)
+	if c2 := funcInfo(r2, "f").Cost; c2.Unbounded || c2.Steps <= funcInfo(r, "f").Cost.Steps*50 {
+		t.Fatalf("cost did not scale: %v vs %v", c2, funcInfo(r, "f").Cost)
 	}
 }
 
@@ -331,8 +331,8 @@ func f(n) {
 	for (var i = 0; i < n; i += 1) { s += i; }
 	return s;
 }`)
-	if !r.Func("f").Cost.Unbounded {
-		t.Fatalf("cost = %v, want unbounded", r.Func("f").Cost)
+	if !funcInfo(r, "f").Cost.Unbounded {
+		t.Fatalf("cost = %v, want unbounded", funcInfo(r, "f").Cost)
 	}
 	if !r.Cost.Unbounded {
 		t.Fatal("program cost should be unbounded")
@@ -343,7 +343,7 @@ func TestCostRecursionUnbounded(t *testing.T) {
 	r := analyzeSrc(t, `
 func f(n) { if (n <= 0) { return 0; } return f(n - 1); }`)
 	wantCode(t, r, dpl.CodeRecursion)
-	if !r.Func("f").Cost.Unbounded {
+	if !funcInfo(r, "f").Cost.Unbounded {
 		t.Fatal("recursive cost should be unbounded")
 	}
 }
@@ -464,7 +464,17 @@ func TestAnalyzeReportsTranslatorRules(t *testing.T) {
 	if got := strings.Join(codes(rep), ","); got != "DPL001,DPL019" {
 		t.Fatalf("codes = %s (%v), want DPL001,DPL019", got, rep.Diags)
 	}
-	if !rep.HasErrors() {
+	if !dpl.HasErrors(rep.Diags) {
 		t.Fatal("an undeclared name is not an error")
 	}
+}
+
+// funcInfo returns r's summary of the named function, or nil.
+func funcInfo(r *Report, name string) *FuncInfo {
+	for _, f := range r.Funcs {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
 }

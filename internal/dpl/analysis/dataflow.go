@@ -116,15 +116,6 @@ func (b bitset) union(o bitset) bool {
 	return changed
 }
 
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // definiteAssignment runs the must-assigned analysis on g and appends
 // DPL001 diagnostics for reads of possibly-uninitialized locals.
 // Globals and parameters count as assigned at entry (globals are

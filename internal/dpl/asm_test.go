@@ -75,7 +75,7 @@ func TestFloatConstRendering(t *testing.T) {
 	}
 	found := false
 	for _, v := range c2.Consts {
-		if f, ok := v.AsFloat(); ok && f == 2.0 {
+		if f, ok := v.AsNumber(); ok && v.Kind() == KindFloat && f == 2.0 {
 			found = true
 		}
 	}

@@ -272,7 +272,7 @@ func checkEffects(t *testing.T, name, src string, b *dpl.Bindings) (narrowed, ok
 			t.Errorf("%s: func %s recovers %s, wider than the reference's %s", name, f.Name, f.Effects.String(), wantFuncs[i].String())
 		}
 	}
-	if !rep.HasErrors() {
+	if !dpl.HasErrors(rep.Diags) {
 		blob, err := (&dpl.CompiledProgram{Version: dpl.CompilerVersion, Verdict: rep.Verdict(), Object: obj}).Encode()
 		if err != nil {
 			t.Fatal(err)

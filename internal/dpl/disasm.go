@@ -11,24 +11,23 @@ import (
 // DP actually does before instantiating it.
 func Disassemble(c *Compiled) string {
 	var b strings.Builder
+	listing := func(code []Instr) {
+		for ip, in := range code {
+			fmt.Fprintf(&b, "  %4d  %s\n", ip, FormatInstr(c, in))
+		}
+	}
 	if len(c.GlobalNames) > 0 {
 		fmt.Fprintf(&b, "globals: %s\n", strings.Join(c.GlobalNames, ", "))
 	}
 	if len(c.InitCode) > 0 {
 		b.WriteString("init:\n")
-		disasmCode(&b, c, c.InitCode)
+		listing(c.InitCode)
 	}
 	for _, f := range c.Funcs {
 		fmt.Fprintf(&b, "func %s (params=%d locals=%d):\n", f.Name, f.NumParams, f.NumLocals)
-		disasmCode(&b, c, f.Code)
+		listing(f.Code)
 	}
 	return b.String()
-}
-
-func disasmCode(b *strings.Builder, c *Compiled, code []Instr) {
-	for ip, in := range code {
-		fmt.Fprintf(b, "  %4d  %s\n", ip, FormatInstr(c, in))
-	}
 }
 
 // FormatInstr renders one instruction as the disassembler prints it

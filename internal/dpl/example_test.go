@@ -55,13 +55,14 @@ func ExampleCheck() {
 func ExampleControl() {
 	bindings := dpl.Std()
 	compiled := dpl.MustCompile(`func main() { while (true) {} }`, bindings)
-	vm := dpl.NewVM(compiled, bindings)
+	ctrl := &dpl.Control{}
+	vm := dpl.NewVM(compiled, bindings, dpl.WithControl(ctrl))
 	done := make(chan error, 1)
 	go func() {
 		_, err := vm.Run(context.Background(), "main")
 		done <- err
 	}()
-	vm.Control().Terminate()
+	ctrl.Terminate()
 	fmt.Println(<-done)
 	// Output: dpl: instance terminated
 }

@@ -78,7 +78,7 @@ func TestFormatGolden(t *testing.T) {
 		for _, verb := range []string{"%v", "%s", "%d", "%f", "<%v|%%>"} {
 			// Go leaves float-to-int conversion of NaN and of values
 			// beyond int64 to the platform.
-			if f, ok := c.v.AsFloat(); ok && verb == "%d" && !(math.Abs(f) < 1<<63) {
+			if f, ok := c.v.AsNumber(); ok && c.v.Kind() == KindFloat && verb == "%d" && !(math.Abs(f) < 1<<63) {
 				out.WriteString("\t-")
 				continue
 			}

@@ -23,7 +23,7 @@ func honestArtifact(src string, b *dpl.Bindings, optimize bool) (*dpl.CompiledPr
 		return nil, false
 	}
 	rep := analysis.Analyze(prog, b)
-	if rep.HasErrors() {
+	if dpl.HasErrors(rep.Diags) {
 		return nil, false
 	}
 	if optimize {

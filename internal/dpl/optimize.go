@@ -42,11 +42,6 @@ type OptStats struct {
 	Fused int
 }
 
-// Total returns the number of individual rewrites.
-func (s OptStats) Total() int {
-	return s.Folded + s.Propagated + s.DeadCode + s.DeadStores + s.Fused
-}
-
 // maxOptRounds bounds the fold/propagate/eliminate fixpoint loop. Each
 // productive round strictly shrinks or simplifies the code, so the bound
 // exists only as a backstop.

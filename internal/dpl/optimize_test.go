@@ -79,7 +79,7 @@ func TestOptimizerRewrites(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compileSrc(t, tc.src, b)
 			st := Optimize(c)
-			if st.Total() == 0 {
+			if st == (OptStats{}) {
 				t.Fatalf("optimizer did nothing:\n%s", Disassemble(c))
 			}
 			main := c.Funcs[c.FuncIdx["main"]]
@@ -126,7 +126,7 @@ func TestOptimizerKeepsGlobals(t *testing.T) {
 	if _, err := vm.Run(context.Background(), "main"); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := vm.Global("g"); !ok || !valueEqual(v, Int(5)) {
+	if v, ok := global(vm, "g"); !ok || !valueEqual(v, Int(5)) {
 		t.Fatalf("global g = %v after optimized run, want 5", v)
 	}
 }

@@ -124,9 +124,6 @@ func (v Value) AsBool() (bool, bool) { return v.n != 0, v.k == KindBool }
 // AsInt returns v's int, if v is one.
 func (v Value) AsInt() (int64, bool) { return int64(v.n), v.k == KindInt }
 
-// AsFloat returns v's float, if v is one.
-func (v Value) AsFloat() (float64, bool) { return math.Float64frombits(v.n), v.k == KindFloat }
-
 // AsNumber returns v as a float64 if v is an int or a float.
 func (v Value) AsNumber() (float64, bool) {
 	switch v.k {

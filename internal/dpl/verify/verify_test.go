@@ -29,7 +29,7 @@ func buildArtifact(t *testing.T, src string, b *dpl.Bindings, optimize bool) *dp
 		t.Fatalf("compile: %v", err)
 	}
 	rep := analysis.Analyze(prog, b)
-	if rep.HasErrors() {
+	if dpl.HasErrors(rep.Diags) {
 		t.Fatalf("analyze: %v", &dpl.Error{Diags: rep.Diags})
 	}
 	if optimize {

@@ -221,9 +221,6 @@ func NewVM(prog *Compiled, bindings *Bindings, opts ...VMOption) *VM {
 	return vm
 }
 
-// Control returns the VM's control handle.
-func (vm *VM) Control() *Control { return vm.ctrl }
-
 // Steps returns the number of instructions executed so far. It is safe
 // to call from other goroutines (status queries, accounting). While the
 // VM runs it may lag by less than one gate window; it is exact while a
@@ -249,16 +246,6 @@ func (vm *VM) Context() context.Context {
 func (vm *VM) Gate() error {
 	vm.PublishSteps()
 	return vm.ctrl.gate(vm.Context())
-}
-
-// Global reads a global variable by name (for post-run inspection).
-func (vm *VM) Global(name string) (Value, bool) {
-	for i, n := range vm.prog.GlobalNames {
-		if n == name {
-			return vm.globals[i], true
-		}
-	}
-	return Value{}, false
 }
 
 const maxFrames = 256

@@ -294,14 +294,15 @@ func TestStackOverflow(t *testing.T) {
 func TestTerminateStopsInfiniteLoop(t *testing.T) {
 	b := Std()
 	compiled := MustCompile(`func main() { while (true) {} }`, b)
-	vm := NewVM(compiled, b)
+	ctrl := &Control{}
+	vm := NewVM(compiled, b, WithControl(ctrl))
 	done := make(chan error, 1)
 	go func() {
 		_, err := vm.Run(context.Background(), "main")
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	vm.Control().Terminate()
+	ctrl.Terminate()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrTerminated) {
@@ -317,14 +318,15 @@ func TestSuspendResume(t *testing.T) {
 	compiled := MustCompile(`
 var n = 0;
 func main() { while (n < 100000000) { n += 1; } return n; }`, b)
-	vm := NewVM(compiled, b)
+	ctrl := &Control{}
+	vm := NewVM(compiled, b, WithControl(ctrl))
 	done := make(chan error, 1)
 	go func() {
 		_, err := vm.Run(context.Background(), "main")
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
-	vm.Control().Suspend()
+	ctrl.Suspend()
 	// Give the gate time to engage, then confirm no progress while
 	// suspended.
 	time.Sleep(5 * time.Millisecond)
@@ -334,15 +336,15 @@ func main() { while (n < 100000000) { n += 1; } return n; }`, b)
 	if s2 != s1 {
 		t.Fatalf("VM advanced %d steps while suspended", s2-s1)
 	}
-	if got := vm.Control().State(); got != "suspended" {
+	if got := ctrl.State(); got != "suspended" {
 		t.Fatalf("state = %q", got)
 	}
-	vm.Control().Resume()
+	ctrl.Resume()
 	time.Sleep(5 * time.Millisecond)
 	if vm.Steps() == s2 {
 		t.Fatal("VM did not resume")
 	}
-	vm.Control().Terminate()
+	ctrl.Terminate()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -353,7 +355,8 @@ func main() { while (n < 100000000) { n += 1; } return n; }`, b)
 func TestContextCancelUnblocksSuspended(t *testing.T) {
 	b := Std()
 	compiled := MustCompile(`func main() { while (true) {} }`, b)
-	vm := NewVM(compiled, b)
+	ctrl := &Control{}
+	vm := NewVM(compiled, b, WithControl(ctrl))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -361,7 +364,7 @@ func TestContextCancelUnblocksSuspended(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
-	vm.Control().Suspend()
+	ctrl.Suspend()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	select {
@@ -406,13 +409,23 @@ func TestGlobalInspection(t *testing.T) {
 	if _, err := vm.Run(context.Background(), "main"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := vm.Global("health")
-	if f, _ := v.AsFloat(); !ok || f != 0.75 {
-		t.Fatalf("Global(health) = %v, %v", v, ok)
+	v, ok := global(vm, "health")
+	if f, _ := v.AsNumber(); !ok || v.Kind() != KindFloat || f != 0.75 {
+		t.Fatalf("global health = %v, %v", v, ok)
 	}
-	if _, ok := vm.Global("nope"); ok {
+	if _, ok := global(vm, "nope"); ok {
 		t.Fatal("bogus global found")
 	}
+}
+
+// global reads vm's global variable name after a run.
+func global(vm *VM, name string) (Value, bool) {
+	for i, n := range vm.prog.GlobalNames {
+		if n == name {
+			return vm.globals[i], true
+		}
+	}
+	return Value{}, false
 }
 
 func TestBuiltins(t *testing.T) {

@@ -36,11 +36,6 @@ func (r Right) String() string {
 	}
 }
 
-// AllRights lists every defined right.
-func AllRights() []Right {
-	return []Right{RightDelegate, RightInstantiate, RightControl, RightSend, RightQuery, RightDelete}
-}
-
 // Capability bounds what a principal's delegated programs may do, as
 // verified by static analysis at admission time. Each axis uses the
 // same convention: a nil slice leaves the axis unrestricted, an empty

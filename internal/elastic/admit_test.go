@@ -20,7 +20,7 @@ func mibBindings() *dpl.Bindings {
 }
 
 func grantAll(a *ACL, principal string) {
-	a.Grant(principal, AllRights()...)
+	a.Grant(principal, RightDelegate, RightInstantiate, RightControl, RightSend, RightQuery, RightDelete)
 }
 
 func TestDelegateRejectsEffectsExceedingCapability(t *testing.T) {
@@ -59,8 +59,8 @@ func main() {
 	if p.Repository().Len() != 0 {
 		t.Fatal("rejected DP was stored")
 	}
-	if s := p.Stats(); s.Rejections != 1 {
-		t.Fatalf("rejections = %d", s.Rejections)
+	if n := p.met.rejections.Value(); n != 1 {
+		t.Fatalf("rejections = %d", n)
 	}
 
 	// The same program inside the grant is admitted.

@@ -94,7 +94,7 @@ func TestProgramCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := p.progCache.len(); n != 2 {
+	if n := cachedPrograms(p); n != 2 {
 		t.Errorf("cache holds %d entries, want 2", n)
 	}
 	if got := counterValue(reg, "elastic_progcache_evictions_total"); got != 1 {
@@ -375,4 +375,11 @@ func hasDiagCode(diags []dpl.Diagnostic, code string) bool {
 		}
 	}
 	return false
+}
+
+// cachedPrograms reports how many programs p's translation cache holds.
+func cachedPrograms(p *Process) int {
+	p.progCache.mu.Lock()
+	defer p.progCache.mu.Unlock()
+	return p.progCache.ll.Len()
 }

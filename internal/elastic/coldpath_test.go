@@ -102,13 +102,13 @@ func TestCachedProgramRetainsNoAST(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, cachedBefore := liveObjects(), p.progCache.len()
+	before, cachedBefore := liveObjects(), cachedPrograms(p)
 	for i, src := range srcs {
 		if err := p.Delegate("mgr", fmt.Sprintf("dc%02d", i%names), "dpl", src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, cached := liveObjects(), p.progCache.len()
+	after, cached := liveObjects(), cachedPrograms(p)
 	if cached != defaultProgCacheSize {
 		t.Fatalf("%d programs cached, want a full cache of %d", cached, defaultProgCacheSize)
 	}

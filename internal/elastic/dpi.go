@@ -192,33 +192,6 @@ func (d *DPI) Terminate() {
 	d.cancel()
 }
 
-// Suspend pauses the instance at its next gate.
-func (d *DPI) Suspend() { d.ctrl.Suspend() }
-
-// Resume continues a suspended instance.
-func (d *DPI) Resume() { d.ctrl.Resume() }
-
-// State reports running / suspended / terminated / exited / failed /
-// crashed (a recovered DP body panic).
-func (d *DPI) State() string {
-	d.mu.Lock()
-	fin, crashed, err := d.finished, d.crashed, d.err
-	d.mu.Unlock()
-	if fin {
-		switch {
-		case crashed:
-			return "crashed"
-		case err != nil:
-			return "failed"
-		}
-		return "exited"
-	}
-	if d.throttled.Load() {
-		return "throttled"
-	}
-	return d.ctrl.State()
-}
-
 // Steps returns the instance's executed VM instruction count.
 func (d *DPI) Steps() uint64 { return d.vm.Steps() }
 

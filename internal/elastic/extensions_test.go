@@ -37,7 +37,7 @@ func TestEvaluateTranslatorStillApplies(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "allowed host function set") {
 		t.Fatalf("err = %v", err)
 	}
-	if p.Stats().Rejections != 1 {
+	if p.met.rejections.Value() != 1 {
 		t.Fatal("rejection not counted")
 	}
 }
@@ -96,7 +96,7 @@ func TestSendtoBetweenDPIs(t *testing.T) {
 	if err != nil || rv != "heard: peer ping" {
 		t.Fatalf("receiver = %v, %v", rv, err)
 	}
-	if p.Stats().MessagesSent != 1 {
+	if p.met.messagesSent.Value() != 1 {
 		t.Fatal("sendto not accounted")
 	}
 }

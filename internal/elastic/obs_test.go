@@ -78,8 +78,8 @@ func TestProcessPrivateRegistry(t *testing.T) {
 	if err := p.Delegate("x", "dp", "dpl", `func main() { return 1; }`); err != nil {
 		t.Fatal(err)
 	}
-	if s := p.Stats(); s.Delegations != 1 {
-		t.Fatalf("stats = %+v, want 1 delegation", s)
+	if n := p.met.delegations.Value(); n != 1 {
+		t.Fatalf("delegations = %d, want 1", n)
 	}
 	if p.Obs() == nil {
 		t.Fatal("private registry must exist")

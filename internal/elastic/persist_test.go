@@ -186,14 +186,9 @@ func TestCheckpointTenantRoundTrip(t *testing.T) {
 	if dps != 1 || dpis != 1 {
 		t.Fatalf("restored %d programs, %d instances; want 1, 1", dps, dpis)
 	}
-	if q, override := p2.Tenants().QuotaFor("gold"); !override || q.MaxLiveDPIs != 1 || q.Weight != 5 {
-		t.Fatalf("restored quota = %+v (override %v)", q, override)
-	}
-	var st TenantStatus
-	for _, s := range p2.Tenants().List() {
-		if s.Principal == "gold" {
-			st = s
-		}
+	st, _ := tenantStatus(p2.Tenants(), "gold")
+	if !st.Override || st.Quota.MaxLiveDPIs != 1 || st.Quota.Weight != 5 {
+		t.Fatalf("restored quota = %+v (override %v)", st.Quota, st.Override)
 	}
 	if st.Principal != "gold" || st.LiveDPIs != 1 {
 		t.Fatalf("restored instance not billed to gold: %+v", st)

@@ -291,20 +291,6 @@ type subscriber struct {
 	fn func(Event)
 }
 
-// ProcessStats counts runtime activity.
-type ProcessStats struct {
-	Delegations      uint64
-	Rejections       uint64
-	Instantiations   uint64
-	EventsEmitted    uint64
-	MessagesSent     uint64
-	QuotaThrottles   uint64
-	QuotaSuspensions uint64
-	QuotaKills       uint64
-	QuotaRejections  uint64
-	RepoFull         uint64
-}
-
 // NewProcess builds an elastic process from cfg, registering the
 // instance-service host functions into a clone of cfg.Bindings.
 func NewProcess(cfg Config) *Process {
@@ -390,29 +376,10 @@ func NewProcess(cfg Config) *Process {
 // tools).
 func (p *Process) Repository() *Repository { return p.repo }
 
-// Clock returns the process clock.
-func (p *Process) Clock() Clock { return p.clock }
-
 // Bindings returns the process's allowed-function table (after
 // instance services were added). Exposed for clients that want to
 // pre-validate a DP before delegating it.
 func (p *Process) Bindings() *dpl.Bindings { return p.bindings }
-
-// Stats returns a copy of the process counters.
-func (p *Process) Stats() ProcessStats {
-	return ProcessStats{
-		Delegations:      p.met.delegations.Value(),
-		Rejections:       p.met.rejections.Value(),
-		Instantiations:   p.met.instantiations.Value(),
-		EventsEmitted:    p.eventsEmitted.Load(),
-		MessagesSent:     p.met.messagesSent.Value(),
-		QuotaThrottles:   p.met.quotaThrottles.Value(),
-		QuotaSuspensions: p.met.quotaSuspensions.Value(),
-		QuotaKills:       p.met.quotaKills.Value(),
-		QuotaRejections:  p.met.quotaRejections.Value(),
-		RepoFull:         p.met.repoFull.Value(),
-	}
-}
 
 // Obs returns the process's metrics registry (the one passed in
 // Config.Obs, or the private default).

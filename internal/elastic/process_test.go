@@ -32,8 +32,8 @@ func TestDelegateInstantiateWait(t *testing.T) {
 	if err != nil || v != int64(42) {
 		t.Fatalf("result = %v, %v", v, err)
 	}
-	if d.State() != "exited" {
-		t.Fatalf("state = %s", d.State())
+	if d.info().State != "exited" {
+		t.Fatalf("state = %s", d.info().State)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestTranslatorRejectionCounted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "allowed host function set") {
 		t.Fatalf("err = %v", err)
 	}
-	if p.Stats().Rejections != 1 {
+	if p.met.rejections.Value() != 1 {
 		t.Fatal("rejection not counted")
 	}
 	if _, ok := p.Repository().Lookup("evil"); ok {
@@ -196,19 +196,19 @@ func TestControlSuspendResumeTerminate(t *testing.T) {
 	if err := p.Control("mgr", d.ID, ActionSuspend); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return d.State() == "suspended" })
+	waitFor(t, func() bool { return d.info().State == "suspended" })
 	if err := p.Control("mgr", d.ID, ActionResume); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return d.State() == "running" })
+	waitFor(t, func() bool { return d.info().State == "running" })
 	if err := p.Control("mgr", d.ID, ActionTerminate); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Wait(context.Background()); err == nil {
 		t.Fatal("terminated DPI returned no error")
 	}
-	if d.State() != "failed" {
-		t.Fatalf("state = %s", d.State())
+	if d.info().State != "failed" {
+		t.Fatalf("state = %s", d.info().State)
 	}
 	if err := p.Control("mgr", d.ID, "reboot"); err == nil {
 		t.Fatal("unknown action accepted")
@@ -468,7 +468,7 @@ func TestHostServicesOutsideDPIRejected(t *testing.T) {
 	// Calling an instance service through a bare VM (no DPI meta) must
 	// error, not crash.
 	p := newProcess(t, Config{})
-	compiled, err := p.translator.Translate("dpl", `func main() { report("x"); }`)
+	compiled, _, err := p.translator.TranslateAnalyzed("dpl", `func main() { report("x"); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,8 +494,9 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := d.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	if st.Delegations != 1 || st.Instantiations != 1 || st.MessagesSent != 1 || st.EventsEmitted < 2 {
-		t.Fatalf("stats = %+v", st)
+	m := &p.met
+	if m.delegations.Value() != 1 || m.instantiations.Value() != 1 || m.messagesSent.Value() != 1 || p.eventsEmitted.Load() < 2 {
+		t.Fatalf("delegations %d, instantiations %d, messages %d, events %d",
+			m.delegations.Value(), m.instantiations.Value(), m.messagesSent.Value(), p.eventsEmitted.Load())
 	}
 }

@@ -126,13 +126,3 @@ func (c *progCache) put(key progKey, ent progEntry) {
 	}
 	c.entries.Set(int64(c.ll.Len()))
 }
-
-// len reports the number of cached programs.
-func (c *progCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

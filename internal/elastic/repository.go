@@ -84,13 +84,6 @@ func (r *Repository) SetLimit(n int64) {
 	r.limit = n
 }
 
-// Bytes returns the total storage footprint of the stored programs.
-func (r *Repository) Bytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.bytes
-}
-
 // Store saves dp, replacing any previous program of the same name
 // (re-delegation updates the program; running instances keep their
 // already-instantiated object code). It returns the replaced program,
@@ -202,12 +195,6 @@ type Translator struct {
 // NewTranslator returns a Translator for the given host bindings.
 func NewTranslator(bindings *dpl.Bindings) *Translator {
 	return &Translator{bindings: bindings}
-}
-
-// Translate parses, checks, and compiles source. Lang must be "dpl".
-func (t *Translator) Translate(lang, source string) (*dpl.Compiled, error) {
-	obj, _, err := t.TranslateAnalyzed(lang, source)
-	return obj, err
 }
 
 // TranslateAnalyzed translates source and additionally runs the static

@@ -186,7 +186,7 @@ func (s *supervisor) onExit(d *DPI, runErr error) {
 			fmt.Sprintf("gave up after %d consecutive failures", s.failures-1), 0)
 		return
 	}
-	delay := jitteredBackoff(p.supBackoffBase, p.supBackoffMax, s.failures)
+	delay := Backoff(p.supBackoffBase, p.supBackoffMax, s.failures)
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
@@ -240,7 +240,7 @@ func (s *supervisor) restartAfter(prevID string, delay time.Duration) {
 		}
 		p.wg.Add(1)
 		p.mu.Unlock()
-		go s.restartAfter(prevID, jitteredBackoff(p.supBackoffBase, p.supBackoffMax, s.failures))
+		go s.restartAfter(prevID, Backoff(p.supBackoffBase, p.supBackoffMax, s.failures))
 		return
 	}
 	p.met.restarts.Inc()
@@ -248,26 +248,25 @@ func (s *supervisor) restartAfter(prevID string, delay time.Duration) {
 		fmt.Sprintf("restart #%d of %s (prev %s)", n, s.spec.DP, prevID), delay)
 }
 
-// jitteredBackoff returns base·2^(n-1) capped at max, with ±50% jitter
-// so synchronized crash storms decorrelate. n <= 1 yields ~base.
-func jitteredBackoff(base, max time.Duration, n int) time.Duration {
+// Backoff is the one jittered exponential retry delay: for the 1-based
+// attempt n it takes d = base·2^(n-1), capped at max, and returns a
+// value in [d/2, d] — half fixed, half uniform random — so a fleet of
+// restarting instances or redialing peers decorrelates and no delay
+// ever exceeds max. Supervised restarts, RDS client reconnects and the
+// federation's join retries and heartbeats all pace with it.
+func Backoff(base, max time.Duration, n int) time.Duration {
 	d := base
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && d < max; i++ {
 		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
 	}
 	if d > max {
 		d = max
 	}
-	// Half deterministic, half uniform random: [d/2, d].
 	half := int64(d / 2)
 	if half <= 0 {
 		return d
 	}
-	return time.Duration(half + rand.Int63n(half+1))
+	return time.Duration(half + rand.Int63n(int64(d)-half+1))
 }
 
 // watchdog polls one running instance on the process clock, killing it

@@ -27,7 +27,7 @@ func waitState(t *testing.T, p *Process, id, want string) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		d, ok := p.Lookup(id)
-		if ok && d.State() == want {
+		if ok && d.info().State == want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -35,7 +35,7 @@ func waitState(t *testing.T, p *Process, id, want string) {
 	d, ok := p.Lookup(id)
 	state := "<gone>"
 	if ok {
-		state = d.State()
+		state = d.info().State
 	}
 	t.Fatalf("instance %s state = %q, want %q", id, state, want)
 }
@@ -66,7 +66,7 @@ func TestPanicRecovery(t *testing.T) {
 			t.Fatalf("exit error = %v, want PanicError(kaboom) with stack", err)
 		}
 	}
-	if s := d.State(); s != "crashed" {
+	if s := d.info().State; s != "crashed" {
 		t.Fatalf("state = %q, want crashed", s)
 	}
 	infos, err := p.Query("mgr", d.ID)
@@ -312,5 +312,26 @@ func TestInstantiateSpecValidation(t *testing.T) {
 	}
 	if pol, err := ParsePolicy(""); err != nil || pol != RestartNever {
 		t.Fatalf("empty policy = %v, %v", pol, err)
+	}
+}
+
+// TestBackoffNeverExceedsMax: every delay lies in [d/2, d] for
+// d = base·2^(n-1) capped at max, so no attempt ever waits past max.
+func TestBackoffNeverExceedsMax(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 70 * time.Millisecond
+	for n := 1; n <= 12; n++ {
+		d := base << (n - 1)
+		if d > max {
+			d = max
+		}
+		for i := 0; i < 2000; i++ {
+			got := Backoff(base, max, n)
+			if got > max || got > d || got < d/2 {
+				t.Fatalf("Backoff(%s, %s, %d) = %s, want in [%s, %s]", base, max, n, got, d/2, d)
+			}
+		}
+	}
+	if got := Backoff(time.Nanosecond, time.Nanosecond, 1); got != time.Nanosecond {
+		t.Fatalf("Backoff of 1ns = %s, want 1ns", got)
 	}
 }

@@ -43,7 +43,7 @@ type Quota struct {
 	// compiled artifact) owned by the principal.
 	RepositoryBytes int64 `json:"repository_bytes,omitempty"`
 	// RequestsPerSec bounds the principal's RDS request dispatch rate;
-	// enforced by the RDS server through the TenantGate seam.
+	// enforced by the RDS server (Tenants.AdmitRequest).
 	RequestsPerSec uint64 `json:"requests_per_sec,omitempty"`
 	// Weight is the principal's share in the weighted-fair DPI
 	// scheduler and its shedding priority under overload (higher
@@ -281,7 +281,7 @@ func (t *Tenant) Weight() int { return t.Quota().weight() }
 // Tenants is the process's per-principal ledger table. Tenants are
 // created lazily on first touch, inheriting the server-default quota
 // unless an override was granted (SetQuota — the runtime analogue of
-// ACL.Limit). It also implements the RDS server's TenantGate seam.
+// ACL.Limit). The RDS server sheds requests and events through it.
 type Tenants struct {
 	p        *Process
 	defaults Quota
@@ -335,18 +335,6 @@ func (ts *Tenants) Lookup(principal string) (*Tenant, bool) {
 // one — the tenancy analogue of ACL.Limit.
 func (ts *Tenants) SetQuota(principal string, q Quota) {
 	ts.get(principal).setQuota(q, true)
-}
-
-// QuotaFor returns principal's effective quota and whether it is an
-// override (vs the server default).
-func (ts *Tenants) QuotaFor(principal string) (Quota, bool) {
-	t, ok := ts.Lookup(principal)
-	if !ok {
-		return ts.defaults, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.quota, t.override
 }
 
 // instrument registers the per-tenant audit/billing series. They are
@@ -416,7 +404,7 @@ func (ts *Tenants) admitRepoBytes(t *Tenant, name string, delta, limit int64) er
 	return nil
 }
 
-// AdmitRequest implements the RDS TenantGate: it bills one dispatched
+// AdmitRequest is the RDS server's request gate: it bills one dispatched
 // request and sheds it (a QUO005-coded RejectError, no waiting) when
 // the principal is over its request rate. The event axis is enforced
 // at emission; this axis protects the dispatch path itself.
@@ -433,8 +421,8 @@ func (ts *Tenants) AdmitRequest(principal string) error {
 	return nil
 }
 
-// Weight implements the RDS TenantGate: principal's shedding weight.
-// Unknown principals get the default weight without creating a ledger.
+// Weight is principal's event-shedding weight. Unknown principals get
+// the default weight without creating a ledger.
 func (ts *Tenants) Weight(principal string) int {
 	if t, ok := ts.Lookup(principal); ok {
 		return t.Weight()
@@ -442,8 +430,8 @@ func (ts *Tenants) Weight(principal string) int {
 	return ts.defaults.weight()
 }
 
-// MaxActiveWeight implements the RDS TenantGate: the highest weight
-// among tenants with live DPIs (at least the default weight). Under
+// MaxActiveWeight is the highest weight among tenants with live DPIs
+// (at least the default weight). Under
 // global backpressure the RDS server sheds event traffic from every
 // tenant below it — lowest-weight traffic first.
 func (ts *Tenants) MaxActiveWeight() int {

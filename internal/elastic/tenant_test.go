@@ -126,10 +126,10 @@ func TestRepositoryCeilingWithoutQuotas(t *testing.T) {
 	if err := p.Delegate("mgr", "ok", "dpl", `func main() { return 1; }`); err != nil {
 		t.Fatalf("small delegate: %v", err)
 	}
-	if got := p.Repository().Bytes(); got != int64(len(`func main() { return 1; }`)) {
-		t.Fatalf("repo bytes = %d", got)
+	if got, _ := tenantStatus(p.Tenants(), "mgr"); got.RepoBytes != int64(len(`func main() { return 1; }`)) {
+		t.Fatalf("repo bytes = %d", got.RepoBytes)
 	}
-	if p.Stats().RepoFull == 0 {
+	if p.met.repoFull.Value() == 0 {
 		t.Fatal("repo-full rejection not counted")
 	}
 }
@@ -168,8 +168,8 @@ func TestStepRateEscalationTerminates(t *testing.T) {
 	if len(st) != 1 || st[0].Suspensions == 0 || st[0].Terminations != 1 || st[0].Blocked != CodeQuotaStepRate {
 		t.Fatalf("tenant status = %+v", st)
 	}
-	if s := p.Stats(); s.QuotaKills != 1 || s.QuotaSuspensions == 0 {
-		t.Fatalf("process stats = %+v", s)
+	if kills, susp := p.met.quotaKills.Value(), p.met.quotaSuspensions.Value(); kills != 1 || susp == 0 {
+		t.Fatalf("quota kills = %d, suspensions = %d", kills, susp)
 	}
 }
 
@@ -222,12 +222,22 @@ func TestTenantStatusJSON(t *testing.T) {
 			t.Fatalf("status doc missing %s:\n%s", want, doc)
 		}
 	}
-	if q, override := p.Tenants().QuotaFor("gold"); !override || q.MaxLiveDPIs != 9 {
-		t.Fatalf("QuotaFor(gold) = %+v, %v", q, override)
+	if st, _ := tenantStatus(p.Tenants(), "gold"); !st.Override || st.Quota.MaxLiveDPIs != 9 {
+		t.Fatalf("gold = %+v, want a 9-DPI override", st)
 	}
-	if q, override := p.Tenants().QuotaFor("stranger"); override || q.Weight != 2 {
-		t.Fatalf("QuotaFor(stranger) = %+v, %v", q, override)
+	if _, ok := tenantStatus(p.Tenants(), "stranger"); ok || p.Tenants().Weight("stranger") != 2 {
+		t.Fatal("an unknown principal must get the default weight without a ledger")
 	}
+}
+
+// tenantStatus returns principal's row of ts.List().
+func tenantStatus(ts *Tenants, principal string) (TenantStatus, bool) {
+	for _, st := range ts.List() {
+		if st.Principal == principal {
+			return st, true
+		}
+	}
+	return TenantStatus{}, false
 }
 
 func TestTenantGateWeights(t *testing.T) {

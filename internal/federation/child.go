@@ -80,7 +80,7 @@ func (c *childLink) run(ctx context.Context) {
 		conn, err := cfg.Dialer(cfg.Parent)
 		if err != nil {
 			select {
-			case <-time.After(rds.Backoff(cfg.HeartbeatInterval, cfg.DeadAfter, attempt)):
+			case <-time.After(elastic.Backoff(cfg.HeartbeatInterval, cfg.DeadAfter, attempt)):
 				continue
 			case <-ctx.Done():
 				return
@@ -129,9 +129,9 @@ func (c *childLink) run(ctx context.Context) {
 			fails++
 		}
 
-		delay := rds.Backoff(cfg.HeartbeatInterval, cfg.HeartbeatInterval, 1)
+		delay := elastic.Backoff(cfg.HeartbeatInterval, cfg.HeartbeatInterval, 1)
 		if fails > 0 {
-			delay = rds.Backoff(cfg.HeartbeatInterval, cfg.DeadAfter/2, fails)
+			delay = elastic.Backoff(cfg.HeartbeatInterval, cfg.DeadAfter/2, fails)
 		}
 		select {
 		case <-time.After(delay):

@@ -101,7 +101,7 @@ type Config struct {
 	// Auth, when set, signs and verifies peer requests.
 	Auth *rds.Authenticator
 	// Combiner is the default rollup combiner (default Latest; see
-	// Sum, Max, DPCombiner).
+	// Sum, Max).
 	Combiner Combiner
 	// HeartbeatInterval paces child heartbeats and the failure-detector
 	// sweep (default 1s).
@@ -283,12 +283,9 @@ func (n *Node) stateGauge(s MemberState) func() int64 {
 	}
 }
 
-// Rollup exposes the node's aggregation point, e.g. to install per-key
-// combiners.
+// Rollup exposes the node's aggregation point (the federation MIB
+// tables and views read it).
 func (n *Node) Rollup() *Rollup { return n.rollup }
-
-// Domain returns the domain this node roots.
-func (n *Node) Domain() string { return n.cfg.Domain }
 
 // Name returns this node's member name.
 func (n *Node) Name() string { return n.cfg.Name }
@@ -399,7 +396,7 @@ func (n *Node) detectLoop() {
 	defer n.wg.Done()
 	for {
 		select {
-		case <-time.After(rds.Backoff(n.cfg.HeartbeatInterval, n.cfg.HeartbeatInterval, 1)):
+		case <-time.After(elastic.Backoff(n.cfg.HeartbeatInterval, n.cfg.HeartbeatInterval, 1)):
 		case <-n.ctx.Done():
 			return
 		}

@@ -71,44 +71,15 @@ func TestRollupLatestPerMember(t *testing.T) {
 }
 
 func TestRollupPerKeyCombiner(t *testing.T) {
-	r := NewRollup(Sum())
+	r := NewRollup(Max())
 	r.Report("a", "temp", "20", 1)
 	r.Report("b", "temp", "30", 2)
-	if v, _ := r.Value("temp"); v != "50" {
-		t.Fatalf("default sum = %q", v)
-	}
-	r.SetCombiner("temp", Max())
 	if v, _ := r.Value("temp"); v != "30" {
-		t.Fatalf("after SetCombiner(max) = %q, want 30 (recombined)", v)
+		t.Fatalf("max = %q, want 30", v)
 	}
 	rows := r.Rows()
 	if len(rows) != 1 || rows[0].Combiner != "max" || rows[0].Contributors != 2 {
 		t.Fatalf("rows = %+v", rows)
-	}
-}
-
-func TestDPCombiner(t *testing.T) {
-	proc := elastic.NewProcess(elastic.Config{})
-	t.Cleanup(proc.Stop)
-	// A custom combination: sum of squares, delegated as DPL.
-	src := `func combine(vals) {
-		var total = 0;
-		for (var i = 0; i < len(vals); i += 1) { total += vals[i] * vals[i]; }
-		return total;
-	}`
-	c := DPCombiner(proc, "mgr", src, "combine")
-	got := c.Seed(&KeyState{}, []MemberValue{{Member: "a", Value: "3"}, {Member: "b", Value: "4"}})
-	if got != "25" {
-		t.Fatalf("dp combine = %q, want 25", got)
-	}
-	if c.Name() != "dp:combine" {
-		t.Fatalf("name = %q", c.Name())
-	}
-	// A broken combiner falls back to Latest rather than blanking.
-	bad := DPCombiner(proc, "mgr", `func combine(vals) { return nosuchfn(vals); }`, "combine")
-	got = bad.Seed(&KeyState{}, []MemberValue{{Member: "a", Value: "3", TimeMS: 1}, {Member: "b", Value: "4", TimeMS: 2}})
-	if got != "4" {
-		t.Fatalf("fallback combine = %q, want 4 (latest)", got)
 	}
 }
 

@@ -204,13 +204,13 @@ func TestFleetSmoke(t *testing.T) {
 	// 3. O(delta) rollup: one leaf's change must cost its mid O(1)
 	// member visits even with ~leaves/mids contributors materialized.
 	mid := midNodes[0]
-	before := mid.node.Rollup().Stats()
+	before := rollupStats(mid.node.Rollup())
 	leafNodes[0].proc.Publish("load#1", elastic.EventReport, "3")
 	waitFor(t, 60*time.Second, "delta propagation", func() bool {
 		v, ok := root.node.rollup.Value("load")
 		return ok && v == strconv.Itoa(leaves+2)
 	})
-	after := mid.node.Rollup().Stats()
+	after := rollupStats(mid.node.Rollup())
 	visited := after.MembersVisited - before.MembersVisited
 	reports := after.Reports - before.Reports
 	if reports == 0 {
@@ -237,7 +237,7 @@ func TestFleetSmoke(t *testing.T) {
 			"republish_bytes":     0,
 			"delta_reports":       reports,
 			"delta_member_visits": visited,
-			"root_rollup":         root.node.Rollup().Stats(),
+			"root_rollup":         rollupStats(root.node.Rollup()),
 			"mid0_rollup":         after,
 		}
 		doc, err := json.MarshalIndent(stats, "", "  ")

@@ -1,16 +1,11 @@
 package federation
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
-
-	"mbd/internal/dpl"
-	"mbd/internal/elastic"
-	"mbd/internal/rds"
 )
 
 // MemberValue is one member's latest contribution to a rollup key.
@@ -47,25 +42,6 @@ type Combiner interface {
 type KeyState struct {
 	Num  float64
 	Best MemberValue
-}
-
-// CombinerFunc adapts a function over the full contribution set to the
-// Combiner interface. It keeps no state and declines every fold, so
-// each change reseeds.
-type CombinerFunc struct {
-	Label string
-	Fn    func(vals []MemberValue) string
-}
-
-// Name implements Combiner.
-func (c CombinerFunc) Name() string { return c.Label }
-
-// Seed implements Combiner.
-func (c CombinerFunc) Seed(_ *KeyState, vals []MemberValue) string { return c.Fn(vals) }
-
-// Fold implements Combiner.
-func (CombinerFunc) Fold(*KeyState, MemberValue, bool, MemberValue, bool) (string, bool) {
-	return "", false
 }
 
 // numeric parses s as a float, treating unparseable values as 0 — a
@@ -191,34 +167,6 @@ func (latestCombiner) Fold(st *KeyState, prev MemberValue, had bool, next Member
 // name, keeping the result deterministic).
 func Latest() Combiner { return latestCombiner{} }
 
-// dpCombineTimeout bounds one custom-DP combination run.
-const dpCombineTimeout = 5 * time.Second
-
-// DPCombiner merges values by delegating the combination itself: the
-// DPL program source is evaluated on proc with entry(values) where
-// values is an array of the members' values (each interpreted like a
-// wire argument — see rds.ParseArg). The program passes the same
-// static-analysis admission gate as any evaluation. Errors fall back to
-// Latest semantics so a broken combiner never blanks the rollup. A DP
-// combiner sees the full set on every change (the program is opaque, so
-// it never folds).
-func DPCombiner(proc *elastic.Process, principal, source, entry string) Combiner {
-	return CombinerFunc{Label: "dp:" + entry, Fn: func(vals []MemberValue) string {
-		args := &dpl.Array{}
-		for _, v := range vals {
-			arg, _ := dpl.FromGo(rds.ParseArg(v.Value))
-			args.Elems = append(args.Elems, arg)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), dpCombineTimeout)
-		defer cancel()
-		v, err := proc.Evaluate(ctx, principal, "dpl", source, entry, args)
-		if err != nil {
-			return Latest().Seed(&KeyState{}, vals)
-		}
-		return dpl.Format(v)
-	}}
-}
-
 // RollupRow is one key's state in a rollup snapshot.
 type RollupRow struct {
 	Key          string
@@ -239,7 +187,7 @@ type RollupStats struct {
 	// Folds counts deltas absorbed incrementally (O(1) work).
 	Folds uint64
 	// Recombines counts full recomputations (first sight of a key,
-	// declined folds, combiner swaps).
+	// declined folds).
 	Recombines uint64
 	// MembersVisited totals contributions examined across folds and
 	// recombines.
@@ -263,50 +211,24 @@ type rollupKey struct {
 // member declared dead is dropped so the rollup converges back to the
 // live membership.
 type Rollup struct {
-	mu        sync.Mutex
-	def       Combiner
-	combiners map[string]Combiner
-	keys      map[string]*rollupKey
-	stats     RollupStats
-	onChange  []func()
+	mu       sync.Mutex
+	comb     Combiner
+	keys     map[string]*rollupKey
+	stats    RollupStats
+	onChange []func()
 }
 
-// NewRollup returns a rollup whose keys default to def (nil = Latest).
-func NewRollup(def Combiner) *Rollup {
-	if def == nil {
-		def = Latest()
+// NewRollup returns a rollup merging every key with comb (nil = Latest).
+func NewRollup(comb Combiner) *Rollup {
+	if comb == nil {
+		comb = Latest()
 	}
-	return &Rollup{
-		def:       def,
-		combiners: make(map[string]Combiner),
-		keys:      make(map[string]*rollupKey),
-	}
-}
-
-// SetCombiner installs c for key (nil restores the default).
-func (r *Rollup) SetCombiner(key string, c Combiner) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c == nil {
-		delete(r.combiners, key)
-	} else {
-		r.combiners[key] = c
-	}
-	if k, ok := r.keys[key]; ok {
-		k.combined = r.combineLocked(key, k)
-	}
-}
-
-func (r *Rollup) combinerFor(key string) Combiner {
-	if c, ok := r.combiners[key]; ok {
-		return c
-	}
-	return r.def
+	return &Rollup{comb: comb, keys: make(map[string]*rollupKey)}
 }
 
 // combineLocked recomputes a key's merged value from its current
 // contributions, reseeding the combiner's state (caller holds r.mu).
-func (r *Rollup) combineLocked(key string, k *rollupKey) string {
+func (r *Rollup) combineLocked(k *rollupKey) string {
 	vals := make([]MemberValue, 0, len(k.vals))
 	for _, v := range k.vals {
 		vals = append(vals, v)
@@ -315,20 +237,20 @@ func (r *Rollup) combineLocked(key string, k *rollupKey) string {
 	r.stats.Recombines++
 	r.stats.MembersVisited += uint64(len(vals))
 	k.state = KeyState{}
-	return r.combinerFor(key).Seed(&k.state, vals)
+	return r.comb.Seed(&k.state, vals)
 }
 
 // foldLocked absorbs one member delta incrementally, falling back to a
 // full recombine when the combiner declines the fold (caller holds
-// r.mu; k.vals already reflects the delta and k.state was seeded by the
-// key's current combiner).
-func (r *Rollup) foldLocked(key string, k *rollupKey, prev MemberValue, had bool, next MemberValue, have bool) string {
-	if combined, ok := r.combinerFor(key).Fold(&k.state, prev, had, next, have); ok {
+// r.mu; k.vals already reflects the delta and k.state was seeded by
+// the combiner).
+func (r *Rollup) foldLocked(k *rollupKey, prev MemberValue, had bool, next MemberValue, have bool) string {
+	if combined, ok := r.comb.Fold(&k.state, prev, had, next, have); ok {
 		r.stats.Folds++
 		r.stats.MembersVisited++
 		return combined
 	}
-	return r.combineLocked(key, k)
+	return r.combineLocked(k)
 }
 
 // OnChange registers fn to run (outside the rollup lock) after any
@@ -376,9 +298,9 @@ func (r *Rollup) report(member, key, value string, timeMS int64) (combined strin
 	k.vals[member] = nv
 	var next string
 	if !ok {
-		next = r.combineLocked(key, k)
+		next = r.combineLocked(k)
 	} else {
-		next = r.foldLocked(key, k, prev, had, nv, true)
+		next = r.foldLocked(k, prev, had, nv, true)
 	}
 	changed = !ok || next != k.combined
 	k.combined = next
@@ -424,7 +346,7 @@ func (r *Rollup) dropMember(member string) []KeyUpdate {
 			out = append(out, KeyUpdate{Key: key, Removed: true})
 			continue
 		}
-		next := r.foldLocked(key, k, prev, true, MemberValue{}, false)
+		next := r.foldLocked(k, prev, true, MemberValue{}, false)
 		if next != k.combined {
 			k.combined = next
 			k.updates++
@@ -436,13 +358,6 @@ func (r *Rollup) dropMember(member string) []KeyUpdate {
 	return out
 }
 
-// Stats snapshots the aggregation-work counters.
-func (r *Rollup) Stats() RollupStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
-
 // Rows snapshots the rollup sorted by key.
 func (r *Rollup) Rows() []RollupRow {
 	r.mu.Lock()
@@ -452,7 +367,7 @@ func (r *Rollup) Rows() []RollupRow {
 		out = append(out, RollupRow{
 			Key:          key,
 			Value:        k.combined,
-			Combiner:     r.combinerFor(key).Name(),
+			Combiner:     r.comb.Name(),
 			Contributors: len(k.vals),
 			Updates:      k.updates,
 			UpdatedAt:    k.updatedAt,

@@ -43,7 +43,7 @@ func TestRollupFoldMatchesSeed(t *testing.T) {
 				t.Fatalf("%s seed %d step %d: folded %q, from scratch %q", c.Name(), seed, step, got, want)
 			}
 		}
-		if st := r.Stats(); st.Folds == 0 || st.Recombines == 0 {
+		if st := rollupStats(r); st.Folds == 0 || st.Recombines == 0 {
 			t.Fatalf("%s seed %d: stream exercised folds=%d recombines=%d, want both", c.Name(), seed, st.Folds, st.Recombines)
 		}
 	}
@@ -61,12 +61,12 @@ func TestRollupDeltaSumFolds(t *testing.T) {
 	if v, _ := r.Value("load"); v != "1000" {
 		t.Fatalf("seeded sum = %q, want 1000", v)
 	}
-	before := r.Stats()
+	before := rollupStats(r)
 	combined, changed := r.Report("m0007", "load", "5", 2000)
 	if combined != "1004" || !changed {
 		t.Fatalf("after delta: %q (changed=%v), want 1004", combined, changed)
 	}
-	after := r.Stats()
+	after := rollupStats(r)
 	if d := after.MembersVisited - before.MembersVisited; d != 1 {
 		t.Fatalf("one report visited %d members, want 1 (O(delta), not O(members))", d)
 	}
@@ -80,7 +80,7 @@ func TestRollupDeltaSumFolds(t *testing.T) {
 	if len(ups) != 1 || ups[0].Value != "1003" {
 		t.Fatalf("drop updates = %+v, want load=1003", ups)
 	}
-	after = r.Stats()
+	after = rollupStats(r)
 	if d := after.MembersVisited - before.MembersVisited; d != 1 {
 		t.Fatalf("one drop visited %d members, want 1", d)
 	}
@@ -97,11 +97,11 @@ func TestRollupDeltaMaxRecombines(t *testing.T) {
 		t.Fatalf("max = %q, want 5", v)
 	}
 	// Non-winner update: pure fold.
-	before := r.Stats()
+	before := rollupStats(r)
 	if v, _ := r.Report("a", "k", "2.5", 4); v != "5" {
 		t.Fatalf("after non-winner update = %q, want 5", v)
 	}
-	after := r.Stats()
+	after := rollupStats(r)
 	if after.Folds != before.Folds+1 || after.Recombines != before.Recombines {
 		t.Fatal("non-winner update should fold without recombining")
 	}
@@ -111,7 +111,7 @@ func TestRollupDeltaMaxRecombines(t *testing.T) {
 		v2, _ := r.Value("k")
 		t.Fatalf("after winner degrade = %q, want 3 (now %q)", v2, v2)
 	}
-	after = r.Stats()
+	after = rollupStats(r)
 	if after.Recombines != before.Recombines+1 {
 		t.Fatal("winner degrade must recombine")
 	}
@@ -120,11 +120,11 @@ func TestRollupDeltaMaxRecombines(t *testing.T) {
 		t.Fatalf("drop updates = %+v, want k=2.5", ups)
 	}
 	// New winner arrival: pure fold.
-	before = r.Stats()
+	before = rollupStats(r)
 	if v, _ := r.Report("d", "k", "9", 6); v != "9" {
 		t.Fatalf("after new winner = %q, want 9", v)
 	}
-	after = r.Stats()
+	after = rollupStats(r)
 	if after.Folds != before.Folds+1 || after.Recombines != before.Recombines {
 		t.Fatal("new winner should fold without recombining")
 	}
@@ -146,11 +146,11 @@ func TestRollupDeltaLatest(t *testing.T) {
 		t.Fatalf("newer report = %q, want vb2", v)
 	}
 	// Holder reporting an older timestamp forces a recombine.
-	before := r.Stats()
+	before := rollupStats(r)
 	if v, _ := r.Report("b", "k", "old", 5); v != "va" {
 		t.Fatalf("after clock regression = %q, want va", v)
 	}
-	if after := r.Stats(); after.Recombines != before.Recombines+1 {
+	if after := rollupStats(r); after.Recombines != before.Recombines+1 {
 		t.Fatal("holder clock regression must recombine")
 	}
 	// Holder departure recombines to the survivor.
@@ -160,43 +160,9 @@ func TestRollupDeltaLatest(t *testing.T) {
 	}
 }
 
-// TestRollupOpaqueCombinerAlwaysRecombines: a CombinerFunc declines
-// every fold, so it recomputes from the full set on every change.
-func TestRollupOpaqueCombinerAlwaysRecombines(t *testing.T) {
-	r := NewRollup(CombinerFunc{Label: "count", Fn: func(vals []MemberValue) string {
-		return fmt.Sprintf("%d", len(vals))
-	}})
-	r.Report("a", "k", "x", 1)
-	r.Report("b", "k", "y", 2)
-	r.Report("a", "k", "z", 3)
-	st := r.Stats()
-	if st.Folds != 0 {
-		t.Fatalf("opaque combiner folded %d times, want 0", st.Folds)
-	}
-	if st.Recombines != 3 {
-		t.Fatalf("recombines = %d, want 3", st.Recombines)
-	}
-	if v, _ := r.Value("k"); v != "2" {
-		t.Fatalf("count = %q, want 2", v)
-	}
-}
-
-// TestRollupSetCombinerReseeds: swapping combiners recombines and the
-// new combiner keeps folding afterwards.
-func TestRollupSetCombinerReseeds(t *testing.T) {
-	r := NewRollup(Sum())
-	r.Report("a", "k", "2", 1)
-	r.Report("b", "k", "3", 2)
-	r.SetCombiner("k", Max())
-	if v, _ := r.Value("k"); v != "3" {
-		t.Fatalf("after swap = %q, want 3", v)
-	}
-	before := r.Stats()
-	if v, _ := r.Report("c", "k", "7", 3); v != "7" {
-		t.Fatalf("after fold = %q, want 7", v)
-	}
-	after := r.Stats()
-	if after.Folds != before.Folds+1 {
-		t.Fatal("swapped-in delta combiner should fold")
-	}
+// rollupStats snapshots r's aggregation-work counters.
+func rollupStats(r *Rollup) RollupStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
 }

@@ -65,8 +65,12 @@ func TestReflexiveSelfStats(t *testing.T) {
 	for {
 		req := &snmp.Message{Community: "public", Type: snmp.PDUGetNextRequest,
 			VarBinds: []snmp.VarBind{{Name: cur}}}
-		resp := agent.Handle(req)
-		if resp == nil || resp.ErrorStatus != snmp.NoError {
+		pkt, err := req.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := snmp.Decode(agent.HandlePacket(pkt))
+		if err != nil || resp.ErrorStatus != snmp.NoError {
 			break
 		}
 		vb := resp.VarBinds[0]
@@ -80,11 +84,10 @@ func TestReflexiveSelfStats(t *testing.T) {
 			case 1:
 				names[idx] = string(vb.Value.Bytes)
 			case 2:
-				n, ok := vb.Value.AsUint()
-				if !ok {
-					t.Fatalf("value cell %v is not numeric", vb.Name)
+				if vb.Value.Kind != mib.KindCounter64 {
+					t.Fatalf("value cell %v is %s, want Counter64", vb.Name, vb.Value.Kind)
 				}
-				got[names[idx]] = n
+				got[names[idx]] = vb.Value.Uint
 			}
 		}
 		cur = vb.Name

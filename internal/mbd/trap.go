@@ -2,6 +2,7 @@ package mbd
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	"mbd/internal/dpl"
@@ -9,40 +10,21 @@ import (
 	"mbd/internal/snmp"
 )
 
-// TrapSink receives encoded SNMPv1 trap packets emitted by delegated
-// programs. Implementations forward them to a trap daemon (UDP), a test
-// collector, or a simulated manager.
-type TrapSink interface {
-	SendTrap(pkt []byte) error
-}
-
-// TrapSinkFunc adapts a function to the TrapSink interface.
-type TrapSinkFunc func(pkt []byte) error
-
-// SendTrap implements TrapSink.
-func (f TrapSinkFunc) SendTrap(pkt []byte) error { return f(pkt) }
-
-// trapState holds the server's trap configuration.
+// trapState holds the server's trap destination.
 type trapState struct {
 	mu   sync.Mutex
-	sink TrapSink
-	sent uint64
+	sink io.Writer
 }
 
 // SetTrapSink installs (or replaces) the destination for SNMP traps
-// emitted by delegated programs via the trap host function. With no
-// sink installed, trap() fails — configuration error, not silence.
-func (s *Server) SetTrapSink(sink TrapSink) {
+// emitted by delegated programs via the trap host function: each trap
+// is one Write of one encoded SNMPv1 packet, so a UDP socket dialed to
+// a trap daemon (mbdserver -trapsink) sends each as one datagram. With
+// no sink installed, trap() fails — configuration error, not silence.
+func (s *Server) SetTrapSink(sink io.Writer) {
 	s.traps.mu.Lock()
 	defer s.traps.mu.Unlock()
 	s.traps.sink = sink
-}
-
-// TrapsSent returns the number of traps successfully emitted.
-func (s *Server) TrapsSent() uint64 {
-	s.traps.mu.Lock()
-	defer s.traps.mu.Unlock()
-	return s.traps.sent
 }
 
 // EmitTrap builds and sends a real SNMPv1 enterprise-specific trap:
@@ -78,12 +60,9 @@ func (s *Server) EmitTrap(specific int, payload string) error {
 	if err != nil {
 		return fmt.Errorf("mbd: encoding trap: %w", err)
 	}
-	if err := sink.SendTrap(pkt); err != nil {
+	if _, err := sink.Write(pkt); err != nil {
 		return fmt.Errorf("mbd: sending trap: %w", err)
 	}
-	s.traps.mu.Lock()
-	s.traps.sent++
-	s.traps.mu.Unlock()
 	return nil
 }
 

@@ -88,21 +88,18 @@ func TestMemRowsPublishesRowLifecycle(t *testing.T) {
 
 	idx := oid.OID{1, 1}
 	m.Upsert(idx, map[uint32]Value{TCPConnState: Int(5)})
-	m.SetCellValue(idx, TCPConnState, Int(6))
-	m.SetCellValue(oid.OID{9, 9}, TCPConnState, Int(1)) // missing row: no event
+	m.Upsert(idx, map[uint32]Value{TCPConnState: Int(6)})
+	m.Delete(oid.OID{9, 9}) // missing row: no event
 	m.Delete(idx)
 	got := drain(s)
 	if len(got) != 3 {
 		t.Fatalf("got %d changes, want 3: %+v", len(got), got)
 	}
-	wantKinds := []ChangeKind{ChangeRow, ChangeCell, ChangeDrop}
+	wantKinds := []ChangeKind{ChangeRow, ChangeRow, ChangeDrop}
 	for i, w := range wantKinds {
 		if got[i].Kind != w || !got[i].Table.Equal(OIDTCPConnEntry) || !got[i].Index.Equal(idx) {
 			t.Fatalf("change %d = %+v, want kind %s at %v", i, got[i], w, idx)
 		}
-	}
-	if got[1].Col != TCPConnState {
-		t.Fatalf("cell change col = %d, want %d", got[1].Col, TCPConnState)
 	}
 }
 

@@ -197,13 +197,6 @@ func (d *Device) SetLoad(p LoadProfile) {
 	d.load = p
 }
 
-// Load returns the current load profile.
-func (d *Device) Load() LoadProfile {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.load
-}
-
 // Now returns the device's virtual time since boot.
 func (d *Device) Now() time.Duration {
 	d.mu.Lock()
@@ -317,9 +310,6 @@ func (d *Device) OpenConn(c ConnID) {
 // CloseConn removes a connection from tcpConnTable.
 func (d *Device) CloseConn(c ConnID) bool { return d.tcpConns.Delete(c.index()) }
 
-// ConnCount returns the number of rows currently in tcpConnTable.
-func (d *Device) ConnCount() int { return d.tcpConns.Len() }
-
 // AddRoute installs a row in ipRouteTable keyed by destination.
 func (d *Device) AddRoute(dest [4]byte, ifIndex uint32, metric int64, nextHop [4]byte) {
 	idx := oid.OID{uint32(dest[0]), uint32(dest[1]), uint32(dest[2]), uint32(dest[3])}
@@ -339,9 +329,6 @@ func (d *Device) DelRoute(dest [4]byte) bool {
 	idx := oid.OID{uint32(dest[0]), uint32(dest[1]), uint32(dest[2]), uint32(dest[3])}
 	return d.ipRoutes.Delete(idx)
 }
-
-// RouteCount returns the number of rows in ipRouteTable.
-func (d *Device) RouteCount() int { return d.ipRoutes.Len() }
 
 // ifTableHandler adapts the device's interface slice to the Table
 // handler protocol without materializing rows.

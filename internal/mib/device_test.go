@@ -113,7 +113,7 @@ func TestDeviceTCPConnTable(t *testing.T) {
 	d := newTestDevice(t)
 	c := ConnID{LocalAddr: [4]byte{10, 0, 0, 1}, LocalPort: 23, RemAddr: [4]byte{192, 168, 1, 9}, RemPort: 40001}
 	d.OpenConn(c)
-	if d.ConnCount() != 1 {
+	if d.tcpConns.Len() != 1 {
 		t.Fatal("OpenConn did not insert")
 	}
 	idx := oid.OID{10, 0, 0, 1, 23, 192, 168, 1, 9, 40001}
@@ -125,7 +125,7 @@ func TestDeviceTCPConnTable(t *testing.T) {
 	if err != nil || v.Int != 40001 {
 		t.Fatalf("tcpConnRemPort = %v, %v", v, err)
 	}
-	if !d.CloseConn(c) || d.ConnCount() != 0 {
+	if !d.CloseConn(c) || d.tcpConns.Len() != 0 {
 		t.Fatal("CloseConn failed")
 	}
 }
@@ -134,14 +134,14 @@ func TestDeviceRouteTable(t *testing.T) {
 	d := newTestDevice(t)
 	d.AddRoute([4]byte{192, 168, 5, 0}, 1, 3, [4]byte{10, 0, 0, 254})
 	d.AddRoute([4]byte{192, 168, 6, 0}, 2, 1, [4]byte{10, 0, 0, 253})
-	if d.RouteCount() != 2 {
+	if d.ipRoutes.Len() != 2 {
 		t.Fatal("routes not inserted")
 	}
 	v, err := d.Tree().Get(OIDIPRouteEntry.Append(IPRouteMetric1, 192, 168, 5, 0))
 	if err != nil || v.Int != 3 {
 		t.Fatalf("metric = %v, %v", v, err)
 	}
-	if !d.DelRoute([4]byte{192, 168, 5, 0}) || d.RouteCount() != 1 {
+	if !d.DelRoute([4]byte{192, 168, 5, 0}) || d.ipRoutes.Len() != 1 {
 		t.Fatal("DelRoute failed")
 	}
 }
@@ -154,7 +154,7 @@ func TestDeviceConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Load().Utilization <= 0 {
+	if d.load.Utilization <= 0 {
 		t.Fatal("default load missing")
 	}
 	if d.Now() != 0 {

@@ -62,12 +62,9 @@ func TestTreeConcurrentMountAccess(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 2000; i++ {
-		if err := tree.Mount(scratch, ConstScalar(Int(int64(i)))); err != nil {
+	for i := 0; i < 500; i++ {
+		if err := tree.Mount(scratch.Append(uint32(i)), ConstScalar(Int(int64(i)))); err != nil {
 			t.Fatal(err)
-		}
-		if !tree.Unmount(scratch) {
-			t.Fatal("unmount failed")
 		}
 	}
 	close(stop)

@@ -215,21 +215,6 @@ func (m *MemRows) Upsert(index oid.OID, cells map[uint32]Value) {
 	m.publish(ChangeRow, 0, index)
 }
 
-// SetCellValue writes one cell of an existing row, returning false when
-// the row does not exist.
-func (m *MemRows) SetCellValue(index oid.OID, col uint32, v Value) bool {
-	m.mu.Lock()
-	pos, found := search(m.rows, index)
-	if found {
-		m.rows[pos].cells[col] = v
-	}
-	m.mu.Unlock()
-	if found {
-		m.publish(ChangeCell, col, index)
-	}
-	return found
-}
-
 // Delete removes a row, reporting whether it existed.
 func (m *MemRows) Delete(index oid.OID) bool {
 	m.mu.Lock()

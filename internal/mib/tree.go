@@ -171,23 +171,6 @@ func (t *Tree) Mount(prefix oid.OID, h Handler) error {
 	return nil
 }
 
-// Unmount removes the handler mounted exactly at prefix.
-func (t *Tree) Unmount(prefix oid.OID) bool {
-	t.mountMu.Lock()
-	defer t.mountMu.Unlock()
-	cur := t.load()
-	for i, m := range cur {
-		if m.prefix.Equal(prefix) {
-			next := make([]mount, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			t.mounts.Store(&next)
-			return true
-		}
-	}
-	return false
-}
-
 // find returns the index of the mount whose prefix covers o, or -1.
 // Because mounts are disjoint and sorted, the only candidate is the
 // last mount whose prefix sorts at or before o.

@@ -117,57 +117,3 @@ func (v Value) String() string {
 		return fmt.Sprintf("Value(kind=%d)", v.Kind)
 	}
 }
-
-// Equal reports whether two values have the same kind and contents.
-func (v Value) Equal(u Value) bool {
-	if v.Kind != u.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindNull:
-		return true
-	case KindInteger:
-		return v.Int == u.Int
-	case KindOctetString, KindIPAddress:
-		return string(v.Bytes) == string(u.Bytes)
-	case KindOID:
-		return v.OID.Equal(u.OID)
-	default:
-		return v.Uint == u.Uint
-	}
-}
-
-// AsUint returns the numeric magnitude of an integer-like value and
-// true, or 0 and false for non-numeric kinds. Negative integers report
-// false.
-func (v Value) AsUint() (uint64, bool) {
-	switch v.Kind {
-	case KindInteger:
-		if v.Int < 0 {
-			return 0, false
-		}
-		return uint64(v.Int), true
-	case KindCounter32, KindGauge32, KindTimeTicks, KindCounter64:
-		return v.Uint, true
-	default:
-		return 0, false
-	}
-}
-
-// AsInt returns the value as a signed integer and true for any numeric
-// kind that fits, or 0 and false otherwise.
-func (v Value) AsInt() (int64, bool) {
-	switch v.Kind {
-	case KindInteger:
-		return v.Int, true
-	case KindCounter32, KindGauge32, KindTimeTicks:
-		return int64(v.Uint), true
-	case KindCounter64:
-		if v.Uint > 1<<63-1 {
-			return 0, false
-		}
-		return int64(v.Uint), true
-	default:
-		return 0, false
-	}
-}

@@ -1,7 +1,6 @@
 package obsmib
 
 import (
-	"net"
 	"testing"
 
 	"mbd/internal/elastic"
@@ -12,19 +11,16 @@ import (
 )
 
 // TestRobustnessMetricsWalkable: the fault-tolerance counters — DPI
-// panics/restarts, watchdog kills, client reconnects — publish on the
+// panics/restarts, watchdog kills, drained RDS connections — publish on the
 // shared registry and are therefore walkable as cells of the self-stats
 // MIB subtree, like any other managed object.
 func TestRobustnessMetricsWalkable(t *testing.T) {
 	reg := obs.NewRegistry()
 
-	// The elastic process and an RDS client publishing on one registry.
+	// The elastic process and an RDS server publishing on one registry.
 	p := elastic.NewProcess(elastic.Config{Obs: reg})
 	t.Cleanup(p.Stop)
-	a, b := net.Pipe()
-	t.Cleanup(func() { b.Close() })
-	c := rds.NewClient(a, "mgr", rds.WithClientObs(reg))
-	t.Cleanup(func() { c.Close() })
+	rds.NewServer(p, nil, rds.WithObs(reg))
 
 	tree := &mib.Tree{}
 	if err := tree.Mount(OIDSelfStats, New(reg)); err != nil {
@@ -42,7 +38,7 @@ func TestRobustnessMetricsWalkable(t *testing.T) {
 		"elastic_dpi_restarts_total",
 		"elastic_watchdog_kills_total",
 		"elastic_crash_loops_total",
-		"rds_client_reconnects_total",
+		"rds_conns_drained_total",
 	} {
 		if !names[want] {
 			t.Errorf("metric %s not walkable in self-stats subtree", want)

@@ -20,14 +20,13 @@ const (
 	StageControl     = "control"
 	StageRequest     = "request"
 	// Fault-tolerance stages (see docs/ROBUSTNESS.md): a DP body panic,
-	// a supervised restart, a crash-loop give-up, a watchdog kill, a
-	// server drain, and a client reconnect.
+	// a supervised restart, a crash-loop give-up, a watchdog kill, and a
+	// server drain.
 	StageCrash     = "crash"
 	StageRestart   = "restart"
 	StageCrashLoop = "crash-loop"
 	StageWatchdog  = "watchdog-kill"
 	StageDrain     = "drain"
-	StageReconnect = "reconnect"
 	// Federation stages (see docs/FEDERATION.md): a member joining its
 	// domain root, a cascaded delegation fanning out, a rollup value
 	// recombining, and a member being declared dead.

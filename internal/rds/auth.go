@@ -42,13 +42,6 @@ func (a *Authenticator) SetSecret(principal, secret string) {
 	a.secrets[principal] = []byte(secret)
 }
 
-// RemovePrincipal forgets a principal.
-func (a *Authenticator) RemovePrincipal(principal string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.secrets, principal)
-}
-
 func (a *Authenticator) secret(principal string) ([]byte, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

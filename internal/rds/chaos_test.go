@@ -43,8 +43,7 @@ func TestChaosReconnect(t *testing.T) {
 	}
 	c := NewClient(first, "mgr",
 		WithDialer(dial),
-		WithReconnect(ReconnectConfig{BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond}),
-		WithClientObs(reg))
+		WithReconnect(ReconnectConfig{BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -84,7 +83,7 @@ func TestChaosReconnect(t *testing.T) {
 	}
 	inj.SetEnabled(false)
 	stats := inj.Stats()
-	t.Logf("chaos: faults=%+v ok=%d failed=%d reconnects=%d", stats, okOps, failedOps, c.Reconnects())
+	t.Logf("chaos: faults=%+v ok=%d failed=%d", stats, okOps, failedOps)
 	if okOps == 0 {
 		t.Fatal("no operation ever succeeded during the storm")
 	}

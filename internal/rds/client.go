@@ -7,11 +7,10 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mbd/internal/obs"
 )
 
 // DefaultDialTimeout bounds Dial's connection establishment when the
@@ -73,16 +72,6 @@ func (e *RejectError) Error() string {
 // *RemoteError, with the same Op and Msg, in every RejectError.
 func (e *RejectError) Unwrap() error { return &RemoteError{Op: e.Op, Msg: e.Msg} }
 
-// HasCode reports whether any diagnostic carries the given code.
-func (e *RejectError) HasCode(code string) bool {
-	for _, d := range e.Diags {
-		if d.Code == code {
-			return true
-		}
-	}
-	return false
-}
-
 // Event is a DPI event received over a subscription.
 type Event struct {
 	DPI     string
@@ -97,6 +86,13 @@ type Event struct {
 // Client is a delegator's endpoint: it issues RDS requests over one
 // connection and, after Subscribe, receives DPI events on Events().
 //
+// Dial picks the transport from the address. A stream client (TCP, the
+// default) sends length-prefixed frames. A datagram client
+// ("udp://host:port") sends each request as one bare encoded datagram
+// and takes each reply from one: no subscriptions (the server refuses
+// them), requests over 60 KiB refused before sending, and on a lost
+// reply only the requests the op table marks idempotent are sent again.
+//
 // With WithReconnect the client survives connection loss: in-flight
 // requests fail fast (wrapping ErrDisconnected), a background loop
 // redials with jittered exponential backoff, and — circuit-breaker
@@ -107,12 +103,15 @@ type Client struct {
 	principal string
 	auth      *Authenticator
 
-	dial   func() (net.Conn, error) // nil: connection loss is terminal
-	rc     *ReconnectConfig         // nil: reconnect disabled
-	reg    *obs.Registry
-	tracer *obs.Tracer
+	dial func() (net.Conn, error) // nil: connection loss is terminal
+	rc   *ReconnectConfig         // nil: reconnect disabled
 
-	reconnects    atomic.Uint64
+	// packet selects the datagram transport; timeout and retries are
+	// its per-attempt reply wait and an idempotent request's resends.
+	packet  bool
+	timeout time.Duration
+	retries int
+
 	eventsDropped atomic.Uint64
 
 	mu        sync.Mutex
@@ -162,16 +161,18 @@ func WithDialer(dial func() (net.Conn, error)) ClientOption {
 	return func(c *Client) { c.dial = dial }
 }
 
-// WithClientObs registers the client's telemetry
-// (rds_client_reconnects_total, rds_client_events_dropped_total) on reg.
-func WithClientObs(reg *obs.Registry) ClientOption {
-	return func(c *Client) { c.reg = reg }
+// WithPacketTimeout sets a datagram client's wait for each reply
+// before it gives up or, for an idempotent request, sends it again
+// (default 2s). It has no effect on a stream client.
+func WithPacketTimeout(d time.Duration) ClientOption {
+	return func(c *Client) { c.timeout = d }
 }
 
-// WithClientTracer records a "reconnect" span for each successful
-// recovery on tr (nil is fine and records nothing).
-func WithClientTracer(tr *obs.Tracer) ClientOption {
-	return func(c *Client) { c.tracer = tr }
+// WithPacketRetries sets how many times a datagram client sends an
+// idempotent request again after the first attempt (default 2). It has
+// no effect on a stream client.
+func WithPacketRetries(n int) ClientOption {
+	return func(c *Client) { c.retries = n }
 }
 
 // NewClient wraps an established connection. The caller owns conn until
@@ -190,22 +191,26 @@ func NewClient(conn net.Conn, principal string, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.reg != nil {
-		c.reg.FuncCounter("rds_client_reconnects_total",
-			"connections re-established after loss", c.reconnects.Load)
-		c.reg.FuncCounter("rds_client_events_dropped_total",
-			"events dropped because the Events channel was full", c.eventsDropped.Load)
-	}
 	go c.readLoop(conn, 1)
 	return c
 }
 
-// Dial connects to an RDS server at addr ("host:port"). Connection
+// Dial connects to an RDS server at addr: "host:port" for the stream
+// transport, "udp://host:port" for the datagram one. Connection
 // establishment is bounded by DefaultDialTimeout unless WithDialTimeout
-// overrides it — an unreachable or black-holed address fails instead of
-// blocking for the kernel's SYN retry horizon. The same bounded dial is
-// installed as the client's reconnect dialer.
+// overrides it — an unreachable or black-holed address fails instead
+// of blocking for the kernel's SYN retry horizon. The same bounded dial
+// is installed as a stream client's reconnect dialer; a datagram client
+// has no connection to lose.
 func Dial(addr, principal string, opts ...ClientOption) (*Client, error) {
+	if hostport, ok := strings.CutPrefix(addr, "udp://"); ok {
+		conn, err := net.Dial("udp", hostport)
+		if err != nil {
+			return nil, fmt.Errorf("rds: dial udp %s: %w", hostport, err)
+		}
+		datagram := func(c *Client) { c.packet, c.timeout, c.retries = true, 2*time.Second, 2 }
+		return NewClient(conn, principal, append([]ClientOption{datagram}, opts...)...), nil
+	}
 	// Apply the options to a probe so Dial sees WithDialTimeout before
 	// connecting; the real client gets them again in NewClient.
 	probe := &Client{}
@@ -286,13 +291,37 @@ func (c *Client) Bytes() (out, in uint64) {
 	return c.bytesOut, c.bytesIn
 }
 
-// Reconnects reports how many times the client has re-established its
-// connection after a loss.
-func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
-
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
-	err := c.readFrames(conn)
+	var err error
+	if c.packet {
+		err = c.readDatagrams(conn)
+	} else {
+		err = c.readFrames(conn)
+	}
 	c.connLost(conn, gen, err)
+}
+
+// readDatagrams reads one message per datagram until the socket
+// closes. Undecodable datagrams are dropped, and so is any other read
+// error (an ICMP port-unreachable, say): the request's attempt timer
+// decides what a silent server means.
+func (c *Client) readDatagrams(conn net.Conn) error {
+	buf := make([]byte, maxDatagram)
+	for {
+		n, err := conn.Read(buf)
+		if errors.Is(err, net.ErrClosed) {
+			return err
+		}
+		if err != nil {
+			continue
+		}
+		c.mu.Lock()
+		c.bytesIn += uint64(n)
+		c.mu.Unlock()
+		if m, err := Decode(buf[:n]); err == nil {
+			c.receive(conn, m)
+		}
+	}
 }
 
 func (c *Client) readFrames(conn net.Conn) error {
@@ -327,29 +356,36 @@ func (c *Client) readFrames(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		switch m.Op {
-		case OpEvent:
-			c.deliver(Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
-			for _, ev := range m.Records {
-				c.deliver(ev)
-			}
-		case OpReply:
-			c.mu.Lock()
-			ch, ok := c.pending[m.Seq]
-			if ok {
-				delete(c.pending, m.Seq)
-			}
-			idle := len(c.pending) == 0
-			c.mu.Unlock()
-			if idle {
-				// Last outstanding reply: disarm the read deadline so
-				// an idle (possibly subscribed) connection is not torn
-				// down by a deadline meant for this request.
-				_ = conn.SetReadDeadline(time.Time{})
-			}
-			if ok {
-				ch <- m
-			}
+		c.receive(conn, m)
+	}
+}
+
+// receive routes one incoming message: events to Events, a reply to
+// the request waiting on its Seq. A reply nobody waits for (late, or a
+// duplicate of one already taken) is dropped.
+func (c *Client) receive(conn net.Conn, m *Message) {
+	switch m.Op {
+	case OpEvent:
+		c.deliver(Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
+		for _, ev := range m.Records {
+			c.deliver(ev)
+		}
+	case OpReply:
+		c.mu.Lock()
+		ch, ok := c.pending[m.Seq]
+		if ok {
+			delete(c.pending, m.Seq)
+		}
+		idle := len(c.pending) == 0
+		c.mu.Unlock()
+		if idle && !c.packet {
+			// Last outstanding reply: disarm the read deadline so an
+			// idle (possibly subscribed) connection is not torn down
+			// by a deadline meant for this request.
+			_ = conn.SetReadDeadline(time.Time{})
+		}
+		if ok {
+			ch <- m
 		}
 	}
 }
@@ -435,6 +471,9 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 	if err := c.auth.Sign(req); err != nil {
 		return nil, err
 	}
+	if c.packet {
+		return c.exchange(ctx, conn, req, ch)
+	}
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetWriteDeadline(deadline)
 		// Mirror the write deadline on the read side: a server that
@@ -467,22 +506,71 @@ func (c *Client) do(ctx context.Context, req *Message, force bool) (*Message, er
 
 	select {
 	case m, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.failErrOr(ErrClientClosed)
-			c.mu.Unlock()
-			return nil, err
-		}
-		if !m.OK {
-			return nil, replyErr(req.Op, m)
-		}
-		return m, nil
+		return c.answer(req, m, ok)
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, req.Seq)
-		c.mu.Unlock()
+		c.forget(req.Seq)
 		return nil, ctx.Err()
 	}
+}
+
+// exchange is do's datagram half: req goes out as one bare encoded
+// datagram, and again each time the reply wait lapses while an
+// idempotent request has retries left. Every copy carries the same
+// Seq, so whichever reply comes first answers and the rest are dropped.
+func (c *Client) exchange(ctx context.Context, conn net.Conn, req *Message, ch chan *Message) (*Message, error) {
+	pkt := req.Encode()
+	if len(pkt) > maxDatagram {
+		c.forget(req.Seq)
+		return nil, fmt.Errorf("rds: request of %d bytes exceeds datagram limit (use the TCP transport)", len(pkt))
+	}
+	attempts := 1
+	if canRetry(req) {
+		attempts += c.retries
+	}
+	wait := time.NewTimer(c.timeout)
+	defer wait.Stop()
+	var err error
+	for range attempts {
+		if _, err = conn.Write(pkt); err != nil {
+			continue // a pending ICMP error, say: the attempt is spent
+		}
+		c.mu.Lock()
+		c.bytesOut += uint64(len(pkt))
+		c.mu.Unlock()
+		wait.Reset(c.timeout)
+		select {
+		case m, ok := <-ch:
+			return c.answer(req, m, ok)
+		case <-ctx.Done():
+			c.forget(req.Seq)
+			return nil, ctx.Err()
+		case <-wait.C:
+			err = fmt.Errorf("no reply within %s", c.timeout)
+		}
+	}
+	c.forget(req.Seq)
+	return nil, fmt.Errorf("rds: datagram exchange failed after %d attempts: %w", attempts, err)
+}
+
+// answer turns what arrived on a request's reply channel into do's
+// result: the reply, its failure, or the client's closing error.
+func (c *Client) answer(req, m *Message, ok bool) (*Message, error) {
+	if !ok {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return nil, c.failErrOr(ErrClientClosed)
+	}
+	if !m.OK {
+		return nil, replyErr(req.Op, m)
+	}
+	return m, nil
+}
+
+// forget drops a request that will wait for no reply.
+func (c *Client) forget(seq uint32) {
+	c.mu.Lock()
+	delete(c.pending, seq)
+	c.mu.Unlock()
 }
 
 // failErrOr is what a failed request reports: the recorded failure, or

@@ -25,7 +25,7 @@ func TestStatsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(proc, nil, WithObs(reg), WithTracer(tr))
-	if srv.Obs() != reg {
+	if srv.reg != reg {
 		t.Fatal("WithObs not applied")
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -102,8 +102,8 @@ const (
 	// mutating requests are sent once: a lost reply may hide an effect
 	// that a second copy would repeat.
 	mutating
-	// idempotent requests may be re-sent: across a reconnect outage by
-	// Client, on a lost datagram by PacketClient.
+	// idempotent requests may be re-sent: across a stream client's
+	// reconnect outage, or after a datagram client's lost reply.
 	idempotent
 )
 

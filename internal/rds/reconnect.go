@@ -3,17 +3,17 @@ package rds
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"mbd/internal/obs"
+	"mbd/internal/elastic"
 )
 
 // ReconnectConfig tunes WithReconnect. Zero values take the defaults.
 type ReconnectConfig struct {
 	// BackoffBase is the first retry delay (default 50ms); each failed
-	// attempt doubles it up to BackoffMax (default 5s), with ±50%
-	// jitter so a fleet of delegators does not redial in lockstep.
+	// attempt doubles it up to BackoffMax (default 5s), jittered down
+	// to half (elastic.Backoff) so a fleet of delegators does not
+	// redial in lockstep.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// MaxAttempts caps consecutive failed attempts within one outage
@@ -59,7 +59,7 @@ func (c *Client) reconnectLoop() {
 			return
 		}
 		select {
-		case <-time.After(reconnectBackoff(cfg, attempt)):
+		case <-time.After(elastic.Backoff(cfg.BackoffBase, cfg.BackoffMax, attempt)):
 		case <-c.closeCh:
 			return
 		}
@@ -102,9 +102,6 @@ func (c *Client) reconnectLoop() {
 			c.connCh = nil
 		}
 		c.mu.Unlock()
-		c.reconnects.Add(1)
-		c.tracer.Record(c.principal, obs.StageReconnect,
-			fmt.Sprintf("recovered after %d attempt(s)", attempt), 0)
 		return
 	}
 }
@@ -129,29 +126,4 @@ func (c *Client) probe() bool {
 // give-up with errors.Is(err, ErrDisconnected).
 func errGaveUp(attempts int) error {
 	return fmt.Errorf("%w: gave up after %d reconnect attempts", ErrDisconnected, attempts)
-}
-
-// reconnectBackoff is the client's retry pacing: Backoff over the
-// configured base and cap.
-func reconnectBackoff(cfg *ReconnectConfig, attempt int) time.Duration {
-	return Backoff(cfg.BackoffBase, cfg.BackoffMax, attempt)
-}
-
-// Backoff returns the jittered exponential delay for the 1-based
-// attempt: base·2^(attempt-1) capped at max, with ±50% jitter so a
-// fleet of retrying peers does not act in lockstep. The federation
-// layer reuses it for join retries and heartbeat failure timeouts.
-func Backoff(base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := int64(d) / 2
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(int64(d)/2 + rand.Int63n(int64(d)))
 }

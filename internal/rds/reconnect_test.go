@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mbd/internal/elastic"
-	"mbd/internal/obs"
 )
 
 // startListener runs an RDS server over TCP and returns its address.
@@ -57,13 +55,9 @@ func TestReconnectResubscribes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(32)
 	c := NewClient(first, "mgr",
 		WithDialer(dial),
-		WithReconnect(ReconnectConfig{BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond}),
-		WithClientObs(reg),
-		WithClientTracer(tr))
+		WithReconnect(ReconnectConfig{BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond}))
 	t.Cleanup(func() { c.Close() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -81,8 +75,11 @@ func TestReconnectResubscribes(t *testing.T) {
 	if _, err := c.Query(ctx, ""); err != nil {
 		t.Fatalf("Query across outage: %v", err)
 	}
-	if c.Reconnects() < 1 {
-		t.Fatalf("reconnects = %d, want >= 1", c.Reconnects())
+	connMu.Lock()
+	dials := len(conns)
+	connMu.Unlock()
+	if dials < 2 {
+		t.Fatalf("dialed %d connections, want a redial after the outage", dials)
 	}
 	// The subscription was replayed: a fresh instance's events arrive on
 	// the original channel, which never closed.
@@ -96,22 +93,6 @@ func TestReconnectResubscribes(t *testing.T) {
 				t.Fatal("events channel closed across reconnect")
 			}
 			if ev.Kind == "report" && ev.Payload == "hi" {
-				var sb strings.Builder
-				if err := reg.WritePrometheus(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(sb.String(), "rds_client_reconnects_total 1") {
-					t.Fatalf("registry missing reconnect counter:\n%s", sb.String())
-				}
-				var sawSpan bool
-				for _, sp := range tr.Recent(0) {
-					if sp.Stage == obs.StageReconnect {
-						sawSpan = true
-					}
-				}
-				if !sawSpan {
-					t.Fatal("no reconnect span recorded on the client tracer")
-				}
 				return
 			}
 		case <-ctx.Done():
@@ -279,7 +260,7 @@ func TestDrainGrace(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never finished draining")
 	}
-	if got := srv.Stats().ConnsDrained; got != 1 {
-		t.Fatalf("ConnsDrained = %d, want 1", got)
+	if got := counterValue(srv.reg, "rds_conns_drained_total"); got != 1 {
+		t.Fatalf("rds_conns_drained_total = %d, want 1", got)
 	}
 }

@@ -20,25 +20,10 @@ import (
 
 // subscriberQueueDepth bounds each subscribed connection's pending
 // event queue. When a manager falls this far behind, the oldest
-// undelivered events are dropped (counted in ServerStats.EventsDropped)
+// undelivered events are dropped (counted in rds_events_dropped_total)
 // rather than letting the connection's write path backpressure every
 // DPI's event emission.
 const subscriberQueueDepth = 256
-
-// TenantGate is the server's seam into the tenant ledger: per-principal
-// request-rate admission and the weights driving overload shedding.
-// *elastic.Tenants implements it; NewServer wires the process's own
-// table by default.
-type TenantGate interface {
-	// AdmitRequest bills one dispatched request to principal, returning
-	// a QUO005-coded error when the request should be shed.
-	AdmitRequest(principal string) error
-	// Weight is principal's shedding priority (higher sheds later).
-	Weight(principal string) int
-	// MaxActiveWeight is the highest weight among tenants with live
-	// DPIs; under global event backpressure traffic below it is shed.
-	MaxActiveWeight() int
-}
 
 // Server exposes an elastic process over the RDS protocol. Each
 // connection is handled on its own goroutine; events from subscribed
@@ -58,11 +43,9 @@ type Server struct {
 	// views). Nil refuses them.
 	views ViewHandler
 
-	// gate is the tenant ledger seam: request-rate shedding and the
-	// weights behind event backpressure. Nil disables both; gateSet
-	// distinguishes an explicit nil from the default wiring.
-	gate    TenantGate
-	gateSet bool
+	// gate is the process's tenant ledger: request-rate shedding and
+	// the weights behind event backpressure.
+	gate *elastic.Tenants
 
 	// drainGrace > 0 turns shutdown into a drain: on ctx cancellation
 	// each connection gets that long to finish its in-flight request
@@ -85,9 +68,8 @@ type Server struct {
 	opLat *obs.Histogram
 }
 
-// serverCounters is the lock-free backing store for ServerStats.
+// serverCounters back the rds_* counters instrument registers.
 type serverCounters struct {
-	requests      atomic.Uint64
 	authFails     atomic.Uint64
 	bytesIn       atomic.Uint64
 	bytesOut      atomic.Uint64
@@ -97,28 +79,6 @@ type serverCounters struct {
 	eventsShed    atomic.Uint64
 	requestsShed  atomic.Uint64
 	connsDrained  atomic.Uint64
-}
-
-// ServerStats counts server-side protocol activity.
-type ServerStats struct {
-	Requests   uint64
-	AuthFails  uint64
-	BytesIn    uint64
-	BytesOut   uint64
-	EventsSent uint64
-	// EventsDropped counts events discarded because a subscriber's
-	// bounded queue overflowed (drop-oldest-per-tenant policy) or the
-	// event was too large to frame.
-	EventsDropped uint64
-	// EventsShed counts events refused at fan-out by the global
-	// high-water backpressure (lowest-weight tenants first).
-	EventsShed uint64
-	// RequestsShed counts requests refused by the per-principal
-	// request-rate quota (QUO005).
-	RequestsShed uint64
-	// ConnsDrained counts connections shut down through the drain-grace
-	// path instead of an immediate close.
-	ConnsDrained uint64
 }
 
 // ServerOption customizes a Server.
@@ -172,26 +132,16 @@ func WithDrainGrace(d time.Duration) ServerOption {
 	return func(s *Server) { s.drainGrace = d }
 }
 
-// WithTenantGate overrides the tenant ledger seam (the default is the
-// process's own Tenants table). Nil disables request-rate shedding and
-// weighted event backpressure.
-func WithTenantGate(g TenantGate) ServerOption {
-	return func(s *Server) { s.gate = g; s.gateSet = true }
-}
-
 // NewServer wraps proc. auth may be nil to disable authentication. By
 // default the server's counters join the process's registry (Config.Obs
 // or its private default), so one scrape covers protocol and runtime.
 func NewServer(proc *elastic.Process, auth *Authenticator, opts ...ServerOption) *Server {
-	s := &Server{proc: proc, auth: auth}
+	s := &Server{proc: proc, auth: auth, gate: proc.Tenants()}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.reg == nil {
 		s.reg = proc.Obs()
-	}
-	if !s.gateSet {
-		s.gate = proc.Tenants()
 	}
 	s.instrument()
 	return s
@@ -226,24 +176,6 @@ func (s *Server) instrument() {
 		}
 	}
 	s.opLat = s.reg.Histogram("rds_op_duration_seconds", "per-request dispatch latency", nil)
-}
-
-// Obs returns the registry the server publishes on.
-func (s *Server) Obs() *obs.Registry { return s.reg }
-
-// Stats returns a snapshot of the server counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Requests:      s.stats.requests.Load(),
-		AuthFails:     s.stats.authFails.Load(),
-		BytesIn:       s.stats.bytesIn.Load(),
-		BytesOut:      s.stats.bytesOut.Load(),
-		EventsSent:    s.stats.eventsSent.Load(),
-		EventsDropped: s.stats.eventsDropped.Load(),
-		EventsShed:    s.stats.eventsShed.Load(),
-		RequestsShed:  s.stats.requestsShed.Load(),
-		ConnsDrained:  s.stats.connsDrained.Load(),
-	}
 }
 
 // droppedEvent accounts one discarded event: the aggregate counter plus
@@ -544,7 +476,7 @@ func (q *eventQueue) close() {
 // weight is below the heaviest active tenant's — lowest-weight traffic
 // sheds first, synthetic platform events (empty principal) never shed.
 func (s *Server) overloaded(principal string) bool {
-	if s.gate == nil || principal == "" {
+	if principal == "" {
 		return false
 	}
 	subs := s.subscribers.Load()
@@ -639,7 +571,6 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			return // EOF, cancellation, or peer error — all terminal
 		}
-		s.stats.requests.Add(1)
 		s.stats.bytesIn.Add(uint64(FrameSize(body)))
 		req, err := Decode(body)
 		if err != nil {
@@ -681,7 +612,7 @@ func (s *Server) handle(ctx context.Context, req *Message) *Message {
 		s.stats.authFails.Add(1)
 		return reply(req, err)
 	}
-	if s.gate != nil && req.Principal != "" {
+	if req.Principal != "" {
 		if err := s.gate.AdmitRequest(req.Principal); err != nil {
 			s.stats.requestsShed.Add(1)
 			return reply(req, err)

@@ -32,7 +32,7 @@ func TestQuotaRejectionOverWire(t *testing.T) {
 	}
 	_, err = c.Instantiate(ctx, "daemon", "main")
 	var rej *RejectError
-	if !errors.As(err, &rej) || !rej.HasCode("QUO001") {
+	if !errors.As(err, &rej) || !hasCode(rej, "QUO001") {
 		t.Fatalf("second instantiate: %v, want QUO001 RejectError", err)
 	}
 	if err := c.Control(ctx, id, "terminate"); err != nil {
@@ -62,18 +62,17 @@ func TestQuotaRejectionOverWire(t *testing.T) {
 // gets QUO005-coded rejections while the shed is billed to its ledger,
 // over either transport.
 func TestRequestRateShedOverWire(t *testing.T) {
-	type queryFunc func(context.Context, string) ([]InfoRec, error)
 	for _, tr := range []struct {
 		name string
-		dial func(*testing.T, *elastic.Process) queryFunc
+		dial func(*testing.T, *elastic.Process) *Client
 	}{
-		{"tcp", func(t *testing.T, p *elastic.Process) queryFunc { return startServer(t, p, nil).Query }},
-		{"udp", func(t *testing.T, p *elastic.Process) queryFunc { return startPacketServer(t, p, nil).Query }},
+		{"tcp", func(t *testing.T, p *elastic.Process) *Client { return startServer(t, p, nil) }},
+		{"udp", func(t *testing.T, p *elastic.Process) *Client { c, _ := startPacketServer(t, p, nil); return c }},
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			proc := elastic.NewProcess(elastic.Config{Quota: elastic.Quota{RequestsPerSec: 1}})
 			t.Cleanup(proc.Stop)
-			query := tr.dial(t, proc)
+			query := tr.dial(t, proc).Query
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 
@@ -87,7 +86,7 @@ func TestRequestRateShedOverWire(t *testing.T) {
 					shed = rej
 				}
 			}
-			if shed == nil || !shed.HasCode("QUO005") {
+			if shed == nil || !hasCode(shed, "QUO005") {
 				t.Fatalf("burst never shed with QUO005: %+v", shed)
 			}
 			var billed bool

@@ -1,6 +1,7 @@
 package rds
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -12,7 +13,9 @@ import (
 	"mbd/internal/elastic"
 )
 
-func startPacketServer(t *testing.T, proc *elastic.Process, auth *Authenticator, copts ...PacketOption) *PacketClient {
+// startPacketServer serves proc on a loopback datagram socket and
+// returns a client dialed to it as "udp://addr", and that addr.
+func startPacketServer(t *testing.T, proc *elastic.Process, auth *Authenticator, copts ...ClientOption) (*Client, string) {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -26,7 +29,15 @@ func startPacketServer(t *testing.T, proc *elastic.Process, auth *Authenticator,
 		_ = srv.ServePacket(ctx, pc)
 	}()
 	t.Cleanup(func() { cancel(); <-done })
-	c, err := DialPacket(pc.LocalAddr().String(), "mgr", copts...)
+	addr := pc.LocalAddr().String()
+	c := dialUDP(t, addr, copts...)
+	return c, addr
+}
+
+// dialUDP dials a datagram client to addr and closes it at cleanup.
+func dialUDP(t *testing.T, addr string, copts ...ClientOption) *Client {
+	t.Helper()
+	c, err := Dial("udp://"+addr, "mgr", copts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +48,7 @@ func startPacketServer(t *testing.T, proc *elastic.Process, auth *Authenticator,
 func TestUDPDelegationLifecycle(t *testing.T) {
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	c := startPacketServer(t, proc, nil)
+	c, _ := startPacketServer(t, proc, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
@@ -98,9 +109,9 @@ func TestUDPDelegationLifecycle(t *testing.T) {
 func TestUDPSubscribeRefused(t *testing.T) {
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	c := startPacketServer(t, proc, nil)
+	c, _ := startPacketServer(t, proc, nil)
 	ctx := context.Background()
-	_, err := c.do(ctx, &Message{Op: OpSubscribe})
+	err := c.Subscribe(ctx, "")
 	var re *RemoteError
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, "stream transport") {
 		t.Fatalf("err = %v", err)
@@ -114,19 +125,14 @@ func TestUDPAuth(t *testing.T) {
 	serverAuth.SetSecret("mgr", "k")
 	good := NewAuthenticator()
 	good.SetSecret("mgr", "k")
-	c := startPacketServer(t, proc, serverAuth, WithPacketAuth(good))
+	c, addr := startPacketServer(t, proc, serverAuth, WithAuth(good))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := c.Delegate(ctx, "a", `func main() {}`); err != nil {
 		t.Fatal(err)
 	}
 	// Unsigned datagrams are answered with an auth failure.
-	unsigned, err := DialPacket(c.conn.RemoteAddr().String(), "mgr",
-		WithPacketRetries(0), WithPacketTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unsigned.Close()
+	unsigned := dialUDP(t, addr, WithPacketRetries(0), WithPacketTimeout(time.Second))
 	if err := unsigned.Delegate(ctx, "b", `func main() {}`); err == nil {
 		t.Fatal("unsigned datagram accepted")
 	}
@@ -135,7 +141,7 @@ func TestUDPAuth(t *testing.T) {
 func TestUDPOversizedDelegateRejectedClientSide(t *testing.T) {
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	c := startPacketServer(t, proc, nil)
+	c, _ := startPacketServer(t, proc, nil)
 	big := strings.Repeat("// padding\n", 10000) + "func main() {}"
 	err := c.Delegate(context.Background(), "big", big)
 	if err == nil || !strings.Contains(err.Error(), "datagram limit") {
@@ -193,19 +199,15 @@ func TestUDPRetransmissionSurvivesLoss(t *testing.T) {
 	// idempotent Query is retransmitted through it.
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	direct := startPacketServer(t, proc, nil)
+	_, server := startPacketServer(t, proc, nil)
 	dropFirstRequest := func(reply bool, n int) int {
 		if !reply && n == 0 {
 			return 0
 		}
 		return 1
 	}
-	c, err := DialPacket(lossyRelay(t, direct.conn.RemoteAddr().String(), dropFirstRequest), "mgr",
+	c := dialUDP(t, lossyRelay(t, server, dropFirstRequest),
 		WithPacketTimeout(200*time.Millisecond), WithPacketRetries(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
 	if _, err := c.Query(cctx, ""); err != nil {
@@ -229,7 +231,7 @@ func TestUDPLostReplyNotRetransmitted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			proc := elastic.NewProcess(elastic.Config{})
 			t.Cleanup(proc.Stop)
-			direct := startPacketServer(t, proc, nil)
+			direct, server := startPacketServer(t, proc, nil)
 			copies := func(reply bool, n int) int {
 				switch {
 				case !reply:
@@ -239,12 +241,8 @@ func TestUDPLostReplyNotRetransmitted(t *testing.T) {
 				}
 				return tc.instReply
 			}
-			c, err := DialPacket(lossyRelay(t, direct.conn.RemoteAddr().String(), copies), "mgr",
+			c := dialUDP(t, lossyRelay(t, server, copies),
 				WithPacketTimeout(200*time.Millisecond), WithPacketRetries(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := c.Delegate(ctx, "park", `func main() { recv(-1); }`); err != nil {
@@ -269,7 +267,7 @@ func TestUDPOversizedReplyReportedAsError(t *testing.T) {
 	// must substitute an in-band error rather than truncate or drop.
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	c := startPacketServer(t, proc, nil)
+	c, _ := startPacketServer(t, proc, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	src := `func main() {
@@ -295,8 +293,8 @@ func TestUDPGarbageDatagramDropped(t *testing.T) {
 	// wedging the serve loop.
 	proc := elastic.NewProcess(elastic.Config{})
 	t.Cleanup(proc.Stop)
-	c := startPacketServer(t, proc, nil)
-	raw, err := net.Dial("udp", c.conn.RemoteAddr().String())
+	c, addr := startPacketServer(t, proc, nil)
+	raw, err := net.Dial("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +332,8 @@ func TestUDPServerCloseMidRequest(t *testing.T) {
 		defer close(done)
 		_ = srv.ServePacket(ctx, pc)
 	}()
-	c, err := DialPacket(pc.LocalAddr().String(), "mgr",
+	c := dialUDP(t, pc.LocalAddr().String(),
 		WithPacketTimeout(200*time.Millisecond), WithPacketRetries(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
 	if out, err := c.Eval(cctx, `func main() { return "up"; }`, "main"); err != nil || out != "up" {
@@ -357,5 +351,28 @@ func TestUDPServerCloseMidRequest(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("failure took %s, want bounded by timeout*retries", elapsed)
+	}
+}
+
+// TestUDPDatagramIsBareEncoding: a datagram client's request is exactly
+// Message.Encode() of the request, with no frame prefix, so ServePacket
+// decodes it as sent.
+func TestUDPDatagramIsBareEncoding(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	c := dialUDP(t, pc.LocalAddr().String(), WithPacketRetries(0), WithPacketTimeout(100*time.Millisecond))
+	go func() { _, _ = c.Query(context.Background(), "echo#1") }()
+	_ = pc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, maxDatagram)
+	n, _, err := pc.ReadFrom(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (&Message{Op: OpQuery, Seq: 1, Name: "echo#1", Principal: "mgr"}).Encode()
+	if !bytes.Equal(buf[:n], want) {
+		t.Fatalf("datagram = %x, want Message.Encode() = %x", buf[:n], want)
 	}
 }

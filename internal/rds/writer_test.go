@@ -264,12 +264,12 @@ func TestOversizedEventCounted(t *testing.T) {
 		{DPI: "big#1", Kind: elastic.EventExit, Payload: "0", Principal: "mgr"},
 	}
 	s, conn := pumpQueued(t, evs)
-	if st := s.Stats(); st.EventsDropped != 1 || st.EventsSent != 3 {
-		t.Fatalf("sent %d, dropped %d; want 3 sent, 1 dropped", st.EventsSent, st.EventsDropped)
+	if sent, dropped := s.stats.eventsSent.Load(), s.stats.eventsDropped.Load(); dropped != 1 || sent != 3 {
+		t.Fatalf("sent %d, dropped %d; want 3 sent, 1 dropped", sent, dropped)
 	}
 	got, _ := wireEvents(t, conn.wire.Bytes())
 	sameEvents(t, got, []elastic.Event{evs[0], evs[2], evs[3]})
-	if v := counterValue(s.Obs(), `rds_events_dropped_total{principal="hog"}`); v != 1 {
+	if v := counterValue(s.reg, `rds_events_dropped_total{principal="hog"}`); v != 1 {
 		t.Fatalf(`rds_events_dropped_total{principal="hog"} = %d, want 1`, v)
 	}
 }
@@ -341,8 +341,8 @@ func TestPumpDeliversBatchesToClient(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("client did not receive every event")
 	}
-	if st := s.Stats(); st.EventsDropped != 1 || st.EventsSent != uint64(len(want)) {
-		t.Fatalf("sent %d, dropped %d; want %d sent, 1 dropped", st.EventsSent, st.EventsDropped, len(want))
+	if sent, dropped := s.stats.eventsSent.Load(), s.stats.eventsDropped.Load(); dropped != 1 || sent != uint64(len(want)) {
+		t.Fatalf("sent %d, dropped %d; want %d sent, 1 dropped", sent, dropped, len(want))
 	}
 	if n := c.EventsDropped(); n != 0 {
 		t.Fatalf("client dropped %d events", n)
@@ -350,12 +350,11 @@ func TestPumpDeliversBatchesToClient(t *testing.T) {
 }
 
 // TestClientCountsDroppedEvents: a client whose Events channel nobody
-// reads keeps the first 256 of 300 events and counts the other 44, in
-// EventsDropped and rds_client_events_dropped_total.
+// reads keeps the first 256 of 300 events and counts the other 44 in
+// EventsDropped.
 func TestClientCountsDroppedEvents(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
-	reg := obs.NewRegistry()
-	c := NewClient(cliConn, "mgr", WithClientObs(reg))
+	c := NewClient(cliConn, "mgr")
 	defer c.Close()
 	cw := &connWriter{conn: srvConn}
 	for b := 0; b < 3; b++ {
@@ -371,9 +370,6 @@ func TestClientCountsDroppedEvents(t *testing.T) {
 	}
 	if n := c.EventsDropped(); n != 44 {
 		t.Fatalf("EventsDropped = %d, want 44", n)
-	}
-	if v := counterValue(reg, "rds_client_events_dropped_total"); v != 44 {
-		t.Fatalf("rds_client_events_dropped_total = %d, want 44", v)
 	}
 	if n := len(c.Events()); n != 256 {
 		t.Fatalf("Events holds %d, want 256", n)

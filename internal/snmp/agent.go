@@ -148,17 +148,6 @@ func (a *Agent) handlePacketAppend(dst, pkt []byte) (out []byte) {
 	return out
 }
 
-// Handle processes a decoded request message and returns the response
-// message, or nil for drops. Unlike the packet path, the response is
-// freshly allocated and safe to retain.
-func (a *Agent) Handle(req *Message) *Message {
-	resp := &Message{}
-	if !a.serve(req, resp, nil) {
-		return nil
-	}
-	return resp
-}
-
 // serve answers req into resp, reusing resp's varbind storage and, when
 // sc is non-nil, its pooled successor buffers. It reports whether a
 // response should be sent.

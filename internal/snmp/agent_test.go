@@ -115,23 +115,27 @@ func TestAgentSetPaths(t *testing.T) {
 	agent := NewAgent(tree, "private")
 	c := NewClient(AgentTripper(agent), "private")
 	ctx := context.Background()
+	set := func(vb VarBind) error {
+		_, err := c.exchange(ctx, PDUSetRequest, []VarBind{vb})
+		return err
+	}
 
-	if _, err := c.Set(ctx, VarBind{Name: oid.MustParse("1.3.1.0"), Value: mib.Int(9)}); err != nil {
+	if err := set(VarBind{Name: oid.MustParse("1.3.1.0"), Value: mib.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if val.Int != 9 {
 		t.Fatal("set did not apply")
 	}
 	var re *RequestError
-	_, err := c.Set(ctx, VarBind{Name: oid.MustParse("1.3.1.0"), Value: mib.Str("no")})
+	err := set(VarBind{Name: oid.MustParse("1.3.1.0"), Value: mib.Str("no")})
 	if !errors.As(err, &re) || re.Status != BadValue {
 		t.Fatalf("bad value: %v", err)
 	}
-	_, err = c.Set(ctx, VarBind{Name: oid.MustParse("1.3.2.0"), Value: mib.Int(1)})
+	err = set(VarBind{Name: oid.MustParse("1.3.2.0"), Value: mib.Int(1)})
 	if !errors.As(err, &re) || re.Status != ReadOnly {
 		t.Fatalf("read-only: %v", err)
 	}
-	_, err = c.Set(ctx, VarBind{Name: oid.MustParse("1.3.3.0"), Value: mib.Int(1)})
+	err = set(VarBind{Name: oid.MustParse("1.3.3.0"), Value: mib.Int(1)})
 	if !errors.As(err, &re) || re.Status != NoSuchName {
 		t.Fatalf("missing: %v", err)
 	}

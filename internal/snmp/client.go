@@ -180,11 +180,6 @@ func (c *Client) GetNext(ctx context.Context, names ...oid.OID) ([]VarBind, erro
 	return c.exchange(ctx, PDUGetNextRequest, vbs)
 }
 
-// Set writes the given varbinds.
-func (c *Client) Set(ctx context.Context, vbs ...VarBind) ([]VarBind, error) {
-	return c.exchange(ctx, PDUSetRequest, vbs)
-}
-
 // Walk traverses the subtree rooted at prefix with repeated GetNext
 // operations, invoking fn for every instance. It returns the number of
 // instances visited.

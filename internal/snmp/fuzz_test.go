@@ -31,7 +31,7 @@ func sameMessage(a, b *Message) string {
 		return fmt.Sprintf("%d varbinds vs %d", len(a.VarBinds), len(b.VarBinds))
 	}
 	for i, vb := range a.VarBinds {
-		if !vb.Name.Equal(b.VarBinds[i].Name) || !vb.Value.Equal(b.VarBinds[i].Value) {
+		if !vb.Name.Equal(b.VarBinds[i].Name) || vb.Value.String() != b.VarBinds[i].Value.String() {
 			return fmt.Sprintf("varbind %d: %v = %v vs %v = %v", i, vb.Name, vb.Value, b.VarBinds[i].Name, b.VarBinds[i].Value)
 		}
 	}

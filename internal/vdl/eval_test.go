@@ -97,7 +97,7 @@ func TestToSMIAllKinds(t *testing.T) {
 		{[]int{1}, mib.Str("[1]")}, // fallback rendering
 	}
 	for _, c := range cases {
-		if got := toSMI(c.in); !got.Equal(c.want) {
+		if got := toSMI(c.in); got.String() != c.want.String() {
 			t.Errorf("toSMI(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}

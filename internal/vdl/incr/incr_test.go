@@ -267,7 +267,9 @@ func TestEmptyTablesAndZeroRowAggregates(t *testing.T) {
 	}
 
 	// Now make the keys match and confirm the pair appears.
-	routes.SetCellValue(oid.OID{10, 3, 0, 0}, mib.IPRouteMetric1, mib.Int(99))
+	routes.Upsert(oid.OID{10, 3, 0, 0}, map[uint32]mib.Value{
+		mib.IPRouteDest: mib.IP(10, 3, 0, 0), mib.IPRouteIfIndex: mib.Int(1), mib.IPRouteMetric1: mib.Int(99),
+	})
 	crosscheck(t, a, ev, defs)
 	if res, err = a.Query("emptyJoin"); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("join after key match: rows=%v err=%v", res.Rows, err)

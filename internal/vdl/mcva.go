@@ -15,8 +15,8 @@ import (
 // views (an enterprise arc reserved for this implementation).
 var OIDViews = oid.MustParse("1.3.6.1.4.1.424242.1")
 
-// DefaultSnapshotCap bounds retained snapshots when no explicit cap is
-// configured. Under periodic refresh an unbounded snapshot map is a
+// DefaultSnapshotCap bounds an MCVA's retained snapshots. Under
+// periodic refresh an unbounded snapshot map is a
 // slow leak; evicting least-recently-used entries keeps forensics
 // available without growing forever.
 const DefaultSnapshotCap = 64
@@ -187,19 +187,6 @@ func (m *MCVA) queryLocked(name string) (*Result, error) {
 		}
 	}
 	return mv.result()
-}
-
-// SetSnapshotCap changes the retained-snapshot bound (minimum 1;
-// non-positive restores DefaultSnapshotCap). Excess snapshots are
-// evicted immediately, least recently used first.
-func (m *MCVA) SetSnapshotCap(n int) {
-	if n <= 0 {
-		n = DefaultSnapshotCap
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snapCap = n
-	m.evictLocked()
 }
 
 // SnapshotsEvicted returns how many snapshots the LRU bound has

@@ -303,7 +303,7 @@ func TestSnapshotLRUEviction(t *testing.T) {
 	if _, err := m.Define(`view conns { from tcpConnTable; select tcpConnRemPort; }`); err != nil {
 		t.Fatal(err)
 	}
-	m.SetSnapshotCap(3)
+	setSnapshotCap(m, 3)
 	ids := make([]int64, 0, 5)
 	for i := 0; i < 5; i++ {
 		id, err := m.Snapshot("conns")
@@ -340,7 +340,7 @@ func TestSnapshotLRUEviction(t *testing.T) {
 		t.Fatal("stale snapshot survived past touched one")
 	}
 	// Lowering the cap evicts immediately; the counter is monotonic.
-	m.SetSnapshotCap(1)
+	setSnapshotCap(m, 1)
 	if got := m.SnapshotsEvicted(); got != 5 {
 		t.Fatalf("after cap lower evicted = %d, want 5", got)
 	}
@@ -354,4 +354,13 @@ func TestSnapshotLRUEviction(t *testing.T) {
 	if !strings.Contains(b.String(), "vdl_snapshots_evicted_total 5") {
 		t.Fatalf("metric missing:\n%s", b.String())
 	}
+}
+
+// setSnapshotCap lowers m's retained-snapshot bound to n, evicting any
+// excess at once.
+func setSnapshotCap(m *MCVA, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.snapCap = n
+	m.evictLocked()
 }

@@ -78,7 +78,7 @@ func TestVMIBOrderMatchesEval(t *testing.T) {
 			if err != nil || !next.HasPrefix(OIDViews) {
 				break
 			}
-			if got, err := tree.Get(next); err != nil || !got.Equal(v) {
+			if got, err := tree.Get(next); err != nil || got.String() != v.String() {
 				t.Fatalf("%s: Get(%s) = %v, %v; GetNext served %v", stage, next, got, err, v)
 			}
 			byNext = append(byNext, fmt.Sprintf("%s=%s", next, v))
