@@ -34,7 +34,8 @@
 //
 // With -repo, delegated programs load from dir/*.dpl at startup (each
 // re-checked by the Translator) and the repository is saved back on
-// shutdown — the paper's file-system-backed Repository. The directory
+// shutdown, removing the files of programs deleted since — the paper's
+// file-system-backed Repository. The directory
 // doubles as a warm-restart checkpoint: shutdown also records the
 // still-running instances (dpis.json), and the next boot re-admits the
 // programs and re-instantiates the ones delegated with restart policy

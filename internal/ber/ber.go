@@ -11,6 +11,10 @@
 // Counter32, Gauge32, TimeTicks, Opaque, Counter64) and
 // context-specific constructed tags for PDUs. Definite length form
 // only, as SNMP requires.
+//
+// Each wire structure states its fields once, as a visit over a Codec
+// (codec.go) that either appends them through a Writer or decodes
+// them, checking every tag it reads.
 package ber
 
 import (
@@ -98,6 +102,13 @@ func (w *Writer) AppendTLV(tag byte, contents []byte) *Writer {
 	return w
 }
 
+// appendString appends a string-valued TLV without converting s.
+func (w *Writer) appendString(tag byte, s string) {
+	w.buf = append(w.buf, tag)
+	w.appendLength(len(s))
+	w.buf = append(w.buf, s...)
+}
+
 // AppendInt appends a two's-complement INTEGER with the given tag
 // (TagInteger for universal integers; SNMP application tags reuse the
 // integer content encoding).
@@ -129,11 +140,6 @@ func (w *Writer) AppendUint(tag byte, v uint64) *Writer {
 		w.buf = append(w.buf, byte(v>>(uint(i)*8)))
 	}
 	return w
-}
-
-// AppendString appends an OCTET STRING (or any string-like tag).
-func (w *Writer) AppendString(tag byte, s []byte) *Writer {
-	return w.AppendTLV(tag, s)
 }
 
 // AppendNull appends a NULL value.
@@ -180,8 +186,8 @@ func base128Len(v uint64) int {
 }
 
 func appendBase128(dst []byte, v uint64) []byte {
-	if v == 0 {
-		return append(dst, 0)
+	if v < 0x80 { // one octet, as most arcs take
+		return append(dst, byte(v))
 	}
 	var tmp [10]byte
 	i := len(tmp)
@@ -195,189 +201,86 @@ func appendBase128(dst []byte, v uint64) []byte {
 }
 
 // BeginSeq opens a constructed element with the given tag and returns a
-// marker to pass to EndSeq. Lengths are patched when the sequence ends.
+// marker to pass to EndSeq. It reserves one length octet, which an
+// element shorter than 128 bytes keeps, so only a longer one moves its
+// contents when it ends.
 func (w *Writer) BeginSeq(tag byte) int {
-	w.buf = append(w.buf, tag)
-	return len(w.buf)
+	w.buf = append(w.buf, tag, 0)
+	return len(w.buf) - 1
 }
 
-// EndSeq closes a constructed element opened at marker, inserting the
-// definite-form length of everything appended in between.
+// EndSeq closes a constructed element opened at marker, writing the
+// definite-form length of everything appended since.
 func (w *Writer) EndSeq(marker int) *Writer {
-	contents := w.buf[marker:]
-	n := len(contents)
-	var lenBytes int
-	switch {
-	case n < 0x80:
-		lenBytes = 1
-	case n <= 0xFF:
-		lenBytes = 2
-	case n <= 0xFFFF:
-		lenBytes = 3
-	case n <= 0xFFFFFF:
-		lenBytes = 4
-	default:
-		lenBytes = 5
-	}
-	w.buf = append(w.buf, make([]byte, lenBytes)...)
-	copy(w.buf[marker+lenBytes:], w.buf[marker:len(w.buf)-lenBytes])
-	// Re-encode the length in place.
-	switch lenBytes {
-	case 1:
+	n := len(w.buf) - marker - 1
+	if n < 0x80 {
 		w.buf[marker] = byte(n)
-	case 2:
-		w.buf[marker] = 0x81
-		w.buf[marker+1] = byte(n)
-	case 3:
-		w.buf[marker] = 0x82
-		w.buf[marker+1] = byte(n >> 8)
-		w.buf[marker+2] = byte(n)
-	case 4:
-		w.buf[marker] = 0x83
-		w.buf[marker+1] = byte(n >> 16)
-		w.buf[marker+2] = byte(n >> 8)
-		w.buf[marker+3] = byte(n)
-	default:
-		w.buf[marker] = 0x84
-		w.buf[marker+1] = byte(n >> 24)
-		w.buf[marker+2] = byte(n >> 16)
-		w.buf[marker+3] = byte(n >> 8)
-		w.buf[marker+4] = byte(n)
+		return w
+	}
+	k := 1 // long-form length octets
+	for x := n >> 8; x > 0; x >>= 8 {
+		k++
+	}
+	w.buf = append(w.buf, make([]byte, k)...)
+	copy(w.buf[marker+1+k:], w.buf[marker+1:len(w.buf)-k])
+	w.buf[marker] = 0x80 | byte(k)
+	for i := k; i > 0; i, n = i-1, n>>8 {
+		w.buf[marker+i] = byte(n)
 	}
 	return w
 }
 
-// Reader decodes a BER byte stream sequentially.
-type Reader struct {
-	buf []byte
-	off int
+// element parses the element at b[off:], returning its tag and the
+// bounds of its contents, b[start:end].
+func element(b []byte, off int) (tag byte, start, end int, err error) {
+	if off+2 > len(b) {
+		return 0, 0, 0, ErrTruncated
+	}
+	tag, n := b[off], int(b[off+1])
+	off += 2
+	if n >= 0x80 {
+		k := n & 0x7F
+		if k == 0 || k > 4 {
+			return 0, 0, 0, fmt.Errorf("ber: unsupported length form 0x%02x", n)
+		}
+		if off+k > len(b) {
+			return 0, 0, 0, ErrTruncated
+		}
+		n = 0
+		for _, x := range b[off : off+k] {
+			n = n<<8 | int(x)
+		}
+		off += k
+	}
+	if n > len(b)-off {
+		return 0, 0, 0, ErrTruncated
+	}
+	return tag, off, off + n, nil
 }
 
-// NewReader returns a Reader over buf. The reader does not copy buf.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
-// Empty reports whether all input has been consumed.
-func (r *Reader) Empty() bool { return r.off >= len(r.buf) }
-
-// PeekTag returns the tag byte of the next element without consuming it.
-func (r *Reader) PeekTag() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, ErrTruncated
-	}
-	return r.buf[r.off], nil
-}
-
-// header consumes tag and length, returning the tag and content length.
-func (r *Reader) header() (tag byte, n int, err error) {
-	if r.off >= len(r.buf) {
-		return 0, 0, ErrTruncated
-	}
-	tag = r.buf[r.off]
-	r.off++
-	if r.off >= len(r.buf) {
-		return 0, 0, ErrTruncated
-	}
-	b := r.buf[r.off]
-	r.off++
-	if b < 0x80 {
-		return tag, int(b), nil
-	}
-	k := int(b & 0x7F)
-	if k == 0 || k > 4 {
-		return 0, 0, fmt.Errorf("ber: unsupported length form 0x%02x", b)
-	}
-	if r.off+k > len(r.buf) {
-		return 0, 0, ErrTruncated
-	}
-	for i := 0; i < k; i++ {
-		n = n<<8 | int(r.buf[r.off])
-		r.off++
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("ber: negative length")
-	}
-	return tag, n, nil
-}
-
-// ReadTLV consumes the next element and returns its tag and contents.
-// The contents alias the reader's buffer.
-func (r *Reader) ReadTLV() (tag byte, contents []byte, err error) {
-	tag, n, err := r.header()
-	if err != nil {
-		return 0, nil, err
-	}
-	if r.off+n > len(r.buf) {
-		return 0, nil, ErrTruncated
-	}
-	contents = r.buf[r.off : r.off+n]
-	r.off += n
-	return tag, contents, nil
-}
-
-// ReadInt consumes an element and interprets its contents as a signed
-// two's-complement integer, returning the actual tag found.
-func (r *Reader) ReadInt() (tag byte, v int64, err error) {
-	tag, c, err := r.ReadTLV()
-	if err != nil {
-		return 0, 0, err
-	}
+// intContents interprets an INTEGER's contents as a signed
+// two's-complement integer.
+func intContents(c []byte) (v int64, err error) {
 	if len(c) == 0 || len(c) > 8 {
-		return 0, 0, fmt.Errorf("ber: integer of %d bytes", len(c))
+		return 0, fmt.Errorf("ber: integer of %d bytes", len(c))
 	}
 	v = int64(int8(c[0])) // sign-extend
 	for _, b := range c[1:] {
 		v = v<<8 | int64(b)
 	}
-	return tag, v, nil
+	return v, nil
 }
 
-// ReadUint consumes an element and interprets its contents as an
-// unsigned integer (Counter/Gauge/TimeTicks).
-func (r *Reader) ReadUint() (tag byte, v uint64, err error) {
-	tag, c, err := r.ReadTLV()
-	if err != nil {
-		return 0, 0, err
-	}
+// uintContents interprets an element's contents as an unsigned integer
+// (Counter/Gauge/TimeTicks).
+func uintContents(c []byte) (v uint64, err error) {
 	if len(c) == 0 || len(c) > 9 || (len(c) == 9 && c[0] != 0) {
-		return 0, 0, fmt.Errorf("ber: uint of %d bytes", len(c))
+		return 0, fmt.Errorf("ber: uint of %d bytes", len(c))
 	}
 	for _, b := range c {
 		v = v<<8 | uint64(b)
 	}
-	return tag, v, nil
-}
-
-// ReadString consumes an element and returns its contents as a copied
-// byte slice along with the tag.
-func (r *Reader) ReadString() (tag byte, s []byte, err error) {
-	tag, c, err := r.ReadTLV()
-	if err != nil {
-		return 0, nil, err
-	}
-	out := make([]byte, len(c))
-	copy(out, c)
-	return tag, out, nil
-}
-
-// ReadOID consumes an OBJECT IDENTIFIER element.
-func (r *Reader) ReadOID() (oid.OID, error) {
-	return r.AppendOID(nil)
-}
-
-// AppendOID consumes an OBJECT IDENTIFIER element and appends its arcs
-// to dst, returning the extended slice (append semantics: the decoded
-// OID is ext[len(dst):]). Decoders that reuse an arc arena across
-// messages pass the arena to decode without allocating; dst may be nil,
-// in which case the result is just the decoded OID.
-func (r *Reader) AppendOID(dst oid.OID) (oid.OID, error) {
-	tag, c, err := r.ReadTLV()
-	if err != nil {
-		return nil, err
-	}
-	if tag != TagOID {
-		return nil, fmt.Errorf("ber: expected OID tag, got 0x%02x", tag)
-	}
-	return appendOIDContents(dst, c)
+	return v, nil
 }
 
 func appendOIDContents(dst oid.OID, c []byte) (oid.OID, error) {
@@ -387,6 +290,10 @@ func appendOIDContents(dst oid.OID, c []byte) (oid.OID, error) {
 	var v uint64
 	first := true
 	for i, b := range c {
+		if b < 0x80 && v == 0 && !first { // a one-octet arc, as most are
+			dst = append(dst, uint32(b))
+			continue
+		}
 		v = v<<7 | uint64(b&0x7F)
 		if v > 1<<40 {
 			return nil, errors.New("ber: OID arc overflow")
@@ -419,39 +326,4 @@ func appendOIDContents(dst oid.OID, c []byte) (oid.OID, error) {
 		v = 0
 	}
 	return dst, nil
-}
-
-// ReadNull consumes a NULL element.
-func (r *Reader) ReadNull() error {
-	tag, c, err := r.ReadTLV()
-	if err != nil {
-		return err
-	}
-	if tag != TagNull || len(c) != 0 {
-		return fmt.Errorf("ber: expected NULL, got tag 0x%02x len %d", tag, len(c))
-	}
-	return nil
-}
-
-// EnterSeq consumes the header of a constructed element with the given
-// tag and returns a sub-reader confined to its contents.
-func (r *Reader) EnterSeq(tag byte) (*Reader, error) {
-	sub, err := r.Seq(tag)
-	if err != nil {
-		return nil, err
-	}
-	return &sub, nil
-}
-
-// Seq is EnterSeq returning the sub-reader by value: decoders nesting
-// several sequences per message use it to stay allocation-free.
-func (r *Reader) Seq(tag byte) (Reader, error) {
-	got, c, err := r.ReadTLV()
-	if err != nil {
-		return Reader{}, err
-	}
-	if got != tag {
-		return Reader{}, fmt.Errorf("ber: expected constructed tag 0x%02x, got 0x%02x", tag, got)
-	}
-	return Reader{buf: c}, nil
 }

@@ -10,21 +10,27 @@ import (
 	"mbd/internal/oid"
 )
 
+// decodeOID decodes b, one OBJECT IDENTIFIER, into storage of its own.
+func decodeOID(b []byte) (oid.OID, error) {
+	var o oid.OID
+	d := Decoder(b)
+	d.OID(&o, nil)
+	return o, d.Finish()
+}
+
 func TestIntRoundTrip(t *testing.T) {
 	values := []int64{0, 1, -1, 127, 128, -128, -129, 255, 256, 1<<31 - 1, -(1 << 31), math.MaxInt64, math.MinInt64}
 	for _, v := range values {
-		var w Writer
-		w.AppendInt(TagInteger, v)
-		r := NewReader(w.Bytes())
-		tag, got, err := r.ReadInt()
-		if err != nil {
-			t.Fatalf("ReadInt(%d): %v", v, err)
+		e := Encoder(nil)
+		Int(&e, &v)
+		d := Decoder(e.Bytes())
+		var got int64
+		Int(&d, &got)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("Int(%d): %v", v, err)
 		}
-		if tag != TagInteger || got != v {
-			t.Errorf("round-trip %d: got %d tag 0x%02x", v, got, tag)
-		}
-		if !r.Empty() {
-			t.Errorf("round-trip %d: trailing bytes", v)
+		if got != v {
+			t.Errorf("round-trip %d: got %d", v, got)
 		}
 	}
 }
@@ -56,13 +62,14 @@ func TestUintRoundTrip(t *testing.T) {
 		for _, tag := range tags {
 			var w Writer
 			w.AppendUint(tag, v)
-			r := NewReader(w.Bytes())
-			got, u, err := r.ReadUint()
-			if err != nil {
-				t.Fatalf("ReadUint(%d): %v", v, err)
+			d := Decoder(w.Bytes())
+			var u uint64
+			d.Uint(tag, &u)
+			if err := d.Finish(); err != nil {
+				t.Fatalf("Uint(%d): %v", v, err)
 			}
-			if got != tag || u != v {
-				t.Errorf("round-trip %d tag 0x%02x: got %d tag 0x%02x", v, tag, u, got)
+			if u != v {
+				t.Errorf("round-trip %d tag 0x%02x: got %d", v, tag, u)
 			}
 		}
 	}
@@ -70,22 +77,30 @@ func TestUintRoundTrip(t *testing.T) {
 
 func TestStringAndNull(t *testing.T) {
 	var w Writer
-	w.AppendString(TagOctetString, []byte("public"))
+	w.AppendTLV(TagOctetString, []byte("public"))
 	w.AppendNull()
-	w.AppendString(TagOctetString, nil)
-	r := NewReader(w.Bytes())
-	tag, s, err := r.ReadString()
-	if err != nil || tag != TagOctetString || string(s) != "public" {
-		t.Fatalf("ReadString = %q tag 0x%02x err %v", s, tag, err)
+	w.AppendTLV(TagOctetString, nil)
+	d := Decoder(w.Bytes())
+	var s string
+	d.String(TagOctetString, &s)
+	if err := d.Err(); err != nil || s != "public" {
+		t.Fatalf("String = %q err %v", s, err)
 	}
-	if err := r.ReadNull(); err != nil {
-		t.Fatalf("ReadNull: %v", err)
+	d.Null()
+	if err := d.Err(); err != nil {
+		t.Fatalf("Null: %v", err)
 	}
-	if _, s, err = r.ReadString(); err != nil || len(s) != 0 {
-		t.Fatalf("empty string round-trip: %q, %v", s, err)
+	b := []byte("stale")
+	if d.Octets(TagOctetString, &b); d.Err() != nil || b != nil {
+		t.Fatalf("empty string round-trip: %q, %v", b, d.Err())
 	}
-	if !r.Empty() {
-		t.Fatal("trailing bytes")
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// A NULL carries no contents.
+	d = Decoder([]byte{TagNull, 0x01, 0x00})
+	if d.Null(); d.Err() == nil {
+		t.Fatal("NULL with contents accepted")
 	}
 }
 
@@ -102,10 +117,9 @@ func TestOIDRoundTrip(t *testing.T) {
 		o := oid.MustParse(s)
 		var w Writer
 		w.AppendOID(o)
-		r := NewReader(w.Bytes())
-		got, err := r.ReadOID()
+		got, err := decodeOID(w.Bytes())
 		if err != nil {
-			t.Fatalf("ReadOID(%s): %v", s, err)
+			t.Fatalf("OID(%s): %v", s, err)
 		}
 		if !got.Equal(o) {
 			t.Errorf("round-trip %s = %s", s, got)
@@ -124,30 +138,40 @@ func TestOIDKnownEncoding(t *testing.T) {
 }
 
 func TestSequenceNesting(t *testing.T) {
-	var w Writer
-	outer := w.BeginSeq(TagSequence)
-	w.AppendInt(TagInteger, 7)
-	inner := w.BeginSeq(TagSequence)
-	w.AppendString(TagOctetString, []byte("x"))
-	w.EndSeq(inner)
-	w.EndSeq(outer)
-
-	r, err := NewReader(w.Bytes()).EnterSeq(TagSequence)
-	if err != nil {
-		t.Fatal(err)
+	// visit is one field list for both directions.
+	visit := func(c *Codec, v *int64, s *string) {
+		outer := c.Begin(TagSequence)
+		Int(c, v)
+		inner := c.Begin(TagSequence)
+		c.String(TagOctetString, s)
+		c.End(inner)
+		c.End(outer)
 	}
-	if _, v, err := r.ReadInt(); err != nil || v != 7 {
-		t.Fatalf("inner int = %d, %v", v, err)
+	v, s := int64(7), "x"
+	e := Encoder(nil)
+	visit(&e, &v, &s)
+	want := []byte{0x30, 0x08, 0x02, 0x01, 0x07, 0x30, 0x03, 0x04, 0x01, 'x'}
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Fatalf("encoding = % x, want % x", e.Bytes(), want)
 	}
-	ir, err := r.EnterSeq(TagSequence)
-	if err != nil {
-		t.Fatal(err)
+	var gv int64
+	var gs string
+	d := Decoder(e.Bytes())
+	visit(&d, &gv, &gs)
+	if err := d.Finish(); err != nil || gv != 7 || gs != "x" {
+		t.Fatalf("decoded %d %q, %v", gv, gs, err)
 	}
-	if _, s, err := ir.ReadString(); err != nil || string(s) != "x" {
-		t.Fatalf("inner string = %q, %v", s, err)
-	}
-	if !ir.Empty() || !r.Empty() {
-		t.Fatal("unconsumed input")
+	// An inner element with bytes left over, or bytes after the outer
+	// one, is refused.
+	for _, bad := range [][]byte{
+		{0x30, 0x0a, 0x02, 0x01, 0x07, 0x30, 0x05, 0x04, 0x01, 'x', 0x05, 0x00},
+		append(append([]byte{}, want...), 0x05, 0x00),
+	} {
+		d := Decoder(bad)
+		visit(&d, &gv, &gs)
+		if d.Finish() == nil {
+			t.Errorf("% x accepted", bad)
+		}
 	}
 }
 
@@ -155,10 +179,11 @@ func TestLongFormLengths(t *testing.T) {
 	for _, n := range []int{127, 128, 255, 256, 65535, 65536, 1 << 20} {
 		payload := bytes.Repeat([]byte{0xAB}, n)
 		var w Writer
-		w.AppendString(TagOctetString, payload)
-		r := NewReader(w.Bytes())
-		_, s, err := r.ReadString()
-		if err != nil {
+		w.AppendTLV(TagOctetString, payload)
+		d := Decoder(w.Bytes())
+		var s []byte
+		d.Octets(TagOctetString, &s)
+		if err := d.Finish(); err != nil {
 			t.Fatalf("len %d: %v", n, err)
 		}
 		if !bytes.Equal(s, payload) {
@@ -169,11 +194,12 @@ func TestLongFormLengths(t *testing.T) {
 
 func TestTruncatedInputs(t *testing.T) {
 	var w Writer
-	w.AppendString(TagOctetString, []byte("hello world"))
+	w.AppendTLV(TagOctetString, []byte("hello world"))
 	full := w.Bytes()
 	for i := 0; i < len(full); i++ {
-		r := NewReader(full[:i])
-		if _, _, err := r.ReadString(); err == nil {
+		d := Decoder(full[:i])
+		var s string
+		if d.String(TagOctetString, &s); d.Err() == nil {
 			t.Fatalf("truncation at %d not detected", i)
 		}
 	}
@@ -187,7 +213,7 @@ func TestMalformedOIDs(t *testing.T) {
 		{0x06, 0x05, 0x90, 0x80, 0x80, 0x80, 0x50}, // first sub-identifier packs 2.(2^32)
 	}
 	for _, b := range bad {
-		if _, err := NewReader(b).ReadOID(); err == nil {
+		if _, err := decodeOID(b); err == nil {
 			t.Errorf("malformed OID % x accepted", b)
 		}
 	}
@@ -196,27 +222,48 @@ func TestMalformedOIDs(t *testing.T) {
 func TestWrongTagErrors(t *testing.T) {
 	var w Writer
 	w.AppendInt(TagInteger, 5)
-	if _, err := NewReader(w.Bytes()).ReadOID(); err == nil {
-		t.Error("ReadOID accepted INTEGER")
+	for name, visit := range map[string]func(*Codec){
+		"OID":    func(c *Codec) { c.OID(new(oid.OID), nil) },
+		"Null":   func(c *Codec) { c.Null() },
+		"Begin":  func(c *Codec) { c.End(c.Begin(TagSequence)) },
+		"String": func(c *Codec) { c.String(TagOctetString, new(string)) },
+		"Octets": func(c *Codec) { c.Octets(TagOctetString, new([]byte)) },
+		"Uint":   func(c *Codec) { c.Uint(TagCounter64, new(uint64)) },
+		"Fixed":  func(c *Codec) { c.Fixed(TagOctetString, make([]byte, 1)) },
+		"Int":    func(c *Codec) { Int(c, new(int64)) }, // reads the tag it was given
+		"List": func(c *Codec) {
+			for range List(c, new([]int), 1) {
+			}
+		},
+	} {
+		d := Decoder(w.Bytes())
+		if visit(&d); (d.Finish() == nil) != (name == "Int") {
+			t.Errorf("%s on an INTEGER: err = %v", name, d.Err())
+		}
 	}
-	if err := NewReader(w.Bytes()).ReadNull(); err == nil {
-		t.Error("ReadNull accepted INTEGER")
-	}
-	if _, err := NewReader(w.Bytes()).EnterSeq(TagSequence); err == nil {
-		t.Error("EnterSeq accepted INTEGER")
+	// Int refuses a value its type cannot hold.
+	var small int8
+	d := Decoder([]byte{TagInteger, 0x02, 0x01, 0x00})
+	if Int(&d, &small); d.Err() == nil {
+		t.Errorf("int8 decoded 256 as %d", small)
 	}
 }
 
+// TestReaderPeekAndReset: Peek and Optional look at the next element
+// without consuming it.
 func TestReaderPeekAndReset(t *testing.T) {
 	var w Writer
 	w.AppendInt(TagInteger, 1)
-	r := NewReader(w.Bytes())
-	tag, err := r.PeekTag()
-	if err != nil || tag != TagInteger {
-		t.Fatalf("PeekTag = 0x%02x, %v", tag, err)
+	d := Decoder(w.Bytes())
+	if tag := d.Peek(); tag != TagInteger || !d.Optional(TagInteger, false) || d.Optional(TagNull, true) {
+		t.Fatalf("Peek = 0x%02x", tag)
 	}
-	if _, got, err := r.ReadInt(); err != nil || got != 1 || !r.Empty() {
-		t.Fatalf("PeekTag consumed input: ReadInt = %d, %v", got, err)
+	var got int
+	if Int(&d, &got); d.Finish() != nil || got != 1 {
+		t.Fatalf("Peek consumed input: Int = %d, %v", got, d.Err())
+	}
+	if d.Peek() != 0 || d.Optional(TagInteger, true) {
+		t.Fatal("Peek past the end found an element")
 	}
 }
 
@@ -225,8 +272,10 @@ func TestQuickIntRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		var w Writer
 		w.AppendInt(TagInteger, v)
-		_, got, err := NewReader(w.Bytes()).ReadInt()
-		return err == nil && got == v
+		d := Decoder(w.Bytes())
+		var got int64
+		Int(&d, &got)
+		return d.Finish() == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -236,10 +285,12 @@ func TestQuickIntRoundTrip(t *testing.T) {
 // Property: byte strings of any content round-trip.
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(s []byte) bool {
-		var w Writer
-		w.AppendString(TagOctetString, s)
-		_, got, err := NewReader(w.Bytes()).ReadString()
-		return err == nil && bytes.Equal(got, s)
+		e := Encoder(nil)
+		e.Octets(TagOctetString, &s)
+		d := Decoder(e.Bytes())
+		var got []byte
+		d.Octets(TagOctetString, &got)
+		return d.Finish() == nil && bytes.Equal(got, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -263,7 +314,7 @@ func TestQuickOIDRoundTrip(t *testing.T) {
 		}
 		var w Writer
 		w.AppendOID(o)
-		got, err := NewReader(w.Bytes()).ReadOID()
+		got, err := decodeOID(w.Bytes())
 		if err != nil {
 			t.Fatalf("decode %v: %v", o, err)
 		}
@@ -292,34 +343,34 @@ func TestQuickHeterogeneousStream(t *testing.T) {
 				b := make([]byte, r.Intn(32))
 				r.Read(b)
 				strs[j] = b
-				w.AppendString(TagOctetString, b)
+				w.AppendTLV(TagOctetString, b)
 				kinds[j] = 1
 			default:
 				w.AppendNull()
 				kinds[j] = 2
 			}
 		}
-		rd := NewReader(w.Bytes())
+		d := Decoder(w.Bytes())
 		for j, k := range kinds {
 			switch k {
 			case 0:
-				_, v, err := rd.ReadInt()
-				if err != nil || v != ints[j] {
-					t.Fatalf("elem %d: int %d err %v", j, v, err)
+				var v int64
+				if Int(&d, &v); d.Err() != nil || v != ints[j] {
+					t.Fatalf("elem %d: int %d err %v", j, v, d.Err())
 				}
 			case 1:
-				_, s, err := rd.ReadString()
-				if err != nil || !bytes.Equal(s, strs[j]) {
-					t.Fatalf("elem %d: str err %v", j, err)
+				var s []byte
+				if d.Octets(TagOctetString, &s); d.Err() != nil || !bytes.Equal(s, strs[j]) {
+					t.Fatalf("elem %d: str err %v", j, d.Err())
 				}
 			default:
-				if err := rd.ReadNull(); err != nil {
-					t.Fatalf("elem %d: null err %v", j, err)
+				if d.Null(); d.Err() != nil {
+					t.Fatalf("elem %d: null err %v", j, d.Err())
 				}
 			}
 		}
-		if !rd.Empty() {
-			t.Fatal("trailing bytes")
+		if err := d.Finish(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -330,47 +381,51 @@ func TestLongFormSequences(t *testing.T) {
 		var w Writer
 		m := w.BeginSeq(TagSequence)
 		payload := bytes.Repeat([]byte{0x5A}, n)
-		w.AppendString(TagOctetString, payload)
+		w.AppendTLV(TagOctetString, payload)
 		w.EndSeq(m)
-		r, err := NewReader(w.Bytes()).EnterSeq(TagSequence)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		_, s, err := r.ReadString()
-		if err != nil || !bytes.Equal(s, payload) {
+		d := Decoder(w.Bytes())
+		seq := d.Begin(TagSequence)
+		var s []byte
+		d.Octets(TagOctetString, &s)
+		d.End(seq)
+		if err := d.Finish(); err != nil || !bytes.Equal(s, payload) {
 			t.Fatalf("n=%d: payload mismatch (%v)", n, err)
-		}
-		if !r.Empty() {
-			t.Fatalf("n=%d: trailing bytes", n)
 		}
 	}
 }
 
 func TestReadUintRejectsOversized(t *testing.T) {
 	// 9 bytes with a nonzero lead must be rejected (would overflow).
-	bad := []byte{TagCounter64, 0x09, 0x01, 0, 0, 0, 0, 0, 0, 0, 0}
-	if _, _, err := NewReader(bad).ReadUint(); err == nil {
+	uint := func(b []byte) (uint64, error) {
+		d := Decoder(b)
+		var v uint64
+		d.Uint(b[0], &v)
+		return v, d.Finish()
+	}
+	if _, err := uint([]byte{TagCounter64, 0x09, 0x01, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("oversized uint accepted")
 	}
 	// But 9 bytes with a zero pad (BER positive-int form) is fine.
-	ok := []byte{TagCounter64, 0x09, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	_, v, err := NewReader(ok).ReadUint()
+	v, err := uint([]byte{TagCounter64, 0x09, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	if err != nil || v != math.MaxUint64 {
 		t.Fatalf("padded max uint = %d, %v", v, err)
 	}
 	// Empty contents rejected.
-	if _, _, err := NewReader([]byte{TagCounter32, 0x00}).ReadUint(); err == nil {
+	if _, err := uint([]byte{TagCounter32, 0x00}); err == nil {
 		t.Fatal("empty uint accepted")
 	}
 }
 
 func TestReadIntRejectsOversized(t *testing.T) {
-	bad := []byte{TagInteger, 0x09, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if _, _, err := NewReader(bad).ReadInt(); err == nil {
-		t.Fatal("9-byte int accepted")
-	}
-	if _, _, err := NewReader([]byte{TagInteger, 0x00}).ReadInt(); err == nil {
-		t.Fatal("empty int accepted")
+	for _, b := range [][]byte{
+		{TagInteger, 0x09, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{TagInteger, 0x00},
+	} {
+		d := Decoder(b)
+		var v int64
+		if Int(&d, &v); d.Err() == nil {
+			t.Fatalf("% x accepted as %d", b, v)
+		}
 	}
 }
 
@@ -380,7 +435,8 @@ func TestUnsupportedLengthForms(t *testing.T) {
 		{TagOctetString, 0x80, 0x00, 0x00},
 		{TagOctetString, 0x85, 1, 2, 3, 4, 5},
 	} {
-		if _, _, err := NewReader(b).ReadTLV(); err == nil {
+		d := Decoder(b)
+		if d.Octets(TagOctetString, new([]byte)); d.Err() == nil {
 			t.Errorf("length form % x accepted", b[:2])
 		}
 	}
@@ -391,7 +447,7 @@ func TestOIDSingleArcAndEmpty(t *testing.T) {
 	for _, o := range []oid.OID{nil, {1}} {
 		var w Writer
 		w.AppendOID(o)
-		got, err := NewReader(w.Bytes()).ReadOID()
+		got, err := decodeOID(w.Bytes())
 		if err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}

@@ -19,69 +19,53 @@ type node struct {
 	kids []node
 }
 
-// walk decodes every element r holds, re-encoding each one into w as it
-// goes: INTEGER through ReadInt, the SNMP counters through ReadUint,
-// OCTET STRING through ReadString, OBJECT IDENTIFIER through ReadOID,
-// NULL through ReadNull, constructed tags through Seq (recursively), and
-// anything else as a raw TLV.
-func walk(r *Reader, w *Writer) ([]node, error) {
-	var out []node
-	for !r.Empty() {
-		tag, err := r.PeekTag()
-		if err != nil {
-			return nil, err
+// walk visits the open element's elements as a tree of nodes, in
+// either direction: decoding appends a node per element to *nodes,
+// encoding writes *nodes back. Each element is visited by its tag:
+// INTEGER through Int, the SNMP counters through Uint, OBJECT
+// IDENTIFIER through OID, NULL through Null, constructed tags through
+// Begin (recursively), and anything else as an octet string under its
+// own tag. Decoding stops at the element's end or at a zero tag.
+func walk(c *Codec, nodes *[]node) {
+	for i := 0; c.Err() == nil; i++ {
+		if !c.Decoding() && i == len(*nodes) {
+			return
 		}
-		n := node{tag: tag}
-		switch {
+		if c.Decoding() {
+			if c.Peek() == 0 {
+				return
+			}
+			*nodes = append(*nodes, node{tag: c.Peek()})
+		}
+		n := &(*nodes)[i]
+		switch tag := n.tag; {
 		case tag == TagInteger:
-			if _, n.i, err = r.ReadInt(); err == nil {
-				w.AppendInt(tag, n.i)
-			}
+			Int(c, &n.i)
 		case tag == TagCounter32 || tag == TagGauge32 || tag == TagTimeTicks || tag == TagCounter64:
-			if _, n.u, err = r.ReadUint(); err == nil {
-				w.AppendUint(tag, n.u)
-			}
-		case tag == TagOctetString:
-			if _, n.s, err = r.ReadString(); err == nil {
-				w.AppendString(tag, n.s)
-			}
+			c.Uint(tag, &n.u)
 		case tag == TagOID:
-			if n.oid, err = r.ReadOID(); err == nil {
-				w.AppendOID(n.oid)
-			}
+			c.OID(&n.oid, nil)
 		case tag == TagNull:
-			if err = r.ReadNull(); err == nil {
-				w.AppendNull()
-			}
+			c.Null()
 		case tag&0x20 != 0: // constructed
-			var sub Reader
-			if sub, err = r.Seq(tag); err == nil {
-				mark := w.BeginSeq(tag)
-				n.kids, err = walk(&sub, w)
-				w.EndSeq(mark)
-			}
+			seq := c.Begin(tag)
+			walk(c, &n.kids)
+			c.End(seq)
 		default:
-			if _, n.s, err = r.ReadTLV(); err == nil {
-				w.AppendTLV(tag, n.s)
-			}
+			c.Octets(tag, &n.s)
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
 	}
-	return out, nil
 }
 
-// FuzzBERReader feeds raw bytes to Reader, the decoder under every SNMP
-// message and RDS header: it may refuse them but never panic, and what
-// it accepts re-encodes through Writer into bytes that decode to the
-// same values and re-encode to themselves.
+// FuzzBERReader feeds raw bytes to a decoding Codec, the reader under
+// every SNMP message and RDS header: it may refuse them but never
+// panic, and what it accepts re-encodes through the same visit into
+// bytes that decode to the same values and re-encode to themselves.
 func FuzzBERReader(f *testing.F) {
 	var w Writer
 	seq := w.BeginSeq(TagSequence)
 	w.AppendInt(TagInteger, -129)
-	w.AppendString(TagOctetString, []byte("public"))
+	w.AppendTLV(TagOctetString, []byte("public"))
 	pdu := w.BeginSeq(0xA1)
 	w.AppendOID(oid.OID{1, 3, 6, 1, 2, 1, 1, 3, 0})
 	w.AppendNull()
@@ -89,7 +73,7 @@ func FuzzBERReader(f *testing.F) {
 	w.AppendUint(TagTimeTicks, 12345)
 	w.AppendTLV(TagIPAddress, []byte{10, 0, 0, 1})
 	w.EndSeq(pdu)
-	w.AppendString(0x82, nil) // a context tag, as RDS event records use
+	w.AppendTLV(0x82, nil) // a context tag, as RDS event records use
 	w.EndSeq(seq)
 	f.Add(w.Bytes())
 	f.Add([]byte{0x30, 0x81, 0x03, 0x02, 0x01, 0x00})             // long form for a short length
@@ -100,21 +84,24 @@ func FuzzBERReader(f *testing.F) {
 	f.Add([]byte{0x30, 0x06, 0x30, 0x04, 0x30, 0x02, 0x05, 0x00}) // nested sequences
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var w1 Writer
-		got, err := walk(NewReader(data), &w1)
-		if err != nil {
+		var got []node
+		d := Decoder(data)
+		if walk(&d, &got); d.Finish() != nil {
 			return
 		}
-		var w2 Writer
-		again, err := walk(NewReader(w1.Bytes()), &w2)
-		if err != nil {
-			t.Fatalf("re-encoding %x of accepted %x does not decode: %v", w1.Bytes(), data, err)
+		e := Encoder(nil)
+		walk(&e, &got)
+		var again []node
+		d = Decoder(e.Bytes())
+		if walk(&d, &again); d.Finish() != nil {
+			t.Fatalf("re-encoding %x of accepted %x does not decode: %v", e.Bytes(), data, d.Err())
 		}
 		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, got)
 		}
-		if !bytes.Equal(w2.Bytes(), w1.Bytes()) {
-			t.Fatalf("re-encoding is not a fixed point: %x then %x", w1.Bytes(), w2.Bytes())
+		e2 := Encoder(nil)
+		if walk(&e2, &again); !bytes.Equal(e2.Bytes(), e.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point: %x then %x", e.Bytes(), e2.Bytes())
 		}
 	})
 }

@@ -78,82 +78,9 @@ func (p *CompiledProgram) Encode() ([]byte, error) {
 	if p.Object == nil {
 		return nil, errors.New("dpl: cannot encode program without object code")
 	}
-	ww := ber.NewWriter(nil)
-	w := &ww
-	root := w.BeginSeq(ber.TagSequence)
-	w.AppendInt(ber.TagInteger, int64(p.Version))
-	w.AppendString(ber.TagOctetString, p.SourceHash[:])
-
-	verdict := w.BeginSeq(ber.TagSequence)
-	for _, list := range [][]string{p.Verdict.Hosts, p.Verdict.Reads, p.Verdict.Writes} {
-		seq := w.BeginSeq(ber.TagSequence)
-		for _, s := range list {
-			w.AppendString(ber.TagOctetString, []byte(s))
-		}
-		w.EndSeq(seq)
-	}
-	w.AppendUint(ber.TagCounter64, p.Verdict.CostSteps)
-	unbounded := int64(0)
-	if p.Verdict.CostUnbounded {
-		unbounded = 1
-	}
-	w.AppendInt(ber.TagInteger, unbounded)
-	w.AppendUint(ber.TagCounter64, p.Verdict.StepBudget)
-	w.EndSeq(verdict)
-
-	obj := w.BeginSeq(ber.TagSequence)
-	consts := w.BeginSeq(ber.TagSequence)
-	for _, v := range p.Object.Consts {
-		one := w.BeginSeq(ber.TagSequence)
-		switch v.k {
-		case KindInt:
-			w.AppendInt(ber.TagInteger, progConstInt)
-			w.AppendInt(ber.TagInteger, v.int())
-		case KindFloat:
-			w.AppendInt(ber.TagInteger, progConstFloat)
-			w.AppendUint(ber.TagCounter64, v.n)
-		case KindString:
-			w.AppendInt(ber.TagInteger, progConstString)
-			w.AppendString(ber.TagOctetString, []byte(v.str()))
-		default:
-			return nil, fmt.Errorf("dpl: unencodable constant of kind %s", v.k)
-		}
-		w.EndSeq(one)
-	}
-	w.EndSeq(consts)
-	for _, list := range [][]string{p.Object.GlobalNames, p.Object.HostNames} {
-		seq := w.BeginSeq(ber.TagSequence)
-		for _, s := range list {
-			w.AppendString(ber.TagOctetString, []byte(s))
-		}
-		w.EndSeq(seq)
-	}
-	appendCode(w, p.Object.InitCode)
-	funcs := w.BeginSeq(ber.TagSequence)
-	for _, fn := range p.Object.Funcs {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(fn.Name))
-		w.AppendInt(ber.TagInteger, int64(fn.NumParams))
-		w.AppendInt(ber.TagInteger, int64(fn.NumLocals))
-		appendCode(w, fn.Code)
-		w.EndSeq(one)
-	}
-	w.EndSeq(funcs)
-	w.EndSeq(obj)
-	w.EndSeq(root)
-	return w.Bytes(), nil
-}
-
-func appendCode(w *ber.Writer, code []Instr) {
-	seq := w.BeginSeq(ber.TagSequence)
-	for _, in := range code {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendInt(ber.TagInteger, int64(in.Op))
-		w.AppendInt(ber.TagInteger, int64(in.A))
-		w.AppendInt(ber.TagInteger, int64(in.B))
-		w.EndSeq(one)
-	}
-	w.EndSeq(seq)
+	c := ber.Encoder(nil)
+	p.visit(&c)
+	return c.Bytes(), c.Err()
 }
 
 // DecodeProgram parses a BER-encoded CompiledProgram. Decoding checks
@@ -161,180 +88,124 @@ func appendCode(w *ber.Writer, code []Instr) {
 // trust for allocation; structural safety of the code itself is the
 // verifier's job.
 func DecodeProgram(b []byte) (*CompiledProgram, error) {
-	r, err := ber.NewReader(b).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("dpl: bad program envelope: %w", err)
-	}
 	p := &CompiledProgram{Object: &Compiled{FuncIdx: map[string]int{}}}
-	_, ver, err := r.ReadInt()
-	if err != nil {
+	c := ber.Decoder(b)
+	p.visit(&c)
+	if err := c.Finish(); err != nil {
 		return nil, err
-	}
-	p.Version = int(ver)
-	_, hash, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	if len(hash) != len(p.SourceHash) {
-		return nil, fmt.Errorf("dpl: bad source hash length %d", len(hash))
-	}
-	copy(p.SourceHash[:], hash)
-
-	vr, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for _, list := range []*[]string{&p.Verdict.Hosts, &p.Verdict.Reads, &p.Verdict.Writes} {
-		if *list, err = decodeStrings(vr); err != nil {
-			return nil, err
-		}
-	}
-	if _, p.Verdict.CostSteps, err = vr.ReadUint(); err != nil {
-		return nil, err
-	}
-	_, unbounded, err := vr.ReadInt()
-	if err != nil {
-		return nil, err
-	}
-	p.Verdict.CostUnbounded = unbounded != 0
-	if _, p.Verdict.StepBudget, err = vr.ReadUint(); err != nil {
-		return nil, err
-	}
-
-	or, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := or.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !cr.Empty() {
-		one, err := cr.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		_, kind, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case progConstInt:
-			_, v, err := one.ReadInt()
-			if err != nil {
-				return nil, err
-			}
-			p.Object.Consts = append(p.Object.Consts, Int(v))
-		case progConstFloat:
-			_, bits, err := one.ReadUint()
-			if err != nil {
-				return nil, err
-			}
-			p.Object.Consts = append(p.Object.Consts, Float(math.Float64frombits(bits)))
-		case progConstString:
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			p.Object.Consts = append(p.Object.Consts, Str(string(s)))
-		default:
-			return nil, fmt.Errorf("dpl: unknown constant kind %d", kind)
-		}
-	}
-	if p.Object.GlobalNames, err = decodeStrings(or); err != nil {
-		return nil, err
-	}
-	if p.Object.HostNames, err = decodeStrings(or); err != nil {
-		return nil, err
-	}
-	if p.Object.InitCode, err = decodeCode(or); err != nil {
-		return nil, err
-	}
-	fr, err := or.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !fr.Empty() {
-		one, err := fr.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		fn := &CompiledFunc{}
-		_, name, err := one.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		fn.Name = string(name)
-		_, params, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		_, locals, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		if locals < 0 || locals > maxProgLocals || params < 0 || params > locals {
-			return nil, fmt.Errorf("dpl: function %q has implausible frame (params=%d locals=%d)", fn.Name, params, locals)
-		}
-		fn.NumParams, fn.NumLocals = int(params), int(locals)
-		if fn.Code, err = decodeCode(one); err != nil {
-			return nil, err
-		}
-		if _, dup := p.Object.FuncIdx[fn.Name]; dup {
-			return nil, fmt.Errorf("dpl: duplicate function %q", fn.Name)
-		}
-		p.Object.FuncIdx[fn.Name] = len(p.Object.Funcs)
-		p.Object.Funcs = append(p.Object.Funcs, fn)
 	}
 	return p, nil
 }
 
-func decodeStrings(r *ber.Reader) ([]string, error) {
-	sr, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for !sr.Empty() {
-		_, s, err := sr.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, string(s))
-	}
-	return out, nil
+// visit runs p's wire format through c: version, source hash, verdict,
+// then the object code.
+func (p *CompiledProgram) visit(c *ber.Codec) {
+	root := c.Begin(ber.TagSequence)
+	ber.Int(c, &p.Version)
+	c.Fixed(ber.TagOctetString, p.SourceHash[:])
+	v := &p.Verdict
+	verdict := c.Begin(ber.TagSequence)
+	visitStrings(c, &v.Hosts)
+	visitStrings(c, &v.Reads)
+	visitStrings(c, &v.Writes)
+	c.Uint(ber.TagCounter64, &v.CostSteps)
+	c.Bool(&v.CostUnbounded)
+	c.Uint(ber.TagCounter64, &v.StepBudget)
+	c.End(verdict)
+	p.Object.visit(c)
+	c.End(root)
 }
 
-func decodeCode(r *ber.Reader) ([]Instr, error) {
-	sr, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
+// visit runs the object code's wire format through c: the constant
+// pool, global and host names, init code, then each function.
+func (o *Compiled) visit(c *ber.Codec) {
+	obj := c.Begin(ber.TagSequence)
+	for i := range ber.List(c, &o.Consts, math.MaxInt) {
+		visitConst(c, &o.Consts[i])
 	}
-	var code []Instr
-	for !sr.Empty() {
-		one, err := sr.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
+	visitStrings(c, &o.GlobalNames)
+	visitStrings(c, &o.HostNames)
+	visitCode(c, &o.InitCode)
+	for i := range ber.List(c, &o.Funcs, math.MaxInt) {
+		if c.Decoding() {
+			o.Funcs[i] = &CompiledFunc{}
 		}
-		var in Instr
-		_, op, err := one.ReadInt()
-		if err != nil {
-			return nil, err
+		fn := o.Funcs[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &fn.Name)
+		ber.Int(c, &fn.NumParams)
+		ber.Int(c, &fn.NumLocals)
+		if c.Decoding() && (fn.NumLocals < 0 || fn.NumLocals > maxProgLocals || fn.NumParams < 0 || fn.NumParams > fn.NumLocals) {
+			c.Fail(fmt.Errorf("dpl: function %q has implausible frame (params=%d locals=%d)", fn.Name, fn.NumParams, fn.NumLocals))
 		}
-		if op < 0 || op > 255 {
-			return nil, fmt.Errorf("dpl: opcode %d out of range", op)
+		visitCode(c, &fn.Code)
+		c.End(one)
+		if c.Decoding() {
+			if _, dup := o.FuncIdx[fn.Name]; dup {
+				c.Fail(fmt.Errorf("dpl: duplicate function %q", fn.Name))
+			}
+			o.FuncIdx[fn.Name] = i
 		}
-		in.Op = Opcode(op)
-		_, a, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		_, bv, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		in.A, in.B = int(a), int(bv)
-		code = append(code, in)
 	}
-	return code, nil
+	c.End(obj)
+}
+
+// visitConst visits one constant-pool entry: its kind tag, then its
+// value in that kind's encoding.
+func visitConst(c *ber.Codec, v *Value) {
+	one := c.Begin(ber.TagSequence)
+	var kind int
+	switch v.k {
+	case KindInt:
+		kind = progConstInt
+	case KindFloat:
+		kind = progConstFloat
+	case KindString:
+		kind = progConstString
+	}
+	ber.Int(c, &kind)
+	switch kind {
+	case progConstInt:
+		n := v.int()
+		ber.Int(c, &n)
+		if c.Decoding() {
+			*v = Int(n)
+		}
+	case progConstFloat:
+		bits := v.n
+		c.Uint(ber.TagCounter64, &bits)
+		if c.Decoding() {
+			*v = Float(math.Float64frombits(bits))
+		}
+	case progConstString:
+		s := v.str()
+		c.String(ber.TagOctetString, &s)
+		if c.Decoding() {
+			*v = Str(s)
+		}
+	default:
+		if c.Decoding() {
+			c.Fail(fmt.Errorf("dpl: unknown constant kind %d", kind))
+		} else {
+			c.Fail(fmt.Errorf("dpl: unencodable constant of kind %s", v.k))
+		}
+	}
+	c.End(one)
+}
+
+func visitStrings(c *ber.Codec, list *[]string) {
+	for i := range ber.List(c, list, math.MaxInt) {
+		c.String(ber.TagOctetString, &(*list)[i])
+	}
+}
+
+func visitCode(c *ber.Codec, code *[]Instr) {
+	for i := range ber.List(c, code, math.MaxInt) {
+		in := &(*code)[i]
+		one := c.Begin(ber.TagSequence)
+		ber.Int(c, &in.Op)
+		ber.Int(c, &in.A)
+		ber.Int(c, &in.B)
+		c.End(one)
+	}
 }

@@ -3,8 +3,10 @@ package verify_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -87,8 +89,9 @@ func corpusBlobs() ([][]byte, error) {
 }
 
 // FuzzVerify hammers the wire-to-admission path: whatever bytes arrive,
-// decoding and verification must not panic, and any program the
-// verifier rejects structurally must also be refused by the VM.
+// decoding and verification must not panic, a program decoding accepts
+// re-encodes to bytes that decode to the same program, and any program
+// the verifier rejects structurally must also be refused by the VM.
 func FuzzVerify(f *testing.F) {
 	blobs, err := corpusBlobs()
 	if err != nil {
@@ -113,6 +116,17 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			return
 		}
+		blob, err := cp.Encode()
+		if err != nil {
+			t.Fatalf("accepted program does not re-encode: %v", err)
+		}
+		again, err := dpl.DecodeProgram(blob)
+		if err != nil {
+			t.Fatalf("re-encoded program does not decode: %v", err)
+		}
+		if !sameProgram(again, cp) {
+			t.Fatalf("round trip diverged:\n%s\nvs\n%s", dpl.Disassemble(again.Object), dpl.Disassemble(cp.Object))
+		}
 		quiet := quietBindings(cp)
 		res := verify.Verify(cp, quiet)
 		rejected := false
@@ -127,6 +141,31 @@ func FuzzVerify(f *testing.F) {
 			t.Fatalf("VM executed a structurally rejected program:\n%s", dpl.Disassemble(cp.Object))
 		}
 	})
+}
+
+// sameProgram reports whether two freshly decoded programs are equal
+// field by field. Constants compare by kind and value, since a string
+// constant's storage differs between decodes.
+func sameProgram(a, b *dpl.CompiledProgram) bool {
+	ao, bo := a.Object, b.Object
+	if a.Version != b.Version || a.SourceHash != b.SourceHash || !reflect.DeepEqual(a.Verdict, b.Verdict) ||
+		!reflect.DeepEqual(ao.GlobalNames, bo.GlobalNames) || !reflect.DeepEqual(ao.HostNames, bo.HostNames) ||
+		!reflect.DeepEqual(ao.InitCode, bo.InitCode) || !reflect.DeepEqual(ao.Funcs, bo.Funcs) ||
+		!reflect.DeepEqual(ao.FuncIdx, bo.FuncIdx) || len(ao.Consts) != len(bo.Consts) {
+		return false
+	}
+	for i, v := range ao.Consts {
+		w := bo.Consts[i]
+		if f, ok := v.AsNumber(); ok && v.Kind() == dpl.KindFloat {
+			g, _ := w.AsNumber()
+			if w.Kind() != dpl.KindFloat || math.Float64bits(f) != math.Float64bits(g) {
+				return false
+			}
+		} else if v.Kind() != w.Kind() || v.String() != w.String() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestGenerateFuzzCorpus rewrites the committed seed corpus when run

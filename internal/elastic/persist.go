@@ -30,12 +30,15 @@ const (
 
 // SaveRepository writes every stored DP into dir, one file per program:
 // source DPs as <name>.dpl, bytecode-admitted DPs as their encoded
-// CompiledProgram in <name>.dplc. DP names containing path separators
-// are rejected.
+// CompiledProgram in <name>.dplc. It then removes every other program
+// file in dir, so a deleted DP, or the other form of a re-delegated
+// one, does not come back on the next load. DP names containing path
+// separators are rejected.
 func (p *Process) SaveRepository(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("elastic: repository dir: %w", err)
 	}
+	written := map[string]bool{}
 	for _, dp := range p.repo.List() {
 		if strings.ContainsAny(dp.Name, "/\\") || dp.Name == "" || strings.HasPrefix(dp.Name, ".") {
 			return fmt.Errorf("elastic: dp name %q not storable as a file", dp.Name)
@@ -56,6 +59,20 @@ func (p *Process) SaveRepository(dir string) error {
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return fmt.Errorf("elastic: saving %s: %w", dp.Name, err)
+		}
+		written[filepath.Base(path)] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("elastic: repository dir: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || written[name] || !strings.HasSuffix(name, dpFileExt) && !strings.HasSuffix(name, dpcFileExt) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("elastic: removing %s: %w", name, err)
 		}
 	}
 	return nil

@@ -203,3 +203,71 @@ func TestCheckpointTenantRoundTrip(t *testing.T) {
 		t.Fatalf("over-quota instantiate after restore: %v (codes %v)", err, rejectCodes(err))
 	}
 }
+
+// restartedRepo checkpoints p into dir and returns the programs a fresh
+// process restores from it, by name.
+func restartedRepo(t *testing.T, p *Process, dir string) map[string]*DP {
+	t.Helper()
+	if err := p.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newProcess(t, Config{})
+	if _, _, err := fresh.LoadCheckpoint(dir, "mgr"); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*DP{}
+	for _, dp := range fresh.repo.List() {
+		out[dp.Name] = dp
+	}
+	return out
+}
+
+// TestCheckpointForgetsDeletedProgram: a program deleted after one
+// checkpoint does not come back from the next.
+func TestCheckpointForgetsDeletedProgram(t *testing.T) {
+	dir := t.TempDir()
+	p := newProcess(t, Config{})
+	for _, name := range []string{"keep", "gone"} {
+		if err := p.Delegate("mgr", name, "dpl", `func main() { return 1; }`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := restartedRepo(t, p, dir); len(got) != 2 {
+		t.Fatalf("first restart restored %d programs, want 2", len(got))
+	}
+	if err := p.DeleteDP("mgr", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	if got := restartedRepo(t, p, dir); len(got) != 1 || got["keep"] == nil {
+		t.Fatalf("restart after delete restored %v, want only keep", got)
+	}
+}
+
+// TestCheckpointKeepsReplacedForm: a name delegated as bytecode and
+// then re-delegated as source restarts as the source, not as the older
+// artifact left beside it.
+func TestCheckpointKeepsReplacedForm(t *testing.T) {
+	dir := t.TempDir()
+	p := newProcess(t, Config{})
+	cp, err := p.CompileProgram("dpl", `func main() { return 1; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DelegateCompiled("mgr", "probe", blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := restartedRepo(t, p, dir); got["probe"] == nil || got["probe"].Lang != LangCompiled {
+		t.Fatalf("first restart restored %v, want probe as bytecode", got)
+	}
+	const src = `func main() { return 2; }`
+	if err := p.Delegate("mgr", "probe", "dpl", src); err != nil {
+		t.Fatal(err)
+	}
+	if got := restartedRepo(t, p, dir); len(got) != 1 || got["probe"] == nil || got["probe"].Source != src {
+		t.Fatalf("restart after re-delegation restored %+v, want probe as its source", got["probe"])
+	}
+}

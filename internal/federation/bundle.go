@@ -248,9 +248,7 @@ func (n *Node) PeerBundleActivate(ctx context.Context, principal, lineage, hash 
 			}
 			return sub.Outcomes, nil
 		},
-		func(t peerTarget, err error) rds.FanoutOutcome {
-			return rds.FanoutOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
-		}) {
+		transportFailed) {
 		res.Outcomes = append(res.Outcomes, outs...)
 	}
 	n.tracer.Record(lineage, obs.StageFanout,
@@ -316,12 +314,19 @@ func (n *Node) activateLocal(principal, lineage, hash string, sb *stagedBundle) 
 	return out
 }
 
-// peerTarget is one live member a bundle operation fans out to.
+// peerTarget is one live member an operation fans out to.
 type peerTarget struct{ name, domain, addr string }
 
+// transportFailed is the outcome of a fan-out hop that never answered.
+func transportFailed(t peerTarget, err error) rds.FanoutOutcome {
+	return rds.FanoutOutcome{Member: t.name, Domain: t.domain, Addr: t.addr, Err: "transport: " + err.Error()}
+}
+
 // fanBundle runs op concurrently against every member not declared
-// dead, converting transport failures into a single failed outcome per
-// member so the caller always learns every hop's fate.
+// dead, in member-name order, converting transport failures into a
+// single failed outcome per member so the caller always learns every
+// hop's fate. Every member fan-out goes through it: delegation cascade,
+// bundle stage and bundle activate.
 func fanBundle[T any](n *Node, op func(*rds.Client, peerTarget) ([]T, error), failed func(peerTarget, error) T) [][]T {
 	var targets []peerTarget
 	n.mu.Lock()

@@ -527,29 +527,22 @@ func (n *Node) Fanout(ctx context.Context, principal, dp, lang, source, entry st
 		}
 	}
 
-	type target struct{ name, domain, addr string }
-	var targets []target
-	n.mu.Lock()
-	for _, m := range n.members {
-		if m.state != MemberDead {
-			targets = append(targets, target{m.name, m.domain, m.addr})
-		}
-	}
-	n.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
-
-	outs := make([][]rds.FanoutOutcome, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t target) {
-			defer wg.Done()
-			outs[i] = n.cascade(ctx, t.name, t.domain, t.addr, dp, shipLang, shipPayload, entry, args)
-		}(i, t)
-	}
-	wg.Wait()
-	for _, o := range outs {
-		res.Outcomes = append(res.Outcomes, o...)
+	for _, outs := range fanBundle(n,
+		func(client *rds.Client, _ peerTarget) ([]rds.FanoutOutcome, error) {
+			var sub *rds.FanoutResult
+			var err error
+			if shipLang == rds.LangCompiled {
+				n.met.bytecodeShips.Inc()
+				sub, err = client.PeerDelegateCompiled(ctx, dp, []byte(shipPayload), entry, args...)
+			} else {
+				sub, err = client.PeerDelegate(ctx, dp, shipPayload, entry, args...)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return sub.Outcomes, nil
+		}, transportFailed) {
+		res.Outcomes = append(res.Outcomes, outs...)
 	}
 	for _, o := range res.Outcomes {
 		if o.OK {
@@ -593,36 +586,6 @@ func (n *Node) localHop(principal, dp, lang, source, entry string, args []string
 	}
 	out.OK = true
 	return out
-}
-
-// cascade forwards the delegation to one member's subtree and returns
-// its outcomes (a single transport-failure outcome when unreachable).
-func (n *Node) cascade(ctx context.Context, name, domain, addr, dp, lang, payload, entry string, args []string) []rds.FanoutOutcome {
-	fail := func(err error) []rds.FanoutOutcome {
-		return []rds.FanoutOutcome{{
-			Member: name, Domain: domain, Addr: addr,
-			Err: "transport: " + err.Error(),
-		}}
-	}
-	if addr == "" {
-		return fail(errors.New("member advertised no address"))
-	}
-	client, err := n.dialPeer(addr)
-	if err != nil {
-		return fail(err)
-	}
-	defer client.Close()
-	var sub *rds.FanoutResult
-	if lang == rds.LangCompiled {
-		n.met.bytecodeShips.Inc()
-		sub, err = client.PeerDelegateCompiled(ctx, dp, []byte(payload), entry, args...)
-	} else {
-		sub, err = client.PeerDelegate(ctx, dp, payload, entry, args...)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return sub.Outcomes
 }
 
 // dialPeer opens a one-shot client to a peer address.

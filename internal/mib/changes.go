@@ -89,7 +89,7 @@ func (h *ChangeHub) Subscribe(depth int) *ChangeSub {
 	if depth <= 0 {
 		depth = 1024
 	}
-	s := &ChangeSub{hub: h, ch: make(chan Change, depth)}
+	s := &ChangeSub{hub: h, ch: make(chan Change, depth), ready: make(chan struct{}, 1)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur := h.subs.Load()
@@ -106,6 +106,7 @@ func (h *ChangeHub) Subscribe(depth int) *ChangeSub {
 type ChangeSub struct {
 	hub    *ChangeHub
 	ch     chan Change
+	ready  chan struct{} // holds a wake-up after each enqueue
 	lost   atomic.Uint64
 	closed atomic.Bool
 }
@@ -119,6 +120,10 @@ func (s *ChangeSub) offer(c Change) {
 	for {
 		select {
 		case s.ch <- c:
+			select {
+			case s.ready <- struct{}{}:
+			default:
+			}
 			return
 		default:
 		}
@@ -130,8 +135,10 @@ func (s *ChangeSub) offer(c Change) {
 	}
 }
 
-// C returns the receive side of the subscriber's queue.
-func (s *ChangeSub) C() <-chan Change { return s.ch }
+// Ready returns a channel that receives after changes are queued. A
+// consumer woken by it drains the queue with Next, so whoever takes a
+// change off the queue can do so under its own lock.
+func (s *ChangeSub) Ready() <-chan struct{} { return s.ready }
 
 // Next pops one queued change without blocking.
 func (s *ChangeSub) Next() (Change, bool) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 
 	"mbd/internal/ber"
 )
@@ -58,98 +56,34 @@ func HashBundle(raw []byte) string {
 }
 
 // AppendEncode serializes b with BER appended to dst.
-func (b *Bundle) AppendEncode(dst []byte) []byte {
-	w := ber.NewWriter(dst)
-	root := w.BeginSeq(ber.TagSequence)
-	w.AppendString(ber.TagOctetString, []byte(b.Lineage))
-	w.AppendUint(ber.TagCounter64, b.Version)
-	items := w.BeginSeq(ber.TagSequence)
-	for _, it := range b.Items {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(it.DP))
-		w.AppendString(ber.TagOctetString, []byte(it.Lang))
-		w.AppendString(ber.TagOctetString, it.Blob)
-		w.AppendString(ber.TagOctetString, []byte(it.Entry))
-		args := w.BeginSeq(ber.TagSequence)
-		for _, a := range it.Args {
-			w.AppendString(ber.TagOctetString, []byte(a))
-		}
-		w.EndSeq(args)
-		w.EndSeq(one)
-	}
-	w.EndSeq(items)
-	w.EndSeq(root)
-	return w.Bytes()
-}
+func (b *Bundle) AppendEncode(dst []byte) []byte { return encode(dst, b, (*Bundle).visit) }
 
 // Encode serializes b with BER.
 func (b *Bundle) Encode() []byte { return b.AppendEncode(nil) }
 
 // DecodeBundle parses a BER-encoded Bundle.
 func DecodeBundle(raw []byte) (*Bundle, error) {
-	r, err := ber.NewReader(raw).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("rds: bad bundle envelope: %w", err)
+	return decode(raw, &Bundle{}, (*Bundle).visit)
+}
+
+// visit runs b's wire format through c.
+func (b *Bundle) visit(c *ber.Codec) {
+	root := c.Begin(ber.TagSequence)
+	c.String(ber.TagOctetString, &b.Lineage)
+	c.Uint(ber.TagCounter64, &b.Version)
+	for i := range ber.List(c, &b.Items, maxBundleItems) {
+		it := &b.Items[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &it.DP)
+		c.String(ber.TagOctetString, &it.Lang)
+		c.Octets(ber.TagOctetString, &it.Blob)
+		c.String(ber.TagOctetString, &it.Entry)
+		for j := range ber.List(c, &it.Args, maxArgs) {
+			c.String(ber.TagOctetString, &it.Args[j])
+		}
+		c.End(one)
 	}
-	out := &Bundle{}
-	_, lineage, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	out.Lineage = string(lineage)
-	_, out.Version, err = r.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	ir, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !ir.Empty() {
-		if len(out.Items) >= maxBundleItems {
-			return nil, errors.New("rds: too many bundle items")
-		}
-		one, err := ir.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var it BundleItem
-		for _, f := range []*string{&it.DP, &it.Lang} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, blob, err := one.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		if len(blob) > 0 {
-			it.Blob = append([]byte(nil), blob...)
-		}
-		_, entry, err := one.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		it.Entry = string(entry)
-		ar, err := one.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		for !ar.Empty() {
-			if len(it.Args) >= maxArgs {
-				return nil, errors.New("rds: too many bundle item arguments")
-			}
-			_, s, err := ar.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			it.Args = append(it.Args, string(s))
-		}
-		out.Items = append(out.Items, it)
-	}
-	return out, nil
+	c.End(root)
 }
 
 // StageOutcome is one member's result for a bundle stage: whether the
@@ -201,17 +135,28 @@ func (r *StageResult) TransferredBytes() uint64 {
 }
 
 // AppendEncode serializes r with BER appended to dst.
-func (r *StageResult) AppendEncode(dst []byte) []byte {
-	w := ber.NewWriter(dst)
-	root := w.BeginSeq(ber.TagSequence)
-	w.AppendString(ber.TagOctetString, []byte(r.Lineage))
-	w.AppendString(ber.TagOctetString, []byte(r.Hash))
-	outs := w.BeginSeq(ber.TagSequence)
-	for _, o := range r.Outcomes {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(o.Member))
-		w.AppendString(ber.TagOctetString, []byte(o.Domain))
-		w.AppendString(ber.TagOctetString, []byte(o.Addr))
+func (r *StageResult) AppendEncode(dst []byte) []byte { return encode(dst, r, (*StageResult).visit) }
+
+// Encode serializes r with BER.
+func (r *StageResult) Encode() []byte { return r.AppendEncode(nil) }
+
+// DecodeStageResult parses a BER-encoded StageResult.
+func DecodeStageResult(b []byte) (*StageResult, error) {
+	return decode(b, &StageResult{}, (*StageResult).visit)
+}
+
+// visit runs r's wire format through c. OK and AlreadyStaged travel
+// as bits 1 and 2 of one INTEGER.
+func (r *StageResult) visit(c *ber.Codec) {
+	root := c.Begin(ber.TagSequence)
+	c.String(ber.TagOctetString, &r.Lineage)
+	c.String(ber.TagOctetString, &r.Hash)
+	for i := range ber.List(c, &r.Outcomes, maxOutcomes) {
+		o := &r.Outcomes[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &o.Member)
+		c.String(ber.TagOctetString, &o.Domain)
+		c.String(ber.TagOctetString, &o.Addr)
 		flags := int64(0)
 		if o.OK {
 			flags |= 1
@@ -219,71 +164,15 @@ func (r *StageResult) AppendEncode(dst []byte) []byte {
 		if o.AlreadyStaged {
 			flags |= 2
 		}
-		w.AppendInt(ber.TagInteger, flags)
-		w.AppendUint(ber.TagCounter64, o.ArtifactBytes)
-		w.AppendString(ber.TagOctetString, []byte(o.Err))
-		w.EndSeq(one)
+		ber.Int(c, &flags)
+		if c.Decoding() {
+			o.OK, o.AlreadyStaged = flags&1 != 0, flags&2 != 0
+		}
+		c.Uint(ber.TagCounter64, &o.ArtifactBytes)
+		c.String(ber.TagOctetString, &o.Err)
+		c.End(one)
 	}
-	w.EndSeq(outs)
-	w.EndSeq(root)
-	return w.Bytes()
-}
-
-// Encode serializes r with BER.
-func (r *StageResult) Encode() []byte { return r.AppendEncode(nil) }
-
-// DecodeStageResult parses a BER-encoded StageResult.
-func DecodeStageResult(b []byte) (*StageResult, error) {
-	r, err := ber.NewReader(b).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("rds: bad stage-result envelope: %w", err)
-	}
-	out := &StageResult{}
-	for _, f := range []*string{&out.Lineage, &out.Hash} {
-		_, s, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		*f = string(s)
-	}
-	or, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !or.Empty() {
-		if len(out.Outcomes) >= maxOutcomes {
-			return nil, errors.New("rds: too many stage outcomes")
-		}
-		one, err := or.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var o StageOutcome
-		for _, f := range []*string{&o.Member, &o.Domain, &o.Addr} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, flags, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		o.OK = flags&1 != 0
-		o.AlreadyStaged = flags&2 != 0
-		_, o.ArtifactBytes, err = one.ReadUint()
-		if err != nil {
-			return nil, err
-		}
-		_, errStr, err := one.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		o.Err = string(errStr)
-		out.Outcomes = append(out.Outcomes, o)
-	}
-	return out, nil
+	c.End(root)
 }
 
 // SyncReport is one pending rollup delta inside a SyncBatch.
@@ -319,99 +208,37 @@ type SyncBatch struct {
 const maxSyncReports = 4096
 
 // AppendEncode serializes b with BER appended to dst.
-func (b *SyncBatch) AppendEncode(dst []byte) []byte {
-	w := ber.NewWriter(dst)
-	root := w.BeginSeq(ber.TagSequence)
-	reps := w.BeginSeq(ber.TagSequence)
-	for _, r := range b.Reports {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(r.Key))
-		w.AppendString(ber.TagOctetString, []byte(r.Value))
-		w.AppendInt(ber.TagInteger, r.TimeMS)
-		w.EndSeq(one)
-	}
-	w.EndSeq(reps)
-	bnds := w.BeginSeq(ber.TagSequence)
-	for _, s := range b.Bundles {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(s.Lineage))
-		w.AppendString(ber.TagOctetString, []byte(s.Hash))
-		w.AppendUint(ber.TagCounter64, s.Version)
-		w.AppendUint(ber.TagCounter64, s.Staged)
-		w.EndSeq(one)
-	}
-	w.EndSeq(bnds)
-	w.EndSeq(root)
-	return w.Bytes()
-}
+func (b *SyncBatch) AppendEncode(dst []byte) []byte { return encode(dst, b, (*SyncBatch).visit) }
 
 // Encode serializes b with BER.
 func (b *SyncBatch) Encode() []byte { return b.AppendEncode(nil) }
 
 // DecodeSyncBatch parses a BER-encoded SyncBatch.
 func DecodeSyncBatch(raw []byte) (*SyncBatch, error) {
-	r, err := ber.NewReader(raw).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("rds: bad sync envelope: %w", err)
+	return decode(raw, &SyncBatch{}, (*SyncBatch).visit)
+}
+
+// visit runs b's wire format through c.
+func (b *SyncBatch) visit(c *ber.Codec) {
+	root := c.Begin(ber.TagSequence)
+	for i := range ber.List(c, &b.Reports, maxSyncReports) {
+		r := &b.Reports[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &r.Key)
+		c.String(ber.TagOctetString, &r.Value)
+		ber.Int(c, &r.TimeMS)
+		c.End(one)
 	}
-	out := &SyncBatch{}
-	rr, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
+	for i := range ber.List(c, &b.Bundles, maxSyncReports) {
+		st := &b.Bundles[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &st.Lineage)
+		c.String(ber.TagOctetString, &st.Hash)
+		c.Uint(ber.TagCounter64, &st.Version)
+		c.Uint(ber.TagCounter64, &st.Staged)
+		c.End(one)
 	}
-	for !rr.Empty() {
-		if len(out.Reports) >= maxSyncReports {
-			return nil, errors.New("rds: too many sync reports")
-		}
-		one, err := rr.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var rep SyncReport
-		for _, f := range []*string{&rep.Key, &rep.Value} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, rep.TimeMS, err = one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		out.Reports = append(out.Reports, rep)
-	}
-	br, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !br.Empty() {
-		if len(out.Bundles) >= maxSyncReports {
-			return nil, errors.New("rds: too many bundle statuses")
-		}
-		one, err := br.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var st BundleStatus
-		for _, f := range []*string{&st.Lineage, &st.Hash} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, st.Version, err = one.ReadUint()
-		if err != nil {
-			return nil, err
-		}
-		_, st.Staged, err = one.ReadUint()
-		if err != nil {
-			return nil, err
-		}
-		out.Bundles = append(out.Bundles, st)
-	}
-	return out, nil
+	c.End(root)
 }
 
 // PeerSync delivers one batched sync frame: the member's heartbeat,

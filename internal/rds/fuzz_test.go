@@ -122,15 +122,15 @@ func eventBatchSeeds(t testing.TB) []corpusSeed {
 		}
 		seeds = append(seeds, corpusSeed{s.name, frame})
 	}
-	w := ber.NewWriter(nil)
-	root := (&Message{Op: OpEvent, Name: "f#1"}).appendHead(&w)
-	list := w.BeginSeq(ber.TagSequence)
+	c := ber.Encoder(nil)
+	root := (&Message{Op: OpEvent, Name: "f#1"}).visitHead(&c)
+	list := c.Begin(ber.TagSequence)
 	for i := 0; i <= maxRecords; i++ {
-		w.EndSeq(w.BeginSeq(ber.TagSequence))
+		c.End(c.Begin(ber.TagSequence))
 	}
-	w.EndSeq(list)
-	w.EndSeq(root)
-	frame := append([]byte{0, 0, 0, 0}, w.Bytes()...)
+	c.End(list)
+	c.End(root)
+	frame := append([]byte{0, 0, 0, 0}, c.Bytes()...)
 	if err := endFrame(frame, 0); err != nil {
 		t.Fatal(err)
 	}

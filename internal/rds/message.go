@@ -13,6 +13,7 @@ package rds
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mbd/internal/ber"
 )
@@ -73,7 +74,7 @@ type Message struct {
 	// order after the envelope's own event (Name, Entry, Payload,
 	// TimeMS, Principal). On the wire each record holds its payload, its
 	// time as a delta from the event before, and only those of DPI, kind
-	// and principal that differ from the event before (appendRecord).
+	// and principal that differ from the event before (visitRecord).
 	Records []Event
 }
 
@@ -106,20 +107,61 @@ func (m *Message) Encode() []byte {
 // pass a reused buffer so steady-state encoding does not allocate. The
 // result aliases dst's storage when capacity suffices and is owned by
 // the caller.
-func (m *Message) AppendEncode(dst []byte) []byte {
-	w := ber.NewWriter(dst)
-	root := m.appendHead(&w)
-	if len(m.Records) > 0 {
-		recs := w.BeginSeq(ber.TagSequence)
+func (m *Message) AppendEncode(dst []byte) []byte { return encode(dst, m, (*Message).visit) }
+
+// Decode parses a BER-encoded message. Every frame takes this path, so
+// it runs visit directly rather than through decode, keeping the codec
+// off the heap.
+func Decode(b []byte) (*Message, error) {
+	m := &Message{}
+	c := ber.Decoder(b)
+	m.visit(&c)
+	if err := c.Finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// encode appends v's encoding to dst: visit is v's field list.
+func encode[T any](dst []byte, v *T, visit func(*T, *ber.Codec)) []byte {
+	c := ber.Encoder(dst)
+	visit(v, &c)
+	return c.Bytes()
+}
+
+// decode fills v from b with visit, v's field list, returning v, or
+// nil when b is not an encoding of it.
+func decode[T any](b []byte, v *T, visit func(*T, *ber.Codec)) (*T, error) {
+	c := ber.Decoder(b)
+	visit(v, &c)
+	if err := c.Finish(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// visit runs m's wire format through c: the envelope's fields, then
+// its event records, which only an OpEvent batch carries and never
+// empty.
+func (m *Message) visit(c *ber.Codec) {
+	root := m.visitHead(c)
+	if c.Optional(ber.TagSequence, len(m.Records) > 0) {
+		if m.Op != OpEvent {
+			c.Fail(errors.New("rds: event records on a non-event message"))
+		}
 		prev := m.head()
-		for i := range m.Records {
-			appendRecord(&w, &prev, &m.Records[i])
+		for i := range ber.List(c, &m.Records, maxRecords) {
+			if c.Decoding() {
+				m.Records[i] = prev
+			}
+			visitRecord(c, &prev, &m.Records[i])
 			prev = m.Records[i]
 		}
-		w.EndSeq(recs)
+		if len(m.Records) == 0 {
+			c.Fail(errors.New("rds: empty event-record list"))
+		}
 	}
-	w.EndSeq(root)
-	return w.Bytes()
+	c.End(root)
 }
 
 // head is the envelope's own event, the first of an OpEvent batch and
@@ -129,290 +171,75 @@ func (m *Message) head() Event {
 	return Event{DPI: m.Name, Kind: m.Entry, TimeMS: m.TimeMS, Principal: m.Principal}
 }
 
-// appendHead opens m's envelope and writes every field but Records,
-// returning the envelope's marker for EndSeq.
-func (m *Message) appendHead(w *ber.Writer) int {
-	root := w.BeginSeq(ber.TagSequence)
-	w.AppendInt(ber.TagInteger, int64(m.Op))
-	w.AppendInt(ber.TagInteger, int64(m.Seq))
-	w.AppendString(ber.TagOctetString, []byte(m.Principal))
-	w.AppendString(ber.TagOctetString, m.Digest)
-	w.AppendString(ber.TagOctetString, []byte(m.Name))
-	w.AppendString(ber.TagOctetString, []byte(m.Entry))
-	w.AppendString(ber.TagOctetString, []byte(m.Lang))
-	w.AppendString(ber.TagOctetString, m.Payload)
-	ok := int64(0)
-	if m.OK {
-		ok = 1
+// visitHead opens m's envelope and visits every field but Records,
+// returning the open envelope. The diagnostics are a later protocol
+// addition that a decoded message may lack.
+func (m *Message) visitHead(c *ber.Codec) ber.Seq {
+	root := c.Begin(ber.TagSequence)
+	ber.Int(c, &m.Op)
+	if c.Decoding() && (int(m.Op) >= len(opTable) || opTable[m.Op].name == "") {
+		c.Fail(fmt.Errorf("rds: unknown op %d", m.Op))
 	}
-	w.AppendInt(ber.TagInteger, ok)
-	w.AppendString(ber.TagOctetString, []byte(m.Error))
-	w.AppendInt(ber.TagInteger, m.TimeMS)
-	args := w.BeginSeq(ber.TagSequence)
-	for _, a := range m.Args {
-		w.AppendString(ber.TagOctetString, []byte(a))
+	ber.Int(c, &m.Seq)
+	c.String(ber.TagOctetString, &m.Principal)
+	c.Octets(ber.TagOctetString, &m.Digest)
+	c.String(ber.TagOctetString, &m.Name)
+	c.String(ber.TagOctetString, &m.Entry)
+	c.String(ber.TagOctetString, &m.Lang)
+	c.Octets(ber.TagOctetString, &m.Payload)
+	c.Bool(&m.OK)
+	c.String(ber.TagOctetString, &m.Error)
+	ber.Int(c, &m.TimeMS)
+	for i := range ber.List(c, &m.Args, maxArgs) {
+		c.String(ber.TagOctetString, &m.Args[i])
 	}
-	w.EndSeq(args)
-	infos := w.BeginSeq(ber.TagSequence)
-	for _, inf := range m.Infos {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(inf.ID))
-		w.AppendString(ber.TagOctetString, []byte(inf.DP))
-		w.AppendString(ber.TagOctetString, []byte(inf.Entry))
-		w.AppendString(ber.TagOctetString, []byte(inf.State))
-		w.AppendUint(ber.TagCounter64, inf.Steps)
-		w.AppendString(ber.TagOctetString, []byte(inf.Result))
-		w.AppendString(ber.TagOctetString, []byte(inf.Err))
-		w.EndSeq(one)
+	for i := range ber.List(c, &m.Infos, math.MaxInt) {
+		inf := &m.Infos[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &inf.ID)
+		c.String(ber.TagOctetString, &inf.DP)
+		c.String(ber.TagOctetString, &inf.Entry)
+		c.String(ber.TagOctetString, &inf.State)
+		c.Uint(ber.TagCounter64, &inf.Steps)
+		c.String(ber.TagOctetString, &inf.Result)
+		c.String(ber.TagOctetString, &inf.Err)
+		c.End(one)
 	}
-	w.EndSeq(infos)
-	diags := w.BeginSeq(ber.TagSequence)
-	for _, d := range m.Diags {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(d.Code))
-		w.AppendString(ber.TagOctetString, []byte(d.Severity))
-		w.AppendString(ber.TagOctetString, []byte(d.Msg))
-		w.AppendInt(ber.TagInteger, d.Line)
-		w.AppendInt(ber.TagInteger, d.Col)
-		w.EndSeq(one)
+	if c.Optional(ber.TagSequence, true) {
+		for i := range ber.List(c, &m.Diags, maxDiags) {
+			d := &m.Diags[i]
+			one := c.Begin(ber.TagSequence)
+			c.String(ber.TagOctetString, &d.Code)
+			c.String(ber.TagOctetString, &d.Severity)
+			c.String(ber.TagOctetString, &d.Msg)
+			ber.Int(c, &d.Line)
+			ber.Int(c, &d.Col)
+			c.End(one)
+		}
 	}
-	w.EndSeq(diags)
 	return root
 }
 
-// appendRecord writes ev as one event record following prev: its
+// visitRecord visits ev as one event record following prev: its
 // payload, its time as a signed millisecond delta from prev's, then
-// whichever of DPI, kind and principal differ from prev's.
-func appendRecord(w *ber.Writer, prev, ev *Event) {
-	one := w.BeginSeq(ber.TagSequence)
-	w.AppendString(ber.TagOctetString, []byte(ev.Payload))
-	w.AppendInt(ber.TagInteger, ev.TimeMS-prev.TimeMS)
-	if ev.DPI != prev.DPI {
-		w.AppendString(tagRecDPI, []byte(ev.DPI))
+// whichever of DPI, kind and principal differ from prev's. Decoding, ev
+// holds prev on entry and keeps each field the record leaves out.
+func visitRecord(c *ber.Codec, prev, ev *Event) {
+	one := c.Begin(ber.TagSequence)
+	c.String(ber.TagOctetString, &ev.Payload)
+	delta := ev.TimeMS - prev.TimeMS
+	ber.Int(c, &delta)
+	if c.Decoding() {
+		ev.TimeMS = prev.TimeMS + delta
 	}
-	if ev.Kind != prev.Kind {
-		w.AppendString(tagRecKind, []byte(ev.Kind))
+	if c.Optional(tagRecDPI, ev.DPI != prev.DPI) {
+		c.String(tagRecDPI, &ev.DPI)
 	}
-	if ev.Principal != prev.Principal {
-		w.AppendString(tagRecPrincipal, []byte(ev.Principal))
+	if c.Optional(tagRecKind, ev.Kind != prev.Kind) {
+		c.String(tagRecKind, &ev.Kind)
 	}
-	w.EndSeq(one)
-}
-
-// Decode parses a BER-encoded message.
-func Decode(b []byte) (*Message, error) {
-	r, err := ber.NewReader(b).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("rds: bad envelope: %w", err)
+	if c.Optional(tagRecPrincipal, ev.Principal != prev.Principal) {
+		c.String(tagRecPrincipal, &ev.Principal)
 	}
-	m := &Message{}
-	_, op, err := r.ReadInt()
-	if err != nil {
-		return nil, err
-	}
-	if op <= 0 || op >= int64(len(opTable)) || opTable[op].name == "" {
-		return nil, fmt.Errorf("rds: unknown op %d", op)
-	}
-	m.Op = Op(op)
-	_, seq, err := r.ReadInt()
-	if err != nil {
-		return nil, err
-	}
-	m.Seq = uint32(seq)
-	strs := make([]string, 0, 6)
-	for i := 0; i < 2; i++ { // principal, digest
-		_, s, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		strs = append(strs, string(s))
-	}
-	m.Principal = strs[0]
-	if strs[1] != "" {
-		m.Digest = []byte(strs[1])
-	}
-	fields := []*string{&m.Name, &m.Entry, &m.Lang}
-	for _, f := range fields {
-		_, s, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		*f = string(s)
-	}
-	_, payload, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) > 0 {
-		m.Payload = payload
-	}
-	_, okv, err := r.ReadInt()
-	if err != nil {
-		return nil, err
-	}
-	m.OK = okv != 0
-	_, errStr, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	m.Error = string(errStr)
-	_, tms, err := r.ReadInt()
-	if err != nil {
-		return nil, err
-	}
-	m.TimeMS = tms
-	ar, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !ar.Empty() {
-		if len(m.Args) >= maxArgs {
-			return nil, errors.New("rds: too many arguments")
-		}
-		_, s, err := ar.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		m.Args = append(m.Args, string(s))
-	}
-	ir, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !ir.Empty() {
-		one, err := ir.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var inf InfoRec
-		for _, f := range []*string{&inf.ID, &inf.DP, &inf.Entry, &inf.State} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, steps, err := one.ReadUint()
-		if err != nil {
-			return nil, err
-		}
-		inf.Steps = steps
-		for _, f := range []*string{&inf.Result, &inf.Err} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		m.Infos = append(m.Infos, inf)
-	}
-	// The diagnostics sequence is a later protocol addition; accept its
-	// absence for messages from older encoders.
-	if r.Empty() {
-		return m, nil
-	}
-	dr, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !dr.Empty() {
-		if len(m.Diags) >= maxDiags {
-			return nil, errors.New("rds: too many diagnostics")
-		}
-		one, err := dr.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var d DiagRec
-		for _, f := range []*string{&d.Code, &d.Severity, &d.Msg} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		for _, f := range []*int64{&d.Line, &d.Col} {
-			_, v, err := one.ReadInt()
-			if err != nil {
-				return nil, err
-			}
-			*f = v
-		}
-		m.Diags = append(m.Diags, d)
-	}
-	// The event records are a later addition still: a batch of one
-	// carries none.
-	if r.Empty() {
-		return m, nil
-	}
-	if m.Op != OpEvent {
-		return nil, errors.New("rds: event records on a non-event message")
-	}
-	rr, err := r.Seq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Empty() {
-		return nil, errors.New("rds: trailing bytes after event records")
-	}
-	n := 0
-	for count := rr; !count.Empty(); n++ {
-		if n == maxRecords {
-			return nil, errors.New("rds: too many event records")
-		}
-		if _, _, err := count.ReadTLV(); err != nil {
-			return nil, err
-		}
-	}
-	if n == 0 {
-		return nil, errors.New("rds: empty event-record list")
-	}
-	m.Records = make([]Event, n)
-	prev := m.head()
-	for i := range m.Records {
-		if err := decodeRecord(&rr, &prev); err != nil {
-			return nil, err
-		}
-		m.Records[i] = prev
-	}
-	return m, nil
-}
-
-// decodeRecord reads the next event record from r and applies it to
-// prev, which then holds the record's event.
-func decodeRecord(r *ber.Reader, prev *Event) error {
-	one, err := r.Seq(ber.TagSequence)
-	if err != nil {
-		return err
-	}
-	tag, payload, err := one.ReadTLV()
-	if err != nil {
-		return err
-	}
-	if tag != ber.TagOctetString {
-		return fmt.Errorf("rds: event record payload has tag 0x%02x", tag)
-	}
-	tag, delta, err := one.ReadInt()
-	if err != nil {
-		return err
-	}
-	if tag != ber.TagInteger {
-		return fmt.Errorf("rds: event record time has tag 0x%02x", tag)
-	}
-	prev.Payload = string(payload)
-	prev.TimeMS += delta
-	fields := [...]*string{&prev.DPI, &prev.Kind, &prev.Principal}
-	next := tagRecDPI
-	for !one.Empty() {
-		tag, s, err := one.ReadTLV()
-		if err != nil {
-			return err
-		}
-		if tag < next || tag > tagRecPrincipal {
-			return fmt.Errorf("rds: event record field has tag 0x%02x", tag)
-		}
-		*fields[tag-tagRecDPI] = string(s)
-		next = tag + 1
-	}
-	return nil
+	c.End(one)
 }

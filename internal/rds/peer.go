@@ -3,7 +3,6 @@ package rds
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"mbd/internal/ber"
 )
@@ -96,80 +95,32 @@ func (r *FanoutResult) Rejected() int { return len(r.Outcomes) - r.Accepted() }
 
 // AppendEncode serializes r with BER appended to dst, returning the
 // extended slice.
-func (r *FanoutResult) AppendEncode(dst []byte) []byte {
-	w := ber.NewWriter(dst)
-	root := w.BeginSeq(ber.TagSequence)
-	w.AppendString(ber.TagOctetString, []byte(r.DP))
-	outs := w.BeginSeq(ber.TagSequence)
-	for _, o := range r.Outcomes {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendString(ber.TagOctetString, []byte(o.Member))
-		w.AppendString(ber.TagOctetString, []byte(o.Domain))
-		w.AppendString(ber.TagOctetString, []byte(o.Addr))
-		ok := int64(0)
-		if o.OK {
-			ok = 1
-		}
-		w.AppendInt(ber.TagInteger, ok)
-		w.AppendString(ber.TagOctetString, []byte(o.DPI))
-		w.AppendString(ber.TagOctetString, []byte(o.Err))
-		w.EndSeq(one)
-	}
-	w.EndSeq(outs)
-	w.EndSeq(root)
-	return w.Bytes()
-}
+func (r *FanoutResult) AppendEncode(dst []byte) []byte { return encode(dst, r, (*FanoutResult).visit) }
 
 // Encode serializes r with BER.
 func (r *FanoutResult) Encode() []byte { return r.AppendEncode(nil) }
 
 // DecodeFanoutResult parses a BER-encoded FanoutResult.
 func DecodeFanoutResult(b []byte) (*FanoutResult, error) {
-	r, err := ber.NewReader(b).EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, fmt.Errorf("rds: bad fanout envelope: %w", err)
+	return decode(b, &FanoutResult{}, (*FanoutResult).visit)
+}
+
+// visit runs r's wire format through c.
+func (r *FanoutResult) visit(c *ber.Codec) {
+	root := c.Begin(ber.TagSequence)
+	c.String(ber.TagOctetString, &r.DP)
+	for i := range ber.List(c, &r.Outcomes, maxOutcomes) {
+		o := &r.Outcomes[i]
+		one := c.Begin(ber.TagSequence)
+		c.String(ber.TagOctetString, &o.Member)
+		c.String(ber.TagOctetString, &o.Domain)
+		c.String(ber.TagOctetString, &o.Addr)
+		c.Bool(&o.OK)
+		c.String(ber.TagOctetString, &o.DPI)
+		c.String(ber.TagOctetString, &o.Err)
+		c.End(one)
 	}
-	out := &FanoutResult{}
-	_, dp, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	out.DP = string(dp)
-	or, err := r.EnterSeq(ber.TagSequence)
-	if err != nil {
-		return nil, err
-	}
-	for !or.Empty() {
-		if len(out.Outcomes) >= maxOutcomes {
-			return nil, errors.New("rds: too many fanout outcomes")
-		}
-		one, err := or.EnterSeq(ber.TagSequence)
-		if err != nil {
-			return nil, err
-		}
-		var o FanoutOutcome
-		for _, f := range []*string{&o.Member, &o.Domain, &o.Addr} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		_, okv, err := one.ReadInt()
-		if err != nil {
-			return nil, err
-		}
-		o.OK = okv != 0
-		for _, f := range []*string{&o.DPI, &o.Err} {
-			_, s, err := one.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			*f = string(s)
-		}
-		out.Outcomes = append(out.Outcomes, o)
-	}
-	return out, nil
+	c.End(root)
 }
 
 // PeerJoin registers this client's principal as member of the server's

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mbd/internal/ber"
 	"mbd/internal/elastic"
@@ -252,7 +253,7 @@ const maxEventFrame = maxRetainedOut
 
 // events writes a drained batch in a single Write as batched OpEvent
 // frames: the first event of a frame travels in the envelope, each later
-// one as a record carrying only what changed (appendRecord), up to
+// one as a record carrying only what changed (visitRecord), up to
 // maxRecords records or maxEventFrame bytes a frame. Decoding a frame
 // yields exactly the Message whose AppendFrame gives its bytes. An event
 // too large to frame even alone is counted dropped; the rest of its
@@ -261,17 +262,19 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	out, n := cw.out[:0], 0
-	// The open frame: its length prefix's offset (-1: none), its envelope
-	// and record-list markers, its record count and its last event.
-	start, root, recs, k := -1, 0, 0, 0
+	// The open frame: its length prefix's offset (-1: none), its open
+	// envelope and record list (hasRecs), its record count and its last
+	// event.
+	start, k, hasRecs := -1, 0, false
+	var root, recs ber.Seq
 	var prev Event
 	end := func() {
-		w := ber.NewWriter(out)
-		if recs > 0 {
-			w.EndSeq(recs)
+		c := ber.Encoder(out)
+		if hasRecs {
+			c.End(recs)
 		}
-		w.EndSeq(root)
-		if out = w.Bytes(); endFrame(out, start) != nil {
+		c.End(root)
+		if out = c.Bytes(); endFrame(out, start) != nil {
 			// Only a frame's lone event can outgrow MaxFrame.
 			out, n = out[:start], n-1
 			s.droppedEvent(prev.Principal, false)
@@ -282,31 +285,29 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 			TimeMS: evs[i].Time.Milliseconds(), Principal: evs[i].Principal}
 		if start >= 0 {
 			if k < maxRecords {
-				mark, opened := len(out), recs == 0
-				w := ber.NewWriter(out)
+				mark, opened := len(out), !hasRecs
+				c := ber.Encoder(out)
 				if opened {
-					recs = w.BeginSeq(ber.TagSequence)
+					recs, hasRecs = c.Begin(ber.TagSequence), true
 				}
-				appendRecord(&w, &prev, &ev)
-				if out = w.Bytes(); len(out)-start <= maxEventFrame {
+				visitRecord(&c, &prev, &ev)
+				if out = c.Bytes(); len(out)-start <= maxEventFrame {
 					prev, n, k = ev, n+1, k+1
 					continue
 				}
 				// Too big: take the record back (and the list, if it
 				// opened for this record) and close the frame without it.
-				out = out[:mark]
-				if opened {
-					recs = 0
-				}
+				out, hasRecs = out[:mark], !opened
 			}
 			end()
 		}
 		start, prev, n, k = len(out), ev, n+1, 0
-		w := ber.NewWriter(append(out, 0, 0, 0, 0))
-		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: []byte(ev.Payload), // zero-copy: only read
-			TimeMS: ev.TimeMS, Principal: ev.Principal}
-		root, recs = head.appendHead(&w), 0
-		out = w.Bytes()
+		c := ber.Encoder(append(out, 0, 0, 0, 0))
+		// The payload's bytes are the string's own: encoding only reads them.
+		payload := unsafe.Slice(unsafe.StringData(ev.Payload), len(ev.Payload))
+		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: payload, TimeMS: ev.TimeMS, Principal: ev.Principal}
+		root, hasRecs = head.visitHead(&c), false
+		out = c.Bytes()
 	}
 	if start >= 0 {
 		end()

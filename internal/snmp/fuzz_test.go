@@ -2,6 +2,7 @@ package snmp
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mbd/internal/mib"
@@ -42,8 +43,8 @@ func sameMessage(a, b *Message) string {
 // properties. A Decoder reused across packets, decoding a and then b,
 // yields for b what a fresh Decode(b) yields: nothing left in its arena,
 // varbind array or cached community by a leaks into b's message. And
-// every message it accepts re-encodes to bytes that decode to an equal
-// message.
+// every message it accepts re-encodes to bytes that decode to a
+// deep-equal message.
 func FuzzSNMPDecode(f *testing.F) {
 	seeds := []*Message{
 		{Community: "public", Type: PDUGetRequest, RequestID: 1234, VarBinds: []VarBind{
@@ -105,8 +106,8 @@ func FuzzSNMPDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded message does not decode: %v\n% x", err, pkt)
 		}
-		if diff := sameMessage(fresh, again); diff != "" {
-			t.Fatalf("re-encoded message decodes differently: %s", diff)
+		if !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("re-encoded message decodes differently:\n got %+v\nwant %+v", again, fresh)
 		}
 	})
 }

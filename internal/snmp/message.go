@@ -11,6 +11,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mbd/internal/ber"
 	"mbd/internal/mib"
@@ -118,73 +119,61 @@ const (
 	TrapEnterpriseSpecific = 6
 )
 
-// appendValue encodes a mib.Value into w.
-func appendValue(w *ber.Writer, v mib.Value) {
-	switch v.Kind {
-	case mib.KindNull:
-		w.AppendNull()
-	case mib.KindInteger:
-		w.AppendInt(ber.TagInteger, v.Int)
-	case mib.KindOctetString:
-		w.AppendString(ber.TagOctetString, v.Bytes)
-	case mib.KindOID:
-		w.AppendOID(v.OID)
-	case mib.KindIPAddress:
-		w.AppendString(ber.TagIPAddress, v.Bytes)
-	case mib.KindCounter32:
-		w.AppendUint(ber.TagCounter32, v.Uint)
-	case mib.KindGauge32:
-		w.AppendUint(ber.TagGauge32, v.Uint)
-	case mib.KindTimeTicks:
-		w.AppendUint(ber.TagTimeTicks, v.Uint)
-	case mib.KindCounter64:
-		w.AppendUint(ber.TagCounter64, v.Uint)
-	default:
-		w.AppendNull()
-	}
+// valueTags is each mib value kind's wire tag; a kind without one
+// encodes as NULL.
+var valueTags = [...]byte{
+	mib.KindNull:        ber.TagNull,
+	mib.KindInteger:     ber.TagInteger,
+	mib.KindOctetString: ber.TagOctetString,
+	mib.KindOID:         ber.TagOID,
+	mib.KindIPAddress:   ber.TagIPAddress,
+	mib.KindCounter32:   ber.TagCounter32,
+	mib.KindGauge32:     ber.TagGauge32,
+	mib.KindTimeTicks:   ber.TagTimeTicks,
+	mib.KindCounter64:   ber.TagCounter64,
 }
 
-// readValue decodes one mib.Value from r.
-func readValue(r *ber.Reader) (mib.Value, error) {
-	tag, err := r.PeekTag()
-	if err != nil {
-		return mib.Value{}, err
+// valueKinds inverts valueTags.
+var valueKinds = func() (kinds [256]mib.Kind) {
+	for kind, tag := range valueTags {
+		kinds[tag] = mib.Kind(kind)
+	}
+	return kinds
+}()
+
+// visitValue visits one varbind value, whose tag selects its kind.
+// Decoded 32-bit kinds wrap as their mib constructors do.
+func visitValue(c *ber.Codec, v *mib.Value) {
+	tag := ber.TagNull
+	if c.Decoding() {
+		tag = c.Peek()
+	} else if int(v.Kind) < len(valueTags) {
+		tag = valueTags[v.Kind]
 	}
 	switch tag {
 	case ber.TagNull:
-		return mib.Null(), r.ReadNull()
+		c.Null()
 	case ber.TagInteger:
-		_, v, err := r.ReadInt()
-		return mib.Int(v), err
+		ber.Int(c, &v.Int)
 	case ber.TagOctetString:
-		_, s, err := r.ReadString()
-		return mib.Octets(s), err
+		c.Octets(tag, &v.Bytes)
 	case ber.TagOID:
-		o, err := r.ReadOID()
-		return mib.OIDValue(o), err
+		c.OID(&v.OID, nil)
 	case ber.TagIPAddress:
-		_, s, err := r.ReadString()
-		if err != nil {
-			return mib.Value{}, err
+		c.Octets(tag, &v.Bytes)
+		if c.Decoding() && len(v.Bytes) != 4 {
+			c.Fail(fmt.Errorf("snmp: IpAddress of %d bytes", len(v.Bytes)))
 		}
-		if len(s) != 4 {
-			return mib.Value{}, fmt.Errorf("snmp: IpAddress of %d bytes", len(s))
+	case ber.TagCounter32, ber.TagGauge32, ber.TagTimeTicks, ber.TagCounter64:
+		c.Uint(tag, &v.Uint)
+		if c.Decoding() && tag != ber.TagCounter64 {
+			v.Uint &= 0xFFFFFFFF
 		}
-		return mib.Value{Kind: mib.KindIPAddress, Bytes: s}, nil
-	case ber.TagCounter32:
-		_, v, err := r.ReadUint()
-		return mib.Counter32(v), err
-	case ber.TagGauge32:
-		_, v, err := r.ReadUint()
-		return mib.Gauge32(v), err
-	case ber.TagTimeTicks:
-		_, v, err := r.ReadUint()
-		return mib.TimeTicks(v), err
-	case ber.TagCounter64:
-		_, v, err := r.ReadUint()
-		return mib.Counter64(v), err
 	default:
-		return mib.Value{}, fmt.Errorf("snmp: unsupported value tag 0x%02x", tag)
+		c.Fail(fmt.Errorf("snmp: unsupported value tag 0x%02x", tag))
+	}
+	if c.Decoding() {
+		v.Kind = valueKinds[tag]
 	}
 }
 
@@ -203,33 +192,9 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 	if m.Type == PDUTrap && m.Trap == nil {
 		return nil, errors.New("snmp: trap message without TrapInfo")
 	}
-	w := ber.NewWriter(dst)
-	msg := w.BeginSeq(ber.TagSequence)
-	w.AppendInt(ber.TagInteger, Version0)
-	w.AppendString(ber.TagOctetString, []byte(m.Community))
-	pdu := w.BeginSeq(byte(m.Type))
-	if m.Type == PDUTrap {
-		w.AppendOID(m.Trap.Enterprise)
-		w.AppendString(ber.TagIPAddress, m.Trap.AgentAddr[:])
-		w.AppendInt(ber.TagInteger, int64(m.Trap.GenericTrap))
-		w.AppendInt(ber.TagInteger, int64(m.Trap.SpecificTrap))
-		w.AppendUint(ber.TagTimeTicks, m.Trap.Timestamp)
-	} else {
-		w.AppendInt(ber.TagInteger, int64(m.RequestID))
-		w.AppendInt(ber.TagInteger, int64(m.ErrorStatus))
-		w.AppendInt(ber.TagInteger, int64(m.ErrorIndex))
-	}
-	vbl := w.BeginSeq(ber.TagSequence)
-	for _, vb := range m.VarBinds {
-		one := w.BeginSeq(ber.TagSequence)
-		w.AppendOID(vb.Name)
-		appendValue(&w, vb.Value)
-		w.EndSeq(one)
-	}
-	w.EndSeq(vbl)
-	w.EndSeq(pdu)
-	w.EndSeq(msg)
-	return w.Bytes(), nil
+	c := ber.Encoder(dst)
+	m.visit(&c, nil)
+	return c.Bytes(), c.Err()
 }
 
 // Decode parses a BER wire message. Every decoded field is freshly
@@ -258,124 +223,60 @@ type Decoder struct {
 	vbs       []VarBind
 }
 
-// appendOID decodes one OID from r into the decoder's arena.
-func (d *Decoder) appendOID(r *ber.Reader) (oid.OID, error) {
-	start := len(d.arena)
-	ext, err := r.AppendOID(d.arena)
-	if err != nil {
-		return nil, err
-	}
-	d.arena = ext
-	return ext[start:], nil
-}
-
 // Decode parses b into m, overwriting every field. See the Decoder
 // contract for the lifetime of the decoded contents.
 func (d *Decoder) Decode(b []byte, m *Message) error {
 	d.arena = d.arena[:0]
-	*m = Message{VarBinds: d.vbs[:0]}
-	err := d.decode(b, m)
-	d.vbs = m.VarBinds[:0]
+	*m = Message{Community: d.community, VarBinds: d.vbs[:0]}
+	c := ber.Decoder(b)
+	m.visit(&c, &d.arena)
+	err := c.Finish()
+	d.community, d.vbs = m.Community, m.VarBinds[:0]
 	if err != nil {
 		*m = Message{}
 	}
 	return err
 }
 
-func (d *Decoder) decode(b []byte, m *Message) error {
-	r, err := ber.NewReader(b).Seq(ber.TagSequence)
-	if err != nil {
-		return fmt.Errorf("snmp: bad message envelope: %w", err)
+// visit runs m's wire format through c. Decoding, varbind names go to
+// arena.
+func (m *Message) visit(c *ber.Codec, arena *oid.OID) {
+	msg := c.Begin(ber.TagSequence)
+	version := int64(Version0)
+	ber.Int(c, &version)
+	if c.Decoding() && version != Version0 {
+		c.Fail(fmt.Errorf("snmp: unsupported version %d", version))
 	}
-	_, version, err := r.ReadInt()
-	if err != nil {
-		return fmt.Errorf("snmp: bad version: %w", err)
+	c.String(ber.TagOctetString, &m.Community)
+	if c.Decoding() {
+		m.Type = PDUType(c.Peek())
 	}
-	if version != Version0 {
-		return fmt.Errorf("snmp: unsupported version %d", version)
-	}
-	ctag, community, err := r.ReadTLV()
-	if err != nil || ctag != ber.TagOctetString {
-		return fmt.Errorf("snmp: bad community: %w", err)
-	}
-	if string(community) != d.community {
-		d.community = string(community)
-	}
-	m.Community = d.community
-	tag, err := r.PeekTag()
-	if err != nil {
-		return err
-	}
-	m.Type = PDUType(tag)
-	pr, err := r.Seq(tag)
-	if err != nil {
-		return fmt.Errorf("snmp: bad PDU: %w", err)
-	}
+	pdu := c.Begin(byte(m.Type))
 	switch m.Type {
 	case PDUGetRequest, PDUGetNextRequest, PDUGetResponse, PDUSetRequest:
-		_, rid, err := pr.ReadInt()
-		if err != nil {
-			return err
-		}
-		_, es, err := pr.ReadInt()
-		if err != nil {
-			return err
-		}
-		_, ei, err := pr.ReadInt()
-		if err != nil {
-			return err
-		}
-		m.RequestID = int32(rid)
-		m.ErrorStatus = ErrorStatus(es)
-		m.ErrorIndex = int(ei)
+		ber.Int(c, &m.RequestID)
+		ber.Int(c, &m.ErrorStatus)
+		ber.Int(c, &m.ErrorIndex)
 	case PDUTrap:
-		var ti TrapInfo
-		if ti.Enterprise, err = pr.ReadOID(); err != nil {
-			return err
+		if c.Decoding() {
+			m.Trap = &TrapInfo{}
 		}
-		_, addr, err := pr.ReadString()
-		if err != nil {
-			return err
-		}
-		if len(addr) != 4 {
-			return fmt.Errorf("snmp: trap agent-addr of %d bytes", len(addr))
-		}
-		copy(ti.AgentAddr[:], addr)
-		_, gt, err := pr.ReadInt()
-		if err != nil {
-			return err
-		}
-		_, st, err := pr.ReadInt()
-		if err != nil {
-			return err
-		}
-		_, ts, err := pr.ReadUint()
-		if err != nil {
-			return err
-		}
-		ti.GenericTrap, ti.SpecificTrap, ti.Timestamp = int(gt), int(st), ts
-		m.Trap = &ti
+		t := m.Trap
+		c.OID(&t.Enterprise, nil)
+		c.Fixed(ber.TagIPAddress, t.AgentAddr[:])
+		ber.Int(c, &t.GenericTrap)
+		ber.Int(c, &t.SpecificTrap)
+		c.Uint(ber.TagTimeTicks, &t.Timestamp)
 	default:
-		return fmt.Errorf("snmp: unknown PDU type 0x%02x", tag)
+		c.Fail(fmt.Errorf("snmp: unknown PDU type 0x%02x", byte(m.Type)))
 	}
-	vr, err := pr.Seq(ber.TagSequence)
-	if err != nil {
-		return fmt.Errorf("snmp: bad varbind list: %w", err)
+	for i := range ber.List(c, &m.VarBinds, math.MaxInt) {
+		vb := &m.VarBinds[i]
+		one := c.Begin(ber.TagSequence)
+		c.OID(&vb.Name, arena)
+		visitValue(c, &vb.Value)
+		c.End(one)
 	}
-	for !vr.Empty() {
-		one, err := vr.Seq(ber.TagSequence)
-		if err != nil {
-			return err
-		}
-		name, err := d.appendOID(&one)
-		if err != nil {
-			return err
-		}
-		val, err := readValue(&one)
-		if err != nil {
-			return err
-		}
-		m.VarBinds = append(m.VarBinds, VarBind{Name: name, Value: val})
-	}
-	return nil
+	c.End(pdu)
+	c.End(msg)
 }

@@ -187,11 +187,10 @@ func (m *MCVA) Start() {
 			select {
 			case <-stop:
 				return
-			case c := <-m.sub.C():
-				m.mu.Lock()
-				m.applyLocked(c)
-				m.pumpLocked()
-				m.mu.Unlock()
+			case <-m.sub.Ready():
+				// Changes leave the queue only under m.mu: a Query that
+				// pumps first folds every change made before it.
+				m.Pump()
 			}
 		}
 	}()
