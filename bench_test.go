@@ -397,6 +397,34 @@ func main() {
 	}
 }
 
+// BenchmarkVMStringChain runs table_stream's report line, a five-operand
+// string chain (prefix, separator, index, separator, cell), in one loop
+// on a reused VM: one op is one chain. ADDC keeps the strings on the
+// stack and ADDN builds the line in one exact-size allocation, so the
+// op allocates once; pairwise, each of its four + allocated.
+func BenchmarkVMStringChain(b *testing.B) {
+	bindings := dpl.Std()
+	compiled := dpl.MustCompile(`
+func main(n) {
+	var parts = split("c0ffee42:128", ":");
+	var ids = ["0", "1", "2", "3"];
+	var cells = ["1.3.6.1.2.1.1.1.0 = lab-router", "1.3.6.1.2.1.1.3.0 = 4294967296",
+		"1.3.6.1.2.1.2.2.1.10.1 = 123456789", "1.3.6.1.2.1.2.2.1.16.1 = 987654321"];
+	var line = "";
+	for (var j = 0; j < n; j += 1) {
+		line = parts[0] + " " + ids[j % 4] + " " + cells[j % 4];
+	}
+	return len(line);
+}`, bindings)
+	dpl.Optimize(compiled)
+	vm := dpl.NewVM(compiled, bindings)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := vm.Run(context.Background(), "main", int64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkVMStepCounters is BenchmarkVMStep over the values a
 // management agent computes with: counters past 2^32 and floats. They
 // live in the Value itself, so the op allocates nothing (the result is a

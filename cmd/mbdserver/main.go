@@ -82,6 +82,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"syscall"
@@ -97,6 +98,33 @@ import (
 	"mbd/internal/snmp"
 	"mbd/internal/vdl"
 )
+
+// registerRuntime exports the Go runtime's own counts: live goroutines,
+// and heap and GC figures read from runtime/metrics, which unlike
+// runtime.ReadMemStats does not stop the world on each scrape.
+func registerRuntime(reg *obs.Registry) {
+	reg.FuncGauge("go_goroutines", "live goroutines", func() int64 {
+		return int64(runtime.NumGoroutine())
+	})
+	read := func(name string) uint64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		if s[0].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return s[0].Value.Uint64()
+	}
+	for _, c := range []struct{ name, help, key string }{
+		{"go_gc_heap_allocs_objects_total", "heap objects allocated", "/gc/heap/allocs:objects"},
+		{"go_gc_heap_allocs_bytes_total", "heap bytes allocated", "/gc/heap/allocs:bytes"},
+		{"go_gc_cycles_total", "completed GC cycles", "/gc/cycles/total:gc-cycles"},
+	} {
+		reg.FuncCounter(c.name, c.help, func() uint64 { return read(c.key) })
+	}
+	reg.FuncGauge("go_gc_heap_live_bytes", "heap bytes the last GC marked live", func() int64 {
+		return int64(read("/gc/heap/live:bytes"))
+	})
+}
 
 type secretsFlag []string
 
@@ -272,14 +300,7 @@ func run(c config) error {
 	if c.obsAddr != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(1024)
-		reg.FuncGauge("go_goroutines", "live goroutines", func() int64 {
-			return int64(runtime.NumGoroutine())
-		})
-		reg.FuncGauge("go_heap_alloc_bytes", "heap bytes in use", func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.HeapAlloc)
-		})
+		registerRuntime(reg)
 	}
 
 	var auth *rds.Authenticator

@@ -3,8 +3,14 @@ package main
 import (
 	"flag"
 	"io"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	"mbd/internal/obs"
+	"mbd/internal/obs/obsmib"
+	"mbd/internal/oid"
 )
 
 // parseFlags parses args into a fresh config the way main does.
@@ -55,3 +61,60 @@ func TestTrapSinkFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimeSeries scrapes the runtime series the way operators and
+// the benchmark read them: /metrics, the registry snapshot RDS stats
+// serves, and the self-MIB's names and values.
+func TestRuntimeSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	registerRuntime(reg)
+	runtime.GC()
+	names := []string{"go_goroutines", "go_gc_heap_allocs_objects_total", "go_gc_heap_allocs_bytes_total",
+		"go_gc_cycles_total", "go_gc_heap_live_bytes"}
+
+	rec := httptest.NewRecorder()
+	obs.Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, n := range names {
+		if !strings.Contains(rec.Body.String(), "\n"+n+" ") {
+			t.Errorf("/metrics lacks %s:\n%s", n, rec.Body)
+		}
+	}
+	if strings.Contains(rec.Body.String(), "go_heap_alloc_bytes") {
+		t.Error("/metrics still serves the stop-the-world go_heap_alloc_bytes")
+	}
+
+	values := map[string]uint64{}
+	for _, s := range reg.Flatten() {
+		values[s.Name] = s.Value()
+	}
+	for _, n := range names {
+		if values[n] == 0 {
+			t.Errorf("%s = 0 after a GC", n)
+		}
+	}
+	objs := values["go_gc_heap_allocs_objects_total"]
+	sink = make([]byte, 64)
+	runtime.GC() // flushes the per-P allocation counts
+	for _, s := range reg.Flatten() {
+		if s.Name == "go_gc_heap_allocs_objects_total" && s.Value() <= objs {
+			t.Errorf("allocated objects did not grow past %d after an allocation", objs)
+		}
+	}
+
+	self := obsmib.New(reg)
+	seen := map[string]bool{}
+	for i := range len(values) {
+		v, ok := self.GetRel(oid.OID{1, uint32(i + 1)})
+		if !ok {
+			t.Fatalf("self-MIB row %d missing", i+1)
+		}
+		seen[string(v.Bytes)] = true
+	}
+	for _, n := range names {
+		if !seen[n] {
+			t.Errorf("self-MIB lacks %s", n)
+		}
+	}
+}
+
+var sink []byte

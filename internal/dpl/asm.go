@@ -127,7 +127,7 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 		return Instr{}, fmt.Errorf("malformed instruction index in %q", line)
 	}
 	mn, rest, _ := strings.Cut(strings.TrimSpace(line[i:]), " ")
-	op := slices.IndexFunc(opTable[:OpDecL+1], func(r opInfo) bool { return r.name == mn })
+	op := slices.IndexFunc(opTable[:], func(r opInfo) bool { return r.name == mn })
 	if op < 0 {
 		return Instr{}, fmt.Errorf("unknown mnemonic %q", mn)
 	}

@@ -50,6 +50,16 @@ const (
 	OpConstStoreL   // locals[B] = Consts[A]
 	OpIncL          // locals[A] = locals[A] + Consts[B]
 	OpDecL          // locals[A] = locals[A] - Consts[B]
+
+	// String chains (generation 4): a left-associative + chain of n ≥ 3
+	// operands, one of them a string literal, compiles to ADDC after
+	// each operand from the second through the next-to-last and ADDN n
+	// after the last, so it still costs n-1 instructions. Each checks
+	// its pair where BIN + would add it; a chain of strings stays on the
+	// stack until ADDN builds the result in one allocation (see
+	// addChain in vm.go).
+	OpAddC // pair on top: two strings stay; any other pair → nil, l+r
+	OpAddN // end an A-operand chain: push the last pair's sum or the A strings joined
 )
 
 // operand says what an instruction's A or B field holds.
@@ -145,6 +155,8 @@ var opTable = [256]opInfo{
 	OpConstStoreL:   {"KSTL", 3, opdConst, opdLocal, 0, 0, flowNext, ""},
 	OpIncL:          {"INCL", 3, opdLocal, opdConst, 0, 0, flowNext, ""},
 	OpDecL:          {"DECL", 3, opdLocal, opdConst, 0, 0, flowNext, ""},
+	OpAddC:          {"ADDC", 4, opdNone, opdNone, 2, 2, flowNext, ""},
+	OpAddN:          {"ADDN", 4, opdCount, opdNone, popsA, 1, flowNext, "chain of implausible %d operands"},
 }
 
 // String returns the opcode mnemonic.
@@ -711,6 +723,9 @@ func (f *funcCompiler) expr(e Expr) error {
 				f.emit(Instr{Op: OpNe})
 			}
 		default:
+			if k := chainLen(n); k >= 3 {
+				return f.chain(n, k, k)
+			}
 			if err := f.expr(n.L); err != nil {
 				return err
 			}
@@ -762,6 +777,47 @@ func (f *funcCompiler) expr(e Expr) error {
 		}
 	default:
 		return fmt.Errorf("dpl: internal: unknown expression %T", e)
+	}
+	return nil
+}
+
+// chainLen counts the operands of the left-associative + chain whose
+// last + is e, when the chain may build a string, which the compiler
+// sees as a string-literal operand. Any other expression counts 0 and
+// compiles pairwise, keeping BIN + and its fusions for numeric chains.
+func chainLen(e *BinaryExpr) int {
+	k, lit := 1, false
+	var x Expr = e
+	for b, ok := e, true; ok && b.Op == TokPlus; b, ok = x.(*BinaryExpr) {
+		_, s := b.R.(*StringLit)
+		k, lit, x = k+1, lit || s, b.L
+	}
+	if _, s := x.(*StringLit); !lit && !s {
+		return 0
+	}
+	return k
+}
+
+// chain compiles the first k operands of an n-operand + chain, e being
+// the + whose right operand is operand k: each operand in source
+// order, then ADDC after operands 2..n-1 and ADDN n after the last.
+func (f *funcCompiler) chain(e *BinaryExpr, k, n int) error {
+	var err error
+	if k == 2 {
+		err = f.expr(e.L)
+	} else {
+		err = f.chain(e.L.(*BinaryExpr), k-1, n)
+	}
+	if err != nil {
+		return err
+	}
+	if err := f.expr(e.R); err != nil {
+		return err
+	}
+	if k == n {
+		f.emit(Instr{Op: OpAddN, A: n})
+	} else {
+		f.emit(Instr{Op: OpAddC})
 	}
 	return nil
 }

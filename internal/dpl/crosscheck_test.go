@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,20 +17,24 @@ import (
 //
 // Expressions are typed, so most programs run to their return; a few
 // constructs (int of an arbitrary string, an unguarded index, a float
-// division by a difference) fail at run time on purpose, and then the
-// engines must fail with the same text. The generator never lets an
-// indexed assignment's target or index fail, because the interpreter
-// evaluates the assigned value first and the VM last.
+// division by a difference, an ill-typed operand of a + chain) fail at
+// run time on purpose, and then the engines must fail with the same
+// text. The generator never lets an indexed assignment's target or
+// index fail, because the interpreter evaluates the assigned value
+// first and the VM last.
 type progGen struct {
 	r *rand.Rand
 	// mib adds MIB host calls (see mibStmt). Such programs need the
 	// MIB bindings, so only the static pipeline runs them.
-	mib   bool
-	b     strings.Builder
-	depth int
-	names int
-	vars  [nKinds][]string // readable variables by kind
-	wr    [nKinds][]string // assignable variables (loop counters excluded)
+	mib bool
+	// report adds report calls to + chains (see chain), and the note
+	// function that makes them. Such programs need a report binding.
+	report bool
+	b      strings.Builder
+	depth  int
+	names  int
+	vars   [nKinds][]string // readable variables by kind
+	wr     [nKinds][]string // assignable variables (loop counters excluded)
 }
 
 type genKind int
@@ -222,6 +227,68 @@ func (g *progGen) strExpr() string {
 	}
 }
 
+// chain is a + chain of three to six operands of kind k, which the
+// compiler turns into ADDC and ADDN when an operand is a string
+// literal (pairwise BIN + otherwise). A float chain mixes in ints. Some
+// operands have side effects: a call that stores a global (tally), one
+// that reports (note), an index that may be out of range. One chain in
+// sixteen has an operand + rejects, at any position, so the first
+// ill-typed pair falls at every position of a chain, after the
+// operands before it ran and before those after it run.
+func (g *progGen) chain(k genKind) string {
+	g.depth++
+	defer func() { g.depth-- }()
+	ops := make([]string, 3+g.r.Intn(4))
+	bad := -1
+	if g.r.Intn(16) == 0 {
+		bad = g.r.Intn(len(ops))
+	}
+	for i := range ops {
+		kind := k
+		if k == gFloat && g.r.Intn(2) == 0 {
+			kind = gInt
+		}
+		switch {
+		case i == bad:
+			ops[i] = g.illTyped(k)
+		case k != gArr && !g.deep() && g.r.Intn(8) == 0:
+			ops[i] = g.chain(kind)
+		case g.r.Intn(6) == 0:
+			ops[i] = fmt.Sprintf("tally(%s)", g.expr(kind))
+		case g.report && g.r.Intn(6) == 0:
+			ops[i] = fmt.Sprintf("note(%s)", g.expr(kind))
+		case kind == gStr && g.r.Intn(16) == 0:
+			ops[i] = fmt.Sprintf("split(%s, \".\")[%d]", g.expr(gStr), g.r.Intn(2))
+		case kind == gInt && len(g.vars[gArr]) > 0 && g.r.Intn(16) == 0:
+			a, _ := g.pick(gArr)
+			ops[i] = fmt.Sprintf("%s[%d]", a, g.r.Intn(2))
+		default:
+			ops[i] = g.expr(kind)
+		}
+	}
+	return "(" + strings.Join(ops, " + ") + ")"
+}
+
+// illTyped is an operand that makes a + chain of kind k fail: a report,
+// whose result is nil, or a value of a kind + does not combine with k.
+// Half the time a chain of numbers or arrays fails on a string
+// literal, so it compiles to ADDC and ADDN and fails in them.
+func (g *progGen) illTyped(k genKind) string {
+	if g.report && g.r.Intn(3) == 0 {
+		return fmt.Sprintf("report(%s)", g.expr(gStr))
+	}
+	if k != gStr && g.r.Intn(2) == 0 {
+		return `"1.3"`
+	}
+	switch k {
+	case gStr:
+		return g.expr([]genKind{gInt, gFloat, gArr, gMap}[g.r.Intn(4)])
+	case gArr:
+		return g.expr([]genKind{gInt, gStr, gMap}[g.r.Intn(3)])
+	}
+	return g.expr([]genKind{gStr, gArr, gMap}[g.r.Intn(3)])
+}
+
 func (g *progGen) arrExpr() string {
 	if a, ok := g.pick(gArr); ok && (g.deep() || g.r.Intn(2) == 0) {
 		return a
@@ -298,7 +365,7 @@ func (g *progGen) stmt(indent int) {
 		g.mibStmt(pad)
 		return
 	}
-	switch g.r.Intn(16) {
+	switch g.r.Intn(18) {
 	case 0, 1, 2, 3:
 		g.declare(genKind(g.r.Intn(int(nKinds))), pad)
 	case 4, 5:
@@ -381,6 +448,18 @@ func (g *progGen) stmt(indent int) {
 		fmt.Fprintf(&g.b, "%sfacc += %s;\n", pad, g.expr(gFloat))
 	case 13:
 		fmt.Fprintf(&g.b, "%ssacc = clip(sacc + %s);\n", pad, g.expr(gStr))
+	case 14, 15:
+		switch g.r.Intn(4) {
+		case 0:
+			fmt.Fprintf(&g.b, "%ssacc = clip(%s);\n", pad, g.chain(gStr))
+		case 1:
+			fmt.Fprintf(&g.b, "%sacc += %s;\n", pad, g.chain(gInt))
+		case 2:
+			fmt.Fprintf(&g.b, "%sfacc += %s;\n", pad, g.chain(gFloat))
+		default:
+			// Arrays only ever meet under len, so no variable grows.
+			fmt.Fprintf(&g.b, "%sacc += len(%s);\n", pad, g.chain(gArr))
+		}
 	default:
 		fmt.Fprintf(&g.b, "%sacc += %s;\n", pad, g.expr(gInt))
 	}
@@ -450,8 +529,12 @@ func (g *progGen) generate() string {
 	for k := range g.vars {
 		g.vars[k], g.wr[k] = nil, nil
 	}
-	g.b.WriteString("var acc = 0;\nvar facc = 0.0;\nvar sacc = \"\";\n")
+	g.b.WriteString("var acc = 0;\nvar facc = 0.0;\nvar sacc = \"\";\nvar hits = 0;\n")
 	g.b.WriteString("func twice(x) { return x * 2; }\n")
+	g.b.WriteString("func tally(x) { hits += 1; return x; }\n")
+	if g.report {
+		g.b.WriteString("func note(x) { report(str(hits) + \":\" + str(x)); return x; }\n")
+	}
 	g.b.WriteString("func clip(s) { if (len(s) > 40) { return substr(s, 0, 40); } return s; }\n")
 	g.b.WriteString("func bump(a, x) { append(a, x); a[0] = a[0] + 1; return len(a); }\n")
 	g.b.WriteString("func main() {\n")
@@ -465,48 +548,94 @@ func (g *progGen) generate() string {
 	}
 	a, _ := g.pick(gArr)
 	m, _ := g.pick(gMap)
-	fmt.Fprintf(&g.b, "\treturn [acc, facc, sacc, %s, %s];\n}\n", a, m)
+	fmt.Fprintf(&g.b, "\treturn [acc, facc, sacc, hits, %s, %s];\n}\n", a, m)
 	return g.b.String()
 }
 
-// GenProgram returns the generated program for seed; with mib it also
-// calls the MIB primitives (see mibStmt), which only the MIB-aware
-// bindings of internal/dpl/analysis bind.
+// GenProgram returns the generated program for seed. It calls report,
+// and with mib also the MIB primitives (see mibStmt), which only the
+// MIB-aware bindings of internal/dpl/analysis bind.
 func GenProgram(seed int64, mib bool) string {
-	g := &progGen{r: rand.New(rand.NewSource(seed)), mib: mib}
+	g := &progGen{r: rand.New(rand.NewSource(seed)), mib: mib, report: true}
 	return g.generate()
 }
 
-// runEngines runs src's main on the reference interpreter, the VM and
-// the VM over optimized code, rendering each outcome as the value's kind
-// and text or as the error text.
-func runEngines(t testing.TB, src string) (interp, vm, opt string) {
+// engineBindings is the standard library plus a report that logs its
+// argument to *events.
+func engineBindings(events *[]string) *Bindings {
 	b := Std()
+	b.Register("report", 1, func(_ *Env, args []Value) (Value, error) {
+		*events = append(*events, FormatValue(args[0]))
+		return Value{}, nil
+	})
+	return b
+}
+
+// outcome is what one engine made of a program: the value's kind and
+// text or the error text, then the reports in order.
+type outcome struct {
+	result string
+	events []string
+}
+
+func (o outcome) String() string {
+	return fmt.Sprintf("%s, reports %q", o.result, o.events)
+}
+
+// runEngines runs src's main on the reference interpreter, the VM, the
+// VM over optimized code, and the VM over the code with every chain
+// opcode turned back into the BIN + it stands for (see pairwise),
+// returning each outcome. steps and pairSteps are the VM steps of the
+// unoptimized code and of its pairwise form.
+func runEngines(t testing.TB, src string) (interp, vm, opt, pair outcome, steps, pairSteps uint64) {
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("generated program does not parse:\n%s\n%v", src, err)
 	}
+	var events []string
+	b := engineBindings(&events)
 	it, err := NewInterp(prog, b)
 	if err != nil {
 		t.Fatalf("generated program rejected:\n%s\n%v", src, err)
 	}
-	interp = render(it.Run(context.Background(), "main"))
-	for i, optimize := range []bool{false, true} {
+	interp = outcome{render(it.Run(context.Background(), "main")), events}
+	for i, out := range []*outcome{&vm, &opt, &pair} {
+		events = nil
 		c, err := Compile(prog, b)
 		if err != nil {
 			t.Fatalf("generated program does not compile:\n%s\n%v", src, err)
 		}
-		if optimize {
+		switch i {
+		case 1:
 			Optimize(c)
+		case 2:
+			pairwise(c)
 		}
-		out := render(NewVM(c, b, WithMaxSteps(2_000_000)).Run(context.Background(), "main"))
-		if i == 0 {
-			vm = out
-		} else {
-			opt = out
+		m := NewVM(c, b, WithMaxSteps(2_000_000))
+		*out = outcome{render(m.Run(context.Background(), "main")), events}
+		switch i {
+		case 0:
+			steps = m.Steps()
+		case 2:
+			pairSteps = m.Steps()
 		}
 	}
-	return interp, vm, opt
+	return interp, vm, opt, pair, steps, pairSteps
+}
+
+// pairwise rewrites c's chain opcodes to BIN +, the code the compiler
+// emitted for a chain before it had them: the same instructions at the
+// same positions, each adding its pair at once.
+func pairwise(c *Compiled) {
+	for fn := -1; fn < len(c.Funcs); fn++ {
+		_, code, _ := c.Block(fn)
+		for i, in := range code {
+			if in.Op == OpAddC || in.Op == OpAddN {
+				code[i] = Instr{Op: OpBin, A: int(TokPlus)}
+			}
+		}
+	}
+	c.invalidateVerify()
 }
 
 func render(x any, err error) string {
@@ -520,23 +649,30 @@ func render(x any, err error) string {
 	return TypeName(v) + " " + FormatValue(v)
 }
 
-// checkEngines fails t unless all three engines agree on src, and returns
-// their common rendering.
+// checkEngines fails t unless all four engines agree on src, value or
+// error text and reports alike, and a chain costs the steps its
+// pairwise form costs; it returns the common result.
 func checkEngines(t testing.TB, src string) string {
 	t.Helper()
-	interp, vm, opt := runEngines(t, src)
-	if vm != interp || opt != interp {
-		t.Fatalf("engines disagree:\ninterp: %s\nvm:     %s\nopt vm: %s\n%s", interp, vm, opt, src)
+	interp, vm, opt, pair, steps, pairSteps := runEngines(t, src)
+	same := func(o outcome) bool {
+		return o.result == interp.result && slices.Equal(o.events, interp.events)
 	}
-	return interp
+	if !same(vm) || !same(opt) || !same(pair) || steps != pairSteps {
+		t.Fatalf("engines disagree:\ninterp:   %s\nvm:       %s (%d steps)\nopt vm:   %s\npairwise: %s (%d steps)\n%s",
+			interp, vm, steps, opt, pair, pairSteps, src)
+	}
+	return interp.result
 }
 
 // TestVMMatchesInterpreter is the package's core property test: for
 // hundreds of random programs over every value kind, the bytecode VM,
 // the VM over optimized code and the reference tree-walking interpreter
-// must produce identical results (value or error text alike).
+// must produce identical results (value or error text alike) and the
+// same reports in the same order, and every + chain must cost the
+// steps of its pairwise form.
 func TestVMMatchesInterpreter(t *testing.T) {
-	g := &progGen{r: rand.New(rand.NewSource(99))}
+	g := &progGen{r: rand.New(rand.NewSource(99)), report: true}
 	failed := 0
 	for i := 0; i < 600; i++ {
 		if strings.HasPrefix(checkEngines(t, g.generate()), "error: ") {
@@ -556,7 +692,7 @@ func FuzzVMMatchesInterpreter(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		g := &progGen{r: rand.New(rand.NewSource(seed))}
+		g := &progGen{r: rand.New(rand.NewSource(seed)), report: true}
 		checkEngines(t, g.generate())
 	})
 }

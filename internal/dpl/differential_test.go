@@ -357,6 +357,7 @@ func FuzzEffectsNeverWiden(f *testing.F) {
 	}
 	f.Add(`func main() { var o = "1.3.6.1.2.1.1.3.0"; return mibGet(o); }`)
 	f.Add(`func main(x) { return mibGet("1.3." + ((5 < 3) || "2.0")); }`)
+	f.Add(`func main(x) { return mibGet("1.3.6." + x + ".1") + mibGet("1.3.6.1." + x + 5 + x); }`)
 	f.Add(`func main() { return 1; report("dead"); }`)
 	b := analysis.LintBindings()
 	f.Fuzz(func(t *testing.T, src string) {

@@ -48,6 +48,8 @@ var opcodeSpec = []string{
 	"KSTL g3 const,local 0>0 next",
 	"INCL g3 local,const 0>0 next",
 	"DECL g3 local,const 0>0 next",
+	"ADDC g4 -,- 2>2 next",
+	"ADDN g4 count,- A>1 next",
 }
 
 // spec renders a table row in opcodeSpec's notation.
@@ -62,14 +64,14 @@ func (r opInfo) spec() string {
 }
 
 // TestOpcodeTable: the table has one row per opcode from OpConst to
-// OpDecL, each row states what the hand-written sites it replaced
+// OpAddN, each row states what the hand-written sites it replaced
 // stated, and the accessors read it.
 func TestOpcodeTable(t *testing.T) {
-	if len(opcodeSpec) != int(OpDecL)+1 {
-		t.Fatalf("spec has %d rows for %d opcodes", len(opcodeSpec), OpDecL+1)
+	if len(opcodeSpec) != int(OpAddN)+1 {
+		t.Fatalf("spec has %d rows for %d opcodes", len(opcodeSpec), OpAddN+1)
 	}
 	seen := map[string]bool{}
-	for op := OpConst; op <= OpDecL; op++ {
+	for op := OpConst; op <= OpAddN; op++ {
 		r := opTable[op]
 		if got := r.spec(); got != opcodeSpec[op] {
 			t.Errorf("opcode %d: row %q, want %q", op, got, opcodeSpec[op])
@@ -82,7 +84,7 @@ func TestOpcodeTable(t *testing.T) {
 			t.Errorf("opcode %d: String %q, OpcodeVersion %d disagree with the table", op, op, OpcodeVersion(op))
 		}
 	}
-	for op := OpDecL + 1; op != 0; op++ {
+	for op := OpAddN + 1; op != 0; op++ {
 		if opTable[op] != (opInfo{}) || OpcodeVersion(op) != 1 || op.String() != fmt.Sprintf("OP(%d)", op) {
 			t.Errorf("byte %d outside the instruction set must have an empty row, read as generation 1, OP(n)", op)
 		}
@@ -117,13 +119,13 @@ func TestListingRoundTripsEveryOpcode(t *testing.T) {
 		return 0 // global, local, func and host 0
 	}
 	var code []Instr
-	for op := OpConst; op <= OpDecL; op++ {
+	for op := OpConst; op <= OpAddN; op++ {
 		r := opTable[op]
 		code = append(code, Instr{Op: op, A: operand(r.a, len(code)), B: operand(r.b, len(code))})
 	}
 	c.Funcs = []*CompiledFunc{{Name: "main", NumParams: 1, NumLocals: 2, Code: code}}
 	d1 := Disassemble(c)
-	for op := OpConst; op <= OpDecL; op++ {
+	for op := OpConst; op <= OpAddN; op++ {
 		if r := opTable[op]; !strings.Contains(d1, r.name) {
 			t.Errorf("listing lacks %s", r.name)
 		}
@@ -164,7 +166,7 @@ func TestOpcodeSwitchSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	opcodes := map[string]bool{}
-	for op := OpConst; op <= OpDecL; op++ {
+	for op := OpConst; op <= OpAddN; op++ {
 		opcodes[opcodeConstName(t, files["compile.go"], op)] = true
 	}
 	found := map[string]bool{}

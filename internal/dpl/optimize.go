@@ -13,12 +13,13 @@ package dpl
 // CompilerVersion stamps compiled artifacts (see program.go). It must
 // be bumped whenever the instruction encoding or the optimizer's
 // observable output changes shape. Generation 3 added the
-// superinstruction set (OpLoadLConstBin..OpDecL).
-const CompilerVersion = 3
+// superinstruction set (OpLoadLConstBin..OpDecL), generation 4 the
+// string-chain pair (OpAddC, OpAddN).
+const CompilerVersion = 4
 
 // MinCompilerVersion is the oldest artifact generation receivers still
-// accept. Generation-2 bytecode uses a strict subset of the current
-// instruction set, so it loads, verifies and runs unchanged; anything
+// accept. Generation-2 and -3 bytecode use strict subsets of the current
+// instruction set, so they load, verify and run unchanged; anything
 // older predates the CompiledProgram wire format entirely. verify.Verify
 // enforces the [MinCompilerVersion, CompilerVersion] window and
 // additionally refuses artifacts whose claimed version predates opcodes
@@ -268,6 +269,23 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 					continue
 				}
 			}
+			// push K1 ; push K2 ; ADDC … ADDN n  →  push K1+K2 … ADDN n-1:
+			// the chain loses its first operand, and a chain of two is
+			// a BIN +, as the compiler emits them.
+			if code[i+2].Op == OpAddC {
+				if j := chainEnd(code, i+2); j >= 0 {
+					if v, err := Binary(TokPlus, k1, k2); err == nil {
+						code[i] = o.pushInstr(v)
+						dead[i+1], dead[i+2] = true, true
+						if code[j].A--; code[j].A == 2 {
+							code[j] = Instr{Op: OpBin, A: int(TokPlus)}
+						}
+						st.Folded++
+						changed = true
+						continue
+					}
+				}
+			}
 		}
 		// push K ; unary / constant branch
 		switch next.Op {
@@ -316,6 +334,34 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 		return code, false
 	}
 	return o.compact(code, dead), true
+}
+
+// chainEnd returns the position of the ADDN that ends the + chain
+// whose first ADDC is at ip, or -1 when the code after ip is not the
+// rest of a chain of at least three operands. From ip on each operand
+// pushes one value above the chain's slots (h counts them), and only
+// the chain's own ADDC and ADDN reach below it.
+func chainEnd(code []Instr, ip int) int {
+	h := 0
+	for j := ip + 1; j < len(code); j++ {
+		in := code[j]
+		if h == 1 && in.Op == OpAddN {
+			if in.A < 3 {
+				return -1
+			}
+			return j
+		}
+		if h == 1 && in.Op == OpAddC {
+			h = 0
+			continue
+		}
+		p := in.pops()
+		if falls, _ := OpcodeFlow(in.Op); p < 0 || p > h || !falls {
+			return -1
+		}
+		h += int(opTable[in.Op].pushes) - p
+	}
+	return -1
 }
 
 // dropUnreachable removes instructions no control path reaches.
@@ -398,14 +444,14 @@ func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool 
 // store. The walker knows more than the pass uses, because compiled
 // artifacts are pinned byte for byte (CompilerVersion): the pass
 // rewrites only to a constant the code pushed, not one the walker
-// folded, and stops at the first opcode outside generation 1 (fused
-// ones are opaque to the scalar passes) and at the first instruction
-// that falls through after popping a value its block did not push.
+// folded, and stops at the first fused opcode (generation 3: opaque to
+// the scalar passes) and at the first instruction that falls through
+// after popping a value its block did not push.
 func propagateConsts(c *Compiled, o *optimizer, code []Instr, nLocals int, st *OptStats) bool {
 	changed := false
 	o.walk.Walk(c, code, nLocals, func(ip int, stack, _ []Abs) bool {
 		in := code[ip]
-		if falls, _ := OpcodeFlow(in.Op); opTable[in.Op].gen != 1 || falls && len(stack)-in.pops() < o.walk.entry {
+		if falls, _ := OpcodeFlow(in.Op); opTable[in.Op].gen == 3 || falls && len(stack)-in.pops() < o.walk.entry {
 			return false
 		}
 		if lv := o.walk.local(in.A); in.Op == OpLoadL && lv.kind == absExact && !lv.folded {

@@ -161,6 +161,17 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 				return changed
 			}
 			push(absVal{})
+		case OpAddC:
+			if !pop(2) {
+				return changed
+			}
+			push(absVal{})
+			push(absVal{})
+		case OpAddN:
+			if !pop(in.A) {
+				return changed
+			}
+			push(absVal{})
 		default:
 			return changed
 		}

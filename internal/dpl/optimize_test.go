@@ -116,6 +116,38 @@ func TestOptimizerKeepsRuntimeErrors(t *testing.T) {
 	}
 }
 
+// TestOptimizerFoldsChains: a constant prefix of a + chain folds into
+// one constant, as it did when the chain was pairwise BIN +, and an
+// all-constant chain folds to one CONST; a fold that would fail is left
+// to run time.
+func TestOptimizerFoldsChains(t *testing.T) {
+	b := Std()
+	cases := []struct{ src, want string }{
+		{`func main() { return "1.3" + ".6" + ".1" + ".2"; }`, "CONST \"1.3.6.1.2\"\nRET"},
+		{`func main(x) { return "1.3" + ".6" + x + ".0"; }`, "CONST \"1.3.6\"\nLOADL 0\nADDC\nCONST \".0\"\nADDN 3\nRET"},
+		{`func main(x) { return "1." + "3." + x; }`, "CONST \"1.3.\"\nLOADL 0\nBIN '+'\nRET"},
+		{`func main(x) { return x + "1." + "3."; }`, "LOADL 0\nCONST \"1.\"\nADDC\nCONST \"3.\"\nADDN 3\nRET"},
+		{`func main() { return 1 + "a" + "b"; }`, "CONST 1\nCONST \"a\"\nADDC\nCONST \"b\"\nADDN 3\nRET"},
+		// No string-literal operand: pairwise, so a head of two locals fuses.
+		{`func main(a, b, c) { return a + b + c; }`, "LLLB 0 '+' 1\nLOADL 2\nBIN '+'\nRET"},
+		{`func main(a, b) { return a + 1 + b + 2.5; }`, "LLCB 0 '+' 1\nLOADL 1\nBIN '+'\nCONST 2.5\nBIN '+'\nRET"},
+	}
+	for _, c := range cases {
+		prog := compileSrc(t, c.src, b)
+		Optimize(prog)
+		var got []string
+		for _, in := range prog.Funcs[0].Code {
+			got = append(got, strings.Join(strings.Fields(FormatInstr(prog, in)), " "))
+		}
+		if g := strings.Join(got, "\n"); g != c.want {
+			t.Errorf("%s optimized to\n%s\nwant\n%s", c.src, g, c.want)
+		}
+		if faults := prog.VerifyStructure(); len(faults) > 0 {
+			t.Errorf("%s: folded chain fails verification: %v", c.src, faults[0])
+		}
+	}
+}
+
 // TestOptimizerKeepsGlobals: global stores are observable after the run
 // and must survive even when never read inside the program.
 func TestOptimizerKeepsGlobals(t *testing.T) {
@@ -154,6 +186,10 @@ func TestVerifyStructureFaults(t *testing.T) {
 		{"bad bin op", fn(Instr{Op: OpNil}, Instr{Op: OpNil}, Instr{Op: OpBin, A: int(TokAssign)}, Instr{Op: OpReturn}), FaultOperand},
 		{"bad call", fn(Instr{Op: OpCall, A: 5, B: 0}, Instr{Op: OpReturn}), FaultOperand},
 		{"bad host", fn(Instr{Op: OpCallHost, A: 0, B: 0}, Instr{Op: OpReturn}), FaultOperand},
+		{"chain of one", fn(Instr{Op: OpNil}, Instr{Op: OpAddN, A: 1}, Instr{Op: OpReturn}), FaultOperand},
+		{"chain of none", fn(Instr{Op: OpNil}, Instr{Op: OpAddN, A: 0}, Instr{Op: OpReturn}), FaultOperand},
+		{"chain past the stack", fn(Instr{Op: OpNil}, Instr{Op: OpNil}, Instr{Op: OpAddN, A: 3}, Instr{Op: OpReturn}), FaultStack},
+		{"ADDC on one value", fn(Instr{Op: OpNil}, Instr{Op: OpAddC}, Instr{Op: OpReturn}), FaultStack},
 		{"bad frame", &Compiled{
 			FuncIdx: map[string]int{"main": 0},
 			Funcs:   []*CompiledFunc{{Name: "main", NumParams: 2, NumLocals: 1, Code: []Instr{{Op: OpReturnNil}}}},

@@ -259,6 +259,13 @@ func (v *refVerifier) recoverEffects() {
 			case dpl.OpMap:
 				pop(2 * in.A)
 				push(absVal{})
+			case dpl.OpAddC:
+				ops := pop(2)
+				push(absVal{})
+				push(concat(ops[0], ops[1]))
+			case dpl.OpAddN:
+				ops := pop(in.A)
+				push(concat(ops[in.A-2], ops[in.A-1]))
 			}
 		}
 	})

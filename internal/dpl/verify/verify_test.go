@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"context"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -70,6 +71,9 @@ var honestSources = []string{
 	// A short circuit inside the OID: the constant head below the
 	// branch survives the join.
 	`func main(x) { return mibGet("1.3.6" + (x && ".1")); }`,
+	// + chains (ADDC/ADDN): the head folds across the chain, and a
+	// constant prefix folds into one constant.
+	`func main(i) { return mibGet("1.3.6.1" + ".2.1.2." + i + ".0") + mibGet("1.3.6.1.2.1." + i + "." + i); }`,
 }
 
 func TestVerifyAcceptsHonestArtifacts(t *testing.T) {
@@ -398,8 +402,7 @@ func TestVerifierRejectionImpliesVMRefusal(t *testing.T) {
 	}
 }
 
-// TestVerifyCompilerVersionWindow pins the version-skew contract for
-// the generation-3 compiler: receivers accept the window
+// TestVerifyCompilerVersionWindow pins the version-skew contract: receivers accept the window
 // [MinCompilerVersion, CompilerVersion] rather than one generation, a
 // previous-generation artifact still loads, verifies and runs, and an
 // artifact that stamps an old generation while using new opcodes is a
@@ -407,8 +410,9 @@ func TestVerifierRejectionImpliesVMRefusal(t *testing.T) {
 func TestVerifyCompilerVersionWindow(t *testing.T) {
 	b := analysis.LintBindings()
 
-	// An unoptimized compile emits only generation-1 opcodes, which is
-	// exactly what a MinCompilerVersion node would have shipped.
+	// An unoptimized compile of a source without + chains emits only
+	// generation-1 opcodes, which is exactly what a MinCompilerVersion
+	// node would have shipped.
 	old := buildArtifact(t, honestSources[0], b, false)
 	old.Version = dpl.MinCompilerVersion
 	for _, fn := range old.Object.Funcs {
@@ -466,5 +470,152 @@ func TestVerifyCompilerVersionWindow(t *testing.T) {
 	fused.Version = dpl.MinCompilerVersion
 	if res := verify.Verify(fused, b); !hasCode(res.Diags, dpl.CodeVersionSkew) {
 		t.Fatalf("forged version stamp accepted: %v", res.Diags)
+	}
+}
+
+// TestVerifyRefusesChainUnderGeneration3: an artifact holding the
+// generation-4 chain opcodes while it claims generation 3 is a version
+// skew, whatever else about it is honest.
+func TestVerifyRefusesChainUnderGeneration3(t *testing.T) {
+	b := analysis.LintBindings()
+	cp := buildArtifact(t, honestSources[len(honestSources)-1], b, true)
+	chain := false
+	for _, fn := range cp.Object.Funcs {
+		for _, in := range fn.Code {
+			chain = chain || in.Op == dpl.OpAddC
+		}
+	}
+	if !chain {
+		t.Fatalf("no ADDC in the chain source's artifact:\n%s", dpl.Disassemble(cp.Object))
+	}
+	if err := verify.Verify(cp, b).Err(); err != nil {
+		t.Fatalf("honest chain artifact rejected: %v", err)
+	}
+	if got := cp.Verdict.Reads; !slices.Equal(got, []string{"1.3.6.1.2.1"}) {
+		t.Errorf("declared reads %v, want the chains' common head", got)
+	}
+	cp.Version = 3
+	if res := verify.Verify(cp, b); !hasCode(res.Diags, dpl.CodeVersionSkew) {
+		t.Fatalf("ADDC under a generation-3 stamp accepted: %v", res.Diags)
+	}
+}
+
+// TestVerifyChainReadsWhatTheVMReads: chain code no compiler emits must
+// not let effect recovery name one OID while the VM reads another.
+// ADDC leaves two strings unjoined, so a host call after it reads the
+// top one; ADDN joins every slot, not only the last pair. Declaring
+// what the pairwise fold would read is refused, declaring what the VM
+// reads is what recovery proves.
+func TestVerifyChainReadsWhatTheVMReads(t *testing.T) {
+	cases := []struct {
+		name   string
+		consts []string
+		code   []dpl.Instr
+		reads  string
+	}{
+		{"ADDC keeps the pair", []string{"1.3.6.1.2.1.", "1.3.6.1.4.1.9.9.1.0"},
+			[]dpl.Instr{{Op: dpl.OpConst, A: 0}, {Op: dpl.OpConst, A: 1}, {Op: dpl.OpAddC}},
+			"1.3.6.1.4.1.9.9.1.0"},
+		{"ADDN joins every slot", []string{"1.3.6.1.4.1.9.", "1.3.6.1.2.1.", "1.0"},
+			[]dpl.Instr{{Op: dpl.OpConst, A: 0}, {Op: dpl.OpConst, A: 1}, {Op: dpl.OpConst, A: 2}, {Op: dpl.OpAddN, A: 3}},
+			"1.3.6.1.4.1.9.1.3.6.1.2.1.1.0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := analysis.LintBindings()
+			var read []string
+			b.Register("mibGet", 1, func(_ *dpl.Env, args []dpl.Value) (dpl.Value, error) {
+				s, _ := args[0].AsString()
+				read = append(read, s)
+				return dpl.Value{}, nil
+			})
+			mibGet, _, _ := b.Lookup("mibGet")
+			cp := buildArtifact(t, `func main() { return mibGet("1.3.6.1.2.1.1.0"); }`, b, true)
+			cp.Object.Consts = nil
+			for _, s := range tc.consts {
+				cp.Object.Consts = append(cp.Object.Consts, dpl.Str(s))
+			}
+			cp.Object.Funcs[0].Code = append(tc.code, dpl.Instr{Op: dpl.OpCallHost, A: mibGet, B: 1}, dpl.Instr{Op: dpl.OpReturn})
+			cp.Verdict.CostSteps, cp.Verdict.StepBudget = 100, 100
+
+			if _, err := dpl.NewVM(cp.Object, b, dpl.WithMaxSteps(100)).Run(context.Background(), "main"); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if !slices.Equal(read, []string{tc.reads}) {
+				t.Fatalf("VM read %q, want %q", read, tc.reads)
+			}
+			cp.Verdict.Reads = []string{"1.3.6.1.2.1"}
+			if res := verify.Verify(cp, b); !hasCode(res.Diags, dpl.CodeEffectUndeclared) {
+				t.Errorf("declared 1.3.6.1.2.1 while the VM reads %s: accepted %v", tc.reads, res.Diags)
+			}
+			cp.Verdict.Reads = []string{tc.reads}
+			res := verify.Verify(cp, b)
+			if err := res.Err(); err != nil {
+				t.Fatalf("declared what the VM reads: %v", err)
+			}
+			if got := res.Recovered.Reads; len(got) != 1 || got[0].Name != tc.reads {
+				t.Errorf("recovered reads %v, want [%s]", got, tc.reads)
+			}
+		})
+	}
+}
+
+// TestChainRecoveryCoversVMReads: on random straight-line code over
+// the chain opcodes (string, int and nil operands, a parameter of
+// either kind, host calls in between), every OID the VM hands mibGet
+// is covered by a read that effect recovery proves.
+func TestChainRecoveryCoversVMReads(t *testing.T) {
+	b := analysis.LintBindings()
+	var read []string
+	b.Register("mibGet", 1, func(_ *dpl.Env, args []dpl.Value) (dpl.Value, error) {
+		if s, ok := args[0].AsString(); ok {
+			read = append(read, s)
+		}
+		return dpl.Value{}, nil
+	})
+	mibGet, _, _ := b.Lookup("mibGet")
+	consts := []dpl.Value{dpl.Str("1.3.6.1.2.1."), dpl.Str("1.3.6.1.4.1.9."), dpl.Str("1.0"), dpl.Str(""), dpl.Int(7)}
+	rng := rand.New(rand.NewPCG(37, 4))
+	ran := 0
+	for range 3000 {
+		var code []dpl.Instr
+		for range 3 + rng.IntN(8) {
+			switch rng.IntN(8) {
+			case 0, 1, 2:
+				code = append(code, dpl.Instr{Op: dpl.OpConst, A: rng.IntN(len(consts))})
+			case 3:
+				code = append(code, dpl.Instr{Op: dpl.OpLoadL, A: 0})
+			case 4:
+				code = append(code, dpl.Instr{Op: dpl.OpAddC})
+			case 5:
+				code = append(code, dpl.Instr{Op: dpl.OpAddN, A: 2 + rng.IntN(3)})
+			case 6:
+				code = append(code, dpl.Instr{Op: dpl.OpCallHost, A: mibGet, B: 1})
+			default:
+				code = append(code, dpl.Instr{Op: dpl.OpNil})
+			}
+		}
+		code = append(code, dpl.Instr{Op: dpl.OpCallHost, A: mibGet, B: 1}, dpl.Instr{Op: dpl.OpReturn})
+		cp := buildArtifact(t, `func main(x) { return mibGet(x); }`, b, false)
+		cp.Object.Consts, cp.Object.Funcs[0].Code = consts, code
+		cp.Verdict.Reads = []string{analysis.Wildcard}
+		cp.Verdict.CostSteps, cp.Verdict.StepBudget = 100, 100
+		res := verify.Verify(cp, b)
+		if !res.OK() {
+			continue // structurally unsound: the VM refuses it too
+		}
+		ran++
+		for _, arg := range []any{"1.3.6.1.2.1.7.", int64(5)} {
+			read = read[:0]
+			dpl.NewVM(cp.Object, b, dpl.WithMaxSteps(100)).Run(context.Background(), "main", arg)
+			for _, oid := range read {
+				if !slices.ContainsFunc(res.Recovered.Reads, func(e analysis.Effect) bool { return analysis.OIDCovers(e.Name, oid) }) {
+					t.Fatalf("VM read %s (arg %v), recovered %v:\n%s", oid, arg, res.Recovered.Reads, dpl.Disassemble(cp.Object))
+				}
+			}
+		}
+	}
+	if ran < 300 {
+		t.Fatalf("only %d of 3000 programs verified", ran)
 	}
 }

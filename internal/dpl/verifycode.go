@@ -160,11 +160,13 @@ func (v *structVerifier) operandsOK(fn string, ip int, in Instr, nLocals, nCode 
 		msg = v.operandFault(r.b, in.B, nLocals, nCode, r.count)
 	}
 	// What no column states: LLLB names both its locals in one fault,
-	// and a call passes its callee's arity.
+	// a call passes its callee's arity, and a chain has two operands.
 	if i := in.B >> 8; r.b == opdLocalOp && (in.A < 0 || in.A >= nLocals || i < 0 || i >= nLocals) {
 		msg = fmt.Sprintf("local index out of range (%d, %d of %d locals)", in.A, i, nLocals)
 	} else if msg == "" && in.Op == OpCall && (in.B < 0 || in.B != v.c.Funcs[in.A].NumParams) {
 		msg = fmt.Sprintf("call passes %d args, function %q takes %d", in.B, v.c.Funcs[in.A].Name, v.c.Funcs[in.A].NumParams)
+	} else if msg == "" && in.Op == OpAddN && in.A < 2 {
+		msg = fmt.Sprintf("chain of %d operands (ADDN needs at least 2)", in.A)
 	}
 	if msg != "" {
 		v.fault(fn, ip, FaultOperand, msg)

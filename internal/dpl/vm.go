@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -378,6 +379,33 @@ func binEval(op TokenKind, l, r Value) (Value, error) {
 	return Binary(op, l, r)
 }
 
+// addChain ends a + chain (OpAddN) whose operands ADDC left in slots:
+// either every operand so far was a string, each still in its slot, or
+// the last two slots hold the left sum and the last operand. The last
+// pair is checked as BIN + checks it; a pair of strings joins every
+// slot in one allocation. Each slot's kind is checked before its bytes
+// are read, so code that did not come from the compiler cannot make it
+// read a non-string as one.
+func addChain(slots []Value) (Value, error) {
+	l, r := slots[len(slots)-2], slots[len(slots)-1]
+	if l.k != KindString || r.k != KindString {
+		return binEval(TokPlus, l, r)
+	}
+	n := 0
+	for _, s := range slots {
+		if s.k != KindString {
+			return Value{}, rtErrf("cannot add %s and string", TypeName(s))
+		}
+		n += int(s.n)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range slots {
+		b.WriteString(s.str())
+	}
+	return Str(b.String()), nil
+}
+
 // dispatch is the flat-frame execution loop. Every activation lives in
 // one contiguous stack: locals at [base, base+NumLocals), operand stack
 // growing from there to at most base+NumLocals+maxStack (the verifier's
@@ -598,6 +626,22 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				goto fail
 			}
 			stack[base+in.A] = v
+		case OpAddC:
+			if l, r := stack[sp-2], stack[sp-1]; l.k != KindString || r.k != KindString {
+				var v Value
+				if v, err = binEval(TokPlus, l, r); err != nil {
+					goto fail
+				}
+				stack[sp-2], stack[sp-1] = null, v
+			}
+		case OpAddN:
+			var v Value
+			if v, err = addChain(stack[sp-in.A : sp]); err != nil {
+				goto fail
+			}
+			sp -= in.A
+			stack[sp] = v
+			sp++
 		default:
 			err = fmt.Errorf("dpl: unknown opcode %d", in.Op)
 			goto fail

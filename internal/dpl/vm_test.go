@@ -3,6 +3,7 @@ package dpl
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -530,5 +531,74 @@ func TestSplitSizesResultOnce(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("split of %d components allocates %v times, want at most 2", parts, allocs)
+	}
+}
+
+// TestStringChainMatchesPairwise: a + chain of three or more operands
+// runs as ADDC/ADDN and must keep pairwise left-to-right semantics:
+// the same value, the first ill-typed pair failing with BIN +'s text
+// after only the operands up to it have run (their reports show it),
+// and the steps of the same code adding each pair at once.
+func TestStringChainMatchesPairwise(t *testing.T) {
+	const lib = `var hits = 0;
+func note(x) { report(str(x)); return x; }
+func tally(x) { hits += 1; return x; }
+`
+	cases := []struct {
+		name, body string
+		want       string
+		events     []string
+	}{
+		{"strings", `return "a" + "bc" + "" + "déf";`, `string abcdéf`, nil},
+		{"empty strings", `var e = ""; return e + e + e;`, `string `, nil},
+		{"locals", `var s = "x"; var t = "yz"; return s + t + s + t + s;`, `string xyzxyzx`, nil},
+		{"table row", `var p = split("n7:3", ":"); var c = ["a = 1", "b = 2"];
+			var out = ""; for (var j = 0; j < 3; j += 1) { out = p[0] + " " + str(j) + " " + c[j % 2]; } return out;`,
+			`string n7 2 a = 1`, nil},
+		{"ints", `var x = 4294967296; return x + 1 + 2 + x;`, `int 8589934595`, nil},
+		{"int to float", `return 1 + 2 + 0.5 + 3;`, `float 6.5`, nil},
+		{"arrays", `var a = [1]; return a + [2] + a + [3, 4];`, `array [1, 2, 1, 3, 4]`, nil},
+		// A string literal makes these ADDC/ADDN chains: the sums
+		// before it are made at once, and the literal fails its pair.
+		{"numbers then a literal", `return note(1) + note(2.5) + "x" + note(4);`,
+			`error: dpl: runtime error: invalid operands for '+': float and string`, []string{"1", "2.5"}},
+		{"arrays then a literal", `var a = [1]; return a + [2] + a + "x";`,
+			`error: dpl: runtime error: cannot add array and string`, nil},
+		{"bad first pair", `return 1 + note("b") + note("c");`,
+			`error: dpl: runtime error: invalid operands for '+': int and string`, []string{"b"}},
+		{"bad second pair", `return note("a") + note("b") + note(3) + note("d");`,
+			`error: dpl: runtime error: cannot add string and int`, []string{"a", "b", "3"}},
+		{"bad last pair", `return note("a") + note("b") + note("c") + nil;`,
+			`error: dpl: runtime error: cannot add string and nil`, []string{"a", "b", "c"}},
+		{"numbers then string", `return note(1) + note(2) + note("x") + note(4);`,
+			`error: dpl: runtime error: invalid operands for '+': int and string`, []string{"1", "2", "x"}},
+		{"report operand", `return "a" + report("r") + note("z");`,
+			`error: dpl: runtime error: cannot add string and nil`, []string{"r"}},
+		{"global store", `var s = tally("a") + tally("b") + tally("c"); return s + str(hits);`, `string abc3`, nil},
+		{"index out of range", `var p = ["a"]; return note("x") + p[0] + p[1] + note("y");`,
+			`error: dpl: runtime error: array index 1 out of range [0,1)`, []string{"x"}},
+		{"nested chains", `var s = "q"; return s + (s + s + "r") + s + str(1 + 2 + 3);`, `string qqqrq6`, nil},
+		{"constant chain", `return "1.3" + ".6" + ".1" + "." + str(4);`, `string 1.3.6.1.4`, nil},
+		{"chain in a branch", `var s = "a"; return s + (s == "a" && "b" || "c") + s;`, `string aba`, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := lib + "func main() {\n" + c.body + "\n}\n"
+			interp, vm, opt, pair, steps, pairSteps := runEngines(t, src)
+			if interp.result != c.want || !slices.Equal(interp.events, c.events) {
+				t.Fatalf("interp: %s, want %s, reports %q", interp, c.want, c.events)
+			}
+			for _, o := range []struct {
+				name string
+				out  outcome
+			}{{"vm", vm}, {"optimized vm", opt}, {"pairwise vm", pair}} {
+				if o.out.result != interp.result || !slices.Equal(o.out.events, interp.events) {
+					t.Errorf("%s: %s, interp %s", o.name, o.out, interp)
+				}
+			}
+			if steps != pairSteps {
+				t.Errorf("chain ran %d steps, its pairwise form %d", steps, pairSteps)
+			}
+		})
 	}
 }

@@ -45,6 +45,20 @@ func (a Abs) Prefix() (string, bool) {
 	return strings.TrimSuffix(s, "."), ok && a.kind == absExact
 }
 
+// isString says a is known to be a string.
+func (a Abs) isString() bool {
+	return a.kind == absHead || a.kind == absExact && a.v.k == KindString
+}
+
+// asString is a where a string must stand: a itself when it is known
+// to be one, else the empty head.
+func (a Abs) asString() Abs {
+	if a.isString() {
+		return a
+	}
+	return Abs{kind: absHead, v: Str("")}
+}
+
 // binary is l op r by the constant-head rules of effect inference:
 // exact strings concatenate under +, a string or head left of + keeps
 // its head, and every other result is unknown.
@@ -178,12 +192,46 @@ func (w *Walker) transfer(c *Compiled, in Instr) {
 		w.setLocal(in.A, binary(TokPlus, w.local(in.A), pushed(c, Instr{Op: OpConst, A: in.B})))
 	case OpDecL:
 		w.setLocal(in.A, Abs{})
+	case OpAddC:
+		// ADDC keeps two strings where they are and leaves [nil, l+r]
+		// for any other pair. A string beside a non-string stops the
+		// run, so when either is known to be a string both are.
+		r, l := w.pop(), w.pop()
+		if l.isString() || r.isString() {
+			w.push(l.asString())
+			w.push(r.asString())
+		} else {
+			w.push(Abs{})
+			w.push(Abs{})
+		}
+	case OpAddN:
+		k := min(max(in.A, 0), len(w.stack))
+		sum := chainSum(w.stack[len(w.stack)-k:], in.A)
+		w.stack = w.stack[:len(w.stack)-k]
+		w.push(sum)
 	default:
 		w.stack = w.stack[:len(w.stack)-min(max(in.pops(), 0), len(w.stack))]
 		for range opTable[in.Op].pushes {
 			w.push(Abs{})
 		}
 	}
+}
+
+// chainSum is what ADDN leaves of an n-slot chain whose top slots are
+// s (fewer than n where the stack ran short). The VM joins every slot
+// when the last pair is two strings and adds the pair otherwise, so
+// when either is known to be a string the result is the whole chain's
+// concatenation, led by the first slot's head, or the run stops.
+// Otherwise the walker knows nothing of the result.
+func chainSum(s []Abs, n int) Abs {
+	if len(s) < max(n, 2) || !s[len(s)-2].isString() && !s[len(s)-1].isString() {
+		return Abs{}
+	}
+	sum := s[0]
+	for _, a := range s[1:] {
+		sum = binary(TokPlus, sum, a)
+	}
+	return sum
 }
 
 // pushed is what the walker knows of the value in pushes: exactly it,

@@ -90,11 +90,17 @@ func TestCascadeShipsVerifiedBytecode(t *testing.T) {
 	})
 
 	// A counting loop so the root's optimizer emits generation-3 fused
-	// opcodes: the cascade must ship and verify a CompilerVersion=3
-	// artifact end to end, not just trivially fusion-free code.
+	// opcodes, and a string chain for the generation-4 ADDC/ADDN: the
+	// cascade must ship and verify a current-generation artifact end to
+	// end, not just code every older generation could hold.
 	src := `func main() {
 		var total = 0;
-		for (var i = 0; i < 3; i += 1) { total += mibGet("1.3.6.1.2.1.1.3.0"); }
+		var label = "";
+		for (var i = 0; i < 3; i += 1) {
+			total += mibGet("1.3.6.1.2.1.1.3.0");
+			label = "i=" + str(i) + " total=" + str(total);
+		}
+		if (label != "i=2 total=" + str(total)) { return -1; }
 		return total;
 	}`
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -151,17 +157,15 @@ func TestCascadeShipsVerifiedBytecode(t *testing.T) {
 		if dp.Program.Version != dpl.CompilerVersion {
 			t.Errorf("%s stored artifact generation %d, want %d", hop.name, dp.Program.Version, dpl.CompilerVersion)
 		}
-		fusedOps := 0
+		byGen := map[int]int{}
 		for _, fn := range dp.Object.Funcs {
 			for _, in := range fn.Code {
-				if dpl.OpcodeVersion(in.Op) == dpl.CompilerVersion {
-					fusedOps++
-				}
+				byGen[dpl.OpcodeVersion(in.Op)]++
 			}
 		}
-		if fusedOps == 0 {
-			t.Errorf("%s stored no fused opcodes; the cascade did not exercise generation-3 code:\n%s",
-				hop.name, dpl.Disassemble(dp.Object))
+		if byGen[3] == 0 || byGen[4] == 0 {
+			t.Errorf("%s stored %d fused and %d chain opcodes; the cascade did not exercise generation-3 and -4 code:\n%s",
+				hop.name, byGen[3], byGen[4], dpl.Disassemble(dp.Object))
 		}
 		dpi, err := hop.tn.proc.Instantiate("noc", "watch", "main")
 		if err != nil {

@@ -340,7 +340,8 @@ func (cw *connWriter) writeLocked(s *Server, out []byte) bool {
 // connection: a pushing principal with queued events overwrites its own
 // oldest, otherwise the principal hogging the most queue slots loses
 // its oldest — so one flooding tenant's burst can never evict a quiet
-// tenant's events. glob, when set, mirrors the queue's occupancy into
+// tenant's events. Only an overflow looks at who queued what, by
+// scanning the ring. glob, when set, mirrors the queue's occupancy into
 // the server-wide queued gauge driving high-water shedding.
 type eventQueue struct {
 	mu     sync.Mutex
@@ -348,13 +349,13 @@ type eventQueue struct {
 	buf    []elastic.Event // ring storage
 	head   int
 	n      int
-	counts map[string]int // queued events by principal
+	tally  map[string]int // victimLocked's scratch, empty between overflows
 	glob   *atomic.Int64
 	closed bool
 }
 
 func newEventQueue(depth int, glob *atomic.Int64) *eventQueue {
-	q := &eventQueue{buf: make([]elastic.Event, depth), counts: make(map[string]int), glob: glob}
+	q := &eventQueue{buf: make([]elastic.Event, depth), glob: glob}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -368,63 +369,61 @@ func (q *eventQueue) push(ev elastic.Event) (victim string, dropped bool) {
 		return "", false
 	}
 	if q.n == len(q.buf) {
-		victim = ev.Principal
-		if q.counts[victim] == 0 {
-			victim = q.hogLocked()
-		}
-		q.removeOldestLocked(victim)
+		var at int
+		victim, at = q.victimLocked(ev.Principal)
+		q.removeLocked(at)
 		dropped = true
 	} else if q.glob != nil {
 		q.glob.Add(1)
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = ev
 	q.n++
-	q.counts[ev.Principal]++
 	q.mu.Unlock()
 	q.cond.Signal()
 	return victim, dropped
 }
 
-// hogLocked returns the principal with the most queued events.
-func (q *eventQueue) hogLocked() string {
-	var hog string
-	best := -1
-	for pr, n := range q.counts {
-		if n > best {
-			hog, best = pr, n
+// at returns the i-th queued event, counting from the oldest.
+func (q *eventQueue) at(i int) *elastic.Event { return &q.buf[(q.head+i)%len(q.buf)] }
+
+// victimLocked picks whose oldest event a push by pusher into the full
+// ring drops, and returns that event's position: pusher's own when it
+// has one queued, else the principal with the most queued events, ties
+// going to the one whose oldest event comes first. O(n), on the
+// overflow path only.
+func (q *eventQueue) victimLocked(pusher string) (string, int) {
+	for i := range q.n {
+		if q.at(i).Principal == pusher {
+			return pusher, i
 		}
 	}
-	return hog
+	if q.tally == nil {
+		q.tally = make(map[string]int)
+	}
+	defer clear(q.tally)
+	most := 0
+	for i := range q.n {
+		pr := q.at(i).Principal
+		q.tally[pr]++
+		most = max(most, q.tally[pr])
+	}
+	for i := range q.n {
+		if pr := q.at(i).Principal; q.tally[pr] == most {
+			return pr, i
+		}
+	}
+	return "", 0 // unreachable: the ring is full
 }
 
-// removeOldestLocked deletes victim's oldest queued event, compacting
-// the ring toward the head. O(n) on the overflow path only.
-func (q *eventQueue) removeOldestLocked(victim string) {
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) % len(q.buf)
-		if q.buf[idx].Principal != victim {
-			continue
-		}
-		// Shift the segment before idx forward one slot.
-		for j := i; j > 0; j-- {
-			to := (q.head + j) % len(q.buf)
-			from := (q.head + j - 1) % len(q.buf)
-			q.buf[to] = q.buf[from]
-		}
-		q.buf[q.head] = elastic.Event{}
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		q.decCountLocked(victim)
-		return
+// removeLocked deletes the i-th queued event, compacting the ring
+// toward the head.
+func (q *eventQueue) removeLocked(i int) {
+	for ; i > 0; i-- {
+		*q.at(i) = *q.at(i - 1)
 	}
-}
-
-func (q *eventQueue) decCountLocked(pr string) {
-	if c := q.counts[pr]; c <= 1 {
-		delete(q.counts, pr)
-	} else {
-		q.counts[pr] = c - 1
-	}
+	q.buf[q.head] = elastic.Event{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
 }
 
 // drain appends every queued event to dst under one lock acquisition,
@@ -453,7 +452,6 @@ func (q *eventQueue) drain(dst []elastic.Event) []elastic.Event {
 		q.glob.Add(-int64(q.n))
 	}
 	q.head, q.n = 0, 0
-	clear(q.counts)
 	return dst
 }
 
@@ -466,7 +464,6 @@ func (q *eventQueue) close() {
 		q.glob.Add(-int64(q.n))
 	}
 	q.n = 0
-	clear(q.counts)
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }

@@ -158,3 +158,32 @@ func TestEventQueueTenantVictim(t *testing.T) {
 		t.Fatalf("drained %v, want %s", got, want)
 	}
 }
+
+// TestEventQueueVictimTie: when principals tie for the most queued
+// events, the one whose oldest event comes first in the ring is the
+// victim, whatever order they first queued in before a drain.
+func TestEventQueueVictimTie(t *testing.T) {
+	q := newEventQueue(4, nil)
+	for _, p := range []string{"b", "a"} {
+		q.push(elastic.Event{Principal: p})
+	}
+	q.drain(nil)
+	for _, p := range []string{"a", "b", "b", "a"} {
+		q.push(elastic.Event{Principal: p, Payload: "1"})
+	}
+	victim, dropped := q.push(elastic.Event{Principal: "c", Payload: "c"})
+	if !dropped || victim != "a" {
+		t.Fatalf("victim = %q (dropped %v), want a, whose oldest event is first", victim, dropped)
+	}
+	// Now b holds two to a's one: b loses its oldest.
+	if victim, _ = q.push(elastic.Event{Principal: "d", Payload: "d"}); victim != "b" {
+		t.Fatalf("victim = %q, want b, the hog", victim)
+	}
+	var got []string
+	for _, ev := range q.drain(nil) {
+		got = append(got, ev.Principal)
+	}
+	if want := "b,a,c,d"; strings.Join(got, ",") != want {
+		t.Fatalf("drained %v, want %s", got, want)
+	}
+}
