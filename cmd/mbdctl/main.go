@@ -220,7 +220,7 @@ func lint(files []string, strict, asJSON bool) int {
 			continue
 		}
 		// The pipeline source admission runs; a program breaking a
-		// Translator rule gets the analyzer's findings and no effects.
+		// Translator rule gets the analyzer's findings all the same.
 		_, rep, err := analysis.Translate(prog, bindings)
 		if err != nil {
 			rep = analysis.Analyze(prog, bindings)

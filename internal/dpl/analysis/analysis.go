@@ -3,19 +3,23 @@
 // set of defined rules for the given language"; package dpl's Check
 // resolves every name once and enforces those rules, and this package
 // adds the deeper, flow-sensitive rules an elastic process wants before
-// admitting code from another administrative domain:
+// admitting code from another administrative domain. It reads object
+// code, never the AST: one control-flow graph per code block (graph.go)
+// carries every pass, and source positions come from the compiler's
+// position table.
 //
-//   - dataflow diagnostics over a per-function control-flow graph
-//     (use-before-init, unreachable code, dead stores, never-written
-//     globals);
+//   - dataflow diagnostics over the compiler's output (use-before-init,
+//     unreachable code, dead stores, never-written globals);
 //   - capability/effect inference: which host bindings and which MIB
 //     OID prefixes a dp can reach, recovered from the optimized object
 //     code (Recover) and closed over calls, so the admission path can
 //     compare a dp's footprint against the delegating principal's grant
 //     instead of discovering violations at runtime;
-//   - cost analysis: instruction-cost estimates per function with
-//     constant-trip loop bounding, used to derive a default VM step
-//     budget and to enforce a server-side admission cost ceiling.
+//   - cost analysis: a bound on the VM steps of the optimized object
+//     code, with counted loops (Recover too), used to derive a VM step
+//     budget and to enforce a server-side admission cost ceiling. The
+//     bytecode verifier runs the same effect and cost recovery on every
+//     artifact a node receives.
 //
 // Every finding is a dpl.Diagnostic with a stable code (DPL001…), the
 // same record as the Translator's and the bytecode verifier's.
@@ -23,6 +27,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"mbd/internal/dpl"
 )
@@ -50,17 +55,16 @@ type Report struct {
 	Cost CostEstimate
 }
 
-// budgetMargin and budgetFloor pad a bounded cost estimate into a VM
-// step budget: estimate*margin + floor. The margin absorbs the
-// coarseness of the cost model; the floor covers program prologue
-// (global initializers) and host-call internals.
+// budgetMargin and budgetFloor pad a bounded cost into a VM step
+// budget: cost*margin + floor, slack for a ceiling that must never stop
+// a program inside its own bound.
 const (
 	budgetMargin = 4
 	budgetFloor  = 1024
 )
 
 // SuggestedBudget derives a vm.WithMaxSteps budget from the program
-// cost: a bounded program gets a generous multiple of its estimate (so
+// cost: a bounded program gets a generous multiple of its bound (so
 // a runaway can never exceed ~4× its static cost), an unbounded one —
 // the resident-agent case — falls back to the supplied default (0 =
 // unlimited).
@@ -76,74 +80,72 @@ func (r *Report) SuggestedBudget(fallback uint64) uint64 {
 }
 
 // Translate runs the delegation pipeline over a parsed program: Compile
-// (the Translator's rules), Analyze, Optimize, and then the effects of
-// the optimized object code, which is what the node runs and ships. A
-// rule violation returns Compile's *dpl.Error and no report.
+// (the Translator's rules), the diagnostics of its output, Optimize, and
+// then the effects and the cost of the optimized object code, which is
+// what the node runs and ships. A rule violation returns Compile's
+// *dpl.Error and no report.
 func Translate(prog *dpl.Program, bindings *dpl.Bindings) (*dpl.Compiled, *Report, error) {
 	obj, err := dpl.Compile(prog, bindings)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := Analyze(prog, bindings)
-	dpl.Optimize(obj)
+	rep := analyze(prog, obj, nil)
 	rep.RecoverEffects(obj)
 	return obj, rep, nil
 }
 
-// Analyze runs the source-level analyses over prog against the host's
-// allowed-function table: everything that needs source positions. It
-// reads the names dpl.Check bound, resolving prog itself only if no
-// Check (or Compile) has already done so against bindings, and reports
-// the Translator's rule violations among its own findings.
-// An unchecked program is analyzed all the same: unbound names are
-// skipped. The report's effects stay empty until RecoverEffects.
-//
-// Pipeline: name resolution → per-function CFG → unreachable code →
-// definite assignment → liveness/dead stores → never-written globals →
-// cost analysis.
+// Analyze reports on prog against the host's allowed-function table
+// without shipping code: it compiles the program with dpl.Lower, so one
+// the Translator refuses is analyzed all the same, its rule violations
+// among the findings, then optimizes and prices it. The report's
+// effects stay empty until RecoverEffects.
 func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
-	rep := &Report{Diags: append([]dpl.Diagnostic(nil), dpl.Check(prog, bindings)...)}
-
-	for _, f := range prog.Funcs {
-		g := buildCFG(f)
-		fr := frame{globals: prog.Globals, fn: f}
-		unreachableDiags(g, &rep.Diags)
-		definiteAssignment(g, fr, &rep.Diags)
-		liveness(g, fr, &rep.Diags)
+	obj, diags, err := dpl.Lower(prog, bindings)
+	if err != nil {
+		return &Report{Diags: append([]dpl.Diagnostic(nil), diags...)}
 	}
-	globalDiags(prog, &rep.Diags)
-
-	ca := &costAnalyzer{
-		prog:     prog,
-		memo:     make(map[*dpl.FuncDecl]CostEstimate),
-		visiting: make(map[*dpl.FuncDecl]bool),
-		diags:    &rep.Diags,
-	}
-	for _, f := range prog.Funcs {
-		cost := ca.funcCost(f)
-		rep.Funcs = append(rep.Funcs, &FuncInfo{Name: f.Name, Pos: f.Position(), Cost: cost})
-		if cost.Unbounded && !rep.Cost.Unbounded {
-			rep.Cost.Unbounded = true
-			rep.Cost.Pos = cost.Pos
-		}
-		if cost.Steps > rep.Cost.Steps {
-			rep.Cost.Steps = cost.Steps
-			if !rep.Cost.Unbounded || cost.Unbounded {
-				rep.Cost.Pos = cost.Pos
-			}
-		}
-	}
+	rep := analyze(prog, obj, diags)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	s.recover(obj, nil)
+	rep.Cost = (&coster{c: obj, s: s, diags: &rep.Diags, info: rep.Funcs}).program()
 	dpl.SortDiags(rep.Diags)
 	return rep
 }
 
-// RecoverEffects sets the report's effects from c, the object code of
-// the analyzed program: the program's summary, and each function's,
-// closed over the functions its code calls. A MIB primitive whose OID
-// prefix is unknown raises DPL006 at the call.
+// analyze reports on obj, prog compiled: the Translator's findings
+// (checked), then DPL001–DPL004 from obj as compiled; then it optimizes
+// obj. Names and function positions come from prog's declarations.
+func analyze(prog *dpl.Program, obj *dpl.Compiled, checked []dpl.Diagnostic) *Report {
+	rep := &Report{Diags: append([]dpl.Diagnostic(nil), checked...)}
+	s := scratches.Get().(*scratch)
+	s.diagnose(prog, obj, &rep.Diags)
+	scratches.Put(s)
+	dpl.Optimize(obj)
+	infos := make([]FuncInfo, len(prog.Funcs))
+	rep.Funcs = make([]*FuncInfo, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		infos[i] = FuncInfo{Name: f.Name, Pos: f.Position()}
+		rep.Funcs[i] = &infos[i]
+	}
+	return rep
+}
+
+// RecoverEffects sets the report's effects and cost from c, the object
+// code of the analyzed program that the node ships and every receiver
+// recovers them from the same way: the program's summary, and each
+// function's, its effects closed over the functions its code calls. A
+// MIB primitive whose OID prefix is unknown raises DPL006 at the call,
+// and the pricing DPL005 and DPL009; they replace any an earlier
+// recovery raised.
 func (r *Report) RecoverEffects(c *dpl.Compiled) {
+	r.Diags = slices.DeleteFunc(r.Diags, func(d dpl.Diagnostic) bool {
+		return d.Code == dpl.CodeDynamicOID || d.Code == dpl.CodeBusyLoop || d.Code == dpl.CodeRecursion
+	})
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
 	direct := make([]effectSet, len(c.Funcs)+1) // the global initializers, then each function
-	r.Effects = Recover(c, func(s Site) {
+	r.Effects = sc.recover(c, func(s Site) {
 		direct[s.Func+1].add(s)
 		if s.MIB && s.OID == Wildcard {
 			r.Diags = append(r.Diags, dpl.Diagnostic{
@@ -179,12 +181,13 @@ func (r *Report) RecoverEffects(c *dpl.Compiled) {
 		reach(i)
 		f.Effects = set.finalize()
 	}
+	r.Cost = (&coster{c: c, s: sc, diags: &r.Diags, info: r.Funcs}).program()
 	dpl.SortDiags(r.Diags)
 }
 
 // Verdict is the verdict a CompiledProgram of the analyzed program
 // carries. Its step budget is the unclamped one: each receiving hop
-// applies its own quota at admission.
+// derives its own from the cost it recovers.
 func (r *Report) Verdict() dpl.Verdict {
 	return dpl.Verdict{
 		Hosts:         r.Effects.HostNames(),

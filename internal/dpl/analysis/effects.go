@@ -119,7 +119,7 @@ type Site struct {
 	// Host is the name c.HostNames gives the host index.
 	Host string
 	// Pos is the call in the source, the zero Pos for code that carries
-	// no positions (see dpl.Compiled.CallPos).
+	// no positions (see dpl.Compiled.Marks).
 	Pos dpl.Pos
 	// MIB marks a call of a MIB primitive. OID is then the prefix its
 	// OID argument provably starts with, or Wildcard, and Write says
@@ -129,28 +129,44 @@ type Site struct {
 	Write bool
 }
 
-// Recover is the effect inference. It runs dpl's abstract walker, which
-// tracks constant values and string heads through the stack and a
-// block's locals, over every block of c, calls visit with each host
-// call whose host index is in range, and returns the program's
-// summary: every site folded, sorted and prefix-minimal.
-func Recover(c *dpl.Compiled, visit func(Site)) Effects {
-	var all effectSet
-	var w dpl.Walker
+// Recover is the recovery over object code: effect inference and
+// cost. It runs dpl's abstract walker, which tracks constant values and
+// string heads through the stack and a block's locals, over every block
+// of c, calls visit, if set, with each host call whose host index is in
+// range, and returns the program's summary, every site folded, sorted
+// and prefix-minimal, and the cost of the code: the global initializers
+// and then the costliest function, any of which may be the entry point.
+func Recover(c *dpl.Compiled, visit func(Site)) (Effects, CostEstimate) {
+	if visit == nil {
+		visit = func(Site) {}
+	}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	effects := s.recover(c, visit)
+	return effects, (&coster{c: c, s: s}).program()
+}
+
+// recover walks every block of c, leaving the notes the graphs read
+// (see walk), and with visit set recovers the effects, calling visit
+// with each site.
+func (s *scratch) recover(c *dpl.Compiled, visit func(Site)) Effects {
+	all := effectSet{s.found.hosts[:0], s.found.reads[:0], s.found.writes[:0]}
+	defer func() { s.found = all }()
+	s.notes = s.notes[:0]
 	for fn := -1; fn < len(c.Funcs); fn++ {
 		_, code, nLocals := c.Block(fn)
-		calls := 0 // host calls met so far: the index into the block's positions
-		w.Walk(c, code, nLocals, func(ip int, stack, _ []dpl.Abs) bool {
+		marks := c.Marks(fn)
+		if visit == nil {
+			s.walk(c, fn, nLocals, nil)
+			continue
+		}
+		s.walk(c, fn, nLocals, func(ip int, stack []dpl.Abs) {
 			in := code[ip]
-			if in.Op != dpl.OpCallHost {
-				return true
-			}
-			s := Site{Func: fn, IP: ip, Call: in, Pos: c.CallPos(fn, calls)}
-			calls++
 			if in.A < 0 || in.A >= len(c.HostNames) {
-				return true
+				return
 			}
-			s.Host = c.HostNames[in.A]
+			m, _ := markAt(marks, ip, dpl.MarkCall)
+			s := Site{Func: fn, IP: ip, Call: in, Host: c.HostNames[in.A], Pos: m.Pos}
 			if oidArg, write, ok := MIBPrimitive(s.Host); ok && oidArg < in.B {
 				var arg dpl.Abs // unknown when the stack holds fewer than the arguments
 				if len(stack) >= in.B {
@@ -164,10 +180,9 @@ func Recover(c *dpl.Compiled, visit func(Site)) Effects {
 			}
 			all.add(s)
 			visit(s)
-			return true
 		})
 	}
-	return all.finalize()
+	return all.finalize().clone()
 }
 
 // effectSet gathers effects in the order their sites are found, one
@@ -214,6 +229,23 @@ func addEffect(es []Effect, e Effect) []Effect {
 func (s *effectSet) finalize() Effects {
 	slices.SortFunc(s.hosts, byName)
 	return Effects{Hosts: s.hosts, Reads: minimal(s.reads), Writes: minimal(s.writes)}
+}
+
+// clone copies e into one array of its own.
+func (e Effects) clone() Effects {
+	n := len(e.Hosts) + len(e.Reads) + len(e.Writes)
+	if n == 0 {
+		return Effects{}
+	}
+	all := make([]Effect, 0, n)
+	part := func(es []Effect) []Effect {
+		if len(es) == 0 {
+			return nil
+		}
+		all = append(all, es...)
+		return all[len(all)-len(es) : len(all) : len(all)]
+	}
+	return Effects{Hosts: part(e.Hosts), Reads: part(e.Reads), Writes: part(e.Writes)}
 }
 
 func minimal(es []Effect) []Effect {

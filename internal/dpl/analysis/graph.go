@@ -1,0 +1,436 @@
+package analysis
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+
+	"mbd/internal/dpl"
+)
+
+// Control-flow graphs over object code. Every pass of the analyzer
+// reads one: a code block's basic blocks in code order, with the edges
+// dpl.OpcodeFlow gives them, less the way out of an if, while or for
+// test whose value the walker knows (dpl.Branch). A short circuit keeps
+// both its edges: it lies inside one statement, whose every operand the
+// dataflow passes read.
+//
+// DPL001, DPL002, DPL003 and DPL004 read the compiler's output before
+// Optimize, through the position table (dpl.Compiled.Marks). Its walk
+// runs with no frame slots, so only literals decide a test, as they do
+// in the source.
+
+// graph is one code block's control-flow graph.
+type graph struct {
+	code   []dpl.Instr
+	blocks []block
+	at     []int32 // per instruction: the block holding it
+}
+
+// block is code[start:end]. succ holds the blocks control can go to
+// next, the fall-through first, -1 for none; exit marks control leaving
+// the function (a return, or the end of the code); reach says the entry
+// reaches the block. init, unless -1, is the note holding the value a
+// loop headed here starts its induction variable at (see coster.count).
+type block struct {
+	start, end  int32
+	succ        [2]int32
+	init        int32
+	exit, reach bool
+}
+
+// note is what the walker found at instruction ip of Block(fn) that the
+// block's graph reads: a test that goes one way only (decided), or the
+// value a loop headed at ip enters its induction variable with.
+type note struct {
+	fn, ip       int
+	decided      bool
+	falls, jumps bool
+	init         dpl.Value
+}
+
+// scratch is one analysis's working memory, reused from one code block
+// to the next and, through scratches, from call to call.
+type scratch struct {
+	w      dpl.Walker
+	g      graph
+	notes  []note    // in code order: by fn, then ip
+	flags  []bool    // per instruction: a block starts here; per block: sundry
+	stack  []int32   // work lists
+	words  []uint64  // bitsets
+	nest   []nesting // per block: its place among the loops
+	writes []uint64  // the writes to locals: local<<32 | position
+	memo   []uint64  // per block: longest paths
+	marks  []dpl.Pos // DPL004: first reads
+	found  effectSet // recover's effects, before they are copied out
+	// costs and priced are a coster's funcs and state.
+	costs  []CostEstimate
+	priced []uint8
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// walk runs the walker over Block(fn) with nLocals frame slots, adding
+// to s.notes what the block's graph reads from it, and calls visit,
+// when not nil, at each host call.
+func (s *scratch) walk(c *dpl.Compiled, fn, nLocals int, visit func(ip int, stack []dpl.Abs)) {
+	_, code, _ := c.Block(fn)
+	s.w.Walk(c, code, nLocals, func(ip int, stack, locals []dpl.Abs) bool {
+		if visit != nil && code[ip].Op == dpl.OpCallHost {
+			visit(ip, stack)
+		}
+		if in := code[ip]; in.Op == dpl.OpJumpFalse || in.Op == dpl.OpBinJumpFalse {
+			if falls, jumps := dpl.Branch(in, stack); !falls || !jumps {
+				s.notes = append(s.notes, note{fn: fn, ip: ip, decided: true, falls: falls, jumps: jumps})
+			}
+		}
+		if ip+1 == len(code) || nLocals == 0 {
+			return true
+		}
+		if v, ok := entry(c, code, ip, stack, locals); ok {
+			s.notes = append(s.notes, note{fn: fn, ip: ip + 1, init: v})
+		}
+		return true
+	})
+}
+
+// entry returns, when a loop test starts at ip+1, the value its local
+// holds there from ip: what the walker knows of it once code[ip] has
+// run from stack and locals.
+func entry(c *dpl.Compiled, code []dpl.Instr, ip int, stack, locals []dpl.Abs) (dpl.Value, bool) {
+	local, _, _, _, ok := loopTest(c, code[ip+1:])
+	if in := code[ip]; !ok || (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && in.A == local || local < 0 || local >= len(locals) {
+		return dpl.Value{}, false
+	} else if in.Op == dpl.OpConstStoreL && in.B == local && in.A >= 0 && in.A < len(c.Consts) {
+		return c.Consts[in.A], true
+	} else if in.Op == dpl.OpStoreL && in.A == local && len(stack) > 0 {
+		return stack[len(stack)-1].Exact()
+	}
+	return locals[local].Exact()
+}
+
+// build makes s.g the graph of Block(fn) from the notes its walk left.
+func (s *scratch) build(c *dpl.Compiled, fn int) *graph {
+	_, code, _ := c.Block(fn)
+	g := &s.g
+	g.code, g.blocks, g.at = code, g.blocks[:0], resize(g.at, len(code))
+	lead := resize(s.flags, len(code)+1)
+	s.flags = lead
+	lead[0] = true
+	for ip, in := range code {
+		falls, jumps := dpl.OpcodeFlow(in.Op)
+		if jumps && in.A >= 0 && in.A < len(code) {
+			lead[in.A] = true
+		}
+		if !falls || jumps {
+			lead[ip+1] = true
+		}
+	}
+	for ip := range code {
+		if lead[ip] {
+			g.blocks = append(g.blocks, block{start: int32(ip), succ: [2]int32{-1, -1}, init: -1})
+		}
+		g.blocks[len(g.blocks)-1].end = int32(ip + 1)
+		g.at[ip] = int32(len(g.blocks) - 1)
+	}
+	next := sort.Search(len(s.notes), func(i int) bool { return s.notes[i].fn >= fn })
+	for i := range g.blocks {
+		b := &g.blocks[i]
+		ip := int(b.end) - 1
+		in := code[ip]
+		falls, jumps := dpl.OpcodeFlow(in.Op)
+		for ; next < len(s.notes) && s.notes[next].fn == fn && s.notes[next].ip <= ip; next++ {
+			if n := &s.notes[next]; n.decided && n.ip == ip {
+				falls, jumps = n.falls, n.jumps
+			} else if !n.decided && n.ip == int(b.start) {
+				b.init = int32(next)
+			}
+		}
+		b.exit = !falls && !jumps
+		for k, to := range [2]int{ip + 1, in.A} {
+			switch {
+			case k == 0 && !falls || k == 1 && !jumps || to < 0 || to > len(code):
+			case to == len(code):
+				b.exit = true
+			default:
+				b.succ[k] = g.at[to]
+			}
+		}
+	}
+	if len(g.blocks) > 0 {
+		work := append(s.stack[:0], 0)
+		g.blocks[0].reach = true
+		for len(work) > 0 {
+			b := &g.blocks[work[len(work)-1]]
+			work = work[:len(work)-1]
+			for _, t := range b.succ {
+				if t >= 0 && !g.blocks[t].reach {
+					g.blocks[t].reach = true
+					work = append(work, t)
+				}
+			}
+		}
+		s.stack = work
+	}
+	return g
+}
+
+// diagnose appends the findings of the compiler's output before
+// Optimize: unreachable code, reads before assignment and dead stores
+// in each function, and globals read but never written.
+func (s *scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diagnostic) {
+	for i, f := range prog.Funcs[:min(len(prog.Funcs), len(c.Funcs))] {
+		s.notes = s.notes[:0]
+		s.walk(c, i, 0, nil)
+		g, marks := s.build(c, i), c.Marks(i)
+		s.unreachable(g, marks, diags)
+		s.assigned(g, marks, f, diags)
+		s.live(g, marks, f, diags)
+	}
+	s.globals(c, diags)
+}
+
+// unreachable reports DPL002 once per unreachable region: at the first
+// statement of an unreachable block no edge enters.
+func (s *scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnostic) {
+	entered := resize(s.flags, len(g.blocks))
+	s.flags = entered
+	for _, b := range g.blocks {
+		for _, t := range b.succ {
+			if t >= 0 && !b.reach {
+				entered[t] = true
+			}
+		}
+	}
+	for i, b := range g.blocks {
+		if b.reach || entered[i] {
+			continue
+		}
+		for _, m := range marksIn(marks, int(b.start), int(b.end)) {
+			if m.Kind <= dpl.MarkAssign {
+				*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeUnreachable, Sev: dpl.SevWarning, Pos: m.Pos, Msg: "unreachable code"})
+				break
+			}
+		}
+	}
+}
+
+// assigned is the definite-assignment pass: a forward must-analysis
+// over the frame's locals, which reports DPL001 at each read of a local
+// some path reaches unassigned. Parameters are assigned at entry; a
+// bare declaration's nil is no assignment.
+func (s *scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+	n, params := len(f.Locals), len(f.Params)
+	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is assigned where it starts
+	for i := range sets {
+		sets[i] = ^uint64(0)
+	}
+	clear(sets[:len(cur)])
+	for i := range params {
+		set(sets, i)
+	}
+	solve(g, false, func(i int, report bool) (changed bool) {
+		b := g.blocks[i]
+		copy(cur, sets[i*len(cur):])
+		for ip := b.start; ip < b.end; ip++ {
+			in := g.code[ip]
+			if in.A < 0 || in.A >= n {
+				continue
+			}
+			if in.Op == dpl.OpLoadL && report && in.A >= params && !has(cur, in.A) {
+				if m, ok := markAt(marks, int(ip), dpl.MarkRead); ok {
+					*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeUseBeforeInit, Sev: dpl.SevWarning, Pos: m.Pos,
+						Msg: fmt.Sprintf("variable %q may be used before it is assigned (reads as nil)", f.Locals[in.A])})
+				}
+			} else if in.Op == dpl.OpStoreL && !bare(marks, int(ip)) {
+				set(cur, in.A)
+			}
+		}
+		for _, t := range b.succ {
+			changed = t >= 0 && meet(sets[int(t)*len(cur):(int(t)+1)*len(cur)], cur, false) || changed
+		}
+		return changed
+	})
+}
+
+// live is the liveness pass: a backward may-analysis over the frame's
+// locals, which reports DPL003 at each store no path reads. A
+// declaration whose initializer is a bare literal is exempt, as idiom.
+func (s *scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+	n := len(f.Locals)
+	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is live where it starts
+	solve(g, true, func(i int, report bool) bool {
+		b := g.blocks[i]
+		clear(cur)
+		for _, t := range b.succ {
+			if t >= 0 {
+				meet(cur, sets[int(t)*len(cur):(int(t)+1)*len(cur)], true)
+			}
+		}
+		for ip := b.end - 1; ip >= b.start; ip-- {
+			in := g.code[ip]
+			if in.A < 0 || in.A >= n {
+				continue
+			}
+			if in.Op == dpl.OpLoadL {
+				set(cur, in.A)
+			} else if in.Op == dpl.OpStoreL && !bare(marks, int(ip)) {
+				if report && !has(cur, in.A) {
+					deadStore(g.code, marks, int(ip), f.Locals[in.A], diags)
+				}
+				cur[in.A/64] &^= 1 << (in.A % 64)
+			}
+		}
+		return meet(sets[i*len(cur):(i+1)*len(cur)], cur, true)
+	})
+}
+
+// solve runs step over g's reachable blocks, in code order or backward,
+// until a round changes nothing, then once more over each to report.
+func solve(g *graph, backward bool, step func(i int, report bool) bool) {
+	n := len(g.blocks)
+	for changed := true; changed; {
+		changed = false
+		for k := range n {
+			i := k
+			if backward {
+				i = n - 1 - k
+			}
+			if g.blocks[i].reach {
+				changed = step(i, false) || changed
+			}
+		}
+	}
+	for i := range n {
+		if g.blocks[i].reach {
+			step(i, true)
+		}
+	}
+}
+
+// deadStore reports the store at ip of name, by the statement it ends.
+func deadStore(code []dpl.Instr, marks []dpl.Mark, ip int, name string, diags *[]dpl.Diagnostic) {
+	m, ok := statement(marks, ip)
+	verb := "assigned to"
+	if !ok || m.Kind != dpl.MarkDecl && m.Kind != dpl.MarkAssign {
+		return
+	}
+	if m.Kind == dpl.MarkDecl {
+		if op := code[m.IP].Op; int(m.IP)+1 == ip && (op == dpl.OpConst || op == dpl.OpNil || op == dpl.OpTrue || op == dpl.OpFalse) {
+			return
+		}
+		verb = "stored in"
+	}
+	*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeDeadStore, Sev: dpl.SevWarning, Pos: m.Pos,
+		Msg: fmt.Sprintf("value %s %q is never used", verb, name)})
+}
+
+// globals reports DPL004 for each global read somewhere but assigned
+// nowhere, dead code included, at its first read: in the global
+// initializers if any reads it there, else in the functions.
+func (s *scratch) globals(c *dpl.Compiled, diags *[]dpl.Diagnostic) {
+	n := len(c.GlobalNames)
+	written := resize(s.flags, n)
+	first := resize(s.marks, 2*n) // the first read in the initializers, then in the functions
+	s.flags, s.marks = written, first
+	for fn := -1; fn < len(c.Funcs); fn++ {
+		_, code, _ := c.Block(fn)
+		marks := c.Marks(fn)
+		for ip, in := range code {
+			if in.A < 0 || in.A >= n {
+				continue
+			}
+			if in.Op == dpl.OpStoreG {
+				m, _ := statement(marks, ip)
+				written[in.A] = written[in.A] || fn >= 0 || m.Kind == dpl.MarkDecl
+			} else if in.Op != dpl.OpLoadG {
+				continue
+			} else if m, ok := markAt(marks, ip, dpl.MarkRead); ok {
+				p := &first[in.A+n*min(fn+1, 1)]
+				if p.Line == 0 || before(m.Pos, *p) {
+					*p = m.Pos
+				}
+			}
+		}
+	}
+	for i, name := range c.GlobalNames {
+		p := first[i]
+		if p.Line == 0 {
+			p = first[i+n]
+		}
+		if !written[i] && p.Line != 0 {
+			*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeGlobalNeverWritten, Sev: dpl.SevWarning, Pos: p,
+				Msg: fmt.Sprintf("global %q is read but never written anywhere (always nil)", name)})
+		}
+	}
+}
+
+func before(a, b dpl.Pos) bool { return a.Line < b.Line || a.Line == b.Line && a.Col < b.Col }
+
+// marksIn returns the marks on instructions start to end-1.
+func marksIn(marks []dpl.Mark, start, end int) []dpl.Mark {
+	i := sort.Search(len(marks), func(i int) bool { return int(marks[i].IP) >= start })
+	j := sort.Search(len(marks), func(i int) bool { return int(marks[i].IP) >= end })
+	return marks[i:j]
+}
+
+// markAt returns the mark of kind on instruction ip.
+func markAt(marks []dpl.Mark, ip int, kind dpl.MarkKind) (dpl.Mark, bool) {
+	for _, m := range marksIn(marks, ip, ip+1) {
+		if m.Kind == kind {
+			return m, true
+		}
+	}
+	return dpl.Mark{}, false
+}
+
+// statement returns the mark of the statement holding instruction ip:
+// the last statement mark at or before it.
+func statement(marks []dpl.Mark, ip int) (dpl.Mark, bool) {
+	for ms := marksIn(marks, 0, ip+1); len(ms) > 0; ms = ms[:len(ms)-1] {
+		if m := ms[len(ms)-1]; m.Kind <= dpl.MarkAssign {
+			return m, true
+		}
+	}
+	return dpl.Mark{}, false
+}
+
+// bare reports whether the store at ip ends a declaration without an
+// initializer: the nil it stores is no value the source assigned.
+func bare(marks []dpl.Mark, ip int) bool {
+	_, ok := markAt(marks, ip-1, dpl.MarkBare)
+	return ok
+}
+
+// sets returns k-1 zeroed bitsets over n variables, one after another,
+// and one more to work in.
+func (s *scratch) sets(k, n int) (all, cur []uint64) {
+	w := (n + 63) / 64
+	s.words = resize(s.words, k*w)
+	return s.words[:(k-1)*w], s.words[(k-1)*w:]
+}
+
+func has(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func set(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
+
+// meet sets b to b&o, or b|o for a union, reporting whether b changed.
+func meet(b, o []uint64, union bool) (changed bool) {
+	for i := range b {
+		n := b[i] & o[i]
+		if union {
+			n = b[i] | o[i]
+		}
+		changed, b[i] = changed || n != b[i], n
+	}
+	return changed
+}
+
+// resize returns s with length n, zeroed, reusing its array if it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -8,8 +8,9 @@ import (
 	"mbd/internal/dpl"
 )
 
-// TestOperatorRulesAgree: the analyzer's constant folding, the VM, the
-// VM over optimized code and the reference interpreter apply one set of
+// TestOperatorRulesAgree: the analyzer's constant folding (the walker
+// over the compiler's output, as the analyzer runs it), the VM, the VM
+// over optimized code and the reference interpreter apply one set of
 // operator rules, so each expression below means the same to all four.
 // Two ints compare exactly: 2^53+1 and 2^53 are one float64 but two
 // Counter64 readings.
@@ -44,14 +45,26 @@ func TestOperatorRulesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret := prog.Funcs[0].Body.Stmts[0].(*dpl.ReturnStmt).Value
-		v, ok := constFold(ret)
+		b := dpl.Std()
+		obj, err := dpl.Compile(prog, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v dpl.Value
+		var ok bool
+		var w dpl.Walker
+		code := obj.Funcs[0].Code
+		w.Walk(obj, code, 0, func(ip int, stack, _ []dpl.Abs) bool {
+			if code[ip].Op == dpl.OpReturn {
+				v, ok = stack[len(stack)-1].Exact()
+			}
+			return true
+		})
 		if !ok {
 			t.Errorf("%s: analysis does not fold it", c.expr)
 		} else if got := dpl.FormatValue(v); got != c.want {
 			t.Errorf("%s: analysis folds it to %s, want %s", c.expr, got, c.want)
 		}
-		b := dpl.Std()
 		for _, optimize := range []bool{false, true} {
 			obj, err := dpl.Compile(prog, b)
 			if err != nil {

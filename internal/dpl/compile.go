@@ -223,9 +223,8 @@ type CompiledFunc struct {
 	NumLocals int
 	Code      []Instr
 
-	// callPos holds the source position of each OpCallHost in Code, in
-	// code order (see Compiled.CallPos).
-	callPos []Pos
+	// marks is Code's share of the position table (see Compiled.Marks).
+	marks []Mark
 
 	// maxStack is the function's operand-stack high-water mark, proved
 	// by the structural verifier (checkBlock) and populated by
@@ -249,8 +248,8 @@ type Compiled struct {
 	// function names; it pins the Bindings layout the program was
 	// compiled against.
 	HostNames []string
-	// initCallPos is callPos for InitCode.
-	initCallPos []Pos
+	// initMarks is InitCode's share of the position table.
+	initMarks []Mark
 
 	// Cached EnsureStructure outcome (see verifycode.go). Guarded by
 	// vmu so concurrent DPIs sharing one Compiled verify it once.
@@ -287,19 +286,39 @@ func (c *Compiled) Block(fn int) (name string, code []Instr, nLocals int) {
 	return f.Name, f.Code, f.NumLocals
 }
 
-// CallPos returns the source position of the n-th host call (OpCallHost,
-// counted in code order) of Block(fn). Compile records the positions and
-// Optimize keeps them aligned; they are not part of the artifact
-// encoding, so code decoded or assembled has none and gets the zero Pos.
-func (c *Compiled) CallPos(fn, n int) Pos {
-	calls := c.initCallPos
-	if fn >= 0 {
-		calls = c.Funcs[fn].callPos
+// MarkKind says what a Mark records of its instruction: the kinds that
+// start a statement come first, through MarkAssign. A while loop, and a
+// for loop's test, start with MarkLoop instead.
+type MarkKind uint8
+
+const (
+	MarkStmt   MarkKind = iota // a statement starts; an if with its test, at the test's position
+	MarkDecl                   // a var declaration with an initializer starts
+	MarkBare                   // a var declaration without one starts: its nil is no value the source assigned
+	MarkAssign                 // an assignment to a variable starts
+	MarkRead                   // the OpLoadL or OpLoadG reads a variable the source names, at the name
+	MarkLoop                   // a loop's head, its test or, with none, its body, at the loop statement
+	MarkCall                   // the OpCallHost is a call in the source
+)
+
+// Mark is one entry of the position table: the source position of
+// what happens at instruction IP of its block.
+type Mark struct {
+	IP   int32
+	Kind MarkKind
+	Pos  Pos
+}
+
+// Marks returns the position table of Block(fn), in code order. Compile
+// records it. Optimize keeps its loop heads and host calls, aligned: a
+// call's mark moves with its instruction and a loop head's to where the
+// loop's jumps land. It is not part of the artifact encoding, so code
+// decoded or assembled has none.
+func (c *Compiled) Marks(fn int) []Mark {
+	if fn < 0 {
+		return c.initMarks
 	}
-	if n < len(calls) {
-		return calls[n]
-	}
-	return Pos{}
+	return c.Funcs[fn].marks
 }
 
 // Compile translates a program to bytecode. It runs Check first (once
@@ -311,6 +330,22 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 	if diags := Check(prog, bindings); len(diags) > 0 {
 		return nil, &Error{Diags: diags}
 	}
+	return lower(prog, bindings)
+}
+
+// Lower compiles prog whatever Check finds, which it returns, for the
+// static analyzer, which reports on programs the Translator refuses: a
+// name bound to nothing compiles to an out-of-range operand, and break
+// or continue outside a loop to a return. Such code fails structural
+// verification, so no VM runs it.
+func Lower(prog *Program, bindings *Bindings) (*Compiled, []Diagnostic, error) {
+	diags := Check(prog, bindings)
+	c, err := lower(prog, bindings)
+	return c, diags, err
+}
+
+// lower compiles prog, checked against bindings.
+func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	c := &compiler{
 		out: &Compiled{
 			Funcs:       make([]*CompiledFunc, len(prog.Funcs)),
@@ -330,38 +365,40 @@ func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
 		c.out.Funcs[i] = &funcs[i]
 	}
 	// Two passes, as an assembler makes them. The first only counts each
-	// unit's instructions, host calls and literals (a unit is a function
-	// or, last, the global initializers), so that the second writes all
-	// code into one array, all call positions into another and all
-	// constants into one pool, sized beforehand.
-	sizes := make([][2]int, len(prog.Funcs)+1) // instructions, host calls
-	total, totalCalls := 0, 0
+	// unit's instructions, marks and literals (a unit is a function or,
+	// last, the global initializers), so that the second writes all code
+	// into one array, the position table into another and all constants
+	// into one pool, sized beforehand. Each unit's instructions and
+	// marks are counted in sizes, on the stack for up to 7 functions.
+	var small [8][2]int
+	sizes := append(small[:0], make([][2]int, len(prog.Funcs)+1)...)
+	total, totalMarks := 0, 0
 	fc := &funcCompiler{c: c, sizing: true}
 	for i := range sizes {
-		fc.n, fc.nCalls = 0, 0
+		fc.n, fc.nMarks = 0, 0
 		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
-		sizes[i] = [2]int{fc.n, fc.nCalls}
+		sizes[i] = [2]int{fc.n, fc.nMarks}
 		total += fc.n
-		totalCalls += fc.nCalls
+		totalMarks += fc.nMarks
 	}
-	code, calls := make([]Instr, total), make([]Pos, totalCalls)
+	code, marks := make([]Instr, total), make([]Mark, totalMarks)
 	c.out.Consts = make([]Value, 0, c.nLits)
 	c.pool = constPool{c: c.out, idx: make(map[constKey]int, c.nLits)}
 	fc.sizing = false
 	for i, size := range sizes {
-		n, nc := size[0], size[1]
-		fc.code, fc.calls = code[:0:n], calls[:0:nc]
+		n, nm := size[0], size[1]
+		fc.code, fc.marks = code[:0:n], marks[:0:nm]
 		if err := c.compileUnit(fc, prog, i); err != nil {
 			return nil, err
 		}
 		if i < len(funcs) {
-			funcs[i].Code, funcs[i].callPos = fc.code, fc.calls
+			funcs[i].Code, funcs[i].marks = fc.code, fc.marks
 		} else {
-			c.out.InitCode, c.out.initCallPos = fc.code, fc.calls
+			c.out.InitCode, c.out.initMarks = fc.code, fc.marks
 		}
-		code, calls = code[n:], calls[nc:]
+		code, marks = code[n:], marks[nm:]
 	}
 	return c.out, nil
 }
@@ -381,10 +418,10 @@ type loopCtx struct {
 type funcCompiler struct {
 	c      *compiler
 	code   []Instr
-	calls  []Pos // the position of each host call in code
-	sizing bool  // the counting pass: emit adds to n and nCalls and writes nothing
+	marks  []Mark
+	sizing bool // the counting pass: emit and mark add to n and nMarks and write nothing
 	n      int
-	nCalls int
+	nMarks int
 	loops  []*loopCtx
 }
 
@@ -395,6 +432,15 @@ func (f *funcCompiler) emit(i Instr) int {
 	}
 	f.code = append(f.code, i)
 	return len(f.code) - 1
+}
+
+// mark records that the next instruction emitted does kind at pos.
+func (f *funcCompiler) mark(kind MarkKind, pos Pos) {
+	if f.sizing {
+		f.nMarks++
+		return
+	}
+	f.marks = append(f.marks, Mark{IP: int32(len(f.code)), Kind: kind, Pos: pos})
 }
 
 // emitConst emits the push of a literal, interning its value in the
@@ -459,9 +505,13 @@ func (c *compiler) compileUnit(fc *funcCompiler, prog *Program, i int) error {
 	if i == len(prog.Funcs) {
 		for gi, g := range prog.Globals {
 			if g.Init == nil {
+				fc.mark(MarkBare, g.Position())
 				fc.emit(Instr{Op: OpNil})
-			} else if err := fc.expr(g.Init); err != nil {
-				return err
+			} else {
+				fc.mark(MarkDecl, g.Position())
+				if err := fc.expr(g.Init); err != nil {
+					return err
+				}
 			}
 			fc.emit(Instr{Op: OpStoreG, A: gi})
 		}
@@ -488,10 +538,12 @@ func (f *funcCompiler) stmt(s Stmt) error {
 	switch n := s.(type) {
 	case *VarDecl:
 		if n.Init != nil {
+			f.mark(MarkDecl, n.Position())
 			if err := f.expr(n.Init); err != nil {
 				return err
 			}
 		} else {
+			f.mark(MarkBare, n.Position())
 			f.emit(Instr{Op: OpNil})
 		}
 		f.emit(Instr{Op: OpStoreL, A: n.Slot})
@@ -499,8 +551,14 @@ func (f *funcCompiler) stmt(s Stmt) error {
 	case *Block:
 		return f.block(n)
 	case *AssignStmt:
+		kind := MarkAssign
+		if _, ok := n.Target.(*Ident); !ok {
+			kind = MarkStmt
+		}
+		f.mark(kind, n.Position())
 		return f.assign(n)
 	case *IfStmt:
+		f.mark(MarkStmt, n.Cond.Position())
 		if err := f.expr(n.Cond); err != nil {
 			return err
 		}
@@ -521,6 +579,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		return nil
 	case *WhileStmt:
 		top := len(f.code)
+		f.mark(MarkLoop, n.Position())
 		if err := f.expr(n.Cond); err != nil {
 			return err
 		}
@@ -548,6 +607,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 			}
 		}
 		top := len(f.code)
+		f.mark(MarkLoop, n.Position())
 		var jf int = -1
 		if n.Cond != nil {
 			if err := f.expr(n.Cond); err != nil {
@@ -579,19 +639,23 @@ func (f *funcCompiler) stmt(s Stmt) error {
 			f.patch(j, postStart)
 		}
 		return nil
-	case *BreakStmt:
+	case *BreakStmt, *ContinueStmt:
+		f.mark(MarkStmt, s.Position())
+		if len(f.loops) == 0 {
+			f.emit(Instr{Op: OpReturnNil}) // only Lower compiles it
+			return nil
+		}
 		lc := f.loops[len(f.loops)-1]
-		lc.breakJumps = append(lc.breakJumps, f.emit(Instr{Op: OpJump}))
-		return nil
-	case *ContinueStmt:
-		lc := f.loops[len(f.loops)-1]
-		if lc.contTarget >= 0 {
+		if _, ok := s.(*BreakStmt); ok {
+			lc.breakJumps = append(lc.breakJumps, f.emit(Instr{Op: OpJump}))
+		} else if lc.contTarget >= 0 {
 			f.emit(Instr{Op: OpJump, A: lc.contTarget})
 		} else {
 			lc.contJumps = append(lc.contJumps, f.emit(Instr{Op: OpJump}))
 		}
 		return nil
 	case *ReturnStmt:
+		f.mark(MarkStmt, n.Position())
 		if n.Value == nil {
 			f.emit(Instr{Op: OpReturnNil})
 			return nil
@@ -602,6 +666,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		f.emit(Instr{Op: OpReturn})
 		return nil
 	case *ExprStmt:
+		f.mark(MarkStmt, n.Position())
 		if err := f.expr(n.X); err != nil {
 			return err
 		}
@@ -654,6 +719,7 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 }
 
 func (f *funcCompiler) loadIdent(t *Ident) {
+	f.mark(MarkRead, t.Position())
 	if t.Global {
 		f.emit(Instr{Op: OpLoadG, A: t.Slot})
 	} else {
@@ -768,12 +834,8 @@ func (f *funcCompiler) expr(e Expr) error {
 		if n.Func >= 0 {
 			f.emit(Instr{Op: OpCall, A: n.Func, B: len(n.Args)})
 		} else {
+			f.mark(MarkCall, n.Position())
 			f.emit(Instr{Op: OpCallHost, A: n.Host, B: len(n.Args)})
-			if f.sizing {
-				f.nCalls++
-			} else {
-				f.calls = append(f.calls, n.Position())
-			}
 		}
 	default:
 		return fmt.Errorf("dpl: internal: unknown expression %T", e)

@@ -1,10 +1,11 @@
 package dpl
 
-// Bytecode optimizer. The source-level analyzer (internal/dpl/analysis)
-// reports constant conditions, unreachable statements and dead stores as
-// diagnostics; this pass applies the same facts to the object code so
-// that what ships down a delegation tree is the smallest program with
-// identical semantics. Every rewrite is semantics-preserving by
+// Bytecode optimizer. The static analyzer (internal/dpl/analysis)
+// reports constant conditions, unreachable statements and dead stores
+// as diagnostics from the compiler's output; this pass applies the same
+// facts to the object code so that what ships down a delegation tree is
+// the smallest program with identical semantics, the code the analyzer
+// then prices. Every rewrite is semantics-preserving by
 // construction: folding uses the VM's own Binary/Negate/Truthy rules and
 // refuses to fold anything that would raise a runtime error (division by
 // zero, type mismatches), so errors still happen at run time exactly
@@ -56,16 +57,37 @@ const maxOptRounds = 32
 func Optimize(c *Compiled) OptStats {
 	var st OptStats
 	o := newOptimizer(c)
-	o.calls = c.initCallPos
+	o.marks = loopsAndCalls(c.initMarks)
 	c.InitCode = optimizeCode(c, o, c.InitCode, 0, nil, &st)
-	c.initCallPos = o.calls
+	c.initMarks = o.marks
 	for _, fn := range c.Funcs {
-		o.calls = fn.callPos
+		o.marks = loopsAndCalls(fn.marks)
 		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
-		fn.callPos = o.calls
+		fn.marks = o.marks
 	}
 	c.invalidateVerify()
 	return st
+}
+
+// loopsAndCalls returns, in a table of their own, the marks of ms that
+// the readers of optimized code use: loop heads and host calls. Marks
+// of statements and reads, which only the compiler's output is read
+// for, are dropped, so a stored program keeps no more of the table
+// than it needs.
+func loopsAndCalls(ms []Mark) []Mark {
+	n := 0
+	for _, m := range ms {
+		if m.Kind >= MarkLoop {
+			n++
+		}
+	}
+	out := make([]Mark, 0, n)
+	for _, m := range ms {
+		if m.Kind >= MarkLoop {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // optimizeCode runs the pass pipeline over one code block to fixpoint,
@@ -108,7 +130,7 @@ type optimizer struct {
 	dead  []bool // instructions to remove; dropDeadStores' loaded locals
 	remap []int  // compact's positions; dropUnreachable's worklist
 	walk  Walker // propagateConsts' abstract interpretation
-	calls []Pos  // the current block's host-call positions (Compiled.CallPos)
+	marks []Mark // the current block's position table (Compiled.Marks)
 }
 
 func newOptimizer(c *Compiled) *optimizer {
@@ -175,9 +197,9 @@ func (o *optimizer) jumpTargets(code []Instr) []bool {
 // compact removes instructions marked dead, in place, and remaps jump
 // targets. A target pointing at a removed instruction moves to the next
 // surviving one (removals guarantee this preserves semantics). It is the
-// only rewrite that removes instructions, and no pass creates, moves or
-// fuses a host call, so dropping a removed call's position keeps the
-// block's call positions aligned.
+// only rewrite that removes instructions, and it keeps the position
+// table aligned: a removed host call's mark goes with it, and a loop
+// head's moves as the jumps to the head move.
 func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 	remap := o.remap[:len(code)+1]
 	n := 0
@@ -189,14 +211,7 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 	}
 	remap[len(code)] = n
 	out := code[:0] // never ahead of the instruction being read
-	calls, k := o.calls[:0], 0
 	for i, in := range code {
-		if in.Op == OpCallHost && k < len(o.calls) {
-			if !dead[i] {
-				calls = append(calls, o.calls[k])
-			}
-			k++
-		}
 		if dead[i] {
 			continue
 		}
@@ -205,7 +220,14 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 		}
 		out = append(out, in)
 	}
-	o.calls = calls
+	marks := o.marks[:0]
+	for _, m := range o.marks {
+		if m.Kind != MarkCall || !dead[m.IP] {
+			m.IP = int32(remap[m.IP])
+			marks = append(marks, m)
+		}
+	}
+	o.marks = marks
 	return out
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // A CompiledProgram is the shippable form of a delegated program: the
-// object code plus the analysis verdict the sender's source-level
-// pipeline derived. The pair is what cascaded delegation forwards down a
+// object code plus the analysis verdict the sender's pipeline derived
+// from it. The pair is what cascaded delegation forwards down a
 // domain tree so that downstream hops can admit the program after a
 // cheap bytecode verification (internal/dpl/verify) instead of
 // re-parsing and re-analyzing source. SourceHash and Version together
@@ -43,14 +43,17 @@ type Verdict struct {
 	// "*" is the wildcard (some OID could not be bounded statically).
 	Reads  []string
 	Writes []string
-	// CostSteps is the analyzer's worst-case step estimate; meaningless
-	// when CostUnbounded.
+	// CostSteps bounds the VM steps of the global initializers plus
+	// the costliest function, by the analyzer's cost model over Object;
+	// meaningless when CostUnbounded. A receiver recomputes it and
+	// refuses a claim below its own (DPL015).
 	CostSteps uint64
 	// CostUnbounded reports that no static bound exists (unbounded loop
 	// or event-driven program).
 	CostUnbounded bool
-	// StepBudget is the derived VM step quota (0 when CostUnbounded:
-	// the receiver applies its own default quota).
+	// StepBudget is the VM step quota the sender derived (0 when
+	// CostUnbounded). A receiver derives its own from the cost it
+	// recovered; this one need only cover CostSteps.
 	StepBudget uint64
 }
 

@@ -72,6 +72,11 @@ func corpusBlobs() ([][]byte, error) {
 				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpIncL, A: 0, B: 1 << 16}
 			},
 			func(m *dpl.CompiledProgram) { m.Version = dpl.MinCompilerVersion },
+			// A loop test on a negative local, in dead code.
+			func(m *dpl.CompiledProgram) {
+				fn := m.Object.Funcs[0]
+				fn.Code = append(fn.Code, deadLoopTest(fn.Code)...)
+			},
 		} {
 			mut, err := dpl.DecodeProgram(blob)
 			if err != nil {

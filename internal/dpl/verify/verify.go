@@ -12,16 +12,12 @@
 //     host-call indices (DPL017) and that the artifact was produced by
 //     the same compiler generation (DPL016);
 //   - that the declared effect summary covers every host call and MIB
-//     OID prefix the bytecode can actually reach (DPL014). The effects
-//     are recovered by analysis.Recover, the one inference, which an
+//     OID prefix the bytecode can actually reach (DPL014), and the
+//     declared cost the cost of the code (DPL015). Both are recovered by
+//     analysis.Recover, the one inference and cost model, which an
 //     honest node ran over the same optimized bytes to declare them, so
-//     an honest artifact's declared and recovered effects are equal;
-//   - that the declared cost/step-budget pair is internally consistent
-//     and not below the provable worst case for loop-free code
-//     (DPL015).
-//
-// What cannot be decided statically (actual step counts of bounded
-// loops) remains enforced dynamically by the VM's step quota.
+//     an honest artifact's declared and recovered ones are equal. A
+//     receiver admits on what it recovered, never on the claim.
 package verify
 
 import (
@@ -33,14 +29,17 @@ import (
 )
 
 // Result is one verification outcome: the diagnostics raised and the
-// effect summary recovered from the bytecode itself.
+// effect summary and cost recovered from the bytecode itself.
 type Result struct {
-	// Diags uses the same stable codes as the source-level analyzer;
+	// Diags uses the same stable codes as the analyzer;
 	// every verifier diagnostic is error severity.
 	Diags []dpl.Diagnostic
 	// Recovered is the effect summary the bytecode proves (exactly an
 	// honest declared verdict).
 	Recovered analysis.Effects
+	// Cost is the cost the bytecode proves (exactly an honest declared
+	// cost), without positions.
+	Cost analysis.CostEstimate
 }
 
 // OK reports whether the program may be admitted.
@@ -126,17 +125,17 @@ type verifier struct {
 	bindings *dpl.Bindings
 }
 
-// recoverEffects recovers the effects with analysis.Recover, the
-// inference that produced an honest sender's verdict, and checks each
-// host call twice. The host index must resolve to the same name, slot
-// and arity in the receiver's bindings (DPL017; unused table entries
-// are harmless, so a node with extra registered services still accepts
-// the artifact), and the call must be covered by the declared verdict
-// (DPL014).
+// recoverEffects recovers the effects and the cost with
+// analysis.Recover, the recovery that produced an honest sender's
+// verdict, and checks each host call twice. The host index must resolve
+// to the same name, slot and arity in the receiver's bindings (DPL017;
+// unused table entries are harmless, so a node with extra registered
+// services still accepts the artifact), and the call must be covered by
+// the declared verdict (DPL014).
 func (v *verifier) recoverEffects() {
 	c := v.cp.Object
 	bound := make([]bool, len(c.HostNames)) // host indices already checked against the bindings
-	v.res.Recovered = analysis.Recover(c, func(s analysis.Site) {
+	v.res.Recovered, v.res.Cost = analysis.Recover(c, func(s analysis.Site) {
 		at := func() string {
 			name, _, _ := c.Block(s.Func)
 			return fmt.Sprintf("%s+%d: %s", name, s.IP, dpl.FormatInstr(c, s.Call))
@@ -168,116 +167,21 @@ func (v *verifier) recoverEffects() {
 	})
 }
 
-// checkBudget validates the declared cost/budget pair (DPL015). A
-// bounded claim must carry a positive budget at least the cost
-// estimate, must not sit on recursive code (the source analyzer always
-// marks recursion unbounded), and for loop-free code must not undercut
-// the provable worst-case instruction count.
+// checkBudget holds the declared cost to the recovered one (DPL015): a bounded claim must cover the recovered cost, on code
+// the receiver finds bounded, and carry a step budget at least the
+// declared cost.
 func (v *verifier) checkBudget() {
-	verdict := v.cp.Verdict
-	if verdict.CostUnbounded {
-		return // the receiver's own step quota governs
-	}
-	if verdict.StepBudget == 0 {
+	verdict, cost := v.cp.Verdict, v.res.Cost
+	switch {
+	case verdict.CostUnbounded:
+		// The receiver's own step quota governs.
+	case cost.Unbounded:
+		v.fail(dpl.CodeBudgetMismatch, "bounded cost claim (%d steps) on code whose cost is unbounded", verdict.CostSteps)
+	case verdict.CostSteps < cost.Steps:
+		v.fail(dpl.CodeBudgetMismatch, "declared cost %d below the %d steps the code can take", verdict.CostSteps, cost.Steps)
+	case verdict.StepBudget == 0:
 		v.fail(dpl.CodeBudgetMismatch, "bounded cost claim (%d steps) with no step budget", verdict.CostSteps)
-		return
-	}
-	if verdict.StepBudget < verdict.CostSteps {
+	case verdict.StepBudget < verdict.CostSteps:
 		v.fail(dpl.CodeBudgetMismatch, "step budget %d below declared cost %d", verdict.StepBudget, verdict.CostSteps)
-		return
 	}
-	if cyclic(v.cp.Object) {
-		v.fail(dpl.CodeBudgetMismatch, "bounded cost claim on recursive code")
-		return
-	}
-	worst, ok := worstCaseSteps(v.cp.Object)
-	if ok && worst > verdict.StepBudget {
-		v.fail(dpl.CodeBudgetMismatch, "step budget %d below provable worst case %d for loop-free code", verdict.StepBudget, worst)
-	}
-}
-
-// cyclic reports whether the user-function call graph has a cycle.
-func cyclic(c *dpl.Compiled) bool {
-	state := make([]byte, len(c.Funcs)) // 0 unvisited, 1 on the search path, 2 done
-	var reaches func(i int) bool        // a cycle from i
-	reaches = func(i int) bool {
-		if state[i] != 0 {
-			return state[i] == 1
-		}
-		state[i] = 1
-		for _, in := range c.Funcs[i].Code {
-			// Dead code may hold any index.
-			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) && reaches(in.A) {
-				return true
-			}
-		}
-		state[i] = 2
-		return false
-	}
-	for i := range c.Funcs {
-		if reaches(i) {
-			return true
-		}
-	}
-	return false
-}
-
-// worstCaseSteps computes the exact worst-case executed instruction
-// count (init plus the most expensive entry function) when every code
-// block is loop-free (all jumps forward) and the call graph is acyclic.
-// ok=false means a back-edge exists and no static count is provable.
-// Structural verification has run, so an operand out of bounds belongs
-// to dead code and adds nothing.
-func worstCaseSteps(c *dpl.Compiled) (uint64, bool) {
-	costs := make([]uint64, len(c.Funcs)) // 0 until computed
-	// cost is the worst case of function f, or of the init block for f < 0.
-	var cost func(f int) (uint64, bool)
-	cost = func(f int) (uint64, bool) {
-		code := c.InitCode
-		if f >= 0 {
-			if costs[f] > 0 {
-				return costs[f], true
-			}
-			code = c.Funcs[f].Code
-		}
-		// longest[ip] = worst-case steps executed from ip to exit. With
-		// only forward jumps the instruction graph is a DAG and a single
-		// reverse sweep suffices.
-		longest := make([]uint64, len(code)+1)
-		for ip := len(code) - 1; ip >= 0; ip-- {
-			in := code[ip]
-			falls, jumps := dpl.OpcodeFlow(in.Op)
-			if falls {
-				longest[ip] = longest[ip+1]
-			}
-			if jumps && in.A <= len(code) {
-				if in.A <= ip {
-					return 0, false // back-edge: loop
-				}
-				longest[ip] = max(longest[ip], longest[in.A])
-			}
-			longest[ip]++
-			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
-				sub, ok := cost(in.A)
-				if !ok {
-					return 0, false
-				}
-				longest[ip] += sub
-			}
-		}
-		if f >= 0 {
-			costs[f] = longest[0]
-		}
-		return longest[0], true
-	}
-	init, ok := cost(-1)
-	var entry uint64
-	for f := range c.Funcs {
-		m, okf := cost(f)
-		if !ok || !okf {
-			return 0, false
-		}
-		entry = max(entry, m)
-	}
-	return init + entry, ok
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"mbd/internal/dpl"
 	"mbd/internal/dpl/analysis"
@@ -314,6 +315,46 @@ func TestVerifyToleratesMalformedDeadCode(t *testing.T) {
 	}
 }
 
+// deadLoopTest returns code to append after code's last instruction:
+// a return, then what looks like a loop test on local -1, which the
+// structural proof never reaches and so never checks.
+func deadLoopTest(code []dpl.Instr) []dpl.Instr {
+	return []dpl.Instr{
+		{Op: dpl.OpReturnNil},
+		{Op: dpl.OpNil},
+		{Op: dpl.OpLoadLConstBin, A: -1, B: dpl.PackIdxOp(0, dpl.TokLt)},
+		{Op: dpl.OpJumpFalse, A: len(code) + 1},
+	}
+}
+
+// TestVerifyDeadLoopTestOnBadLocal: a loop test on an out-of-range
+// local in dead code gets a verdict, not a panic, whichever form the
+// test takes.
+func TestVerifyDeadLoopTestOnBadLocal(t *testing.T) {
+	b := analysis.LintBindings()
+	for _, local := range []int{-1, -1 << 20, 1 << 20} {
+		for _, form := range [][]dpl.Instr{
+			{{Op: dpl.OpNil}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+			{{Op: dpl.OpNil}, {Op: dpl.OpConst, A: 0}, {Op: dpl.OpLoadL, A: local}, {Op: dpl.OpBinJumpFalse, A: 0, B: int(dpl.TokLt)}},
+			{{Op: dpl.OpConstStoreL, A: 0, B: local}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+			{{Op: dpl.OpStoreL, A: local}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+		} {
+			cp := buildArtifact(t, honestSources[0], b, true)
+			fn := cp.Object.Funcs[0]
+			fn.Code = append(append(fn.Code, dpl.Instr{Op: dpl.OpReturnNil}), form...)
+			if err := verify.Verify(cp, b).Err(); err != nil {
+				t.Errorf("local %d, %v: honest artifact with dead code rejected: %v", local, form, err)
+			}
+		}
+	}
+	cp := buildArtifact(t, honestSources[0], b, true)
+	fn := cp.Object.Funcs[0]
+	fn.Code = append(fn.Code, deadLoopTest(fn.Code)...)
+	if err := verify.Verify(cp, b).Err(); err != nil {
+		t.Errorf("honest artifact with dead code rejected: %v", err)
+	}
+}
+
 // TestVerifyHostTableSkew: an artifact built against one binding layout
 // must not be admitted by a node whose table disagrees.
 func TestVerifyHostTableSkew(t *testing.T) {
@@ -617,5 +658,65 @@ func TestChainRecoveryCoversVMReads(t *testing.T) {
 	}
 	if ran < 300 {
 		t.Fatalf("only %d of 3000 programs verified", ran)
+	}
+}
+
+// loopArtifact is a bounded-looking artifact of n counted loops, one
+// after another, then n loops nested in each other; every loop is
+// `for (l = 0; l < 10; l += 1)` on a local of its own.
+func loopArtifact(n int) *dpl.CompiledProgram {
+	zero, ten, one := 0, 1, 2
+	var code []dpl.Instr
+	loop := func(l int, body func()) {
+		code = append(code, dpl.Instr{Op: dpl.OpConstStoreL, A: zero, B: l})
+		head := len(code)
+		code = append(code, dpl.Instr{Op: dpl.OpLoadLConstBin, A: l, B: dpl.PackIdxOp(ten, dpl.TokLt)}, dpl.Instr{Op: dpl.OpJumpFalse})
+		body()
+		code = append(code, dpl.Instr{Op: dpl.OpIncL, A: l, B: one}, dpl.Instr{Op: dpl.OpJump, A: head})
+		code[head+1].A = len(code)
+	}
+	for range n {
+		loop(0, func() {})
+	}
+	var nested func(d int)
+	nested = func(d int) {
+		if d < n {
+			loop(d, func() { nested(d + 1) })
+		}
+	}
+	nested(0)
+	code = append(code, dpl.Instr{Op: dpl.OpReturnNil})
+	return &dpl.CompiledProgram{
+		Version: dpl.CompilerVersion,
+		Verdict: dpl.Verdict{CostUnbounded: true},
+		Object: &dpl.Compiled{
+			Consts:  []dpl.Value{dpl.Int(0), dpl.Int(10), dpl.Int(1)},
+			Funcs:   []*dpl.CompiledFunc{{Name: "main", NumLocals: n, Code: code}},
+			FuncIdx: map[string]int{"main": 0},
+		},
+	}
+}
+
+// TestVerifyScalesWithLoops: the cost recovery is linear in the code,
+// however many loops it holds and however deep they nest, so a large
+// hostile artifact cannot tie up a receiver. 20,000 loops either way
+// verify in milliseconds; work per loop over the whole code would take
+// minutes.
+func TestVerifyScalesWithLoops(t *testing.T) {
+	cp := loopArtifact(20000)
+	start := time.Now()
+	res := verify.Verify(cp, dpl.NewBindings())
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cost.Unbounded {
+		t.Errorf("10^20000 trips priced bounded: %v", res.Cost)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("verifying %d instructions took %v", len(cp.Object.Funcs[0].Code), d)
+	}
+	small := loopArtifact(3)
+	if res := verify.Verify(small, dpl.NewBindings()); res.Cost.Unbounded || res.Cost.Steps == 0 {
+		t.Errorf("three counted loops priced %v", res.Cost)
 	}
 }

@@ -137,6 +137,7 @@ func (c *Compiled) invalidateVerify() {
 type structVerifier struct {
 	c      *Compiled
 	faults []CodeFault
+	buf    []int32 // checkBlock's depths and worklist, reused from block to block
 }
 
 func (v *structVerifier) fault(fn string, ip int, kind FaultKind, msg string) {
@@ -222,31 +223,35 @@ func (v *structVerifier) checkBlock(fn string, code []Instr, nLocals int) int {
 	if len(code) == 0 {
 		return 0
 	}
-	depth := make([]int, len(code))
+	n := len(code)
+	if cap(v.buf) < 2*n {
+		v.buf = make([]int32, 2*n)
+	}
+	// Each instruction enters the worklist once at most.
+	depth, work := v.buf[:n], append(v.buf[n:n:2*n], 0)
 	for i := range depth {
 		depth[i] = -1
 	}
 	depth[0] = 0
-	work := []int{0}
 	propagate := func(from, to, d int) {
 		if to == len(code) {
 			return // implicit return-nil epilogue; any depth is fine
 		}
 		if depth[to] == -1 {
-			depth[to] = d
-			work = append(work, to)
-		} else if depth[to] != d {
+			depth[to] = int32(d)
+			work = append(work, int32(to))
+		} else if int(depth[to]) != d {
 			v.fault(fn, from, FaultStack, fmt.Sprintf("stack depth mismatch at join %d (%d vs %d)", to, depth[to], d))
 		}
 	}
 	for len(work) > 0 {
-		ip := work[len(work)-1]
+		ip := int(work[len(work)-1])
 		work = work[:len(work)-1]
 		in := code[ip]
 		if !v.operandsOK(fn, ip, in, nLocals, len(code)) {
 			continue
 		}
-		d, pops := depth[ip], in.pops()
+		d, pops := int(depth[ip]), in.pops()
 		if d < pops {
 			v.fault(fn, ip, FaultStack, fmt.Sprintf("stack underflow: %s needs %d operands, depth is %d", in.Op, pops, d))
 			continue

@@ -3,17 +3,20 @@ package dpl
 import "strings"
 
 // The abstract walker: the one value analysis over bytecode, shared by
-// the optimizer's constant propagation and effect inference
-// (analysis.Recover), each a hook that reads the state before an
-// instruction.
+// the optimizer's constant propagation, effect inference
+// (analysis.Recover) and the static analyzer's control-flow graphs,
+// each a hook that reads the state before an instruction.
 // One linear pass covers every instruction, dead ones included, with
-// every index bounded. The join rule: locals are forgotten at each
-// block leader; where only forward edges arrive, each stack slot is the
-// meet over the incoming edges, fall-through and edges out of dead code
-// included; at a loop head every slot is unknown. Edges disagreeing on
-// depth (the structural proof rules that out for reachable ones) and
-// code only a jump reaches start from an empty stack, whose pops yield
-// unknowns.
+// every index bounded. Exact values fold by the VM's own operator rules
+// (Binary, Negate, Truthy), so a branch whose condition the walker
+// knows goes one way only (see Branch). The join rule: locals are
+// forgotten at each block leader; where only forward edges arrive, each
+// stack slot is the meet over the edges control can take into it,
+// fall-through included; at a loop head every slot is unknown. Code no
+// such edge reaches carries on from the code before it, which no run
+// reaches either. Edges disagreeing on depth (the structural proof
+// rules that out for reachable ones) and code only a jump reaches start
+// from an empty stack, whose pops yield unknowns.
 
 type absKind uint8
 
@@ -45,6 +48,9 @@ func (a Abs) Prefix() (string, bool) {
 	return strings.TrimSuffix(s, "."), ok && a.kind == absExact
 }
 
+// Exact returns the value a is known to be, if the walker knows it.
+func (a Abs) Exact() (Value, bool) { return a.v, a.kind == absExact }
+
 // isString says a is known to be a string.
 func (a Abs) isString() bool {
 	return a.kind == absHead || a.kind == absExact && a.v.k == KindString
@@ -59,10 +65,15 @@ func (a Abs) asString() Abs {
 	return Abs{kind: absHead, v: Str("")}
 }
 
-// binary is l op r by the constant-head rules of effect inference:
-// exact strings concatenate under +, a string or head left of + keeps
-// its head, and every other result is unknown.
+// binary is l op r: two exact values fold by Binary, and otherwise by
+// the constant-head rules of effect inference a string or head left of
+// + keeps its head. Every other result is unknown.
 func binary(op TokenKind, l, r Abs) Abs {
+	if l.kind == absExact && r.kind == absExact {
+		if v, err := Binary(op, l.v, r.v); err == nil {
+			return Abs{kind: absExact, v: v, folded: true}
+		}
+	}
 	ls, ok := l.v.AsString()
 	switch {
 	case op != TokPlus || l.kind == absUnknown || !ok:
@@ -71,9 +82,6 @@ func binary(op TokenKind, l, r Abs) Abs {
 		return l
 	case r.kind == absHead:
 		return Abs{kind: absHead, v: Str(ls + r.v.str())}
-	}
-	if rs, ok := r.v.AsString(); ok && r.kind == absExact {
-		return Abs{kind: absExact, v: Str(ls + rs), folded: true}
 	}
 	return Abs{kind: absHead, v: Str(ls)}
 }
@@ -90,14 +98,17 @@ func (a Abs) meet(b Abs) Abs {
 // call to call.
 type Walker struct {
 	stack, locals []Abs
-	joins         []join // per instruction: the edges landing on it
-	arena         []Abs  // the stacks forward edges carry
-	entry         int    // stack depth where the current block began
+	joins         []join  // per instruction: the edges landing on it
+	arena         []Abs   // the stacks forward edges carry
+	entry         int     // stack depth where the current block began
+	set           []int32 // the locals set since the block began
 }
 
 type join struct {
-	off, n      int32 // arena[off:off+n] meets the forward edges' stacks; n < 0 if their depths disagree
-	edges, loop bool
+	off, n int32 // arena[off:off+n] meets the stacks of the forward edges control can take; n < 0 if their depths disagree
+	// leader: a forward jump lands here; edges: one control can take;
+	// loop: a backward jump lands here.
+	leader, edges, loop bool
 }
 
 // Walk interprets code, a block with nLocals frame slots. visit sees
@@ -106,31 +117,65 @@ type join struct {
 // Returning false ends the walk.
 func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int, stack, locals []Abs) bool) {
 	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(code))
-	w.arena, w.stack = w.arena[:0], w.stack[:0]
+	w.arena, w.stack, w.set = w.arena[:0], w.stack[:0], w.set[:0]
 	for ip, in := range code {
-		if t, ok := in.target(len(code)); ok && t <= ip {
-			w.joins[t].loop = true
+		if t, ok := in.target(len(code)); ok && t < len(code) {
+			w.joins[t].loop = w.joins[t].loop || t <= ip
+			w.joins[t].leader = w.joins[t].leader || t > ip
 		}
 	}
-	falls := true
+	falls, arrives := true, true // control can fall into ip, and does
 	for ip := range code {
-		if j := &w.joins[ip]; ip == 0 || j.edges || j.loop || !falls {
-			w.enter(j, falls)
+		j := &w.joins[ip]
+		live := arrives
+		if ip == 0 || j.leader || j.loop || !falls {
+			live = ip == 0 || j.loop || j.edges || arrives
+			w.enter(j, arrives || falls && !live)
 		}
 		if !visit(ip, w.stack, w.locals) {
 			return
 		}
 		in := code[ip]
-		w.transfer(c, in)
-		if t, ok := in.target(len(code)); ok && t > ip && t < len(code) {
-			w.edge(&w.joins[t])
+		var jumps bool
+		falls, jumps = OpcodeFlow(in.Op)
+		next, take := falls, jumps
+		if falls && jumps {
+			next, take = Branch(in, w.stack)
 		}
-		falls, _ = OpcodeFlow(in.Op)
+		w.transfer(c, in)
+		if jumps && in.A > ip && in.A < len(code) && live && take {
+			w.edge(&w.joins[in.A])
+		}
+		arrives = live && next
 	}
 }
 
-// enter starts a block by the join rule; falls says whether control
-// also arrives from the previous instruction.
+// Branch reports where a branch can go when run from stack: both ways,
+// unless the walker knows its condition.
+func Branch(in Instr, stack []Abs) (falls, jumps bool) {
+	n := len(stack)
+	if n == 0 {
+		return true, true
+	}
+	cond := stack[n-1]
+	if in.Op == OpBinJumpFalse {
+		cond = Abs{}
+		if n >= 2 {
+			cond = binary(TokenKind(in.B), stack[n-2], stack[n-1])
+		}
+	}
+	if cond.kind != absExact {
+		return true, true
+	}
+	t := Truthy(cond.v)
+	if in.Op == OpJTKeep {
+		return !t, t
+	}
+	return t, !t
+}
+
+// enter starts a block by the join rule; falls says whether the state
+// of the previous instruction carries into it.
 func (w *Walker) enter(j *join, falls bool) {
 	switch {
 	case !j.edges && falls: // the fall-through state carries on
@@ -146,8 +191,10 @@ func (w *Walker) enter(j *join, falls bool) {
 	if j.loop {
 		clear(w.stack)
 	}
-	clear(w.locals)
-	w.entry = len(w.stack)
+	for _, i := range w.set {
+		w.locals[i] = Abs{}
+	}
+	w.set, w.entry = w.set[:0], len(w.stack)
 }
 
 // edge meets the current stack into the join of a forward edge.
@@ -180,6 +227,22 @@ func (w *Walker) transfer(c *Compiled, in Instr) {
 	case OpBin:
 		r, l := w.pop(), w.pop()
 		w.push(binary(TokenKind(in.A), l, r))
+	case OpEq, OpNe:
+		op := TokEq
+		if in.Op == OpNe {
+			op = TokNe
+		}
+		r, l := w.pop(), w.pop()
+		w.push(binary(op, l, r))
+	case OpNeg:
+		x := w.pop()
+		v, err := Negate(x.v)
+		w.push(exact(v, x.kind == absExact && err == nil))
+	case OpNot:
+		x := w.pop()
+		w.push(exact(Bool(!Truthy(x.v)), x.kind == absExact))
+	case OpJFKeep, OpJTKeep:
+		// The condition stays where it was.
 	case OpLoadLConstBin:
 		idx, op := UnpackIdxOp(in.B)
 		w.push(binary(op, w.local(in.A), pushed(c, Instr{Op: OpConst, A: idx})))
@@ -234,6 +297,14 @@ func chainSum(s []Abs, n int) Abs {
 	return sum
 }
 
+// exact is v, computed by the walker, when known, else unknown.
+func exact(v Value, known bool) Abs {
+	if !known {
+		return Abs{}
+	}
+	return Abs{kind: absExact, v: v, folded: true}
+}
+
 // pushed is what the walker knows of the value in pushes: exactly it,
 // when in pushes a constant.
 func pushed(c *Compiled, in Instr) Abs {
@@ -262,7 +333,7 @@ func (w *Walker) local(i int) Abs {
 
 func (w *Walker) setLocal(i int, a Abs) {
 	if i >= 0 && i < len(w.locals) {
-		w.locals[i] = a
+		w.locals[i], w.set = a, append(w.set, int32(i))
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // The receiver never trusts the artifact — the bytecode verifier
 // re-proves structural safety and checks the verdict against the code
 // before the same per-principal admission policy that governs source
-// delegations is applied to the effects the receiver recovered and the
-// declared cost.
+// delegations is applied to the effects and the cost the receiver
+// recovered, and the step budget is derived from that cost.
 
 // LangCompiled is the Lang value of a DP admitted from verified
 // bytecode; such DPs carry no source.
@@ -75,14 +75,12 @@ func (p *Process) prepareCompiled(principal, name string, blob []byte) (*DP, err
 		return nil, err
 	}
 	dp := &DP{
-		Name:    name,
-		Owner:   principal,
-		Lang:    LangCompiled,
-		Object:  ent.obj,
-		Program: ent.prog,
-		// The artifact's budget was derived unclamped by the analyzing
-		// hop; each receiver applies its own quota.
-		StepBudget: p.clampBudget(ent.prog.Verdict.StepBudget),
+		Name:       name,
+		Owner:      principal,
+		Lang:       LangCompiled,
+		Object:     ent.obj,
+		Program:    ent.prog,
+		StepBudget: ent.rep.SuggestedBudget(p.cfg.MaxStepsPerDPI),
 		StoredAt:   p.clock.Now(),
 		Effects:    ent.rep.Effects,
 		Cost:       ent.rep.Cost,
@@ -119,25 +117,13 @@ func (p *Process) admitCompiled(principal string, cp *dpl.CompiledProgram, blob 
 	if !res.OK() {
 		return progEntry{}, &RejectError{Diags: res.Diags}
 	}
-	// Capability is decided on the effects this node proved (no
-	// positions: there is no source); the cost claim passed DPL015.
-	rep := &analysis.Report{
-		Effects: res.Recovered,
-		Cost:    analysis.CostEstimate{Steps: cp.Verdict.CostSteps, Unbounded: cp.Verdict.CostUnbounded},
-	}
+	// Capability and cost are decided on what this node proved (no
+	// positions: there is no source).
+	rep := &analysis.Report{Effects: res.Recovered, Cost: res.Cost}
 	if err := p.admit(principal, rep); err != nil {
 		return progEntry{}, err
 	}
 	ent := progEntry{obj: cp.Object, rep: rep, prog: cp}
 	p.progCache.put(key, ent)
 	return ent, nil
-}
-
-// clampBudget bounds a shipped step budget by this server's own quota:
-// the declared budget only ever tightens the local ceiling.
-func (p *Process) clampBudget(budget uint64) uint64 {
-	if q := p.cfg.MaxStepsPerDPI; q != 0 && (budget == 0 || budget > q) {
-		return q
-	}
-	return budget
 }

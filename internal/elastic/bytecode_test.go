@@ -383,3 +383,49 @@ func cachedPrograms(p *Process) int {
 	defer p.progCache.mu.Unlock()
 	return p.progCache.ll.Len()
 }
+
+// TestCompiledCostClaimRecomputed: a receiver prices an artifact itself
+// and admits on that price. A verdict that claims one step and a 2^40
+// step budget for a 10,000-trip loop is refused with DPL015 under a
+// cost ceiling of 100, where trusting the claim would store it with
+// that cost and budget. An honest artifact's DP gets the step budget
+// its source delegation gets.
+func TestCompiledCostClaimRecomputed(t *testing.T) {
+	const src = `func main() { var s = 0; for (var i = 0; i < 10000; i += 1) { s += i; } return s; }`
+	cfg := Config{MaxStepsPerDPI: 1 << 30}
+	sender := newBytecodeProcess(cfg)
+	defer sender.Stop()
+	if err := sender.Delegate("boss", "loop", "dpl", src); err != nil {
+		t.Fatal(err)
+	}
+	dp, _ := sender.Repository().Lookup("loop")
+
+	liar, err := dpl.DecodeProgram(mustEncode(t, dp.Program))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar.Verdict.CostSteps, liar.Verdict.StepBudget = 1, 1<<40
+	strict := newBytecodeProcess(Config{CostCeiling: 100})
+	defer strict.Stop()
+	err = strict.DelegateCompiled("boss", "liar", mustEncode(t, liar))
+	var rej *RejectError
+	if !errors.As(err, &rej) || !hasDiagCode(rej.Diags, dpl.CodeBudgetMismatch) {
+		t.Fatalf("a 1-step claim for a 10,000-trip loop: %v", err)
+	}
+	if _, ok := strict.Repository().Lookup("liar"); ok {
+		t.Fatal("the lying artifact was stored")
+	}
+
+	receiver := newBytecodeProcess(cfg)
+	defer receiver.Stop()
+	if err := receiver.DelegateCompiled("boss", "loop", mustEncode(t, dp.Program)); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := receiver.Repository().Lookup("loop")
+	if got.StepBudget != dp.StepBudget || got.Cost.Steps != dp.Cost.Steps || got.Cost.Unbounded {
+		t.Fatalf("compiled DP: cost %v, budget %d; source DP: cost %v, budget %d", got.Cost, got.StepBudget, dp.Cost, dp.StepBudget)
+	}
+	if dp.Cost.Steps < 10000 || dp.StepBudget < dp.Cost.Steps || dp.StepBudget >= cfg.MaxStepsPerDPI {
+		t.Fatalf("source DP: cost %v, budget %d", dp.Cost, dp.StepBudget)
+	}
+}
