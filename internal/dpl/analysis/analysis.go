@@ -144,7 +144,7 @@ func (r *Report) RecoverEffects(c *dpl.Compiled) {
 	})
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	direct := make([]effectSet, len(c.Funcs)+1) // the global initializers, then each function
+	direct := sc.effectSets(len(c.Funcs) + 1) // the global initializers, then each function
 	r.Effects = sc.recover(c, func(s Site) {
 		direct[s.Func+1].add(s)
 		if s.MIB && s.OID == Wildcard {
@@ -156,30 +156,33 @@ func (r *Report) RecoverEffects(c *dpl.Compiled) {
 			})
 		}
 	})
-	own := make([]Effects, len(c.Funcs))
-	for i := range own {
-		own[i] = direct[i+1].finalize()
+	own := sc.own[:0]
+	for i := range c.Funcs {
+		own = append(own, direct[i+1].finalize())
 	}
-	seen := make([]bool, len(c.Funcs))
-	var set effectSet
-	var reach func(fn int) // gathers fn's effects and those of every function it calls
-	reach = func(fn int) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		set.merge(own[fn])
-		for _, in := range c.Funcs[fn].Code {
-			if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
-				reach(in.A)
-			}
-		}
+	sc.own = own
+	// Each function's effects are gathered in the scratch, then copied
+	// out in one array for all of them.
+	funcs := r.Funcs[:min(len(r.Funcs), len(c.Funcs))]
+	gathered, lens := sc.gathered[:0], sc.lens[:0]
+	for i := range funcs {
+		sc.flags = resize(sc.flags, len(c.Funcs))
+		sc.reached.reset()
+		sc.reach(c, i, own)
+		e := sc.reached.finalize()
+		gathered = append(append(append(gathered, e.Hosts...), e.Reads...), e.Writes...)
+		lens = append(lens, len(e.Hosts), len(e.Reads), len(e.Writes))
 	}
-	for i, f := range r.Funcs[:min(len(r.Funcs), len(c.Funcs))] {
-		clear(seen)
-		set = effectSet{}
-		reach(i)
-		f.Effects = set.finalize()
+	sc.gathered, sc.lens = gathered, lens
+	all := slices.Clone(gathered)
+	part := func(n int) (es []Effect) {
+		if n > 0 {
+			es, all = all[:n:n], all[n:]
+		}
+		return es
+	}
+	for i, f := range funcs {
+		f.Effects = Effects{Hosts: part(lens[3*i]), Reads: part(lens[3*i+1]), Writes: part(lens[3*i+2])}
 	}
 	r.Cost = (&coster{c: c, s: sc, diags: &r.Diags, info: r.Funcs}).program()
 	dpl.SortDiags(r.Diags)

@@ -191,6 +191,11 @@ type effectSet struct {
 	hosts, reads, writes []Effect
 }
 
+// reset empties s, keeping its arrays.
+func (s *effectSet) reset() {
+	s.hosts, s.reads, s.writes = s.hosts[:0], s.reads[:0], s.writes[:0]
+}
+
 func (s *effectSet) add(site Site) {
 	s.hosts = addEffect(s.hosts, Effect{Name: site.Host, Pos: site.Pos})
 	switch {
@@ -222,6 +227,34 @@ func addEffect(es []Effect, e Effect) []Effect {
 		return es
 	}
 	return append(es, e)
+}
+
+// effectSets returns n empty effect sets of the scratch's.
+func (s *scratch) effectSets(n int) []effectSet {
+	if cap(s.direct) < n {
+		s.direct = append(s.direct[:cap(s.direct)], make([]effectSet, n-cap(s.direct))...)
+	}
+	s.direct = s.direct[:n]
+	for i := range s.direct {
+		s.direct[i].reset()
+	}
+	return s.direct
+}
+
+// reach gathers into s.reached the effects of function fn, own[fn],
+// and those of every function its code calls, depth first. s.flags
+// marks the functions reached.
+func (s *scratch) reach(c *dpl.Compiled, fn int, own []Effects) {
+	if s.flags[fn] {
+		return
+	}
+	s.flags[fn] = true
+	s.reached.merge(own[fn])
+	for _, in := range c.Funcs[fn].Code {
+		if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
+			s.reach(c, in.A, own)
+		}
+	}
 }
 
 // finalize sorts the set in place into a summary, keeping an OID prefix

@@ -63,6 +63,14 @@ type scratch struct {
 	memo   []uint64  // per block: longest paths
 	marks  []dpl.Pos // DPL004: first reads
 	found  effectSet // recover's effects, before they are copied out
+	// RecoverEffects': the effects of each block's own calls, of each
+	// function's, of those a function reaches, and every function's
+	// reached effects with their lengths, before they are copied out.
+	direct   []effectSet
+	own      []Effects
+	reached  effectSet
+	gathered []Effect
+	lens     []int
 	// costs and priced are a coster's funcs and state.
 	costs  []CostEstimate
 	priced []uint8

@@ -19,6 +19,8 @@ type Program struct {
 	// Check walks a program once per Bindings.
 	checked *Bindings
 	diags   []Diagnostic
+	// mem is the slab the parser made the program in, for Release.
+	mem *slab
 }
 
 // FuncDecl is a function definition.

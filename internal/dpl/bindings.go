@@ -2,6 +2,7 @@ package dpl
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -51,6 +52,7 @@ type binding struct {
 type Bindings struct {
 	byName map[string]int
 	funcs  []binding
+	names  []string // funcs' names, shared by every program compiled against the table
 }
 
 // NewBindings returns an empty table.
@@ -67,6 +69,7 @@ func (b *Bindings) Register(name string, arity int, fn HostFunc) {
 	}
 	b.byName[name] = len(b.funcs)
 	b.funcs = append(b.funcs, binding{name: name, arity: arity, fn: fn})
+	b.names = append(b.names, name)
 }
 
 // Lookup returns the index and arity of a bound function.
@@ -92,13 +95,11 @@ func (b *Bindings) Names() []string {
 }
 
 // NamesByIndex returns function names in registration (index) order —
-// the order OpCallHost operands refer to.
+// the order OpCallHost operands refer to. The table keeps the list and
+// every caller shares it: it is capped, so appending to it copies, and
+// a later Register does not change what an earlier caller got.
 func (b *Bindings) NamesByIndex() []string {
-	out := make([]string, len(b.funcs))
-	for i, f := range b.funcs {
-		out[i] = f.name
-	}
-	return out
+	return b.names[:len(b.names):len(b.names)]
 }
 
 // Clone returns a copy of the table that can be extended independently.
@@ -372,7 +373,7 @@ func miniSprintf(f string, args []Value) (Value, error) {
 			if !ok {
 				return Value{}, rtErrf("sprintf: %%f on %s", TypeName(v))
 			}
-			out = strconv.AppendFloat(out, fv, 'f', 6, 64)
+			out = appendFixed6(out, fv)
 		default:
 			return Value{}, rtErrf("sprintf: unsupported verb %%%c", f[i])
 		}
@@ -381,4 +382,102 @@ func miniSprintf(f string, args []Value) (Value, error) {
 		return Value{}, rtErrf("sprintf: %d extra arguments", len(args)-ai)
 	}
 	return StrBytes(out), nil
+}
+
+// appendFixed6 appends v as strconv.AppendFloat(dst, v, 'f', 6, 64)
+// does: the exact binary value rounded half to even at the sixth
+// decimal. strconv computes fixed-precision 'f' in a multiprecision
+// decimal of some 800 bytes, on the stack, which grows a goroutine's
+// stack on its first sprintf; here the value splits into its integer
+// part and its millionths, each in machine words.
+func appendFixed6(dst []byte, v float64) []byte {
+	b := math.Float64bits(v)
+	exp := int(b>>52) & 0x7ff
+	if exp == 0x7ff {
+		return strconv.AppendFloat(dst, v, 'f', 6, 64) // NaN and ±Inf have no digits
+	}
+	if b>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	mant := b & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	// v = mant / 2^shift
+	var ip, frac uint64 // the integer part and the millionths
+	switch shift := 1075 - exp; {
+	case shift <= -12: // past 2^64: an integer of up to 1024 bits
+		return append(appendWide(dst, mant, -shift), ".000000"...)
+	case shift <= 0:
+		ip = mant << -shift
+	case shift < 64:
+		ip, frac = mant>>shift, millionths(mant&(1<<shift-1), shift)
+	default:
+		frac = millionths(mant, shift)
+	}
+	if frac == 1e6 {
+		ip, frac = ip+1, 0
+	}
+	dst = strconv.AppendUint(dst, ip, 10)
+	return appendDigits(append(dst, '.'), frac, 6)
+}
+
+// millionths returns x·10⁶ / 2^s rounded half to even, for x < 2^53
+// and x < 2^s.
+func millionths(x uint64, s int) uint64 {
+	if s > 74 {
+		return 0 // x·10⁶ < 2^73, under half of 2^s
+	}
+	hi, lo := bits.Mul64(x, 1e6)
+	var q, half, sticky uint64 // the quotient, the bit below it, the bits below that
+	switch {
+	case s < 64:
+		q, half, sticky = hi<<(64-s)|lo>>s, lo>>(s-1)&1, lo&(1<<(s-1)-1)
+	case s == 64:
+		q, half, sticky = hi, lo>>63, lo&(1<<63-1)
+	default:
+		q, half, sticky = hi>>(s-64), hi>>(s-65)&1, hi&(1<<(s-65)-1)|lo
+	}
+	if half == 1 && (sticky != 0 || q&1 == 1) {
+		q++
+	}
+	return q
+}
+
+// appendWide appends the decimal digits of mant·2^shift, mant < 2^53
+// and shift ≤ 971, by dividing its 64-bit words by 10^19 in turn.
+func appendWide(dst []byte, mant uint64, shift int) []byte {
+	var w [17]uint64 // little-endian
+	w[shift/64] = mant << (shift % 64)
+	if shift%64 != 0 {
+		w[shift/64+1] = mant >> (64 - shift%64)
+	}
+	var chunks [17]uint64 // base-10^19 digits, least significant first
+	n, k := shift/64+2, 0
+	for n > 0 {
+		var r uint64
+		for i := n - 1; i >= 0; i-- {
+			w[i], r = bits.Div64(r, w[i], 1e19)
+		}
+		chunks[k], k = r, k+1
+		for n > 0 && w[n-1] == 0 {
+			n--
+		}
+	}
+	dst = strconv.AppendUint(dst, chunks[k-1], 10)
+	for i := k - 2; i >= 0; i-- {
+		dst = appendDigits(dst, chunks[i], 19)
+	}
+	return dst
+}
+
+// appendDigits appends x in exactly width decimal digits, zero-padded.
+func appendDigits(dst []byte, x uint64, width int) []byte {
+	var d [20]byte
+	for i := width - 1; i >= 0; i-- {
+		d[i], x = byte('0'+x%10), x/10
+	}
+	return append(dst, d[:width]...)
 }

@@ -1,6 +1,9 @@
 package dpl
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // The Translator. The paper's elastic process compiles a delegated
 // program and "if the dp violates any of a set of defined rules for the
@@ -24,7 +27,8 @@ import "fmt"
 // and the static analyzer read those bindings and keep no scope tables
 // of their own.
 
-// resolver is Check's state over one program.
+// resolver is Check's state over one program. Its function table and
+// scope pass from one program to the next through resolvers.
 type resolver struct {
 	prog     *Program
 	bindings *Bindings
@@ -35,7 +39,8 @@ type resolver struct {
 	// scope[top:] is the innermost one, where a redeclaration is an error.
 	scope []scoped
 	top   int
-	loops int // loops enclosing the statement being resolved
+	loops int           // loops enclosing the statement being resolved
+	spine []*BinaryExpr // the left spines of the operator chains being resolved
 	// locals backs every function's Locals; base is where the current
 	// function's frame starts in it.
 	locals []string
@@ -65,22 +70,19 @@ func Check(prog *Program, bindings *Bindings) []Diagnostic {
 	return prog.diags
 }
 
+var resolvers = sync.Pool{New: func() any { return &resolver{funcs: make(map[string]int)} }}
+
 func resolve(prog *Program, bindings *Bindings) []Diagnostic {
 	// Few functions declare more than a variable per top-level
-	// statement, so the buffers seldom outgrow these sizes.
-	frames, frame := 0, 0
+	// statement, so the frames seldom outgrow this size.
+	frames := 0
 	for _, f := range prog.Funcs {
-		n := len(f.Params) + len(f.Body.Stmts)
-		frames += n
-		frame = max(frame, n)
+		frames += len(f.Params) + len(f.Body.Stmts)
 	}
-	r := &resolver{
-		prog:     prog,
-		bindings: bindings,
-		funcs:    make(map[string]int, len(prog.Funcs)),
-		scope:    make([]scoped, 0, len(prog.Globals)+frame),
-		locals:   make([]string, 0, frames),
-	}
+	r := resolvers.Get().(*resolver)
+	defer r.release()
+	r.prog, r.bindings = prog, bindings
+	r.locals = make([]string, 0, frames)
 	for i, f := range prog.Funcs {
 		if prev, dup := r.funcs[f.Name]; dup {
 			r.errorf(CodeRedeclared, f.Position(), "function %q redefined (first at %s)", f.Name, prog.Funcs[prev].Position())
@@ -120,6 +122,14 @@ func resolve(prog *Program, bindings *Bindings) []Diagnostic {
 		SortDiags(r.diags)
 	}
 	return r.diags
+}
+
+// release clears r of its program and hands it back for the next.
+func (r *resolver) release() {
+	clear(r.funcs)
+	clear(r.scope[:cap(r.scope)])
+	*r = resolver{funcs: r.funcs, scope: r.scope[:0], spine: r.spine}
+	resolvers.Put(r)
 }
 
 func (r *resolver) errorf(code string, pos Pos, format string, args ...any) {
@@ -250,8 +260,24 @@ func (r *resolver) expr(e Expr) {
 	case *UnaryExpr:
 		r.expr(n.X)
 	case *BinaryExpr:
+		// An operator chain nests to the left as deep as it is long:
+		// its left spine is walked in a loop, not a recursion, and its
+		// right operands resolved from the innermost out.
+		from := len(r.spine)
+		for {
+			r.spine = append(r.spine, n)
+			l, ok := n.L.(*BinaryExpr)
+			if !ok {
+				break
+			}
+			n = l
+		}
 		r.expr(n.L)
-		r.expr(n.R)
+		for i := len(r.spine) - 1; i >= from; i-- {
+			r.expr(r.spine[i].R)
+		}
+		clear(r.spine[from:])
+		r.spine = r.spine[:from]
 	case *IndexExpr:
 		r.expr(n.X)
 		r.expr(n.I)

@@ -250,6 +250,9 @@ type Compiled struct {
 	HostNames []string
 	// initMarks is InitCode's share of the position table.
 	initMarks []Mark
+	// markTable holds the compiler's whole position table, of which
+	// every block's marks are a share, until Optimize hands it back.
+	markTable *[]Mark
 
 	// Cached EnsureStructure outcome (see verifycode.go). Guarded by
 	// vmu so concurrent DPIs sharing one Compiled verify it once.
@@ -312,8 +315,10 @@ type Mark struct {
 // Marks returns the position table of Block(fn), in code order. Compile
 // records it. Optimize keeps its loop heads and host calls, aligned: a
 // call's mark moves with its instruction and a loop head's to where the
-// loop's jumps land. It is not part of the artifact encoding, so code
-// decoded or assembled has none.
+// loop's jumps land. The table Compile recorded then serves a later
+// compile, so a table read before Optimize must not be read after it.
+// It is not part of the artifact encoding, so code decoded or assembled
+// has none.
 func (c *Compiled) Marks(fn int) []Mark {
 	if fn < 0 {
 		return c.initMarks
@@ -373,7 +378,9 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	var small [8][2]int
 	sizes := append(small[:0], make([][2]int, len(prog.Funcs)+1)...)
 	total, totalMarks := 0, 0
-	fc := &funcCompiler{c: c, sizing: true}
+	fc := funcCompilers.Get().(*funcCompiler)
+	defer fc.release()
+	fc.c, fc.sizing = c, true
 	for i := range sizes {
 		fc.n, fc.nMarks = 0, 0
 		if err := c.compileUnit(fc, prog, i); err != nil {
@@ -383,9 +390,11 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 		total += fc.n
 		totalMarks += fc.nMarks
 	}
-	code, marks := make([]Instr, total), make([]Mark, totalMarks)
+	c.out.markTable = markTables.get(totalMarks)
+	code, marks := make([]Instr, total), *c.out.markTable
 	c.out.Consts = make([]Value, 0, c.nLits)
-	c.pool = constPool{c: c.out, idx: make(map[constKey]int, c.nLits)}
+	c.pool = constPool{c: c.out}
+	defer c.pool.release()
 	fc.sizing = false
 	for i, size := range sizes {
 		n, nm := size[0], size[1]
@@ -401,6 +410,34 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 		code, marks = code[n:], marks[nm:]
 	}
 	return c.out, nil
+}
+
+// markTables holds the compiler's position tables from one program to
+// the next: only the analyzer and the optimizer read a whole table, and
+// Optimize hands it back once it has kept what optimized code needs.
+var markTables = markPool{sync.Pool{New: func() any { return new([]Mark) }}}
+
+type markPool struct{ sync.Pool }
+
+// maxKeptMarks bounds the tables kept for reuse, so that one huge
+// program's does not stay resident.
+const maxKeptMarks = 1 << 14
+
+// get returns a table of n marks.
+func (p *markPool) get(n int) *[]Mark {
+	t := p.Get().(*[]Mark)
+	if cap(*t) < n {
+		*t = make([]Mark, n)
+	}
+	*t = (*t)[:n]
+	return t
+}
+
+// put keeps t for a later compile.
+func (p *markPool) put(t *[]Mark) {
+	if cap(*t) <= maxKeptMarks {
+		p.Put(t)
+	}
 }
 
 type compiler struct {
@@ -423,6 +460,18 @@ type funcCompiler struct {
 	n      int
 	nMarks int
 	loops  []*loopCtx
+	spine  []*BinaryExpr // the left spines of the operator chains being compiled
+}
+
+// funcCompilers holds funcCompilers, and their stacks, from one
+// program to the next.
+var funcCompilers = sync.Pool{New: func() any { return new(funcCompiler) }}
+
+// release clears f of its program and hands it back for the next.
+func (f *funcCompiler) release() {
+	clear(f.loops[:cap(f.loops)])
+	*f = funcCompiler{loops: f.loops[:0], spine: f.spine[:0]}
+	funcCompilers.Put(f)
 }
 
 func (f *funcCompiler) emit(i Instr) int {
@@ -476,9 +525,22 @@ type constPool struct {
 	idx map[constKey]int // built from c.Consts by the first intern when nil
 }
 
+// constIndexes holds the maps constPools index with, cleared, from one
+// program to the next.
+var constIndexes = sync.Pool{New: func() any { return make(map[constKey]int) }}
+
+// release hands the pool's index back for reuse.
+func (p *constPool) release() {
+	if p.idx != nil {
+		clear(p.idx)
+		constIndexes.Put(p.idx)
+		p.idx = nil
+	}
+}
+
 func (p *constPool) intern(v Value) int {
 	if p.idx == nil {
-		p.idx = make(map[constKey]int, len(p.c.Consts))
+		p.idx = constIndexes.Get().(map[constKey]int)
 		for i := len(p.c.Consts) - 1; i >= 0; i-- { // the first of duplicates wins
 			p.idx[keyOf(p.c.Consts[i])] = i
 		}
@@ -790,15 +852,9 @@ func (f *funcCompiler) expr(e Expr) error {
 			}
 		default:
 			if k := chainLen(n); k >= 3 {
-				return f.chain(n, k, k)
+				return f.chain(n, k)
 			}
-			if err := f.expr(n.L); err != nil {
-				return err
-			}
-			if err := f.expr(n.R); err != nil {
-				return err
-			}
-			f.emit(Instr{Op: OpBin, A: int(n.Op)})
+			return f.pairwise(n)
 		}
 	case *IndexExpr:
 		if err := f.expr(n.X); err != nil {
@@ -843,6 +899,26 @@ func (f *funcCompiler) expr(e Expr) error {
 	return nil
 }
 
+// pairwise compiles e, an arithmetic or relational operator, as BIN over
+// its operands. An operator chain nests to the left as deep as it is
+// long, so the operators down its left spine that compile pairwise too
+// join e's spine, walked in a loop. A + under a + is in a chain that
+// chainLen counted below 3 at its head, and is not counted again, so a
+// numeric chain compiles in one pass.
+func (f *funcCompiler) pairwise(e *BinaryExpr) error {
+	from := len(f.spine)
+	for {
+		f.spine = append(f.spine, e)
+		l, ok := e.L.(*BinaryExpr)
+		if !ok || l.Op == TokAndAnd || l.Op == TokOrOr || l.Op == TokEq || l.Op == TokNe ||
+			l.Op == TokPlus && e.Op != TokPlus && chainLen(l) >= 3 {
+			break
+		}
+		e = l
+	}
+	return f.spineOperands(from, func(b *BinaryExpr) Instr { return Instr{Op: OpBin, A: int(b.Op)} })
+}
+
 // chainLen counts the operands of the left-associative + chain whose
 // last + is e, when the chain may build a string, which the compiler
 // sees as a string-literal operand. Any other expression counts 0 and
@@ -860,28 +936,40 @@ func chainLen(e *BinaryExpr) int {
 	return k
 }
 
-// chain compiles the first k operands of an n-operand + chain, e being
-// the + whose right operand is operand k: each operand in source
-// order, then ADDC after operands 2..n-1 and ADDN n after the last.
-func (f *funcCompiler) chain(e *BinaryExpr, k, n int) error {
-	var err error
-	if k == 2 {
-		err = f.expr(e.L)
-	} else {
-		err = f.chain(e.L.(*BinaryExpr), k-1, n)
+// chain compiles the n-operand + chain whose last + is e: each operand
+// in source order, then ADDC after operands 2..n-1 and ADDN n after the
+// last.
+func (f *funcCompiler) chain(e *BinaryExpr, n int) error {
+	from := len(f.spine)
+	for k := n; ; k-- {
+		f.spine = append(f.spine, e)
+		if k == 2 {
+			break
+		}
+		e = e.L.(*BinaryExpr)
 	}
-	if err != nil {
-		return err
+	return f.spineOperands(from, func(b *BinaryExpr) Instr {
+		if b == f.spine[from] {
+			return Instr{Op: OpAddN, A: n}
+		}
+		return Instr{Op: OpAddC}
+	})
+}
+
+// spineOperands compiles the operands of the left spine f.spine[from:],
+// outermost first, and pops it: the innermost operator's left operand,
+// then each right operand from the innermost out, followed by the
+// instruction op makes for its operator.
+func (f *funcCompiler) spineOperands(from int, op func(*BinaryExpr) Instr) error {
+	err := f.expr(f.spine[len(f.spine)-1].L)
+	for i := len(f.spine) - 1; i >= from && err == nil; i-- {
+		if err = f.expr(f.spine[i].R); err == nil {
+			f.emit(op(f.spine[i]))
+		}
 	}
-	if err := f.expr(e.R); err != nil {
-		return err
-	}
-	if k == n {
-		f.emit(Instr{Op: OpAddN, A: n})
-	} else {
-		f.emit(Instr{Op: OpAddC})
-	}
-	return nil
+	clear(f.spine[from:])
+	f.spine = f.spine[:from]
+	return err
 }
 
 // MustCompile parses and compiles src, panicking on error. For tests

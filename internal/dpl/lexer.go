@@ -7,6 +7,9 @@ import (
 )
 
 // lexer converts DPL source text into tokens, one scan call at a time.
+// DPL source is almost always ASCII, so the lexer reads it a byte at a
+// time and decodes a rune only where a byte is not ASCII. Columns count
+// runes, as they always have.
 type lexer struct {
 	src  string
 	off  int
@@ -18,93 +21,107 @@ func newLexer(src string) lexer {
 	return lexer{src: src, line: 1, col: 1}
 }
 
-// Character classes. DPL source is almost always ASCII, so each class
-// answers for a byte before it asks the unicode tables. -1 (end of
-// input) is in no class.
-func isLetter(r rune) bool {
-	if r < utf8.RuneSelf {
-		return 'a' <= r|0x20 && r|0x20 <= 'z'
-	}
-	return unicode.IsLetter(r)
-}
+// Byte classes of ASCII: letters and '_' start an identifier, and
+// digits continue one.
+const (
+	classIdent = 1 << iota
+	classDigit
+	classSpace
+)
 
-func isDigit(r rune) bool {
-	if r < utf8.RuneSelf {
-		return '0' <= r && r <= '9'
+var byteClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		switch {
+		case 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_':
+			t[c] = classIdent
+		case '0' <= c && c <= '9':
+			t[c] = classDigit
+		case c == ' ' || '\t' <= c && c <= '\r':
+			t[c] = classSpace
+		}
 	}
-	return unicode.IsDigit(r)
-}
+	return t
+}()
 
-func isSpace(r rune) bool {
-	if r < utf8.RuneSelf {
-		return r == ' ' || '\t' <= r && r <= '\r'
-	}
-	return unicode.IsSpace(r)
-}
-
-func (l *lexer) peek() rune {
+// rune decodes the rune at the offset, -1 at the end of input.
+func (l *lexer) rune() (rune, int) {
 	if l.off >= len(l.src) {
-		return -1
+		return -1, 0
 	}
 	if c := l.src[l.off]; c < utf8.RuneSelf {
-		return rune(c)
+		return rune(c), 1
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
-	return r
+	return utf8.DecodeRuneInString(l.src[l.off:])
 }
 
+// next consumes one rune and returns it, -1 at the end of input.
 func (l *lexer) next() rune {
-	if l.off >= len(l.src) {
-		return -1
-	}
-	r, size := rune(l.src[l.off]), 1
-	if r >= utf8.RuneSelf {
-		r, size = utf8.DecodeRuneInString(l.src[l.off:])
-	}
+	r, size := l.rune()
 	l.off += size
 	if r == '\n' {
 		l.line++
 		l.col = 1
-	} else {
+	} else if size > 0 {
 		l.col++
 	}
 	return r
 }
 
+// skipText consumes src[l.off:end], which holds no newline.
+func (l *lexer) skipText(end int) {
+	l.col += utf8.RuneCountInString(l.src[l.off:end])
+	l.off = end
+}
+
 func (l *lexer) skipSpaceAndComments() error {
-	for {
-		r := l.peek()
+	for l.off < len(l.src) {
+		c := l.src[l.off]
 		switch {
-		case r == -1:
-			return nil
-		case isSpace(r):
-			l.next()
-		case r == '/' && l.off+1 < len(l.src) && l.src[l.off+1] == '/':
-			for l.peek() != '\n' && l.peek() != -1 {
-				l.next()
+		case c == '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case c < utf8.RuneSelf && byteClass[c] == classSpace:
+			l.off++
+			l.col++
+		case c == '/' && l.off+1 < len(l.src) && l.src[l.off+1] == '/':
+			end := strings.IndexByte(l.src[l.off:], '\n')
+			if end < 0 {
+				end = len(l.src)
+			} else {
+				end += l.off
 			}
-		case r == '/' && l.off+1 < len(l.src) && l.src[l.off+1] == '*':
-			startLine, startCol := l.line, l.col
-			l.next()
-			l.next()
-			for {
-				if l.peek() == -1 {
-					return errAt(startLine, startCol, "unterminated block comment")
-				}
-				if l.next() == '*' && l.peek() == '/' {
-					l.next()
-					break
-				}
+			l.skipText(end)
+		case c == '/' && l.off+1 < len(l.src) && l.src[l.off+1] == '*':
+			end := strings.Index(l.src[l.off+2:], "*/")
+			if end < 0 {
+				return errAt(l.line, l.col, "unterminated block comment")
 			}
+			end += l.off + 4
+			if nl := strings.LastIndexByte(l.src[l.off:end], '\n'); nl >= 0 {
+				l.line += strings.Count(l.src[l.off:end], "\n")
+				l.off += nl + 1
+				l.col = 1
+			}
+			l.skipText(end)
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(l.src[l.off:])
+			if !unicode.IsSpace(r) {
+				return nil
+			}
+			l.off += size
+			l.col++
 		default:
 			return nil
 		}
 	}
+	return nil
 }
 
 // Lex tokenizes the whole source, returning tokens ending in TokEOF.
-// The DPL parser pulls its tokens from scan; Lex is for callers that
-// want the stream as a slice, and scans twice to allocate it once.
+// The DPL parser scans into a token buffer it reuses; Lex is for
+// callers that want the stream as a slice of their own, and scans twice
+// to allocate it once.
 func Lex(src string) ([]Token, error) {
 	n := 1
 	for l := newLexer(src); ; n++ {
@@ -128,67 +145,158 @@ func (l *lexer) scan() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
-	line, col := l.line, l.col
-	start := l.off
-	r := l.next()
-	switch {
-	case isLetter(r) || r == '_':
-		for r := l.peek(); isLetter(r) || isDigit(r) || r == '_'; r = l.peek() {
-			l.next()
-		}
-		text := l.src[start:l.off]
-		kind := TokIdent
-		if k, ok := keywords[text]; ok {
-			kind = k
-		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
-	case isDigit(r):
-		kind := TokInt
-		for isDigit(l.peek()) {
-			l.next()
-		}
-		if l.peek() == '.' && l.off+1 < len(l.src) && isDigit(rune(l.src[l.off+1])) {
-			kind = TokFloat
-			l.next()
-			for isDigit(l.peek()) {
-				l.next()
-			}
-		}
-		if p := l.peek(); p == 'e' || p == 'E' {
-			save := *l
-			l.next()
-			if p := l.peek(); p == '+' || p == '-' {
-				l.next()
-			}
-			if isDigit(l.peek()) {
-				kind = TokFloat
-				for isDigit(l.peek()) {
-					l.next()
-				}
-			} else {
-				*l = save
-			}
-		}
-		return Token{Kind: kind, Text: l.src[start:l.off], Line: line, Col: col}, nil
-	case r == -1:
+	line, col, start := l.line, l.col, l.off
+	if l.off >= len(l.src) {
 		return Token{Kind: TokEOF, Line: line, Col: col}, nil
-	case r == '"':
-		return l.scanString(line, col)
-	case r == '&' || r == '|':
-		if l.peek() != r {
-			return Token{}, errAt(line, col, "unexpected '%c' (did you mean '%c%c'?)", r, r, r)
+	}
+	c := l.src[l.off]
+	if c >= utf8.RuneSelf {
+		r := l.next()
+		switch {
+		case unicode.IsLetter(r):
+			l.identTail()
+			return Token{Kind: TokIdent, Text: l.src[start:l.off], Line: line, Col: col}, nil
+		case unicode.IsDigit(r):
+			return l.number(start, line, col), nil
 		}
-		l.next()
-		return Token{Kind: punct[r], Line: line, Col: col}, nil
-	case r < utf8.RuneSelf && punct[r] != TokEOF:
-		kind := punct[r]
-		if punctEq[r] != TokEOF && l.peek() == '=' {
-			l.next()
-			kind = punctEq[r]
+		return Token{}, errAt(line, col, "unexpected character %q", r)
+	}
+	switch byteClass[c] {
+	case classIdent:
+		l.identTail()
+		text := l.src[start:l.off]
+		return Token{Kind: keyword(text), Text: text, Line: line, Col: col}, nil
+	case classDigit:
+		return l.number(start, line, col), nil
+	}
+	l.off++
+	l.col++
+	switch {
+	case c == '"':
+		return l.scanString(line, col)
+	case c == '&' || c == '|':
+		if l.off >= len(l.src) || l.src[l.off] != c {
+			return Token{}, errAt(line, col, "unexpected '%c' (did you mean '%c%c'?)", c, c, c)
+		}
+		l.off++
+		l.col++
+		return Token{Kind: punct[c], Line: line, Col: col}, nil
+	case punct[c] != TokEOF:
+		kind := punct[c]
+		if punctEq[c] != TokEOF && l.off < len(l.src) && l.src[l.off] == '=' {
+			l.off++
+			l.col++
+			kind = punctEq[c]
 		}
 		return Token{Kind: kind, Line: line, Col: col}, nil
 	}
-	return Token{}, errAt(line, col, "unexpected character %q", r)
+	return Token{}, errAt(line, col, "unexpected character %q", rune(c))
+}
+
+// identTail consumes the rest of an identifier: letters, digits and
+// '_'.
+func (l *lexer) identTail() {
+	for {
+		i := l.off
+		for i < len(l.src) && l.src[i] < utf8.RuneSelf && byteClass[l.src[i]]&(classIdent|classDigit) != 0 {
+			i++
+		}
+		l.col += i - l.off
+		l.off = i
+		if r, _ := l.rune(); r < utf8.RuneSelf || !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			return
+		}
+		l.next()
+	}
+}
+
+// digitAt reports whether a decimal digit, of any script, starts at the
+// offset.
+func (l *lexer) digitAt() bool {
+	r, _ := l.rune()
+	return '0' <= r && r <= '9' || r >= utf8.RuneSelf && unicode.IsDigit(r)
+}
+
+// digits consumes a run of decimal digits.
+func (l *lexer) digits() {
+	for l.digitAt() {
+		l.next()
+	}
+}
+
+// number scans the int or float literal that starts at start.
+func (l *lexer) number(start, line, col int) Token {
+	kind := TokInt
+	l.digits()
+	if l.off+1 < len(l.src) && l.src[l.off] == '.' && '0' <= l.src[l.off+1] && l.src[l.off+1] <= '9' {
+		kind = TokFloat
+		l.off++
+		l.col++
+		l.digits()
+	}
+	if l.off < len(l.src) && l.src[l.off]|0x20 == 'e' {
+		save := *l
+		l.off++
+		l.col++
+		if l.off < len(l.src) && (l.src[l.off] == '+' || l.src[l.off] == '-') {
+			l.off++
+			l.col++
+		}
+		if l.digitAt() {
+			kind = TokFloat
+			l.digits()
+		} else {
+			*l = save
+		}
+	}
+	return Token{Kind: kind, Text: l.src[start:l.off], Line: line, Col: col}
+}
+
+// keyword returns the keyword kind of an identifier's text, or
+// TokIdent.
+func keyword(s string) TokenKind {
+	switch len(s) {
+	case 2:
+		if s == "if" {
+			return TokIf
+		}
+	case 3:
+		switch s {
+		case "var":
+			return TokVar
+		case "for":
+			return TokFor
+		case "nil":
+			return TokNil
+		}
+	case 4:
+		switch s {
+		case "func":
+			return TokFunc
+		case "else":
+			return TokElse
+		case "true":
+			return TokTrue
+		}
+	case 5:
+		switch s {
+		case "while":
+			return TokWhile
+		case "break":
+			return TokBreak
+		case "false":
+			return TokFalse
+		}
+	case 6:
+		if s == "return" {
+			return TokReturn
+		}
+	case 8:
+		if s == "continue" {
+			return TokContinue
+		}
+	}
+	return TokIdent
 }
 
 // punct is the token a punctuation byte makes alone ('&' and '|':
@@ -215,6 +323,18 @@ func (l *lexer) scanString(line, col int) (Token, error) {
 	var b strings.Builder
 	built := false
 	for {
+		i := l.off
+		for i < len(l.src) {
+			if c := l.src[i]; c == '"' || c == '\\' || c == '\n' || c >= utf8.RuneSelf {
+				break
+			}
+			i++
+		}
+		if built {
+			b.WriteString(l.src[l.off:i])
+		}
+		l.col += i - l.off
+		l.off = i
 		at := l.off
 		r := l.next()
 		switch r {

@@ -3,6 +3,7 @@ package dpl
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,48 +78,69 @@ func corpusString(t testing.TB, file string) string {
 func TestScanMatchesReferenceLexer(t *testing.T) {
 	lexed := 0
 	for name, src := range lexSeeds(t) {
-		want, wantErr := refLex(src)
-		l := newLexer(src)
-		var got []Token
-		var gotErr error
-		for {
-			tok, err := l.scan()
-			if err != nil {
-				got, gotErr = nil, err
-				break
-			}
-			got = append(got, tok)
-			if tok.Kind == TokEOF {
-				break
-			}
-		}
-		if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
-			t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
-			continue
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: %d tokens, reference %d", name, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: token %d = %+v, reference %+v", name, i, got[i], want[i])
-				break
-			}
-		}
-		if wantErr == nil {
+		if matchReferenceLexer(t, name, src) {
 			lexed++
-			if again, err := l.scan(); err != nil || again != want[len(want)-1] {
-				t.Errorf("%s: scan past the end = %+v, %v; want the same TokEOF", name, again, err)
-			}
-			if toks, err := Lex(src); err != nil || len(toks) != len(want) {
-				t.Errorf("%s: Lex = %d tokens, %v", name, len(toks), err)
-			}
 		}
 	}
 	if lexed < 20 {
 		t.Errorf("only %d seeds lex; the comparison is not covering the corpus", lexed)
 	}
+}
+
+// FuzzScanMatchesReferenceLexer is TestScanMatchesReferenceLexer over
+// arbitrary bytes.
+func FuzzScanMatchesReferenceLexer(f *testing.F) {
+	for _, src := range lexSeeds(f) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		matchReferenceLexer(t, "input", src)
+	})
+}
+
+// matchReferenceLexer compares the pull lexer, and Lex, with the
+// reference lexer on src, and reports whether src lexes.
+func matchReferenceLexer(t *testing.T, name, src string) bool {
+	t.Helper()
+	want, wantErr := refLex(src)
+	l := newLexer(src)
+	var got []Token
+	var gotErr error
+	for {
+		tok, err := l.scan()
+		if err != nil {
+			got, gotErr = nil, err
+			break
+		}
+		got = append(got, tok)
+		if tok.Kind == TokEOF {
+			break
+		}
+	}
+	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+		t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
+		return false
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d tokens, reference %d", name, len(got), len(want))
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: token %d = %+v, reference %+v", name, i, got[i], want[i])
+			return false
+		}
+	}
+	if wantErr != nil {
+		return false
+	}
+	if again, err := l.scan(); err != nil || again != want[len(want)-1] {
+		t.Errorf("%s: scan past the end = %+v, %v; want the same TokEOF", name, again, err)
+	}
+	if toks, err := Lex(src); err != nil || !slices.Equal(toks, want) {
+		t.Errorf("%s: Lex = %d tokens, %v; reference %d", name, len(toks), err, len(want))
+	}
+	return true
 }
 
 // TestLexAllocatesItsSliceOnce: the token slice is sized from the
@@ -201,6 +223,15 @@ func (l *refLexer) skipSpaceAndComments() error {
 	}
 }
 
+// refKeywords is the keyword table the reference lexer looks words up
+// in.
+var refKeywords = map[string]TokenKind{
+	"var": TokVar, "func": TokFunc, "if": TokIf, "else": TokElse,
+	"while": TokWhile, "for": TokFor, "break": TokBreak,
+	"continue": TokContinue, "return": TokReturn, "true": TokTrue,
+	"false": TokFalse, "nil": TokNil,
+}
+
 // refLex is Lex as it was when it was the only lexer.
 func refLex(src string) ([]Token, error) {
 	l := newRefLexer(src)
@@ -227,7 +258,7 @@ func refLex(src string) ([]Token, error) {
 			}
 			text := l.src[start:l.off]
 			kind := TokIdent
-			if k, ok := keywords[text]; ok {
+			if k, ok := refKeywords[text]; ok {
 				kind = k
 			}
 			toks = append(toks, Token{Kind: kind, Text: text, Line: line, Col: col})

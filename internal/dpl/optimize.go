@@ -1,5 +1,7 @@
 package dpl
 
+import "sync"
+
 // Bytecode optimizer. The static analyzer (internal/dpl/analysis)
 // reports constant conditions, unreachable statements and dead stores
 // as diagnostics from the compiler's output; this pass applies the same
@@ -57,6 +59,7 @@ const maxOptRounds = 32
 func Optimize(c *Compiled) OptStats {
 	var st OptStats
 	o := newOptimizer(c)
+	defer o.release()
 	o.marks = loopsAndCalls(c.initMarks)
 	c.InitCode = optimizeCode(c, o, c.InitCode, 0, nil, &st)
 	c.initMarks = o.marks
@@ -64,6 +67,10 @@ func Optimize(c *Compiled) OptStats {
 		o.marks = loopsAndCalls(fn.marks)
 		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
 		fn.marks = o.marks
+	}
+	if c.markTable != nil {
+		markTables.put(c.markTable)
+		c.markTable = nil
 	}
 	c.invalidateVerify()
 	return st
@@ -122,6 +129,8 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 // optimizer is what the passes of one Optimize call share: the interner
 // of optimizer-produced constants, and working memory sized once for
 // the program's longest code block, which each pass slices and clears.
+// The memory passes from one Optimize call to the next through
+// optimizers.
 type optimizer struct {
 	c      *Compiled
 	consts constPool // interns optimizer-produced constants into c.Consts
@@ -133,19 +142,24 @@ type optimizer struct {
 	marks []Mark // the current block's position table (Compiled.Marks)
 }
 
+var optimizers = sync.Pool{New: func() any { return new(optimizer) }}
+
 func newOptimizer(c *Compiled) *optimizer {
 	n, nLocals := len(c.InitCode)+1, 0 // positions 0..len(code); frame slots
 	for _, fn := range c.Funcs {
 		n, nLocals = max(n, len(fn.Code)+1), max(nLocals, fn.NumLocals)
 	}
-	return &optimizer{
-		c:      c,
-		consts: constPool{c: c},
-		tgt:    make([]bool, n),
-		dead:   make([]bool, max(n, nLocals)),
-		remap:  make([]int, n),
-		walk:   Walker{joins: make([]join, n), locals: make([]Abs, nLocals), stack: make([]Abs, 0, 8)},
-	}
+	o := optimizers.Get().(*optimizer)
+	o.c, o.consts.c = c, c
+	o.tgt, o.dead, o.remap = resize(o.tgt, n), resize(o.dead, max(n, nLocals)), resize(o.remap, n)
+	return o
+}
+
+// release hands o back for the next Optimize call.
+func (o *optimizer) release() {
+	o.consts.release()
+	o.c, o.consts.c, o.marks = nil, nil, nil
+	optimizers.Put(o)
 }
 
 // pushInstr returns the instruction that pushes v.

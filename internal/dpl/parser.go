@@ -1,24 +1,46 @@
 package dpl
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // Recursive-descent parser for DPL.
 
 type parser struct {
-	lex lexer
-	tok Token // the one token of lookahead
-	// lexErr is the error that ended the token stream. With it scan
-	// returned the zero Token, a TokEOF, which no production accepts: the
-	// parse fails there, and errf reports lexErr in its place.
-	lexErr error
+	toks []Token // the whole token stream, lexed before the parse
+	i    int     // toks[i] is tok
+	tok  Token   // the one token of lookahead
+	// err is the lexical error that ended toks, whose last token is then
+	// the zero Token: a TokEOF, which no production accepts. lexErr is
+	// err once the parser has reached that token; the parse fails there,
+	// and errf reports lexErr in its place.
+	err, lexErr error
+	sc          *parseScratch
+	s           *slab
 }
 
 // Parse lexes and parses a DPL source unit. The error it returns is the
 // first by source position, lexical or syntactic.
 func Parse(src string) (*Program, error) {
-	p := &parser{lex: newLexer(src)}
+	sc := parseScratches.Get().(*parseScratch)
+	defer sc.release()
+	toks, err := sc.lex(src)
+	p := &parser{toks: toks, i: -1, err: err, sc: sc, s: slabs.Get().(*slab)}
+	p.s.size(toks)
 	p.advance()
-	prog := &Program{}
+	prog, err := p.program()
+	if err != nil {
+		p.s.release()
+		return nil, err
+	}
+	return prog, nil
+}
+
+// program parses the source unit into the slab's Program.
+func (p *parser) program() (*Program, error) {
+	prog := &p.s.prog
+	*prog = Program{Globals: p.s.globals.all[:0:len(p.s.globals.all)], Funcs: p.s.decls.all[:0:len(p.s.decls.all)], mem: p.s}
 	for p.cur().Kind != TokEOF {
 		switch p.cur().Kind {
 		case TokVar:
@@ -40,16 +62,38 @@ func Parse(src string) (*Program, error) {
 	if p.lexErr != nil {
 		return nil, p.lexErr
 	}
+	if len(prog.Globals) == 0 {
+		prog.Globals = nil
+	}
+	if len(prog.Funcs) == 0 {
+		prog.Funcs = nil
+	}
 	return prog, nil
+}
+
+// Release hands the memory of prog's nodes and lists to a later Parse.
+// Neither prog nor anything reached through it may be used afterwards;
+// what was made from it (object code, diagnostics, reports) holds no
+// reference to it and stays valid.
+func (prog *Program) Release() {
+	if s := prog.mem; s != nil {
+		prog.mem = nil
+		s.release()
+	}
 }
 
 func (p *parser) cur() Token { return p.tok }
 
-// advance returns the current token and pulls the next one.
+// advance returns the current token and moves to the next one. At the
+// end of the stream it stays on the last.
 func (p *parser) advance() Token {
 	t := p.tok
-	if p.lexErr == nil {
-		p.tok, p.lexErr = p.lex.scan()
+	if p.i+1 < len(p.toks) {
+		p.i++
+		p.tok = p.toks[p.i]
+		if p.i == len(p.toks)-1 {
+			p.lexErr = p.err
+		}
 	}
 	return t
 }
@@ -69,6 +113,335 @@ func (p *parser) errf(format string, args ...any) error {
 	return errAt(t.Line, t.Col, format, args...)
 }
 
+// parseScratch is a parse's working memory, reused from parse to parse
+// through parseScratches: the token stream, and the stacks that gather
+// a list's elements until the list is complete and moves, at its exact
+// length, into the program's slab.
+type parseScratch struct {
+	toks  []Token
+	stmts []Stmt
+	exprs []Expr // call arguments, array elements, map keys
+	vals  []Expr // map values
+	names []string
+}
+
+var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// maxKeptTokens bounds the token buffer a parse hands back for reuse,
+// so that one huge source does not stay resident.
+const maxKeptTokens = 1 << 14
+
+// lex scans src into sc.toks: every token through TokEOF or, when src
+// does not lex, through the zero Token in place of the one that failed,
+// returning the error.
+func (sc *parseScratch) lex(src string) ([]Token, error) {
+	l := newLexer(src)
+	for {
+		t, err := l.scan()
+		sc.toks = append(sc.toks, t)
+		if err != nil || t.Kind == TokEOF {
+			return sc.toks, err
+		}
+	}
+}
+
+// release clears what the scratch holds of the last source and its
+// program, and returns it to the pool.
+func (sc *parseScratch) release() {
+	clear(sc.toks)
+	clear(sc.stmts)
+	clear(sc.exprs)
+	clear(sc.vals)
+	clear(sc.names)
+	sc.toks, sc.stmts, sc.exprs, sc.vals, sc.names = sc.toks[:0], sc.stmts[:0], sc.exprs[:0], sc.vals[:0], sc.names[:0]
+	if cap(sc.toks) > maxKeptTokens {
+		sc.toks = nil
+	}
+	parseScratches.Put(sc)
+}
+
+// slab holds a program, an array per node type for its nodes, and
+// arrays for the elements of its lists. Each array is sized before the
+// parse, from counts of the token stream that the parse of a program
+// seldom exceeds; a node past its array's end is allocated on its own.
+// A released program's slab serves a later parse through slabs.
+type slab struct {
+	prog      Program
+	funcs     arena[FuncDecl]
+	vars      arena[VarDecl]
+	blocks    arena[Block]
+	assigns   arena[AssignStmt]
+	ifs       arena[IfStmt]
+	whiles    arena[WhileStmt]
+	fors      arena[ForStmt]
+	breaks    arena[BreakStmt]
+	conts     arena[ContinueStmt]
+	returns   arena[ReturnStmt]
+	exprStmts arena[ExprStmt]
+	idents    arena[Ident]
+	ints      arena[IntLit]
+	floats    arena[FloatLit]
+	strs      arena[StringLit]
+	bools     arena[BoolLit]
+	nils      arena[NilLit]
+	arrays    arena[ArrayLit]
+	maps      arena[MapLit]
+	unaries   arena[UnaryExpr]
+	binaries  arena[BinaryExpr]
+	calls     arena[CallExpr]
+	indexes   arena[IndexExpr]
+
+	stmts   arena[Stmt]
+	exprs   arena[Expr]
+	names   arena[string]
+	globals arena[*VarDecl]
+	decls   arena[*FuncDecl]
+	kept    bool // small enough to keep for reuse once released
+}
+
+var slabs = sync.Pool{New: func() any { return new(slab) }}
+
+// release clears s of its program and, when it is small enough, keeps
+// it for a later parse.
+func (s *slab) release() {
+	if !s.kept {
+		return
+	}
+	s.prog = Program{}
+	s.funcs.free()
+	s.vars.free()
+	s.blocks.free()
+	s.assigns.free()
+	s.ifs.free()
+	s.whiles.free()
+	s.fors.free()
+	s.breaks.free()
+	s.conts.free()
+	s.returns.free()
+	s.exprStmts.free()
+	s.idents.free()
+	s.ints.free()
+	s.floats.free()
+	s.strs.free()
+	s.bools.free()
+	s.nils.free()
+	s.arrays.free()
+	s.maps.free()
+	s.unaries.free()
+	s.binaries.free()
+	s.calls.free()
+	s.indexes.free()
+	s.stmts.free()
+	s.exprs.free()
+	s.names.free()
+	s.globals.free()
+	s.decls.free()
+	slabs.Put(s)
+}
+
+// arena hands out values of one type from one array.
+type arena[T any] struct {
+	all []T // all[len:cap] is zero
+	n   int // all[:n] is handed out
+}
+
+// reset sizes a for n values, keeping its array when it is big
+// enough: what the array held of an earlier program, free cleared.
+func (a *arena[T]) reset(n int) {
+	if cap(a.all) < n {
+		a.all = make([]T, n)
+	} else {
+		a.all = a.all[:n]
+	}
+	a.n = 0
+}
+
+// free zeroes the array, all a handed out included.
+func (a *arena[T]) free() {
+	clear(a.all)
+	a.all, a.n = a.all[:0], 0
+}
+
+// new returns the next value of the array, set to v.
+func (a *arena[T]) new(v T) *T {
+	var x *T
+	if a.n < len(a.all) {
+		x, a.n = &a.all[a.n], a.n+1
+	} else {
+		x = new(T)
+	}
+	*x = v
+	return x
+}
+
+// list moves buf[from:] into the array, as a list of exactly its length
+// (nil when empty), and truncates buf to from.
+func (a *arena[T]) list(buf *[]T, from int) []T {
+	elems := (*buf)[from:]
+	k := len(elems)
+	if k == 0 {
+		return nil
+	}
+	var out []T
+	if a.n+k <= len(a.all) {
+		out, a.n = a.all[a.n:a.n+k:a.n+k], a.n+k
+	} else {
+		out = make([]T, k)
+	}
+	copy(out, elems)
+	clear(elems)
+	*buf = (*buf)[:from]
+	return out
+}
+
+// size sizes the slab for the program toks spell. Each node type is
+// counted from the tokens that make one: a call is an identifier before
+// '(', a '-' after an operand is binary, a '{' after ')', 'else' or a
+// statement's end opens a block, and so on.
+func (s *slab) size(toks []Token) {
+	var n struct {
+		funcs, vars, blocks, assigns, ifs, whiles, fors, breaks, conts, returns, simple,
+		idents, ints, floats, strs, bools, nils, arrays, maps, unaries, binaries, calls, indexes,
+		exprs, names, globals int
+	}
+	prev, prev2 := TokSemicolon, TokSemicolon // as if a statement had just ended
+	depth, params := 0, false
+	for i, t := range toks {
+		stmtEnd := prev == TokSemicolon || prev == TokLBrace || prev == TokRBrace
+		switch k := t.Kind; k {
+		case TokIdent:
+			switch {
+			case params:
+				n.names++
+			case prev == TokVar || prev == TokFunc:
+			case i+1 < len(toks) && toks[i+1].Kind == TokLParen:
+				n.calls++
+			default:
+				n.idents++
+			}
+		case TokInt:
+			n.ints++
+		case TokFloat:
+			n.floats++
+		case TokString:
+			n.strs++
+		case TokTrue, TokFalse:
+			n.bools++
+		case TokNil:
+			n.nils++
+		case TokVar:
+			n.vars++
+			if depth == 0 {
+				n.globals++
+			}
+		case TokFunc:
+			n.funcs++
+		case TokIf:
+			n.ifs++
+		case TokWhile:
+			n.whiles++
+		case TokFor:
+			n.fors++
+		case TokBreak:
+			n.breaks++
+		case TokContinue:
+			n.conts++
+		case TokReturn:
+			n.returns++
+		case TokLParen:
+			params = prev == TokIdent && prev2 == TokFunc
+		case TokRParen:
+			params = false
+		case TokLBrace:
+			depth++
+			if stmtEnd || prev == TokRParen || prev == TokElse {
+				n.blocks++
+			} else {
+				n.maps++
+			}
+		case TokRBrace:
+			depth--
+		case TokLBracket:
+			if endsOperand(prev) {
+				n.indexes++
+			} else {
+				n.arrays++
+			}
+		case TokComma:
+			n.exprs++
+		case TokColon:
+			n.exprs += 2
+		case TokMinus:
+			if endsOperand(prev) {
+				n.binaries++
+			} else {
+				n.unaries++
+			}
+		case TokBang:
+			n.unaries++
+		case TokPlus, TokStar, TokSlash, TokPercent, TokEq, TokNe, TokLt, TokLe, TokGt, TokGe, TokAndAnd, TokOrOr:
+			n.binaries++
+		case TokAssign:
+			if prev != TokIdent || prev2 != TokVar {
+				n.assigns++
+			}
+		case TokPlusAssign, TokMinusAssign:
+			n.assigns++
+		}
+		// A statement that starts with an expression is an assignment or
+		// an expression statement.
+		if (stmtEnd || prev == TokLParen && prev2 == TokFor) && startsExpr(t.Kind) {
+			n.simple++
+		}
+		prev, prev2 = t.Kind, prev
+	}
+	exprStmts := max(n.simple-n.assigns, 0)
+	s.funcs.reset(n.funcs)
+	s.vars.reset(n.vars)
+	s.blocks.reset(n.blocks)
+	s.assigns.reset(n.assigns)
+	s.ifs.reset(n.ifs)
+	s.whiles.reset(n.whiles)
+	s.fors.reset(n.fors)
+	s.breaks.reset(n.breaks)
+	s.conts.reset(n.conts)
+	s.returns.reset(n.returns)
+	s.exprStmts.reset(exprStmts)
+	s.idents.reset(n.idents)
+	s.ints.reset(n.ints)
+	s.floats.reset(n.floats)
+	s.strs.reset(n.strs)
+	s.bools.reset(n.bools)
+	s.nils.reset(n.nils)
+	s.arrays.reset(n.arrays)
+	s.maps.reset(n.maps)
+	s.unaries.reset(n.unaries)
+	s.binaries.reset(n.binaries)
+	s.calls.reset(n.calls)
+	s.indexes.reset(n.indexes)
+	s.stmts.reset(n.vars - n.globals + n.blocks + n.assigns + n.ifs + n.whiles + n.fors + n.breaks + n.conts + n.returns + exprStmts)
+	s.exprs.reset(n.calls + n.arrays + n.exprs)
+	s.names.reset(n.names)
+	s.globals.reset(n.globals)
+	s.decls.reset(n.funcs)
+	s.kept = len(toks) <= maxKeptTokens
+}
+
+// endsOperand reports whether a token of kind k can end an operand, so
+// that a '-' or '[' after it is binary or an index.
+func endsOperand(k TokenKind) bool {
+	switch k {
+	case TokIdent, TokInt, TokFloat, TokString, TokTrue, TokFalse, TokNil, TokRParen, TokRBracket:
+		return true
+	}
+	return false
+}
+
+// startsExpr reports whether a token of kind k can start an expression.
+func startsExpr(k TokenKind) bool {
+	return endsOperand(k) && k != TokRParen && k != TokRBracket || k == TokLParen || k == TokLBracket || k == TokMinus || k == TokBang
+}
+
 func posOf(t Token) Pos { return Pos{Line: t.Line, Col: t.Col} }
 
 func (p *parser) parseVarDecl() (*VarDecl, error) {
@@ -77,7 +450,7 @@ func (p *parser) parseVarDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDecl{Pos_: posOf(kw), Name: name.Text}
+	d := p.s.vars.new(VarDecl{Pos_: posOf(kw), Name: name.Text})
 	if p.cur().Kind == TokAssign {
 		p.advance()
 		d.Init, err = p.parseExpr()
@@ -100,19 +473,21 @@ func (p *parser) parseFuncDecl() (*FuncDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	f := &FuncDecl{Pos_: posOf(kw), Name: name.Text}
+	f := p.s.funcs.new(FuncDecl{Pos_: posOf(kw), Name: name.Text})
+	from := len(p.sc.names)
 	for p.cur().Kind != TokRParen {
 		param, err := p.expect(TokIdent)
 		if err != nil {
 			return nil, err
 		}
-		f.Params = append(f.Params, param.Text)
+		p.sc.names = append(p.sc.names, param.Text)
 		if p.cur().Kind == TokComma {
 			p.advance()
 			continue
 		}
 		break
 	}
+	f.Params = p.s.names.list(&p.sc.names, from)
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
@@ -128,7 +503,8 @@ func (p *parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{Pos_: posOf(lb)}
+	b := p.s.blocks.new(Block{Pos_: posOf(lb)})
+	from := len(p.sc.stmts)
 	for p.cur().Kind != TokRBrace {
 		if p.cur().Kind == TokEOF {
 			return nil, p.errf("unexpected EOF in block")
@@ -137,9 +513,10 @@ func (p *parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.sc.stmts = append(p.sc.stmts, s)
 	}
 	p.advance() // consume '}'
+	b.Stmts = p.s.stmts.list(&p.sc.stmts, from)
 	return b, nil
 }
 
@@ -160,16 +537,16 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemicolon); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{Pos_: posOf(t)}, nil
+		return p.s.breaks.new(BreakStmt{Pos_: posOf(t)}), nil
 	case TokContinue:
 		t := p.advance()
 		if _, err := p.expect(TokSemicolon); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{Pos_: posOf(t)}, nil
+		return p.s.conts.new(ContinueStmt{Pos_: posOf(t)}), nil
 	case TokReturn:
 		t := p.advance()
-		s := &ReturnStmt{Pos_: posOf(t)}
+		s := p.s.returns.new(ReturnStmt{Pos_: posOf(t)})
 		if p.cur().Kind != TokSemicolon {
 			v, err := p.parseExpr()
 			if err != nil {
@@ -213,9 +590,9 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Pos_: posOf(start), Target: x, Op: op, Value: v}, nil
+		return p.s.assigns.new(AssignStmt{Pos_: posOf(start), Target: x, Op: op, Value: v}), nil
 	default:
-		return &ExprStmt{Pos_: posOf(start), X: x}, nil
+		return p.s.exprStmts.new(ExprStmt{Pos_: posOf(start), X: x}), nil
 	}
 }
 
@@ -235,7 +612,7 @@ func (p *parser) parseIf() (*IfStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{Pos_: posOf(kw), Cond: cond, Then: then}
+	s := p.s.ifs.new(IfStmt{Pos_: posOf(kw), Cond: cond, Then: then})
 	if p.cur().Kind == TokElse {
 		p.advance()
 		if p.cur().Kind == TokIf {
@@ -266,7 +643,7 @@ func (p *parser) parseWhile() (*WhileStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Pos_: posOf(kw), Cond: cond, Body: body}, nil
+	return p.s.whiles.new(WhileStmt{Pos_: posOf(kw), Cond: cond, Body: body}), nil
 }
 
 func (p *parser) parseFor() (*ForStmt, error) {
@@ -274,7 +651,7 @@ func (p *parser) parseFor() (*ForStmt, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	s := &ForStmt{Pos_: posOf(kw)}
+	s := p.s.fors.new(ForStmt{Pos_: posOf(kw)})
 	var err error
 	if p.cur().Kind != TokSemicolon {
 		if p.cur().Kind == TokVar {
@@ -319,7 +696,8 @@ func (p *parser) parseFor() (*ForStmt, error) {
 	return s, nil
 }
 
-// Expression parsing: precedence climbing.
+// Expression parsing: precedence climbing over the binary operators,
+// loosest first; every level is left-associative.
 //
 //	||
 //	&&
@@ -330,106 +708,32 @@ func (p *parser) parseFor() (*ForStmt, error) {
 //	unary - !
 //	postfix call/index
 //	primary
-
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokOrOr {
-		op := p.advance()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: TokOrOr, L: l, R: r}
-	}
-	return l, nil
+var binaryPrec = [256]uint8{
+	TokOrOr: 1, TokAndAnd: 2, TokEq: 3, TokNe: 3, TokLt: 4, TokLe: 4, TokGt: 4, TokGe: 4,
+	TokPlus: 5, TokMinus: 5, TokStar: 6, TokSlash: 6, TokPercent: 6,
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokAndAnd {
-		op := p.advance()
-		r, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: TokAndAnd, L: l, R: r}
-	}
-	return l, nil
-}
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
 
-func (p *parser) parseEquality() (Expr, error) {
-	l, err := p.parseRelational()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokEq || p.cur().Kind == TokNe {
-		op := p.advance()
-		r, err := p.parseRelational()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: op.Kind, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseRelational() (Expr, error) {
-	l, err := p.parseAdditive()
+// parseBinary parses an expression whose binary operators all bind
+// tighter than prec.
+func (p *parser) parseBinary(prec uint8) (Expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		k := p.cur().Kind
-		if k != TokLt && k != TokLe && k != TokGt && k != TokGe {
+		if binaryPrec[k] <= prec {
 			return l, nil
 		}
 		op := p.advance()
-		r, err := p.parseAdditive()
+		r, err := p.parseBinary(binaryPrec[k])
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: op.Kind, L: l, R: r}
+		l = p.s.binaries.new(BinaryExpr{Pos_: posOf(op), Op: k, L: l, R: r})
 	}
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokPlus || p.cur().Kind == TokMinus {
-		op := p.advance()
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: op.Kind, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokStar || p.cur().Kind == TokSlash || p.cur().Kind == TokPercent {
-		op := p.advance()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos_: posOf(op), Op: op.Kind, L: l, R: r}
-	}
-	return l, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
@@ -440,7 +744,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos_: posOf(op), Op: op.Kind, X: x}, nil
+		return p.s.unaries.new(UnaryExpr{Pos_: posOf(op), Op: op.Kind, X: x}), nil
 	default:
 		return p.parsePostfix()
 	}
@@ -462,7 +766,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
-			x = &IndexExpr{Pos_: posOf(lb), X: x, I: i}
+			x = p.s.indexes.new(IndexExpr{Pos_: posOf(lb), X: x, I: i})
 		default:
 			return x, nil
 		}
@@ -482,49 +786,51 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			v = v*10 + d
 		}
-		return &IntLit{Pos_: posOf(t), V: v}, nil
+		return p.s.ints.new(IntLit{Pos_: posOf(t), V: v}), nil
 	case TokFloat:
 		p.advance()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, errAt(t.Line, t.Col, "bad float literal %q", t.Text)
 		}
-		return &FloatLit{Pos_: posOf(t), V: v}, nil
+		return p.s.floats.new(FloatLit{Pos_: posOf(t), V: v}), nil
 	case TokString:
 		p.advance()
-		return &StringLit{Pos_: posOf(t), V: t.Text}, nil
+		return p.s.strs.new(StringLit{Pos_: posOf(t), V: t.Text}), nil
 	case TokTrue:
 		p.advance()
-		return &BoolLit{Pos_: posOf(t), V: true}, nil
+		return p.s.bools.new(BoolLit{Pos_: posOf(t), V: true}), nil
 	case TokFalse:
 		p.advance()
-		return &BoolLit{Pos_: posOf(t), V: false}, nil
+		return p.s.bools.new(BoolLit{Pos_: posOf(t), V: false}), nil
 	case TokNil:
 		p.advance()
-		return &NilLit{Pos_: posOf(t)}, nil
+		return p.s.nils.new(NilLit{Pos_: posOf(t)}), nil
 	case TokIdent:
 		p.advance()
 		if p.cur().Kind == TokLParen {
 			p.advance()
-			call := &CallExpr{Pos_: posOf(t), Name: t.Text}
+			call := p.s.calls.new(CallExpr{Pos_: posOf(t), Name: t.Text})
+			from := len(p.sc.exprs)
 			for p.cur().Kind != TokRParen {
 				a, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				call.Args = append(call.Args, a)
+				p.sc.exprs = append(p.sc.exprs, a)
 				if p.cur().Kind == TokComma {
 					p.advance()
 					continue
 				}
 				break
 			}
+			call.Args = p.s.exprs.list(&p.sc.exprs, from)
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
 			return call, nil
 		}
-		return &Ident{Pos_: posOf(t), Name: t.Text}, nil
+		return p.s.idents.new(Ident{Pos_: posOf(t), Name: t.Text}), nil
 	case TokLParen:
 		p.advance()
 		x, err := p.parseExpr()
@@ -537,26 +843,29 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return x, nil
 	case TokLBracket:
 		p.advance()
-		a := &ArrayLit{Pos_: posOf(t)}
+		a := p.s.arrays.new(ArrayLit{Pos_: posOf(t)})
+		from := len(p.sc.exprs)
 		for p.cur().Kind != TokRBracket {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			a.Elems = append(a.Elems, e)
+			p.sc.exprs = append(p.sc.exprs, e)
 			if p.cur().Kind == TokComma {
 				p.advance()
 				continue
 			}
 			break
 		}
+		a.Elems = p.s.exprs.list(&p.sc.exprs, from)
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err
 		}
 		return a, nil
 	case TokLBrace:
 		p.advance()
-		m := &MapLit{Pos_: posOf(t)}
+		m := p.s.maps.new(MapLit{Pos_: posOf(t)})
+		keys, vals := len(p.sc.exprs), len(p.sc.vals)
 		for p.cur().Kind != TokRBrace {
 			k, err := p.parseExpr()
 			if err != nil {
@@ -569,14 +878,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			m.Keys = append(m.Keys, k)
-			m.Vals = append(m.Vals, v)
+			p.sc.exprs = append(p.sc.exprs, k)
+			p.sc.vals = append(p.sc.vals, v)
 			if p.cur().Kind == TokComma {
 				p.advance()
 				continue
 			}
 			break
 		}
+		m.Keys = p.s.exprs.list(&p.sc.exprs, keys)
+		m.Vals = p.s.exprs.list(&p.sc.vals, vals)
 		if _, err := p.expect(TokRBrace); err != nil {
 			return nil, err
 		}

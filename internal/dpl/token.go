@@ -99,13 +99,6 @@ func (k TokenKind) String() string {
 	return fmt.Sprintf("TokenKind(%d)", uint8(k))
 }
 
-var keywords = map[string]TokenKind{
-	"var": TokVar, "func": TokFunc, "if": TokIf, "else": TokElse,
-	"while": TokWhile, "for": TokFor, "break": TokBreak,
-	"continue": TokContinue, "return": TokReturn, "true": TokTrue,
-	"false": TokFalse, "nil": TokNil,
-}
-
 // Token is one lexical token with its source position.
 type Token struct {
 	Kind TokenKind

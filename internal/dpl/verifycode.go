@@ -3,6 +3,7 @@ package dpl
 import (
 	"cmp"
 	"fmt"
+	"sync"
 )
 
 // Structural bytecode verification. The VM's exec loop trusts its
@@ -89,7 +90,9 @@ var binOps = map[TokenKind]bool{
 // flat-frame VM uses to size activation frames without growth checks
 // inside the dispatch loop.
 func (c *Compiled) VerifyStructure() []CodeFault {
-	v := &structVerifier{c: c}
+	v := structVerifiers.Get().(*structVerifier)
+	defer v.release()
+	v.c = c
 	c.initMaxStack = v.checkBlock("<init>", c.InitCode, 0)
 	for i, fn := range c.Funcs {
 		name := fn.Name
@@ -137,7 +140,15 @@ func (c *Compiled) invalidateVerify() {
 type structVerifier struct {
 	c      *Compiled
 	faults []CodeFault
-	buf    []int32 // checkBlock's depths and worklist, reused from block to block
+	buf    []int32 // checkBlock's depths and worklist, reused from block to block and, through structVerifiers, from call to call
+}
+
+var structVerifiers = sync.Pool{New: func() any { return new(structVerifier) }}
+
+// release hands v back for the next VerifyStructure call.
+func (v *structVerifier) release() {
+	v.c, v.faults = nil, nil
+	structVerifiers.Put(v)
 }
 
 func (v *structVerifier) fault(fn string, ip int, kind FaultKind, msg string) {

@@ -3,6 +3,7 @@ package dpl
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -600,5 +601,38 @@ func tally(x) { hits += 1; return x; }
 				t.Errorf("chain ran %d steps, its pairwise form %d", steps, pairSteps)
 			}
 		})
+	}
+}
+
+// TestNumericChainCompilesInOnePass: a + chain without a string literal
+// compiles pairwise, and counting it once at its head keeps compile
+// time linear in its length. Counted again at every +, 8n operands took
+// 64 times as long as n.
+func TestNumericChainCompilesInOnePass(t *testing.T) {
+	const n = 2000
+	compileTime := func(operands int) time.Duration {
+		src := "func main() { return 1" + strings.Repeat(" + 1", operands-1) + "; }"
+		best := time.Duration(math.MaxInt64)
+		for range 7 {
+			prog, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			c, err := Compile(prog, Std())
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+			if code := c.Funcs[0].Code; len(code) != 2*operands+1 || code[2].Op != OpBin {
+				t.Fatalf("%d operands compile to %d instructions, starting %v", operands, len(code), code[:3])
+			}
+		}
+		return best
+	}
+	small, large := compileTime(n), compileTime(8*n)
+	t.Logf("%d operands: %v; %d operands: %v", n, small, 8*n, large)
+	if large > 20*small {
+		t.Errorf("8x the operands took %.1fx the compile time, want at most 20x", float64(large)/float64(small))
 	}
 }

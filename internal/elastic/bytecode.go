@@ -63,6 +63,10 @@ func (p *Process) VerifyCompiled(principal, name string, blob []byte) error {
 // storing it, with the same rejection accounting as prepare.
 func (p *Process) prepareCompiled(principal, name string, blob []byte) (*DP, error) {
 	start := p.clock.Now()
+	if err := p.admitSize(principal, name, int64(len(blob))); err != nil {
+		p.rejected(name, err, p.clock.Now()-start)
+		return nil, err
+	}
 	cp, err := dpl.DecodeProgram(blob)
 	if err != nil {
 		err = fmt.Errorf("elastic: decoding compiled program: %w", err)
@@ -86,10 +90,6 @@ func (p *Process) prepareCompiled(principal, name string, blob []byte) (*DP, err
 		Cost:       ent.rep.Cost,
 		analysisNS: p.clock.Now() - start,
 		size:       int64(len(blob)),
-	}
-	if err := p.admitTenantRepo(dp); err != nil {
-		p.rejected(name, err, p.clock.Now()-start)
-		return nil, err
 	}
 	return dp, nil
 }

@@ -2,11 +2,15 @@ package elastic
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"mbd/internal/dpl"
+	"mbd/internal/dpl/analysis"
 )
 
 // coldHealthSource is the i-th of a family of 43-line health functions
@@ -121,19 +125,22 @@ func TestCachedProgramRetainsNoAST(t *testing.T) {
 
 // TestColdAdmissionBudget holds what one cold admission allocates:
 // parse, check, compile, analyse, optimise and admit a 43-line source
-// with the program cache off. The ceilings are 10% above the figures
-// measured once one resolver bound every name (468 allocations, 28,747
-// bytes); the same admission made 523 allocations and 33,297 bytes
-// while Check, the compiler and the analyzer each resolved names their
-// own way, and 813 allocations and 75,756 bytes when the parser read
+// with the program cache off. The ceilings are 5% above the 25
+// allocations and 6,940 bytes measured once the parser built its nodes
+// in slabs the Translator hands back, the passes took their working
+// memory, the compiler's position table included, from pools, and the
+// effects of a program's functions were copied out in one array. The
+// same admission made 219 allocations and 22,455 bytes with a node, and
+// every pass's buffers, allocated per program; 468 and 28,747 once one
+// resolver bound every name; and 813 and 75,756 when the parser read
 // from a token slice, every scope was a map and code grew by append.
 func TestColdAdmissionBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations make allocation ceilings meaningless")
 	}
 	const (
-		maxAllocs = 515
-		maxBytes  = 31_620
+		maxAllocs = 26
+		maxBytes  = 7_290
 		runs      = 200
 	)
 	p := newProcess(t, Config{Bindings: coldBindings(), ProgramCacheSize: -1})
@@ -158,5 +165,88 @@ func TestColdAdmissionBudget(t *testing.T) {
 		t.Errorf("a cold admission allocates %d bytes, budget %d", per, maxBytes)
 	} else {
 		t.Logf("%d bytes per cold admission", per)
+	}
+}
+
+// TestTranslationOutlivesItsAST: the Translator hands each parsed
+// program's memory to the next parse, and its passes take their working
+// memory from pools. What a translation returns must reach none of
+// either: translations made from several goroutines at once, each
+// parse reusing the nodes of one before, read back after the last the
+// same as translations of programs never handed back.
+func TestTranslationOutlivesItsAST(t *testing.T) {
+	bindings := analysis.LintBindings()
+	srcs := []string{
+		"func main() { return x; }", // rejected by the Translator's rules
+		"func main() { return 1 }",  // does not parse
+		`var s = "a\tb"; func main() { var m = {"k": [s, "\"q\""]}; return m["k"][1] + s; }`,
+	}
+	agents, err := filepath.Glob(filepath.Join("..", "..", "examples", "agents", "*.dpl"))
+	if err != nil || len(agents) == 0 {
+		t.Fatalf("no example agents: %v", err)
+	}
+	for _, file := range agents {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(src))
+	}
+	for i := range 20 {
+		srcs = append(srcs, coldHealthSource(i))
+	}
+	describe := func(obj *dpl.Compiled, rep *analysis.Report, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		var b strings.Builder
+		b.WriteString(dpl.Disassemble(obj))
+		fmt.Fprintf(&b, "%s %+v %+v\n", rep.Effects.String(), rep.Cost, rep.Verdict())
+		for _, d := range rep.Diags {
+			fmt.Fprintf(&b, "%s\n", d)
+		}
+		for _, f := range rep.Funcs {
+			fmt.Fprintf(&b, "%s %s %s\n", f.Name, f.Pos, f.Effects.String())
+		}
+		return b.String()
+	}
+	type result struct {
+		obj *dpl.Compiled
+		rep *analysis.Report
+		err error
+	}
+	tr := NewTranslator(bindings)
+	const workers = 4
+	translated := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		translated[w] = make([]result, len(srcs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range srcs {
+				i := (k + w*7) % len(srcs)
+				obj, rep, err := tr.TranslateAnalyzed("dpl", srcs[i])
+				translated[w][i] = result{obj, rep, err}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, src := range srcs {
+		prog, err := dpl.Parse(src)
+		var obj *dpl.Compiled
+		var rep *analysis.Report
+		if err == nil {
+			obj, rep, err = analysis.Translate(prog, bindings)
+		}
+		if rej, ok := err.(*dpl.Error); ok {
+			err = &RejectError{Diags: rej.Diags}
+		}
+		want := describe(obj, rep, err)
+		for w := range workers {
+			if got := describe(translated[w][i].obj, translated[w][i].rep, translated[w][i].err); got != want {
+				t.Errorf("source %d, goroutine %d, read back after later parses:\n%s\nwant\n%s", i, w, got, want)
+			}
+		}
 	}
 }

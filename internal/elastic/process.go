@@ -469,10 +469,15 @@ func (p *Process) Delegate(principal, name, lang, source string) error {
 // prepare translates and admits one program without storing it. A
 // rejection is fully accounted (metrics, per-code labels, trace span)
 // but leaves the repository untouched — LoadRepository leans on this to
-// stay atomic across multi-file loads.
+// stay atomic across multi-file loads. A source too big to store is
+// refused before any of it is translated.
 func (p *Process) prepare(principal, name, lang, source string) (*DP, error) {
 	start := p.clock.Now()
-	ent, err := p.translateCached(lang, source)
+	err := p.admitSize(principal, name, int64(len(source)))
+	var ent progEntry
+	if err == nil {
+		ent, err = p.translateCached(lang, source)
+	}
 	if err == nil {
 		// Admission is always per principal; only the translation and
 		// analysis results are shared through the cache.
@@ -496,28 +501,32 @@ func (p *Process) prepare(principal, name, lang, source string) (*DP, error) {
 		size:       int64(len(source)),
 		analysisNS: p.clock.Now() - start,
 	}
-	if err := p.admitTenantRepo(dp); err != nil {
-		return nil, err
-	}
 	return dp, nil
 }
 
-// admitTenantRepo checks the delegating principal's repository-bytes
-// quota against the growth this DP would cause (replacing one's own
-// same-name program only bills the difference). The check is advisory
-// under concurrency; the repository's global byte ceiling in Store is
+// admitSize checks, before any work is spent on it, that a program of
+// size bytes stored under name fits the delegating principal's
+// repository-bytes quota (replacing one's own same-name program only
+// bills the difference) and the repository's byte ceiling. Both checks
+// are advisory under concurrency; the ceiling in Store is
 // authoritative.
-func (p *Process) admitTenantRepo(dp *DP) error {
-	t := p.tenants.get(dp.Owner)
-	limit := t.repoLimit.Load()
-	if limit <= 0 {
-		return nil
+func (p *Process) admitSize(principal, name string, size int64) error {
+	prev, _ := p.repo.Lookup(name)
+	t := p.tenants.get(principal)
+	if limit := t.repoLimit.Load(); limit > 0 {
+		delta := size
+		if prev != nil && prev.Owner == principal {
+			delta -= prev.size
+		}
+		if err := p.tenants.admitRepoBytes(t, delta, limit); err != nil {
+			return err
+		}
 	}
-	delta := dp.size
-	if prev, ok := p.repo.Lookup(dp.Name); ok && prev.Owner == dp.Owner {
-		delta -= prev.size
+	if err := p.repo.fits(size, prev); err != nil {
+		p.met.repoFull.Inc()
+		return err
 	}
-	return p.tenants.admitRepoBytes(t, dp.Name, delta, limit)
+	return nil
 }
 
 // rejected accounts one admission failure (metrics, per-code labels,

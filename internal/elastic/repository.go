@@ -100,17 +100,37 @@ func (r *Repository) Store(dp *DP) (*DP, error) {
 
 func (r *Repository) storeLocked(dp *DP) (*DP, error) {
 	prev := r.dps[dp.Name]
-	next := r.bytes + dp.size
-	if prev != nil {
-		next -= prev.size
-	}
-	if r.limit > 0 && next > r.limit {
-		return nil, fmt.Errorf("%w: %d bytes stored, %d byte program over the %d byte ceiling",
-			ErrRepositoryFull, r.bytes, dp.size, r.limit)
+	next, err := r.fitsLocked(dp.size, prev)
+	if err != nil {
+		return nil, err
 	}
 	r.dps[dp.Name] = dp
 	r.bytes = next
 	return prev, nil
+}
+
+// fits returns ErrRepositoryFull when a program of size bytes, stored
+// in place of prev (nil for none), would take the repository past its
+// byte ceiling.
+func (r *Repository) fits(size int64, prev *DP) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, err := r.fitsLocked(size, prev)
+	return err
+}
+
+// fitsLocked is fits, returning the bytes the repository would then
+// hold.
+func (r *Repository) fitsLocked(size int64, prev *DP) (int64, error) {
+	next := r.bytes + size
+	if prev != nil {
+		next -= prev.size
+	}
+	if r.limit > 0 && next > r.limit {
+		return 0, fmt.Errorf("%w: %d bytes stored, %d byte program over the %d byte ceiling",
+			ErrRepositoryFull, r.bytes, size, r.limit)
+	}
+	return next, nil
 }
 
 // StoreAll stores every program or none: a failed ceiling check leaves
@@ -215,6 +235,9 @@ func (t *Translator) TranslateAnalyzed(lang, source string) (*dpl.Compiled, *ana
 		// The verdict is recovered from the optimized object code, the
 		// bytes this node runs and ships and every receiver verifies.
 		obj, rep, err = analysis.Translate(prog, t.bindings)
+		// Nothing translated refers to the program: its memory goes to
+		// the next parse.
+		prog.Release()
 	}
 	if rej, ok := err.(*dpl.Error); ok {
 		return nil, nil, &RejectError{Diags: rej.Diags}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mbd/internal/dpl"
-	"mbd/internal/obs"
 )
 
 // Multi-tenant isolation. The elastic process is a shared host for
@@ -357,16 +356,18 @@ func (ts *Tenants) instrument(t *Tenant) {
 // quotaRejected accounts one QUO-coded rejection on both the tenant
 // and the process ledgers and returns the RejectError.
 func (ts *Tenants) quotaRejected(t *Tenant, scope, code, msg string) error {
-	t.rejections.Add(1)
-	p := ts.p
-	p.met.rejections.Inc()
-	p.met.quotaRejections.Inc()
-	p.reg.LabeledCounter("elastic_rejections_by_code_total",
-		"delegations rejected at admission, by diagnostic code",
-		"code", code).Inc()
-	err := quotaReject(code, msg)
-	p.tracer.Record(scope, obs.StageReject, err.Error(), 0)
+	err := ts.quotaRefused(t, code, msg)
+	ts.p.rejected(scope, err, 0)
 	return err
+}
+
+// quotaRefused accounts one QUO-coded rejection on the tenant's ledger
+// and returns the RejectError, which the caller accounts on the
+// process's (Process.rejected).
+func (ts *Tenants) quotaRefused(t *Tenant, code, msg string) error {
+	t.rejections.Add(1)
+	ts.p.met.quotaRejections.Inc()
+	return quotaReject(code, msg)
 }
 
 // admitInstance gates one instantiation billed to principal: the
@@ -395,10 +396,11 @@ func (ts *Tenants) admitInstance(principal string) (*Tenant, error) {
 
 // admitRepoBytes gates a delegation whose net growth of t's stored
 // bytes is delta (the replaced program's size already credited), with
-// limit pre-read from t.repoLimit by the caller.
-func (ts *Tenants) admitRepoBytes(t *Tenant, name string, delta, limit int64) error {
+// limit pre-read from t.repoLimit by the caller. A refusal is the
+// caller's to account on the process's ledger.
+func (ts *Tenants) admitRepoBytes(t *Tenant, delta, limit int64) error {
 	if t.repoBytes.Load()+delta > limit {
-		return ts.quotaRejected(t, name, CodeQuotaRepoBytes,
+		return ts.quotaRefused(t, CodeQuotaRepoBytes,
 			fmt.Sprintf("tenant %s is at its repository-bytes quota (%d)", t.Principal, limit))
 	}
 	return nil

@@ -116,6 +116,43 @@ func TestQuotaRepoBytesRejection(t *testing.T) {
 	}
 }
 
+// TestQuotaRefusesBeforeWork: a delegation over its principal's
+// repository quota is refused on its size, before any of it is
+// translated or decoded, and the refusal is accounted once. A 269 KB
+// string-literal chain costs its translation far more than its bytes;
+// checked after the translation, its refusal came only once the source
+// analysis had run.
+func TestQuotaRefusesBeforeWork(t *testing.T) {
+	p := newProcess(t, Config{Quota: Quota{RepositoryBytes: 10 << 10}})
+	var b strings.Builder
+	b.WriteString(`func main() { return "1.3.6.1"`)
+	for b.Len() < 269<<10 {
+		b.WriteString(` + ".1"`)
+	}
+	b.WriteString("; }")
+	err := p.Delegate("mgr", "chain", "dpl", b.String())
+	if !hasCode(err, CodeQuotaRepoBytes) {
+		t.Fatalf("269 KB delegate: %v (codes %v), want QUO002", err, rejectCodes(err))
+	}
+	if n := p.met.sourceAnalyses.Value(); n != 0 {
+		t.Errorf("the refused source was analysed %d times before its refusal", n)
+	}
+	if n := p.met.rejections.Value(); n != 1 {
+		t.Errorf("one refusal counted as %d rejections", n)
+	}
+
+	// An artifact over the quota is refused before it is decoded: bytes
+	// that do not decode at all are refused on their size.
+	p = newProcess(t, Config{Quota: Quota{RepositoryBytes: 64}})
+	err = p.DelegateCompiled("mgr", "blob", make([]byte, 65))
+	if !hasCode(err, CodeQuotaRepoBytes) {
+		t.Fatalf("65-byte artifact: %v (codes %v), want QUO002", err, rejectCodes(err))
+	}
+	if n := p.met.rejections.Value(); n != 1 {
+		t.Errorf("one refusal counted as %d rejections", n)
+	}
+}
+
 func TestRepositoryCeilingWithoutQuotas(t *testing.T) {
 	// The global byte ceiling holds even with per-tenant quotas off.
 	p := newProcess(t, Config{MaxRepositoryBytes: 48})
