@@ -80,16 +80,22 @@ func (r *Report) SuggestedBudget(fallback uint64) uint64 {
 }
 
 // Translate runs the delegation pipeline over a parsed program: Compile
-// (the Translator's rules), the diagnostics of its output, Optimize, and
-// then the effects and the cost of the optimized object code, which is
-// what the node runs and ships. A rule violation returns Compile's
-// *dpl.Error and no report.
+// (the Translator's rules), the diagnostics of its output, Optimize, the
+// structural proof a VM needs before it runs the code, and then the
+// effects and the cost of the optimized object code, which is what the
+// node runs and ships. A rule violation returns Compile's *dpl.Error and
+// no report.
 func Translate(prog *dpl.Program, bindings *dpl.Bindings) (*dpl.Compiled, *Report, error) {
 	obj, err := dpl.Compile(prog, bindings)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := analyze(prog, obj, nil)
+	// Proved here, on the admitting goroutine, the outcome is recorded
+	// and no instance's first run proves it again.
+	if err := obj.EnsureStructure(); err != nil {
+		return nil, nil, err
+	}
 	rep.RecoverEffects(obj)
 	return obj, rep, nil
 }

@@ -137,8 +137,8 @@ func (k *coster) fn(f int) CostEstimate {
 	}
 	k.state[f] = 1
 	for _, in := range k.c.Funcs[f].Code {
-		if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(k.c.Funcs) {
-			k.fn(in.A)
+		if in.Op == dpl.OpCall && in.A >= 0 && int(in.A) < len(k.c.Funcs) {
+			k.fn(int(in.A))
 		}
 	}
 	cost := k.code(f)
@@ -217,8 +217,8 @@ func (k *coster) code(fn int) CostEstimate {
 func (k *coster) weight(code []dpl.Instr, unbounded *bool) uint64 {
 	steps := uint64(len(code))
 	for _, in := range code {
-		if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(k.funcs) {
-			callee := k.fn(in.A)
+		if in.Op == dpl.OpCall && in.A >= 0 && int(in.A) < len(k.funcs) {
+			callee := k.fn(int(in.A))
 			steps = addCost(steps, callee.Steps)
 			*unbounded = *unbounded || callee.Unbounded
 		}
@@ -338,7 +338,7 @@ func (k *coster) count(g *graph, h int32) (uint64, bool) {
 			} else if in.Op != dpl.OpStoreL && in.Op != dpl.OpIncL && in.Op != dpl.OpDecL {
 				continue
 			}
-			if l >= 0 && l <= math.MaxInt32 {
+			if l >= 0 {
 				k.s.writes = append(k.s.writes, uint64(l)<<32|uint64(ip))
 			}
 		}
@@ -352,7 +352,7 @@ func (k *coster) count(g *graph, h int32) (uint64, bool) {
 	}
 	in := g.code[uint32(k.s.writes[i])]
 	d, isInt := int64(0), false
-	if (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && in.B >= 0 && in.B < len(k.c.Consts) {
+	if (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && in.B >= 0 && int(in.B) < len(k.c.Consts) {
 		d, isInt = k.c.Consts[in.B].AsInt()
 	}
 	step := d
@@ -404,14 +404,14 @@ func trips(s, k int64, op dpl.TokenKind, d int64) (uint64, bool) {
 // constant, the operator with the local on its left, and the
 // instructions the test takes.
 func loopTest(c *dpl.Compiled, code []dpl.Instr) (local int, limit dpl.Value, op dpl.TokenKind, n int, ok bool) {
-	k := -1 // the constant's index
+	var k int32 = -1 // the constant's index
 	if len(code) >= 2 && code[0].Op == dpl.OpLoadLConstBin && code[1].Op == dpl.OpJumpFalse {
 		k, op = dpl.UnpackIdxOp(code[0].B)
-		local, n = code[0].A, 2
+		local, n = int(code[0].A), 2
 	} else if len(code) >= 3 && code[0].Op == dpl.OpConst && code[1].Op == dpl.OpLoadL && code[2].Op == dpl.OpBinJumpFalse {
-		local, k, op, n = code[1].A, code[0].A, mirror(dpl.TokenKind(code[2].B)), 3
+		local, k, op, n = int(code[1].A), code[0].A, mirror(dpl.TokenKind(code[2].B)), 3
 	}
-	if k < 0 || k >= len(c.Consts) || mirror(op) == 0 {
+	if k < 0 || int(k) >= len(c.Consts) || mirror(op) == 0 {
 		return 0, dpl.Value{}, 0, 0, false
 	}
 	return local, c.Consts[k], op, n, true
@@ -481,8 +481,8 @@ func (k *coster) busy(g *graph, fn int, h int32) {
 // program functions.
 func (k *coster) yield(code []dpl.Instr) bool {
 	for _, in := range code {
-		if in.Op == dpl.OpCallHost && in.A >= 0 && in.A < len(k.c.HostNames) && yields(k.c.HostNames[in.A]) ||
-			in.Op == dpl.OpCall && in.A >= 0 && in.A < len(k.c.Funcs) && k.yielders()[in.A] {
+		if in.Op == dpl.OpCallHost && in.A >= 0 && int(in.A) < len(k.c.HostNames) && yields(k.c.HostNames[in.A]) ||
+			in.Op == dpl.OpCall && in.A >= 0 && int(in.A) < len(k.c.Funcs) && k.yielders()[in.A] {
 			return true
 		}
 	}
@@ -502,8 +502,8 @@ func (k *coster) yielders() []bool {
 	calls := func(do func(caller, callee int)) {
 		for i, f := range funcs {
 			for _, in := range f.Code {
-				if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(funcs) {
-					do(i, in.A)
+				if in.Op == dpl.OpCall && in.A >= 0 && int(in.A) < len(funcs) {
+					do(i, int(in.A))
 				}
 			}
 		}

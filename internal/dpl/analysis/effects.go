@@ -162,15 +162,15 @@ func (s *scratch) recover(c *dpl.Compiled, visit func(Site)) Effects {
 		}
 		s.walk(c, fn, nLocals, func(ip int, stack []dpl.Abs) {
 			in := code[ip]
-			if in.A < 0 || in.A >= len(c.HostNames) {
+			if in.A < 0 || int(in.A) >= len(c.HostNames) {
 				return
 			}
 			m, _ := markAt(marks, ip, dpl.MarkCall)
 			s := Site{Func: fn, IP: ip, Call: in, Host: c.HostNames[in.A], Pos: m.Pos}
-			if oidArg, write, ok := MIBPrimitive(s.Host); ok && oidArg < in.B {
+			if oidArg, write, ok := MIBPrimitive(s.Host); ok && oidArg < int(in.B) {
 				var arg dpl.Abs // unknown when the stack holds fewer than the arguments
-				if len(stack) >= in.B {
-					arg = stack[len(stack)-in.B+oidArg]
+				if len(stack) >= int(in.B) {
+					arg = stack[len(stack)-int(in.B)+oidArg]
 				}
 				var known bool
 				if s.OID, known = arg.Prefix(); !known {
@@ -251,8 +251,8 @@ func (s *scratch) reach(c *dpl.Compiled, fn int, own []Effects) {
 	s.flags[fn] = true
 	s.reached.merge(own[fn])
 	for _, in := range c.Funcs[fn].Code {
-		if in.Op == dpl.OpCall && in.A >= 0 && in.A < len(c.Funcs) {
-			s.reach(c, in.A, own)
+		if in.Op == dpl.OpCall && in.A >= 0 && int(in.A) < len(c.Funcs) {
+			s.reach(c, int(in.A), own)
 		}
 	}
 }

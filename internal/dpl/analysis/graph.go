@@ -107,11 +107,11 @@ func (s *scratch) walk(c *dpl.Compiled, fn, nLocals int, visit func(ip int, stac
 // run from stack and locals.
 func entry(c *dpl.Compiled, code []dpl.Instr, ip int, stack, locals []dpl.Abs) (dpl.Value, bool) {
 	local, _, _, _, ok := loopTest(c, code[ip+1:])
-	if in := code[ip]; !ok || (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && in.A == local || local < 0 || local >= len(locals) {
+	if in := code[ip]; !ok || (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && int(in.A) == local || local < 0 || local >= len(locals) {
 		return dpl.Value{}, false
-	} else if in.Op == dpl.OpConstStoreL && in.B == local && in.A >= 0 && in.A < len(c.Consts) {
+	} else if in.Op == dpl.OpConstStoreL && int(in.B) == local && in.A >= 0 && int(in.A) < len(c.Consts) {
 		return c.Consts[in.A], true
-	} else if in.Op == dpl.OpStoreL && in.A == local && len(stack) > 0 {
+	} else if in.Op == dpl.OpStoreL && int(in.A) == local && len(stack) > 0 {
 		return stack[len(stack)-1].Exact()
 	}
 	return locals[local].Exact()
@@ -127,7 +127,7 @@ func (s *scratch) build(c *dpl.Compiled, fn int) *graph {
 	lead[0] = true
 	for ip, in := range code {
 		falls, jumps := dpl.OpcodeFlow(in.Op)
-		if jumps && in.A >= 0 && in.A < len(code) {
+		if jumps && in.A >= 0 && int(in.A) < len(code) {
 			lead[in.A] = true
 		}
 		if !falls || jumps {
@@ -155,7 +155,7 @@ func (s *scratch) build(c *dpl.Compiled, fn int) *graph {
 			}
 		}
 		b.exit = !falls && !jumps
-		for k, to := range [2]int{ip + 1, in.A} {
+		for k, to := range [2]int{ip + 1, int(in.A)} {
 			switch {
 			case k == 0 && !falls || k == 1 && !jumps || to < 0 || to > len(code):
 			case to == len(code):
@@ -242,16 +242,17 @@ func (s *scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[
 		copy(cur, sets[i*len(cur):])
 		for ip := b.start; ip < b.end; ip++ {
 			in := g.code[ip]
-			if in.A < 0 || in.A >= n {
+			a := int(in.A)
+			if a < 0 || a >= n {
 				continue
 			}
-			if in.Op == dpl.OpLoadL && report && in.A >= params && !has(cur, in.A) {
+			if in.Op == dpl.OpLoadL && report && a >= params && !has(cur, a) {
 				if m, ok := markAt(marks, int(ip), dpl.MarkRead); ok {
 					*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeUseBeforeInit, Sev: dpl.SevWarning, Pos: m.Pos,
-						Msg: fmt.Sprintf("variable %q may be used before it is assigned (reads as nil)", f.Locals[in.A])})
+						Msg: fmt.Sprintf("variable %q may be used before it is assigned (reads as nil)", f.Locals[a])})
 				}
 			} else if in.Op == dpl.OpStoreL && !bare(marks, int(ip)) {
-				set(cur, in.A)
+				set(cur, a)
 			}
 		}
 		for _, t := range b.succ {
@@ -277,16 +278,17 @@ func (s *scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl
 		}
 		for ip := b.end - 1; ip >= b.start; ip-- {
 			in := g.code[ip]
-			if in.A < 0 || in.A >= n {
+			a := int(in.A)
+			if a < 0 || a >= n {
 				continue
 			}
 			if in.Op == dpl.OpLoadL {
-				set(cur, in.A)
+				set(cur, a)
 			} else if in.Op == dpl.OpStoreL && !bare(marks, int(ip)) {
-				if report && !has(cur, in.A) {
-					deadStore(g.code, marks, int(ip), f.Locals[in.A], diags)
+				if report && !has(cur, a) {
+					deadStore(g.code, marks, int(ip), f.Locals[a], diags)
 				}
-				cur[in.A/64] &^= 1 << (in.A % 64)
+				cur[a/64] &^= 1 << (a % 64)
 			}
 		}
 		return meet(sets[i*len(cur):(i+1)*len(cur)], cur, true)
@@ -345,16 +347,17 @@ func (s *scratch) globals(c *dpl.Compiled, diags *[]dpl.Diagnostic) {
 		_, code, _ := c.Block(fn)
 		marks := c.Marks(fn)
 		for ip, in := range code {
-			if in.A < 0 || in.A >= n {
+			a := int(in.A)
+			if a < 0 || a >= n {
 				continue
 			}
 			if in.Op == dpl.OpStoreG {
 				m, _ := statement(marks, ip)
-				written[in.A] = written[in.A] || fn >= 0 || m.Kind == dpl.MarkDecl
+				written[a] = written[a] || fn >= 0 || m.Kind == dpl.MarkDecl
 			} else if in.Op != dpl.OpLoadG {
 				continue
 			} else if m, ok := markAt(marks, ip, dpl.MarkRead); ok {
-				p := &first[in.A+n*min(fn+1, 1)]
+				p := &first[a+n*min(fn+1, 1)]
 				if p.Line == 0 || before(m.Pos, *p) {
 					*p = m.Pos
 				}

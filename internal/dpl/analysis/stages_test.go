@@ -12,8 +12,8 @@ import (
 // on the delegate_cold workload's 43-line health function: parse (and
 // release), compile (resolve and lower), diagnose (DPL001–DPL004 over the
 // compiler's output), optimize, recover and price (effects and cost of
-// the optimized code), and the structural verification the first run
-// of the object code needs. Each op gets a fresh input, made with the
+// the optimized code), and the structural proof admission records for
+// the first run of the object code. Each op gets a fresh input, made with the
 // timer stopped, because the stages rewrite what they are given.
 //
 //	go test ./internal/dpl/analysis -run xxx -bench ColdStages -benchmem -benchtime 2000x

@@ -17,6 +17,7 @@ import (
 type assembler struct {
 	out     *Compiled
 	consts  constPool
+	funcs   map[string]int
 	globals map[string]int
 	hosts   map[string]int
 }
@@ -38,7 +39,8 @@ func (a *assembler) host(name string) int {
 // round-trips regardless.
 func Assemble(text string) (*Compiled, error) {
 	a := &assembler{
-		out:     &Compiled{FuncIdx: map[string]int{}},
+		out:     &Compiled{},
+		funcs:   map[string]int{},
 		globals: map[string]int{},
 		hosts:   map[string]int{},
 	}
@@ -54,10 +56,10 @@ func Assemble(text string) (*Compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dpl: asm line %d: %w", ln+1, err)
 		}
-		if _, dup := a.out.FuncIdx[name]; dup {
+		if _, dup := a.funcs[name]; dup {
 			return nil, fmt.Errorf("dpl: asm line %d: duplicate function %q", ln+1, name)
 		}
-		a.out.FuncIdx[name] = len(a.out.Funcs)
+		a.funcs[name] = len(a.out.Funcs)
 		a.out.Funcs = append(a.out.Funcs, &CompiledFunc{Name: name, NumParams: params, NumLocals: locals})
 	}
 	var cur *[]Instr
@@ -134,10 +136,13 @@ func (a *assembler) parseInstr(line string) (Instr, error) {
 	in := Instr{Op: Opcode(op)}
 	for _, o := range in.operands() {
 		x, more, err := a.operand(o.kind, strings.TrimSpace(rest))
+		if err == nil && int(int32(x)) != x {
+			err = fmt.Errorf("operand %d out of range", x)
+		}
 		if err != nil {
 			return Instr{}, fmt.Errorf("%s: %w", mn, err)
 		}
-		*o.x, rest = x, more
+		*o.x, rest = int32(x), more
 	}
 	if rest = strings.TrimSpace(rest); rest != "" {
 		return Instr{}, fmt.Errorf("%s: unexpected operand text %q", mn, rest)
@@ -172,7 +177,7 @@ func (a *assembler) operand(kind operand, s string) (int, string, error) {
 		if kind == opdHost {
 			return a.host(name), argc, nil
 		}
-		if fi, ok := a.out.FuncIdx[name]; ok {
+		if fi, ok := a.funcs[name]; ok {
 			return fi, argc, nil
 		}
 		return 0, "", fmt.Errorf("call to unknown function %q", name)
@@ -196,7 +201,14 @@ func (a *assembler) operand(kind operand, s string) (int, string, error) {
 			return 0, "", err
 		}
 		idx, rest, err := a.operand(kind.index(), strings.TrimSpace(rest))
-		return PackIdxOp(idx, TokenKind(k)), rest, err
+		if err != nil {
+			return 0, "", err
+		}
+		if idx > maxPackedIdx {
+			return 0, "", fmt.Errorf("index %d too large to pack beside an operator", idx)
+		}
+		packed, _ := PackIdxOp(int32(idx), TokenKind(k))
+		return int(packed), rest, nil
 	default: // opdLocal, opdCount
 		if n, err := strconv.Atoi(word); err == nil && n >= 0 {
 			return n, rest, nil

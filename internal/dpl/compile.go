@@ -3,6 +3,7 @@ package dpl
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -186,11 +187,11 @@ func OpcodeFlow(op Opcode) (falls, jumps bool) {
 func (in Instr) pops() int {
 	switch p := opTable[in.Op].pops; p {
 	case popsB:
-		return in.B
+		return int(in.B)
 	case popsA:
-		return in.A
+		return int(in.A)
 	case pops2A:
-		return 2 * in.A
+		return 2 * int(in.A)
 	default:
 		return int(p)
 	}
@@ -199,21 +200,31 @@ func (in Instr) pops() int {
 // target returns in's jump target when it has one inside [0, n].
 func (in Instr) target(n int) (int, bool) {
 	_, jumps := OpcodeFlow(in.Op)
-	return in.A, jumps && in.A >= 0 && in.A <= n
+	return int(in.A), jumps && in.A >= 0 && int(in.A) <= n
 }
 
+// maxPackedIdx bounds the index PackIdxOp packs: TokenKind takes the
+// operand's low eight bits, and the index the 23 below its sign.
+const maxPackedIdx = 1<<23 - 1
+
 // PackIdxOp packs a constant-pool or local index together with a binary
-// operator into one superinstruction operand. TokenKind fits in eight
-// bits, so the index occupies the rest of the int.
-func PackIdxOp(idx int, op TokenKind) int { return idx<<8 | int(op) }
+// operator into one superinstruction operand, reporting false when idx
+// does not fit beside the operator.
+func PackIdxOp(idx int32, op TokenKind) (int32, bool) {
+	if idx < 0 || idx > maxPackedIdx {
+		return 0, false
+	}
+	return idx<<8 | int32(op), true
+}
 
 // UnpackIdxOp reverses PackIdxOp.
-func UnpackIdxOp(v int) (idx int, op TokenKind) { return v >> 8, TokenKind(v & 0xff) }
+func UnpackIdxOp(v int32) (idx int32, op TokenKind) { return v >> 8, TokenKind(v & 0xff) }
 
-// Instr is one VM instruction.
+// Instr is one VM instruction: 12 bytes, whose operands the wire
+// format carries as INTEGERs and a decoder refuses past int32.
 type Instr struct {
 	Op   Opcode
-	A, B int
+	A, B int32
 }
 
 // CompiledFunc is one compiled DPL function.
@@ -239,7 +250,6 @@ type CompiledFunc struct {
 type Compiled struct {
 	Consts      []Value
 	Funcs       []*CompiledFunc
-	FuncIdx     map[string]int
 	GlobalNames []string
 	// InitCode runs once before the entry point to evaluate global
 	// initializers (it stores into globals and ends with OpReturnNil).
@@ -277,6 +287,17 @@ func (c *Compiled) initFunc() *CompiledFunc {
 		c.initFn = &CompiledFunc{Name: "<init>", Code: c.InitCode, maxStack: c.initMaxStack}
 	}
 	return c.initFn
+}
+
+// FuncIndex returns the index in Funcs of the function named name. A
+// run looks its entry up once, so a program keeps no map of its names.
+func (c *Compiled) FuncIndex(name string) (int, bool) {
+	for i, f := range c.Funcs {
+		if f.Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Block returns the name, code and frame size of function fn, or of the
@@ -354,7 +375,6 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	c := &compiler{
 		out: &Compiled{
 			Funcs:       make([]*CompiledFunc, len(prog.Funcs)),
-			FuncIdx:     make(map[string]int, len(prog.Funcs)),
 			GlobalNames: make([]string, len(prog.Globals)),
 			HostNames:   bindings.NamesByIndex(),
 		},
@@ -366,7 +386,6 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	funcs := make([]CompiledFunc, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		funcs[i] = CompiledFunc{Name: f.Name, NumParams: len(f.Params), NumLocals: len(f.Locals)}
-		c.out.FuncIdx[f.Name] = i
 		c.out.Funcs[i] = &funcs[i]
 	}
 	// Two passes, as an assembler makes them. The first only counts each
@@ -409,7 +428,44 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 		}
 		code, marks = code[n:], marks[nm:]
 	}
+	c.out.ownText()
 	return c.out, nil
+}
+
+// ownText copies the names and string constants the lexer sliced out
+// of the source text into one string of the program's own, so that a
+// stored program does not keep the whole text it was compiled from.
+func (c *Compiled) ownText() {
+	n := 0
+	for _, v := range c.Consts {
+		if v.k == KindString {
+			n += int(v.n)
+		}
+	}
+	for _, g := range c.GlobalNames {
+		n += len(g)
+	}
+	for _, f := range c.Funcs {
+		n += len(f.Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	own := func(s string) string {
+		b.WriteString(s)
+		// b never grows past n, so its bytes stay where they are.
+		return b.String()[b.Len()-len(s):]
+	}
+	for i, v := range c.Consts {
+		if v.k == KindString {
+			c.Consts[i] = Str(own(v.str()))
+		}
+	}
+	for i, g := range c.GlobalNames {
+		c.GlobalNames[i] = own(g)
+	}
+	for _, f := range c.Funcs {
+		f.Name = own(f.Name)
+	}
 }
 
 // markTables holds the compiler's position tables from one program to
@@ -500,7 +556,7 @@ func (f *funcCompiler) emitConst(v Value) {
 		f.n++
 		return
 	}
-	f.emit(Instr{Op: OpConst, A: f.c.pool.intern(v)})
+	f.emit(Instr{Op: OpConst, A: int32(f.c.pool.intern(v))})
 }
 
 // constKey identifies a constant-pool entry by kind, payload bits and
@@ -557,7 +613,7 @@ func (p *constPool) intern(v Value) int {
 
 func (f *funcCompiler) patch(at, target int) {
 	if !f.sizing {
-		f.code[at].A = target
+		f.code[at].A = int32(target)
 	}
 }
 
@@ -575,16 +631,26 @@ func (c *compiler) compileUnit(fc *funcCompiler, prog *Program, i int) error {
 					return err
 				}
 			}
-			fc.emit(Instr{Op: OpStoreG, A: gi})
+			fc.emit(Instr{Op: OpStoreG, A: int32(gi)})
 		}
 		fc.emit(Instr{Op: OpReturnNil})
 		return nil
 	}
+	body := prog.Funcs[i].Body.Stmts
 	if err := fc.block(prog.Funcs[i].Body); err != nil {
 		return err
 	}
-	fc.emit(Instr{Op: OpReturnNil})
+	// A body that ends in a return needs no return-nil epilogue: no
+	// path reaches one, and the optimizer would only remove it.
+	if n := len(body); n == 0 || !isReturn(body[n-1]) {
+		fc.emit(Instr{Op: OpReturnNil})
+	}
 	return nil
+}
+
+func isReturn(s Stmt) bool {
+	_, ok := s.(*ReturnStmt)
+	return ok
 }
 
 func (f *funcCompiler) block(b *Block) error {
@@ -608,7 +674,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 			f.mark(MarkBare, n.Position())
 			f.emit(Instr{Op: OpNil})
 		}
-		f.emit(Instr{Op: OpStoreL, A: n.Slot})
+		f.emit(Instr{Op: OpStoreL, A: int32(n.Slot)})
 		return nil
 	case *Block:
 		return f.block(n)
@@ -652,7 +718,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 			return err
 		}
 		f.loops = f.loops[:len(f.loops)-1]
-		f.emit(Instr{Op: OpJump, A: top})
+		f.emit(Instr{Op: OpJump, A: int32(top)})
 		end := len(f.code)
 		f.patch(jf, end)
 		for _, j := range lc.breakJumps {
@@ -689,7 +755,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 				return err
 			}
 		}
-		f.emit(Instr{Op: OpJump, A: top})
+		f.emit(Instr{Op: OpJump, A: int32(top)})
 		end := len(f.code)
 		if jf >= 0 {
 			f.patch(jf, end)
@@ -711,7 +777,7 @@ func (f *funcCompiler) stmt(s Stmt) error {
 		if _, ok := s.(*BreakStmt); ok {
 			lc.breakJumps = append(lc.breakJumps, f.emit(Instr{Op: OpJump}))
 		} else if lc.contTarget >= 0 {
-			f.emit(Instr{Op: OpJump, A: lc.contTarget})
+			f.emit(Instr{Op: OpJump, A: int32(lc.contTarget)})
 		} else {
 			lc.contJumps = append(lc.contJumps, f.emit(Instr{Op: OpJump}))
 		}
@@ -768,14 +834,14 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 		if n.Op == TokMinusAssign {
 			op = TokMinus
 		}
-		f.emit(Instr{Op: OpBin, A: int(op)})
+		f.emit(Instr{Op: OpBin, A: int32(op)})
 	} else if err := f.expr(n.Value); err != nil {
 		return err
 	}
 	if t.Global {
-		f.emit(Instr{Op: OpStoreG, A: t.Slot})
+		f.emit(Instr{Op: OpStoreG, A: int32(t.Slot)})
 	} else {
-		f.emit(Instr{Op: OpStoreL, A: t.Slot})
+		f.emit(Instr{Op: OpStoreL, A: int32(t.Slot)})
 	}
 	return nil
 }
@@ -783,9 +849,9 @@ func (f *funcCompiler) assign(n *AssignStmt) error {
 func (f *funcCompiler) loadIdent(t *Ident) {
 	f.mark(MarkRead, t.Position())
 	if t.Global {
-		f.emit(Instr{Op: OpLoadG, A: t.Slot})
+		f.emit(Instr{Op: OpLoadG, A: int32(t.Slot)})
 	} else {
-		f.emit(Instr{Op: OpLoadL, A: t.Slot})
+		f.emit(Instr{Op: OpLoadL, A: int32(t.Slot)})
 	}
 }
 
@@ -870,7 +936,7 @@ func (f *funcCompiler) expr(e Expr) error {
 				return err
 			}
 		}
-		f.emit(Instr{Op: OpArray, A: len(n.Elems)})
+		f.emit(Instr{Op: OpArray, A: int32(len(n.Elems))})
 	case *MapLit:
 		for i := range n.Keys {
 			if err := f.expr(n.Keys[i]); err != nil {
@@ -880,7 +946,7 @@ func (f *funcCompiler) expr(e Expr) error {
 				return err
 			}
 		}
-		f.emit(Instr{Op: OpMap, A: len(n.Keys)})
+		f.emit(Instr{Op: OpMap, A: int32(len(n.Keys))})
 	case *CallExpr:
 		for _, a := range n.Args {
 			if err := f.expr(a); err != nil {
@@ -888,10 +954,10 @@ func (f *funcCompiler) expr(e Expr) error {
 			}
 		}
 		if n.Func >= 0 {
-			f.emit(Instr{Op: OpCall, A: n.Func, B: len(n.Args)})
+			f.emit(Instr{Op: OpCall, A: int32(n.Func), B: int32(len(n.Args))})
 		} else {
 			f.mark(MarkCall, n.Position())
-			f.emit(Instr{Op: OpCallHost, A: n.Host, B: len(n.Args)})
+			f.emit(Instr{Op: OpCallHost, A: int32(n.Host), B: int32(len(n.Args))})
 		}
 	default:
 		return fmt.Errorf("dpl: internal: unknown expression %T", e)
@@ -916,7 +982,7 @@ func (f *funcCompiler) pairwise(e *BinaryExpr) error {
 		}
 		e = l
 	}
-	return f.spineOperands(from, func(b *BinaryExpr) Instr { return Instr{Op: OpBin, A: int(b.Op)} })
+	return f.spineOperands(from, func(b *BinaryExpr) Instr { return Instr{Op: OpBin, A: int32(b.Op)} })
 }
 
 // chainLen counts the operands of the left-associative + chain whose
@@ -950,7 +1016,7 @@ func (f *funcCompiler) chain(e *BinaryExpr, n int) error {
 	}
 	return f.spineOperands(from, func(b *BinaryExpr) Instr {
 		if b == f.spine[from] {
-			return Instr{Op: OpAddN, A: n}
+			return Instr{Op: OpAddN, A: int32(n)}
 		}
 		return Instr{Op: OpAddC}
 	})

@@ -631,7 +631,7 @@ func pairwise(c *Compiled) {
 		_, code, _ := c.Block(fn)
 		for i, in := range code {
 			if in.Op == OpAddC || in.Op == OpAddN {
-				code[i] = Instr{Op: OpBin, A: int(TokPlus)}
+				code[i] = Instr{Op: OpBin, A: int32(TokPlus)}
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func FormatInstr(c *Compiled, in Instr) string {
 		if o.kind == opdCount && i > 0 {
 			fmt.Fprintf(&b, "/%d", *o.x) // a call's arity follows its callee
 		} else {
-			b.WriteString(" " + formatOperand(c, o.kind, *o.x))
+			b.WriteString(" " + formatOperand(c, o.kind, int(*o.x)))
 		}
 	}
 	return strings.TrimRight(b.String(), " ")
@@ -49,7 +49,7 @@ func FormatInstr(c *Compiled, in Instr) string {
 // operandRef is one operand field of an instruction and its kind.
 type operandRef struct {
 	kind operand
-	x    *int
+	x    *int32
 }
 
 // operands returns in's operand fields in the order a listing writes
@@ -91,8 +91,8 @@ func formatOperand(c *Compiled, kind operand, x int) string {
 	case kind == opdOperator:
 		return TokenKind(x).String()
 	case kind == opdConstOp || kind == opdLocalOp:
-		idx, op := UnpackIdxOp(x)
-		return op.String() + " " + formatOperand(c, kind.index(), idx)
+		idx, op := UnpackIdxOp(int32(x))
+		return op.String() + " " + formatOperand(c, kind.index(), int(idx))
 	}
 	return strconv.Itoa(x) // opdLocal, opdCount
 }

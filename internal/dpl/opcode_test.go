@@ -99,22 +99,23 @@ func TestListingRoundTripsEveryOpcode(t *testing.T) {
 		Consts:      []Value{Int(1), Str("x y"), Float(2.5)},
 		GlobalNames: []string{"g"},
 		HostNames:   []string{"len"},
-		FuncIdx:     map[string]int{"main": 0},
 	}
-	operand := func(kind operand, ip int) int {
+	operand := func(kind operand, ip int) int32 {
 		switch kind {
 		case opdConst:
 			return 1
 		case opdTarget:
-			return ip + 1
+			return int32(ip + 1)
 		case opdCount:
 			return 1
 		case opdOperator:
-			return int(TokLe)
+			return int32(TokLe)
 		case opdConstOp:
-			return PackIdxOp(2, TokPlus)
+			packed, _ := PackIdxOp(2, TokPlus)
+			return packed
 		case opdLocalOp:
-			return PackIdxOp(1, TokStar)
+			packed, _ := PackIdxOp(1, TokStar)
+			return packed
 		}
 		return 0 // global, local, func and host 0
 	}

@@ -173,7 +173,7 @@ func (o *optimizer) pushInstr(v Value) Instr {
 		}
 		return Instr{Op: OpFalse}
 	default:
-		return Instr{Op: OpConst, A: o.consts.intern(v)}
+		return Instr{Op: OpConst, A: int32(o.consts.intern(v))}
 	}
 }
 
@@ -181,7 +181,7 @@ func (o *optimizer) pushInstr(v Value) Instr {
 func constOf(c *Compiled, in Instr) (Value, bool) {
 	switch in.Op {
 	case OpConst:
-		if in.A >= 0 && in.A < len(c.Consts) {
+		if in.A >= 0 && int(in.A) < len(c.Consts) {
 			return c.Consts[in.A], true
 		}
 	case OpTrue:
@@ -230,7 +230,7 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 			continue
 		}
 		if t, ok := in.target(len(code)); ok {
-			in.A = remap[t]
+			in.A = int32(remap[t])
 		}
 		out = append(out, in)
 	}
@@ -314,7 +314,7 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 						code[i] = o.pushInstr(v)
 						dead[i+1], dead[i+2] = true, true
 						if code[j].A--; code[j].A == 2 {
-							code[j] = Instr{Op: OpBin, A: int(TokPlus)}
+							code[j] = Instr{Op: OpBin, A: int32(TokPlus)}
 						}
 						st.Folded++
 						changed = true
@@ -447,8 +447,8 @@ func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool 
 	}
 	loaded := o.dead[:nLocals]
 	clear(loaded)
-	mark := func(i int) {
-		if i >= 0 && i < nLocals {
+	mark := func(i int32) {
+		if i >= 0 && int(i) < nLocals {
 			loaded[i] = true
 		}
 	}
@@ -464,7 +464,7 @@ func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool 
 	}
 	changed := false
 	for i, in := range code {
-		if in.Op == OpStoreL && in.A >= 0 && in.A < nLocals && !loaded[in.A] {
+		if in.Op == OpStoreL && in.A >= 0 && int(in.A) < nLocals && !loaded[in.A] {
 			code[i] = Instr{Op: OpPop}
 			st.DeadStores++
 			changed = true
@@ -522,7 +522,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 	dead := o.dead[:len(code)]
 	clear(dead)
 	changed := false
-	localOK := func(i int) bool { return i >= 0 && i < nLocals }
+	localOK := func(i int32) bool { return i >= 0 && int(i) < nLocals }
 	binOp := func(in Instr) (TokenKind, bool) {
 		if in.Op != OpBin {
 			return 0, false
@@ -556,11 +556,14 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 		// LOADL a; CONST k; BIN op → LLCB and LOADL a; LOADL b; BIN op → LLLB
 		if in.Op == OpLoadL && localOK(in.A) && i+2 < len(code) && !tgt[i+1] && !tgt[i+2] {
 			if op, ok := binOp(code[i+2]); ok {
+				// An index too large to pack beside the operator stays
+				// unfused.
+				packed, ok := PackIdxOp(code[i+1].A, op)
 				switch mid := code[i+1]; {
-				case mid.Op == OpConst && mid.A >= 0:
-					code[i] = Instr{Op: OpLoadLConstBin, A: in.A, B: PackIdxOp(mid.A, op)}
-				case mid.Op == OpLoadL && localOK(mid.A):
-					code[i] = Instr{Op: OpLoadLLoadLBin, A: in.A, B: PackIdxOp(mid.A, op)}
+				case mid.Op == OpConst && ok:
+					code[i] = Instr{Op: OpLoadLConstBin, A: in.A, B: packed}
+				case mid.Op == OpLoadL && localOK(mid.A) && ok:
+					code[i] = Instr{Op: OpLoadLLoadLBin, A: in.A, B: packed}
 				default:
 					goto pair
 				}
@@ -574,7 +577,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 	pair:
 		// BIN op; JF t → BJF op, t
 		if op, ok := binOp(in); ok && i+1 < len(code) && !tgt[i+1] && code[i+1].Op == OpJumpFalse {
-			code[i] = Instr{Op: OpBinJumpFalse, A: code[i+1].A, B: int(op)}
+			code[i] = Instr{Op: OpBinJumpFalse, A: code[i+1].A, B: int32(op)}
 			dead[i+1] = true
 			st.Fused++
 			changed = true

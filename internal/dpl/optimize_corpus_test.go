@@ -98,7 +98,8 @@ func TestOptimizerCrosscheckCorpus(t *testing.T) {
 			t.Errorf("%s: optimizer broke structure: %v", name, faults[0])
 			continue
 		}
-		for entry := range raw.FuncIdx {
+		for _, fn := range raw.Funcs {
+			entry := fn.Name
 			const quota = 100000
 			ctx := context.Background()
 			rawVal, rawErr := dpl.NewVM(raw, bindings, dpl.WithMaxSteps(quota)).Run(ctx, entry)

@@ -95,7 +95,7 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 			v, ok := constOf(c, in)
 			push(absVal{known: ok, v: v})
 		case OpLoadL:
-			if in.A < 0 || in.A >= nLocals {
+			if in.A < 0 || int(in.A) >= nLocals {
 				return changed // malformed; leave for the verifier
 			}
 			if lv := locals[in.A]; lv.known {
@@ -107,7 +107,7 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 				push(absVal{})
 			}
 		case OpStoreL:
-			if in.A < 0 || in.A >= nLocals || len(o.stack) == 0 {
+			if in.A < 0 || int(in.A) >= nLocals || len(o.stack) == 0 {
 				return changed
 			}
 			locals[in.A] = o.stack[len(o.stack)-1]
@@ -143,7 +143,7 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 			o.stack[len(o.stack)-1] = absVal{}
 		case OpCall, OpCallHost:
 			// Callees cannot touch this frame's locals.
-			if !pop(in.B) {
+			if !pop(int(in.B)) {
 				return changed
 			}
 			push(absVal{})
@@ -152,12 +152,12 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 				return changed
 			}
 		case OpArray:
-			if !pop(in.A) {
+			if !pop(int(in.A)) {
 				return changed
 			}
 			push(absVal{})
 		case OpMap:
-			if in.A < 0 || !pop(2*in.A) {
+			if in.A < 0 || !pop(2*int(in.A)) {
 				return changed
 			}
 			push(absVal{})
@@ -168,7 +168,7 @@ func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int,
 			push(absVal{})
 			push(absVal{})
 		case OpAddN:
-			if !pop(in.A) {
+			if !pop(int(in.A)) {
 				return changed
 			}
 			push(absVal{})

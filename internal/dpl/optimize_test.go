@@ -82,7 +82,8 @@ func TestOptimizerRewrites(t *testing.T) {
 			if st == (OptStats{}) {
 				t.Fatalf("optimizer did nothing:\n%s", Disassemble(c))
 			}
-			main := c.Funcs[c.FuncIdx["main"]]
+			fi, _ := c.FuncIndex("main")
+			main := c.Funcs[fi]
 			if len(main.Code) > tc.maxMain {
 				t.Errorf("main still has %d instrs (want <= %d):\n%s", len(main.Code), tc.maxMain, Disassemble(c))
 			}
@@ -166,8 +167,7 @@ func TestOptimizerKeepsGlobals(t *testing.T) {
 func TestVerifyStructureFaults(t *testing.T) {
 	fn := func(code ...Instr) *Compiled {
 		return &Compiled{
-			FuncIdx: map[string]int{"main": 0},
-			Funcs:   []*CompiledFunc{{Name: "main", Code: code}},
+			Funcs: []*CompiledFunc{{Name: "main", Code: code}},
 		}
 	}
 	cases := []struct {
@@ -183,7 +183,7 @@ func TestVerifyStructureFaults(t *testing.T) {
 		{"underflow", fn(Instr{Op: OpPop}, Instr{Op: OpReturnNil}), FaultStack},
 		{"return empty", fn(Instr{Op: OpReturn}), FaultStack},
 		{"bad opcode", fn(Instr{Op: Opcode(99)}), FaultOpcode},
-		{"bad bin op", fn(Instr{Op: OpNil}, Instr{Op: OpNil}, Instr{Op: OpBin, A: int(TokAssign)}, Instr{Op: OpReturn}), FaultOperand},
+		{"bad bin op", fn(Instr{Op: OpNil}, Instr{Op: OpNil}, Instr{Op: OpBin, A: int32(TokAssign)}, Instr{Op: OpReturn}), FaultOperand},
 		{"bad call", fn(Instr{Op: OpCall, A: 5, B: 0}, Instr{Op: OpReturn}), FaultOperand},
 		{"bad host", fn(Instr{Op: OpCallHost, A: 0, B: 0}, Instr{Op: OpReturn}), FaultOperand},
 		{"chain of one", fn(Instr{Op: OpNil}, Instr{Op: OpAddN, A: 1}, Instr{Op: OpReturn}), FaultOperand},
@@ -191,8 +191,7 @@ func TestVerifyStructureFaults(t *testing.T) {
 		{"chain past the stack", fn(Instr{Op: OpNil}, Instr{Op: OpNil}, Instr{Op: OpAddN, A: 3}, Instr{Op: OpReturn}), FaultStack},
 		{"ADDC on one value", fn(Instr{Op: OpNil}, Instr{Op: OpAddC}, Instr{Op: OpReturn}), FaultStack},
 		{"bad frame", &Compiled{
-			FuncIdx: map[string]int{"main": 0},
-			Funcs:   []*CompiledFunc{{Name: "main", NumParams: 2, NumLocals: 1, Code: []Instr{{Op: OpReturnNil}}}},
+			Funcs: []*CompiledFunc{{Name: "main", NumParams: 2, NumLocals: 1, Code: []Instr{{Op: OpReturnNil}}}},
 		}, FaultOperand},
 		{"depth mismatch at join", fn(
 			// Path A pushes one value before the join, path B pushes none.
@@ -294,7 +293,8 @@ func TestFuseSuperinstructions(t *testing.T) {
 			if st.Fused == 0 {
 				t.Fatalf("no fusions recorded (stats %+v):\n%s", st, Disassemble(c))
 			}
-			main := c.Funcs[c.FuncIdx["main"]]
+			fi, _ := c.FuncIndex("main")
+			main := c.Funcs[fi]
 			found := false
 			for _, in := range main.Code {
 				if in.Op == tc.op {

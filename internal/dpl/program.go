@@ -91,7 +91,7 @@ func (p *CompiledProgram) Encode() ([]byte, error) {
 // trust for allocation; structural safety of the code itself is the
 // verifier's job.
 func DecodeProgram(b []byte) (*CompiledProgram, error) {
-	p := &CompiledProgram{Object: &Compiled{FuncIdx: map[string]int{}}}
+	p := &CompiledProgram{Object: &Compiled{}}
 	c := ber.Decoder(b)
 	p.visit(&c)
 	if err := c.Finish(); err != nil {
@@ -129,6 +129,7 @@ func (o *Compiled) visit(c *ber.Codec) {
 	visitStrings(c, &o.GlobalNames)
 	visitStrings(c, &o.HostNames)
 	visitCode(c, &o.InitCode)
+	var names map[string]struct{} // the decoded function names, for the duplicate check
 	for i := range ber.List(c, &o.Funcs, math.MaxInt) {
 		if c.Decoding() {
 			o.Funcs[i] = &CompiledFunc{}
@@ -144,10 +145,13 @@ func (o *Compiled) visit(c *ber.Codec) {
 		visitCode(c, &fn.Code)
 		c.End(one)
 		if c.Decoding() {
-			if _, dup := o.FuncIdx[fn.Name]; dup {
+			if names == nil {
+				names = make(map[string]struct{})
+			}
+			if _, dup := names[fn.Name]; dup {
 				c.Fail(fmt.Errorf("dpl: duplicate function %q", fn.Name))
 			}
-			o.FuncIdx[fn.Name] = i
+			names[fn.Name] = struct{}{}
 		}
 	}
 	c.End(obj)

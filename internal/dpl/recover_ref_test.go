@@ -203,10 +203,10 @@ func (v *refVerifier) recoverEffects() {
 					stack[len(stack)-1] = absVal{}
 				}
 			case dpl.OpCall:
-				pop(in.B)
+				pop(int(in.B))
 				push(absVal{})
 			case dpl.OpCallHost:
-				args := pop(in.B)
+				args := pop(int(in.B))
 				push(absVal{})
 				host := c.HostNames[in.A]
 				v.hosts[host] = true
@@ -254,17 +254,17 @@ func (v *refVerifier) recoverEffects() {
 			case dpl.OpSetIndex:
 				pop(3)
 			case dpl.OpArray:
-				pop(in.A)
+				pop(int(in.A))
 				push(absVal{})
 			case dpl.OpMap:
-				pop(2 * in.A)
+				pop(2 * int(in.A))
 				push(absVal{})
 			case dpl.OpAddC:
 				ops := pop(2)
 				push(absVal{})
 				push(concat(ops[0], ops[1]))
 			case dpl.OpAddN:
-				ops := pop(in.A)
+				ops := pop(int(in.A))
 				push(concat(ops[in.A-2], ops[in.A-1]))
 			}
 		}

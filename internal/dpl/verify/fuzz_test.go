@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -60,13 +61,13 @@ func corpusBlobs() ([][]byte, error) {
 			// Fused-opcode mutants: corrupt packed operands, fused jump
 			// targets, and the version stamp under generation-3 code.
 			func(m *dpl.CompiledProgram) {
-				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: dpl.PackIdxOp(1<<16, dpl.TokPlus)}
+				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: pack(1<<16, dpl.TokPlus)}
 			},
 			func(m *dpl.CompiledProgram) {
-				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLLoadLBin, A: 1 << 12, B: dpl.PackIdxOp(0, 0xff)}
+				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLLoadLBin, A: 1 << 12, B: pack(0, 0xff)}
 			},
 			func(m *dpl.CompiledProgram) {
-				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpBinJumpFalse, A: -1, B: int(dpl.TokLt)}
+				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpBinJumpFalse, A: -1, B: int32(dpl.TokLt)}
 			},
 			func(m *dpl.CompiledProgram) {
 				m.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpIncL, A: 0, B: 1 << 16}
@@ -90,7 +91,49 @@ func corpusBlobs() ([][]byte, error) {
 			blobs = append(blobs, mblob)
 		}
 	}
-	return blobs, nil
+	over, err := operandPastInt32(blobs[0])
+	if err != nil {
+		return nil, err
+	}
+	return append(blobs, over), nil
+}
+
+// operandPastInt32 is blob with its first instruction's operand A set
+// to 1<<31, one past what an Instr holds, which decoding must refuse.
+// The encoder cannot write it, so the bytes are patched: A = MaxInt32
+// beside B = 256 encodes as long as A = 1<<31 beside B = 0, so every
+// enclosing length stays right.
+func operandPastInt32(blob []byte) ([]byte, error) {
+	cp, err := dpl.DecodeProgram(blob)
+	if err != nil {
+		return nil, err
+	}
+	cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpConst, A: math.MaxInt32, B: 256}
+	enc, err := cp.Encode()
+	if err != nil {
+		return nil, err
+	}
+	fits := []byte{0x02, 0x04, 0x7f, 0xff, 0xff, 0xff, 0x02, 0x02, 0x01, 0x00}
+	past := []byte{0x02, 0x05, 0x00, 0x80, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00}
+	i := bytes.Index(enc, fits)
+	if i < 0 {
+		return nil, fmt.Errorf("operand encoding not found")
+	}
+	copy(enc[i:], past)
+	return enc, nil
+}
+
+// TestDecodeRefusesOperandPastInt32: an instruction operand holds an
+// int32, so an artifact carrying a larger one is refused at decode, not
+// cut down to some other operand.
+func TestDecodeRefusesOperandPastInt32(t *testing.T) {
+	blobs, err := corpusBlobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dpl.DecodeProgram(blobs[len(blobs)-1]); err == nil {
+		t.Fatal("an operand of 1<<31 decoded")
+	}
 }
 
 // FuzzVerify hammers the wire-to-admission path: whatever bytes arrive,
@@ -156,7 +199,7 @@ func sameProgram(a, b *dpl.CompiledProgram) bool {
 	if a.Version != b.Version || a.SourceHash != b.SourceHash || !reflect.DeepEqual(a.Verdict, b.Verdict) ||
 		!reflect.DeepEqual(ao.GlobalNames, bo.GlobalNames) || !reflect.DeepEqual(ao.HostNames, bo.HostNames) ||
 		!reflect.DeepEqual(ao.InitCode, bo.InitCode) || !reflect.DeepEqual(ao.Funcs, bo.Funcs) ||
-		!reflect.DeepEqual(ao.FuncIdx, bo.FuncIdx) || len(ao.Consts) != len(bo.Consts) {
+		len(ao.Consts) != len(bo.Consts) {
 		return false
 	}
 	for i, v := range ao.Consts {

@@ -89,6 +89,8 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 		fail(dpl.CodeVersionSkew, "%s", skew)
 		return res
 	}
+	// The proof is recorded: a program admitted here does not prove
+	// its structure again at its first run.
 	if faults := c.VerifyStructure(); len(faults) > 0 {
 		for _, f := range faults {
 			fail(faultCodes[f.Kind], "%s", f)
@@ -145,9 +147,9 @@ func (v *verifier) recoverEffects() {
 			switch idx, arity, ok := v.bindings.Lookup(s.Host); {
 			case !ok:
 				v.fail(dpl.CodeHostTableSkew, "%s: host %q not bound on this node", at(), s.Host)
-			case idx != s.Call.A:
+			case idx != int(s.Call.A):
 				v.fail(dpl.CodeHostTableSkew, "%s: host %q bound at slot %d here, artifact calls slot %d", at(), s.Host, idx, s.Call.A)
-			case arity >= 0 && s.Call.B != arity:
+			case arity >= 0 && int(s.Call.B) != arity:
 				v.fail(dpl.CodeHostTableSkew, "%s: host %q takes %d args, call passes %d", at(), s.Host, arity, s.Call.B)
 			}
 		}

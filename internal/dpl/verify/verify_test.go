@@ -138,6 +138,18 @@ func TestVerifyRecoveredEffects(t *testing.T) {
 	}
 }
 
+// pack is dpl.PackIdxOp for indices known to fit.
+func pack(idx int32, op dpl.TokenKind) int32 {
+	packed, _ := dpl.PackIdxOp(idx, op)
+	return packed
+}
+
+// hostIndex is the slot b binds name at, as a call operand.
+func hostIndex(b *dpl.Bindings, name string) int32 {
+	idx, _, _ := b.Lookup(name)
+	return int32(idx)
+}
+
 // hasCode reports whether diags contains an error with the given code.
 func hasCode(diags []dpl.Diagnostic, code string) bool {
 	for _, d := range diags {
@@ -197,7 +209,7 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 		{
 			"fused packed operand out of range", honestSources[0],
 			func(cp *dpl.CompiledProgram) {
-				cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: dpl.PackIdxOp(1<<16, dpl.TokPlus)}
+				cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: pack(1<<16, dpl.TokPlus)}
 			},
 			dpl.CodeBadOperand,
 		},
@@ -215,7 +227,7 @@ func TestVerifyRejectsTamperedArtifacts(t *testing.T) {
 				fn.Code = append([]dpl.Instr{
 					{Op: dpl.OpConst, A: 0},
 					{Op: dpl.OpConst, A: 0},
-					{Op: dpl.OpBinJumpFalse, A: 1 << 20, B: int(dpl.TokPlus)},
+					{Op: dpl.OpBinJumpFalse, A: 1 << 20, B: int32(dpl.TokPlus)},
 				}, fn.Code...)
 			},
 			dpl.CodeBadJump,
@@ -322,8 +334,8 @@ func deadLoopTest(code []dpl.Instr) []dpl.Instr {
 	return []dpl.Instr{
 		{Op: dpl.OpReturnNil},
 		{Op: dpl.OpNil},
-		{Op: dpl.OpLoadLConstBin, A: -1, B: dpl.PackIdxOp(0, dpl.TokLt)},
-		{Op: dpl.OpJumpFalse, A: len(code) + 1},
+		{Op: dpl.OpLoadLConstBin, A: -1, B: pack(0, dpl.TokLt)},
+		{Op: dpl.OpJumpFalse, A: int32(len(code) + 1)},
 	}
 }
 
@@ -332,12 +344,12 @@ func deadLoopTest(code []dpl.Instr) []dpl.Instr {
 // test takes.
 func TestVerifyDeadLoopTestOnBadLocal(t *testing.T) {
 	b := analysis.LintBindings()
-	for _, local := range []int{-1, -1 << 20, 1 << 20} {
+	for _, local := range []int32{-1, -1 << 20, 1 << 20} {
 		for _, form := range [][]dpl.Instr{
-			{{Op: dpl.OpNil}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
-			{{Op: dpl.OpNil}, {Op: dpl.OpConst, A: 0}, {Op: dpl.OpLoadL, A: local}, {Op: dpl.OpBinJumpFalse, A: 0, B: int(dpl.TokLt)}},
-			{{Op: dpl.OpConstStoreL, A: 0, B: local}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
-			{{Op: dpl.OpStoreL, A: local}, {Op: dpl.OpLoadLConstBin, A: local, B: dpl.PackIdxOp(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+			{{Op: dpl.OpNil}, {Op: dpl.OpLoadLConstBin, A: local, B: pack(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+			{{Op: dpl.OpNil}, {Op: dpl.OpConst, A: 0}, {Op: dpl.OpLoadL, A: local}, {Op: dpl.OpBinJumpFalse, A: 0, B: int32(dpl.TokLt)}},
+			{{Op: dpl.OpConstStoreL, A: 0, B: local}, {Op: dpl.OpLoadLConstBin, A: local, B: pack(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
+			{{Op: dpl.OpStoreL, A: local}, {Op: dpl.OpLoadLConstBin, A: local, B: pack(0, dpl.TokLt)}, {Op: dpl.OpJumpFalse, A: 0}},
 		} {
 			cp := buildArtifact(t, honestSources[0], b, true)
 			fn := cp.Object.Funcs[0]
@@ -401,7 +413,7 @@ func TestVerifierRejectionImpliesVMRefusal(t *testing.T) {
 		func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0].Op = 200 },
 		func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpJump, A: -3} },
 		func(cp *dpl.CompiledProgram) {
-			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpBin, A: int(dpl.TokPlus)}
+			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpBin, A: int32(dpl.TokPlus)}
 		},
 		func(cp *dpl.CompiledProgram) { cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadL, A: 1 << 10} },
 		// Invalid fused bytecode must be refused by the VM too: a bad
@@ -409,10 +421,10 @@ func TestVerifierRejectionImpliesVMRefusal(t *testing.T) {
 		// operator byte that is not a binop, a fused backward jump into
 		// nowhere.
 		func(cp *dpl.CompiledProgram) {
-			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: dpl.PackIdxOp(1<<16, dpl.TokPlus)}
+			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLConstBin, A: 0, B: pack(1<<16, dpl.TokPlus)}
 		},
 		func(cp *dpl.CompiledProgram) {
-			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLLoadLBin, A: 1 << 10, B: dpl.PackIdxOp(0, dpl.TokPlus)}
+			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpLoadLLoadLBin, A: 1 << 10, B: pack(0, dpl.TokPlus)}
 		},
 		func(cp *dpl.CompiledProgram) {
 			cp.Object.Funcs[0].Code[0] = dpl.Instr{Op: dpl.OpIncL, A: 0, B: 1 << 16}
@@ -570,7 +582,7 @@ func TestVerifyChainReadsWhatTheVMReads(t *testing.T) {
 				read = append(read, s)
 				return dpl.Value{}, nil
 			})
-			mibGet, _, _ := b.Lookup("mibGet")
+			mibGet := hostIndex(b, "mibGet")
 			cp := buildArtifact(t, `func main() { return mibGet("1.3.6.1.2.1.1.0"); }`, b, true)
 			cp.Object.Consts = nil
 			for _, s := range tc.consts {
@@ -614,7 +626,7 @@ func TestChainRecoveryCoversVMReads(t *testing.T) {
 		}
 		return dpl.Value{}, nil
 	})
-	mibGet, _, _ := b.Lookup("mibGet")
+	mibGet := hostIndex(b, "mibGet")
 	consts := []dpl.Value{dpl.Str("1.3.6.1.2.1."), dpl.Str("1.3.6.1.4.1.9."), dpl.Str("1.0"), dpl.Str(""), dpl.Int(7)}
 	rng := rand.New(rand.NewPCG(37, 4))
 	ran := 0
@@ -623,13 +635,13 @@ func TestChainRecoveryCoversVMReads(t *testing.T) {
 		for range 3 + rng.IntN(8) {
 			switch rng.IntN(8) {
 			case 0, 1, 2:
-				code = append(code, dpl.Instr{Op: dpl.OpConst, A: rng.IntN(len(consts))})
+				code = append(code, dpl.Instr{Op: dpl.OpConst, A: rng.Int32N(int32(len(consts)))})
 			case 3:
 				code = append(code, dpl.Instr{Op: dpl.OpLoadL, A: 0})
 			case 4:
 				code = append(code, dpl.Instr{Op: dpl.OpAddC})
 			case 5:
-				code = append(code, dpl.Instr{Op: dpl.OpAddN, A: 2 + rng.IntN(3)})
+				code = append(code, dpl.Instr{Op: dpl.OpAddN, A: 2 + rng.Int32N(3)})
 			case 6:
 				code = append(code, dpl.Instr{Op: dpl.OpCallHost, A: mibGet, B: 1})
 			default:
@@ -665,15 +677,15 @@ func TestChainRecoveryCoversVMReads(t *testing.T) {
 // after another, then n loops nested in each other; every loop is
 // `for (l = 0; l < 10; l += 1)` on a local of its own.
 func loopArtifact(n int) *dpl.CompiledProgram {
-	zero, ten, one := 0, 1, 2
+	var zero, ten, one int32 = 0, 1, 2
 	var code []dpl.Instr
-	loop := func(l int, body func()) {
+	loop := func(l int32, body func()) {
 		code = append(code, dpl.Instr{Op: dpl.OpConstStoreL, A: zero, B: l})
-		head := len(code)
-		code = append(code, dpl.Instr{Op: dpl.OpLoadLConstBin, A: l, B: dpl.PackIdxOp(ten, dpl.TokLt)}, dpl.Instr{Op: dpl.OpJumpFalse})
+		head := int32(len(code))
+		code = append(code, dpl.Instr{Op: dpl.OpLoadLConstBin, A: l, B: pack(ten, dpl.TokLt)}, dpl.Instr{Op: dpl.OpJumpFalse})
 		body()
 		code = append(code, dpl.Instr{Op: dpl.OpIncL, A: l, B: one}, dpl.Instr{Op: dpl.OpJump, A: head})
-		code[head+1].A = len(code)
+		code[head+1].A = int32(len(code))
 	}
 	for range n {
 		loop(0, func() {})
@@ -681,7 +693,7 @@ func loopArtifact(n int) *dpl.CompiledProgram {
 	var nested func(d int)
 	nested = func(d int) {
 		if d < n {
-			loop(d, func() { nested(d + 1) })
+			loop(int32(d), func() { nested(d + 1) })
 		}
 	}
 	nested(0)
@@ -690,9 +702,8 @@ func loopArtifact(n int) *dpl.CompiledProgram {
 		Version: dpl.CompilerVersion,
 		Verdict: dpl.Verdict{CostUnbounded: true},
 		Object: &dpl.Compiled{
-			Consts:  []dpl.Value{dpl.Int(0), dpl.Int(10), dpl.Int(1)},
-			Funcs:   []*dpl.CompiledFunc{{Name: "main", NumLocals: n, Code: code}},
-			FuncIdx: map[string]int{"main": 0},
+			Consts: []dpl.Value{dpl.Int(0), dpl.Int(10), dpl.Int(1)},
+			Funcs:  []*dpl.CompiledFunc{{Name: "main", NumLocals: n, Code: code}},
 		},
 	}
 }

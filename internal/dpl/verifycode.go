@@ -88,8 +88,29 @@ var binOps = map[TokenKind]bool{
 // As a by-product of the depth proof it records each block's
 // operand-stack high-water mark (CompiledFunc.maxStack), which the
 // flat-frame VM uses to size activation frames without growth checks
-// inside the dispatch loop.
+// inside the dispatch loop. The outcome is recorded too, so that the
+// first Run of a program proved at admission does not prove it again.
 func (c *Compiled) VerifyStructure() []CodeFault {
+	c.vmu.Lock()
+	defer c.vmu.Unlock()
+	return c.verifyLocked()
+}
+
+// EnsureStructure verifies c once and caches the outcome; subsequent
+// calls (one per VM.Run) are a mutex hit. Optimize invalidates the
+// cache after rewriting code.
+func (c *Compiled) EnsureStructure() error {
+	c.vmu.Lock()
+	defer c.vmu.Unlock()
+	if !c.vdone {
+		c.verifyLocked()
+	}
+	return c.verr
+}
+
+// verifyLocked proves c's structure and records the outcome for
+// EnsureStructure. c.vmu must be held.
+func (c *Compiled) verifyLocked() []CodeFault {
 	v := structVerifiers.Get().(*structVerifier)
 	defer v.release()
 	v.c = c
@@ -104,27 +125,15 @@ func (c *Compiled) VerifyStructure() []CodeFault {
 		}
 		fn.maxStack = v.checkBlock(name, fn.Code, fn.NumLocals)
 	}
-	return v.faults
-}
-
-// EnsureStructure verifies c once and caches the outcome; subsequent
-// calls (one per VM.Run) are a mutex hit. Optimize invalidates the
-// cache after rewriting code.
-func (c *Compiled) EnsureStructure() error {
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
-	if !c.vdone {
-		c.vdone = true
-		c.verr = nil
-		if faults := c.VerifyStructure(); len(faults) > 0 {
-			more := ""
-			if len(faults) > 1 {
-				more = fmt.Sprintf(" (and %d more)", len(faults)-1)
-			}
-			c.verr = fmt.Errorf("dpl: structurally invalid bytecode: %s%s", faults[0], more)
+	c.vdone, c.verr = true, nil
+	if faults := v.faults; len(faults) > 0 {
+		more := ""
+		if len(faults) > 1 {
+			more = fmt.Sprintf(" (and %d more)", len(faults)-1)
 		}
+		c.verr = fmt.Errorf("dpl: structurally invalid bytecode: %s%s", faults[0], more)
 	}
-	return c.verr
+	return v.faults
 }
 
 // invalidateVerify drops the cached EnsureStructure outcome and the
@@ -167,15 +176,16 @@ func (v *structVerifier) operandsOK(fn string, ip int, in Instr, nLocals, nCode 
 		v.fault(fn, ip, FaultOpcode, fmt.Sprintf("unknown opcode %d", in.Op))
 		return false
 	}
-	msg := v.operandFault(r.a, in.A, nLocals, nCode, r.count)
+	a, b := int(in.A), int(in.B)
+	msg := v.operandFault(r.a, a, nLocals, nCode, r.count)
 	if msg == "" && r.b != opdNone {
-		msg = v.operandFault(r.b, in.B, nLocals, nCode, r.count)
+		msg = v.operandFault(r.b, b, nLocals, nCode, r.count)
 	}
 	// What no column states: LLLB names both its locals in one fault,
 	// a call passes its callee's arity, and a chain has two operands.
-	if i := in.B >> 8; r.b == opdLocalOp && (in.A < 0 || in.A >= nLocals || i < 0 || i >= nLocals) {
+	if i := b >> 8; r.b == opdLocalOp && (a < 0 || a >= nLocals || i < 0 || i >= nLocals) {
 		msg = fmt.Sprintf("local index out of range (%d, %d of %d locals)", in.A, i, nLocals)
-	} else if msg == "" && in.Op == OpCall && (in.B < 0 || in.B != v.c.Funcs[in.A].NumParams) {
+	} else if msg == "" && in.Op == OpCall && (b < 0 || b != v.c.Funcs[in.A].NumParams) {
 		msg = fmt.Sprintf("call passes %d args, function %q takes %d", in.B, v.c.Funcs[in.A].Name, v.c.Funcs[in.A].NumParams)
 	} else if msg == "" && in.Op == OpAddN && in.A < 2 {
 		msg = fmt.Sprintf("chain of %d operands (ADDN needs at least 2)", in.A)
@@ -213,8 +223,8 @@ func (v *structVerifier) operandFault(kind operand, x, nLocals, nCode int, count
 			return fmt.Sprintf("invalid binary operator immediate %d", x)
 		}
 	case opdConstOp, opdLocalOp:
-		idx, op := UnpackIdxOp(x)
-		return cmp.Or(v.operandFault(kind.index(), idx, nLocals, nCode, ""), v.operandFault(opdOperator, int(op), nLocals, nCode, ""))
+		idx, op := UnpackIdxOp(int32(x))
+		return cmp.Or(v.operandFault(kind.index(), int(idx), nLocals, nCode, ""), v.operandFault(opdOperator, int(op), nLocals, nCode, ""))
 	}
 	if format != "" && (x < 0 || x >= n) {
 		return fmt.Sprintf(format, x, n)
@@ -273,10 +283,10 @@ func (v *structVerifier) checkBlock(fn string, code []Instr, nLocals int) int {
 		}
 		falls, jumps := OpcodeFlow(in.Op)
 		if jumps {
-			if in.A < 0 || in.A > len(code) {
+			if t := int(in.A); t < 0 || t > len(code) {
 				v.fault(fn, ip, FaultJump, fmt.Sprintf("jump target %d outside [0,%d]", in.A, len(code)))
 			} else {
-				propagate(ip, in.A, nd)
+				propagate(ip, t, nd)
 			}
 		}
 		if falls {

@@ -228,6 +228,17 @@ func NewVM(prog *Compiled, bindings *Bindings, opts ...VMOption) *VM {
 // host function blocks after PublishSteps, and once the run has ended.
 func (vm *VM) Steps() uint64 { return vm.steps.Load() }
 
+// Release drops everything the VM holds for running — its machine,
+// globals, program and bindings — once its last Run has returned, so
+// that a finished instance keeps no more than its step count, which
+// stays readable. It must run on the VM's goroutine, and no Run may
+// follow it.
+func (vm *VM) Release() {
+	vm.prog, vm.bindings, vm.hostFns = nil, nil, nil
+	vm.globals, vm.stack, vm.frames = nil, nil, nil
+	vm.yield, vm.ctx, vm.Meta = nil, nil, nil
+}
+
 // PublishSteps makes Steps exact for the duration of the current host
 // call. Host functions that block (receive, sleep, throttle pauses) call
 // it first; it must run on the VM's own goroutine.
@@ -275,7 +286,7 @@ func (vm *VM) Run(ctx context.Context, entry string, args ...any) (any, error) {
 			}
 		}
 	}
-	fi, ok := vm.prog.FuncIdx[entry]
+	fi, ok := vm.prog.FuncIndex(entry)
 	if !ok {
 		return nil, fmt.Errorf("dpl: no entry function %q", entry)
 	}
@@ -429,6 +440,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		rv       Value
 		null     Value // the nil Value: OpNil and the return-nil paths
 		in       Instr
+		a, b     int // in's operands
 		err      error
 	)
 	for {
@@ -437,6 +449,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			goto ret
 		}
 		in = code[ip]
+		a, b = int(in.A), int(in.B)
 		ip++
 		n++
 		if n >= nextGate {
@@ -447,7 +460,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		}
 		switch in.Op {
 		case OpConst:
-			stack[sp] = vm.prog.Consts[in.A]
+			stack[sp] = vm.prog.Consts[a]
 			sp++
 		case OpNil:
 			stack[sp] = null
@@ -459,23 +472,23 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			stack[sp] = Bool(false)
 			sp++
 		case OpLoadG:
-			stack[sp] = vm.globals[in.A]
+			stack[sp] = vm.globals[a]
 			sp++
 		case OpStoreG:
 			sp--
-			vm.globals[in.A] = stack[sp]
+			vm.globals[a] = stack[sp]
 		case OpLoadL:
-			stack[sp] = stack[base+in.A]
+			stack[sp] = stack[base+a]
 			sp++
 		case OpStoreL:
 			sp--
-			stack[base+in.A] = stack[sp]
+			stack[base+a] = stack[sp]
 		case OpPop:
 			sp--
 		case OpBin:
 			sp -= 2
 			var v Value
-			v, err = binEval(TokenKind(in.A), stack[sp], stack[sp+1])
+			v, err = binEval(TokenKind(a), stack[sp], stack[sp+1])
 			if err != nil {
 				goto fail
 			}
@@ -494,19 +507,19 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		case OpNot:
 			stack[sp-1] = Bool(!Truthy(stack[sp-1]))
 		case OpJump:
-			ip = in.A
+			ip = a
 		case OpJumpFalse:
 			sp--
 			if !Truthy(stack[sp]) {
-				ip = in.A
+				ip = a
 			}
 		case OpJFKeep:
 			if !Truthy(stack[sp-1]) {
-				ip = in.A
+				ip = a
 			}
 		case OpJTKeep:
 			if Truthy(stack[sp-1]) {
-				ip = in.A
+				ip = a
 			}
 		case OpCall:
 			if len(frames) >= maxFrames-1 {
@@ -514,35 +527,35 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				goto fail
 			}
 			frames = append(frames, frame{fn: fn, code: code, ip: ip, base: base}) //mbd:alloc-ok — amortized: capacity persists across runs
-			fn = vm.prog.Funcs[in.A]
-			base = sp - in.B
+			fn = vm.prog.Funcs[a]
+			base = sp - b
 			if need := base + fn.NumLocals + fn.maxStack; need > len(stack) {
 				stack = growValueStack(stack, need)
 			}
-			clear(stack[base+in.B : base+fn.NumLocals])
+			clear(stack[base+b : base+fn.NumLocals])
 			sp = base + fn.NumLocals
 			code = fn.Code
 			ip = 0
 		case OpCallHost:
-			if in.A >= len(vm.hostFns) {
-				err = rtErrf("host function index %d out of range", in.A)
+			if a >= len(vm.hostFns) {
+				err = rtErrf("host function index %d out of range", a)
 				goto fail
 			}
-			hf := &vm.hostFns[in.A]
-			if hf.arity >= 0 && hf.arity != in.B {
-				err = rtErrf("%s expects %d arguments, got %d", hf.name, hf.arity, in.B)
+			hf := &vm.hostFns[a]
+			if hf.arity >= 0 && hf.arity != b {
+				err = rtErrf("%s expects %d arguments, got %d", hf.name, hf.arity, b)
 				goto fail
 			}
 			// The count rides in vm.n across the call: a blocking host
 			// function publishes it, a re-entrant Run continues it.
 			var v Value
 			vm.n = n
-			v, err = hf.fn(&vm.env, stack[sp-in.B:sp:sp])
+			v, err = hf.fn(&vm.env, stack[sp-b:sp:sp])
 			n = vm.n
 			if err != nil {
 				goto fail
 			}
-			sp -= in.B
+			sp -= b
 			stack[sp] = v
 			sp++
 		case OpReturn:
@@ -566,15 +579,15 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 				goto fail
 			}
 		case OpArray:
-			a := &Array{Elems: make([]Value, in.A)} //mbd:alloc-ok — the program constructs a value
-			sp -= in.A
-			copy(a.Elems, stack[sp:sp+in.A])
-			stack[sp] = ArrayValue(a)
+			arr := &Array{Elems: make([]Value, a)} //mbd:alloc-ok — the program constructs a value
+			sp -= a
+			copy(arr.Elems, stack[sp:sp+a])
+			stack[sp] = ArrayValue(arr)
 			sp++
 		case OpMap:
 			m := NewMap()
-			sp -= in.A * 2
-			for i := 0; i < in.A; i++ {
+			sp -= a * 2
+			for i := 0; i < a; i++ {
 				if k := stack[sp+2*i]; k.k == KindString {
 					m.M[k.str()] = stack[sp+2*i+1]
 				} else {
@@ -586,7 +599,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			sp++
 		case OpLoadLConstBin:
 			var v Value
-			v, err = binEval(TokenKind(in.B&0xff), stack[base+in.A], vm.prog.Consts[in.B>>8])
+			v, err = binEval(TokenKind(b&0xff), stack[base+a], vm.prog.Consts[b>>8])
 			if err != nil {
 				goto fail
 			}
@@ -594,7 +607,7 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			sp++
 		case OpLoadLLoadLBin:
 			var v Value
-			v, err = binEval(TokenKind(in.B&0xff), stack[base+in.A], stack[base+in.B>>8])
+			v, err = binEval(TokenKind(b&0xff), stack[base+a], stack[base+b>>8])
 			if err != nil {
 				goto fail
 			}
@@ -603,29 +616,29 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 		case OpBinJumpFalse:
 			sp -= 2
 			var v Value
-			v, err = binEval(TokenKind(in.B), stack[sp], stack[sp+1])
+			v, err = binEval(TokenKind(b), stack[sp], stack[sp+1])
 			if err != nil {
 				goto fail
 			}
 			if !Truthy(v) {
-				ip = in.A
+				ip = a
 			}
 		case OpConstStoreL:
-			stack[base+in.B] = vm.prog.Consts[in.A]
+			stack[base+b] = vm.prog.Consts[a]
 		case OpIncL:
 			var v Value
-			v, err = binEval(TokPlus, stack[base+in.A], vm.prog.Consts[in.B])
+			v, err = binEval(TokPlus, stack[base+a], vm.prog.Consts[b])
 			if err != nil {
 				goto fail
 			}
-			stack[base+in.A] = v
+			stack[base+a] = v
 		case OpDecL:
 			var v Value
-			v, err = binEval(TokMinus, stack[base+in.A], vm.prog.Consts[in.B])
+			v, err = binEval(TokMinus, stack[base+a], vm.prog.Consts[b])
 			if err != nil {
 				goto fail
 			}
-			stack[base+in.A] = v
+			stack[base+a] = v
 		case OpAddC:
 			if l, r := stack[sp-2], stack[sp-1]; l.k != KindString || r.k != KindString {
 				var v Value
@@ -636,10 +649,10 @@ func (vm *VM) dispatch(fn *CompiledFunc, stack []Value, frames []frame) (Value, 
 			}
 		case OpAddN:
 			var v Value
-			if v, err = addChain(stack[sp-in.A : sp]); err != nil {
+			if v, err = addChain(stack[sp-a : sp]); err != nil {
 				goto fail
 			}
-			sp -= in.A
+			sp -= a
 			stack[sp] = v
 			sp++
 		default:

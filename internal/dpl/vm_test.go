@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -611,28 +612,77 @@ func tally(x) { hits += 1; return x; }
 func TestNumericChainCompilesInOnePass(t *testing.T) {
 	const n = 2000
 	compileTime := func(operands int) time.Duration {
-		src := "func main() { return 1" + strings.Repeat(" + 1", operands-1) + "; }"
-		best := time.Duration(math.MaxInt64)
-		for range 7 {
-			prog, err := Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			c, err := Compile(prog, Std())
-			if err != nil {
-				t.Fatal(err)
-			}
-			best = min(best, time.Since(start))
-			if code := c.Funcs[0].Code; len(code) != 2*operands+1 || code[2].Op != OpBin {
-				t.Fatalf("%d operands compile to %d instructions, starting %v", operands, len(code), code[:3])
-			}
+		prog, err := Parse("func main() { return 1" + strings.Repeat(" + 1", operands-1) + "; }")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best
+		runtime.GC()
+		start := time.Now()
+		c, err := Compile(prog, Std())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := time.Since(start)
+		if code := c.Funcs[0].Code; len(code) != 2*operands || code[2].Op != OpBin {
+			t.Fatalf("%d operands compile to %d instructions, starting %v", operands, len(code), code[:3])
+		}
+		return d
 	}
-	small, large := compileTime(n), compileTime(8*n)
+	// The best of 7, the two sizes taking turns, each compile from a
+	// collected heap: collecting the parses' garbage inside the large
+	// compiles, on a machine busy with other tests, read up to 28x.
+	small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 7 {
+		small, large = min(small, compileTime(n)), min(large, compileTime(8*n))
+	}
 	t.Logf("%d operands: %v; %d operands: %v", n, small, 8*n, large)
 	if large > 20*small {
 		t.Errorf("8x the operands took %.1fx the compile time, want at most 20x", float64(large)/float64(small))
+	}
+}
+
+// TestStringChainOptimizesInLinearTime: the walker sums a chain of
+// string literals in one pass, into one allocation, each time it meets
+// the chain, so optimizing the chain costs bytes and time linear in its
+// length. Folding pair by pair, 8n literals took 64 times the bytes and
+// the time of n. The bytes are the exact measure; the time, the best of
+// 7 runs, is held to twice that bound, since on a loaded machine a
+// linear pass reads up to 10x.
+func TestStringChainOptimizesInLinearTime(t *testing.T) {
+	const n = 250
+	optimize := func(literals int) (time.Duration, uint64) {
+		lit := `"` + strings.Repeat("x", 62) + `"`
+		prog, err := Parse("var s = " + lit + strings.Repeat(" + "+lit, literals-1) + "; func main() { return s; }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(prog, Std())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		Optimize(c)
+		d := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		return d, m1.TotalAlloc - m0.TotalAlloc
+	}
+	best := func(literals int) (d time.Duration, bytes uint64) {
+		d, bytes = time.Duration(math.MaxInt64), math.MaxUint64
+		for range 7 {
+			di, bi := optimize(literals)
+			d, bytes = min(d, di), min(bytes, bi)
+		}
+		return d, bytes
+	}
+	small, smallBytes := best(n)
+	large, largeBytes := best(8 * n)
+	t.Logf("%d literals: %v, %d bytes; %d literals: %v, %d bytes", n, small, smallBytes, 8*n, large, largeBytes)
+	if largeBytes > 10*smallBytes {
+		t.Errorf("8x the literals allocated %.1fx the bytes, want at most 10x", float64(largeBytes)/float64(smallBytes))
+	}
+	if large > 20*small {
+		t.Errorf("8x the literals took %.1fx the optimizing time, want at most 20x", float64(large)/float64(small))
 	}
 }

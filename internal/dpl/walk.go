@@ -143,7 +143,7 @@ func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int,
 			next, take = Branch(in, w.stack)
 		}
 		w.transfer(c, in)
-		if jumps && in.A > ip && in.A < len(code) && live && take {
+		if t := int(in.A); jumps && t > ip && t < len(code) && live && take {
 			w.edge(&w.joins[in.A])
 		}
 		arrives = live && next
@@ -268,8 +268,8 @@ func (w *Walker) transfer(c *Compiled, in Instr) {
 			w.push(Abs{})
 		}
 	case OpAddN:
-		k := min(max(in.A, 0), len(w.stack))
-		sum := chainSum(w.stack[len(w.stack)-k:], in.A)
+		k := min(max(int(in.A), 0), len(w.stack))
+		sum := chainSum(w.stack[len(w.stack)-k:], int(in.A))
 		w.stack = w.stack[:len(w.stack)-k]
 		w.push(sum)
 	default:
@@ -286,12 +286,31 @@ func (w *Walker) transfer(c *Compiled, in Instr) {
 // when either is known to be a string the result is the whole chain's
 // concatenation, led by the first slot's head, or the run stops.
 // Otherwise the walker knows nothing of the result.
+//
+// The sum is binary's, pair by pair, made in time linear in the chain:
+// a leading run of known strings joins in one allocation, and once the
+// sum is anything else binary keeps or drops it in constant time.
 func chainSum(s []Abs, n int) Abs {
 	if len(s) < max(n, 2) || !s[len(s)-2].isString() && !s[len(s)-1].isString() {
 		return Abs{}
 	}
-	sum := s[0]
-	for _, a := range s[1:] {
+	known := func(a Abs) bool { return a.kind == absExact && a.v.k == KindString }
+	sum, j := s[0], 1
+	if known(sum) {
+		size := int(sum.v.n)
+		for ; j < len(s) && known(s[j]); j++ {
+			size += int(s[j].v.n)
+		}
+		if j > 1 {
+			var b strings.Builder
+			b.Grow(size)
+			for _, a := range s[:j] {
+				b.WriteString(a.v.str())
+			}
+			sum = Abs{kind: absExact, v: Str(b.String()), folded: true}
+		}
+	}
+	for _, a := range s[j:] {
 		sum = binary(TokPlus, sum, a)
 	}
 	return sum
@@ -324,16 +343,16 @@ func (w *Walker) pop() (a Abs) {
 	return a
 }
 
-func (w *Walker) local(i int) Abs {
-	if i >= 0 && i < len(w.locals) {
+func (w *Walker) local(i int32) Abs {
+	if i >= 0 && int(i) < len(w.locals) {
 		return w.locals[i]
 	}
 	return Abs{}
 }
 
-func (w *Walker) setLocal(i int, a Abs) {
-	if i >= 0 && i < len(w.locals) {
-		w.locals[i], w.set = a, append(w.set, int32(i))
+func (w *Walker) setLocal(i int32, a Abs) {
+	if i >= 0 && int(i) < len(w.locals) {
+		w.locals[i], w.set = a, append(w.set, i)
 	}
 }
 

@@ -15,16 +15,16 @@ import (
 
 // DPI is a delegated program instance: one running activation of a DP,
 // executing on its own goroutine inside the elastic process, with a
-// mailbox for incoming messages and lifecycle control.
+// mailbox for incoming messages and lifecycle control. Once it exits it
+// is a record: what Info, Control and supervision read, and no machine,
+// mailbox or program.
 type DPI struct {
 	ID    string
-	DP    *DP
 	Entry string
 
 	proc    *Process
 	vm      *dpl.VM
 	ctrl    *dpl.Control
-	mailbox chan string
 	started time.Duration
 	runCtx  context.Context
 	cancel  context.CancelFunc
@@ -57,6 +57,9 @@ type DPI struct {
 	crashed  bool
 	result   any // a Go value, as VM.Run returns it
 	err      error
+	// mailbox is made by the first recv or Send and dropped at exit;
+	// an instance that never receives never has one.
+	mailbox chan string
 }
 
 // run executes the instance to completion. It always emits EventExit.
@@ -69,11 +72,16 @@ func (d *DPI) run(ctx context.Context, args []any) {
 	if r := d.wdReason.Load(); r != nil {
 		err = fmt.Errorf("%w: %s", ErrWatchdogKilled, *r)
 	}
+	// The record keeps what Info reads: the machine, its program and
+	// the mailbox go. A message not yet received goes with the mailbox;
+	// one sent from here on is refused.
+	d.vm.Release()
 	d.mu.Lock()
 	d.finished = true
 	d.crashed = crashed
 	d.result = v
 	d.err = err
+	d.mailbox = nil
 	d.mu.Unlock()
 	// The one retention rule for finished records, applied here and
 	// nowhere else: this exit takes the next slot of the finished ring
@@ -200,7 +208,7 @@ func (d *DPI) info() Info {
 	defer d.mu.Unlock()
 	inf := Info{
 		ID:      d.ID,
-		DP:      d.DP.Name,
+		DP:      d.spec.DP,
 		Entry:   d.Entry,
 		Steps:   d.vm.Steps(),
 		Started: d.started,
@@ -223,6 +231,41 @@ func (d *DPI) info() Info {
 		inf.State = d.ctrl.State()
 	}
 	return inf
+}
+
+// inbox returns the instance's mailbox, making it on first use. Only
+// the running instance asks, so it is never finished here.
+func (d *DPI) inbox() chan string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.mailboxLocked()
+}
+
+// mailboxLocked returns the mailbox, making it on first use. d.mu must
+// be held.
+func (d *DPI) mailboxLocked() chan string {
+	if d.mailbox == nil {
+		d.mailbox = make(chan string, d.proc.cfg.MailboxDepth)
+	}
+	return d.mailbox
+}
+
+// deliver queues payload in the mailbox without blocking. It decides
+// under the instance's lock, where exit drops the mailbox, so a message
+// is either queued before the exit or refused after it.
+func (d *DPI) deliver(payload string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.finished {
+		return fmt.Errorf("%w: %s", ErrExited, d.ID)
+	}
+	select {
+	case d.mailboxLocked() <- payload:
+		d.proc.met.messagesSent.Inc()
+		return nil
+	default:
+		return fmt.Errorf("%w: %s", ErrMailboxFull, d.ID)
+	}
 }
 
 // dpiOf extracts the DPI handle a VM carries; host functions use it to
@@ -280,9 +323,10 @@ func (p *Process) registerInstanceServices() {
 			return dpl.Value{}, fmt.Errorf("elastic: recv(timeoutMs) wants int, got %s", dpl.TypeName(args[0]))
 		}
 		ctx := env.VM.Context()
+		mailbox := d.inbox()
 		// Fast path: message already queued.
 		select {
-		case m := <-d.mailbox:
+		case m := <-mailbox:
 			return dpl.Str(m), nil
 		default:
 		}
@@ -303,7 +347,7 @@ func (p *Process) registerInstanceServices() {
 		var msg dpl.Value
 		err = d.unslotted(func() error {
 			select {
-			case m := <-d.mailbox:
+			case m := <-mailbox:
 				msg = dpl.Str(m)
 				return nil
 			case <-timeout:
@@ -351,15 +395,6 @@ func (p *Process) registerInstanceServices() {
 			return dpl.Value{}, fmt.Errorf("elastic: sendto(dpiID, payload) wants strings")
 		}
 		target, ok := p.Lookup(id)
-		if !ok || target.Finished() {
-			return dpl.Bool(false), nil
-		}
-		select {
-		case target.mailbox <- payload:
-			p.met.messagesSent.Inc()
-			return dpl.Bool(true), nil
-		default:
-			return dpl.Bool(false), nil
-		}
+		return dpl.Bool(ok && target.deliver(payload) == nil), nil
 	})
 }

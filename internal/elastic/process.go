@@ -26,6 +26,9 @@ var (
 	// ErrMailboxFull reports a send to a DPI whose mailbox is at its
 	// depth limit.
 	ErrMailboxFull = errors.New("elastic: mailbox full")
+	// ErrExited reports a send to an instance that has exited: no one
+	// would read the message.
+	ErrExited = errors.New("elastic: instance has exited")
 	// ErrStopped reports an operation on a stopped process.
 	ErrStopped = errors.New("elastic: process stopped")
 )
@@ -558,6 +561,9 @@ func (p *Process) translateCached(lang, source string) (progEntry, error) {
 	if err != nil {
 		return progEntry{}, err
 	}
+	// Admission reads the program's diagnostics, effects and cost;
+	// what each function reaches and costs is not kept.
+	rep.Funcs = nil
 	p.met.sourceAnalyses.Inc()
 	ent := progEntry{
 		obj: obj,
@@ -667,7 +673,6 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &DPI{
 		ID:        id,
-		DP:        dp,
 		Entry:     spec.Entry,
 		spec:      spec,
 		sup:       sup,
@@ -675,7 +680,6 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 		tenant:    tenant,
 		principal: spec.Principal,
 		ctrl:      ctrl,
-		mailbox:   make(chan string, p.cfg.MailboxDepth),
 		started:   p.clock.Now(),
 		runCtx:    ctx,
 		cancel:    cancel,
@@ -754,7 +758,8 @@ func (p *Process) Control(principal, dpiID string, action ControlAction) error {
 
 // Send delivers a message to an instance's mailbox without blocking; a
 // full mailbox returns ErrMailboxFull (backpressure is the delegator's
-// problem, as with any period-authentic datagram service).
+// problem, as with any period-authentic datagram service), and an
+// instance that has exited ErrExited.
 func (p *Process) Send(principal, dpiID, payload string) error {
 	if !p.cfg.ACL.Allow(principal, RightSend) {
 		return fmt.Errorf("%w: %s may not send", ErrDenied, principal)
@@ -763,13 +768,7 @@ func (p *Process) Send(principal, dpiID, payload string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchDPI, dpiID)
 	}
-	select {
-	case d.mailbox <- payload:
-		p.met.messagesSent.Inc()
-		return nil
-	default:
-		return fmt.Errorf("%w: %s", ErrMailboxFull, dpiID)
-	}
+	return d.deliver(payload)
 }
 
 // Info describes one instance for Query.
