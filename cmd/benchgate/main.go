@@ -21,6 +21,10 @@
 //   - allocates more per op than the baseline records (strict: any
 //     increase in allocs/op fails, since the allocation-free hot paths
 //     are an explicit design property), or
+//   - puts more bytes on the wire per op than the baseline records, or
+//     no longer reports them (strict, as for allocs: a benchmark that
+//     reports a wireB/op metric counts protocol bytes, which only a
+//     format change moves; a baseline without one gates none), or
 //   - is missing from the new output (a silently deleted benchmark
 //     cannot guard anything).
 //
@@ -51,12 +55,15 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// WireBytesPerOp is the benchmark's wireB/op metric, the protocol
+	// bytes one op sends and receives; 0 for a benchmark without one.
+	WireBytesPerOp float64 `json:"wire_bytes_per_op,omitempty"`
 }
 
 // sample is one parsed result line.
 type sample struct {
-	ns, bytes, allocs float64
-	hasMem            bool
+	ns, bytes, allocs, wire float64
+	hasMem                  bool
 }
 
 // parseBench reads `go test -bench` output, grouping repeated runs by
@@ -94,6 +101,8 @@ func parseBench(r *bufio.Scanner) (map[string][]sample, error) {
 				s.bytes, s.hasMem = v, true
 			case "allocs/op":
 				s.allocs, s.hasMem = v, true
+			case "wireB/op":
+				s.wire = v
 			}
 		}
 		out[name] = append(out[name], s)
@@ -115,13 +124,14 @@ func median(v []float64) float64 {
 func condense(samples map[string][]sample) map[string]Benchmark {
 	out := make(map[string]Benchmark, len(samples))
 	for name, ss := range samples {
-		var ns, by, al []float64
+		var ns, by, al, wi []float64
 		for _, s := range ss {
 			ns = append(ns, s.ns)
 			by = append(by, s.bytes)
 			al = append(al, s.allocs)
+			wi = append(wi, s.wire)
 		}
-		out[name] = Benchmark{NsPerOp: median(ns), BytesPerOp: median(by), AllocsPerOp: median(al)}
+		out[name] = Benchmark{NsPerOp: median(ns), BytesPerOp: median(by), AllocsPerOp: median(al), WireBytesPerOp: median(wi)}
 	}
 	return out
 }
@@ -156,9 +166,11 @@ func worse(base, cur float64) float64 {
 }
 
 // regressed reports whether cur fails the gate against base: ns/op or
-// B/op worse by more than threshold, or any increase in allocs/op.
+// B/op worse by more than threshold, any increase in allocs/op, or, if
+// base records wireB/op, any increase in it or its absence.
 func regressed(base, cur Benchmark, threshold float64) bool {
 	return cur.AllocsPerOp > base.AllocsPerOp ||
+		base.WireBytesPerOp > 0 && (cur.WireBytesPerOp > base.WireBytesPerOp || cur.WireBytesPerOp == 0) ||
 		worse(base.NsPerOp, cur.NsPerOp) > threshold ||
 		worse(base.BytesPerOp, cur.BytesPerOp) > threshold
 }
@@ -231,10 +243,14 @@ func main() {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %-32s ns/op %10.1f -> %10.1f (%+6.1f%%)  B/op %6.0f -> %6.0f (%+6.1f%%)  allocs/op %3.0f -> %3.0f\n",
+		wire := ""
+		if base.WireBytesPerOp != 0 || cur.WireBytesPerOp != 0 {
+			wire = fmt.Sprintf("  wireB/op %6.1f -> %6.1f", base.WireBytesPerOp, cur.WireBytesPerOp)
+		}
+		fmt.Printf("%s %-32s ns/op %10.1f -> %10.1f (%+6.1f%%)  B/op %6.0f -> %6.0f (%+6.1f%%)  allocs/op %3.0f -> %3.0f%s\n",
 			status, name, base.NsPerOp, cur.NsPerOp, worse(base.NsPerOp, cur.NsPerOp)*100,
 			base.BytesPerOp, cur.BytesPerOp, worse(base.BytesPerOp, cur.BytesPerOp)*100,
-			base.AllocsPerOp, cur.AllocsPerOp)
+			base.AllocsPerOp, cur.AllocsPerOp, wire)
 	}
 	for name := range current {
 		if _, ok := bl.Benchmarks[name]; !ok {

@@ -35,6 +35,9 @@ const (
 	ClassPrivate     Class = 0xC0
 )
 
+// Constructed is the tag bit that marks a constructed element.
+const Constructed byte = 0x20
+
 // Universal tag numbers used by SNMP and RDS.
 const (
 	TagInteger     byte = 0x02

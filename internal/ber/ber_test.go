@@ -232,7 +232,7 @@ func TestWrongTagErrors(t *testing.T) {
 		"Fixed":  func(c *Codec) { c.Fixed(TagOctetString, make([]byte, 1)) },
 		"Int":    func(c *Codec) { Int(c, new(int64)) }, // reads the tag it was given
 		"List": func(c *Codec) {
-			for range List(c, new([]int), 1) {
+			for range List(c, TagSequence, new([]int), 1) {
 			}
 		},
 	} {
@@ -453,6 +453,52 @@ func TestOIDSingleArcAndEmpty(t *testing.T) {
 		}
 		if len(got) != 2 {
 			t.Fatalf("%v decoded to %v", o, got)
+		}
+	}
+}
+
+// TestCanonicalDecoderRefusesLongerForms: BER lets a length, an
+// integer or an OID arc take more octets than it needs, and Decoder
+// reads them, as an SNMP peer may send them; CanonicalDecoder refuses
+// each, and a boolean other than 0 or 1.
+func TestCanonicalDecoderRefusesLongerForms(t *testing.T) {
+	long := append([]byte{TagOctetString, 0x82, 0x00, 0x81}, make([]byte, 0x81)...)
+	for name, c := range map[string]struct {
+		b     []byte
+		visit func(*Codec)
+	}{
+		"long form, short length":   {[]byte{TagOctetString, 0x81, 0x01, 'x'}, func(c *Codec) { c.Octets(TagOctetString, new([]byte)) }},
+		"long form, leading zero":   {long, func(c *Codec) { c.Octets(TagOctetString, new([]byte)) }},
+		"sequence length":           {[]byte{TagSequence, 0x81, 0x00}, func(c *Codec) { c.End(c.Begin(TagSequence)) }},
+		"integer, leading 0x00":     {[]byte{TagInteger, 0x02, 0x00, 0x01}, func(c *Codec) { Int(c, new(int64)) }},
+		"integer, leading 0xFF":     {[]byte{TagInteger, 0x02, 0xFF, 0xFF}, func(c *Codec) { Int(c, new(int64)) }},
+		"tagged integer":            {[]byte{0x80, 0x02, 0x00, 0x7F}, func(c *Codec) { TaggedInt(c, 0x80, new(int32)) }},
+		"unsigned, leading 0x00":    {[]byte{TagCounter32, 0x02, 0x00, 0x01}, func(c *Codec) { c.Uint(TagCounter32, new(uint64)) }},
+		"unsigned, high bit set":    {[]byte{TagCounter32, 0x01, 0x80}, func(c *Codec) { c.Uint(TagCounter32, new(uint64)) }},
+		"OID arc opening with 0x80": {[]byte{TagOID, 0x03, 0x2B, 0x80, 0x01}, func(c *Codec) { c.OID(new(oid.OID), nil) }},
+		"boolean 2":                 {[]byte{TagInteger, 0x01, 0x02}, func(c *Codec) { c.Bool(new(bool)) }},
+	} {
+		lax := Decoder(c.b)
+		if c.visit(&lax); lax.Finish() != nil {
+			t.Errorf("%s: Decoder refused % x: %v", name, c.b, lax.Err())
+		}
+		strict := CanonicalDecoder(c.b)
+		if c.visit(&strict); strict.Finish() == nil {
+			t.Errorf("%s: CanonicalDecoder accepted % x", name, c.b)
+		}
+	}
+	// The shortest forms pass: a 0x80 that continues an arc, a 0x00
+	// that keeps a value positive, a long form a length needs.
+	for _, b := range [][]byte{
+		{TagOID, 0x04, 0x2B, 0x81, 0x80, 0x00},
+		{TagInteger, 0x02, 0x00, 0x80},
+		{TagInteger, 0x02, 0xFF, 0x7F},
+		append([]byte{TagOctetString, 0x81, 0x80}, make([]byte, 0x80)...),
+	} {
+		d := CanonicalDecoder(b)
+		var n []node
+		if walk(&d, &n); d.Finish() != nil {
+			t.Errorf("% x refused: %v", b[:min(len(b), 4)], d.Err())
 		}
 	}
 }

@@ -17,28 +17,50 @@ import (
 // code.
 //
 // Decoding checks the tag of every element it reads, copies what it
-// keeps out of the input (no decoded field aliases it), and refuses a
-// constructed element with bytes left over. The first failure latches:
-// every later call does nothing, so a visit checks Err only where a
-// decoded value steers what it visits next. Visitors that derive a
+// keeps out of the input (no decoded field aliases it but Alias's), and
+// refuses a constructed element with bytes left over. The first
+// failure latches: every later call does nothing, so a visit checks Err
+// only where a decoded value steers what it visits next. Visitors that derive a
 // value for the wire write the structure back only when Decoding, so
 // encoding never writes to what it encodes.
 type Codec struct {
 	w Writer
 	// Decoding: the input, the next element's offset in it, and the end
 	// of the open constructed element.
-	in       []byte
-	off, end int
-	dec      bool
-	err      error
+	in        []byte
+	off, end  int
+	dec       bool
+	canonical bool
+	err       error
 }
 
 // Encoder returns a codec that appends encodings to dst, which may be
 // nil; Bytes returns the extended slice.
 func Encoder(dst []byte) Codec { return Codec{w: NewWriter(dst)} }
 
-// Decoder returns a codec that decodes b, which it does not copy.
+// Decoder returns a codec that decodes b, which it does not copy. It
+// reads any encoding BER allows for a value, as an SNMP peer may send.
 func Decoder(b []byte) Codec { return Codec{in: b, end: len(b), dec: true} }
+
+// CanonicalDecoder returns a decoder that accepts only the encoding an
+// Encoder writes: it refuses a length, an integer or an OID arc in more
+// octets than it needs and a boolean other than 0 or 1. A structure
+// whose visit also refuses the choices it would not make then has one
+// encoding, and what a decode accepts re-encodes to the bytes it read,
+// as a digest over the encoding needs.
+func CanonicalDecoder(b []byte) Codec {
+	c := Decoder(b)
+	c.canonical = true
+	return c
+}
+
+// shortest fails a canonical decode when the element just read, what,
+// was not in its shortest form.
+func (c *Codec) shortest(ok bool, what string) {
+	if c.canonical && !ok {
+		c.Fail(fmt.Errorf("ber: %s in more octets than it needs", what))
+	}
+}
 
 // Decoding reports whether c decodes.
 func (c *Codec) Decoding() bool { return c.dec }
@@ -113,15 +135,16 @@ func (c *Codec) Optional(tag byte, present bool) bool {
 	return c.off < c.end && c.Peek() == tag
 }
 
-// List visits *s as a SEQUENCE OF, yielding each element's index in
-// order. Encoding yields those *s holds; decoding appends a zero element
-// to *s for each one the input holds, refusing more than max, and
-// yields it for the loop body to decode into. A decoder reusing *s's
+// List visits *s as a SEQUENCE OF under tag (TagSequence, or an
+// implicit context tag), yielding each element's index in order.
+// Encoding yields those *s holds; decoding appends a zero element to
+// *s for each one the input holds, refusing more than max, and yields
+// it for the loop body to decode into. A decoder reusing *s's
 // storage passes it emptied; an unallocated *s gets room for the
 // elements the list holds first.
-func List[T any](c *Codec, s *[]T, max int) iter.Seq[int] {
+func List[T any](c *Codec, tag byte, s *[]T, max int) iter.Seq[int] {
 	return func(yield func(int) bool) {
-		seq := c.Begin(TagSequence)
+		seq := c.Begin(tag)
 		if c.dec && cap(*s) == 0 {
 			*s = slices.Grow(*s, min(c.count(), maxPrealloc))
 		}
@@ -193,18 +216,30 @@ func (c *Codec) next(tag byte) (start, end int, ok bool) {
 		c.err = err
 		return 0, 0, false
 	}
+	if long := start-c.off > 2; long { // the long form: its first length octet and its length
+		c.shortest(c.in[c.off+2] != 0 && end-start >= 0x80, "length")
+	}
 	c.off = end
-	return start, end, true
+	return start, end, c.err == nil
+}
+
+// Integer is the Go integer types Int and TaggedInt visit.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32
 }
 
 // Int visits a universal INTEGER. Decoding refuses a value *v's type
 // cannot hold.
-func Int[T ~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32](c *Codec, v *T) {
+func Int[T Integer](c *Codec, v *T) { TaggedInt(c, TagInteger, v) }
+
+// TaggedInt visits an INTEGER under tag, an implicit context tag where
+// a structure's optional fields are told apart by their tags.
+func TaggedInt[T Integer](c *Codec, tag byte, v *T) {
 	if !c.dec {
-		c.w.AppendInt(TagInteger, int64(*v))
+		c.w.AppendInt(tag, int64(*v))
 		return
 	}
-	b, ok := c.read(TagInteger)
+	b, ok := c.read(tag)
 	if !ok {
 		return
 	}
@@ -214,10 +249,11 @@ func Int[T ~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32]
 	}
 	c.err = err
 	*v = T(x)
+	c.shortest(len(b) < 2 || !(b[0] == 0 && b[1] < 0x80 || b[0] == 0xFF && b[1] >= 0x80), "integer")
 }
 
 // Bool visits a boolean as the INTEGER 1 or 0; decoding reads any
-// non-zero value as true.
+// non-zero value as true, where a canonical decoder refuses it.
 func (c *Codec) Bool(v *bool) {
 	var x int64
 	if *v {
@@ -225,6 +261,9 @@ func (c *Codec) Bool(v *bool) {
 	}
 	Int(c, &x)
 	if c.dec {
+		if c.canonical && x != 0 && x != 1 {
+			c.Fail(fmt.Errorf("ber: boolean %d", x))
+		}
 		*v = x != 0
 	}
 }
@@ -237,6 +276,9 @@ func (c *Codec) Uint(tag byte, v *uint64) {
 	}
 	if b, ok := c.read(tag); ok {
 		*v, c.err = uintContents(b)
+		// A first octet past 0x7F reads as negative in two's complement,
+		// which the encoder answers with a leading zero.
+		c.shortest(len(b) == 0 || b[0] < 0x80 && (len(b) < 2 || b[0] != 0 || b[1] >= 0x80), "unsigned integer")
 	}
 }
 
@@ -279,6 +321,23 @@ func (c *Codec) Octets(tag byte, b *[]byte) {
 	}
 }
 
+// Alias visits a byte string under tag like Octets, except that
+// decoding points *b into the input instead of copying it: for a
+// visitor that builds its own value from the bytes at once. An empty
+// string decodes as nil.
+func (c *Codec) Alias(tag byte, b *[]byte) {
+	if !c.dec {
+		c.w.AppendTLV(tag, *b)
+		return
+	}
+	if v, ok := c.read(tag); ok {
+		*b = nil
+		if len(v) > 0 {
+			*b = v
+		}
+	}
+}
+
 // Fixed visits a byte string of exactly len(b) bytes under tag.
 func (c *Codec) Fixed(tag byte, b []byte) {
 	if !c.dec {
@@ -309,8 +368,11 @@ func (c *Codec) OID(o *oid.OID, arena *oid.OID) {
 	if arena != nil {
 		base = *arena
 	}
+	for i := 0; c.canonical && i < len(v); i++ { // an arc may not open with a zero septet
+		c.shortest(v[i] != 0x80 || i > 0 && v[i-1] >= 0x80, "OID arc")
+	}
 	ext, err := appendOIDContents(base, v)
-	if c.err = err; err == nil {
+	if c.Fail(err); c.err == nil {
 		*o = ext[len(base):]
 		if arena != nil {
 			*arena = ext

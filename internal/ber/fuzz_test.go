@@ -61,6 +61,7 @@ func walk(c *Codec, nodes *[]node) {
 // every SNMP message and RDS header: it may refuse them but never
 // panic, and what it accepts re-encodes through the same visit into
 // bytes that decode to the same values and re-encode to themselves.
+// What a canonical decoder accepts re-encodes to the very input.
 func FuzzBERReader(f *testing.F) {
 	var w Writer
 	seq := w.BeginSeq(TagSequence)
@@ -102,6 +103,11 @@ func FuzzBERReader(f *testing.F) {
 		e2 := Encoder(nil)
 		if walk(&e2, &again); !bytes.Equal(e2.Bytes(), e.Bytes()) {
 			t.Fatalf("re-encoding is not a fixed point: %x then %x", e.Bytes(), e2.Bytes())
+		}
+		var canon []node
+		d = CanonicalDecoder(data)
+		if walk(&d, &canon); d.Finish() == nil && !bytes.Equal(e.Bytes(), data) {
+			t.Fatalf("canonical decoder accepted %x, which re-encodes as %x", data, e.Bytes())
 		}
 	})
 }

@@ -260,9 +260,10 @@ type Compiled struct {
 	HostNames []string
 	// initMarks is InitCode's share of the position table.
 	initMarks []Mark
-	// markTable holds the compiler's whole position table, of which
-	// every block's marks are a share, until Optimize hands it back.
-	markTable *[]Mark
+	// lowered holds the scratch the compiler wrote the code, constants
+	// and position table into, of which every block's are a share, until
+	// Optimize copies what it keeps out and hands the scratch back.
+	lowered *lowering
 
 	// Cached EnsureStructure outcome (see verifycode.go). Guarded by
 	// vmu so concurrent DPIs sharing one Compiled verify it once.
@@ -409,9 +410,10 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 		total += fc.n
 		totalMarks += fc.nMarks
 	}
-	c.out.markTable = markTables.get(totalMarks)
-	code, marks := make([]Instr, total), *c.out.markTable
-	c.out.Consts = make([]Value, 0, c.nLits)
+	l := lowerings.get(total, totalMarks, c.nLits)
+	c.out.lowered = l
+	code, marks := l.code, l.marks
+	c.out.Consts = l.consts
 	c.pool = constPool{c: c.out}
 	defer c.pool.release()
 	fc.sizing = false
@@ -468,32 +470,58 @@ func (c *Compiled) ownText() {
 	}
 }
 
-// markTables holds the compiler's position tables from one program to
-// the next: only the analyzer and the optimizer read a whole table, and
-// Optimize hands it back once it has kept what optimized code needs.
-var markTables = markPool{sync.Pool{New: func() any { return new([]Mark) }}}
-
-type markPool struct{ sync.Pool }
-
-// maxKeptMarks bounds the tables kept for reuse, so that one huge
-// program's does not stay resident.
-const maxKeptMarks = 1 << 14
-
-// get returns a table of n marks.
-func (p *markPool) get(n int) *[]Mark {
-	t := p.Get().(*[]Mark)
-	if cap(*t) < n {
-		*t = make([]Mark, n)
-	}
-	*t = (*t)[:n]
-	return t
+// lowering is the scratch one compile writes its program into: all
+// code in one array, all constants in one pool and the position table,
+// each sized beforehand. A stored program keeps none of it: Optimize
+// copies the optimized code and the constants out at their final
+// lengths and hands the scratch to the next compile. Code that is
+// never optimized keeps its scratch.
+type lowering struct {
+	code   []Instr
+	consts []Value
+	marks  []Mark
 }
 
-// put keeps t for a later compile.
-func (p *markPool) put(t *[]Mark) {
-	if cap(*t) <= maxKeptMarks {
-		p.Put(t)
+// lowerings holds lowerings from one compile to the next. It has no New:
+// a compile that finds it empty allocates its scratch as it would
+// without the pool.
+var lowerings = loweringPool{}
+
+type loweringPool struct{ sync.Pool }
+
+// maxKeptScratch bounds each table of a lowering kept for reuse, so
+// that one huge program's does not stay resident.
+const maxKeptScratch = 1 << 14
+
+// get returns a lowering of n instructions, nMarks marks and room for
+// nConsts constants.
+func (p *loweringPool) get(n, nMarks, nConsts int) *lowering {
+	l, _ := p.Get().(*lowering)
+	if l == nil {
+		l = new(lowering)
 	}
+	l.code = grown(l.code, n)
+	l.marks = grown(l.marks, nMarks)
+	l.consts = grown(l.consts, nConsts)[:0]
+	return l
+}
+
+// grown returns s resliced to n elements, reallocated if it has not the
+// room.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// put keeps l for a later compile, dropping the constants it points to.
+func (p *loweringPool) put(l *lowering) {
+	if max(cap(l.code), cap(l.marks), cap(l.consts)) > maxKeptScratch {
+		return
+	}
+	clear(l.consts[:cap(l.consts)])
+	p.Put(l)
 }
 
 type compiler struct {

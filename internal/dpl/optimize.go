@@ -68,12 +68,33 @@ func Optimize(c *Compiled) OptStats {
 		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
 		fn.marks = o.marks
 	}
-	if c.markTable != nil {
-		markTables.put(c.markTable)
-		c.markTable = nil
+	if l := c.lowered; l != nil {
+		c.lowered = nil
+		c.ownCode()
+		lowerings.put(l)
 	}
 	c.invalidateVerify()
 	return st
+}
+
+// ownCode moves the optimized blocks, each compacted in place inside
+// the compiler's code array, into one array of their total length, and
+// the constants into one of theirs.
+func (c *Compiled) ownCode() {
+	n := len(c.InitCode)
+	for _, fn := range c.Funcs {
+		n += len(fn.Code)
+	}
+	code := make([]Instr, 0, n)
+	own := func(b []Instr) []Instr {
+		code = append(code, b...)
+		return code[len(code)-len(b) : len(code) : len(code)]
+	}
+	c.InitCode = own(c.InitCode)
+	for _, fn := range c.Funcs {
+		fn.Code = own(fn.Code)
+	}
+	c.Consts = append([]Value(nil), c.Consts...)
 }
 
 // loopsAndCalls returns, in a table of their own, the marks of ms that

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mbd/internal/dpl"
 	"mbd/internal/dpl/analysis"
@@ -131,7 +132,9 @@ func TestOptimizerCrosscheckCorpus(t *testing.T) {
 // TestCompileSizesCodeOnce holds Compile's two passes together: what
 // the sizing pass counts is what the emitting pass writes, so every
 // function's code (and the initializers') fills its share of the one
-// array exactly, and Optimize then shrinks the code where it lies.
+// array exactly. Optimize then leaves the optimized blocks, one after
+// another, in one array of their total length, so a stored program
+// keeps no instruction the optimizer dropped.
 func TestCompileSizesCodeOnce(t *testing.T) {
 	bindings := analysis.LintBindings()
 	compiled := 0
@@ -154,22 +157,25 @@ func TestCompileSizesCodeOnce(t *testing.T) {
 				t.Errorf("%s/%s: %d instructions in room for %d: the sizing pass miscounted", name, fn, len(code), cap(code))
 			}
 		}
-		first := map[string]*dpl.Instr{}
-		for fn, code := range blocks {
-			first[fn] = &code[0]
-		}
 		dpl.Optimize(c)
-		blocks["<init>"] = c.InitCode
-		for _, fn := range c.Funcs {
-			blocks[fn.Name] = fn.Code
-		}
-		for fn, code := range blocks {
-			if len(code) > 0 && &code[0] != first[fn] {
-				t.Errorf("%s/%s: Optimize moved the code instead of compacting it in place", name, fn)
+		next := unsafe.Pointer(unsafe.SliceData(c.InitCode))
+		for i, code := range append([][]dpl.Instr{c.InitCode}, funcCode(c)...) {
+			if cap(code) != len(code) || len(code) > 0 && unsafe.Pointer(&code[0]) != next {
+				t.Errorf("%s: optimized block %d is not the next %d instructions of one array", name, i, len(code))
 			}
+			next = unsafe.Add(next, uintptr(len(code))*unsafe.Sizeof(dpl.Instr{}))
 		}
 	}
 	if compiled < 10 {
 		t.Fatalf("only %d corpus sources compile", compiled)
 	}
+}
+
+// funcCode returns each function's code, in order.
+func funcCode(c *dpl.Compiled) [][]dpl.Instr {
+	var out [][]dpl.Instr
+	for _, fn := range c.Funcs {
+		out = append(out, fn.Code)
+	}
+	return out
 }

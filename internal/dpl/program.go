@@ -123,14 +123,14 @@ func (p *CompiledProgram) visit(c *ber.Codec) {
 // pool, global and host names, init code, then each function.
 func (o *Compiled) visit(c *ber.Codec) {
 	obj := c.Begin(ber.TagSequence)
-	for i := range ber.List(c, &o.Consts, math.MaxInt) {
+	for i := range ber.List(c, ber.TagSequence, &o.Consts, math.MaxInt) {
 		visitConst(c, &o.Consts[i])
 	}
 	visitStrings(c, &o.GlobalNames)
 	visitStrings(c, &o.HostNames)
 	visitCode(c, &o.InitCode)
 	var names map[string]struct{} // the decoded function names, for the duplicate check
-	for i := range ber.List(c, &o.Funcs, math.MaxInt) {
+	for i := range ber.List(c, ber.TagSequence, &o.Funcs, math.MaxInt) {
 		if c.Decoding() {
 			o.Funcs[i] = &CompiledFunc{}
 		}
@@ -201,13 +201,13 @@ func visitConst(c *ber.Codec, v *Value) {
 }
 
 func visitStrings(c *ber.Codec, list *[]string) {
-	for i := range ber.List(c, list, math.MaxInt) {
+	for i := range ber.List(c, ber.TagSequence, list, math.MaxInt) {
 		c.String(ber.TagOctetString, &(*list)[i])
 	}
 }
 
 func visitCode(c *ber.Codec, code *[]Instr) {
-	for i := range ber.List(c, code, math.MaxInt) {
+	for i := range ber.List(c, ber.TagSequence, code, math.MaxInt) {
 		in := &(*code)[i]
 		one := c.Begin(ber.TagSequence)
 		ber.Int(c, &in.Op)

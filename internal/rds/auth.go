@@ -49,15 +49,24 @@ func (a *Authenticator) secret(principal string) ([]byte, bool) {
 	return s, ok
 }
 
-func digest(secret []byte, m *Message) []byte {
+// digestBufs holds the buffers digest encodes into, so that signing
+// and verifying allocate nothing once warm.
+var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// digest returns the MD5 of secret followed by m's encoding with its
+// digest left out.
+func digest(secret []byte, m *Message) [md5.Size]byte {
+	bp := digestBufs.Get().(*[]byte)
 	saved := m.Digest
 	m.Digest = nil
-	enc := m.Encode()
+	b := m.AppendEncode(append((*bp)[:0], secret...))
 	m.Digest = saved
-	h := md5.New()
-	h.Write(secret)
-	h.Write(enc)
-	return h.Sum(nil)
+	sum := md5.Sum(b)
+	if cap(b) <= maxRetainedOut {
+		*bp = b[:0]
+		digestBufs.Put(bp)
+	}
+	return sum
 }
 
 // Sign computes and installs m's digest for the principal already set
@@ -70,7 +79,8 @@ func (a *Authenticator) Sign(m *Message) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownPrincipal, m.Principal)
 	}
-	m.Digest = digest(sec, m)
+	sum := digest(sec, m)
+	m.Digest = sum[:]
 	return nil
 }
 
@@ -84,7 +94,7 @@ func (a *Authenticator) Verify(m *Message) error {
 		return fmt.Errorf("%w: %q", ErrUnknownPrincipal, m.Principal)
 	}
 	want := digest(sec, m)
-	if !hmac.Equal(want, m.Digest) { // constant-time compare
+	if !hmac.Equal(want[:], m.Digest) { // constant-time compare
 		return ErrBadDigest
 	}
 	return nil

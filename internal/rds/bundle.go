@@ -71,14 +71,14 @@ func (b *Bundle) visit(c *ber.Codec) {
 	root := c.Begin(ber.TagSequence)
 	c.String(ber.TagOctetString, &b.Lineage)
 	c.Uint(ber.TagCounter64, &b.Version)
-	for i := range ber.List(c, &b.Items, maxBundleItems) {
+	for i := range ber.List(c, ber.TagSequence, &b.Items, maxBundleItems) {
 		it := &b.Items[i]
 		one := c.Begin(ber.TagSequence)
 		c.String(ber.TagOctetString, &it.DP)
 		c.String(ber.TagOctetString, &it.Lang)
 		c.Octets(ber.TagOctetString, &it.Blob)
 		c.String(ber.TagOctetString, &it.Entry)
-		for j := range ber.List(c, &it.Args, maxArgs) {
+		for j := range ber.List(c, ber.TagSequence, &it.Args, maxArgs) {
 			c.String(ber.TagOctetString, &it.Args[j])
 		}
 		c.End(one)
@@ -151,7 +151,7 @@ func (r *StageResult) visit(c *ber.Codec) {
 	root := c.Begin(ber.TagSequence)
 	c.String(ber.TagOctetString, &r.Lineage)
 	c.String(ber.TagOctetString, &r.Hash)
-	for i := range ber.List(c, &r.Outcomes, maxOutcomes) {
+	for i := range ber.List(c, ber.TagSequence, &r.Outcomes, maxOutcomes) {
 		o := &r.Outcomes[i]
 		one := c.Begin(ber.TagSequence)
 		c.String(ber.TagOctetString, &o.Member)
@@ -221,7 +221,7 @@ func DecodeSyncBatch(raw []byte) (*SyncBatch, error) {
 // visit runs b's wire format through c.
 func (b *SyncBatch) visit(c *ber.Codec) {
 	root := c.Begin(ber.TagSequence)
-	for i := range ber.List(c, &b.Reports, maxSyncReports) {
+	for i := range ber.List(c, ber.TagSequence, &b.Reports, maxSyncReports) {
 		r := &b.Reports[i]
 		one := c.Begin(ber.TagSequence)
 		c.String(ber.TagOctetString, &r.Key)
@@ -229,7 +229,7 @@ func (b *SyncBatch) visit(c *ber.Codec) {
 		ber.Int(c, &r.TimeMS)
 		c.End(one)
 	}
-	for i := range ber.List(c, &b.Bundles, maxSyncReports) {
+	for i := range ber.List(c, ber.TagSequence, &b.Bundles, maxSyncReports) {
 		st := &b.Bundles[i]
 		one := c.Begin(ber.TagSequence)
 		c.String(ber.TagOctetString, &st.Lineage)

@@ -366,7 +366,8 @@ func (c *Client) readFrames(conn net.Conn) error {
 func (c *Client) receive(conn net.Conn, m *Message) {
 	switch m.Op {
 	case OpEvent:
-		c.deliver(Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
+		// m is this read's alone, so its payload serves the event as is.
+		c.deliver(m.head())
 		for _, ev := range m.Records {
 			c.deliver(ev)
 		}

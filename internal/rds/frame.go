@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"mbd/internal/ber"
 )
 
 // MaxFrame bounds a single RDS frame (16 MiB) — large enough for any
@@ -34,10 +36,17 @@ func FrameSize(body []byte) int { return 4 + len(body) }
 // AppendFrame appends m's complete wire frame — the 4-byte length
 // prefix followed by the BER-encoded body — to dst, returning the
 // extended slice. Encoding body and prefix into one buffer lets a
-// connection writer batch many frames into a single write.
+// connection writer batch many frames into a single write. It refuses a
+// message no receiver would accept: a body past MaxFrame, or event
+// records that rebuild more than MaxFrame payload bytes.
 func (m *Message) AppendFrame(dst []byte) ([]byte, error) {
 	start := len(dst)
-	dst = m.AppendEncode(append(dst, 0, 0, 0, 0))
+	c := ber.Encoder(append(dst, 0, 0, 0, 0))
+	m.visit(&c)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	dst = c.Bytes()
 	if err := endFrame(dst, start); err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func DecodeFanoutResult(b []byte) (*FanoutResult, error) {
 func (r *FanoutResult) visit(c *ber.Codec) {
 	root := c.Begin(ber.TagSequence)
 	c.String(ber.TagOctetString, &r.DP)
-	for i := range ber.List(c, &r.Outcomes, maxOutcomes) {
+	for i := range ber.List(c, ber.TagSequence, &r.Outcomes, maxOutcomes) {
 		o := &r.Outcomes[i]
 		one := c.Begin(ber.TagSequence)
 		c.String(ber.TagOctetString, &o.Member)

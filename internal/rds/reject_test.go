@@ -31,17 +31,14 @@ func TestDiagRecRoundTrip(t *testing.T) {
 			t.Fatalf("diag %d: got %+v want %+v", i, got.Diags[i], m.Diags[i])
 		}
 	}
-	// Messages without a diag sequence at all (older encoders) still
-	// decode: strip the trailing empty diagnostics sequence (30 00) and
-	// shrink the short-form envelope length accordingly.
+	// A reply without diagnostics carries no diagnostics field at all:
+	// its encoding ends with the error string, and it decodes with none.
 	enc := (&Message{Op: OpReply, Seq: 7, Error: "rejected"}).Encode()
-	if enc[0] != 0x30 || enc[1] >= 0x80 || !bytes.Equal(enc[len(enc)-2:], []byte{0x30, 0x00}) {
+	if !bytes.HasSuffix(enc, append([]byte{tagError, 8}, "rejected"...)) {
 		t.Fatalf("unexpected envelope shape: % x", enc)
 	}
-	legacy := append([]byte(nil), enc[:len(enc)-2]...)
-	legacy[1] -= 2
-	if got, err := Decode(legacy); err != nil || len(got.Diags) != 0 || got.Error != "rejected" {
-		t.Fatalf("legacy decode: %v %+v", err, got)
+	if got, err := Decode(enc); err != nil || len(got.Diags) != 0 || got.Error != "rejected" {
+		t.Fatalf("decode without diagnostics: %v %+v", err, got)
 	}
 }
 

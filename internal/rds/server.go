@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"mbd/internal/ber"
 	"mbd/internal/elastic"
@@ -254,18 +253,18 @@ const maxEventFrame = maxRetainedOut
 // events writes a drained batch in a single Write as batched OpEvent
 // frames: the first event of a frame travels in the envelope, each later
 // one as a record carrying only what changed (visitRecord), up to
-// maxRecords records or maxEventFrame bytes a frame. Decoding a frame
-// yields exactly the Message whose AppendFrame gives its bytes. An event
-// too large to frame even alone is counted dropped; the rest of its
-// batch still goes.
+// maxRecords records, maxEventFrame bytes or MaxFrame rebuilt payload
+// bytes a frame. Decoding a frame yields exactly the Message whose
+// AppendFrame gives its bytes. An event too large to frame even alone
+// is counted dropped; the rest of its batch still goes.
 func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	out, n := cw.out[:0], 0
 	// The open frame: its length prefix's offset (-1: none), its open
-	// envelope and record list (hasRecs), its record count and its last
-	// event.
-	start, k, hasRecs := -1, 0, false
+	// envelope and record list (hasRecs), its record count, the payload
+	// bytes its records may still rebuild and its last event.
+	start, k, budget, hasRecs := -1, 0, 0, false
 	var root, recs ber.Seq
 	var prev Event
 	end := func() {
@@ -290,9 +289,10 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 				if opened {
 					recs, hasRecs = c.Begin(ber.TagSequence), true
 				}
-				visitRecord(&c, &prev, &ev)
-				if out = c.Bytes(); len(out)-start <= maxEventFrame {
-					prev, n, k = ev, n+1, k+1
+				left := budget
+				visitRecord(&c, &prev, &ev, &left)
+				if out = c.Bytes(); c.Err() == nil && len(out)-start <= maxEventFrame {
+					prev, n, k, budget = ev, n+1, k+1, left
 					continue
 				}
 				// Too big: take the record back (and the list, if it
@@ -301,11 +301,9 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 			}
 			end()
 		}
-		start, prev, n, k = len(out), ev, n+1, 0
+		start, prev, n, k, budget = len(out), ev, n+1, 0, MaxFrame
 		c := ber.Encoder(append(out, 0, 0, 0, 0))
-		// The payload's bytes are the string's own: encoding only reads them.
-		payload := unsafe.Slice(unsafe.StringData(ev.Payload), len(ev.Payload))
-		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: payload, TimeMS: ev.TimeMS, Principal: ev.Principal}
+		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: stringBytes(ev.Payload), TimeMS: ev.TimeMS, Principal: ev.Principal}
 		root, hasRecs = head.visitHead(&c), false
 		out = c.Bytes()
 	}

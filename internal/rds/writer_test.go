@@ -149,9 +149,9 @@ func TestPumpFramesByteIdentical(t *testing.T) {
 }
 
 // TestEventFrameOfOneUnchanged: a batch of one event goes out as the
-// very frame the per-event encoder wrote before events were batched, so
-// single-event traffic costs the same bytes as it always did. The hex is
-// that encoder's output.
+// one-message frame AppendFrame writes for it, which carries only the
+// fields that are set. The hex pins those frames: 84, 335 and 31 bytes,
+// where the envelope of every field wrote 102, 351 and 51.
 func TestEventFrameOfOneUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		ev  elastic.Event
@@ -159,11 +159,11 @@ func TestEventFrameOfOneUnchanged(t *testing.T) {
 	}{
 		{elastic.Event{DPI: "tableagent#1", Kind: elastic.EventReport, Payload: "n42 7 1.3.6.1.2.1.2.2.1.10.4 = 29912352",
 			Time: 123456 * time.Millisecond, Principal: "bench"},
-			"000000623060020109020100040562656e63680400040c7461626c656167656e74233104067265706f7274040004276e3432203720312e332e362e312e322e312e322e322e312e31302e34203d2032393931323335320201000400020301e240300030003000"},
+			"00000050304e020109810562656e6368830c7461626c656167656e74233184067265706f727486276e3432203720312e332e362e312e322e312e322e322e312e31302e34203d203239393132333532890301e240"},
 		{elastic.Event{DPI: "rows#1", Kind: elastic.EventNotify, Payload: strings.Repeat("x", 300), Time: time.Second},
-			"0000015f3082015b020109020100040004000406726f7773233104066e6f7469667904000482012c" + strings.Repeat("78", 300) + "0201000400020203e8300030003000"},
+			"0000014b308201470201098306726f7773233184066e6f746966798682012c" + strings.Repeat("78", 300) + "890203e8"},
 		{elastic.Event{DPI: "rows#2", Kind: elastic.EventExit, Time: -3 * time.Millisecond, Principal: "ops"},
-			"0000002f302d02010902010004036f707304000406726f777323320404657869740400040002010004000201fd300030003000"},
+			"0000001b301902010981036f70738306726f777323328404657869748901fd"},
 	} {
 		want, err := hex.DecodeString(c.hex)
 		if err != nil {
@@ -180,9 +180,11 @@ func TestEventFrameOfOneUnchanged(t *testing.T) {
 	}
 }
 
-// TestPumpRecordsCarryOnlyChanges: each record after a frame's first
-// event costs its payload plus 7 bytes while DPI, kind and principal
-// stay put, and a 128-row burst leaves as one frame.
+// TestPumpRecordsCarryOnlyChanges: while time, DPI, kind and principal
+// stay put, each record after a frame's first event costs its 2-byte
+// header, 3 bytes for the length of the payload prefix it shares with
+// the event before, and the rest of its payload with a 2-byte header;
+// a 128-row burst leaves as one frame.
 func TestPumpRecordsCarryOnlyChanges(t *testing.T) {
 	evs := make([]elastic.Event, 128)
 	for i := range evs {
@@ -200,13 +202,18 @@ func TestPumpRecordsCarryOnlyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := 0
-	for _, ev := range evs[1:] {
-		payloads += len(ev.Payload)
+	records := 0
+	for i, ev := range evs[1:] {
+		prev := evs[i].Payload
+		shared := 0
+		for shared < len(prev) && prev[shared] == ev.Payload[shared] {
+			shared++
+		}
+		records += 2 + 3 + 2 + len(ev.Payload) - shared
 	}
-	// 7 bytes per record, 4 for the record list's header, 2 more for
-	// the envelope's longer length.
-	if want := len(one) + payloads + 7*127 + 4 + 2; conn.wire.Len() != want {
+	// 4 bytes for the record list's header, 2 more for the envelope's
+	// longer length.
+	if want := len(one) + records + 4 + 2; conn.wire.Len() != want {
 		t.Fatalf("burst is %d bytes, want %d", conn.wire.Len(), want)
 	}
 }

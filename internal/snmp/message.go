@@ -270,7 +270,7 @@ func (m *Message) visit(c *ber.Codec, arena *oid.OID) {
 	default:
 		c.Fail(fmt.Errorf("snmp: unknown PDU type 0x%02x", byte(m.Type)))
 	}
-	for i := range ber.List(c, &m.VarBinds, math.MaxInt) {
+	for i := range ber.List(c, ber.TagSequence, &m.VarBinds, math.MaxInt) {
 		vb := &m.VarBinds[i]
 		one := c.Begin(ber.TagSequence)
 		c.OID(&vb.Name, arena)
