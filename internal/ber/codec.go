@@ -54,12 +54,13 @@ func CanonicalDecoder(b []byte) Codec {
 	return c
 }
 
-// shortest fails a canonical decode when the element just read, what,
-// was not in its shortest form.
-func (c *Codec) shortest(ok bool, what string) {
-	if c.canonical && !ok {
-		c.Fail(fmt.Errorf("ber: %s in more octets than it needs", what))
-	}
+// longer fails a canonical decode whose element just read, what, was
+// not in its shortest form. Each caller tests canonical first, so a
+// lenient decode pays one test; the failure stays out of line.
+//
+//go:noinline
+func (c *Codec) longer(what string) {
+	c.Fail(fmt.Errorf("ber: %s in more octets than it needs", what))
 }
 
 // Decoding reports whether c decodes.
@@ -216,8 +217,9 @@ func (c *Codec) next(tag byte) (start, end int, ok bool) {
 		c.err = err
 		return 0, 0, false
 	}
-	if long := start-c.off > 2; long { // the long form: its first length octet and its length
-		c.shortest(c.in[c.off+2] != 0 && end-start >= 0x80, "length")
+	// The long form, with a leading zero octet or a length that fits the short form.
+	if c.canonical && start-c.off > 2 && (c.in[c.off+2] == 0 || end-start < 0x80) {
+		c.longer("length")
 	}
 	c.off = end
 	return start, end, c.err == nil
@@ -249,7 +251,9 @@ func TaggedInt[T Integer](c *Codec, tag byte, v *T) {
 	}
 	c.err = err
 	*v = T(x)
-	c.shortest(len(b) < 2 || !(b[0] == 0 && b[1] < 0x80 || b[0] == 0xFF && b[1] >= 0x80), "integer")
+	if c.canonical && len(b) > 1 && (b[0] == 0 && b[1] < 0x80 || b[0] == 0xFF && b[1] >= 0x80) {
+		c.longer("integer")
+	}
 }
 
 // Bool visits a boolean as the INTEGER 1 or 0; decoding reads any
@@ -278,7 +282,9 @@ func (c *Codec) Uint(tag byte, v *uint64) {
 		*v, c.err = uintContents(b)
 		// A first octet past 0x7F reads as negative in two's complement,
 		// which the encoder answers with a leading zero.
-		c.shortest(len(b) == 0 || b[0] < 0x80 && (len(b) < 2 || b[0] != 0 || b[1] >= 0x80), "unsigned integer")
+		if c.canonical && len(b) > 0 && (b[0] >= 0x80 || len(b) > 1 && b[0] == 0 && b[1] < 0x80) {
+			c.longer("unsigned integer")
+		}
 	}
 }
 
@@ -369,7 +375,9 @@ func (c *Codec) OID(o *oid.OID, arena *oid.OID) {
 		base = *arena
 	}
 	for i := 0; c.canonical && i < len(v); i++ { // an arc may not open with a zero septet
-		c.shortest(v[i] != 0x80 || i > 0 && v[i-1] >= 0x80, "OID arc")
+		if v[i] == 0x80 && (i == 0 || v[i-1] < 0x80) {
+			c.longer("OID arc")
+		}
 	}
 	ext, err := appendOIDContents(base, v)
 	if c.Fail(err); c.err == nil {
