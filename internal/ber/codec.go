@@ -20,9 +20,9 @@ import (
 // keeps out of the input (no decoded field aliases it but Alias's), and
 // refuses a constructed element with bytes left over. The first
 // failure latches: every later call does nothing, so a visit checks Err
-// only where a decoded value steers what it visits next. Visitors that derive a
-// value for the wire write the structure back only when Decoding, so
-// encoding never writes to what it encodes.
+// only where a decoded value steers what it visits next. Visitors that
+// derive a value for the wire write the structure back only when
+// Decoding, so encoding never writes to what it encodes.
 type Codec struct {
 	w Writer
 	// Decoding: the input, the next element's offset in it, and the end
