@@ -39,7 +39,15 @@ type Control struct {
 	mu     sync.Mutex
 	state  controlState
 	resume chan struct{}
+	// park, when set, runs each wait of a suspended gate (see SetPark).
+	park func(wait func() error) error
 }
+
+// SetPark makes park the way a suspended gate waits: the gate hands it
+// the wait itself, and park runs it, so the embedding runtime can give
+// up what the instance holds (a run slot, buffered output) for as long
+// as it is suspended. Set it before the instance runs.
+func (c *Control) SetPark(park func(wait func() error) error) { c.park = park }
 
 // Suspend pauses the instance at the next gate. Idempotent.
 func (c *Control) Suspend() {
@@ -104,11 +112,22 @@ func (c *Control) gate(ctx context.Context) error {
 		default:
 			ch := c.resume
 			c.mu.Unlock()
-			select {
-			case <-ch:
-				// re-check state
-			case <-ctx.Done():
-				return ctx.Err()
+			wait := func() error {
+				select {
+				case <-ch:
+					return nil // re-check state
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			var err error
+			if c.park != nil {
+				err = c.park(wait)
+			} else {
+				err = wait()
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -24,7 +24,7 @@ type DPI struct {
 
 	proc    *Process
 	vm      *dpl.VM
-	ctrl    *dpl.Control
+	ctrl    dpl.Control
 	started time.Duration
 	runCtx  context.Context
 	cancel  context.CancelFunc
@@ -40,6 +40,11 @@ type DPI struct {
 	billed           uint64
 	quotaSuspensions int
 	throttled        atomic.Bool
+
+	// pending holds the events emitted since the last hand-off, in a
+	// buffer borrowed from eventBufs until that hand-off (nil when
+	// there are none); only the instance's own goroutine touches it.
+	pending *[]Event
 
 	// spec is the instantiation request this instance runs under; sup
 	// (nil when unsupervised) applies its restart policy on exit.
@@ -103,10 +108,11 @@ func (d *DPI) run(ctx context.Context, args []any) {
 		d.tenant.stepsTotal.Add(steps - d.billed) // the tail after the last tick
 		d.tenant.live.Add(-1)
 	}
-	// The exit event, its counters and spans also come before done
-	// closes: whoever returns from Wait sees the exit counted. Emit is
-	// synchronous, and the RDS subscriber only enqueues, so Wait waits
-	// for the fan-out, not for any consumer of it.
+	// The exit event joins the last batch, and it, its counters and
+	// spans come before done closes: whoever returns from Wait sees the
+	// exit counted. The hand-off is synchronous, and the RDS subscriber
+	// only enqueues, so Wait waits for the fan-out, not for any consumer
+	// of it.
 	payload := dpl.Format(v)
 	if err != nil {
 		payload = "error: " + err.Error()
@@ -118,12 +124,37 @@ func (d *DPI) run(ctx context.Context, args []any) {
 		p.tracer.Record(d.ID, obs.StageCrash, pe.Error(), elapsed)
 	}
 	p.tracer.Record(d.ID, obs.StageExit, payload, elapsed)
-	p.emit(Event{DPI: d.ID, Kind: EventExit, Payload: payload, Time: p.clock.Now(), Principal: d.principal})
+	d.emit(EventExit, payload)
+	d.handOff()
 	close(d.done)
 	if d.sup != nil {
 		// Runs before this goroutine's wg slot releases, so restart
 		// timers register with the WaitGroup race-free against Stop.
 		d.sup.onExit(d, err)
+	}
+}
+
+// emit buffers one event, handing the buffer off once it holds
+// MaxEventBatch events.
+func (d *DPI) emit(kind EventKind, payload string) {
+	if d.pending == nil {
+		d.pending = eventBufs.Get().(*[]Event)
+	}
+	*d.pending = append(*d.pending, Event{DPI: d.ID, Kind: kind, Payload: payload, Time: d.proc.clock.Now(), Principal: d.principal})
+	if len(*d.pending) >= MaxEventBatch {
+		d.handOff()
+	}
+}
+
+// handOff delivers the buffered events to the subscribers as one batch.
+// It runs wherever the instance stops running — its scheduling tick,
+// every unslotted block (a recv, a sleep, a quota pause, a suspension)
+// and exit — and before it messages another instance, so subscribers
+// see its events before anything they cause.
+func (d *DPI) handOff() {
+	if d.pending != nil {
+		d.proc.fanOut(d.pending)
+		d.pending = nil
 	}
 }
 
@@ -367,7 +398,7 @@ func (p *Process) registerInstanceServices() {
 			if err := d.billEvent(); err != nil {
 				return dpl.Value{}, err
 			}
-			p.emit(Event{DPI: d.ID, Kind: kind, Payload: dpl.FormatValue(args[0]), Time: p.clock.Now(), Principal: d.principal})
+			d.emit(kind, dpl.FormatValue(args[0]))
 			return dpl.Value{}, nil
 		}
 	}
@@ -386,7 +417,8 @@ func (p *Process) registerInstanceServices() {
 	// true on delivery, false when the target is unknown, finished, or
 	// its mailbox is full.
 	p.bindings.Register("sendto", 2, func(env *dpl.Env, args []dpl.Value) (dpl.Value, error) {
-		if _, err := dpiOf(env); err != nil {
+		d, err := dpiOf(env)
+		if err != nil {
 			return dpl.Value{}, err
 		}
 		id, ok1 := args[0].AsString()
@@ -394,6 +426,7 @@ func (p *Process) registerInstanceServices() {
 		if !ok1 || !ok2 {
 			return dpl.Value{}, fmt.Errorf("elastic: sendto(dpiID, payload) wants strings")
 		}
+		d.handOff()
 		target, ok := p.Lookup(id)
 		return dpl.Bool(ok && target.deliver(payload) == nil), nil
 	})

@@ -214,8 +214,8 @@ type Process struct {
 	quotaBlockPenalty   time.Duration
 
 	// Subscribers are an immutable snapshot swapped copy-on-write under
-	// subMu, so emit — the per-event hot path shared by every running
-	// DPI — fans out with a single atomic load and no lock.
+	// subMu, so fanOut — the hand-off path shared by every running DPI
+	// — fans out with a single atomic load and no lock.
 	subMu  sync.Mutex
 	subs   atomic.Pointer[[]subscriber]
 	subSeq int
@@ -291,7 +291,7 @@ func newProcessMetrics(reg *obs.Registry, emitted *atomic.Uint64) processMetrics
 // can remove exactly one entry from the snapshot.
 type subscriber struct {
 	id int
-	fn func(Event)
+	fn func([]Event)
 }
 
 // NewProcess builds an elastic process from cfg, registering the
@@ -388,11 +388,34 @@ func (p *Process) Bindings() *dpl.Bindings { return p.bindings }
 // Config.Obs, or the private default).
 func (p *Process) Obs() *obs.Registry { return p.reg }
 
+// MaxEventBatch bounds the events one instance hands to its
+// subscribers at once. A DPI buffers what it emits and hands the buffer
+// over wherever it stops running (a scheduling tick, a block, a
+// suspension, exit) or when the buffer reaches this bound, so a burst
+// reaches each subscriber as one batch. A subscriber that queues
+// batches keeps room for two, so one batch never overflows a queue its
+// consumer has just emptied.
+const MaxEventBatch = 128
+
 // Subscribe registers fn for every event emitted by any DPI and returns
-// an unsubscribe function. fn must not block, and is called on the
-// emitting instance's goroutine — concurrent invocations happen when
-// several DPIs emit at once, so fn must be safe for concurrent use.
+// an unsubscribe function. It is SubscribeBatch with fn called on each
+// event of a batch in turn.
 func (p *Process) Subscribe(fn func(Event)) (cancel func()) {
+	return p.SubscribeBatch(func(evs []Event) {
+		for _, ev := range evs {
+			fn(ev)
+		}
+	})
+}
+
+// SubscribeBatch registers fn for every batch of events and returns an
+// unsubscribe function. A batch is at most MaxEventBatch events of one
+// instance (or one Publish), in the order they were emitted; fn must
+// not keep the slice past its return. fn must not block, and is called
+// on the emitting instance's goroutine — concurrent invocations happen
+// when several DPIs hand off at once, so fn must be safe for concurrent
+// use.
+func (p *Process) SubscribeBatch(fn func([]Event)) (cancel func()) {
 	p.subMu.Lock()
 	defer p.subMu.Unlock()
 	id := p.subSeq
@@ -425,31 +448,49 @@ func (p *Process) Subscribe(fn func(Event)) (cancel func()) {
 	}
 }
 
-// emit fans ev out to the current subscriber snapshot. No lock: the
-// snapshot is immutable, so a single atomic load suffices even while
-// Subscribe/unsubscribe swap in new snapshots concurrently.
-func (p *Process) emit(ev Event) {
-	p.eventsEmitted.Add(1)
-	if c := p.met.events[ev.Kind]; c != nil {
-		c.Inc()
+// eventBufs recycles event buffers: an instance borrows one for the
+// events of one run slice and Publish one for its event, so an idle
+// instance holds none and a hand-off allocates nothing.
+var eventBufs = sync.Pool{New: func() any { return new([]Event) }}
+
+// fanOut counts a batch as emitted, hands it to the current subscriber
+// snapshot and returns its buffer to eventBufs. No lock: the snapshot
+// is immutable, so a single atomic load suffices even while
+// Subscribe/unsubscribe swap in new snapshots concurrently. The
+// counters move here, not when an event is buffered, so whatever a
+// subscriber has seen or dropped never runs ahead of
+// elastic_events_emitted_total.
+func (p *Process) fanOut(buf *[]Event) {
+	evs := *buf
+	p.eventsEmitted.Add(uint64(len(evs)))
+	for i := range evs {
+		if c := p.met.events[evs[i].Kind]; c != nil {
+			c.Inc()
+		}
+		// Kind.String() is a static string: recording an emit span
+		// costs nothing when the tracer is nil and no allocation when
+		// it is set.
+		p.tracer.Record(evs[i].DPI, obs.StageEmit, evs[i].Kind.String(), 0)
 	}
-	// Kind.String() is a static string: recording an emit span costs
-	// nothing when the tracer is nil and no allocation when it is set.
-	p.tracer.Record(ev.DPI, obs.StageEmit, ev.Kind.String(), 0)
 	if subs := p.subs.Load(); subs != nil {
 		for _, s := range *subs {
-			s.fn(ev)
+			s.fn(evs)
 		}
 	}
+	clear(evs) // a pooled buffer must not keep payloads alive
+	*buf = evs[:0]
+	eventBufs.Put(buf)
 }
 
 // Publish fans a synthetic event out to the process's subscribers on
-// behalf of source, which takes the place of a DPI id. The federation
-// layer's aggregation point uses it to surface rollup updates as
-// ordinary process events — subscribed managers receive them exactly
-// like DPI reports, with no polling.
+// behalf of source, which takes the place of a DPI id, as a batch of
+// one, at once. The federation layer's aggregation point uses it to
+// surface rollup updates as ordinary process events — subscribed
+// managers receive them exactly like DPI reports, with no polling.
 func (p *Process) Publish(source string, kind EventKind, payload string) {
-	p.emit(Event{DPI: source, Kind: kind, Payload: payload, Time: p.clock.Now()})
+	buf := eventBufs.Get().(*[]Event)
+	*buf = append(*buf, Event{DPI: source, Kind: kind, Payload: payload, Time: p.clock.Now()})
+	p.fanOut(buf)
 }
 
 // Delegate translates, statically verifies, and stores a DP. This is
@@ -663,7 +704,6 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 	}
 	p.seq[dp.Name]++
 	id := fmt.Sprintf("%s#%d", dp.Name, p.seq[dp.Name])
-	ctrl := &dpl.Control{}
 	// The statically derived budget, when one exists, is already
 	// clamped to the server quota at admission; it only ever tightens.
 	budget := p.cfg.MaxStepsPerDPI
@@ -679,14 +719,13 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 		proc:      p,
 		tenant:    tenant,
 		principal: spec.Principal,
-		ctrl:      ctrl,
 		started:   p.clock.Now(),
 		runCtx:    ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
 	}
 	vm := dpl.NewVM(dp.Object, p.bindings,
-		dpl.WithControl(ctrl),
+		dpl.WithControl(&d.ctrl),
 		dpl.WithMaxSteps(budget),
 		// The scheduling tick: fair-share slot rotation plus step-rate
 		// billing, at quantum granularity on top of the batched step
@@ -695,6 +734,9 @@ func (p *Process) startInstance(dp *DP, spec InstanceSpec, sup *supervisor) (*DP
 	)
 	d.vm = vm
 	vm.Meta = d
+	// A suspended instance parks without its run slot and with its
+	// events handed off, as in any other block.
+	d.ctrl.SetPark(d.unslotted)
 	p.dpis[id] = d
 	// Counted under p.mu, where the limit above reads it; DPI.run
 	// uncounts under the same lock.

@@ -242,49 +242,35 @@ func (s *scheduler) dropRingLocked(i int) {
 }
 
 // schedTick is the per-quantum scheduling tick, installed as the VM's
-// yield hook. It bills the consumed steps to the tenant, enforces the
-// step-rate quota through the throttle → suspend → terminate ladder,
-// and rotates the run slot whenever another DPI is waiting for one.
+// yield hook. It hands off the quantum's events, bills the consumed
+// steps to the tenant, enforces the step-rate quota through the
+// throttle → suspend → terminate ladder, and rotates the run slot
+// whenever another DPI is waiting for one.
 func (d *DPI) schedTick(consumed uint64) error {
+	d.handOff()
 	p := d.proc
-	t := d.tenant
-	var wait time.Duration
-	if t != nil {
+	if t := d.tenant; t != nil {
 		t.stepsTotal.Add(consumed)
 		d.billed += consumed
-		wait = t.steps.reserve(p.clock.Now(), float64(consumed))
-	}
-	s := p.sched
-	if s == nil {
-		if wait > 0 {
-			return d.quotaPause("steps", CodeQuotaStepRate, wait)
+		if wait := t.steps.reserve(p.clock.Now(), float64(consumed)); wait > 0 {
+			return d.unslotted(func() error { return d.quotaPause("steps", CodeQuotaStepRate, wait) })
 		}
-		return nil
 	}
-	if wait > 0 {
-		s.release(d)
-		if err := d.quotaPause("steps", CodeQuotaStepRate, wait); err != nil {
-			// Reacquire so the unwinding run still holds its slot (the
-			// deferred release balances it), then abort with the typed
-			// reason.
-			if aerr := s.acquire(d.runCtx, d); aerr != nil {
-				return aerr
-			}
-			return err
-		}
-		return s.acquire(d.runCtx, d)
+	if s := p.sched; s != nil && s.contended() {
+		return s.yield(d.runCtx, d)
 	}
-	if !s.contended() {
-		return nil
-	}
-	return s.yield(d.runCtx, d)
+	return nil
 }
 
-// unslotted runs fn — a blocking region: a parked recv, a sleep —
-// without holding a run slot, so parked DPIs never starve runnable
-// ones out of the worker pool. It publishes the VM's step count first,
-// so Steps is exact while the DPI is parked.
+// unslotted runs fn — a blocking region: a parked recv, a sleep, a
+// quota pause, a suspension — without holding a run slot, so parked
+// DPIs never starve runnable ones out of the worker pool. It hands off
+// the buffered events and publishes the VM's step count first, so
+// subscribers have what the DPI emitted and Steps is exact while it is
+// parked. The slot is reacquired after fn even when fn fails, so an
+// unwinding run still holds the slot its deferred release balances.
 func (d *DPI) unslotted(fn func() error) error {
+	d.handOff()
 	d.vm.PublishSteps()
 	s := d.proc.sched
 	if s == nil || !d.slotted {
@@ -352,21 +338,5 @@ func (d *DPI) billEvent() error {
 	if wait == 0 {
 		return nil
 	}
-	return d.unslottedPause("events", CodeQuotaEventRate, wait)
-}
-
-// unslottedPause releases the run slot (when scheduled) around a
-// quotaPause so a throttled DPI never parks a worker.
-func (d *DPI) unslottedPause(axis, code string, wait time.Duration) error {
-	d.vm.PublishSteps()
-	s := d.proc.sched
-	if s == nil || !d.slotted {
-		return d.quotaPause(axis, code, wait)
-	}
-	s.release(d)
-	err := d.quotaPause(axis, code, wait)
-	if aerr := s.acquire(d.runCtx, d); aerr != nil && err == nil {
-		err = aerr
-	}
-	return err
+	return d.unslotted(func() error { return d.quotaPause("events", CodeQuotaEventRate, wait) })
 }

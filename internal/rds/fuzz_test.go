@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mbd/internal/ber"
@@ -154,7 +156,7 @@ func eventBatchSeeds(t testing.TB) []corpusSeed {
 	if err := endFrame(frame, 0); err != nil {
 		t.Fatal(err)
 	}
-	return append(seeds, corpusSeed{"seed_event_batch_past_bound", frame})
+	return append(seeds, corpusSeed{"refused_event_batch_past_bound", frame})
 }
 
 // corpusSeed is one committed FuzzDecodeFrame input and its file name.
@@ -163,21 +165,155 @@ type corpusSeed struct {
 	frame []byte
 }
 
-// TestWriteEventBatchFuzzCorpus regenerates the committed
-// FuzzDecodeFrame seed files for batched event frames. Guarded so `go
-// test` never rewrites testdata by default:
+// corpusDir holds FuzzDecodeFrame's committed corpus. A seed_* file
+// is a frame the decoder accepts, a refused_* file one it must refuse;
+// other names are inputs the fuzzer found.
+var corpusDir = filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
+
+// peerSeedNames are the corpus file names of peerSeedMessages, in order.
+var peerSeedNames = []string{"seed_peer_join", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
+
+// corpusSeeds are the corpus files TestWriteFuzzCorpus writes: one
+// current-format frame per request op and reply shape, the peer
+// operations and the batched event frames. The committed corpus also
+// keeps refused_* frames no writer makes: a frame of the envelope that
+// carried all 14 fields (refused_old_envelope), a retired op code
+// (refused_retired_op) and the framing edge cases.
+func corpusSeeds(t testing.TB) []corpusSeed {
+	digest := bytes.Repeat([]byte{0xAA}, 16)
+	var seeds []corpusSeed
+	for _, s := range []struct {
+		name string
+		m    *Message
+	}{
+		{"seed_delegate", &Message{Op: OpDelegate, Seq: 1, Principal: "mgr", Digest: digest, Name: "health", Lang: "dpl", Payload: []byte("func main() { report(1); }")}},
+		{"seed_instantiate", &Message{Op: OpInstantiate, Seq: 2, Principal: "mgr", Name: "health", Entry: "main", Args: []string{"1", "s:x", "true"}}},
+		{"seed_control", &Message{Op: OpControl, Seq: 3, Principal: "mgr", Name: "health#1", Entry: "suspend"}},
+		{"seed_send", &Message{Op: OpSend, Seq: 4, Principal: "mgr", Name: "health#1", Payload: []byte("n42:128")}},
+		{"seed_query", &Message{Op: OpQuery, Seq: 5, Principal: "mgr", Digest: digest}},
+		{"seed_delete_dp", &Message{Op: OpDeleteDP, Seq: 6, Principal: "mgr", Name: "health"}},
+		{"seed_subscribe", &Message{Op: OpSubscribe, Seq: 7, Principal: "mgr", Name: "health#"}},
+		{"seed_eval", &Message{Op: OpEval, Seq: 8, Principal: "mgr", Lang: "dpl", Payload: []byte("func f(x) { return x * 2; }"), Entry: "f", Args: []string{"21"}}},
+		{"seed_stats", &Message{Op: OpStats, Seq: 9, Entry: "metrics"}},
+		{"seed_trace", &Message{Op: OpStats, Seq: 10, Name: "64", Entry: "trace"}},
+		{"seed_view", &Message{Op: OpView, Seq: 11, Principal: "mgr", Name: "ifload", Entry: "query"}},
+		{"seed_event", &Message{Op: OpEvent, Name: "health#1", Entry: "report", Payload: []byte("0.9"), TimeMS: 12, Principal: "mgr"}},
+		{"seed_reply_ok", &Message{Op: OpReply, Seq: 3, OK: true}},
+		{"seed_reply_id", &Message{Op: OpReply, Seq: 2, OK: true, Name: "health#1"}},
+		{"seed_reply_payload", &Message{Op: OpReply, Seq: 8, OK: true, Payload: []byte("42")}},
+		{"seed_reply_err", &Message{Op: OpReply, Seq: 4, Error: "elastic: mailbox full: health#1"}},
+		{"seed_reply_diags", &Message{Op: OpReply, Seq: 1, Error: "rejected", Diags: []DiagRec{
+			{Code: "DPL007", Severity: "error", Msg: "capability snmpSet not granted", Line: 1, Col: 14},
+			{Code: "DPL003", Severity: "warning", Msg: "unused variable x", Line: 2, Col: 5},
+		}}},
+		{"seed_infos", &Message{Op: OpReply, Seq: 5, OK: true, Infos: []InfoRec{
+			{ID: "health#1", DP: "health", Entry: "main", State: "running", Steps: 1 << 20},
+			{ID: "health#2", DP: "health", Entry: "main", State: "exited", Steps: 77, Result: "1"},
+			{ID: "health#3", DP: "health", Entry: "main", State: "failed", Steps: 3, Err: "dpl: step quota exceeded"},
+		}}},
+	} {
+		frame, err := s.m.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, corpusSeed{s.name, frame})
+	}
+	for i, m := range peerSeedMessages() {
+		frame, err := m.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, corpusSeed{peerSeedNames[i], frame})
+	}
+	return append(seeds, eventBatchSeeds(t)...)
+}
+
+// corpusFile renders frame as a corpus file.
+func corpusFile(frame []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame))
+}
+
+// TestWriteFuzzCorpus regenerates the committed FuzzDecodeFrame seed
+// files (corpusSeeds). Guarded so `go test` never rewrites testdata by
+// default:
 //
-//	RDS_WRITE_CORPUS=1 go test ./internal/rds -run TestWriteEventBatchFuzzCorpus
-func TestWriteEventBatchFuzzCorpus(t *testing.T) {
+//	RDS_WRITE_CORPUS=1 go test ./internal/rds -run TestWriteFuzzCorpus
+func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("RDS_WRITE_CORPUS") == "" {
 		t.Skip("set RDS_WRITE_CORPUS=1 to rewrite the committed corpus")
 	}
-	for _, s := range eventBatchSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.frame)
-		if err := os.WriteFile(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", s.name), []byte(body), 0o644); err != nil {
+	for _, s := range corpusSeeds(t) {
+		if err := os.WriteFile(filepath.Join(corpusDir, s.name), corpusFile(s.frame), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestFuzzCorpusCurrent: every committed seed_* frame decodes and
+// every refused_* one is refused, and each file the writer makes holds
+// what it would write now, so a change to the format cannot leave the
+// corpus seeding only the refusal path.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join(corpusDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, refused := 0, 0
+	for _, path := range names {
+		name := filepath.Base(path)
+		accept := strings.HasPrefix(name, "seed_")
+		if !accept && !strings.HasPrefix(name, "refused_") {
+			continue
+		}
+		frame := readCorpusFile(t, path)
+		body, err := ReadFrame(bytes.NewReader(frame))
+		if err == nil {
+			_, err = Decode(body)
+		}
+		switch {
+		case accept && err != nil:
+			t.Errorf("%s refused: %v", name, err)
+		case !accept && err == nil:
+			t.Errorf("%s accepted", name)
+		case accept:
+			seeds++
+		default:
+			refused++
+		}
+	}
+	if seeds == 0 || refused == 0 {
+		t.Fatalf("%d seed_* and %d refused_* files in %s", seeds, refused, corpusDir)
+	}
+	for _, s := range corpusSeeds(t) {
+		got, err := os.ReadFile(filepath.Join(corpusDir, s.name))
+		if err != nil {
+			t.Errorf("%s: %v", s.name, err)
+		} else if !bytes.Equal(got, corpusFile(s.frame)) {
+			t.Errorf("%s is stale: RDS_WRITE_CORPUS=1 go test ./internal/rds -run TestWriteFuzzCorpus", s.name)
+		}
+	}
+}
+
+// readCorpusFile returns the one []byte input a corpus file holds.
+func readCorpusFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-input corpus file", path)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+		t.Fatalf("%s: not a []byte input", path)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }
 
 // TestDecodeEventRecords: Decode accepts up to maxRecords event records

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -37,8 +35,8 @@ func TestPeerMessageRoundTrip(t *testing.T) {
 			t.Fatalf("%s diverged:\n got %+v\nwant %+v", m.Op, got, m)
 		}
 	}
-	// The two retired codes (the committed seed_peer_heartbeat and
-	// seed_peer_report frames) sit inside the assigned range and must be
+	// The two retired codes (the committed refused_retired_op frame
+	// carries the first) sit inside the assigned range and must be
 	// refused like any unknown op.
 	for _, op := range []Op{OpPeerJoin + 1, OpPeerDelegate + 1} {
 		frame, err := (&Message{Op: op, Seq: 11, Name: "lan-a"}).AppendFrame(nil)
@@ -52,7 +50,8 @@ func TestPeerMessageRoundTrip(t *testing.T) {
 }
 
 // peerSeedMessages are the canonical peer-op frames, shared by the
-// round-trip test, the fuzz seeds, and the committed corpus generator.
+// round-trip test, the fuzz seeds, and the committed corpus generator
+// (peerSeedNames gives their file names).
 func peerSeedMessages() []*Message {
 	return []*Message{
 		{Op: OpPeerJoin, Seq: 10, Principal: "federation", Name: "lan-a", Entry: "campus", Payload: []byte("127.0.0.1:5501")},
@@ -75,31 +74,6 @@ func peerSeedMessages() []*Message {
 			},
 		}).Encode()},
 		{Op: OpPeerBundleActivate, Seq: 16, Principal: "noc", Name: "probe-suite", Entry: "ab12"},
-	}
-}
-
-// TestWritePeerFuzzCorpus regenerates the committed FuzzDecodeFrame
-// seed files for the peer operations (seed_peer_heartbeat and
-// seed_peer_report hold the two retired codes and are kept as committed).
-// Guarded so `go test` never rewrites testdata by default:
-//
-//	RDS_WRITE_CORPUS=1 go test ./internal/rds -run TestWritePeerFuzzCorpus
-func TestWritePeerFuzzCorpus(t *testing.T) {
-	if os.Getenv("RDS_WRITE_CORPUS") == "" {
-		t.Skip("set RDS_WRITE_CORPUS=1 to rewrite the committed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
-	names := []string{"seed_peer_join", "seed_peer_delegate", "seed_peer_fanout_reply", "seed_peer_sync", "seed_peer_bundle_stage", "seed_peer_bundle_activate"}
-	msgs := peerSeedMessages()
-	for i, m := range msgs {
-		frame, err := m.AppendFrame(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
-		if err := os.WriteFile(filepath.Join(dir, names[i]), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

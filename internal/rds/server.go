@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,7 +21,9 @@ import (
 // event queue. When a manager falls this far behind, the oldest
 // undelivered events are dropped (counted in rds_events_dropped_total)
 // rather than letting the connection's write path backpressure every
-// DPI's event emission.
+// DPI's event emission. It holds two of elastic's largest batches
+// (elastic.MaxEventBatch), so one batch never overflows a queue the
+// pump has just emptied.
 const subscriberQueueDepth = 256
 
 // Server exposes an elastic process over the RDS protocol. Each
@@ -340,7 +341,8 @@ func (cw *connWriter) writeLocked(s *Server, out []byte) bool {
 // its oldest — so one flooding tenant's burst can never evict a quiet
 // tenant's events. Only an overflow looks at who queued what, by
 // scanning the ring. glob, when set, mirrors the queue's occupancy into
-// the server-wide queued gauge driving high-water shedding.
+// the server-wide queued gauge driving high-water shedding; shed, when
+// set, refuses an event at the door by its principal.
 type eventQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -349,36 +351,58 @@ type eventQueue struct {
 	n      int
 	tally  map[string]int // victimLocked's scratch, empty between overflows
 	glob   *atomic.Int64
+	shed   func(principal string) bool
 	closed bool
 }
 
-func newEventQueue(depth int, glob *atomic.Int64) *eventQueue {
-	q := &eventQueue{buf: make([]elastic.Event, depth), glob: glob}
+func newEventQueue(depth int, glob *atomic.Int64, shed func(string) bool) *eventQueue {
+	q := &eventQueue{buf: make([]elastic.Event, depth), glob: glob, shed: shed}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues ev; when the ring was full it returns the principal
-// whose oldest event was dropped to make room (dropped true).
-func (q *eventQueue) push(ev elastic.Event) (victim string, dropped bool) {
+// lostEvent names whose event a push did not queue: refused by shed,
+// or dropped as the victim of an overflow.
+type lostEvent struct {
+	principal string
+	shed      bool
+}
+
+// push enqueues a batch in order under one lock and wakes the pump
+// once. Each event is still judged alone: shed sees the occupancy the
+// batch's earlier events left, and an event arriving at a full ring
+// drops an older one (victimLocked). push appends to lost whose events
+// were not queued, in order, for the caller to account outside the
+// lock.
+func (q *eventQueue) push(evs []elastic.Event, lost []lostEvent) []lostEvent {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return "", false
+		return lost
 	}
-	if q.n == len(q.buf) {
-		var at int
-		victim, at = q.victimLocked(ev.Principal)
-		q.removeLocked(at)
-		dropped = true
-	} else if q.glob != nil {
-		q.glob.Add(1)
+	queued := false
+	for i := range evs {
+		ev := &evs[i]
+		if q.shed != nil && q.shed(ev.Principal) {
+			lost = append(lost, lostEvent{ev.Principal, true})
+			continue
+		}
+		if q.n == len(q.buf) {
+			victim, at := q.victimLocked(ev.Principal)
+			q.removeLocked(at)
+			lost = append(lost, lostEvent{victim, false})
+		} else if q.glob != nil {
+			q.glob.Add(1)
+		}
+		q.buf[(q.head+q.n)%len(q.buf)] = *ev
+		q.n++
+		queued = true
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = ev
-	q.n++
 	q.mu.Unlock()
-	q.cond.Signal()
-	return victim, dropped
+	if queued {
+		q.cond.Signal()
+	}
+	return lost
 }
 
 // at returns the i-th queued event, counting from the oldest.
@@ -426,18 +450,14 @@ func (q *eventQueue) removeLocked(i int) {
 
 // drain appends every queued event to dst under one lock acquisition,
 // blocking until one arrives; it returns dst unchanged once the queue
-// closes. Before it takes the batch it yields the processor once, so a
-// producer in the middle of a burst can queue more of it: the burst
-// leaves in fewer, larger batches instead of the pump chasing it.
+// closes. A DPI's burst arrives as one push (elastic hands events off
+// per run slice), so the pump need not wait for the rest of it.
 func (q *eventQueue) drain(dst []elastic.Event) []elastic.Event {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	q.mu.Unlock()
-	runtime.Gosched()
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.n == 0 {
 		return dst
 	}
@@ -576,21 +596,19 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		}
 		resp := s.handle(dctx, req)
 		if req.Op == OpSubscribe && resp.OK && events == nil {
-			events = newEventQueue(subscriberQueueDepth, &s.queued)
+			events = newEventQueue(subscriberQueueDepth, &s.queued, s.overloaded)
 			pumpDone = make(chan struct{})
 			s.subscribers.Add(1)
 			go s.pumpEvents(events, cw, pumpDone)
 			q, filter := events, req.Name
-			unsubscribe = s.proc.Subscribe(func(ev elastic.Event) {
-				if filter != "" && !strings.HasPrefix(ev.DPI, filter) {
+			unsubscribe = s.proc.SubscribeBatch(func(evs []elastic.Event) {
+				// A batch is one instance's events, so one DPI id.
+				if filter != "" && !strings.HasPrefix(evs[0].DPI, filter) {
 					return
 				}
-				if s.overloaded(ev.Principal) {
-					s.droppedEvent(ev.Principal, true)
-					return
-				}
-				if victim, dropped := q.push(ev); dropped {
-					s.droppedEvent(victim, false)
+				var scratch [8]lostEvent
+				for _, l := range q.push(evs, scratch[:0]) {
+					s.droppedEvent(l.principal, l.shed)
 				}
 			})
 		}

@@ -123,28 +123,37 @@ func TestTenantStatusOverWire(t *testing.T) {
 	}
 }
 
+// pushOne pushes a batch of ev alone and returns the principal whose
+// event an overflow dropped to make room for it.
+func pushOne(q *eventQueue, ev elastic.Event) (victim string, dropped bool) {
+	if lost := q.push([]elastic.Event{ev}, nil); len(lost) > 0 {
+		return lost[0].principal, true
+	}
+	return "", false
+}
+
 // TestEventQueueTenantVictim: on overflow the queue drops the pushing
 // principal's own oldest event when it has any queued, otherwise the
 // hog's — a quiet tenant's events are never the victim.
 func TestEventQueueTenantVictim(t *testing.T) {
-	q := newEventQueue(4, nil)
+	q := newEventQueue(4, nil, nil)
 	for i := 0; i < 4; i++ {
-		if _, dropped := q.push(elastic.Event{Principal: "flood", Payload: "f"}); dropped {
+		if _, dropped := pushOne(q, elastic.Event{Principal: "flood", Payload: "f"}); dropped {
 			t.Fatalf("push %d dropped below capacity", i)
 		}
 	}
 	// A quiet principal's first event evicts the hog, not itself.
-	victim, dropped := q.push(elastic.Event{Principal: "quiet", Payload: "q1"})
+	victim, dropped := pushOne(q, elastic.Event{Principal: "quiet", Payload: "q1"})
 	if !dropped || victim != "flood" {
 		t.Fatalf("victim = %q (dropped %v), want flood", victim, dropped)
 	}
 	// The flooder pushing again self-harms: its own oldest goes.
-	victim, dropped = q.push(elastic.Event{Principal: "flood", Payload: "f4"})
+	victim, dropped = pushOne(q, elastic.Event{Principal: "flood", Payload: "f4"})
 	if !dropped || victim != "flood" {
 		t.Fatalf("victim = %q (dropped %v), want flood", victim, dropped)
 	}
 	// Another principal with nothing queued also evicts the hog.
-	victim, dropped = q.push(elastic.Event{Principal: "late", Payload: "l1"})
+	victim, dropped = pushOne(q, elastic.Event{Principal: "late", Payload: "l1"})
 	if !dropped || victim != "flood" {
 		t.Fatalf("victim = %q (dropped %v), want flood", victim, dropped)
 	}
@@ -163,20 +172,20 @@ func TestEventQueueTenantVictim(t *testing.T) {
 // events, the one whose oldest event comes first in the ring is the
 // victim, whatever order they first queued in before a drain.
 func TestEventQueueVictimTie(t *testing.T) {
-	q := newEventQueue(4, nil)
+	q := newEventQueue(4, nil, nil)
 	for _, p := range []string{"b", "a"} {
-		q.push(elastic.Event{Principal: p})
+		pushOne(q, elastic.Event{Principal: p})
 	}
 	q.drain(nil)
 	for _, p := range []string{"a", "b", "b", "a"} {
-		q.push(elastic.Event{Principal: p, Payload: "1"})
+		pushOne(q, elastic.Event{Principal: p, Payload: "1"})
 	}
-	victim, dropped := q.push(elastic.Event{Principal: "c", Payload: "c"})
+	victim, dropped := pushOne(q, elastic.Event{Principal: "c", Payload: "c"})
 	if !dropped || victim != "a" {
 		t.Fatalf("victim = %q (dropped %v), want a, whose oldest event is first", victim, dropped)
 	}
 	// Now b holds two to a's one: b loses its oldest.
-	if victim, _ = q.push(elastic.Event{Principal: "d", Payload: "d"}); victim != "b" {
+	if victim, _ = pushOne(q, elastic.Event{Principal: "d", Payload: "d"}); victim != "b" {
 		t.Fatalf("victim = %q, want b, the hog", victim)
 	}
 	var got []string

@@ -39,11 +39,9 @@ func pumpQueued(t *testing.T, evs []elastic.Event) (*Server, *captureConn) {
 	t.Helper()
 	s := &Server{reg: obs.NewRegistry()}
 	conn := &captureConn{}
-	q := newEventQueue(subscriberQueueDepth, nil)
-	for _, ev := range evs {
-		if _, dropped := q.push(ev); dropped {
-			t.Fatal("queue overflowed")
-		}
+	q := newEventQueue(subscriberQueueDepth, nil, nil)
+	if lost := q.push(evs, nil); len(lost) > 0 {
+		t.Fatal("queue overflowed")
 	}
 	done := make(chan struct{})
 	go s.pumpEvents(q, &connWriter{conn: conn}, done)
