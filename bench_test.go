@@ -668,23 +668,9 @@ func BenchmarkTreeWalkBulk(b *testing.B) {
 // sent and received (Client.Bytes); warmSeq first takes the request
 // numbers that fit one byte, so every timed request's costs the same.
 func BenchmarkRDSRoundTrip(b *testing.B) {
-	proc := elastic.NewProcess(elastic.Config{})
-	defer proc.Stop()
-	srv := rds.NewServer(proc, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
-	defer func() { cancel(); <-done }()
-	cl, err := rds.Dial(l.Addr().String(), "mgr")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
+	proc := benchProcess(b, elastic.Config{})
+	cl := dialRDS(b, serveRDS(b, proc), "mgr")
+	ctx := context.Background()
 	query := func() {
 		if _, err := cl.Query(ctx, ""); err != nil {
 			b.Fatal(err)
@@ -702,6 +688,38 @@ func BenchmarkRDSRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(out-out0+in-in0)/float64(b.N), "wireB/op")
 }
 
+// benchProcess starts an elastic process for the rest of b.
+func benchProcess(b *testing.B, cfg elastic.Config) *elastic.Process {
+	proc := elastic.NewProcess(cfg)
+	b.Cleanup(proc.Stop)
+	return proc
+}
+
+// serveRDS serves proc over loopback TCP until b ends, returning the
+// listening address.
+func serveRDS(b *testing.B, proc *elastic.Process, opts ...rds.ServerOption) string {
+	srv := rds.NewServer(proc, nil, opts...)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
+	b.Cleanup(func() { cancel(); <-done })
+	return l.Addr().String()
+}
+
+// dialRDS connects to the RDS server at addr as principal until b ends.
+func dialRDS(b *testing.B, addr, principal string) *rds.Client {
+	cl, err := rds.Dial(addr, principal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 // warmSeq calls request until a fresh client's request numbers, which
 // count up from 1, have left the range BER encodes in one byte, so a
 // benchmark's wireB/op does not move with b.N.
@@ -717,26 +735,13 @@ func warmSeq(request func()) {
 // that never drains its socket (exercising the drop-oldest policy
 // without stalling the emitter).
 func BenchmarkEventFanout(b *testing.B) {
-	proc := elastic.NewProcess(elastic.Config{})
-	defer proc.Stop()
-	srv := rds.NewServer(proc, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
-	defer func() { cancel(); <-done }()
+	proc := benchProcess(b, elastic.Config{})
+	addr := serveRDS(b, proc)
+	ctx := context.Background()
 
 	var readers []*rds.Client
 	for i := 0; i < 3; i++ {
-		cl, err := rds.Dial(l.Addr().String(), "mgr")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
+		cl := dialRDS(b, addr, "mgr")
 		if err := cl.Subscribe(ctx, ""); err != nil {
 			b.Fatal(err)
 		}
@@ -744,7 +749,7 @@ func BenchmarkEventFanout(b *testing.B) {
 	}
 	// The stuck subscriber: subscribes, then never reads its socket
 	// again, so the server-side queue must absorb or drop its events.
-	stuck, err := net.Dial("tcp", l.Addr().String())
+	stuck, err := net.Dial("tcp", addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -793,27 +798,16 @@ func main() { while (true) { report(recv(-1)); } }`); err != nil {
 // loopback to one subscribed rds.Client. writes/op counts the server's
 // socket writes (reply plus event batches) from rds_writes_total;
 // wireB/op counts the bytes the client sent and received (Client.Bytes),
-// once warmSeq has taken the one-byte request numbers.
+// once warmSeq has taken the one-byte request numbers. The process runs
+// on a virtual clock one millisecond on per op, so each burst's first
+// report carries the same time delta from the burst before and
+// wireB/op does not move with where in a millisecond an op falls.
 func BenchmarkEventBurst(b *testing.B) {
 	const burst = 128
-	proc := elastic.NewProcess(elastic.Config{})
-	defer proc.Stop()
-	srv := rds.NewServer(proc, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
-	defer func() { cancel(); <-done }()
-
-	cl, err := rds.Dial(l.Addr().String(), "mgr")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
+	clock := elastic.NewVirtualClock()
+	proc := benchProcess(b, elastic.Config{Clock: clock})
+	cl := dialRDS(b, serveRDS(b, proc), "mgr")
+	ctx := context.Background()
 	if err := cl.Subscribe(ctx, ""); err != nil {
 		b.Fatal(err)
 	}
@@ -844,6 +838,7 @@ func main() {
 		return out + in
 	}
 	send := func() {
+		clock.Advance(time.Millisecond)
 		if err := cl.Send(ctx, id, "row"); err != nil {
 			b.Fatal(err)
 		}
@@ -866,6 +861,68 @@ func main() {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(wire()-b0)/float64(b.N), "wireB/op")
+}
+
+// BenchmarkAgentRPC measures the agent_rpc exchange in process: one
+// Send of a nonce to a resident DPI, which answers with one report of
+// the workload's shape, back on the same subscribed connection. wireB/op
+// counts the bytes the client sent and received: the Send, its reply
+// and the report frame, which after the first is coded against the
+// report before it. As in BenchmarkEventBurst, a virtual clock one
+// millisecond on per op keeps each report's time delta the same.
+func BenchmarkAgentRPC(b *testing.B) {
+	clock := elastic.NewVirtualClock()
+	proc := benchProcess(b, elastic.Config{Clock: clock})
+	cl := dialRDS(b, serveRDS(b, proc), "bench")
+	ctx := context.Background()
+	if err := cl.Subscribe(ctx, ""); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.Delegate(ctx, "rpcagent", `
+func main() {
+	var in = 2991235200; var out = 1745532016; var ipk = 40163871; var opk = 27788315;
+	while (true) {
+		var m = recv(-1);
+		in += 1523; out += 977; ipk += 3; opk += 2;
+		report(m + " n=68 in=" + str(in) + " out=" + str(out) + " ipk=" + str(ipk) + " opk=" + str(opk) + " h=0.421337");
+	}
+}`); err != nil {
+		b.Fatal(err)
+	}
+	id, err := cl.Instantiate(ctx, "rpcagent", "main")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := func() uint64 {
+		out, in := cl.Bytes()
+		return out + in
+	}
+	i := 0
+	send := func() {
+		clock.Advance(time.Millisecond)
+		// A bench nonce at five-digit op counts, fixed in width so
+		// wireB/op does not move with b.N.
+		nonce := fmt.Sprintf("n%05d-%08x", i%100000, uint32(i)*2654435761)
+		i++
+		if err := cl.Send(ctx, id, nonce); err != nil {
+			b.Fatal(err)
+		}
+		for ev := range cl.Events() {
+			if ev.Kind == "report" {
+				return
+			}
+		}
+		b.Fatal("event stream closed")
+	}
+	warmSeq(send)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b0 := wire()
+	for n := 0; n < b.N; n++ {
+		send()
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(wire()-b0)/float64(b.N), "wireB/op")
 }
 
@@ -894,8 +951,7 @@ func BenchmarkRollupDelta(b *testing.B) {
 // plus 32 rollup deltas — the per-beat upstream cost of a federation
 // child, amortized across everything the frame carries.
 func BenchmarkPeerHeartbeatBatch(b *testing.B) {
-	proc := elastic.NewProcess(elastic.Config{})
-	defer proc.Stop()
+	proc := benchProcess(b, elastic.Config{})
 	node, err := federation.New(federation.Config{
 		Name: "root", Domain: "bench", Proc: proc,
 		Advertise: "127.0.0.1:0", Combiner: federation.Sum(),
@@ -905,22 +961,9 @@ func BenchmarkPeerHeartbeatBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	node.Start()
-	defer node.Stop()
-	srv := rds.NewServer(proc, nil, rds.WithPeerHandler(node))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(ctx, l) }()
-	defer func() { cancel(); <-done }()
-	cl, err := rds.Dial(l.Addr().String(), "federation")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
+	b.Cleanup(node.Stop)
+	cl := dialRDS(b, serveRDS(b, proc, rds.WithPeerHandler(node)), "federation")
+	ctx := context.Background()
 	if err := cl.PeerJoin(ctx, "child", "lan", "127.0.0.1:9"); err != nil {
 		b.Fatal(err)
 	}

@@ -270,12 +270,16 @@ func TestWatchReportsDrops(t *testing.T) {
 	srv, cli := net.Pipe()
 	c := rds.NewClient(cli, "mgr")
 	defer c.Close()
+	// Each frame follows the one before on the connection, so it is
+	// coded against that frame's last event.
+	var last rds.Event
 	for b := 0; b < 3; b++ {
 		m := &rds.Message{Op: rds.OpEvent, Name: "flood#1", Entry: "report", Payload: []byte(fmt.Sprint(b * 100))}
 		for i := 1; i < 100; i++ {
 			m.Records = append(m.Records, rds.Event{DPI: "flood#1", Kind: "report", Payload: fmt.Sprint(b*100 + i)})
 		}
-		frame, err := m.AppendFrame(nil)
+		frame, err := m.AppendFrameAfter(nil, last)
+		last = rds.Event{DPI: "flood#1", Kind: "report"}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,13 +30,15 @@ type DPI struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 
-	// Multi-tenant state: the billing ledger, the run-slot flag and
-	// the steps billed so far (both touched only on the instance's own
-	// goroutine), the rate-escalation count, and the throttled marker
-	// surfaced through State.
+	// Multi-tenant state: the billing ledger, the run-slot flag, the
+	// scheduler waiter it parks on for a slot and the steps billed so
+	// far (all three touched only on the instance's own goroutine), the
+	// rate-escalation count, and the throttled marker surfaced through
+	// State.
 	tenant           *Tenant
 	principal        string
 	slotted          bool
+	waiter           *waiter
 	billed           uint64
 	quotaSuspensions int
 	throttled        atomic.Bool
@@ -81,6 +83,7 @@ func (d *DPI) run(ctx context.Context, args []any) {
 	// the mailbox go. A message not yet received goes with the mailbox;
 	// one sent from here on is refused.
 	d.vm.Release()
+	d.waiter = nil
 	d.mu.Lock()
 	d.finished = true
 	d.crashed = crashed

@@ -64,7 +64,10 @@ type tenantQ struct {
 	inRing  bool
 }
 
-// waiter parks one DPI goroutine until granted or abandoned.
+// waiter parks one DPI goroutine until granted or abandoned. A grant
+// sends one token on ch, which holds one, so the parked DPI takes it
+// and parks on the same waiter next time: each DPI keeps one
+// (DPI.waiter) rather than allocating a waiter and a channel per park.
 type waiter struct {
 	ch        chan struct{}
 	granted   bool
@@ -97,13 +100,20 @@ func (s *scheduler) qfor(t *Tenant) *tenantQ {
 	return tq
 }
 
-// enqueueLocked parks a new waiter on t's queue, putting the queue in
-// the ring if absent. A rejoining tenant's vtime is clamped up to the
-// global grant clock so an idle period banks nothing, while a tenant
-// that merely hopped out for one quantum keeps its earned position.
-func (s *scheduler) enqueueLocked(t *Tenant) *waiter {
-	w := &waiter{ch: make(chan struct{})}
-	tq := s.qfor(t)
+// enqueueLocked parks d's waiter on its tenant's queue, putting the
+// queue in the ring if absent. A rejoining tenant's vtime is clamped up
+// to the global grant clock so an idle period banks nothing, while a
+// tenant that merely hopped out for one quantum keeps its earned
+// position. d gets a new waiter only on its first park or after it
+// abandoned the last one, which may still sit in a queue.
+func (s *scheduler) enqueueLocked(d *DPI) *waiter {
+	w := d.waiter
+	if w == nil {
+		w = &waiter{ch: make(chan struct{}, 1)}
+		d.waiter = w
+	}
+	w.granted = false
+	tq := s.qfor(d.tenant)
 	tq.waiters = append(tq.waiters, w)
 	if !tq.inRing {
 		if tq.vtime < s.vclock {
@@ -127,6 +137,9 @@ func (s *scheduler) await(ctx context.Context, d *DPI, w *waiter) error {
 		d.slotted = true
 		return nil
 	case <-ctx.Done():
+		// The waiter may stay queued, or hold a grant's token: d parks
+		// on a new one next time.
+		d.waiter = nil
 		s.mu.Lock()
 		if w.granted {
 			// The grant raced the cancellation: hand the slot on.
@@ -151,7 +164,7 @@ func (s *scheduler) acquire(ctx context.Context, d *DPI) error {
 		d.slotted = true
 		return nil
 	}
-	w := s.enqueueLocked(d.tenant)
+	w := s.enqueueLocked(d)
 	s.mu.Unlock()
 	return s.await(ctx, d, w)
 }
@@ -168,7 +181,7 @@ func (s *scheduler) yield(ctx context.Context, d *DPI) error {
 		s.mu.Unlock()
 		return nil
 	}
-	w := s.enqueueLocked(d.tenant)
+	w := s.enqueueLocked(d)
 	s.running--
 	d.slotted = false
 	s.dispatchLocked()
@@ -222,11 +235,17 @@ func (s *scheduler) dispatchLocked() {
 			return
 		}
 		w := best.waiters[0]
-		best.waiters = best.waiters[1:]
+		best.waiters[0] = nil
+		if len(best.waiters) == 1 {
+			// Keep the storage: the next park appends without growing it.
+			best.waiters = best.waiters[:0]
+		} else {
+			best.waiters = best.waiters[1:]
+		}
 		s.vclock = best.vtime
 		best.vtime += float64(s.quantum) / float64(best.t.Weight())
 		w.granted = true
-		close(w.ch)
+		w.ch <- struct{}{}
 		s.running++
 		s.nwait--
 		s.grants.Add(1)

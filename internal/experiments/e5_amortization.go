@@ -57,14 +57,29 @@ func E5DelegationAmortization() (*Table, error) {
 	replyMsg := &rds.Message{Op: rds.OpReply, Seq: 1, OK: true, Name: "health#1"}
 	reportMsg := &rds.Message{Op: rds.OpEvent, Name: "health#1", Entry: "report", Payload: []byte("UNHEALTHY score=0.421 u=0.45 c=0.05 b=0.55 e=0.002"), TimeMS: 100000}
 	setupBytes := rds.FrameSize(delegateMsg.Encode()) + rds.FrameSize(instMsg.Encode()) + 2*rds.FrameSize(replyMsg.Encode())
-	reportBytes := rds.FrameSize(reportMsg.Encode())
+	// The first report is the first event frame on its connection; each
+	// later one follows the report before it, one evaluation period
+	// (E2's default 10 s) earlier, and leaves out the DPI and kind it
+	// repeats.
+	firstBytes := rds.FrameSize(reportMsg.Encode())
+	steady, err := reportMsg.AppendFrameAfter(nil, rds.Event{DPI: "health#1", Kind: "report", TimeMS: reportMsg.TimeMS - 10000})
+	if err != nil {
+		return nil, err
+	}
+	reportBytes := len(steady)
+	reports := func(k int) int {
+		if k == 0 {
+			return 0
+		}
+		return firstBytes + (k-1)*reportBytes
+	}
 	const exceptionRate = 0.05 // one alarm per 20 evaluations
 
 	var crossover int
 	for _, m := range []int{1, 2, 5, 10, 20, 50, 100, 1000} {
 		rpcB := m * rpcPerEval
-		perB := setupBytes + m*reportBytes
-		excB := setupBytes + int(float64(m)*exceptionRate+0.5)*reportBytes
+		perB := setupBytes + reports(m)
+		excB := setupBytes + reports(int(float64(m)*exceptionRate+0.5))
 		if crossover == 0 && perB < rpcB {
 			crossover = m
 		}
@@ -78,7 +93,7 @@ func E5DelegationAmortization() (*Table, error) {
 			fmtBytes(uint64(excB)),
 		)
 	}
-	t.AddNote("setup = Delegate frame carrying the %dB health DP + Instantiate + replies (%dB total); RPC evaluation = %dB round trip; report = %dB one-way", len(src), setupBytes, rpcPerEval, reportBytes)
+	t.AddNote("setup = Delegate frame carrying the %dB health DP + Instantiate + replies (%dB total); RPC evaluation = %dB round trip; report = %dB one-way, %dB for the first on the connection", len(src), setupBytes, rpcPerEval, reportBytes, firstBytes)
 	if crossover > 0 {
 		t.AddNote("periodic-report delegation beats per-evaluation SNMP from M = %d; exception mode beats it from the first alarm-free interval", crossover)
 	}

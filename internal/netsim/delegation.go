@@ -23,6 +23,10 @@ type Session struct {
 	// direction: a report cannot start transmitting before the
 	// previous frame finished.
 	busyUntil time.Duration
+	// last is the last report framed on the session's connection: the
+	// next report frame is coded against it, so a steady report leaves
+	// out the DPI and kind it repeats.
+	last rds.Event
 }
 
 // NewSession opens a simulated RDS session to the station.
@@ -64,9 +68,13 @@ func (s *Session) Instantiate(dp, entry string, done func()) {
 // Report delivers a one-way DPI event frame to the manager, invoking
 // deliver with the payload at its virtual arrival time. Frames queue
 // FIFO on the link: back-to-back reports serialize one after another.
+// Each is sized as the frame that follows the session's previous
+// report on its connection (rds.Message.AppendFrameAfter).
 func (s *Session) Report(dpi, payload string, deliver func(payload string)) {
 	msg := &rds.Message{Op: rds.OpEvent, Name: dpi, Entry: "report", Payload: []byte(payload), TimeMS: s.sim.Now().Milliseconds()}
-	n := frameBytes(msg)
+	frame, _ := msg.AppendFrameAfter(nil, s.last) // a report is far below MaxFrame
+	s.last = rds.Event{DPI: dpi, Kind: "report", TimeMS: msg.TimeMS}
+	n := len(frame)
 	s.Tr.Responses++
 	s.Tr.RespBytes += uint64(n)
 	tx := s.st.Link.Delay(n) - s.st.Link.OneWay // serialization portion

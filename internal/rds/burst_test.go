@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,5 +253,99 @@ func main() { for (var i = 0; i < %d; i += 1) { report(i); } return -1; }`, n));
 			t.Fatalf("event %q after report %d", p, last)
 		}
 		last = max(last, i)
+	}
+}
+
+// TestClientDropsKeepTheChain: a client that reads nothing while a
+// 300-event burst arrives on top of 255 unread events keeps 256 events
+// and counts the rest dropped, and still decodes every later frame:
+// each event it delivers, the next op's report among them, carries
+// exactly the DPI, kind, principal, time and payload the server emitted.
+// The kinds rotate, so a client that kept the context at the last event
+// it delivered would misread or refuse the next frame.
+func TestClientDropsKeepTheChain(t *testing.T) {
+	proc, c := burstServer(t, elastic.Config{SchedQuantum: 1 << 40})
+	var (
+		mu      sync.Mutex
+		emitted []Event
+	)
+	t.Cleanup(proc.Subscribe(func(ev elastic.Event) {
+		mu.Lock()
+		emitted = append(emitted, wireEvent(ev))
+		mu.Unlock()
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Delegate(ctx, "rotor", `
+func main() {
+	report("ready");
+	while (true) {
+		var m = recv(-1);
+		var n = 1;
+		if (m == "fill") { n = 254; }
+		if (m == "burst") { n = 300; }
+		for (var j = 0; j < n; j += 1) {
+			var p = m + " " + str(j);
+			if (j % 3 == 0) { report(p); } else if (j % 3 == 1) { notify(p); } else { log(p); }
+		}
+	}
+}`); err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Instantiate(ctx, "rotor", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// await waits until the server has sent or dropped all n events
+	// emitted so far and the client has kept or dropped each one sent.
+	await := func(n uint64) (sent uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			sent = counterValue(proc.Obs(), "rds_events_sent_total")
+			lost := counterValue(proc.Obs(), "rds_events_dropped_total") + counterValue(proc.Obs(), "rds_events_shed_total")
+			if sent+lost == n && uint64(len(c.Events()))+c.EventsDropped() == sent {
+				return sent
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server sent %d and lost %d of %d; client holds %d and dropped %d",
+					sent, lost, n, len(c.Events()), c.EventsDropped())
+			}
+		}
+	}
+	// "ready" and the fill, 255 events in batches the server's queue
+	// holds, leave Events one slot.
+	if err := c.Send(ctx, id, "fill"); err != nil {
+		t.Fatal(err)
+	}
+	if sent := await(1 + 254); sent != 255 || c.EventsDropped() != 0 {
+		t.Fatalf("fill: %d sent, %d dropped by the client", sent, c.EventsDropped())
+	}
+	if err := c.Send(ctx, id, "burst"); err != nil {
+		t.Fatal(err)
+	}
+	sent := await(1 + 254 + 300)
+	got := awaitEvents(t, c, len(c.Events()))
+	if len(got) != 256 || uint64(len(got))+c.EventsDropped() != sent {
+		t.Fatalf("received %d, client dropped %d, server sent %d", len(got), c.EventsDropped(), sent)
+	}
+	if err := c.Send(ctx, id, "next"); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, awaitEvents(t, c, 1)...)
+	// What arrived is what was emitted, in order, less what was dropped.
+	mu.Lock()
+	defer mu.Unlock()
+	i := 0
+	for k, ev := range got {
+		for i < len(emitted) && emitted[i] != ev {
+			i++
+		}
+		if i == len(emitted) {
+			t.Fatalf("event %d %+v was not emitted (or not in this order)", k, ev)
+		}
+		i++
+	}
+	if last := emitted[len(emitted)-1]; got[len(got)-1] != last || last.Payload != "next 0" {
+		t.Fatalf("last event %+v, want the next op's report %+v", got[len(got)-1], last)
 	}
 }

@@ -276,7 +276,11 @@ func (c *Client) terminate(err error) {
 // closed when the client terminates (Close, or connection loss without
 // reconnect); under WithReconnect it stays open across outages. Slow
 // consumers lose events once the 256-deep buffer fills (the event is
-// dropped, never the connection, and counted in EventsDropped).
+// dropped, never the connection, and counted in EventsDropped); the
+// events after it still arrive intact. A burst can arrive while the
+// request that set it off (a Send, say) still waits for its reply, so a
+// manager that takes bursts of more than 256 events reads Events on a
+// goroutine of its own.
 func (c *Client) Events() <-chan Event { return c.events }
 
 // EventsDropped reports how many received events were discarded because
@@ -324,11 +328,16 @@ func (c *Client) readDatagrams(conn net.Conn) error {
 	}
 }
 
+// readFrames reads frames until the connection fails. Each event frame
+// is decoded against the last event of the one before on this
+// connection (a fresh connection starts from none), and moves that
+// context on whether Events takes its events or drops them.
 func (c *Client) readFrames(conn net.Conn) error {
 	// The server batches event frames into one write; read them back the
 	// same way, not with two syscalls per frame. Deadlines set on conn
 	// still surface through the reader.
 	br := bufio.NewReader(conn)
+	var last Event
 	for {
 		body, err := ReadFrame(br)
 		if err != nil {
@@ -352,9 +361,12 @@ func (c *Client) readFrames(conn net.Conn) error {
 		c.mu.Lock()
 		c.bytesIn += uint64(FrameSize(body))
 		c.mu.Unlock()
-		m, err := Decode(body)
+		m, err := decodeAfter(body, &last)
 		if err != nil {
 			return err
+		}
+		if m.Op == OpEvent {
+			last = m.tail()
 		}
 		c.receive(conn, m)
 	}
@@ -672,7 +684,9 @@ func (c *Client) Control(ctx context.Context, dpiID, action string) error {
 	return err
 }
 
-// Send delivers a message to an instance's mailbox.
+// Send delivers a message to an instance's mailbox. The events the
+// message sets off may arrive before Send returns: past the 256 that
+// Events buffers, only a reader on another goroutine keeps them.
 func (c *Client) Send(ctx context.Context, dpiID, payload string) error {
 	_, err := c.call(ctx, &Message{Op: OpSend, Name: dpiID, Payload: []byte(payload)})
 	return err

@@ -38,11 +38,21 @@ func FrameSize(body []byte) int { return 4 + len(body) }
 // extended slice. Encoding body and prefix into one buffer lets a
 // connection writer batch many frames into a single write. It refuses a
 // message no receiver would accept: a body past MaxFrame, or event
-// records that rebuild more than MaxFrame payload bytes.
-func (m *Message) AppendFrame(dst []byte) ([]byte, error) {
+// records that rebuild more than MaxFrame payload bytes. The frame
+// stands alone, as the first event frame on a connection does; see
+// AppendFrameAfter for one that follows another.
+func (m *Message) AppendFrame(dst []byte) ([]byte, error) { return m.AppendFrameAfter(dst, Event{}) }
+
+// AppendFrameAfter is AppendFrame for a frame that follows last, the
+// last event of the event frame before it on the same stream
+// connection; the zero Event stands for none. An OpEvent message's
+// first event then carries only the DPI, kind and principal that differ
+// from last's, and its time as a delta from last's. Frames of any other
+// op, which never change the context, are the same after any last.
+func (m *Message) AppendFrameAfter(dst []byte, last Event) ([]byte, error) {
 	start := len(dst)
 	c := ber.Encoder(append(dst, 0, 0, 0, 0))
-	m.visit(&c)
+	m.visit(&c, &last)
 	if err := c.Err(); err != nil {
 		return nil, err
 	}

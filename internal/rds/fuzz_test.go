@@ -17,9 +17,12 @@ import (
 // FuzzDecodeFrame feeds raw wire bytes through the framing layer and
 // the BER message decoder: neither may panic, over-allocate past the
 // frame limit, or accept a message that fails to re-encode into the
-// very bytes it was decoded from. Seeds beyond the committed corpus
-// cover each op, each optional envelope field present and absent, and
-// the framing edge cases (empty, truncated, oversized length prefix).
+// very bytes it was decoded from. Bytes past the first frame are read
+// as the frame that follows it on a connection, decoded against the
+// first frame's last event, and held to the same rule under that
+// context. Seeds beyond the committed corpus cover each op, each
+// optional envelope field present and absent, and the framing edge
+// cases (empty, truncated, oversized length prefix).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, m := range []*Message{
 		{Op: OpDelegate, Seq: 1, Principal: "mgr", Name: "health", Lang: "dpl", Payload: []byte("func main() {}")},
@@ -65,44 +68,90 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x30}) // length past MaxFrame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		m, err := Decode(body)
-		if err != nil {
-			return
-		}
-		// Anything the decoder accepts must survive the encode side
-		// unchanged — the server re-frames decoded messages.
-		re, err := m.AppendFrame(nil)
-		if err != nil {
-			t.Fatalf("accepted message does not re-frame: %v", err)
-		}
-		// One encoding per message: the digest a receiver recomputes
-		// covers the bytes the sender signed.
-		if !bytes.Equal(re[4:], body) {
-			t.Fatalf("accepted %x re-encodes as %x", body, re[4:])
-		}
-		body2, err := ReadFrame(bytes.NewReader(re))
-		if err != nil {
-			t.Fatalf("re-framed message unreadable: %v", err)
-		}
-		m2, err := Decode(body2)
-		if err != nil {
-			t.Fatalf("re-encoded message undecodable: %v", err)
-		}
-		if !reflect.DeepEqual(m2, m) {
-			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", m2, m)
+		r := bytes.NewReader(data)
+		var last Event
+		for range 2 {
+			body, err := ReadFrame(r)
+			if err != nil {
+				return
+			}
+			m := reframes(t, body, last)
+			if m == nil {
+				return
+			}
+			if m.Op == OpEvent {
+				last = m.tail()
+			}
 		}
 	})
+}
+
+// reframes decodes body as the frame after last on its connection and,
+// when the decoder accepts it, holds the message to the one-encoding
+// rule under the same context: it re-frames into body exactly, and
+// those bytes decode back to it. It returns the message, or nil when
+// the decoder refuses body.
+func reframes(t *testing.T, body []byte, last Event) *Message {
+	m, err := decodeAfter(body, &last)
+	if err != nil {
+		return nil
+	}
+	// Anything the decoder accepts must survive the encode side
+	// unchanged — the server re-frames decoded messages.
+	re, err := m.AppendFrameAfter(nil, last)
+	if err != nil {
+		t.Fatalf("accepted message does not re-frame: %v", err)
+	}
+	// One encoding per message: the digest a receiver recomputes
+	// covers the bytes the sender signed.
+	if !bytes.Equal(re[4:], body) {
+		t.Fatalf("accepted %x re-encodes as %x", body, re[4:])
+	}
+	body2, err := ReadFrame(bytes.NewReader(re))
+	if err != nil {
+		t.Fatalf("re-framed message unreadable: %v", err)
+	}
+	m2, err := decodeAfter(body2, &last)
+	if err != nil {
+		t.Fatalf("re-encoded message undecodable: %v", err)
+	}
+	if !reflect.DeepEqual(m2, m) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", m2, m)
+	}
+	return m
+}
+
+// decodeStream decodes every frame in data as one connection carries
+// them, each after the last event of the event frame before, failing at
+// the first frame it refuses.
+func decodeStream(data []byte) error {
+	r := bytes.NewReader(data)
+	var last Event
+	for {
+		body, err := ReadFrame(r)
+		if err != nil {
+			return err
+		}
+		m, err := decodeAfter(body, &last)
+		if err != nil {
+			return err
+		}
+		if m.Op == OpEvent {
+			last = m.tail()
+		}
+		if r.Len() == 0 {
+			return nil
+		}
+	}
 }
 
 // eventBatchSeeds are batched event frames, by corpus file: DPI, kind
 // and principal changing mid-batch, an empty principal after a
 // non-empty one, negative, large and zero time deltas, a chain of
-// payloads sharing prefixes, and a record list one past maxRecords (of
-// empty records, which Decode counts before it reads any).
+// payloads sharing prefixes, two frames of one connection, the second
+// coded against the first (eventChainSeed), and a record list one past
+// maxRecords (of empty records, which Decode counts before it reads
+// any).
 func eventBatchSeeds(t testing.TB) []corpusSeed {
 	var seeds []corpusSeed
 	for _, s := range []struct {
@@ -144,8 +193,9 @@ func eventBatchSeeds(t testing.TB) []corpusSeed {
 		}
 		seeds = append(seeds, corpusSeed{s.name, frame})
 	}
+	seeds = append(seeds, eventChainSeed(t))
 	c := ber.Encoder(nil)
-	root := (&Message{Op: OpEvent, Name: "f#1"}).visitHead(&c)
+	root := (&Message{Op: OpEvent, Name: "f#1"}).visitHead(&c, nil)
 	list := c.Begin(ber.TagSequence)
 	for i := 0; i <= maxRecords; i++ {
 		c.End(c.Begin(ber.TagSequence))
@@ -157,6 +207,26 @@ func eventBatchSeeds(t testing.TB) []corpusSeed {
 		t.Fatal(err)
 	}
 	return append(seeds, corpusSeed{"refused_event_batch_past_bound", frame})
+}
+
+// eventChainSeed is two event frames as one connection carries them:
+// the first reports twice from one DPI, and the second, coded against
+// the first's last event, changes DPI at the same time (no delta) and
+// carries an empty principal after a non-empty one, then moves time
+// back.
+func eventChainSeed(t testing.TB) corpusSeed {
+	first := &Message{Op: OpEvent, Name: "p#1", Entry: "report", Payload: []byte("1"), TimeMS: 50, Principal: "mgr",
+		Records: []Event{{DPI: "p#1", Kind: "report", Payload: "2", TimeMS: 51, Principal: "mgr"}}}
+	second := &Message{Op: OpEvent, Name: "q#2", Entry: "report", Payload: []byte("3"), TimeMS: 51,
+		Records: []Event{{DPI: "q#2", Kind: "exit", TimeMS: 49}}}
+	frame, err := first.AppendFrame(nil)
+	if err == nil {
+		frame, err = second.AppendFrameAfter(frame, first.tail())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpusSeed{"seed_event_chain", frame}
 }
 
 // corpusSeed is one committed FuzzDecodeFrame input and its file name.
@@ -249,8 +319,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 }
 
-// TestFuzzCorpusCurrent: every committed seed_* frame decodes and
-// every refused_* one is refused, and each file the writer makes holds
+// TestFuzzCorpusCurrent: every committed seed_* file decodes, each of
+// its frames after the one before, and every refused_* one is refused, and each file the writer makes holds
 // what it would write now, so a change to the format cannot leave the
 // corpus seeding only the refusal path.
 func TestFuzzCorpusCurrent(t *testing.T) {
@@ -265,11 +335,7 @@ func TestFuzzCorpusCurrent(t *testing.T) {
 		if !accept && !strings.HasPrefix(name, "refused_") {
 			continue
 		}
-		frame := readCorpusFile(t, path)
-		body, err := ReadFrame(bytes.NewReader(frame))
-		if err == nil {
-			_, err = Decode(body)
-		}
+		err := decodeStream(readCorpusFile(t, path))
 		switch {
 		case accept && err != nil:
 			t.Errorf("%s refused: %v", name, err)
@@ -432,6 +498,55 @@ func TestDecodeEnvelopeRefusals(t *testing.T) {
 		if m, err := Decode(b); err == nil {
 			t.Errorf("old-format frame %s read as %+v", h[:16], m)
 		}
+	}
+}
+
+// TestEventEnvelopeAfterLast: an event frame coded against the
+// connection's last event leaves out what repeats it, so one that
+// repeats every field but its payload is just Op and payload; decoded
+// after the same event it is the message again, and refused as a frame
+// that stands alone would be, which repeats last's fields. An empty
+// principal after a non-empty one travels, and no other op's fields are
+// ever coded against last.
+func TestEventEnvelopeAfterLast(t *testing.T) {
+	last := Event{DPI: "a#1", Kind: "report", TimeMS: 40, Principal: "mgr"}
+	same := &Message{Op: OpEvent, Name: "a#1", Entry: "report", Payload: []byte("x"), TimeMS: 40, Principal: "mgr"}
+	moved := &Message{Op: OpEvent, Name: "b#2", Entry: "report", Payload: []byte("y"), TimeMS: 39}
+	for _, c := range []struct {
+		m   *Message
+		hex string
+	}{
+		{same, "000000083006020109860178"},
+		{moved, "000000123010020109810083036223328601798901ff"},
+	} {
+		frame, err := c.m.AppendFrameAfter(nil, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(frame); got != c.hex {
+			t.Errorf("%s after %s: frame %s, want %s", c.m.Name, last.DPI, got, c.hex)
+		}
+		if m, err := decodeAfter(frame[4:], &last); err != nil || !reflect.DeepEqual(m, c.m) {
+			t.Errorf("%s after %s decodes to %+v (%v)", c.m.Name, last.DPI, m, err)
+		}
+	}
+	alone, err := same.AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := decodeAfter(alone[4:], &last); err == nil {
+		t.Errorf("stand-alone frame repeating the last event read as %+v", m)
+	}
+	reply := &Message{Op: OpReply, Seq: 1, OK: true, Name: "a#1", TimeMS: 40}
+	after, err := reply.AppendFrameAfter(nil, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone, _ := reply.AppendFrame(nil); !bytes.Equal(after, alone) {
+		t.Errorf("reply after an event %x, alone %x", after, alone)
+	}
+	if m, err := decodeAfter(after[4:], &last); err != nil || !reflect.DeepEqual(m, reply) {
+		t.Errorf("reply after an event decodes to %+v (%v)", m, err)
 	}
 }
 

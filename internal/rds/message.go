@@ -133,15 +133,26 @@ func (m *Message) Encode() []byte {
 // pass a reused buffer so steady-state encoding does not allocate. The
 // result aliases dst's storage when capacity suffices and is owned by
 // the caller.
-func (m *Message) AppendEncode(dst []byte) []byte { return encode(dst, m, (*Message).visit) }
+func (m *Message) AppendEncode(dst []byte) []byte {
+	c := ber.Encoder(dst)
+	m.visit(&c, nil)
+	return c.Bytes()
+}
 
 // Decode parses a BER-encoded message, refusing any encoding but the
-// one Encode writes. Every frame takes this path, so it runs visit
-// directly rather than through decode, keeping the codec off the heap.
-func Decode(b []byte) (*Message, error) {
+// one Encode writes. It reads a frame on its own, as the first on its
+// connection: an event frame that follows another on a stream decodes
+// against the event before (decodeAfter).
+func Decode(b []byte) (*Message, error) { return decodeAfter(b, nil) }
+
+// decodeAfter is Decode for a frame that follows last, the last event
+// its connection carried before it (nil: none). Every frame takes this
+// path, so it runs visit directly rather than through decode, keeping
+// the codec off the heap.
+func decodeAfter(b []byte, last *Event) (*Message, error) {
 	m := &Message{}
 	c := ber.CanonicalDecoder(b)
-	m.visit(&c)
+	m.visit(&c, last)
 	if err := c.Finish(); err != nil {
 		return nil, err
 	}
@@ -166,13 +177,13 @@ func decode[T any](b []byte, v *T, visit func(*T, *ber.Codec)) (*T, error) {
 	return v, nil
 }
 
-// visit runs m's wire format through c: the envelope's fields, then
-// its event records, which only an OpEvent batch carries and never
-// empty. The payloads the records rebuild total at most MaxFrame, so
-// decoding a frame builds no more than a frame's worth of payload per
-// frame byte read.
-func (m *Message) visit(c *ber.Codec) {
-	root := m.visitHead(c)
+// visit runs m's wire format through c: the envelope's fields, coded
+// against last when m is an event (visitHead), then its event records,
+// which only an OpEvent batch carries and never empty. The payloads the
+// records rebuild total at most MaxFrame, so decoding a frame builds no
+// more than a frame's worth of payload per frame byte read.
+func (m *Message) visit(c *ber.Codec, last *Event) {
+	root := m.visitHead(c, last)
 	if c.Optional(ber.TagSequence, len(m.Records) > 0) {
 		if m.Op != OpEvent {
 			c.Fail(errors.New("rds: event records on a non-event message"))
@@ -199,6 +210,19 @@ func (m *Message) head() Event {
 	return Event{DPI: m.Name, Kind: m.Entry, Payload: bytesString(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal}
 }
 
+// tail is the last event of an OpEvent batch, the one the next event
+// frame on its connection is coded against. Its payload is left out:
+// the next frame's envelope carries its own whole, so the context never
+// holds on to a frame's bytes.
+func (m *Message) tail() Event {
+	ev := m.head()
+	if n := len(m.Records); n > 0 {
+		ev = m.Records[n-1]
+	}
+	ev.Payload = ""
+	return ev
+}
+
 // bytesString returns b's bytes as a string without copying them; b
 // must not change while the string is in use.
 func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
@@ -208,18 +232,32 @@ func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), le
 func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // visitHead opens m's envelope and visits every field but Records,
-// returning the open envelope.
-func (m *Message) visitHead(c *ber.Codec) ber.Seq {
+// returning the open envelope. An OpEvent envelope's event is coded
+// against last, the event before it on its connection, as a record is
+// against the event before it in its frame: its DPI (Name), kind
+// (Entry) and principal only when they differ from last's, present
+// ones never repeating it, and its time as a signed delta from last's.
+// Its payload travels whole. With last nil or empty, and for every
+// other op, that is the stand-alone envelope: each field present only
+// when non-zero.
+func (m *Message) visitHead(c *ber.Codec, last *Event) ber.Seq {
 	root := c.Begin(ber.TagSequence)
 	ber.Int(c, &m.Op)
 	if c.Decoding() && (int(m.Op) >= len(opTable) || opTable[m.Op].name == "") {
 		c.Fail(fmt.Errorf("rds: unknown op %d", m.Op))
 	}
+	var was Event
+	if m.Op == OpEvent && last != nil {
+		was = *last
+		if c.Decoding() {
+			m.Name, m.Entry, m.Principal, m.TimeMS = was.DPI, was.Kind, was.Principal, was.TimeMS
+		}
+	}
 	optInt(c, tagSeq, &m.Seq)
-	optString(c, tagPrincipal, &m.Principal)
+	optChange(c, tagPrincipal, &m.Principal, was.Principal)
 	optOctets(c, tagDigest, &m.Digest)
-	optString(c, tagName, &m.Name)
-	optString(c, tagEntry, &m.Entry)
+	optChange(c, tagName, &m.Name, was.DPI)
+	optChange(c, tagEntry, &m.Entry, was.Kind)
 	optString(c, tagLang, &m.Lang)
 	optOctets(c, tagPayload, &m.Payload)
 	var ok int8
@@ -234,7 +272,11 @@ func (m *Message) visitHead(c *ber.Codec) ber.Seq {
 		m.OK = ok == 1
 	}
 	optString(c, tagError, &m.Error)
-	optInt(c, tagTimeMS, &m.TimeMS)
+	delta := m.TimeMS - was.TimeMS
+	optInt(c, tagTimeMS, &delta)
+	if c.Decoding() {
+		m.TimeMS = was.TimeMS + delta
+	}
 	if c.Optional(tagArgs, len(m.Args) > 0) {
 		for i := range ber.List(c, tagArgs, &m.Args, maxArgs) {
 			c.String(ber.TagOctetString, &m.Args[i])
@@ -354,9 +396,9 @@ func visitRecord(c *ber.Codec, prev, ev *Event, budget *int) {
 	c.End(one)
 }
 
-// optChange visits a record's string field under tag, present only
-// when it differs from the event before's, was; decoding refuses one
-// that repeats it.
+// optChange visits a string field under tag, present only when it
+// differs from was, the event before's (an envelope's is "" but for an
+// event's); decoding refuses one that repeats it.
 func optChange(c *ber.Codec, tag byte, s *string, was string) {
 	if c.Optional(tag, *s != was) {
 		c.String(tag, s)

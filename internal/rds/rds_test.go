@@ -592,12 +592,14 @@ func TestClientReadsFramesBuffered(t *testing.T) {
 			return
 		}
 		var burst []byte
+		var last Event
 		for i := 0; i < events; i++ {
 			ev := &Message{Op: OpEvent, Name: "rows#1", Entry: "report", Payload: []byte(strconv.Itoa(i)), TimeMS: int64(i)}
-			if burst, err = ev.AppendFrame(burst); err != nil {
+			if burst, err = ev.AppendFrameAfter(burst, last); err != nil {
 				peerErr <- err
 				return
 			}
+			last = ev.tail()
 		}
 		if burst, err = (&Message{Op: OpReply, Seq: req.Seq, OK: true}).AppendFrame(burst); err != nil {
 			peerErr <- err

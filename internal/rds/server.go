@@ -225,12 +225,15 @@ const maxRetainedOut = 64 << 10
 
 // connWriter serializes frame writes onto one connection. Frames are
 // appended straight into one reused output buffer, and each call leaves
-// in a single Write: one per reply, one per drained event batch.
+// in a single Write: one per reply, one per drained event batch. It is
+// the only writer of its connection's event frames, so it keeps the
+// last event it framed, which the next event frame is coded against.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
 	out  []byte
 	err  error // sticky: once a write fails the connection is done
+	last Event // the last event framed (Message.tail), payload left out
 }
 
 // reply writes one reply frame. A reply too large to frame is answered
@@ -252,12 +255,15 @@ func (cw *connWriter) reply(s *Server, m *Message) {
 const maxEventFrame = maxRetainedOut
 
 // events writes a drained batch in a single Write as batched OpEvent
-// frames: the first event of a frame travels in the envelope, each later
-// one as a record carrying only what changed (visitRecord), up to
-// maxRecords records, maxEventFrame bytes or MaxFrame rebuilt payload
-// bytes a frame. Decoding a frame yields exactly the Message whose
-// AppendFrame gives its bytes. An event too large to frame even alone
-// is counted dropped; the rest of its batch still goes.
+// frames: the first event of a frame travels in the envelope, coded
+// against the last event framed before it on the connection, and each
+// later one as a record carrying only what changed from the event
+// before (visitRecord), up to maxRecords records, maxEventFrame bytes or
+// MaxFrame rebuilt payload bytes a frame. Decoding a frame after the
+// same last event yields exactly the Message whose AppendFrameAfter
+// gives its bytes. An event too large to frame even alone is counted
+// dropped and leaves the context where it was; the rest of its batch
+// still goes.
 func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -278,7 +284,10 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 			// Only a frame's lone event can outgrow MaxFrame.
 			out, n = out[:start], n-1
 			s.droppedEvent(prev.Principal, false)
+			return
 		}
+		cw.last = prev
+		cw.last.Payload = ""
 	}
 	for i := range evs {
 		ev := Event{DPI: evs[i].DPI, Kind: evs[i].Kind.String(), Payload: evs[i].Payload,
@@ -305,7 +314,7 @@ func (cw *connWriter) events(s *Server, evs []elastic.Event) {
 		start, prev, n, k, budget = len(out), ev, n+1, 0, MaxFrame
 		c := ber.Encoder(append(out, 0, 0, 0, 0))
 		head := Message{Op: OpEvent, Name: ev.DPI, Entry: ev.Kind, Payload: stringBytes(ev.Payload), TimeMS: ev.TimeMS, Principal: ev.Principal}
-		root, hasRecs = head.visitHead(&c), false
+		root, hasRecs = head.visitHead(&c, &cw.last), false
 		out = c.Bytes()
 	}
 	if start >= 0 {

@@ -17,7 +17,8 @@ import (
 	"mbd/internal/obs"
 )
 
-// captureConn records every Write a connection writer issues.
+// captureConn records every Write a connection writer issues, and
+// passes it on to Conn when there is one.
 type captureConn struct {
 	net.Conn
 	mu     sync.Mutex
@@ -29,7 +30,11 @@ func (c *captureConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.writes++
-	return c.wire.Write(p)
+	c.wire.Write(p)
+	if c.Conn != nil {
+		return c.Conn.Write(p)
+	}
+	return len(p), nil
 }
 
 // pumpQueued queues evs, runs the event pump over a capture connection
@@ -75,25 +80,28 @@ func batchMessage(evs []Event) *Message {
 	return m
 }
 
-// wireEvents reads every frame in wire, checks that each one is exactly
-// AppendFrame of the message it decodes to, and returns the events the
-// frames carry, in order.
+// wireEvents reads every frame in wire as one connection's, each
+// decoded after the last event of the frame before, checks that each
+// one is exactly AppendFrameAfter of the message it decodes to after
+// that event, and returns the events the frames carry, in order.
 func wireEvents(t *testing.T, wire []byte) (evs []Event, frames int) {
 	t.Helper()
 	r := bytes.NewReader(wire)
+	var last Event
 	for r.Len() > 0 {
 		body, err := ReadFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Decode(body)
+		m, err := decodeAfter(body, &last)
 		if err != nil {
 			t.Fatalf("frame %d: %v", frames, err)
 		}
-		re, err := m.AppendFrame(nil)
+		re, err := m.AppendFrameAfter(nil, last)
 		if err != nil || !bytes.Equal(re[4:], body) {
-			t.Fatalf("frame %d is not AppendFrame of its message (%v)", frames, err)
+			t.Fatalf("frame %d is not AppendFrameAfter of its message (%v)", frames, err)
 		}
+		last = m.tail()
 		frames++
 		evs = append(evs, Event{DPI: m.Name, Kind: m.Entry, Payload: string(m.Payload), TimeMS: m.TimeMS, Principal: m.Principal})
 		evs = append(evs, m.Records...)
@@ -176,6 +184,69 @@ func TestEventFrameOfOneUnchanged(t *testing.T) {
 			t.Errorf("%s: AppendFrame\n %x\nwant\n %x", c.ev.DPI, got, want)
 		}
 	}
+}
+
+// TestSecondReportCodedAgainstFirst: on one connection, an agent_rpc
+// report after another from the same DPI leaves out the DPI, kind and
+// principal and carries its time as a delta (none at all in the same
+// millisecond), 27 bytes or more below the first, and a client reading
+// them gets them back exactly. A DPI or principal that changes, even to
+// empty, travels again.
+func TestSecondReportCodedAgainstFirst(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	report := func(nonce string, at time.Duration) elastic.Event {
+		return elastic.Event{DPI: "rpcagent#1", Kind: elastic.EventReport, Time: at, Principal: "bench",
+			Payload: nonce + " n=68 in=2991235200 out=1745532016 ipk=40163871 opk=27788315 h=0.421337"}
+	}
+	evs := []elastic.Event{
+		report("n17", ms(1_234_567)),
+		report("n18", ms(1_234_569)),
+		report("n19", ms(1_234_569)),
+		{DPI: "other#2", Kind: elastic.EventReport, Payload: "x", Time: ms(1_234_560)},
+		{DPI: "other#2", Kind: elastic.EventExit, Payload: "0", Time: ms(1_234_570), Principal: "ops"},
+	}
+	srvConn, cliConn := net.Pipe()
+	c := NewClient(cliConn, "mgr")
+	defer c.Close()
+	conn := &captureConn{Conn: srvConn}
+	cw := &connWriter{conn: conn}
+	var sizes []int
+	got := make(chan []Event, 1)
+	go func() { got <- awaitClientEvents(c, len(evs)) }()
+	for _, ev := range evs {
+		before := conn.wire.Len()
+		cw.events(&Server{}, []elastic.Event{ev})
+		sizes = append(sizes, conn.wire.Len()-before)
+	}
+	if saved := sizes[0] - sizes[1]; saved < 27 {
+		t.Fatalf("first report %d B, second %d B: %d B saved, want >= 27", sizes[0], sizes[1], saved)
+	}
+	t.Logf("report frames: %d B first, %d B after it", sizes[0], sizes[1])
+	select {
+	case evs2 := <-got:
+		sameEvents(t, evs2, evs)
+	case <-time.After(10 * time.Second):
+		t.Fatal("client did not receive every event")
+	}
+	// Stand-alone, the second frame reads as an event with no DPI, kind
+	// or principal at a time near zero.
+	r := bytes.NewReader(conn.wire.Bytes()[sizes[0]:])
+	body, err := ReadFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Decode(body); err != nil || m.Name != "" || m.Entry != "" || m.Principal != "" || m.TimeMS != 2 {
+		t.Fatalf("second frame alone decodes to %+v (%v)", m, err)
+	}
+}
+
+// awaitClientEvents reads n events from c.
+func awaitClientEvents(c *Client, n int) []Event {
+	var evs []Event
+	for len(evs) < n {
+		evs = append(evs, <-c.Events())
+	}
+	return evs
 }
 
 // TestPumpRecordsCarryOnlyChanges: while time, DPI, kind and principal
