@@ -214,17 +214,20 @@ func lint(files []string, strict, asJSON bool) int {
 			fail(file, err.Error())
 			continue
 		}
-		prog, err := dpl.Parse(string(src))
+		s := analysis.Borrow()
+		prog, err := s.Parse(string(src))
 		if err != nil {
+			s.Release()
 			fail(file, err.Error())
 			continue
 		}
 		// The pipeline source admission runs; a program breaking a
 		// Translator rule gets the analyzer's findings all the same.
-		_, rep, err := analysis.Translate(prog, bindings)
+		_, rep, err := s.Translate(prog, bindings)
 		if err != nil {
-			rep = analysis.Analyze(prog, bindings)
+			rep = s.Analyze(prog, bindings)
 		}
+		s.Release()
 		errs, warns := dpl.Counts(rep.Diags)
 		if errs > 0 || (strict && warns > 0) {
 			raise(1)

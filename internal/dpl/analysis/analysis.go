@@ -86,33 +86,46 @@ func (r *Report) SuggestedBudget(fallback uint64) uint64 {
 // node runs and ships. A rule violation returns Compile's *dpl.Error and
 // no report.
 func Translate(prog *dpl.Program, bindings *dpl.Bindings) (*dpl.Compiled, *Report, error) {
-	obj, err := dpl.Compile(prog, bindings)
+	s := Borrow()
+	defer s.Release()
+	return s.Translate(prog, bindings)
+}
+
+// Translate is the package-level Translate on s.
+func (s *Scratch) Translate(prog *dpl.Program, bindings *dpl.Bindings) (*dpl.Compiled, *Report, error) {
+	obj, err := s.Compile(prog, bindings)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := analyze(prog, obj, nil)
+	rep := s.analyze(prog, obj, nil)
 	// Proved here, on the admitting goroutine, the outcome is recorded
 	// and no instance's first run proves it again.
+	s.VerifyStructure(obj)
 	if err := obj.EnsureStructure(); err != nil {
 		return nil, nil, err
 	}
-	rep.RecoverEffects(obj)
+	s.RecoverEffects(rep, obj)
 	return obj, rep, nil
 }
 
 // Analyze reports on prog against the host's allowed-function table
-// without shipping code: it compiles the program with dpl.Lower, so one
-// the Translator refuses is analyzed all the same, its rule violations
-// among the findings, then optimizes and prices it. The report's
-// effects stay empty until RecoverEffects.
+// without shipping code: it compiles the program with dpl.Scratch.Lower,
+// so one the Translator refuses is analyzed all the same, its rule
+// violations among the findings, then optimizes and prices it. The
+// report's effects stay empty until Scratch.RecoverEffects.
 func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
-	obj, diags, err := dpl.Lower(prog, bindings)
+	s := Borrow()
+	defer s.Release()
+	return s.Analyze(prog, bindings)
+}
+
+// Analyze is the package-level Analyze on s.
+func (s *Scratch) Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
+	obj, diags, err := s.Lower(prog, bindings)
 	if err != nil {
 		return &Report{Diags: append([]dpl.Diagnostic(nil), diags...)}
 	}
-	rep := analyze(prog, obj, diags)
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
+	rep := s.analyze(prog, obj, diags)
 	s.recover(obj, nil)
 	rep.Cost = (&coster{c: obj, s: s, diags: &rep.Diags, info: rep.Funcs}).program()
 	dpl.SortDiags(rep.Diags)
@@ -122,12 +135,10 @@ func Analyze(prog *dpl.Program, bindings *dpl.Bindings) *Report {
 // analyze reports on obj, prog compiled: the Translator's findings
 // (checked), then DPL001–DPL004 from obj as compiled; then it optimizes
 // obj. Names and function positions come from prog's declarations.
-func analyze(prog *dpl.Program, obj *dpl.Compiled, checked []dpl.Diagnostic) *Report {
+func (s *Scratch) analyze(prog *dpl.Program, obj *dpl.Compiled, checked []dpl.Diagnostic) *Report {
 	rep := &Report{Diags: append([]dpl.Diagnostic(nil), checked...)}
-	s := scratches.Get().(*scratch)
 	s.diagnose(prog, obj, &rep.Diags)
-	scratches.Put(s)
-	dpl.Optimize(obj)
+	s.Optimize(obj)
 	infos := make([]FuncInfo, len(prog.Funcs))
 	rep.Funcs = make([]*FuncInfo, len(prog.Funcs))
 	for i, f := range prog.Funcs {
@@ -137,19 +148,17 @@ func analyze(prog *dpl.Program, obj *dpl.Compiled, checked []dpl.Diagnostic) *Re
 	return rep
 }
 
-// RecoverEffects sets the report's effects and cost from c, the object
-// code of the analyzed program that the node ships and every receiver
-// recovers them from the same way: the program's summary, and each
-// function's, its effects closed over the functions its code calls. A
-// MIB primitive whose OID prefix is unknown raises DPL006 at the call,
-// and the pricing DPL005 and DPL009; they replace any an earlier
-// recovery raised.
-func (r *Report) RecoverEffects(c *dpl.Compiled) {
+// RecoverEffects sets r's effects and cost from c, the object code of
+// the analyzed program that the node ships and every receiver recovers
+// them from the same way: the program's summary, and each function's,
+// its effects closed over the functions its code calls. A MIB primitive
+// whose OID prefix is unknown raises DPL006 at the call, and the
+// pricing DPL005 and DPL009; they replace any an earlier recovery
+// raised.
+func (sc *Scratch) RecoverEffects(r *Report, c *dpl.Compiled) {
 	r.Diags = slices.DeleteFunc(r.Diags, func(d dpl.Diagnostic) bool {
 		return d.Code == dpl.CodeDynamicOID || d.Code == dpl.CodeBusyLoop || d.Code == dpl.CodeRecursion
 	})
-	sc := scratches.Get().(*scratch)
-	defer scratches.Put(sc)
 	direct := sc.effectSets(len(c.Funcs) + 1) // the global initializers, then each function
 	r.Effects = sc.recover(c, func(s Site) {
 		direct[s.Func+1].add(s)

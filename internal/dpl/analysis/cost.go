@@ -76,7 +76,7 @@ func mulCost(a, b uint64) uint64 {
 // walk of every block left in s (see scratch.recover).
 type coster struct {
 	c      *dpl.Compiled
-	s      *scratch
+	s      *Scratch
 	funcs  []CostEstimate
 	state  []uint8 // per function: 0 not begun, 1 begun, 2 begun and reported recursive, 3 done
 	yields []bool  // per function: a call of it can reach sleep or recv; nil until asked

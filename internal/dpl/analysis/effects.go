@@ -136,12 +136,10 @@ type Site struct {
 // range, and returns the program's summary, every site folded, sorted
 // and prefix-minimal, and the cost of the code: the global initializers
 // and then the costliest function, any of which may be the entry point.
-func Recover(c *dpl.Compiled, visit func(Site)) (Effects, CostEstimate) {
+func (s *Scratch) Recover(c *dpl.Compiled, visit func(Site)) (Effects, CostEstimate) {
 	if visit == nil {
 		visit = func(Site) {}
 	}
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
 	effects := s.recover(c, visit)
 	return effects, (&coster{c: c, s: s}).program()
 }
@@ -149,7 +147,7 @@ func Recover(c *dpl.Compiled, visit func(Site)) (Effects, CostEstimate) {
 // recover walks every block of c, leaving the notes the graphs read
 // (see walk), and with visit set recovers the effects, calling visit
 // with each site.
-func (s *scratch) recover(c *dpl.Compiled, visit func(Site)) Effects {
+func (s *Scratch) recover(c *dpl.Compiled, visit func(Site)) Effects {
 	all := effectSet{s.found.hosts[:0], s.found.reads[:0], s.found.writes[:0]}
 	defer func() { s.found = all }()
 	s.notes = s.notes[:0]
@@ -196,6 +194,13 @@ func (s *effectSet) reset() {
 	s.hosts, s.reads, s.writes = s.hosts[:0], s.reads[:0], s.writes[:0]
 }
 
+// free clears s's arrays and returns the bytes they hold.
+func (s *effectSet) free() int {
+	n := clearAll(s.hosts) + clearAll(s.reads) + clearAll(s.writes)
+	s.reset()
+	return n
+}
+
 func (s *effectSet) add(site Site) {
 	s.hosts = addEffect(s.hosts, Effect{Name: site.Host, Pos: site.Pos})
 	switch {
@@ -230,7 +235,7 @@ func addEffect(es []Effect, e Effect) []Effect {
 }
 
 // effectSets returns n empty effect sets of the scratch's.
-func (s *scratch) effectSets(n int) []effectSet {
+func (s *Scratch) effectSets(n int) []effectSet {
 	if cap(s.direct) < n {
 		s.direct = append(s.direct[:cap(s.direct)], make([]effectSet, n-cap(s.direct))...)
 	}
@@ -244,7 +249,7 @@ func (s *scratch) effectSets(n int) []effectSet {
 // reach gathers into s.reached the effects of function fn, own[fn],
 // and those of every function its code calls, depth first. s.flags
 // marks the functions reached.
-func (s *scratch) reach(c *dpl.Compiled, fn int, own []Effects) {
+func (s *Scratch) reach(c *dpl.Compiled, fn int, own []Effects) {
 	if s.flags[fn] {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"mbd/internal/dpl"
 )
@@ -49,10 +50,12 @@ type note struct {
 	init         dpl.Value
 }
 
-// scratch is one analysis's working memory, reused from one code block
-// to the next and, through scratches, from call to call.
-type scratch struct {
-	w      dpl.Walker
+// Scratch is one translation's working memory: dpl's, whose walker
+// every pass runs, and the analyzer's, reused from one code block to
+// the next. A translation borrows one (Borrow), every pass of it works
+// in it, and one Release hands it back.
+type Scratch struct {
+	dpl.Scratch
 	g      graph
 	notes  []note    // in code order: by fn, then ip
 	flags  []bool    // per instruction: a block starts here; per block: sundry
@@ -76,14 +79,49 @@ type scratch struct {
 	priced []uint8
 }
 
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
+// scratches holds released scratches for the translations after: one
+// per translation in flight, since admissions run concurrently.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// maxKept bounds, in bytes, the buffers a released scratch keeps: 1 MiB,
+// more than a program of a few thousand lines needs. The scratch of a
+// larger one is left to the collector, so that one huge delegation does
+// not stay resident.
+const maxKept = 1 << 20
+
+// Borrow takes a scratch for one translation.
+func Borrow() *Scratch { return scratches.Get().(*Scratch) }
+
+// Release clears s of its translation and keeps it for a later Borrow
+// when its buffers hold at most maxKept bytes. The program s parsed is
+// not valid afterwards; the object code and report the translation
+// returned stay valid.
+func (s *Scratch) Release() {
+	if s.Clear()+s.free() <= maxKept {
+		scratches.Put(s)
+	}
+}
+
+// free clears the analyzer's buffers and returns the bytes they hold.
+func (s *Scratch) free() int {
+	n := sizeOf(s.g.blocks) + sizeOf(s.g.at) + clearAll(s.notes) + sizeOf(s.flags) + sizeOf(s.stack) +
+		sizeOf(s.words) + sizeOf(s.nest) + sizeOf(s.writes) + sizeOf(s.memo) + sizeOf(s.marks) +
+		s.found.free() + s.reached.free() + clearAll(s.own) + clearAll(s.gathered) + sizeOf(s.lens) +
+		sizeOf(s.costs) + sizeOf(s.priced)
+	all := s.direct[:cap(s.direct)]
+	for i := range all {
+		n += all[i].free()
+	}
+	s.g.code = nil
+	return n + sizeOf(s.direct)
+}
 
 // walk runs the walker over Block(fn) with nLocals frame slots, adding
 // to s.notes what the block's graph reads from it, and calls visit,
 // when not nil, at each host call.
-func (s *scratch) walk(c *dpl.Compiled, fn, nLocals int, visit func(ip int, stack []dpl.Abs)) {
+func (s *Scratch) walk(c *dpl.Compiled, fn, nLocals int, visit func(ip int, stack []dpl.Abs)) {
 	_, code, _ := c.Block(fn)
-	s.w.Walk(c, code, nLocals, func(ip int, stack, locals []dpl.Abs) bool {
+	s.Walk(c, code, nLocals, func(ip int, stack, locals []dpl.Abs) bool {
 		if visit != nil && code[ip].Op == dpl.OpCallHost {
 			visit(ip, stack)
 		}
@@ -118,7 +156,7 @@ func entry(c *dpl.Compiled, code []dpl.Instr, ip int, stack, locals []dpl.Abs) (
 }
 
 // build makes s.g the graph of Block(fn) from the notes its walk left.
-func (s *scratch) build(c *dpl.Compiled, fn int) *graph {
+func (s *Scratch) build(c *dpl.Compiled, fn int) *graph {
 	_, code, _ := c.Block(fn)
 	g := &s.g
 	g.code, g.blocks, g.at = code, g.blocks[:0], resize(g.at, len(code))
@@ -186,7 +224,7 @@ func (s *scratch) build(c *dpl.Compiled, fn int) *graph {
 // diagnose appends the findings of the compiler's output before
 // Optimize: unreachable code, reads before assignment and dead stores
 // in each function, and globals read but never written.
-func (s *scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diagnostic) {
+func (s *Scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diagnostic) {
 	for i, f := range prog.Funcs[:min(len(prog.Funcs), len(c.Funcs))] {
 		s.notes = s.notes[:0]
 		s.walk(c, i, 0, nil)
@@ -200,7 +238,7 @@ func (s *scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diag
 
 // unreachable reports DPL002 once per unreachable region: at the first
 // statement of an unreachable block no edge enters.
-func (s *scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnostic) {
+func (s *Scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnostic) {
 	entered := resize(s.flags, len(g.blocks))
 	s.flags = entered
 	for _, b := range g.blocks {
@@ -227,7 +265,7 @@ func (s *scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnosti
 // over the frame's locals, which reports DPL001 at each read of a local
 // some path reaches unassigned. Parameters are assigned at entry; a
 // bare declaration's nil is no assignment.
-func (s *scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+func (s *Scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
 	n, params := len(f.Locals), len(f.Params)
 	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is assigned where it starts
 	for i := range sets {
@@ -265,7 +303,7 @@ func (s *scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[
 // live is the liveness pass: a backward may-analysis over the frame's
 // locals, which reports DPL003 at each store no path reads. A
 // declaration whose initializer is a bare literal is exempt, as idiom.
-func (s *scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+func (s *Scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
 	n := len(f.Locals)
 	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is live where it starts
 	solve(g, true, func(i int, report bool) bool {
@@ -338,7 +376,7 @@ func deadStore(code []dpl.Instr, marks []dpl.Mark, ip int, name string, diags *[
 // globals reports DPL004 for each global read somewhere but assigned
 // nowhere, dead code included, at its first read: in the global
 // initializers if any reads it there, else in the functions.
-func (s *scratch) globals(c *dpl.Compiled, diags *[]dpl.Diagnostic) {
+func (s *Scratch) globals(c *dpl.Compiled, diags *[]dpl.Diagnostic) {
 	n := len(c.GlobalNames)
 	written := resize(s.flags, n)
 	first := resize(s.marks, 2*n) // the first read in the initializers, then in the functions
@@ -415,7 +453,7 @@ func bare(marks []dpl.Mark, ip int) bool {
 
 // sets returns k-1 zeroed bitsets over n variables, one after another,
 // and one more to work in.
-func (s *scratch) sets(k, n int) (all, cur []uint64) {
+func (s *Scratch) sets(k, n int) (all, cur []uint64) {
 	w := (n + 63) / 64
 	s.words = resize(s.words, k*w)
 	return s.words[:(k-1)*w], s.words[(k-1)*w:]
@@ -444,4 +482,16 @@ func resize[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// clearAll zeroes the whole array under s and returns its size in bytes.
+func clearAll[T any](s []T) int {
+	clear(s[:cap(s)])
+	return sizeOf(s)
+}
+
+// sizeOf is the size in bytes of the array under s.
+func sizeOf[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }

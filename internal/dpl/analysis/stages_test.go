@@ -14,7 +14,11 @@ import (
 // compiler's output), optimize, recover and price (effects and cost of
 // the optimized code), and the structural proof admission records for
 // the first run of the object code. Each op gets a fresh input, made with the
-// timer stopped, because the stages rewrite what they are given.
+// timer stopped, because the stages rewrite what they are given, and
+// works in a borrowed scratch, as admission does. A compile's code stays
+// in the arrays it was written to until Optimize copies it out, so the
+// compile stage, whose output is never optimized, pays for new arrays
+// every op.
 //
 //	go test ./internal/dpl/analysis -run xxx -bench ColdStages -benchmem -benchtime 2000x
 func BenchmarkColdStages(b *testing.B) {
@@ -55,26 +59,44 @@ func BenchmarkColdStages(b *testing.B) {
 		dpl.Optimize(obj)
 		return prog, obj
 	}
-	// The Translator hands each program's memory back once it is
-	// translated; parse pays for that here.
-	stage("parse", func() func() { return func() { parse().Release() } })
+	// The Translator parses into a borrowed scratch and releases it once
+	// the program is translated; parse pays for that here.
+	stage("parse", func() func() {
+		return func() {
+			s := Borrow()
+			if _, err := s.Parse(src); err != nil {
+				b.Fatal(err)
+			}
+			s.Release()
+		}
+	})
 	stage("compile", func() func() {
 		prog := parse()
-		return func() { compile(prog) }
+		return func() {
+			s := Borrow()
+			if _, err := s.Compile(prog, bindings); err != nil {
+				b.Fatal(err)
+			}
+			s.Release()
+		}
 	})
 	stage("diagnose", func() func() {
 		prog := parse()
 		obj := compile(prog)
 		return func() {
 			var diags []dpl.Diagnostic
-			s := scratches.Get().(*scratch)
+			s := Borrow()
 			s.diagnose(prog, obj, &diags)
-			scratches.Put(s)
+			s.Release()
 		}
 	})
 	stage("optimize", func() func() {
 		obj := compile(parse())
-		return func() { dpl.Optimize(obj) }
+		return func() {
+			s := Borrow()
+			s.Optimize(obj)
+			s.Release()
+		}
 	})
 	stage("recover+price", func() func() {
 		prog, obj := optimized()
@@ -82,14 +104,20 @@ func BenchmarkColdStages(b *testing.B) {
 		for i, f := range prog.Funcs {
 			rep.Funcs[i] = &FuncInfo{Name: f.Name, Pos: f.Position()}
 		}
-		return func() { rep.RecoverEffects(obj) }
+		return func() {
+			s := Borrow()
+			s.RecoverEffects(rep, obj)
+			s.Release()
+		}
 	})
 	stage("verify", func() func() {
 		_, obj := optimized()
 		return func() {
-			if faults := obj.VerifyStructure(); len(faults) > 0 {
+			s := Borrow()
+			if faults := s.VerifyStructure(obj); len(faults) > 0 {
 				b.Fatal(faults)
 			}
+			s.Release()
 		}
 	})
 }

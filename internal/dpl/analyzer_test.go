@@ -25,7 +25,7 @@ func costSound(t *testing.T, src string) bool {
 	if err != nil || rep.Cost.Unbounded {
 		return false
 	}
-	if _, cost := analysis.Recover(obj, nil); cost.Steps != rep.Cost.Steps || cost.Unbounded {
+	if _, cost := new(analysis.Scratch).Recover(obj, nil); cost.Steps != rep.Cost.Steps || cost.Unbounded {
 		t.Fatalf("Recover prices the shipped code at %v, Translate at %v\n%s", cost, rep.Cost, src)
 	}
 	vm := dpl.NewVM(obj, b, dpl.WithMaxSteps(rep.Cost.Steps+1))

@@ -50,7 +50,7 @@ func TestAssembleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("assemble (optimize=%v): %v\n%s", optimize, err, d1)
 			}
-			if faults := c2.VerifyStructure(); len(faults) > 0 {
+			if faults := new(Scratch).VerifyStructure(c2); len(faults) > 0 {
 				t.Fatalf("assembled program fails verification: %v\n%s", faults[0], d1)
 			}
 			d2 := Disassemble(c2)

@@ -19,8 +19,17 @@ type Program struct {
 	// Check walks a program once per Bindings.
 	checked *Bindings
 	diags   []Diagnostic
-	// mem is the slab the parser made the program in, for Release.
-	mem *slab
+	// s is the scratch the parser made the program in, whose passes
+	// Check and Compile run.
+	s *Scratch
+}
+
+// scratch returns the scratch prog was parsed in, or a fresh one.
+func (prog *Program) scratch() *Scratch {
+	if prog.s == nil {
+		return new(Scratch)
+	}
+	return prog.s
 }
 
 // FuncDecl is a function definition.

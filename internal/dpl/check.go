@@ -1,9 +1,6 @@
 package dpl
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // The Translator. The paper's elastic process compiles a delegated
 // program and "if the dp violates any of a set of defined rules for the
@@ -27,8 +24,7 @@ import (
 // and the static analyzer read those bindings and keep no scope tables
 // of their own.
 
-// resolver is Check's state over one program. Its function table and
-// scope pass from one program to the next through resolvers.
+// resolver is Check's state over one program, in its Scratch.
 type resolver struct {
 	prog     *Program
 	bindings *Bindings
@@ -61,27 +57,29 @@ type scoped struct {
 // A program is resolved once per Bindings: checking it again against
 // the same table returns the first verdict. Check writes the bindings
 // into prog, so one Program must not be checked, compiled or analyzed
-// from several goroutines at once.
+// from several goroutines at once. It runs on the scratch prog was
+// parsed in.
 func Check(prog *Program, bindings *Bindings) []Diagnostic {
+	return prog.scratch().check(prog, bindings)
+}
+
+// check is Check on s.
+func (s *Scratch) check(prog *Program, bindings *Bindings) []Diagnostic {
 	if prog.checked == nil || prog.checked != bindings {
-		prog.diags = resolve(prog, bindings)
+		prog.diags = s.r.resolve(prog, bindings)
 		prog.checked = bindings
 	}
 	return prog.diags
 }
 
-var resolvers = sync.Pool{New: func() any { return &resolver{funcs: make(map[string]int)} }}
-
-func resolve(prog *Program, bindings *Bindings) []Diagnostic {
+func (r *resolver) resolve(prog *Program, bindings *Bindings) []Diagnostic {
 	// Few functions declare more than a variable per top-level
 	// statement, so the frames seldom outgrow this size.
 	frames := 0
 	for _, f := range prog.Funcs {
 		frames += len(f.Params) + len(f.Body.Stmts)
 	}
-	r := resolvers.Get().(*resolver)
-	defer r.release()
-	r.prog, r.bindings = prog, bindings
+	r.reset(prog, bindings)
 	r.locals = make([]string, 0, frames)
 	for i, f := range prog.Funcs {
 		if prev, dup := r.funcs[f.Name]; dup {
@@ -124,12 +122,16 @@ func resolve(prog *Program, bindings *Bindings) []Diagnostic {
 	return r.diags
 }
 
-// release clears r of its program and hands it back for the next.
-func (r *resolver) release() {
+// reset readies r for prog, clearing it of the program before, and
+// returns the bytes its buffers hold.
+func (r *resolver) reset(prog *Program, bindings *Bindings) int {
+	if r.funcs == nil {
+		r.funcs = make(map[string]int)
+	}
+	n := len(r.funcs)*mapEntry + clearAll(r.scope) + clearAll(r.spine)
 	clear(r.funcs)
-	clear(r.scope[:cap(r.scope)])
-	*r = resolver{funcs: r.funcs, scope: r.scope[:0], spine: r.spine}
-	resolvers.Put(r)
+	*r = resolver{prog: prog, bindings: bindings, funcs: r.funcs, scope: r.scope[:0], spine: r.spine[:0]}
+	return n
 }
 
 func (r *resolver) errorf(code string, pos Pos, format string, args ...any) {

@@ -260,10 +260,6 @@ type Compiled struct {
 	HostNames []string
 	// initMarks is InitCode's share of the position table.
 	initMarks []Mark
-	// lowered holds the scratch the compiler wrote the code, constants
-	// and position table into, of which every block's are a share, until
-	// Optimize copies what it keeps out and hands the scratch back.
-	lowered *lowering
 
 	// Cached EnsureStructure outcome (see verifycode.go). Guarded by
 	// vmu so concurrent DPIs sharing one Compiled verify it once.
@@ -337,10 +333,8 @@ type Mark struct {
 // Marks returns the position table of Block(fn), in code order. Compile
 // records it. Optimize keeps its loop heads and host calls, aligned: a
 // call's mark moves with its instruction and a loop head's to where the
-// loop's jumps land. The table Compile recorded then serves a later
-// compile, so a table read before Optimize must not be read after it.
-// It is not part of the artifact encoding, so code decoded or assembled
-// has none.
+// loop's jumps land. It is not part of the artifact encoding, so code
+// decoded or assembled has none.
 func (c *Compiled) Marks(fn int) []Mark {
 	if fn < 0 {
 		return c.initMarks
@@ -352,27 +346,36 @@ func (c *Compiled) Marks(fn int) []Mark {
 // per program and Bindings) and returns its diagnostics as an *Error, so
 // callers get translation and compilation as the single Translator step
 // the paper describes. The code reads the resolver's bindings: frame
-// slots, global indices and call targets.
+// slots, global indices and call targets. It runs on the scratch prog
+// was parsed in.
 func Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
-	if diags := Check(prog, bindings); len(diags) > 0 {
-		return nil, &Error{Diags: diags}
-	}
-	return lower(prog, bindings)
+	return prog.scratch().Compile(prog, bindings)
 }
 
-// Lower compiles prog whatever Check finds, which it returns, for the
-// static analyzer, which reports on programs the Translator refuses: a
-// name bound to nothing compiles to an out-of-range operand, and break
+// Compile is the package-level Compile on s. The code is written into
+// arrays of s, which the program keeps until Optimize copies its code
+// out: a compile or a Clear before that leaves them to the program and
+// makes s new ones.
+func (s *Scratch) Compile(prog *Program, bindings *Bindings) (*Compiled, error) {
+	if diags := s.check(prog, bindings); len(diags) > 0 {
+		return nil, &Error{Diags: diags}
+	}
+	return s.lower(prog, bindings)
+}
+
+// Lower compiles prog on s whatever Check finds, which it returns, for
+// the static analyzer, which reports on programs the Translator refuses:
+// a name bound to nothing compiles to an out-of-range operand, and break
 // or continue outside a loop to a return. Such code fails structural
 // verification, so no VM runs it.
-func Lower(prog *Program, bindings *Bindings) (*Compiled, []Diagnostic, error) {
-	diags := Check(prog, bindings)
-	c, err := lower(prog, bindings)
+func (s *Scratch) Lower(prog *Program, bindings *Bindings) (*Compiled, []Diagnostic, error) {
+	diags := s.check(prog, bindings)
+	c, err := s.lower(prog, bindings)
 	return c, diags, err
 }
 
 // lower compiles prog, checked against bindings.
-func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
+func (s *Scratch) lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	c := &compiler{
 		out: &Compiled{
 			Funcs:       make([]*CompiledFunc, len(prog.Funcs)),
@@ -398,9 +401,9 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 	var small [8][2]int
 	sizes := append(small[:0], make([][2]int, len(prog.Funcs)+1)...)
 	total, totalMarks := 0, 0
-	fc := funcCompilers.Get().(*funcCompiler)
-	defer fc.release()
-	fc.c, fc.sizing = c, true
+	fc := &s.fc
+	fc.reset(c)
+	fc.sizing = true
 	for i := range sizes {
 		fc.n, fc.nMarks = 0, 0
 		if err := c.compileUnit(fc, prog, i); err != nil {
@@ -410,12 +413,10 @@ func lower(prog *Program, bindings *Bindings) (*Compiled, error) {
 		total += fc.n
 		totalMarks += fc.nMarks
 	}
-	l := lowerings.get(total, totalMarks, c.nLits)
-	c.out.lowered = l
-	code, marks := l.code, l.marks
-	c.out.Consts = l.consts
-	c.pool = constPool{c: c.out}
-	defer c.pool.release()
+	code, marks, consts := s.lowering(c.out, total, totalMarks, c.nLits)
+	c.out.Consts = consts
+	c.pool = &s.pool
+	c.pool.reset(c.out)
 	fc.sizing = false
 	for i, size := range sizes {
 		n, nm := size[0], size[1]
@@ -470,63 +471,9 @@ func (c *Compiled) ownText() {
 	}
 }
 
-// lowering is the scratch one compile writes its program into: all
-// code in one array, all constants in one pool and the position table,
-// each sized beforehand. A stored program keeps none of it: Optimize
-// copies the optimized code and the constants out at their final
-// lengths and hands the scratch to the next compile. Code that is
-// never optimized keeps its scratch.
-type lowering struct {
-	code   []Instr
-	consts []Value
-	marks  []Mark
-}
-
-// lowerings holds lowerings from one compile to the next. It has no New:
-// a compile that finds it empty allocates its scratch as it would
-// without the pool.
-var lowerings = loweringPool{}
-
-type loweringPool struct{ sync.Pool }
-
-// maxKeptScratch bounds each table of a lowering kept for reuse, so
-// that one huge program's does not stay resident.
-const maxKeptScratch = 1 << 14
-
-// get returns a lowering of n instructions, nMarks marks and room for
-// nConsts constants.
-func (p *loweringPool) get(n, nMarks, nConsts int) *lowering {
-	l, _ := p.Get().(*lowering)
-	if l == nil {
-		l = new(lowering)
-	}
-	l.code = grown(l.code, n)
-	l.marks = grown(l.marks, nMarks)
-	l.consts = grown(l.consts, nConsts)[:0]
-	return l
-}
-
-// grown returns s resliced to n elements, reallocated if it has not the
-// room.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// put keeps l for a later compile, dropping the constants it points to.
-func (p *loweringPool) put(l *lowering) {
-	if max(cap(l.code), cap(l.marks), cap(l.consts)) > maxKeptScratch {
-		return
-	}
-	clear(l.consts[:cap(l.consts)])
-	p.Put(l)
-}
-
 type compiler struct {
 	out   *Compiled
-	pool  constPool
+	pool  *constPool
 	nLits int // literals the sizing pass saw: the pool's largest size
 }
 
@@ -547,15 +494,12 @@ type funcCompiler struct {
 	spine  []*BinaryExpr // the left spines of the operator chains being compiled
 }
 
-// funcCompilers holds funcCompilers, and their stacks, from one
-// program to the next.
-var funcCompilers = sync.Pool{New: func() any { return new(funcCompiler) }}
-
-// release clears f of its program and hands it back for the next.
-func (f *funcCompiler) release() {
-	clear(f.loops[:cap(f.loops)])
-	*f = funcCompiler{loops: f.loops[:0], spine: f.spine[:0]}
-	funcCompilers.Put(f)
+// reset readies f for the units of c, clearing it of the program
+// before, and returns the bytes its stacks hold.
+func (f *funcCompiler) reset(c *compiler) int {
+	n := clearAll(f.loops) + clearAll(f.spine)
+	*f = funcCompiler{c: c, loops: f.loops[:0], spine: f.spine[:0]}
+	return n
 }
 
 func (f *funcCompiler) emit(i Instr) int {
@@ -605,26 +549,26 @@ func keyOf(v Value) constKey {
 // constPool interns values into a Compiled's constant pool, for the
 // compiler, the optimizer and the assembler alike.
 type constPool struct {
-	c   *Compiled
-	idx map[constKey]int // built from c.Consts by the first intern when nil
+	c     *Compiled
+	idx   map[constKey]int // c.Consts' index, once ready
+	ready bool             // the first intern builds idx, empty till then, from c.Consts
 }
 
-// constIndexes holds the maps constPools index with, cleared, from one
-// program to the next.
-var constIndexes = sync.Pool{New: func() any { return make(map[constKey]int) }}
-
-// release hands the pool's index back for reuse.
-func (p *constPool) release() {
-	if p.idx != nil {
-		clear(p.idx)
-		constIndexes.Put(p.idx)
-		p.idx = nil
-	}
+// reset readies p for c, clearing it of the program before, and returns
+// the bytes its index holds.
+func (p *constPool) reset(c *Compiled) int {
+	n := len(p.idx) * mapEntry
+	clear(p.idx)
+	p.c, p.ready = c, false
+	return n
 }
 
 func (p *constPool) intern(v Value) int {
-	if p.idx == nil {
-		p.idx = constIndexes.Get().(map[constKey]int)
+	if !p.ready {
+		if p.idx == nil {
+			p.idx = make(map[constKey]int)
+		}
+		p.ready = true
 		for i := len(p.c.Consts) - 1; i >= 0; i-- { // the first of duplicates wins
 			p.idx[keyOf(p.c.Consts[i])] = i
 		}

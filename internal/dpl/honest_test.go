@@ -29,7 +29,7 @@ func honestArtifact(src string, b *dpl.Bindings, optimize bool) (*dpl.CompiledPr
 	if optimize {
 		dpl.Optimize(obj)
 	}
-	rep.RecoverEffects(obj)
+	new(analysis.Scratch).RecoverEffects(rep, obj)
 	return &dpl.CompiledProgram{
 		Version:    dpl.CompilerVersion,
 		SourceHash: dpl.HashSource(src),
@@ -40,9 +40,10 @@ func honestArtifact(src string, b *dpl.Bindings, optimize bool) (*dpl.CompiledPr
 
 // FuzzHonestArtifactVerifies: every program a node admits from source
 // must pass the bytecode verifier of every node below it, which must
-// recover exactly the declared effects: both are analysis.Recover over
-// the same optimized bytes. Otherwise a federation root ships artifacts
-// its own children refuse, or judge by other effects than the root did.
+// recover exactly the declared effects: both are
+// analysis.Scratch.Recover over the same optimized bytes. Otherwise a
+// federation root ships artifacts its own children refuse, or judge by
+// other effects than the root did.
 func FuzzHonestArtifactVerifies(f *testing.F) {
 	for seed := range int64(16) {
 		f.Add(dpl.GenProgram(seed, true))

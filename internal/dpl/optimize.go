@@ -1,7 +1,5 @@
 package dpl
 
-import "sync"
-
 // Bytecode optimizer. The static analyzer (internal/dpl/analysis)
 // reports constant conditions, unreachable statements and dead stores
 // as diagnostics from the compiler's output; this pass applies the same
@@ -55,11 +53,15 @@ const maxOptRounds = 32
 // propagation, constant-branch elimination, unreachable-code removal and
 // dead-store elimination — and returns counts of what it did. The
 // rewritten program computes exactly what the original computed,
-// including runtime errors.
-func Optimize(c *Compiled) OptStats {
+// including runtime errors. It runs on a fresh scratch.
+func Optimize(c *Compiled) OptStats { return new(Scratch).Optimize(c) }
+
+// Optimize is the package-level Optimize on s. It leaves c's code and
+// constants in arrays of c's own, at their final lengths, so code s
+// compiled no longer needs s.
+func (s *Scratch) Optimize(c *Compiled) OptStats {
 	var st OptStats
-	o := newOptimizer(c)
-	defer o.release()
+	o := s.optimizer(c)
 	o.marks = loopsAndCalls(c.initMarks)
 	c.InitCode = optimizeCode(c, o, c.InitCode, 0, nil, &st)
 	c.initMarks = o.marks
@@ -68,18 +70,16 @@ func Optimize(c *Compiled) OptStats {
 		fn.Code = optimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)
 		fn.marks = o.marks
 	}
-	if l := c.lowered; l != nil {
-		c.lowered = nil
-		c.ownCode()
-		lowerings.put(l)
+	c.ownCode()
+	if s.lent == c {
+		s.lent = nil
 	}
 	c.invalidateVerify()
 	return st
 }
 
-// ownCode moves the optimized blocks, each compacted in place inside
-// the compiler's code array, into one array of their total length, and
-// the constants into one of theirs.
+// ownCode moves the optimized blocks, each compacted in place, into one
+// array of their total length, and the constants into one of theirs.
 func (c *Compiled) ownCode() {
 	n := len(c.InitCode)
 	for _, fn := range c.Funcs {
@@ -148,39 +148,37 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 }
 
 // optimizer is what the passes of one Optimize call share: the interner
-// of optimizer-produced constants, and working memory sized once for
-// the program's longest code block, which each pass slices and clears.
-// The memory passes from one Optimize call to the next through
-// optimizers.
+// of optimizer-produced constants, the walker, and working memory sized
+// once for the program's longest code block, which each pass slices and
+// clears. All of it is its Scratch's.
 type optimizer struct {
 	c      *Compiled
-	consts constPool // interns optimizer-produced constants into c.Consts
+	consts *constPool // interns optimizer-produced constants into c.Consts
+	walk   *Walker    // propagateConsts' abstract interpretation
 
 	tgt   []bool // jumpTargets
 	dead  []bool // instructions to remove; dropDeadStores' loaded locals
 	remap []int  // compact's positions; dropUnreachable's worklist
-	walk  Walker // propagateConsts' abstract interpretation
 	marks []Mark // the current block's position table (Compiled.Marks)
 }
 
-var optimizers = sync.Pool{New: func() any { return new(optimizer) }}
-
-func newOptimizer(c *Compiled) *optimizer {
+// optimizer readies s's optimizer for c.
+func (s *Scratch) optimizer(c *Compiled) *optimizer {
 	n, nLocals := len(c.InitCode)+1, 0 // positions 0..len(code); frame slots
 	for _, fn := range c.Funcs {
 		n, nLocals = max(n, len(fn.Code)+1), max(nLocals, fn.NumLocals)
 	}
-	o := optimizers.Get().(*optimizer)
-	o.c, o.consts.c = c, c
+	o := &s.opt
+	s.pool.reset(c)
+	o.c, o.consts, o.walk = c, &s.pool, &s.Walker
 	o.tgt, o.dead, o.remap = resize(o.tgt, n), resize(o.dead, max(n, nLocals)), resize(o.remap, n)
 	return o
 }
 
-// release hands o back for the next Optimize call.
-func (o *optimizer) release() {
-	o.consts.release()
-	o.c, o.consts.c, o.marks = nil, nil, nil
-	optimizers.Put(o)
+// reset clears o of its program and returns the bytes its tables hold.
+func (o *optimizer) reset() int {
+	o.c, o.consts, o.walk, o.marks = nil, nil, nil, nil
+	return sizeOf(o.tgt) + sizeOf(o.dead) + sizeOf(o.remap)
 }
 
 // pushInstr returns the instruction that pushes v.

@@ -95,7 +95,7 @@ func TestOptimizerCrosscheckCorpus(t *testing.T) {
 			t.Fatalf("%s: second compile diverged: %v", name, err)
 		}
 		dpl.Optimize(opt)
-		if faults := opt.VerifyStructure(); len(faults) > 0 {
+		if faults := new(dpl.Scratch).VerifyStructure(opt); len(faults) > 0 {
 			t.Errorf("%s: optimizer broke structure: %v", name, faults[0])
 			continue
 		}

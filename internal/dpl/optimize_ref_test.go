@@ -20,7 +20,7 @@ func RefOptimize(c *Compiled) OptStats {
 	for _, fn := range c.Funcs {
 		nLocals = max(nLocals, fn.NumLocals)
 	}
-	o := &refOptimizer{optimizer: newOptimizer(c), vals: make([]absVal, nLocals)}
+	o := &refOptimizer{optimizer: new(Scratch).optimizer(c), vals: make([]absVal, nLocals)}
 	c.InitCode = refOptimizeCode(c, o, c.InitCode, 0, nil, &st)
 	for _, fn := range c.Funcs {
 		fn.Code = refOptimizeCode(c, o, fn.Code, fn.NumLocals, fn, &st)

@@ -40,7 +40,7 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 		raw := compileSrc(t, src, b)
 		opt := compileSrc(t, src, b)
 		st := Optimize(opt)
-		if faults := opt.VerifyStructure(); len(faults) > 0 {
+		if faults := new(Scratch).VerifyStructure(opt); len(faults) > 0 {
 			t.Fatalf("optimized program %d fails verification: %v\n%s\n%s", i, faults[0], src, Disassemble(opt))
 		}
 		if codeSize(opt) > codeSize(raw) {
@@ -143,7 +143,7 @@ func TestOptimizerFoldsChains(t *testing.T) {
 		if g := strings.Join(got, "\n"); g != c.want {
 			t.Errorf("%s optimized to\n%s\nwant\n%s", c.src, g, c.want)
 		}
-		if faults := prog.VerifyStructure(); len(faults) > 0 {
+		if faults := new(Scratch).VerifyStructure(prog); len(faults) > 0 {
 			t.Errorf("%s: folded chain fails verification: %v", c.src, faults[0])
 		}
 	}
@@ -203,7 +203,7 @@ func TestVerifyStructureFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			faults := tc.c.VerifyStructure()
+			faults := new(Scratch).VerifyStructure(tc.c)
 			if len(faults) == 0 {
 				t.Fatal("no faults reported")
 			}
@@ -233,11 +233,11 @@ func TestVerifyStructureAcceptsCompilerOutput(t *testing.T) {
 	g := &progGen{r: rand.New(rand.NewSource(7))}
 	for i := 0; i < 50; i++ {
 		c := compileSrc(t, g.generate(), b)
-		if faults := c.VerifyStructure(); len(faults) > 0 {
+		if faults := new(Scratch).VerifyStructure(c); len(faults) > 0 {
 			t.Fatalf("compiler output rejected: %v", faults[0])
 		}
 		Optimize(c)
-		if faults := c.VerifyStructure(); len(faults) > 0 {
+		if faults := new(Scratch).VerifyStructure(c); len(faults) > 0 {
 			t.Fatalf("optimizer output rejected: %v", faults[0])
 		}
 	}
@@ -304,7 +304,7 @@ func TestFuseSuperinstructions(t *testing.T) {
 			if !found {
 				t.Fatalf("no %s in main:\n%s", tc.op, Disassemble(c))
 			}
-			if faults := c.VerifyStructure(); len(faults) > 0 {
+			if faults := new(Scratch).VerifyStructure(c); len(faults) > 0 {
 				t.Fatalf("fused program fails verification: %v", faults[0])
 			}
 			if tc.want != nil {
@@ -348,7 +348,7 @@ func TestFusionSkipsJumpTargets(t *testing.T) {
 	}`
 	c := compileSrc(t, src, b)
 	Optimize(c)
-	if faults := c.VerifyStructure(); len(faults) > 0 {
+	if faults := new(Scratch).VerifyStructure(c); len(faults) > 0 {
 		t.Fatalf("fused loop fails verification: %v\n%s", faults[0], Disassemble(c))
 	}
 	got, err := NewVM(c, b).Run(context.Background(), "main")

@@ -1,9 +1,6 @@
 package dpl
 
-import (
-	"strconv"
-	"sync"
-)
+import "strconv"
 
 // Recursive-descent parser for DPL.
 
@@ -16,31 +13,30 @@ type parser struct {
 	// err once the parser has reached that token; the parse fails there,
 	// and errf reports lexErr in its place.
 	err, lexErr error
-	sc          *parseScratch
+	sc          *Scratch
 	s           *slab
 }
 
-// Parse lexes and parses a DPL source unit. The error it returns is the
-// first by source position, lexical or syntactic.
-func Parse(src string) (*Program, error) {
-	sc := parseScratches.Get().(*parseScratch)
-	defer sc.release()
+// Parse lexes and parses a DPL source unit on a fresh scratch, which
+// the program's Check and Compile then run on. The error it returns is
+// the first by source position, lexical or syntactic.
+func Parse(src string) (*Program, error) { return new(Scratch).Parse(src) }
+
+// Parse is the package-level Parse into s, whose last program it
+// replaces: that program, and anything reached through it, is not valid
+// afterwards. What was made from it (object code, diagnostics, reports)
+// holds no reference to it and stays valid.
+func (sc *Scratch) Parse(src string) (*Program, error) {
+	sc.stmts, sc.exprs, sc.vals, sc.names, sc.globals, sc.decls = sc.stmts[:0], sc.exprs[:0], sc.vals[:0], sc.names[:0], sc.globals[:0], sc.decls[:0]
 	toks, err := sc.lex(src)
-	p := &parser{toks: toks, i: -1, err: err, sc: sc, s: slabs.Get().(*slab)}
-	p.s.size(toks)
+	p := &parser{toks: toks, i: -1, err: err, sc: sc, s: &sc.slab}
+	p.s.free()
 	p.advance()
-	prog, err := p.program()
-	if err != nil {
-		p.s.release()
-		return nil, err
-	}
-	return prog, nil
+	return p.program()
 }
 
 // program parses the source unit into the slab's Program.
 func (p *parser) program() (*Program, error) {
-	prog := &p.s.prog
-	*prog = Program{Globals: p.s.globals.all[:0:len(p.s.globals.all)], Funcs: p.s.decls.all[:0:len(p.s.decls.all)], mem: p.s}
 	for p.cur().Kind != TokEOF {
 		switch p.cur().Kind {
 		case TokVar:
@@ -48,13 +44,13 @@ func (p *parser) program() (*Program, error) {
 			if err != nil {
 				return nil, err
 			}
-			prog.Globals = append(prog.Globals, d)
+			p.sc.globals = append(p.sc.globals, d)
 		case TokFunc:
 			f, err := p.parseFuncDecl()
 			if err != nil {
 				return nil, err
 			}
-			prog.Funcs = append(prog.Funcs, f)
+			p.sc.decls = append(p.sc.decls, f)
 		default:
 			return nil, p.errf("expected 'var' or 'func' at top level, found %s", p.cur().Kind)
 		}
@@ -62,24 +58,9 @@ func (p *parser) program() (*Program, error) {
 	if p.lexErr != nil {
 		return nil, p.lexErr
 	}
-	if len(prog.Globals) == 0 {
-		prog.Globals = nil
-	}
-	if len(prog.Funcs) == 0 {
-		prog.Funcs = nil
-	}
+	prog := &p.s.prog
+	*prog = Program{Globals: p.s.globals.list(&p.sc.globals, 0), Funcs: p.s.decls.list(&p.sc.decls, 0), s: p.sc}
 	return prog, nil
-}
-
-// Release hands the memory of prog's nodes and lists to a later Parse.
-// Neither prog nor anything reached through it may be used afterwards;
-// what was made from it (object code, diagnostics, reports) holds no
-// reference to it and stays valid.
-func (prog *Program) Release() {
-	if s := prog.mem; s != nil {
-		prog.mem = nil
-		s.release()
-	}
 }
 
 func (p *parser) cur() Token { return p.tok }
@@ -113,58 +94,23 @@ func (p *parser) errf(format string, args ...any) error {
 	return errAt(t.Line, t.Col, format, args...)
 }
 
-// parseScratch is a parse's working memory, reused from parse to parse
-// through parseScratches: the token stream, and the stacks that gather
-// a list's elements until the list is complete and moves, at its exact
-// length, into the program's slab.
-type parseScratch struct {
-	toks  []Token
-	stmts []Stmt
-	exprs []Expr // call arguments, array elements, map keys
-	vals  []Expr // map values
-	names []string
-}
-
-var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
-
-// maxKeptTokens bounds the token buffer a parse hands back for reuse,
-// so that one huge source does not stay resident.
-const maxKeptTokens = 1 << 14
-
 // lex scans src into sc.toks: every token through TokEOF or, when src
 // does not lex, through the zero Token in place of the one that failed,
 // returning the error.
-func (sc *parseScratch) lex(src string) ([]Token, error) {
+func (sc *Scratch) lex(src string) ([]Token, error) {
 	l := newLexer(src)
+	sc.toks = sc.toks[:0]
 	for {
 		t, err := l.scan()
-		sc.toks = append(sc.toks, t)
+		sc.toks = appendDoubling(sc.toks, t)
 		if err != nil || t.Kind == TokEOF {
 			return sc.toks, err
 		}
 	}
 }
 
-// release clears what the scratch holds of the last source and its
-// program, and returns it to the pool.
-func (sc *parseScratch) release() {
-	clear(sc.toks)
-	clear(sc.stmts)
-	clear(sc.exprs)
-	clear(sc.vals)
-	clear(sc.names)
-	sc.toks, sc.stmts, sc.exprs, sc.vals, sc.names = sc.toks[:0], sc.stmts[:0], sc.exprs[:0], sc.vals[:0], sc.names[:0]
-	if cap(sc.toks) > maxKeptTokens {
-		sc.toks = nil
-	}
-	parseScratches.Put(sc)
-}
-
-// slab holds a program, an array per node type for its nodes, and
-// arrays for the elements of its lists. Each array is sized before the
-// parse, from counts of the token stream that the parse of a program
-// seldom exceeds; a node past its array's end is allocated on its own.
-// A released program's slab serves a later parse through slabs.
+// slab holds a program, an arena per node type for its nodes, and
+// arenas for the elements of its lists.
 type slab struct {
 	prog      Program
 	funcs     arena[FuncDecl]
@@ -196,250 +142,76 @@ type slab struct {
 	names   arena[string]
 	globals arena[*VarDecl]
 	decls   arena[*FuncDecl]
-	kept    bool // small enough to keep for reuse once released
 }
 
-var slabs = sync.Pool{New: func() any { return new(slab) }}
-
-// release clears s of its program and, when it is small enough, keeps
-// it for a later parse.
-func (s *slab) release() {
-	if !s.kept {
-		return
-	}
+// free clears s of its program and reports the bytes its arrays hold.
+func (s *slab) free() int {
 	s.prog = Program{}
-	s.funcs.free()
-	s.vars.free()
-	s.blocks.free()
-	s.assigns.free()
-	s.ifs.free()
-	s.whiles.free()
-	s.fors.free()
-	s.breaks.free()
-	s.conts.free()
-	s.returns.free()
-	s.exprStmts.free()
-	s.idents.free()
-	s.ints.free()
-	s.floats.free()
-	s.strs.free()
-	s.bools.free()
-	s.nils.free()
-	s.arrays.free()
-	s.maps.free()
-	s.unaries.free()
-	s.binaries.free()
-	s.calls.free()
-	s.indexes.free()
-	s.stmts.free()
-	s.exprs.free()
-	s.names.free()
-	s.globals.free()
-	s.decls.free()
-	slabs.Put(s)
+	return s.funcs.free() + s.vars.free() + s.blocks.free() + s.assigns.free() + s.ifs.free() +
+		s.whiles.free() + s.fors.free() + s.breaks.free() + s.conts.free() + s.returns.free() +
+		s.exprStmts.free() + s.idents.free() + s.ints.free() + s.floats.free() + s.strs.free() +
+		s.bools.free() + s.nils.free() + s.arrays.free() + s.maps.free() + s.unaries.free() +
+		s.binaries.free() + s.calls.free() + s.indexes.free() + s.stmts.free() + s.exprs.free() +
+		s.names.free() + s.globals.free() + s.decls.free()
 }
 
-// arena hands out values of one type from one array.
+// arena hands out values of one type from arrays it keeps from one
+// parse to the next, each twice the size of the one before.
 type arena[T any] struct {
-	all []T // all[len:cap] is zero
-	n   int // all[:n] is handed out
+	all  [][]T // all[:i] are used up, and all[i][:n] is handed out
+	i, n int
 }
 
-// reset sizes a for n values, keeping its array when it is big
-// enough: what the array held of an earlier program, free cleared.
-func (a *arena[T]) reset(n int) {
-	if cap(a.all) < n {
-		a.all = make([]T, n)
-	} else {
-		a.all = a.all[:n]
+// take hands out k zero values in one array.
+func (a *arena[T]) take(k int) []T {
+	for a.i < len(a.all) && a.n+k > len(a.all[a.i]) {
+		a.i, a.n = a.i+1, 0
 	}
-	a.n = 0
+	if a.i == len(a.all) {
+		size := 16
+		if a.i > 0 {
+			size = 2 * len(a.all[a.i-1])
+		}
+		a.all = append(a.all, make([]T, max(k, size)))
+	}
+	a.n += k
+	return a.all[a.i][a.n-k : a.n : a.n]
 }
 
-// free zeroes the array, all a handed out included.
-func (a *arena[T]) free() {
-	clear(a.all)
-	a.all, a.n = a.all[:0], 0
+// free zeroes what a handed out and reports the bytes it holds.
+func (a *arena[T]) free() int {
+	n := 0
+	for i, all := range a.all {
+		if i < a.i {
+			clear(all)
+		} else if i == a.i {
+			clear(all[:a.n])
+		}
+		n += sizeOf(all)
+	}
+	a.i, a.n = 0, 0
+	return n
 }
 
-// new returns the next value of the array, set to v.
+// new returns the next value of the arena, set to v.
 func (a *arena[T]) new(v T) *T {
-	var x *T
-	if a.n < len(a.all) {
-		x, a.n = &a.all[a.n], a.n+1
-	} else {
-		x = new(T)
-	}
+	x := &a.take(1)[0]
 	*x = v
 	return x
 }
 
-// list moves buf[from:] into the array, as a list of exactly its length
+// list moves buf[from:] into the arena, as a list of exactly its length
 // (nil when empty), and truncates buf to from.
 func (a *arena[T]) list(buf *[]T, from int) []T {
 	elems := (*buf)[from:]
-	k := len(elems)
-	if k == 0 {
+	if len(elems) == 0 {
 		return nil
 	}
-	var out []T
-	if a.n+k <= len(a.all) {
-		out, a.n = a.all[a.n:a.n+k:a.n+k], a.n+k
-	} else {
-		out = make([]T, k)
-	}
+	out := a.take(len(elems))
 	copy(out, elems)
 	clear(elems)
 	*buf = (*buf)[:from]
 	return out
-}
-
-// size sizes the slab for the program toks spell. Each node type is
-// counted from the tokens that make one: a call is an identifier before
-// '(', a '-' after an operand is binary, a '{' after ')', 'else' or a
-// statement's end opens a block, and so on.
-func (s *slab) size(toks []Token) {
-	var n struct {
-		funcs, vars, blocks, assigns, ifs, whiles, fors, breaks, conts, returns, simple,
-		idents, ints, floats, strs, bools, nils, arrays, maps, unaries, binaries, calls, indexes,
-		exprs, names, globals int
-	}
-	prev, prev2 := TokSemicolon, TokSemicolon // as if a statement had just ended
-	depth, params := 0, false
-	for i, t := range toks {
-		stmtEnd := prev == TokSemicolon || prev == TokLBrace || prev == TokRBrace
-		switch k := t.Kind; k {
-		case TokIdent:
-			switch {
-			case params:
-				n.names++
-			case prev == TokVar || prev == TokFunc:
-			case i+1 < len(toks) && toks[i+1].Kind == TokLParen:
-				n.calls++
-			default:
-				n.idents++
-			}
-		case TokInt:
-			n.ints++
-		case TokFloat:
-			n.floats++
-		case TokString:
-			n.strs++
-		case TokTrue, TokFalse:
-			n.bools++
-		case TokNil:
-			n.nils++
-		case TokVar:
-			n.vars++
-			if depth == 0 {
-				n.globals++
-			}
-		case TokFunc:
-			n.funcs++
-		case TokIf:
-			n.ifs++
-		case TokWhile:
-			n.whiles++
-		case TokFor:
-			n.fors++
-		case TokBreak:
-			n.breaks++
-		case TokContinue:
-			n.conts++
-		case TokReturn:
-			n.returns++
-		case TokLParen:
-			params = prev == TokIdent && prev2 == TokFunc
-		case TokRParen:
-			params = false
-		case TokLBrace:
-			depth++
-			if stmtEnd || prev == TokRParen || prev == TokElse {
-				n.blocks++
-			} else {
-				n.maps++
-			}
-		case TokRBrace:
-			depth--
-		case TokLBracket:
-			if endsOperand(prev) {
-				n.indexes++
-			} else {
-				n.arrays++
-			}
-		case TokComma:
-			n.exprs++
-		case TokColon:
-			n.exprs += 2
-		case TokMinus:
-			if endsOperand(prev) {
-				n.binaries++
-			} else {
-				n.unaries++
-			}
-		case TokBang:
-			n.unaries++
-		case TokPlus, TokStar, TokSlash, TokPercent, TokEq, TokNe, TokLt, TokLe, TokGt, TokGe, TokAndAnd, TokOrOr:
-			n.binaries++
-		case TokAssign:
-			if prev != TokIdent || prev2 != TokVar {
-				n.assigns++
-			}
-		case TokPlusAssign, TokMinusAssign:
-			n.assigns++
-		}
-		// A statement that starts with an expression is an assignment or
-		// an expression statement.
-		if (stmtEnd || prev == TokLParen && prev2 == TokFor) && startsExpr(t.Kind) {
-			n.simple++
-		}
-		prev, prev2 = t.Kind, prev
-	}
-	exprStmts := max(n.simple-n.assigns, 0)
-	s.funcs.reset(n.funcs)
-	s.vars.reset(n.vars)
-	s.blocks.reset(n.blocks)
-	s.assigns.reset(n.assigns)
-	s.ifs.reset(n.ifs)
-	s.whiles.reset(n.whiles)
-	s.fors.reset(n.fors)
-	s.breaks.reset(n.breaks)
-	s.conts.reset(n.conts)
-	s.returns.reset(n.returns)
-	s.exprStmts.reset(exprStmts)
-	s.idents.reset(n.idents)
-	s.ints.reset(n.ints)
-	s.floats.reset(n.floats)
-	s.strs.reset(n.strs)
-	s.bools.reset(n.bools)
-	s.nils.reset(n.nils)
-	s.arrays.reset(n.arrays)
-	s.maps.reset(n.maps)
-	s.unaries.reset(n.unaries)
-	s.binaries.reset(n.binaries)
-	s.calls.reset(n.calls)
-	s.indexes.reset(n.indexes)
-	s.stmts.reset(n.vars - n.globals + n.blocks + n.assigns + n.ifs + n.whiles + n.fors + n.breaks + n.conts + n.returns + exprStmts)
-	s.exprs.reset(n.calls + n.arrays + n.exprs)
-	s.names.reset(n.names)
-	s.globals.reset(n.globals)
-	s.decls.reset(n.funcs)
-	s.kept = len(toks) <= maxKeptTokens
-}
-
-// endsOperand reports whether a token of kind k can end an operand, so
-// that a '-' or '[' after it is binary or an index.
-func endsOperand(k TokenKind) bool {
-	switch k {
-	case TokIdent, TokInt, TokFloat, TokString, TokTrue, TokFalse, TokNil, TokRParen, TokRBracket:
-		return true
-	}
-	return false
-}
-
-// startsExpr reports whether a token of kind k can start an expression.
-func startsExpr(k TokenKind) bool {
-	return endsOperand(k) && k != TokRParen && k != TokRBracket || k == TokLParen || k == TokLBracket || k == TokMinus || k == TokBang
 }
 
 func posOf(t Token) Pos { return Pos{Line: t.Line, Col: t.Col} }

@@ -89,10 +89,11 @@ func (p *CompiledProgram) Encode() ([]byte, error) {
 // DecodeProgram parses a BER-encoded CompiledProgram. Decoding checks
 // only wire well-formedness plus the few counts the VM would otherwise
 // trust for allocation; structural safety of the code itself is the
-// verifier's job.
+// verifier's job. It accepts only the encoding Encode writes, so one
+// program has one encoding and one digest of it.
 func DecodeProgram(b []byte) (*CompiledProgram, error) {
 	p := &CompiledProgram{Object: &Compiled{}}
-	c := ber.Decoder(b)
+	c := ber.CanonicalDecoder(b)
 	p.visit(&c)
 	if err := c.Finish(); err != nil {
 		return nil, err

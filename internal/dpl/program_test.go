@@ -97,6 +97,29 @@ func TestDecodeProgramRejectsGarbage(t *testing.T) {
 // cache key and the SourceHash on the wire, so it must stay plain
 // sha256 of the source bytes however HashSource gets at them. And since
 // it runs on every delegation, it may not copy the source to do it.
+// TestDecodeProgramRefusesLongLength: an artifact whose outer length
+// takes one octet more than it needs is another encoding of the same
+// program, which a cache keyed by the digest of the bytes would admit
+// twice. Decoding refuses it.
+func TestDecodeProgramRefusesLongLength(t *testing.T) {
+	blob, err := sampleProgram(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(blob); err != nil {
+		t.Fatal(err)
+	}
+	padded := []byte{blob[0], 0x81, blob[1]}
+	if k := int(blob[1] & 0x7f); blob[1] >= 0x80 {
+		padded = append([]byte{blob[0], 0x80 | byte(k+1), 0}, blob[2:2+k]...)
+		blob = blob[k:]
+	}
+	padded = append(padded, blob[2:]...)
+	if _, err := DecodeProgram(padded); err == nil {
+		t.Fatalf("an artifact with its length in one octet too many (% x) decoded", padded[:4])
+	}
+}
+
 func TestHashSourceGolden(t *testing.T) {
 	for src, want := range map[string]string{
 		"":                          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -138,7 +138,7 @@ func TestDecodeRefusesOperandPastInt32(t *testing.T) {
 
 // FuzzVerify hammers the wire-to-admission path: whatever bytes arrive,
 // decoding and verification must not panic, a program decoding accepts
-// re-encodes to bytes that decode to the same program, and any program
+// re-encodes to the bytes it was decoded from, and any program
 // the verifier rejects structurally must also be refused by the VM.
 func FuzzVerify(f *testing.F) {
 	blobs, err := corpusBlobs()
@@ -167,6 +167,9 @@ func FuzzVerify(f *testing.F) {
 		blob, err := cp.Encode()
 		if err != nil {
 			t.Fatalf("accepted program does not re-encode: %v", err)
+		}
+		if !bytes.Equal(blob, data) {
+			t.Fatalf("accepted input does not re-encode to itself:\n% x\nvs\n% x", data, blob)
 		}
 		again, err := dpl.DecodeProgram(blob)
 		if err != nil {

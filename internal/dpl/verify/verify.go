@@ -14,7 +14,7 @@
 //   - that the declared effect summary covers every host call and MIB
 //     OID prefix the bytecode can actually reach (DPL014), and the
 //     declared cost the cost of the code (DPL015). Both are recovered by
-//     analysis.Recover, the one inference and cost model, which an
+//     analysis.Scratch.Recover, the one inference and cost model, which an
 //     honest node ran over the same optimized bytes to declare them, so
 //     an honest artifact's declared and recovered ones are equal. A
 //     receiver admits on what it recovered, never on the claim.
@@ -89,16 +89,18 @@ func Verify(cp *dpl.CompiledProgram, bindings *dpl.Bindings) *Result {
 		fail(dpl.CodeVersionSkew, "%s", skew)
 		return res
 	}
+	s := analysis.Borrow()
+	defer s.Release()
 	// The proof is recorded: a program admitted here does not prove
 	// its structure again at its first run.
-	if faults := c.VerifyStructure(); len(faults) > 0 {
+	if faults := s.VerifyStructure(c); len(faults) > 0 {
 		for _, f := range faults {
 			fail(faultCodes[f.Kind], "%s", f)
 		}
 		return res // code too broken for effect or budget recovery
 	}
 	v := &verifier{cp: cp, res: res, fail: fail, bindings: bindings}
-	v.recoverEffects()
+	v.recoverEffects(s)
 	v.checkBudget()
 	return res
 }
@@ -128,16 +130,16 @@ type verifier struct {
 }
 
 // recoverEffects recovers the effects and the cost with
-// analysis.Recover, the recovery that produced an honest sender's
+// analysis.Scratch.Recover, the recovery that produced an honest sender's
 // verdict, and checks each host call twice. The host index must resolve
 // to the same name, slot and arity in the receiver's bindings (DPL017;
 // unused table entries are harmless, so a node with extra registered
 // services still accepts the artifact), and the call must be covered by
 // the declared verdict (DPL014).
-func (v *verifier) recoverEffects() {
+func (v *verifier) recoverEffects(sc *analysis.Scratch) {
 	c := v.cp.Object
 	bound := make([]bool, len(c.HostNames)) // host indices already checked against the bindings
-	v.res.Recovered, v.res.Cost = analysis.Recover(c, func(s analysis.Site) {
+	v.res.Recovered, v.res.Cost = sc.Recover(c, func(s analysis.Site) {
 		at := func() string {
 			name, _, _ := c.Block(s.Func)
 			return fmt.Sprintf("%s+%d: %s", name, s.IP, dpl.FormatInstr(c, s.Call))

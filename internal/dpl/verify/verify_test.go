@@ -37,7 +37,7 @@ func buildArtifact(t *testing.T, src string, b *dpl.Bindings, optimize bool) *dp
 	if optimize {
 		dpl.Optimize(obj)
 	}
-	rep.RecoverEffects(obj)
+	new(analysis.Scratch).RecoverEffects(rep, obj)
 	return &dpl.CompiledProgram{
 		Version:    dpl.CompilerVersion,
 		SourceHash: dpl.HashSource(src),

@@ -3,7 +3,6 @@ package dpl
 import (
 	"cmp"
 	"fmt"
-	"sync"
 )
 
 // Structural bytecode verification. The VM's exec loop trusts its
@@ -90,10 +89,10 @@ var binOps = map[TokenKind]bool{
 // flat-frame VM uses to size activation frames without growth checks
 // inside the dispatch loop. The outcome is recorded too, so that the
 // first Run of a program proved at admission does not prove it again.
-func (c *Compiled) VerifyStructure() []CodeFault {
+func (s *Scratch) VerifyStructure(c *Compiled) []CodeFault {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
-	return c.verifyLocked()
+	return c.verifyLocked(&s.v)
 }
 
 // EnsureStructure verifies c once and caches the outcome; subsequent
@@ -103,16 +102,15 @@ func (c *Compiled) EnsureStructure() error {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	if !c.vdone {
-		c.verifyLocked()
+		c.verifyLocked(new(structVerifier))
 	}
 	return c.verr
 }
 
-// verifyLocked proves c's structure and records the outcome for
+// verifyLocked proves c's structure with v and records the outcome for
 // EnsureStructure. c.vmu must be held.
-func (c *Compiled) verifyLocked() []CodeFault {
-	v := structVerifiers.Get().(*structVerifier)
-	defer v.release()
+func (c *Compiled) verifyLocked(v *structVerifier) []CodeFault {
+	v.reset()
 	v.c = c
 	c.initMaxStack = v.checkBlock("<init>", c.InitCode, 0)
 	for i, fn := range c.Funcs {
@@ -149,15 +147,13 @@ func (c *Compiled) invalidateVerify() {
 type structVerifier struct {
 	c      *Compiled
 	faults []CodeFault
-	buf    []int32 // checkBlock's depths and worklist, reused from block to block and, through structVerifiers, from call to call
+	buf    []int32 // checkBlock's depths and worklist, reused from block to block and call to call
 }
 
-var structVerifiers = sync.Pool{New: func() any { return new(structVerifier) }}
-
-// release hands v back for the next VerifyStructure call.
-func (v *structVerifier) release() {
+// reset clears v of its program and returns the bytes its buffer holds.
+func (v *structVerifier) reset() int {
 	v.c, v.faults = nil, nil
-	structVerifiers.Put(v)
+	return sizeOf(v.buf)
 }
 
 func (v *structVerifier) fault(fn string, ip int, kind FaultKind, msg string) {

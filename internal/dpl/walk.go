@@ -1,10 +1,13 @@
 package dpl
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // The abstract walker: the one value analysis over bytecode, shared by
 // the optimizer's constant propagation, effect inference
-// (analysis.Recover) and the static analyzer's control-flow graphs,
+// (analysis.Scratch.Recover) and the static analyzer's control-flow graphs,
 // each a hook that reads the state before an instruction.
 // One linear pass covers every instruction, dead ones included, with
 // every index bounded. Exact values fold by the VM's own operator rules
@@ -98,14 +101,28 @@ func (a Abs) meet(b Abs) Abs {
 // call to call.
 type Walker struct {
 	stack, locals []Abs
-	joins         []join  // per instruction: the edges landing on it
-	arena         []Abs   // the stacks forward edges carry
-	entry         int     // stack depth where the current block began
-	set           []int32 // the locals set since the block began
+	// ids[i] is the node that holds stack[i] and, through its below
+	// links, every slot under it, or -1 once the slot has changed since
+	// a forward edge last saved it; a slot that holds a node has only
+	// nodes under it. A join keeps the stack its edges carry as the node
+	// on top, so slots an edge shares with the stack it leaves are saved
+	// once, whatever the depth.
+	ids   []int32
+	nodes []node
+	joins []join  // per instruction: the edges landing on it
+	entry int     // stack depth where the current block began
+	set   []int32 // the locals set since the block began
+	path  []int32 // the nodes of a join's stack above what it shares with the current one
+}
+
+// node is one saved stack slot, over the node below it (-1 for none).
+type node struct {
+	a     Abs
+	below int32
 }
 
 type join struct {
-	off, n int32 // arena[off:off+n] meets the stacks of the forward edges control can take; n < 0 if their depths disagree
+	top, n int32 // the forward edges control can take meet in an n-slot stack with nodes[top] on top; n < 0 if their depths disagree
 	// leader: a forward jump lands here; edges: one control can take;
 	// loop: a backward jump lands here.
 	leader, edges, loop bool
@@ -117,7 +134,7 @@ type join struct {
 // Returning false ends the walk.
 func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int, stack, locals []Abs) bool) {
 	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(code))
-	w.arena, w.stack, w.set = w.arena[:0], w.stack[:0], w.set[:0]
+	w.stack, w.ids, w.nodes, w.set = w.stack[:0], w.ids[:0], w.nodes[:0], w.set[:0]
 	for ip, in := range code {
 		if t, ok := in.target(len(code)); ok && t < len(code) {
 			w.joins[t].loop = w.joins[t].loop || t <= ip
@@ -180,16 +197,25 @@ func (w *Walker) enter(j *join, falls bool) {
 	switch {
 	case !j.edges && falls: // the fall-through state carries on
 	case !j.edges || j.n < 0 || falls && len(w.stack) != int(j.n):
-		w.stack = w.stack[:0]
+		w.stack, w.ids = w.stack[:0], w.ids[:0]
 	case falls:
-		for i, a := range w.arena[j.off : j.off+j.n] {
-			w.stack[i] = w.stack[i].meet(a)
+		// Below the slots the two stacks share, they agree.
+		for i, r := len(w.stack)-1, j.top; i >= 0 && w.ids[i] != r; i, r = i-1, w.nodes[r].below {
+			if m := w.stack[i].meet(w.nodes[r].a); m != w.stack[i] {
+				w.stack[i] = m
+				w.dirty(i)
+			}
 		}
 	default:
-		w.stack = append(w.stack[:0], w.arena[j.off:j.off+j.n]...)
+		k := w.divergence(j.top, int(j.n))
+		w.stack, w.ids = w.stack[:k], w.ids[:k]
+		for _, r := range slices.Backward(w.path) {
+			w.stack, w.ids = append(w.stack, w.nodes[r].a), append(w.ids, r)
+		}
 	}
 	if j.loop {
 		clear(w.stack)
+		w.dirty(0)
 	}
 	for _, i := range w.set {
 		w.locals[i] = Abs{}
@@ -201,15 +227,71 @@ func (w *Walker) enter(j *join, falls bool) {
 func (w *Walker) edge(j *join) {
 	switch {
 	case !j.edges:
-		j.edges, j.off, j.n = true, int32(len(w.arena)), int32(len(w.stack))
-		w.arena = append(w.arena, w.stack...)
+		j.edges, j.top, j.n = true, w.save(), int32(len(w.stack))
 	case int(j.n) != len(w.stack):
 		j.n = -1
 	default:
-		merged := w.arena[j.off : j.off+j.n]
-		for i, a := range w.stack {
-			merged[i] = merged[i].meet(a)
+		// The join's stack changes from the lowest slot the meet changes
+		// up: those slots are saved anew, over the ones below.
+		w.divergence(j.top, int(j.n))
+		low := -1
+		for d, r := range w.path {
+			if w.nodes[r].a.meet(w.stack[len(w.stack)-1-d]) != w.nodes[r].a {
+				low = d
+			}
 		}
+		if low < 0 {
+			return
+		}
+		top := w.nodes[w.path[low]].below
+		for d := low; d >= 0; d-- {
+			a := w.nodes[w.path[d]].a.meet(w.stack[len(w.stack)-1-d])
+			w.nodes = appendDoubling(w.nodes, node{a: a, below: top})
+			top = int32(len(w.nodes) - 1)
+		}
+		j.top = top
+	}
+}
+
+// divergence sets w.path to the nodes of the n-slot stack topped by
+// nodes[top], top first, above the slots it shares with the current
+// stack, and returns how many slots it shares.
+func (w *Walker) divergence(top int32, n int) int {
+	w.path = w.path[:0]
+	for ; n > len(w.stack); n-- {
+		w.path, top = append(w.path, top), w.nodes[top].below
+	}
+	for ; n > 0 && w.ids[n-1] != top; n-- {
+		w.path, top = append(w.path, top), w.nodes[top].below
+	}
+	return n
+}
+
+// save makes nodes of the slots that have changed since the last save
+// and returns the node on top, or -1 for an empty stack.
+func (w *Walker) save() int32 {
+	i := len(w.ids)
+	for i > 0 && w.ids[i-1] < 0 {
+		i--
+	}
+	for ; i < len(w.ids); i++ {
+		below := int32(-1)
+		if i > 0 {
+			below = w.ids[i-1]
+		}
+		w.ids[i] = int32(len(w.nodes))
+		w.nodes = appendDoubling(w.nodes, node{a: w.stack[i], below: below})
+	}
+	if len(w.ids) == 0 {
+		return -1
+	}
+	return w.ids[len(w.ids)-1]
+}
+
+// dirty marks slot i and every slot above it changed.
+func (w *Walker) dirty(i int) {
+	for ; i < len(w.ids) && w.ids[i] >= 0; i++ {
+		w.ids[i] = -1
 	}
 }
 
@@ -270,10 +352,10 @@ func (w *Walker) transfer(c *Compiled, in Instr) {
 	case OpAddN:
 		k := min(max(int(in.A), 0), len(w.stack))
 		sum := chainSum(w.stack[len(w.stack)-k:], int(in.A))
-		w.stack = w.stack[:len(w.stack)-k]
+		w.drop(len(w.stack) - k)
 		w.push(sum)
 	default:
-		w.stack = w.stack[:len(w.stack)-min(max(in.pops(), 0), len(w.stack))]
+		w.drop(len(w.stack) - min(max(in.pops(), 0), len(w.stack)))
 		for range opTable[in.Op].pushes {
 			w.push(Abs{})
 		}
@@ -333,15 +415,19 @@ func pushed(c *Compiled, in Instr) Abs {
 	return Abs{}
 }
 
-func (w *Walker) push(a Abs) { w.stack = append(w.stack, a) }
+func (w *Walker) push(a Abs) { w.stack, w.ids = append(w.stack, a), append(w.ids, -1) }
 
 // pop takes the top value; an empty stack yields unknown.
 func (w *Walker) pop() (a Abs) {
 	if n := len(w.stack); n > 0 {
-		a, w.stack = w.stack[n-1], w.stack[:n-1]
+		a = w.stack[n-1]
+		w.drop(n - 1)
 	}
 	return a
 }
+
+// drop truncates the stack to n slots.
+func (w *Walker) drop(n int) { w.stack, w.ids = w.stack[:n], w.ids[:n] }
 
 func (w *Walker) local(i int32) Abs {
 	if i >= 0 && int(i) < len(w.locals) {

@@ -228,16 +228,17 @@ func (t *Translator) TranslateAnalyzed(lang, source string) (*dpl.Compiled, *ana
 	if lang != "dpl" {
 		return nil, nil, fmt.Errorf("elastic: unsupported dp language %q (this process accepts \"dpl\")", lang)
 	}
-	prog, err := dpl.Parse(source)
+	// Every pass works in one scratch, which nothing translated refers
+	// to: it goes to the next admission.
+	s := analysis.Borrow()
+	defer s.Release()
+	prog, err := s.Parse(source)
 	var obj *dpl.Compiled
 	var rep *analysis.Report
 	if err == nil {
 		// The verdict is recovered from the optimized object code, the
 		// bytes this node runs and ships and every receiver verifies.
-		obj, rep, err = analysis.Translate(prog, t.bindings)
-		// Nothing translated refers to the program: its memory goes to
-		// the next parse.
-		prog.Release()
+		obj, rep, err = s.Translate(prog, t.bindings)
 	}
 	if rej, ok := err.(*dpl.Error); ok {
 		return nil, nil, &RejectError{Diags: rej.Diags}

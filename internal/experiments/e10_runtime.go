@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -121,18 +122,26 @@ func main() {
 		)
 	}
 	t.AddNote("each DPI is a goroutine running the compiled echo agent; a message is mailbox delivery + VM wakeup + report event fan-out")
-	quota, noQuota, err := quotaOverhead()
+	over, err := quotaOverhead()
 	if err != nil {
 		return nil, err
 	}
-	t.AddNote("step-quota enforcement overhead: %.1f%% (1M-iteration loop, %v with quota vs %v without)",
-		100*(quota.Seconds()-noQuota.Seconds())/noQuota.Seconds(), quota.Round(time.Microsecond), noQuota.Round(time.Microsecond))
+	slices.Sort(over)
+	lo, med, hi := over[0], over[len(over)/2], over[len(over)-1]
+	noise := ""
+	if lo < 0 && hi > 0 {
+		noise = ", within noise"
+	}
+	t.AddNote("step-quota enforcement overhead: median %+.1f%%, range %+.1f%% to %+.1f%% over %d interleaved pairs of a 1M-iteration loop with and without a quota%s",
+		100*med, 100*lo, 100*hi, len(over), noise)
 	return t, nil
 }
 
 // quotaOverhead times the same DP with and without a step quota — the
-// cost of the elastic process's resource-constraint machinery.
-func quotaOverhead() (withQuota, without time.Duration, err error) {
+// cost of the elastic process's resource-constraint machinery — in
+// interleaved pairs, so that scheduler and GC noise falls on both
+// variants, and returns each pair's relative overhead.
+func quotaOverhead() ([]float64, error) {
 	b := dpl.Std()
 	prog := dpl.MustCompile(`
 func main() {
@@ -140,7 +149,11 @@ func main() {
 	for (var i = 0; i < 1000000; i += 1) { s += i; }
 	return s;
 }`, b)
-	run := func(opts ...dpl.VMOption) (time.Duration, error) {
+	run := func(quota bool) (time.Duration, error) {
+		var opts []dpl.VMOption
+		if quota {
+			opts = append(opts, dpl.WithMaxSteps(1<<62))
+		}
 		vm := dpl.NewVM(prog, b, opts...)
 		start := time.Now()
 		if _, err := vm.Run(context.Background(), "main"); err != nil {
@@ -148,25 +161,18 @@ func main() {
 		}
 		return time.Since(start), nil
 	}
-	// Interleave several runs and keep the minimum of each variant, so
-	// scheduler and GC noise from earlier rows cannot masquerade as
-	// quota cost.
-	withQuota, without = time.Hour, time.Hour
-	for i := 0; i < 5; i++ {
-		d, err := run()
-		if err != nil {
-			return 0, 0, err
+	// The variant that runs first alternates from pair to pair.
+	over := make([]float64, 5)
+	for i := range over {
+		var d [2]time.Duration // without, with the quota
+		for k := range d {
+			q := (i + k) % 2
+			var err error
+			if d[q], err = run(q == 1); err != nil {
+				return nil, err
+			}
 		}
-		if d < without {
-			without = d
-		}
-		d, err = run(dpl.WithMaxSteps(1 << 62))
-		if err != nil {
-			return 0, 0, err
-		}
-		if d < withQuota {
-			withQuota = d
-		}
+		over[i] = d[1].Seconds()/d[0].Seconds() - 1
 	}
-	return withQuota, without, nil
+	return over, nil
 }
