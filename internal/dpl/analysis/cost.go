@@ -159,8 +159,8 @@ func (k *coster) fn(f int) CostEstimate {
 // those back to headers, so each value the sweep reads is already
 // there.
 func (k *coster) code(fn int) CostEstimate {
-	s, g := k.s, k.s.build(k.c, fn)
-	n := len(g.blocks)
+	s, g := k.s, k.s.graph(k.c, fn)
+	n := len(g.Blocks)
 	if n == 0 {
 		return CostEstimate{}
 	}
@@ -183,23 +183,23 @@ func (k *coster) code(fn int) CostEstimate {
 		return path[t]
 	}
 	for b := int32(n - 1); b >= 0; b-- {
-		blk, nb := &g.blocks[b], &s.nest[b]
-		if !blk.reach {
+		blk, nb := &g.Blocks[b], &s.nest[b]
+		if !blk.Reach {
 			continue
 		}
-		path[b] = addCost(k.weight(g.code[blk.start:blk.end], &cost.Unbounded), max(after(blk.succ[0], nb.loop), after(blk.succ[1], nb.loop)))
+		path[b] = addCost(k.weight(g.Code[blk.Start:blk.End], &cost.Unbounded), max(after(blk.Succ[0], nb.loop), after(blk.Succ[1], nb.loop)))
 		for e, h := range nb.left {
 			if h >= 0 {
-				out[h] = max(out[h], after(blk.succ[e], s.nest[h].up))
+				out[h] = max(out[h], after(blk.Succ[e], s.nest[h].up))
 			}
 		}
 		if nb.loop != b {
 			continue
 		}
-		trips, counted := k.count(g, b)
+		trips, counted := k.count(g, fn, b)
 		node[b] = path[b]
 		if counted {
-			node[b] = addCost(mulCost(trips, path[b]), k.weight(g.code[blk.start:blk.end], &cost.Unbounded))
+			node[b] = addCost(mulCost(trips, path[b]), k.weight(g.Code[blk.Start:blk.End], &cost.Unbounded))
 		}
 		cost.Unbounded = cost.Unbounded || !counted
 		node[b] = addCost(node[b], out[b])
@@ -254,8 +254,8 @@ type nesting struct {
 // their runs do. Every cycle lies in such a run, or in runs that overlap
 // without nesting: code with those, or with an edge into a run past its
 // header, is irreducible.
-func (k *coster) loops(g *graph) {
-	s, n := k.s, len(g.blocks)
+func (k *coster) loops(g *dpl.Graph) {
+	s, n := k.s, len(g.Blocks)
 	if cap(s.nest) < n {
 		s.nest = make([]nesting, n)
 	}
@@ -264,10 +264,10 @@ func (k *coster) loops(g *graph) {
 	for i := range nest {
 		nest[i] = nesting{last: -1, loop: -1, up: -1, left: [2]int32{-1, -1}, from: math.MaxInt32}
 	}
-	for u, b := range g.blocks {
-		for e, t := range b.succ {
+	for u, b := range g.Blocks {
+		for e, t := range b.Succ {
 			switch {
-			case !b.reach || t < 0:
+			case !b.Reach || t < 0:
 			case t <= int32(u): // a second way back enters the loop too
 				nest[t].entered = nest[t].entered || nest[t].last >= 0
 				nest[t].last, loops = int32(u), true
@@ -300,8 +300,8 @@ func (k *coster) loops(g *graph) {
 		// The loops an edge leaves are the innermost of those holding
 		// b: the first in open that does not hold its target and every
 		// one after it.
-		for e, t := range g.blocks[b].succ {
-			if g.blocks[b].reach && t >= 0 && len(open) > 0 && !k.in(t, open[len(open)-1]) {
+		for e, t := range g.Blocks[b].Succ {
+			if g.Blocks[b].Reach && t >= 0 && len(open) > 0 && !k.in(t, open[len(open)-1]) {
 				nb.left[e] = open[sort.Search(len(open), func(i int) bool { return !k.in(t, open[i]) })]
 			}
 		}
@@ -321,17 +321,18 @@ func (k *coster) in(b, h int32) bool {
 // the variable; and the variable's one write in the loop is a constant
 // step in the loop's one latch, its last block, the one way back to
 // the header, which every pass runs.
-func (k *coster) count(g *graph, h int32) (uint64, bool) {
-	hb, nh := &g.blocks[h], &k.s.nest[h]
-	local, limit, op, n, ok := loopTest(k.c, g.code[hb.start:hb.end])
-	if !ok || n != int(hb.end-hb.start) || k.irreducible || hb.init < 0 || nh.entered ||
-		!k.in(hb.succ[0], h) || k.in(hb.succ[1], h) || hb.succ[1] < 0 && !hb.exit {
+func (k *coster) count(g *dpl.Graph, fn int, h int32) (uint64, bool) {
+	hb, nh := &g.Blocks[h], &k.s.nest[h]
+	local, limit, op, n, ok := loopTest(k.c, g.Code[hb.Start:hb.End])
+	hn, noted := k.s.note(fn, int(hb.Start))
+	if !ok || n != int(hb.End-hb.Start) || k.irreducible || !noted || hn.decided || nh.entered ||
+		!k.in(hb.Succ[0], h) || k.in(hb.Succ[1], h) || hb.Succ[1] < 0 && !hb.Exit {
 		return 0, false
 	}
 	if !k.written {
 		k.written = true
 		k.s.writes = k.s.writes[:0]
-		for ip, in := range g.code {
+		for ip, in := range g.Code {
 			l := in.A
 			if in.Op == dpl.OpConstStoreL {
 				l = in.B
@@ -345,12 +346,12 @@ func (k *coster) count(g *graph, h int32) (uint64, bool) {
 		slices.Sort(k.s.writes)
 	}
 	// The local's writes inside the loop: one, in the latch.
-	i, _ := slices.BinarySearch(k.s.writes, uint64(local)<<32|uint64(hb.start))
-	j, _ := slices.BinarySearch(k.s.writes, uint64(local)<<32|uint64(g.blocks[nh.last].end))
-	if j-i != 1 || g.at[uint32(k.s.writes[i])] != nh.last {
+	i, _ := slices.BinarySearch(k.s.writes, uint64(local)<<32|uint64(hb.Start))
+	j, _ := slices.BinarySearch(k.s.writes, uint64(local)<<32|uint64(g.Blocks[nh.last].End))
+	if j-i != 1 || g.At[uint32(k.s.writes[i])] != nh.last {
 		return 0, false
 	}
-	in := g.code[uint32(k.s.writes[i])]
+	in := g.Code[uint32(k.s.writes[i])]
 	d, isInt := int64(0), false
 	if (in.Op == dpl.OpIncL || in.Op == dpl.OpDecL) && in.B >= 0 && int(in.B) < len(k.c.Consts) {
 		d, isInt = k.c.Consts[in.B].AsInt()
@@ -359,7 +360,7 @@ func (k *coster) count(g *graph, h int32) (uint64, bool) {
 	if in.Op == dpl.OpDecL {
 		step = -d
 	}
-	start, ok1 := k.s.notes[hb.init].init.AsInt()
+	start, ok1 := hn.init.AsInt()
 	end, ok2 := limit.AsInt()
 	if !isInt || in.Op == dpl.OpDecL && d == math.MinInt64 || !ok1 || !ok2 {
 		return 0, false
@@ -441,18 +442,18 @@ func yields(host string) bool { return host == "sleep" || host == "recv" }
 // block of its loop leaves, returns from or yields in: a loop whose
 // calm is past its own depth is one no path leaves and that calls
 // nothing that yields.
-func (k *coster) calm(g *graph) {
+func (k *coster) calm(g *dpl.Graph) {
 	nest := k.s.nest
 	for i := range nest {
 		nest[i].calm = math.MaxInt32
 	}
-	for x, b := range g.blocks {
+	for x, b := range g.Blocks {
 		l := nest[x].loop
-		if !b.reach || l < 0 {
+		if !b.Reach || l < 0 {
 			continue
 		}
 		calm := int32(math.MaxInt32)
-		if b.exit || k.yield(g.code[b.start:b.end]) {
+		if b.Exit || k.yield(g.Code[b.Start:b.End]) {
 			calm = 0
 		}
 		for _, h := range nest[x].left {
@@ -470,8 +471,8 @@ func (k *coster) calm(g *graph) {
 }
 
 // busy reports DPL005 at the loop headed by h in Block(fn).
-func (k *coster) busy(g *graph, fn int, h int32) {
-	if m, ok := markAt(k.c.Marks(fn), int(g.blocks[h].start), dpl.MarkLoop); ok {
+func (k *coster) busy(g *dpl.Graph, fn int, h int32) {
+	if m, ok := markAt(k.c.Marks(fn), int(g.Blocks[h].Start), dpl.MarkLoop); ok {
 		*k.diags = append(*k.diags, dpl.Diagnostic{Code: dpl.CodeBusyLoop, Sev: dpl.SevWarning, Pos: m.Pos,
 			Msg: "infinite loop never yields (no sleep/recv on any path) and has no break; it will burn its entire step quota"})
 	}

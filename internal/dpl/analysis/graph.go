@@ -9,40 +9,21 @@ import (
 	"mbd/internal/dpl"
 )
 
-// Control-flow graphs over object code. Every pass of the analyzer
-// reads one: a code block's basic blocks in code order, with the edges
-// dpl.OpcodeFlow gives them, less the way out of an if, while or for
-// test whose value the walker knows (dpl.Branch). A short circuit keeps
-// both its edges: it lies inside one statement, whose every operand the
-// dataflow passes read.
+// Every pass of the analyzer reads a dpl.Graph of a code block: its
+// basic blocks, less the way out of an if, while or for test whose
+// value the walker knows (dpl.Branch). A short circuit keeps both its
+// edges: it lies inside one statement, whose every operand the dataflow
+// passes read.
 //
 // DPL001, DPL002, DPL003 and DPL004 read the compiler's output before
 // Optimize, through the position table (dpl.Compiled.Marks). Its walk
 // runs with no frame slots, so only literals decide a test, as they do
 // in the source.
 
-// graph is one code block's control-flow graph.
-type graph struct {
-	code   []dpl.Instr
-	blocks []block
-	at     []int32 // per instruction: the block holding it
-}
-
-// block is code[start:end]. succ holds the blocks control can go to
-// next, the fall-through first, -1 for none; exit marks control leaving
-// the function (a return, or the end of the code); reach says the entry
-// reaches the block. init, unless -1, is the note holding the value a
-// loop headed here starts its induction variable at (see coster.count).
-type block struct {
-	start, end  int32
-	succ        [2]int32
-	init        int32
-	exit, reach bool
-}
-
 // note is what the walker found at instruction ip of Block(fn) that the
 // block's graph reads: a test that goes one way only (decided), or the
-// value a loop headed at ip enters its induction variable with.
+// value a loop headed at ip enters its induction variable with, which
+// the coster reads.
 type note struct {
 	fn, ip       int
 	decided      bool
@@ -56,9 +37,8 @@ type note struct {
 // in it, and one Release hands it back.
 type Scratch struct {
 	dpl.Scratch
-	g      graph
 	notes  []note    // in code order: by fn, then ip
-	flags  []bool    // per instruction: a block starts here; per block: sundry
+	flags  []bool    // per block or per function: sundry
 	stack  []int32   // work lists
 	words  []uint64  // bitsets
 	nest   []nesting // per block: its place among the loops
@@ -104,7 +84,7 @@ func (s *Scratch) Release() {
 
 // free clears the analyzer's buffers and returns the bytes they hold.
 func (s *Scratch) free() int {
-	n := sizeOf(s.g.blocks) + sizeOf(s.g.at) + clearAll(s.notes) + sizeOf(s.flags) + sizeOf(s.stack) +
+	n := clearAll(s.notes) + sizeOf(s.flags) + sizeOf(s.stack) +
 		sizeOf(s.words) + sizeOf(s.nest) + sizeOf(s.writes) + sizeOf(s.memo) + sizeOf(s.marks) +
 		s.found.free() + s.reached.free() + clearAll(s.own) + clearAll(s.gathered) + sizeOf(s.lens) +
 		sizeOf(s.costs) + sizeOf(s.priced)
@@ -112,7 +92,6 @@ func (s *Scratch) free() int {
 	for i := range all {
 		n += all[i].free()
 	}
-	s.g.code = nil
 	return n + sizeOf(s.direct)
 }
 
@@ -155,70 +134,25 @@ func entry(c *dpl.Compiled, code []dpl.Instr, ip int, stack, locals []dpl.Abs) (
 	return locals[local].Exact()
 }
 
-// build makes s.g the graph of Block(fn) from the notes its walk left.
-func (s *Scratch) build(c *dpl.Compiled, fn int) *graph {
+// graph makes the scratch's graph that of Block(fn), less the way out
+// of each test the notes of its walk decide.
+func (s *Scratch) graph(c *dpl.Compiled, fn int) *dpl.Graph {
 	_, code, _ := c.Block(fn)
-	g := &s.g
-	g.code, g.blocks, g.at = code, g.blocks[:0], resize(g.at, len(code))
-	lead := resize(s.flags, len(code)+1)
-	s.flags = lead
-	lead[0] = true
-	for ip, in := range code {
-		falls, jumps := dpl.OpcodeFlow(in.Op)
-		if jumps && in.A >= 0 && int(in.A) < len(code) {
-			lead[in.A] = true
+	return s.Graph(code, func(ip int) (bool, bool) {
+		if n, ok := s.note(fn, ip); ok && n.decided {
+			return n.falls, n.jumps
 		}
-		if !falls || jumps {
-			lead[ip+1] = true
-		}
+		return true, true
+	})
+}
+
+// note returns the note of instruction ip of Block(fn), if any.
+func (s *Scratch) note(fn, ip int) (note, bool) {
+	i := sort.Search(len(s.notes), func(i int) bool { n := s.notes[i]; return n.fn > fn || n.fn == fn && n.ip >= ip })
+	if i == len(s.notes) || s.notes[i].fn != fn || s.notes[i].ip != ip {
+		return note{}, false
 	}
-	for ip := range code {
-		if lead[ip] {
-			g.blocks = append(g.blocks, block{start: int32(ip), succ: [2]int32{-1, -1}, init: -1})
-		}
-		g.blocks[len(g.blocks)-1].end = int32(ip + 1)
-		g.at[ip] = int32(len(g.blocks) - 1)
-	}
-	next := sort.Search(len(s.notes), func(i int) bool { return s.notes[i].fn >= fn })
-	for i := range g.blocks {
-		b := &g.blocks[i]
-		ip := int(b.end) - 1
-		in := code[ip]
-		falls, jumps := dpl.OpcodeFlow(in.Op)
-		for ; next < len(s.notes) && s.notes[next].fn == fn && s.notes[next].ip <= ip; next++ {
-			if n := &s.notes[next]; n.decided && n.ip == ip {
-				falls, jumps = n.falls, n.jumps
-			} else if !n.decided && n.ip == int(b.start) {
-				b.init = int32(next)
-			}
-		}
-		b.exit = !falls && !jumps
-		for k, to := range [2]int{ip + 1, int(in.A)} {
-			switch {
-			case k == 0 && !falls || k == 1 && !jumps || to < 0 || to > len(code):
-			case to == len(code):
-				b.exit = true
-			default:
-				b.succ[k] = g.at[to]
-			}
-		}
-	}
-	if len(g.blocks) > 0 {
-		work := append(s.stack[:0], 0)
-		g.blocks[0].reach = true
-		for len(work) > 0 {
-			b := &g.blocks[work[len(work)-1]]
-			work = work[:len(work)-1]
-			for _, t := range b.succ {
-				if t >= 0 && !g.blocks[t].reach {
-					g.blocks[t].reach = true
-					work = append(work, t)
-				}
-			}
-		}
-		s.stack = work
-	}
-	return g
+	return s.notes[i], true
 }
 
 // diagnose appends the findings of the compiler's output before
@@ -228,7 +162,7 @@ func (s *Scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diag
 	for i, f := range prog.Funcs[:min(len(prog.Funcs), len(c.Funcs))] {
 		s.notes = s.notes[:0]
 		s.walk(c, i, 0, nil)
-		g, marks := s.build(c, i), c.Marks(i)
+		g, marks := s.graph(c, i), c.Marks(i)
 		s.unreachable(g, marks, diags)
 		s.assigned(g, marks, f, diags)
 		s.live(g, marks, f, diags)
@@ -238,21 +172,12 @@ func (s *Scratch) diagnose(prog *dpl.Program, c *dpl.Compiled, diags *[]dpl.Diag
 
 // unreachable reports DPL002 once per unreachable region: at the first
 // statement of an unreachable block no edge enters.
-func (s *Scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnostic) {
-	entered := resize(s.flags, len(g.blocks))
-	s.flags = entered
-	for _, b := range g.blocks {
-		for _, t := range b.succ {
-			if t >= 0 && !b.reach {
-				entered[t] = true
-			}
-		}
-	}
-	for i, b := range g.blocks {
-		if b.reach || entered[i] {
+func (s *Scratch) unreachable(g *dpl.Graph, marks []dpl.Mark, diags *[]dpl.Diagnostic) {
+	for _, b := range g.Blocks {
+		if b.Reach || b.Entered {
 			continue
 		}
-		for _, m := range marksIn(marks, int(b.start), int(b.end)) {
+		for _, m := range marksIn(marks, int(b.Start), int(b.End)) {
 			if m.Kind <= dpl.MarkAssign {
 				*diags = append(*diags, dpl.Diagnostic{Code: dpl.CodeUnreachable, Sev: dpl.SevWarning, Pos: m.Pos, Msg: "unreachable code"})
 				break
@@ -265,9 +190,9 @@ func (s *Scratch) unreachable(g *graph, marks []dpl.Mark, diags *[]dpl.Diagnosti
 // over the frame's locals, which reports DPL001 at each read of a local
 // some path reaches unassigned. Parameters are assigned at entry; a
 // bare declaration's nil is no assignment.
-func (s *Scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+func (s *Scratch) assigned(g *dpl.Graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
 	n, params := len(f.Locals), len(f.Params)
-	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is assigned where it starts
+	sets, cur := s.sets(len(g.Blocks)+1, n) // per block: what is assigned where it starts
 	for i := range sets {
 		sets[i] = ^uint64(0)
 	}
@@ -276,10 +201,10 @@ func (s *Scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[
 		set(sets, i)
 	}
 	solve(g, false, func(i int, report bool) (changed bool) {
-		b := g.blocks[i]
+		b := g.Blocks[i]
 		copy(cur, sets[i*len(cur):])
-		for ip := b.start; ip < b.end; ip++ {
-			in := g.code[ip]
+		for ip := b.Start; ip < b.End; ip++ {
+			in := g.Code[ip]
 			a := int(in.A)
 			if a < 0 || a >= n {
 				continue
@@ -293,7 +218,7 @@ func (s *Scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[
 				set(cur, a)
 			}
 		}
-		for _, t := range b.succ {
+		for _, t := range b.Succ {
 			changed = t >= 0 && meet(sets[int(t)*len(cur):(int(t)+1)*len(cur)], cur, false) || changed
 		}
 		return changed
@@ -303,19 +228,19 @@ func (s *Scratch) assigned(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[
 // live is the liveness pass: a backward may-analysis over the frame's
 // locals, which reports DPL003 at each store no path reads. A
 // declaration whose initializer is a bare literal is exempt, as idiom.
-func (s *Scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
+func (s *Scratch) live(g *dpl.Graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl.Diagnostic) {
 	n := len(f.Locals)
-	sets, cur := s.sets(len(g.blocks)+1, n) // per block: what is live where it starts
+	sets, cur := s.sets(len(g.Blocks)+1, n) // per block: what is live where it starts
 	solve(g, true, func(i int, report bool) bool {
-		b := g.blocks[i]
+		b := g.Blocks[i]
 		clear(cur)
-		for _, t := range b.succ {
+		for _, t := range b.Succ {
 			if t >= 0 {
 				meet(cur, sets[int(t)*len(cur):(int(t)+1)*len(cur)], true)
 			}
 		}
-		for ip := b.end - 1; ip >= b.start; ip-- {
-			in := g.code[ip]
+		for ip := b.End - 1; ip >= b.Start; ip-- {
+			in := g.Code[ip]
 			a := int(in.A)
 			if a < 0 || a >= n {
 				continue
@@ -324,7 +249,7 @@ func (s *Scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl
 				set(cur, a)
 			} else if in.Op == dpl.OpStoreL && !bare(marks, int(ip)) {
 				if report && !has(cur, a) {
-					deadStore(g.code, marks, int(ip), f.Locals[a], diags)
+					deadStore(g.Code, marks, int(ip), f.Locals[a], diags)
 				}
 				cur[a/64] &^= 1 << (a % 64)
 			}
@@ -335,8 +260,8 @@ func (s *Scratch) live(g *graph, marks []dpl.Mark, f *dpl.FuncDecl, diags *[]dpl
 
 // solve runs step over g's reachable blocks, in code order or backward,
 // until a round changes nothing, then once more over each to report.
-func solve(g *graph, backward bool, step func(i int, report bool) bool) {
-	n := len(g.blocks)
+func solve(g *dpl.Graph, backward bool, step func(i int, report bool) bool) {
+	n := len(g.Blocks)
 	for changed := true; changed; {
 		changed = false
 		for k := range n {
@@ -344,13 +269,13 @@ func solve(g *graph, backward bool, step func(i int, report bool) bool) {
 			if backward {
 				i = n - 1 - k
 			}
-			if g.blocks[i].reach {
+			if g.Blocks[i].Reach {
 				changed = step(i, false) || changed
 			}
 		}
 	}
 	for i := range n {
-		if g.blocks[i].reach {
+		if g.Blocks[i].Reach {
 			step(i, true)
 		}
 	}

@@ -77,8 +77,8 @@ func TestLintOutputPinned(t *testing.T) {
 // FuncInfo, may lead to a control-flow graph or to an AST node, either
 // of which pins the whole parsed program.
 func TestReportHoldsNoGraphOrAST(t *testing.T) {
-	graph := reflect.TypeOf(graph{})
-	block := reflect.TypeOf(block{})
+	graph := reflect.TypeOf(dpl.Graph{})
+	block := reflect.TypeOf(dpl.BasicBlock{})
 	program := reflect.TypeOf(dpl.Program{})
 	node := reflect.TypeOf((*dpl.Node)(nil)).Elem()
 	isAST := func(ty reflect.Type) bool {
@@ -93,7 +93,7 @@ func TestReportHoldsNoGraphOrAST(t *testing.T) {
 		seen[ty] = true
 		switch {
 		case ty == graph || ty == block:
-			t.Errorf("%s reaches the analyzer's %s", path, ty.Name())
+			t.Errorf("%s reaches the control-flow graph's dpl.%s", path, ty.Name())
 			return
 		case isAST(ty):
 			t.Errorf("%s reaches the AST node dpl.%s", path, ty.Name())

@@ -153,19 +153,7 @@ func TestOpcodeSwitchSites(t *testing.T) {
 		"optimize.go fuseSuperinstructions": true,
 		"optimize.go dropDeadStores":        true,
 	}
-	fset := token.NewFileSet()
-	files := map[string]*ast.File{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := goparser.ParseFile(fset, path, nil, 0)
-		files[path] = f
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := parseSources(t)
 	opcodes := map[string]bool{}
 	for op := OpConst; op <= OpAddN; op++ {
 		opcodes[opcodeConstName(t, files["compile.go"], op)] = true
@@ -192,6 +180,80 @@ func TestOpcodeSwitchSites(t *testing.T) {
 	if !found["vm.go (*VM).dispatch"] {
 		t.Error("the guard did not find the VM's dispatch switch")
 	}
+}
+
+// TestOneFlowGraph: control flow is worked out from the opcode stream in
+// one place, the graph's build; every other pass reads the graph. A
+// call of OpcodeFlow or Instr.target, or a read of an opcode's flow
+// column, is allowed only where an instruction's own flow is at stake:
+// the walker's step, compact's and foldCode's rewrites of a target,
+// chainEnd's scan of one expression, the structural verifier's
+// target-range fault and constant propagation's stop rule.
+func TestOneFlowGraph(t *testing.T) {
+	allowed := map[string]bool{
+		"compile.go OpcodeFlow":                      true,
+		"compile.go Instr.target":                    true,
+		"graph.go (*Graph).build":                    true,
+		"walk.go (*Walker).Walk":                     true,
+		"optimize.go (*optimizer).compact":           true,
+		"optimize.go foldCode":                       true,
+		"optimize.go chainEnd":                       true,
+		"optimize.go propagateConsts":                true,
+		"verifycode.go (*structVerifier).checkBlock": true,
+	}
+	fset, files := parseSources(t)
+	found := map[string]bool{}
+	for path, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := filepath.Base(path) + " " + funcName(fn)
+			ast.Inspect(fn, func(n ast.Node) bool {
+				name := ""
+				switch n := n.(type) {
+				case *ast.Ident: // dpl.OpcodeFlow's too
+					if n.Name == "OpcodeFlow" {
+						name = n.Name
+					}
+				case *ast.SelectorExpr: // in.target, opTable[op].flow
+					if n.Sel.Name == "target" || n.Sel.Name == "flow" {
+						name = n.Sel.Name
+					}
+				}
+				if name != "" {
+					found[site] = true
+					if !allowed[site] || filepath.Dir(path) != "." {
+						t.Errorf("%s: %s outside the allowed sites; read the control-flow graph instead", fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !found["graph.go (*Graph).build"] {
+		t.Error("the guard did not find the graph's build")
+	}
+}
+
+// parseSources parses the package's non-test Go files and its
+// subpackages'.
+func parseSources(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := goparser.ParseFile(fset, path, nil, 0)
+		files[path] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
 }
 
 // opcodeConstName returns the identifier compile.go declares op under.

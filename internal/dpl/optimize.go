@@ -129,11 +129,15 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 		if propagateConsts(c, o, code, nLocals, st) {
 			changed = true
 		}
+		// The walk left the graph of code: propagation rewrites loads
+		// only, which leaves control flow as it was.
+		g := &o.walk.g
 		var did bool
-		if code, did = foldCode(c, o, code, st); did {
+		if code, did = foldCode(c, o, g, st); did {
 			changed = true
+			g = g.build(code, nil)
 		}
-		if code, did = dropUnreachable(o, code, st); did {
+		if code, did = dropUnreachable(o, g, st); did {
 			changed = true
 		}
 		if fn != nil && dropDeadStores(o, code, nLocals, st) {
@@ -148,17 +152,16 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 }
 
 // optimizer is what the passes of one Optimize call share: the interner
-// of optimizer-produced constants, the walker, and working memory sized
-// once for the program's longest code block, which each pass slices and
-// clears. All of it is its Scratch's.
+// of optimizer-produced constants, the walker, whose graph the passes
+// read, and working memory sized once for the program's longest code
+// block, which each pass slices and clears. All of it is its Scratch's.
 type optimizer struct {
 	c      *Compiled
 	consts *constPool // interns optimizer-produced constants into c.Consts
 	walk   *Walker    // propagateConsts' abstract interpretation
 
-	tgt   []bool // jumpTargets
 	dead  []bool // instructions to remove; dropDeadStores' loaded locals
-	remap []int  // compact's positions; dropUnreachable's worklist
+	remap []int  // compact's positions
 	marks []Mark // the current block's position table (Compiled.Marks)
 }
 
@@ -171,14 +174,14 @@ func (s *Scratch) optimizer(c *Compiled) *optimizer {
 	o := &s.opt
 	s.pool.reset(c)
 	o.c, o.consts, o.walk = c, &s.pool, &s.Walker
-	o.tgt, o.dead, o.remap = resize(o.tgt, n), resize(o.dead, max(n, nLocals)), resize(o.remap, n)
+	o.dead, o.remap = resize(o.dead, max(n, nLocals)), resize(o.remap, n)
 	return o
 }
 
 // reset clears o of its program and returns the bytes its tables hold.
 func (o *optimizer) reset() int {
 	o.c, o.consts, o.walk, o.marks = nil, nil, nil, nil
-	return sizeOf(o.tgt) + sizeOf(o.dead) + sizeOf(o.remap)
+	return sizeOf(o.dead) + sizeOf(o.remap)
 }
 
 // pushInstr returns the instruction that pushes v.
@@ -211,20 +214,6 @@ func constOf(c *Compiled, in Instr) (Value, bool) {
 		return Value{}, true
 	}
 	return Value{}, false
-}
-
-// jumpTargets returns a bitmap (indexed 0..len(code)) of instruction
-// positions some jump lands on. Position len(code) is the implicit
-// return-nil epilogue and is always a valid target.
-func (o *optimizer) jumpTargets(code []Instr) []bool {
-	tgt := o.tgt[:len(code)+1]
-	clear(tgt)
-	for _, in := range code {
-		if t, ok := in.target(len(code)); ok {
-			tgt[t] = true
-		}
-	}
-	return tgt
 }
 
 // compact removes instructions marked dead, in place, and remaps jump
@@ -264,11 +253,13 @@ func (o *optimizer) compact(code []Instr, dead []bool) []Instr {
 	return out
 }
 
-// foldCode collapses constant expressions and constant branches. A
-// pattern's interior instructions must not be jump targets — control
-// entering mid-pattern would observe the intermediate stack.
-func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, bool) {
-	tgt := o.jumpTargets(code)
+// foldCode collapses constant expressions and constant branches in
+// g's code. No block may start inside a pattern — control entering
+// mid-pattern would observe the intermediate stack. Every instruction
+// of a pattern but its last falls through and does not jump, so only a
+// jump target starts one there.
+func foldCode(c *Compiled, o *optimizer, g *Graph, st *OptStats) ([]Instr, bool) {
+	code := g.Code
 	dead := o.dead[:len(code)]
 	clear(dead)
 	changed := false
@@ -291,7 +282,7 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 			continue
 		}
 		k1, ok1 := constOf(c, code[i])
-		if !ok1 || i+1 >= len(code) || dead[i+1] || tgt[i+1] {
+		if !ok1 || i+1 >= len(code) || dead[i+1] || g.starts(i+1) {
 			continue
 		}
 		next := code[i+1]
@@ -303,7 +294,7 @@ func foldCode(c *Compiled, o *optimizer, code []Instr, st *OptStats) ([]Instr, b
 			continue
 		}
 		// push K1 ; push K2 ; binop  →  push fold(K1 op K2)
-		if k2, ok2 := constOf(c, next); ok2 && i+2 < len(code) && !dead[i+2] && !tgt[i+2] {
+		if k2, ok2 := constOf(c, next); ok2 && i+2 < len(code) && !dead[i+2] && !g.starts(i+2) {
 			op := TokEOF // no operator: nothing folds
 			switch in3 := code[i+2]; in3.Op {
 			case OpEq:
@@ -419,36 +410,16 @@ func chainEnd(code []Instr, ip int) int {
 	return -1
 }
 
-// dropUnreachable removes instructions no control path reaches.
-func dropUnreachable(o *optimizer, code []Instr, st *OptStats) ([]Instr, bool) {
-	if len(code) == 0 {
-		return code, false
-	}
-	dead := o.dead[:len(code)] // until the walk from the entry reaches it
-	for i := range dead {
-		dead[i] = true
-	}
-	// The worklist (one entry per jump, at most) borrows compact's
-	// array, idle until the walk is over.
-	work := append(o.remap[:0], 0)
-	for len(work) > 0 {
-		ip := work[len(work)-1]
-		work = work[:len(work)-1]
-		for ip < len(code) && dead[ip] {
-			dead[ip] = false
-			if t, ok := code[ip].target(len(code)); ok && t < len(code) && dead[t] {
-				work = append(work, t)
-			}
-			if falls, _ := OpcodeFlow(code[ip].Op); !falls {
-				break
-			}
-			ip++
+// dropUnreachable removes the blocks of g no control path reaches.
+func dropUnreachable(o *optimizer, g *Graph, st *OptStats) ([]Instr, bool) {
+	code := g.Code
+	dead, removed := o.dead[:len(code)], 0
+	for _, b := range g.Blocks {
+		for ip := b.Start; ip < b.End; ip++ {
+			dead[ip] = !b.Reach
 		}
-	}
-	removed := 0
-	for _, d := range dead {
-		if d {
-			removed++
+		if !b.Reach {
+			removed += int(b.End - b.Start)
 		}
 	}
 	if removed == 0 {
@@ -493,10 +464,10 @@ func dropDeadStores(o *optimizer, code []Instr, nLocals int, st *OptStats) bool 
 }
 
 // propagateConsts replaces loads of locals that provably hold a
-// constant with a direct push. The walker forgets locals at every block
-// leader, which makes the replacement sound: an instruction mid-block
-// is only reachable through its leader, executing every intervening
-// store. The walker knows more than the pass uses, because compiled
+// constant with a direct push. The walker forgets locals wherever
+// control arrives other than by falling through, which makes the
+// replacement sound: any other instruction is reached only from the
+// last such place before it, through every intervening store. The walker knows more than the pass uses, because compiled
 // artifacts are pinned byte for byte (CompilerVersion): the pass
 // rewrites only to a constant the code pushed, not one the walker
 // folded, and stops at the first fused opcode (generation 3: opaque to
@@ -532,12 +503,12 @@ func propagateConsts(c *Compiled, o *optimizer, code []Instr, nLocals int, st *O
 // see CompilerVersion). It runs after the scalar passes reach fixpoint:
 // fused opcodes are opaque to propagation and folding, so fusing last
 // keeps the scalar passes maximally effective. Matching is longest-first
-// at each position, and a pattern's interior instructions must not be
-// jump targets — control entering mid-pattern would observe the
-// unfused intermediate stack. Only plain OpConst operands fuse (the
+// at each position, and, as in foldCode, no block may start inside a
+// pattern — control entering mid-pattern would observe the unfused
+// intermediate stack. Only plain OpConst operands fuse (the
 // nil/true/false pushes have no pool index to pack).
 func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats) ([]Instr, bool) {
-	tgt := o.jumpTargets(code)
+	g := o.walk.g.build(code, nil)
 	dead := o.dead[:len(code)]
 	clear(dead)
 	changed := false
@@ -556,7 +527,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 		in := code[i]
 		// LOADL a; CONST k; BIN ±; STOREL a → INCL/DECL a, k
 		if in.Op == OpLoadL && localOK(in.A) && i+3 < len(code) &&
-			!tgt[i+1] && !tgt[i+2] && !tgt[i+3] &&
+			!g.starts(i+1) && !g.starts(i+2) && !g.starts(i+3) &&
 			code[i+1].Op == OpConst && code[i+1].A >= 0 &&
 			code[i+3].Op == OpStoreL && code[i+3].A == in.A {
 			if op, ok := binOp(code[i+2]); ok && (op == TokPlus || op == TokMinus) {
@@ -573,7 +544,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 			}
 		}
 		// LOADL a; CONST k; BIN op → LLCB and LOADL a; LOADL b; BIN op → LLLB
-		if in.Op == OpLoadL && localOK(in.A) && i+2 < len(code) && !tgt[i+1] && !tgt[i+2] {
+		if in.Op == OpLoadL && localOK(in.A) && i+2 < len(code) && !g.starts(i+1) && !g.starts(i+2) {
 			if op, ok := binOp(code[i+2]); ok {
 				// An index too large to pack beside the operator stays
 				// unfused.
@@ -595,7 +566,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 		}
 	pair:
 		// BIN op; JF t → BJF op, t
-		if op, ok := binOp(in); ok && i+1 < len(code) && !tgt[i+1] && code[i+1].Op == OpJumpFalse {
+		if op, ok := binOp(in); ok && i+1 < len(code) && !g.starts(i+1) && code[i+1].Op == OpJumpFalse {
 			code[i] = Instr{Op: OpBinJumpFalse, A: code[i+1].A, B: int32(op)}
 			dead[i+1] = true
 			st.Fused++
@@ -604,7 +575,7 @@ func fuseSuperinstructions(o *optimizer, code []Instr, nLocals int, st *OptStats
 			continue
 		}
 		// CONST k; STOREL l → KSTL k, l
-		if in.Op == OpConst && in.A >= 0 && i+1 < len(code) && !tgt[i+1] &&
+		if in.Op == OpConst && in.A >= 0 && i+1 < len(code) && !g.starts(i+1) &&
 			code[i+1].Op == OpStoreL && localOK(code[i+1].A) {
 			code[i] = Instr{Op: OpConstStoreL, A: in.A, B: code[i+1].A}
 			dead[i+1] = true

@@ -37,10 +37,10 @@ func refOptimizeCode(c *Compiled, o *refOptimizer, code []Instr, nLocals int, fn
 			changed = true
 		}
 		var did bool
-		if code, did = foldCode(c, o.optimizer, code, st); did {
+		if code, did = foldCode(c, o.optimizer, o.walk.g.build(code, nil), st); did {
 			changed = true
 		}
-		if code, did = dropUnreachable(o.optimizer, code, st); did {
+		if code, did = dropUnreachable(o.optimizer, o.walk.g.build(code, nil), st); did {
 			changed = true
 		}
 		if fn != nil && dropDeadStores(o.optimizer, code, nLocals, st) {
@@ -70,7 +70,12 @@ type absVal struct {
 // store.
 func refPropagateConsts(c *Compiled, o *refOptimizer, code []Instr, nLocals int, st *OptStats) bool {
 	locals := o.vals[:nLocals]
-	tgt := o.jumpTargets(code)
+	tgt := make([]bool, len(code)+1) // the jump targets
+	for _, in := range code {
+		if t, ok := in.target(len(code)); ok {
+			tgt[t] = true
+		}
+	}
 	changed := false
 	reset := func() {
 		clear(locals)

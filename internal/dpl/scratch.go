@@ -67,7 +67,8 @@ func (s *Scratch) Clear() int {
 	n := sizeOf(s.toks) + clearAll(s.stmts) + clearAll(s.exprs) + clearAll(s.vals) + clearAll(s.names) +
 		clearAll(s.globals) + clearAll(s.decls) + s.slab.free() + s.r.reset(nil, nil) + s.fc.reset(nil) +
 		sizeOf(s.code) + sizeOf(s.marks) + clearAll(s.consts) + s.pool.reset(nil) + s.opt.reset() + s.v.reset() +
-		clearAll(s.stack) + clearAll(s.locals) + clearAll(s.nodes) + sizeOf(s.ids) + sizeOf(s.joins) + sizeOf(s.set) + sizeOf(s.path)
+		clearAll(s.stack) + clearAll(s.locals) + clearAll(s.nodes) + sizeOf(s.ids) + sizeOf(s.unknown) + sizeOf(s.joins) +
+		sizeOf(s.set) + sizeOf(s.path) + s.g.reset()
 	return n
 }
 

@@ -92,7 +92,7 @@ var binOps = map[TokenKind]bool{
 func (s *Scratch) VerifyStructure(c *Compiled) []CodeFault {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
-	return c.verifyLocked(&s.v)
+	return c.verifyLocked(&s.v, &s.g)
 }
 
 // EnsureStructure verifies c once and caches the outcome; subsequent
@@ -102,17 +102,17 @@ func (c *Compiled) EnsureStructure() error {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	if !c.vdone {
-		c.verifyLocked(new(structVerifier))
+		c.verifyLocked(new(structVerifier), new(Graph))
 	}
 	return c.verr
 }
 
-// verifyLocked proves c's structure with v and records the outcome for
-// EnsureStructure. c.vmu must be held.
-func (c *Compiled) verifyLocked(v *structVerifier) []CodeFault {
+// verifyLocked proves c's structure with v over graphs built in g and
+// records the outcome for EnsureStructure. c.vmu must be held.
+func (c *Compiled) verifyLocked(v *structVerifier, g *Graph) []CodeFault {
 	v.reset()
 	v.c = c
-	c.initMaxStack = v.checkBlock("<init>", c.InitCode, 0)
+	c.initMaxStack = v.checkBlock("<init>", g.build(c.InitCode, nil), 0)
 	for i, fn := range c.Funcs {
 		name := fn.Name
 		if name == "" {
@@ -121,7 +121,7 @@ func (c *Compiled) verifyLocked(v *structVerifier) []CodeFault {
 		if fn.NumParams < 0 || fn.NumLocals < 0 || fn.NumParams > fn.NumLocals || fn.NumLocals > maxProgLocals {
 			v.fault(name, -1, FaultOperand, fmt.Sprintf("implausible frame (params=%d locals=%d)", fn.NumParams, fn.NumLocals))
 		}
-		fn.maxStack = v.checkBlock(name, fn.Code, fn.NumLocals)
+		fn.maxStack = v.checkBlock(name, g.build(fn.Code, nil), fn.NumLocals)
 	}
 	c.vdone, c.verr = true, nil
 	if faults := v.faults; len(faults) > 0 {
@@ -147,7 +147,7 @@ func (c *Compiled) invalidateVerify() {
 type structVerifier struct {
 	c      *Compiled
 	faults []CodeFault
-	buf    []int32 // checkBlock's depths and worklist, reused from block to block and call to call
+	buf    []int32 // checkBlock's depths and work list, reused from block to block and call to call
 }
 
 // reset clears v of its program and returns the bytes its buffer holds.
@@ -228,65 +228,61 @@ func (v *structVerifier) operandFault(kind operand, x, nLocals, nCode int, count
 	return ""
 }
 
-// checkBlock runs the worklist abstract interpretation over one code
-// block: every reachable instruction gets a unique entry stack depth,
-// jumps stay inside [0, len(code)], and no instruction pops below
-// empty. Depth uniqueness at joins is what lets the VM skip per-step
-// stack checks. The return value is the proven operand-stack
-// high-water mark over all reachable paths (instructions pop before
-// they push, so the depth after each instruction bounds the peak).
-func (v *structVerifier) checkBlock(fn string, code []Instr, nLocals int) int {
-	maxDepth := 0
-	if len(code) == 0 {
+// checkBlock proves one code block over its graph g: every reachable
+// instruction gets a unique entry stack depth, jumps stay inside
+// [0, len(code)], and no instruction pops below empty. A work list of
+// blocks carries each block's entry depth, which runs on through the
+// block; an instruction too broken to interpret, or one that
+// underflows, ends its block's exploration. Depth uniqueness at joins
+// is what lets the VM skip per-step stack checks. The return value is
+// the proven operand-stack high-water mark over all reachable paths
+// (instructions pop before they push, so the depth after each
+// instruction bounds the peak).
+func (v *structVerifier) checkBlock(fn string, g *Graph, nLocals int) int {
+	maxDepth, code, n := 0, g.Code, len(g.Blocks)
+	if n == 0 {
 		return 0
 	}
-	n := len(code)
 	if cap(v.buf) < 2*n {
 		v.buf = make([]int32, 2*n)
 	}
-	// Each instruction enters the worklist once at most.
+	// Each block enters the work list once at most.
 	depth, work := v.buf[:n], append(v.buf[n:n:2*n], 0)
 	for i := range depth {
 		depth[i] = -1
 	}
 	depth[0] = 0
-	propagate := func(from, to, d int) {
-		if to == len(code) {
-			return // implicit return-nil epilogue; any depth is fine
-		}
-		if depth[to] == -1 {
-			depth[to] = int32(d)
-			work = append(work, int32(to))
-		} else if int(depth[to]) != d {
-			v.fault(fn, from, FaultStack, fmt.Sprintf("stack depth mismatch at join %d (%d vs %d)", to, depth[to], d))
-		}
-	}
+blocks:
 	for len(work) > 0 {
-		ip := int(work[len(work)-1])
+		b := &g.Blocks[work[len(work)-1]]
+		d := int(depth[work[len(work)-1]])
 		work = work[:len(work)-1]
-		in := code[ip]
-		if !v.operandsOK(fn, ip, in, nLocals, len(code)) {
-			continue
-		}
-		d, pops := int(depth[ip]), in.pops()
-		if d < pops {
-			v.fault(fn, ip, FaultStack, fmt.Sprintf("stack underflow: %s needs %d operands, depth is %d", in.Op, pops, d))
-			continue
-		}
-		nd := d - pops + int(opTable[in.Op].pushes)
-		if nd > maxDepth {
-			maxDepth = nd
-		}
-		falls, jumps := OpcodeFlow(in.Op)
-		if jumps {
-			if t := int(in.A); t < 0 || t > len(code) {
-				v.fault(fn, ip, FaultJump, fmt.Sprintf("jump target %d outside [0,%d]", in.A, len(code)))
-			} else {
-				propagate(ip, t, nd)
+		for ip := int(b.Start); ip < int(b.End); ip++ {
+			in := code[ip]
+			if !v.operandsOK(fn, ip, in, nLocals, len(code)) {
+				continue blocks
 			}
+			pops := in.pops()
+			if d < pops {
+				v.fault(fn, ip, FaultStack, fmt.Sprintf("stack underflow: %s needs %d operands, depth is %d", in.Op, pops, d))
+				continue blocks
+			}
+			d += int(opTable[in.Op].pushes) - pops
+			maxDepth = max(maxDepth, d)
 		}
-		if falls {
-			propagate(ip, ip+1, nd)
+		ip := int(b.End) - 1
+		if _, jumps := OpcodeFlow(code[ip].Op); jumps && (code[ip].A < 0 || int(code[ip].A) > len(code)) {
+			v.fault(fn, ip, FaultJump, fmt.Sprintf("jump target %d outside [0,%d]", code[ip].A, len(code)))
+		}
+		for _, to := range [2]int32{b.Succ[1], b.Succ[0]} {
+			switch {
+			case to < 0: // no edge, or the implicit return-nil epilogue, where any depth is fine
+			case depth[to] == -1:
+				depth[to] = int32(d)
+				work = append(work, to)
+			case int(depth[to]) != d:
+				v.fault(fn, ip, FaultStack, fmt.Sprintf("stack depth mismatch at join %d (%d vs %d)", g.Blocks[to].Start, depth[to], d))
+			}
 		}
 	}
 	return maxDepth

@@ -12,14 +12,16 @@ import (
 // One linear pass covers every instruction, dead ones included, with
 // every index bounded. Exact values fold by the VM's own operator rules
 // (Binary, Negate, Truthy), so a branch whose condition the walker
-// knows goes one way only (see Branch). The join rule: locals are
-// forgotten at each block leader; where only forward edges arrive, each
-// stack slot is the meet over the edges control can take into it,
-// fall-through included; at a loop head every slot is unknown. Code no
-// such edge reaches carries on from the code before it, which no run
-// reaches either. Edges disagreeing on depth (the structural proof
-// rules that out for reachable ones) and code only a jump reaches start
-// from an empty stack, whose pops yield unknowns.
+// knows goes one way only (see Branch). The join rule, at each entry,
+// which is a jump target or code control cannot fall into (not every
+// block start: not the code after a branch): locals are forgotten;
+// where only forward edges arrive, each stack slot is the meet over the
+// edges control can take into it, fall-through included; at a loop
+// head every slot is unknown. Code no such edge reaches carries on from
+// the code before it, which no run reaches either. Edges disagreeing
+// on depth (the structural proof rules that out for reachable ones) and
+// code only a jump reaches start from an empty stack, whose pops yield
+// unknowns.
 
 type absKind uint8
 
@@ -97,9 +99,10 @@ func (a Abs) meet(b Abs) Abs {
 	return Abs{}
 }
 
-// Walker runs the walk, reusing its buffers from block to block and
-// call to call.
+// Walker runs the walk over the graph it builds of the code, reusing
+// its buffers from block to block and call to call.
 type Walker struct {
+	g             Graph
 	stack, locals []Abs
 	// ids[i] is the node that holds stack[i] and, through its below
 	// links, every slot under it, or -1 once the slot has changed since
@@ -109,10 +112,14 @@ type Walker struct {
 	// once, whatever the depth.
 	ids   []int32
 	nodes []node
-	joins []join  // per instruction: the edges landing on it
-	entry int     // stack depth where the current block began
-	set   []int32 // the locals set since the block began
-	path  []int32 // the nodes of a join's stack above what it shares with the current one
+	// unknown[i+1] is the node of an unknown value over unknown[i], -1
+	// for none: the stack a loop head leaves, which every loop head of
+	// the walk shares.
+	unknown []int32
+	joins   []join  // per graph block: the forward edges landing on it
+	entry   int     // stack depth where the current block began
+	set     []int32 // the locals set since the block began
+	path    []int32 // the nodes of a join's stack above what it shares with the current one
 }
 
 // node is one saved stack slot, over the node below it (-1 for none).
@@ -123,9 +130,7 @@ type node struct {
 
 type join struct {
 	top, n int32 // the forward edges control can take meet in an n-slot stack with nodes[top] on top; n < 0 if their depths disagree
-	// leader: a forward jump lands here; edges: one control can take;
-	// loop: a backward jump lands here.
-	leader, edges, loop bool
+	edges  bool  // one control can take lands here
 }
 
 // Walk interprets code, a block with nLocals frame slots. visit sees
@@ -133,21 +138,16 @@ type join struct {
 // the transfer, which reads code[ip] afterwards so a rewrite counts.
 // Returning false ends the walk.
 func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int, stack, locals []Abs) bool) {
-	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(code))
-	w.stack, w.ids, w.nodes, w.set = w.stack[:0], w.ids[:0], w.nodes[:0], w.set[:0]
-	for ip, in := range code {
-		if t, ok := in.target(len(code)); ok && t < len(code) {
-			w.joins[t].loop = w.joins[t].loop || t <= ip
-			w.joins[t].leader = w.joins[t].leader || t > ip
-		}
-	}
+	g := w.g.build(code, nil)
+	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(g.Blocks))
+	w.stack, w.ids, w.nodes, w.set, w.unknown = w.stack[:0], w.ids[:0], w.nodes[:0], w.set[:0], append(w.unknown[:0], -1)
 	falls, arrives := true, true // control can fall into ip, and does
 	for ip := range code {
-		j := &w.joins[ip]
 		live := arrives
-		if ip == 0 || j.leader || j.loop || !falls {
-			live = ip == 0 || j.loop || j.edges || arrives
-			w.enter(j, arrives || falls && !live)
+		if ip == 0 || !falls || g.lead[ip]&(jumped|looped) != 0 {
+			j, loop := &w.joins[g.At[ip]], g.lead[ip]&looped != 0
+			live = ip == 0 || loop || j.edges || arrives
+			w.enter(j, loop, arrives || falls && !live)
 		}
 		if !visit(ip, w.stack, w.locals) {
 			return
@@ -161,7 +161,7 @@ func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int,
 		}
 		w.transfer(c, in)
 		if t := int(in.A); jumps && t > ip && t < len(code) && live && take {
-			w.edge(&w.joins[in.A])
+			w.edge(&w.joins[g.At[t]])
 		}
 		arrives = live && next
 	}
@@ -191,9 +191,10 @@ func Branch(in Instr, stack []Abs) (falls, jumps bool) {
 	return t, !t
 }
 
-// enter starts a block by the join rule; falls says whether the state
-// of the previous instruction carries into it.
-func (w *Walker) enter(j *join, falls bool) {
+// enter starts a block by the join rule; loop says the block heads a
+// loop, falls whether the state of the previous instruction carries
+// into it.
+func (w *Walker) enter(j *join, loop, falls bool) {
 	switch {
 	case !j.edges && falls: // the fall-through state carries on
 	case !j.edges || j.n < 0 || falls && len(w.stack) != int(j.n):
@@ -213,9 +214,16 @@ func (w *Walker) enter(j *join, falls bool) {
 			w.stack, w.ids = append(w.stack, w.nodes[r].a), append(w.ids, r)
 		}
 	}
-	if j.loop {
-		clear(w.stack)
-		w.dirty(0)
+	if loop {
+		// Each slot down to the first already on the unknown chain
+		// moves onto it, so the next edge saves none of them.
+		for len(w.unknown) <= len(w.stack) {
+			w.unknown = append(w.unknown, int32(len(w.nodes)))
+			w.nodes = appendDoubling(w.nodes, node{below: w.unknown[len(w.unknown)-2]})
+		}
+		for i := len(w.stack) - 1; i >= 0 && w.ids[i] != w.unknown[i+1]; i-- {
+			w.stack[i], w.ids[i] = Abs{}, w.unknown[i+1]
+		}
 	}
 	for _, i := range w.set {
 		w.locals[i] = Abs{}
