@@ -38,8 +38,8 @@ type note struct {
 type Scratch struct {
 	dpl.Scratch
 	notes  []note    // in code order: by fn, then ip
-	flags  []bool    // per block or per function: sundry
-	stack  []int32   // work lists
+	flags  []bool    // per function or per global: sundry
+	stack  []int32   // the loops open at a block (coster.loops)
 	words  []uint64  // bitsets
 	nest   []nesting // per block: its place among the loops
 	writes []uint64  // the writes to locals: local<<32 | position
