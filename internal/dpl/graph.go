@@ -100,7 +100,8 @@ func (g *Graph) build(code []Instr, branch func(ip int) (falls, jumps bool)) *Gr
 func (g *Graph) starts(ip int) bool { return ip == 0 || g.At[ip] != g.At[ip-1] }
 
 // Graph makes the scratch's graph that of code, as build does. It is
-// the walker's, valid until the next Graph or Walk.
+// the walker's, valid until the scratch builds another: the next Graph,
+// Walk, Optimize or VerifyStructure.
 func (s *Scratch) Graph(code []Instr, branch func(ip int) (falls, jumps bool)) *Graph {
 	return s.g.build(code, branch)
 }
