@@ -11,10 +11,8 @@ type Graph struct {
 	Code   []Instr
 	Blocks []BasicBlock
 	At     []int32 // per instruction: the block holding it
-	// lead is, per instruction, why a block starts there. The walker
-	// reads its jump bits, which no branch decision changes.
-	lead []uint8
-	work []int32 // the reach work list
+	lead   []uint8 // per instruction: why a block starts there (see mark)
+	work   []int32 // the reach work list
 }
 
 // BasicBlock is Code[Start:End]. Succ holds the blocks control can go
@@ -38,19 +36,7 @@ const (
 // the branch at ip can go, in place of both ways.
 func (g *Graph) build(code []Instr, branch func(ip int) (falls, jumps bool)) *Graph {
 	g.Code, g.Blocks, g.At = code, g.Blocks[:0], slices.Grow(g.At[:0], len(code))[:len(code)]
-	lead := resize(g.lead, len(code)+1)
-	g.lead, lead[0] = lead, leads
-	for ip, in := range code {
-		falls, jumps := OpcodeFlow(in.Op)
-		if t := int(in.A); jumps && t > ip && t < len(code) {
-			lead[t] |= leads | jumped
-		} else if jumps && t >= 0 && t <= ip {
-			lead[t] |= leads | looped
-		}
-		if !falls || jumps {
-			lead[ip+1] |= leads
-		}
-	}
+	lead := g.mark(code)
 	for ip := range code {
 		if lead[ip] != 0 {
 			g.Blocks = append(g.Blocks, BasicBlock{Start: int32(ip), Succ: [2]int32{-1, -1}})
@@ -83,9 +69,9 @@ func (g *Graph) build(code []Instr, branch func(ip int) (falls, jumps bool)) *Gr
 	work := append(g.work[:0], 0)
 	g.Blocks[0].Reach = true
 	for len(work) > 0 {
-		b := g.Blocks[work[len(work)-1]]
+		succ := g.Blocks[work[len(work)-1]].Succ
 		work = work[:len(work)-1]
-		for _, t := range b.Succ {
+		for _, t := range succ {
 			if t >= 0 && !g.Blocks[t].Reach {
 				g.Blocks[t].Reach = true
 				work = append(work, t)
@@ -94,6 +80,25 @@ func (g *Graph) build(code []Instr, branch func(ip int) (falls, jumps bool)) *Gr
 	}
 	g.work = work
 	return g
+}
+
+// mark returns, per instruction of code and one past the last, why a
+// block starts there: build's first step, and all the walker reads.
+func (g *Graph) mark(code []Instr) []uint8 {
+	lead := resize(g.lead, len(code)+1)
+	g.lead, lead[0] = lead, leads
+	for ip, in := range code {
+		falls, jumps := OpcodeFlow(in.Op)
+		if t := int(in.A); jumps && t > ip && t < len(code) {
+			lead[t] |= leads | jumped
+		} else if jumps && t >= 0 && t <= ip {
+			lead[t] |= leads | looped
+		}
+		if !falls || jumps {
+			lead[ip+1] |= leads
+		}
+	}
+	return lead
 }
 
 // starts reports whether a block starts at ip.

@@ -194,6 +194,7 @@ func TestOneFlowGraph(t *testing.T) {
 		"compile.go OpcodeFlow":                      true,
 		"compile.go Instr.target":                    true,
 		"graph.go (*Graph).build":                    true,
+		"graph.go (*Graph).mark":                     true,
 		"walk.go (*Walker).Walk":                     true,
 		"optimize.go (*optimizer).compact":           true,
 		"optimize.go foldCode":                       true,

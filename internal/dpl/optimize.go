@@ -129,9 +129,7 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 		if propagateConsts(c, o, code, nLocals, st) {
 			changed = true
 		}
-		// The walk left the graph of code: propagation rewrites loads
-		// only, which leaves control flow as it was.
-		g := &o.walk.g
+		g := o.walk.g.build(code, nil)
 		var did bool
 		if code, did = foldCode(c, o, g, st); did {
 			changed = true
@@ -152,9 +150,10 @@ func optimizeCode(c *Compiled, o *optimizer, code []Instr, nLocals int, fn *Comp
 }
 
 // optimizer is what the passes of one Optimize call share: the interner
-// of optimizer-produced constants, the walker, whose graph the passes
-// read, and working memory sized once for the program's longest code
-// block, which each pass slices and clears. All of it is its Scratch's.
+// of optimizer-produced constants, the walker, in whose graph the
+// passes build theirs, and working memory sized once for the program's
+// longest code block, which each pass slices and clears. All of it is
+// its Scratch's.
 type optimizer struct {
 	c      *Compiled
 	consts *constPool // interns optimizer-produced constants into c.Consts

@@ -99,8 +99,8 @@ func (a Abs) meet(b Abs) Abs {
 	return Abs{}
 }
 
-// Walker runs the walk over the graph it builds of the code, reusing
-// its buffers from block to block and call to call.
+// Walker runs the walk, reusing its buffers from block to block and
+// call to call. Its graph's marks tell it where joins are.
 type Walker struct {
 	g             Graph
 	stack, locals []Abs
@@ -116,7 +116,7 @@ type Walker struct {
 	// for none: the stack a loop head leaves, which every loop head of
 	// the walk shares.
 	unknown []int32
-	joins   []join  // per graph block: the forward edges landing on it
+	joins   []join  // per instruction: the forward edges landing on it
 	entry   int     // stack depth where the current block began
 	set     []int32 // the locals set since the block began
 	path    []int32 // the nodes of a join's stack above what it shares with the current one
@@ -138,14 +138,14 @@ type join struct {
 // the transfer, which reads code[ip] afterwards so a rewrite counts.
 // Returning false ends the walk.
 func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int, stack, locals []Abs) bool) {
-	g := w.g.build(code, nil)
-	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(g.Blocks))
+	lead := w.g.mark(code)
+	w.locals, w.joins = resize(w.locals, nLocals), resize(w.joins, len(code))
 	w.stack, w.ids, w.nodes, w.set, w.unknown = w.stack[:0], w.ids[:0], w.nodes[:0], w.set[:0], append(w.unknown[:0], -1)
 	falls, arrives := true, true // control can fall into ip, and does
 	for ip := range code {
 		live := arrives
-		if ip == 0 || !falls || g.lead[ip]&(jumped|looped) != 0 {
-			j, loop := &w.joins[g.At[ip]], g.lead[ip]&looped != 0
+		if ip == 0 || !falls || lead[ip]&(jumped|looped) != 0 {
+			j, loop := &w.joins[ip], lead[ip]&looped != 0
 			live = ip == 0 || loop || j.edges || arrives
 			w.enter(j, loop, arrives || falls && !live)
 		}
@@ -161,7 +161,7 @@ func (w *Walker) Walk(c *Compiled, code []Instr, nLocals int, visit func(ip int,
 		}
 		w.transfer(c, in)
 		if t := int(in.A); jumps && t > ip && t < len(code) && live && take {
-			w.edge(&w.joins[g.At[t]])
+			w.edge(&w.joins[t])
 		}
 		arrives = live && next
 	}
